@@ -4,10 +4,10 @@ PYTHON ?= python
 
 .PHONY: test bench bench-smoke bench-gate examples trace-smoke \
 	fault-smoke profile-smoke health-smoke harvest-smoke serve-smoke \
-	recover-smoke all clean
+	recover-smoke perf-smoke perf-compare all clean
 
 test: trace-smoke fault-smoke profile-smoke health-smoke harvest-smoke \
-		serve-smoke recover-smoke bench-smoke bench-gate
+		serve-smoke recover-smoke bench-smoke bench-gate perf-smoke
 	$(PYTHON) -m pytest tests/
 
 # The -m "" overrides pyproject's default "not slow" filter so the
@@ -37,6 +37,22 @@ bench-smoke:
 # entries, so a fresh checkout still builds.
 bench-gate:
 	PYTHONPATH=src $(PYTHON) -m repro bench gate --threshold 10
+
+# The wall-clock benchmark (perf/README.md, docs/PERFORMANCE.md
+# "Wall-clock"): all six workloads, both passes, a few ops each, every
+# output checked against its reference and every share/placement guard
+# of the traced pass applied; < 30 s. Exit status is the verdict.
+perf-smoke:
+	$(PYTHON) perf/run.py --smoke > /dev/null
+
+# Verdict per (workload, end-to-end metric) between two sets of
+# perf/run.py results, e.g.
+#   make perf-compare BASE=perf/out/base NEW=perf/out/new
+# (each a result file, a directory of them, or a comma list).
+perf-compare:
+	@test -n "$(BASE)" -a -n "$(NEW)" || \
+		{ echo "usage: make perf-compare BASE=<results> NEW=<results>"; exit 2; }
+	$(PYTHON) perf/compare.py $(BASE) $(NEW)
 
 # AOT-harvest the whole app suite into a scratch cache, prove every
 # backend warm-starts (the harvest command exits non-zero otherwise),

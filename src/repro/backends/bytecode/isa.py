@@ -147,6 +147,14 @@ class CompiledFunction:
             lines.append(f"  {pc:4d}: {op}{suffix}")
         return "\n".join(lines)
 
+    def staged_source(self) -> str:
+        """The Python function the interpreter actually runs for this
+        bytecode (see :mod:`repro.backends.bytecode.staging`): generated
+        afresh on every call, for reading next to :meth:`disassemble`."""
+        from repro.backends.bytecode.staging import staged_source
+
+        return staged_source(self)
+
 
 @dataclass
 class ClassMeta:

@@ -13,6 +13,7 @@ host CPU's cycle ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.backends.bytecode.interpreter import Interpreter
 from repro.backends.bytecode.isa import BytecodeProgram
@@ -76,15 +77,11 @@ class GPUSimulator:
         if len(lengths) != 1:
             raise DeviceError("map kernel inputs must have equal lengths")
         n = lengths.pop()
-        item_args = []
-        for index in range(n):
-            item_args.append(
-                tuple(
-                    a if b else a[index]
-                    for a, b in zip(args, broadcast)
-                )
-            )
-        per_item, items = self._execute_items([kernel.methods], item_args)
+        columns = [
+            repeat(arg, n) if is_broadcast else arg
+            for arg, is_broadcast in zip(args, broadcast)
+        ]
+        per_item, items = self._execute_items(kernel.methods, zip(*columns))
         outputs = ValueArray(kernel.result_kind, items)
         bytes_in = 0.0
         for kind, arg, is_broadcast in zip(
@@ -129,7 +126,7 @@ class GPUSimulator:
         """A batch of stream elements pulled through the (possibly
         fused) filter chain, one work-item per element."""
         per_item, outputs = self._execute_items(
-            [kernel.methods], [(item,) for item in items]
+            kernel.methods, [(item,) for item in items]
         )
         bytes_in = int(_element_bytes(kernel.param_kinds[0]) * len(outputs))
         bytes_out = int(_element_bytes(kernel.result_kind) * len(outputs))
@@ -146,20 +143,19 @@ class GPUSimulator:
 
     # ------------------------------------------------------------------
 
-    def _execute_items(self, method_chains: list, item_args: list):
-        """Run each work-item through the method chain, recording the
-        abstract cycles each lane spends."""
-        methods = method_chains[0]
+    def _execute_items(self, methods: list, item_args):
+        """Run each work-item (one argument tuple) through the method
+        chain, recording the abstract cycles each lane spends."""
         per_item: list[int] = []
         outputs: list = []
         interp = self._interp
+        call = interp.call
         for args in item_args:
             before = interp.cycles
             value = None
-            current_args = list(args)
             for method in methods:
-                value = interp.call(method, current_args)
-                current_args = [value]
+                value = call(method, args)
+                args = (value,)
             per_item.append(interp.cycles - before)
             outputs.append(value)
         return per_item, outputs

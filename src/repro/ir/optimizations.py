@@ -34,6 +34,17 @@ def _wrap_int(value: int, type_: ty.Type) -> int:
     return value
 
 
+def _narrow(value, type_: ty.Type) -> int:
+    """``(int)``/``(long)`` of a constant, as ``ops.apply_cast`` does it
+    at run time: ints wrap; floats truncate, saturate, and NaN is 0."""
+    if isinstance(value, float):
+        if value != value:
+            return 0
+        half = 1 << (31 if type_ == ty.INT else 63)
+        return int(max(-half, min(half - 1, value)))
+    return _wrap_int(value, type_)
+
+
 def fold_binary(op: str, left: object, right: object, type_: ty.Type):
     """Fold two Python-level constants; returns (ok, value)."""
     try:
@@ -380,9 +391,7 @@ class Optimizer:
             value = operand.value
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 if expr.type in (ty.INT, ty.LONG):
-                    return ir.EConst(
-                        expr.type, _wrap_int(int(value), expr.type)
-                    )
+                    return ir.EConst(expr.type, _narrow(value, expr.type))
                 if expr.type in (ty.FLOAT, ty.DOUBLE):
                     return ir.EConst(expr.type, float(value))
         return expr
