@@ -56,7 +56,6 @@ def _measure_overhead(name: str, tmp_path) -> dict:
         RuntimeConfig(
             scheduler="sequential",
             batch_size=BATCH,
-            device_batch_size=BATCH,
         ),
         checkpointer=recorder,
     )

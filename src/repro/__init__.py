@@ -19,16 +19,15 @@ from repro.errors import LiquidMetalError
 __version__ = "1.0.0"
 
 
-def compile_program(source, filename="<lime>", options=None, **kwargs):
+def compile_program(source, filename="<lime>", options=None):
     """Compile Lime source text to a :class:`repro.compiler.CompileResult`.
 
-    Pass a :class:`repro.compiler.CompileOptions` via ``options=``;
-    legacy keyword flags still work but emit ``DeprecationWarning``.
+    Pass a :class:`repro.compiler.CompileOptions` via ``options=``.
     Imported lazily so that ``import repro`` stays cheap.
     """
     from repro.compiler import compile_program as _compile
 
-    return _compile(source, filename=filename, options=options, **kwargs)
+    return _compile(source, filename=filename, options=options)
 
 
 _LAZY_ATTRS = {

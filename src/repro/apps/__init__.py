@@ -150,15 +150,9 @@ _COMPILE_CACHE: dict = {}
 
 
 def compile_app(
-    name: str, options: "CompileOptions | None" = None, **legacy
+    name: str, options: "CompileOptions | None" = None
 ) -> CompileResult:
-    """Compile one suite application (cached per options object).
-
-    Legacy keyword flags are folded onto :class:`CompileOptions` by
-    ``compile_program``'s deprecation shim.
-    """
-    if legacy:
-        options = (options or CompileOptions()).replace(**legacy)
+    """Compile one suite application (cached per options object)."""
     options = options or CompileOptions()
     key = (name, options)
     if key not in _COMPILE_CACHE:

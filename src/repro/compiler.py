@@ -12,11 +12,9 @@ instead of re-running backend codegen (docs/CACHING.md)::
         cache_dir=".repro-cache", mode="readwrite")))
     result = session.compile(lime_source)
 
-``compile_program`` remains as a thin deprecated shim over
-``CompilerSession.compile`` (the PR 1 deprecation-shim pattern: the
-one-line form keeps working, new code should hold a session). The
-legacy keyword form (``compile_program(source, enable_gpu=False)``)
-still works through the same shim and emits ``DeprecationWarning``.
+``compile_program(source, filename, options)`` is the one-line form:
+a one-shot session. Code that compiles repeatedly should hold a
+session.
 
 A compilation runs the frontend (type-check), shallow optimizations,
 and bytecode emission for the *entire* program; the backend device
@@ -37,7 +35,6 @@ import dataclasses
 import hashlib
 import json
 import threading
-import warnings
 from dataclasses import dataclass, field
 
 from repro.backends.artifacts import (
@@ -86,24 +83,6 @@ class CompileOptions:
         """A copy with the given fields changed."""
         return dataclasses.replace(self, **overrides)
 
-    def legacy_dict(self) -> dict:
-        """The pre-redesign ``CompileResult.options`` dict."""
-        return {
-            "enable_gpu": self.enable_gpu,
-            "enable_fpga": self.enable_fpga,
-            "fpga_pipelined": self.fpga_pipelined,
-            "fpga_max_stage_depth": self.fpga_max_stage_depth,
-        }
-
-
-#: Keyword names accepted by the deprecation shim.
-_LEGACY_OPTION_NAMES = (
-    "enable_gpu",
-    "enable_fpga",
-    "fpga_pipelined",
-    "fpga_max_stage_depth",
-    "run_optimizations",
-)
 
 
 @dataclass
@@ -136,7 +115,6 @@ class CompileResult:
     store: ArtifactStore
     gpu_backend: object = None
     fpga_backend: object = None
-    options: dict = field(default_factory=dict)
     compile_options: "CompileOptions | None" = None
     #: Per-backend cache outcome: backend id -> {state: off|hit|miss,
     #: modeled_s, key?, payload_bytes?} (docs/CACHING.md).
@@ -183,26 +161,6 @@ class CompileResult:
             for a in self.store.for_device(device)
             if a.text
         }
-
-
-def _resolve_options(options, legacy_kwargs) -> CompileOptions:
-    """Fold legacy kwargs onto a CompileOptions, warning once."""
-    if legacy_kwargs:
-        unknown = set(legacy_kwargs) - set(_LEGACY_OPTION_NAMES)
-        if unknown:
-            raise TypeError(
-                "compile_program() got unexpected keyword arguments: "
-                + ", ".join(sorted(unknown))
-            )
-        warnings.warn(
-            "passing compilation flags as keyword arguments "
-            f"({', '.join(sorted(legacy_kwargs))}) is deprecated; use "
-            "compile_program(source, options=CompileOptions(...))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return (options or CompileOptions()).replace(**legacy_kwargs)
-    return options or CompileOptions()
 
 
 class CompilerSession:
@@ -429,7 +387,6 @@ class CompilerSession:
             store=store,
             gpu_backend=gpu_backend,
             fpga_backend=fpga_backend,
-            options=options.legacy_dict(),
             compile_options=options,
             cache_info=cache_info,
             fusion_plan=fusion_plan,
@@ -666,14 +623,9 @@ def compile_program(
     source: str,
     filename: str = "<lime>",
     options: "CompileOptions | None" = None,
-    **legacy_kwargs,
 ) -> CompileResult:
-    """Deprecated shim: run the toolchain via a one-shot
-    :class:`CompilerSession` (the session is the public entry point —
-    see docs/CACHING.md). Legacy keyword flags emit
-    ``DeprecationWarning``; the ``options=`` form stays silent for
-    compatibility, but new code should construct a session."""
-    options = _resolve_options(options, legacy_kwargs)
+    """Run the toolchain once, via a one-shot :class:`CompilerSession`
+    (the session is the public entry point — see docs/CACHING.md)."""
     return CompilerSession(options).compile(source, filename=filename)
 
 

@@ -27,15 +27,7 @@ import itertools
 import threading
 import time
 
-# Counters moved into the metrics registry (repro.obs.metrics) so one
-# module owns every instrument kind; re-exported here because the
-# original public path was repro.obs.tracer.Counters.
-from repro.obs.metrics import (  # noqa: F401  (re-export)
-    NULL_METRICS,
-    Counters,
-    MetricsRegistry,
-    _NullCounters,
-)
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 
 class Span:

@@ -4,7 +4,7 @@
 performs dynamic migration, or runtime adaptation is left to future
 work." The communication-aware policy covers the first; this module
 covers the rest: an :class:`AdaptiveTask` holds *both* implementations
-of a substituted span — the bytecode filters and the device artifact —
+of a substituted span — the bytecode filters and the device task —
 probes each on an initial mini-batch, then migrates the remainder of
 the stream to whichever ran faster per item. Because every artifact is
 semantically equivalent (same task identifiers, Section 3), migration
@@ -43,24 +43,15 @@ class AdaptiveTask(Task):
     kind = "adaptive"
     device = "adaptive"
 
-    def __init__(
-        self,
-        artifact_id: str,
-        device_kind: str,
-        covered_task_ids: list,
-        device_executor,
-        cpu_methods: list,
-        probe_size: int = 32,
-        batch_size: int = 4096,
-    ):
-        super().__init__(f"adaptive:{artifact_id}")
-        self.artifact_id = artifact_id
-        self.device_kind = device_kind
-        self.covered_task_ids = list(covered_task_ids)
-        self.device_executor = device_executor
+    def __init__(self, device_task, cpu_methods: list, probe_size: int = 32):
+        super().__init__(f"adaptive:{device_task.artifact_id}")
+        self.artifact_id = device_task.artifact_id
+        self.device_kind = device_task.device
+        self.covered_task_ids = device_task.covered_task_ids
+        self.device_executor = device_task.executor
+        self.batch_size = device_task.batch_size
         self.cpu_methods = list(cpu_methods)
         self.probe_size = max(probe_size, 1)
-        self.batch_size = batch_size
         self.chosen: str | None = None
         self._cpu_per_item: float | None = None
         self._device_probes: list = []  # [(items, seconds), ...]

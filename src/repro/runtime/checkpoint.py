@@ -240,38 +240,13 @@ class CheckpointRecorder:
 
     # -- decision points -----------------------------------------------
 
-    def wrap_stage(self, key: str, execute):
-        """Wrap a supervised filter-batch executor (``execute(items)
-        -> (outputs, seconds)``) as one memoized decision point per
-        batch."""
-
-        def wrapped(items: list):
-            return self._around(
-                "filter-batch", key, len(items), lambda: execute(items)
-            )
-
-        return wrapped
-
-    def around_map(self, key: str, items: int, thunk):
-        """Memoize one whole ``execute_map`` call (eligibility check,
-        breaker decision, offload or CPU path — everything)."""
-        outputs, _ = self._around(
-            "map", key, items, lambda: (list(thunk()), 0.0)
-        )
-        return outputs
-
-    def around_reduce(self, key: str, items: int, thunk):
-        """Memoize one whole ``execute_reduce`` call."""
-        outputs, _ = self._around(
-            "reduce", key, items, lambda: ([thunk()], 0.0)
-        )
-        return outputs[0]
-
-    def _around(self, kind: str, key: str, items: int, live_fn):
-        """Serve one decision point: replay the memo when the frame
-        has one, otherwise run live and record. The lock serializes
-        decision points across stage threads, which makes the
-        cycles/stdout/offload deltas exact; simulated time is
+    def around(self, kind: str, key: str, items: int, live_fn):
+        """Serve one decision point — a supervised filter batch, or a
+        whole ``execute_map`` / ``execute_reduce`` call — of ``items``
+        inputs: replay the memo when the frame has one, otherwise run
+        ``live_fn() -> (output list, seconds)`` and record. The lock
+        serializes decision points across stage threads, which makes
+        the cycles/stdout/offload deltas exact; simulated time is
         unaffected by the lost wall-clock overlap."""
         with self._lock:
             if self._depth:
@@ -413,6 +388,7 @@ class CheckpointRecorder:
         frame = frame_record(payload)
         with open(self.path, "ab") as f:
             f.write(frame)
+        entries = len(self._entries)
         self._entries = []
         self._next_seq += 1
         self.frames_persisted += 1
@@ -427,7 +403,7 @@ class CheckpointRecorder:
         with self.tracer.span(
             "checkpoint.persist",
             job_id=self.job_id,
-            entries=len(self._entries),
+            entries=entries,
             bytes=len(frame),
         ):
             pass

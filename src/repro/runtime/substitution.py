@@ -21,7 +21,6 @@ from repro.backends.common import BYTECODE, FPGA, GPU, ArtifactStore
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.graph import Pipeline
-from repro.runtime.tasks import DeviceTask
 
 #: Device names a directive may name.
 DIRECTIVE_DEVICES = (BYTECODE, GPU, FPGA)
@@ -207,14 +206,12 @@ def apply_substitutions(
     pipeline: Pipeline,
     decisions: list,
     store: ArtifactStore,
-    executor_factory,
-    batch_size: int = 4096,
+    task_factory,
 ) -> Pipeline:
-    """Rebuild the pipeline with device tasks in place of the covered
-    spans. ``executor_factory(artifact) -> callable`` supplies each
-    device task's executor; ``batch_size`` is the marshaling batch the
-    device tasks drain and dispatch per boundary crossing
-    (``RuntimeConfig.batch_size``)."""
+    """Rebuild the pipeline with one task in place of each covered
+    span. ``task_factory(decision, artifact, span_tasks) -> Task``
+    builds the replacement (the engine's device or adaptive task) from
+    the decision, its artifact, and the tasks it covers."""
     if not decisions:
         return pipeline
     new_tasks = []
@@ -226,15 +223,13 @@ def apply_substitutions(
             new_tasks.append(pipeline.tasks[index])
             index += 1
             continue
-        artifact = store.lookup(decision.artifact_id)
+        end = index + len(decision.covered_task_ids)
         new_tasks.append(
-            DeviceTask(
-                artifact_id=decision.artifact_id,
-                device=decision.device,
-                covered_task_ids=decision.covered_task_ids,
-                executor=executor_factory(artifact),
-                batch_size=batch_size,
+            task_factory(
+                decision,
+                store.lookup(decision.artifact_id),
+                pipeline.tasks[index:end],
             )
         )
-        index += len(decision.covered_task_ids)
+        index = end
     return Pipeline(new_tasks)

@@ -1292,7 +1292,6 @@ def run_recovery_driver(
             scheduler=scheduler,
             fault_plan=plan,
             batch_size=batch_size,
-            device_batch_size=batch_size,
             stage_timeout_s=(
                 stage_timeout_s if scheduler == "threaded" else None
             ),
@@ -1361,7 +1360,6 @@ def run_recovery_driver(
                     scheduler=scheduler,
                     fault_plan=injector,
                     batch_size=batch_size,
-                    device_batch_size=batch_size,
                 ),
             ).run(slot["entry"], slot["args"])
             solo_digests[app] = outcome_digest(

@@ -14,6 +14,7 @@ from repro.errors import (
     CheckpointReplayError,
     ConfigurationError,
 )
+from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import (
     CheckpointRecorder,
     Runtime,
@@ -30,7 +31,7 @@ APP = "gray_pipeline"
 
 
 def _run(path, *, scheduler="sequential", interval=2, resume=False,
-         batch_size=8, app=APP):
+         batch_size=8, app=APP, tracer=NULL_TRACER):
     entry, args = workloads.small_args(app)
     compiled = compile_app(app)
     if resume:
@@ -40,14 +41,13 @@ def _run(path, *, scheduler="sequential", interval=2, resume=False,
         assert recorder is not None
     else:
         recorder = CheckpointRecorder(
-            str(path), interval=interval, job_id="job-t"
+            str(path), interval=interval, job_id="job-t", tracer=tracer
         )
     runtime = Runtime(
         compiled,
         RuntimeConfig(
             scheduler=scheduler,
             batch_size=batch_size,
-            device_batch_size=batch_size,
         ),
         checkpointer=recorder,
     )
@@ -96,7 +96,6 @@ class TestCaptureAndPersist:
             RuntimeConfig(
                 scheduler="sequential",
                 batch_size=8,
-                device_batch_size=8,
             ),
             checkpointer=recorder,
         )
@@ -221,6 +220,17 @@ class TestFrameContent:
             assert "injector" in frame
             assert "supervisor" in frame
             assert "health" in frame
+
+    def test_persist_span_reports_the_frame_it_wrote(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        tracer = Tracer()
+        _run(path, interval=2, tracer=tracer)
+        frames = load_frames(str(path))
+        spans = tracer.find("checkpoint.persist")
+        assert [span.attributes["entries"] for span in spans] == [
+            len(frame["entries"]) for frame in frames
+        ]
+        assert all(span.attributes["entries"] > 0 for span in spans)
 
     def test_modeled_persist_cost_accumulates(self, tmp_path):
         path = tmp_path / "c.ckpt"

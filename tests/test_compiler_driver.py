@@ -48,7 +48,7 @@ class TestCompileResult:
         result = compile_program(
             FIGURE1, options=CompileOptions(fpga_pipelined=True)
         )
-        assert result.options["fpga_pipelined"] is True
+        assert result.compile_options.fpga_pipelined is True
         (artifact,) = result.store.for_device("fpga")
         assert artifact.manifest.properties["pipelined"] is True
 

@@ -263,9 +263,9 @@ class TestHealthRegistry:
         registry = HealthRegistry(
             HealthPolicy(cooldown_s=1e-6, failure_threshold=1,
                          probe_batches=1),
-            listener=lambda record, t: seen.append(
-                (t.from_state, t.to_state)
-            ),
+        )
+        registry.add_listener(
+            lambda record, t: seen.append((t.from_state, t.to_state))
         )
         registry.on_failure("gpu", "a", 0.0, covered_task_ids=["t:f0"])
         registry.on_fallback("gpu", "a", 2e-6)

@@ -2,7 +2,7 @@
 
 Covers the null-tracer fast path, span nesting and attribute integrity
 across a threaded-scheduler run, Chrome trace-event export round-trips,
-the ``compile_program`` deprecation shim, ``RuntimeConfig`` validation
+the ``compile_program`` options path, ``RuntimeConfig`` validation
 and ``with_overrides``, and the substitution-policy directives
 defensive copy.
 """
@@ -335,28 +335,12 @@ class TestOptionsAPI:
         )
         assert result.gpu_backend is None
         assert result.compile_options.enable_gpu is False
-        assert result.options["enable_gpu"] is False  # legacy view
 
     def test_options_hashable_and_replace(self):
         base = CompileOptions()
         piped = base.replace(fpga_pipelined=True)
         assert base != piped
         assert len({base, piped, CompileOptions()}) == 2
-
-    def test_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="enable_gpu"):
-            result = compile_program(FIGURE1, enable_gpu=False)
-        assert result.gpu_backend is None
-
-    def test_legacy_kwargs_fold_onto_options(self):
-        with pytest.warns(DeprecationWarning):
-            result = compile_program(
-                FIGURE1,
-                options=CompileOptions(fpga_pipelined=True),
-                enable_gpu=False,
-            )
-        assert result.gpu_backend is None
-        assert result.compile_options.fpga_pipelined is True
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="enable_quantum"):
@@ -376,8 +360,8 @@ class TestRuntimeConfigValidation:
             RuntimeConfig(scheduler="fibers")
 
     def test_nonpositive_knobs_rejected(self):
-        with pytest.raises(ConfigurationError, match="device_batch_size"):
-            RuntimeConfig(device_batch_size=0)
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            RuntimeConfig(batch_size=0)
         with pytest.raises(ConfigurationError, match="map_offload_min_items"):
             RuntimeConfig(map_offload_min_items=-1)
         with pytest.raises(ConfigurationError, match="fpga_max_clock_hz"):
@@ -391,7 +375,7 @@ class TestRuntimeConfigValidation:
         with pytest.raises(ConfigurationError, match="no_such_knob"):
             base.with_overrides(no_such_knob=1)
         with pytest.raises(ConfigurationError):
-            base.with_overrides(device_batch_size=-5)
+            base.with_overrides(batch_size=-5)
 
 
 class TestPolicyIsolation:

@@ -61,7 +61,6 @@ def _service(journal_dir, plan, scheduler, interval=1):
                 scheduler=scheduler,
                 fault_plan=plan,
                 batch_size=BATCH,
-                device_batch_size=BATCH,
                 stage_timeout_s=(
                     10.0 if scheduler == "threaded" else None
                 ),
@@ -83,7 +82,6 @@ def _baseline_digest(app, entry, args, plan, scheduler):
             scheduler=scheduler,
             fault_plan=injector,
             batch_size=BATCH,
-            device_batch_size=BATCH,
         ),
     ).run(entry, args)
     return outcome_digest(

@@ -17,7 +17,7 @@ from repro.runtime.substitution import (
     apply_substitutions,
     plan_substitutions,
 )
-from repro.runtime.tasks import FilterTask, SinkTask, SourceTask
+from repro.runtime.tasks import DeviceTask, FilterTask, SinkTask, SourceTask
 from repro.values import KIND_INT, MutableArray, ValueArray
 
 
@@ -204,9 +204,17 @@ class TestApplySubstitutions:
         store.add(fused)
         pipeline = make_pipeline(2)
         decisions = plan_substitutions(pipeline, store, SubstitutionPolicy())
-        new = apply_substitutions(
-            pipeline, decisions, store, lambda a: (lambda items: (items, 0.0))
-        )
+        spans = []
+
+        def task_for(decision, artifact, span_tasks):
+            spans.append((artifact, [t.task_id for t in span_tasks]))
+            return DeviceTask(
+                decision.artifact_id, decision.device,
+                decision.covered_task_ids, lambda items: (items, 0.0),
+            )
+
+        new = apply_substitutions(pipeline, decisions, store, task_for)
+        assert spans == [(fused, ["t:f0", "t:f1"])]
         kinds = [t.kind for t in new.tasks]
         assert kinds == ["source", "device", "sink"]
         assert new.tasks[1].covered_task_ids == ["t:f0", "t:f1"]

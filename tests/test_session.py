@@ -70,10 +70,6 @@ class TestSessionBasics:
             warnings.simplefilter("error", DeprecationWarning)
             compile_program(BITFLIP, options=CompileOptions())
 
-    def test_shim_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            compile_program(BITFLIP, enable_fpga=False)
-
 
 class TestWarmStart:
     def test_cold_then_warm(self, tmp_path):
