@@ -10,8 +10,8 @@ residue runs:
 
 * **static**: the opcode, the operand, the operator's type (one
   expression template per ``(op, typename)`` from
-  :mod:`repro.backends.bytecode.ops`), the operand stack (it becomes
-  nested expressions and named temporaries) and the cycle cost
+  :mod:`repro.ir.ops`), the operand stack (it becomes nested
+  expressions and named temporaries) and the cycle cost
   (``CYCLE_COST + BINOP_EXTRA + INTRINSIC_COST`` summed per
   straight-line run);
 * **dynamic**: values, branches, array lengths (the data-dependent
@@ -62,8 +62,9 @@ import linecache
 import math
 import weakref
 
-from repro.backends.bytecode import isa, ops
+from repro.backends.bytecode import isa
 from repro.errors import DeviceError
+from repro.ir import ops
 from repro.values import MutableArray, ValueArray
 from repro.values.structs import StructValue
 

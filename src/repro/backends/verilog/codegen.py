@@ -12,13 +12,14 @@ generates the II=1 variant used by the pipelining ablation bench.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
-from repro.backends.bytecode.ops import wrap_int, wrap_long
 from repro.devices.fpga.rtl import Netlist
 from repro.devices.fpga.synthesis import SynthesisReport, estimate, width_of
 from repro.errors import BackendError
 from repro.ir import nodes as ir
+from repro.ir import ops
 from repro.lime import types as ty
 from repro.values.bits import Bit
 from repro.values.enums import EnumValue
@@ -46,6 +47,17 @@ def verilog_expr(expr: ir.IRExpr, param_map: dict) -> str:
     if isinstance(expr, ir.EBinary):
         left = verilog_expr(expr.left, param_map)
         right = verilog_expr(expr.right, param_map)
+        if expr.op in ("<<", ">>"):
+            # Java takes the amount modulo the width of the shifted
+            # type; a Verilog shift by the width or more gives 0.
+            mask = ops.shift_mask(expr.type.name)
+            amount = expr.right
+            if not isinstance(amount, ir.EConst):
+                right = f"({right} & {mask})"
+            elif amount.value & mask != amount.value:
+                right = _verilog_const(
+                    ir.EConst(amount.type, amount.value & mask)
+                )
         return f"({left} {expr.op} {right})"
     if isinstance(expr, ir.EUnary):
         operand = verilog_expr(expr.operand, param_map)
@@ -90,105 +102,91 @@ def _verilog_const(expr: ir.EConst) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eval_datapath(expr: ir.IRExpr, env: dict):
-    """Evaluate the DAG over Python ints (bits/booleans as 0/1,
-    enums as ordinals)."""
-    if isinstance(expr, ir.EConst):
-        value = expr.value
-        if isinstance(value, Bit):
-            return int(value)
-        if isinstance(value, EnumValue):
-            return value.ordinal
-        if isinstance(value, bool):
-            return int(value)
-        return value
-    if isinstance(expr, ir.ELocal):
-        return env[expr.name]
-    if isinstance(expr, ir.EBinary):
-        left = eval_datapath(expr.left, env)
-        right = eval_datapath(expr.right, env)
-        return _eval_binop(expr.op, left, right, expr.type)
-    if isinstance(expr, ir.EUnary):
-        operand = eval_datapath(expr.operand, env)
-        if expr.op == "-":
-            return _wrap_arith(-operand, expr.type)
-        if expr.op == "!":
-            return 1 - (1 if operand else 0)
-        if expr.op == "~":
-            if expr.type == ty.BIT or expr.type == ty.BOOLEAN:
-                return operand ^ 1
-            return _wrap_arith(~operand, expr.type)
-    if isinstance(expr, ir.ETernary):
-        cond = eval_datapath(expr.cond, env)
-        branch = expr.then if cond else expr.other
-        return eval_datapath(branch, env)
-    if isinstance(expr, ir.ECast):
-        value = eval_datapath(expr.operand, env)
-        if expr.type == ty.BIT or expr.type == ty.BOOLEAN:
-            return value & 1
-        return _wrap_arith(int(value), expr.type)
-    if isinstance(expr, ir.EIntrinsic) and expr.name == "bit.~":
-        return eval_datapath(expr.args[0], env) ^ 1
-    raise BackendError(f"cannot evaluate {type(expr).__name__}")
+def compile_datapath(expr: ir.IRExpr, params: list):
+    """Compile the datapath DAG to one Python function of ``params``
+    (positional; each an int or the unsigned register word holding
+    one), over Python ints: bits and booleans as 0/1, enums as ordinals.
+
+    The DAG is walked once by node identity in post-order and every
+    operator node becomes one ``tN = ...`` line holding the
+    :mod:`repro.ir.ops` template of that operator, ``exec``'d with
+    ``ops.NAMESPACE`` as globals -- the splice the bytecode stager
+    does, so the simulated hardware computes what the interpreter
+    computes. Only hardware *encodings* are decided here: constants,
+    one-bit ``~`` and casts, and a divider that has no trap."""
+    lines: list = []
+    atoms: dict = {}  # id(node) -> the literal or tN holding its value
+
+    def emit(value: str) -> str:
+        lines.append(f"    t{len(lines)} = {value}")
+        return f"t{len(lines) - 1}"
+
+    def atom(node: ir.IRExpr) -> str:
+        text = atoms.get(id(node))
+        if text is None:
+            if isinstance(node, ir.EConst):
+                text = _python_const(node)
+            elif isinstance(node, ir.ELocal):
+                text = f"p{params.index(node.name)}"
+                if _signed(node.type):  # a register word is unsigned
+                    text = emit(ops.cast_expr(node.type.name, text))
+            else:
+                text = emit(operation(node))
+            atoms[id(node)] = text
+        return text
+
+    def operation(node: ir.IRExpr) -> str:
+        one_bit = node.type in (ty.BIT, ty.BOOLEAN)
+        if isinstance(node, ir.EBinary):
+            typename = node.type.name
+            left, right = atom(node.left), atom(node.right)
+            text = ops.binary_expr(node.op, typename, left, right)
+            if ops.binary_can_raise(node.op, typename):
+                # The one deviation from bytecode, which raises: a
+                # hardware divider does not trap, x / 0 and x % 0 are 0.
+                text = f"({text} if {right} else 0)"
+            return text
+        if isinstance(node, ir.EUnary):
+            operand = atom(node.operand)
+            if node.op == "~" and one_bit:
+                return f"({operand} ^ 1)"
+            return ops.unary_expr(node.op, node.type.name, operand)
+        if isinstance(node, ir.ETernary):
+            cond = atom(node.cond)  # a mux: both arms are computed
+            return f"({atom(node.then)} if {cond} else {atom(node.other)})"
+        if isinstance(node, ir.ECast):
+            operand = atom(node.operand)
+            if one_bit:
+                return f"({operand} & 1)"
+            return ops.cast_expr(node.type.name, operand)
+        if isinstance(node, ir.EIntrinsic) and node.name == "bit.~":
+            return f"({atom(node.args[0])} ^ 1)"
+        raise BackendError(f"cannot evaluate {type(node).__name__}")
+
+    result = atom(expr)
+    arguments = ", ".join(f"p{i}" for i in range(len(params)))
+    source = "\n".join(
+        [f"def datapath({arguments}):", *lines, f"    return {result}"]
+    )
+    scope: dict = {}
+    exec(source, ops.NAMESPACE, scope)  # text built from ops templates
+    return scope["datapath"]
 
 
-def _wrap_arith(value: int, type_):
-    if type_ == ty.LONG:
-        return wrap_long(value)
-    if type_ in (ty.BIT, ty.BOOLEAN):
-        return value & 1
-    return wrap_int(value)
+def _python_const(expr: ir.EConst) -> str:
+    value = expr.value
+    if isinstance(value, EnumValue):
+        return str(value.ordinal)
+    if isinstance(value, (Bit, bool, int)):
+        return f"({int(value)})"
+    raise BackendError(f"constant {value!r} has no hardware encoding")
 
 
-def _eval_binop(op: str, left: int, right: int, result_type):
-    if op == "+":
-        return _wrap_arith(left + right, result_type)
-    if op == "-":
-        return _wrap_arith(left - right, result_type)
-    if op == "*":
-        return _wrap_arith(left * right, result_type)
-    if op == "/":
-        if right == 0:
-            return 0  # hardware divider: undefined; we define as 0
-        quotient = abs(left) // abs(right)
-        return _wrap_arith(
-            -quotient if (left < 0) != (right < 0) else quotient,
-            result_type,
-        )
-    if op == "%":
-        if right == 0:
-            return 0
-        remainder = abs(left) % abs(right)
-        return _wrap_arith(
-            -remainder if left < 0 else remainder, result_type
-        )
-    if op == "<<":
-        return _wrap_arith(left << (right & 63), result_type)
-    if op == ">>":
-        return _wrap_arith(left >> (right & 63), result_type)
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "==":
-        return int(left == right)
-    if op == "!=":
-        return int(left != right)
-    if op == "<":
-        return int(left < right)
-    if op == ">":
-        return int(left > right)
-    if op == "<=":
-        return int(left <= right)
-    if op == ">=":
-        return int(left >= right)
-    if op == "&&":
-        return int(bool(left) and bool(right))
-    if op == "||":
-        return int(bool(left) or bool(right))
-    raise BackendError(f"unknown operator {op}")
+#: id(bundle) -> its compiled datapath. Kept beside the bundle, not on
+#: it (like the stager's memo): the runtime elaborates per run, so the
+#: compile happens once per bundle object, and a pickled, cached or
+#: copied bundle carries no callable -- ``payload_bytes`` is unchanged.
+_COMPILED: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +240,18 @@ class FPGAModuleBundle:
             return bool(raw & 1)
         if isinstance(out, ty.ClassType) and out.is_enum:
             return EnumValue(out.name, raw, out.enum_size)
-        width = self.out_width
-        if raw >= 1 << (width - 1):
-            raw -= 1 << width
-        return raw
+        return ops.apply_cast(raw, out.name)  # the word as a signed int
 
-    def _decode_input(self, raw: int) -> int:
-        """Unsigned register value -> signed Python int for evaluation."""
-        if _signed(self.in_type):
-            width = self.in_width
-            if raw >= 1 << (width - 1):
-                raw -= 1 << width
-        return raw
+    def compiled_datapath(self):
+        """The datapath as a Python function of the input word."""
+        key = id(self)
+        datapath = _COMPILED.get(key)
+        if datapath is None:
+            datapath = _COMPILED[key] = compile_datapath(
+                self.datapath, [self.param_name]
+            )
+            weakref.finalize(self, _COMPILED.pop, key, None)
+        return datapath
 
     # -- elaboration ------------------------------------------------------
 
@@ -303,14 +301,10 @@ class FPGAModuleBundle:
             net.assign(
                 "can_issue", issue, ["fifo_valid"] + busy_signals
             )
-        datapath_expr = self.datapath
-        param = self.param_name
-
-        def run_datapath(e):
-            value = self._decode_input(e["read_data"])
-            return eval_datapath(datapath_expr, {param: value})
-
-        net.assign("datapath", run_datapath, ["read_data"])
+        datapath = self.compiled_datapath()
+        net.assign(
+            "datapath", lambda e: datapath(e["read_data"]), ["read_data"]
+        )
         net.assign(
             "inAccept",
             lambda e: (1 - e["fifo_valid"]) | e["can_issue"],

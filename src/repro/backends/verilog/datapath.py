@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.errors import ExclusionNotice
 from repro.ir import nodes as ir
-from repro.ir.optimizations import fold_binary
+from repro.ir.optimizations import fold_binary, fold_unary
 from repro.lime import types as ty
 
 
@@ -241,16 +241,9 @@ class DatapathBuilder:
         if isinstance(expr, ir.EUnary):
             operand = self._eval_expr(expr.operand, env, depth)
             if isinstance(operand, ir.EConst):
-                from repro.backends.bytecode.ops import apply_unary
-
-                typename = (
-                    expr.type.name
-                    if isinstance(expr.type, ty.PrimType)
-                    else "int"
-                )
-                return ir.EConst(
-                    expr.type, apply_unary(expr.op, operand.value, typename)
-                )
+                ok, value = fold_unary(expr.op, operand.value, expr.type)
+                if ok:
+                    return ir.EConst(expr.type, value)
             return ir.EUnary(expr.type, expr.op, operand)
         if isinstance(expr, ir.ETernary):
             return _mk_mux(

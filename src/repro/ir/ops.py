@@ -1,14 +1,18 @@
-"""Operator semantics of the bytecode: one table, two consumers.
+"""Operator semantics of Lime: one table, four consumers.
 
-Every ``BINOP``/``UNOP``/``CAST``/``Math.*`` is defined exactly once
-here, as a Python *expression template* per ``(operator, typename)``.
-:func:`apply_binary`, :func:`apply_unary`, :func:`apply_cast` and
-:func:`apply_math` evaluate the templates one operation at a time
-(constant folding in the Verilog datapath, the test oracle); the stager
-(:mod:`repro.backends.bytecode.staging`) splices the same templates
-into the Python function it generates per ``CompiledFunction``. Both
-see the helper functions through :data:`NAMESPACE`, so they cannot
-disagree.
+Every ``EBinary``/``EUnary``/``ECast``/``Math.*`` is defined exactly
+once here, as a Python *expression template* per ``(operator,
+typename)``. The stager (:mod:`repro.backends.bytecode.staging`)
+splices the templates into the Python function it generates per
+``CompiledFunction``; the FPGA datapath
+(:func:`repro.backends.verilog.codegen.compile_datapath`) splices them
+into the function it generates per module; :func:`apply_binary`,
+:func:`apply_unary`, :func:`apply_cast` and :func:`apply_math` evaluate
+them one operation at a time for the constant folder
+(:mod:`repro.ir.optimizations`, the datapath builder) and the test
+oracle. All of them see the helper functions through
+:data:`NAMESPACE`, so they cannot disagree. The module sits beside the
+IR nodes it gives meaning to, so every layer above can import it.
 
 Integer arithmetic wraps in two's complement (JVM semantics); division
 and remainder truncate toward zero; ``float`` operations round through
@@ -285,6 +289,11 @@ def _wrapped(text: str, typename: str) -> str:
     return text if template is None else template.format(text)
 
 
+def shift_mask(typename: str) -> int:
+    """Java takes a shift amount modulo the width of the shifted type."""
+    return 63 if typename == "long" else 31
+
+
 def binary_can_raise(op: str, typename: str) -> bool:
     """Whether the operator can raise on well-typed operands (only
     integer ``/`` and ``%``); such an operation must be evaluated where
@@ -305,7 +314,7 @@ def binary_expr(op: str, typename: str, a: str, b: str) -> str:
         return _wrapped(template.format(a=a, b=b), typename)
     template = _ARITHMETIC.get(op)
     if template is not None:
-        mask = 63 if typename == "long" else 31
+        mask = shift_mask(typename)
         return _wrapped(template.format(a=a, b=b, mask=mask), typename)
     template = _UNWRAPPED.get(op)
     if template is None:

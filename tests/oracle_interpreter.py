@@ -16,7 +16,7 @@ discovery, control flow and the per-block cycle sums.
 
 from repro.backends.bytecode import isa
 from repro.backends.bytecode.interpreter import _FRAME_CYCLES, Interpreter
-from repro.backends.bytecode.ops import (
+from repro.ir.ops import (
     apply_binary,
     apply_cast,
     apply_math,

@@ -1,6 +1,6 @@
 """Java/IEEE-754 results where Python would raise.
 
-Operator semantics live in one table (``repro.backends.bytecode.ops``);
+Operator semantics live in one table (``repro.ir.ops``);
 these cases used to leak ``OverflowError``/``ValueError`` out of it or
 return the wrong value. Each case runs as a ``@`` map of 64 work-items
 on the bytecode path and on the GPU-simulator path, which must agree
@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.backends.bytecode.ops import apply_binary, apply_cast, apply_math
+from repro.ir.ops import apply_binary, apply_cast, apply_math
 from repro.compiler import CompileOptions, CompilerSession
 from repro.errors import DeviceError
 from repro.ir import optimizations
@@ -113,8 +113,8 @@ def test_constant_folded_casts_match_the_runtime_cast(compiled):
     assert runtime.run("F.foldedLong", []).value == LONG_MIN
     for value in (1e20, -1e20, NAN, INF, -INF, -7.9, 7.9, 2.0**31, 3):
         for type_, name in ((ty.INT, "int"), (ty.LONG, "long")):
-            assert optimizations._narrow(value, type_) == (
-                apply_cast(value, name)
+            assert optimizations.fold_cast(value, type_) == (
+                True, apply_cast(value, name)
             ), (value, name)
     assert apply_cast(2**31 + 5, "int") == INT_MIN + 5  # ints still wrap
 

@@ -26,7 +26,8 @@ from repro.apps import SUITE, compile_app
 from repro.backends.artifacts import ArtifactCache, CacheOptions, cache_key
 from repro.backends.bytecode import Interpreter, compile_module, isa
 from repro.backends.bytecode.staging import staged_functions
-from repro.compiler import CompileOptions
+from repro.compiler import CompileOptions, CompilerSession
+from repro.devices.fpga import FPGASimulator
 from repro.errors import DeviceError
 from repro.ir import build_ir
 from repro.lime import analyze
@@ -498,3 +499,33 @@ def test_staged_source_sits_next_to_disassemble():
     assert "interp.cycles += c" in text
     compile(text, "<check>", "exec")
     assert function.disassemble().startswith(".method R.down")
+
+
+def test_compiled_datapath_does_not_travel_with_a_pickled_bundle(tmp_path):
+    # payload_bytes feeds modeled_load_s: one pickled attribute more on
+    # an FPGA bundle moves modeled_s on every warm compile.
+    compiled = CompilerSession().compile(SUITE["crc8"].source)
+    (artifact,) = compiled.store.for_device("fpga")
+    bundle = artifact.payload
+    fresh = pickle.dumps(bundle, protocol=4)
+    words = [bundle.encode(x) for x in (0x55, 0xAA, 7)]
+    cold = FPGASimulator().run_stream(bundle.elaborate(), words)
+    assert pickle.dumps(bundle, protocol=4) == fresh
+    # Compiled once per bundle, not once per elaborate().
+    datapath = bundle.compiled_datapath()
+    bundle.elaborate()
+    assert bundle.compiled_datapath() is datapath
+    key = cache_key(compiled.module, "verilog", CompileOptions())
+    cache = ArtifactCache(
+        CacheOptions(cache_dir=str(tmp_path), mode="readwrite")
+    )
+    stored = cache.store("verilog", key, [artifact], [])
+    assert stored.payload_bytes == len(fresh) + len(
+        artifact.text.encode("utf-8")
+    )
+    loaded = cache.load("verilog", key).artifacts[0].payload
+    assert loaded == bundle
+    warm = FPGASimulator().run_stream(loaded.elaborate(), words)
+    assert (warm.outputs, warm.cycles, warm.details) == (
+        cold.outputs, cold.cycles, cold.details
+    )

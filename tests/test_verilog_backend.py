@@ -5,7 +5,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1
 from repro.backends.verilog import DatapathBuilder, compile_fpga
-from repro.backends.verilog.codegen import eval_datapath
+from repro.backends.verilog.codegen import compile_datapath, verilog_expr
 from repro.devices.fpga import FPGASimulator
 from repro.errors import ExclusionNotice, SimulationError
 from repro.ir import build_ir
@@ -27,8 +27,8 @@ class TestDatapathBuilder:
         datapath, _ = datapath_for(FIGURE1, "Bitflip.flip")
         assert isinstance(datapath, ir.EIntrinsic)
         assert datapath.name == "bit.~"
-        assert eval_datapath(datapath, {"b": 0}) == 1
-        assert eval_datapath(datapath, {"b": 1}) == 0
+        assert compile_datapath(datapath, ["b"])(0) == 1
+        assert compile_datapath(datapath, ["b"])(1) == 0
 
     def test_if_conversion(self):
         source = """
@@ -41,8 +41,8 @@ class TestDatapathBuilder:
         """
         datapath, _ = datapath_for(source, "T.clamp")
         assert isinstance(datapath, ir.ETernary)
-        assert eval_datapath(datapath, {"x": 250}) == 100
-        assert eval_datapath(datapath, {"x": 42}) == 42
+        assert compile_datapath(datapath, ["x"])(250) == 100
+        assert compile_datapath(datapath, ["x"])(42) == 42
 
     def test_loop_unrolling(self):
         source = """
@@ -55,7 +55,7 @@ class TestDatapathBuilder:
         }
         """
         datapath, _ = datapath_for(source, "T.sum3")
-        assert eval_datapath(datapath, {"x": 7}) == 21
+        assert compile_datapath(datapath, ["x"])(7) == 21
 
     def test_call_inlining(self):
         source = """
@@ -65,7 +65,7 @@ class TestDatapathBuilder:
         }
         """
         datapath, _ = datapath_for(source, "T.quad")
-        assert eval_datapath(datapath, {"x": 5}) == 20
+        assert compile_datapath(datapath, ["x"])(5) == 20
 
     def test_while_excluded(self):
         source = (
@@ -113,8 +113,8 @@ class TestDatapathBuilder:
         }
         """
         datapath, _ = datapath_for(source, "T.f")
-        assert eval_datapath(datapath, {"x": 5}) == 6
-        assert eval_datapath(datapath, {"x": -5}) == 6
+        assert compile_datapath(datapath, ["x"])(5) == 6
+        assert compile_datapath(datapath, ["x"])(-5) == 6
 
     def test_math_min_becomes_mux(self):
         source = (
@@ -122,8 +122,8 @@ class TestDatapathBuilder:
             "{ return Math.min(a, b); } }"
         )
         datapath, _ = datapath_for(source, "T.f")
-        assert eval_datapath(datapath, {"a": 3, "b": 9}) == 3
-        assert eval_datapath(datapath, {"a": 9, "b": 3}) == 3
+        assert compile_datapath(datapath, ["a", "b"])(3, 9) == 3
+        assert compile_datapath(datapath, ["a", "b"])(9, 3) == 3
 
 
 class TestVerilogText:
@@ -148,6 +148,25 @@ class TestVerilogText:
         assert props["luts"] >= 1
         assert props["fmax_hz"] > 50e6
         assert props["brams"] == 1
+
+    def test_shift_amount_is_masked_like_java(self):
+        # A Verilog shift by the width or more is 0; Java (and the
+        # simulator) take the amount modulo the width. The text must
+        # say what the simulator computes.
+        source = """
+        class T {
+            local static int pow2(int x) { return (1 << x) + (x >> 35); }
+            local static long wide(int x) { return (1L << x) << 64; }
+        }
+        """
+        module = module_for(source)
+        for method, text, at33 in (
+            ("T.pow2", "((32'sd1 << (x & 31)) + (x >> 32'sd3))", 2 + 4),
+            ("T.wide", "((64'sd1 << (x & 63)) << 32'sd0)", 1 << 33),
+        ):
+            datapath = DatapathBuilder(module).build(method)
+            assert verilog_expr(datapath, {"x": "x"}) == text
+            assert compile_datapath(datapath, ["x"])(33) == at33
 
     def test_exclusion_recorded(self):
         source = """

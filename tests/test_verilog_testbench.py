@@ -3,7 +3,9 @@
 import pytest
 
 from repro.apps import compile_app
-from repro.backends.verilog import generate_testbench
+from repro.backends.verilog import compile_fpga, generate_testbench
+from repro.ir import build_ir
+from repro.lime import analyze
 
 
 def bundle_for(app):
@@ -51,6 +53,22 @@ class TestTestbench:
         tb = generate_testbench(bundle, inputs)
         for i, x in enumerate(inputs):
             assert f"expected[{i}] = 32'd{crc8_ref(x)};" in tb
+
+    def test_shift_by_the_input_expects_the_java_result(self):
+        source = """
+        class T {
+            local static int pow2(int x) { return 1 << x; }
+            static void m(int[[]] xs, int[] out) {
+                var t = xs.source(1) => ([ task pow2 ]) => out.sink();
+                t.finish();
+            }
+        }
+        """
+        (artifact,) = compile_fpga(build_ir(analyze(source))).artifacts
+        assert "(32'sd1 << (read_data & 31))" in artifact.text
+        tb = generate_testbench(artifact.payload, [33, 64])
+        assert "expected[0] = 32'd2;" in tb
+        assert "expected[1] = 32'd1;" in tb
 
     def test_negative_input_masked(self):
         bundle = bundle_for("gray_pipeline")
