@@ -208,80 +208,163 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _resolve_target(args):
-    """Resolve a CLI target (suite app name or ``.lime`` file) into
-    ``(source, filename, name, entry, values)``; ``None`` after
-    printing an error. Shared by ``trace`` and ``faults``."""
-    import os
+def _is_file_target(target: str) -> bool:
+    return os.path.exists(target) or target.endswith(".lime")
 
-    if os.path.exists(args.target) or args.target.endswith(".lime"):
-        if not args.entry:
-            print(
-                "error: a .lime file target requires --entry",
-                file=sys.stderr,
-            )
-            return None
-        with open(args.target) as f:
-            source = f.read()
-        name = os.path.splitext(os.path.basename(args.target))[0]
-        return (
-            source,
-            args.target,
-            name,
-            args.entry,
-            [_parse_value(a) for a in args.args],
-        )
+
+def _resolve_source(target: str):
+    """Resolve a CLI target (suite app name or ``.lime`` file) into
+    ``(source, filename, spec)`` — ``spec`` is the suite entry, None
+    for a file; ``None`` after printing an error."""
+    if _is_file_target(target):
+        with open(target) as f:
+            return f.read(), target, None
     from repro.apps import SUITE
 
-    if args.target not in SUITE:
+    if target not in SUITE:
         known = ", ".join(sorted(SUITE))
         print(
-            f"error: {args.target!r} is neither a file nor a suite "
+            f"error: {target!r} is neither a file nor a suite "
             f"app (known apps: {known})",
             file=sys.stderr,
         )
         return None
-    spec = SUITE[args.target]
-    entry, values = spec.default_args()
+    spec = SUITE[target]
+    return spec.source, f"<{spec.name}.lime>", spec
+
+
+def _resolve_target(args):
+    """Resolve a runnable CLI target into ``(source, filename, name,
+    entry, values)``; ``None`` after printing an error. A suite app
+    brings its default workload, a file needs ``--entry``."""
+    if _is_file_target(args.target) and not args.entry:
+        print(
+            "error: a .lime file target requires --entry",
+            file=sys.stderr,
+        )
+        return None
+    resolved = _resolve_source(args.target)
+    if resolved is None:
+        return None
+    source, filename, spec = resolved
+    if spec is None:
+        name = os.path.splitext(os.path.basename(args.target))[0]
+    else:
+        name = spec.name
+        entry, values = spec.default_args()
     if args.entry:
         entry = args.entry
         values = [_parse_value(a) for a in args.args]
-    return spec.source, f"<{spec.name}.lime>", spec.name, entry, values
+    return source, filename, name, entry, values
+
+
+def _report_problems(label: str, problems) -> bool:
+    """Print a report's schema violations; True when there are any."""
+    if problems:
+        print(f"error: {label} failed validation:", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+    return bool(problems)
+
+
+def _dump_report(args, dumped: str) -> bool:
+    """``-o`` and ``--json``: save the JSON text and/or print it. True
+    when ``--json`` took standard output."""
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(dumped)
+            f.write("\n")
+    if args.json:
+        print(dumped)
+    return args.json
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _emit_report(args, label: str, problems, dumped: str, render) -> bool:
+    """The tail of every report command: refuse a report that fails
+    its schema, honour ``-o``, print the JSON text or the
+    ``render()``-ed one, say where the file went. False when
+    validation failed."""
+    if _report_problems(label, problems):
+        return False
+    if not _dump_report(args, dumped):
+        print(render())
+        if args.out:
+            print(f"\nwrote {args.out}")
+    return True
+
+
+def _cpu_reference(compiled, args, entry, values):
+    """The pure-bytecode answer a degraded run must reproduce exactly:
+    the same entry point with accelerators disabled."""
+    from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
+
+    return Runtime(
+        compiled,
+        RuntimeConfig(
+            policy=SubstitutionPolicy(use_accelerators=False),
+            scheduler=args.scheduler,
+        ),
+    ).run(entry, values)
+
+
+def _values_equal(left, right) -> bool:
+    if left is None and right is None:
+        return True
+    try:
+        return bool(left == right)
+    except Exception:
+        return repr(left) == repr(right)
+
+
+def _same_answer(outcome, reference) -> bool:
+    return outcome.output == reference.output and _values_equal(
+        outcome.value, reference.value
+    )
+
+
+def _traced_run(args):
+    """Compile and run the target under a live tracer (shared by
+    ``trace`` and ``profile``): ``(tracer, name, entry, outcome)``, or
+    ``None`` after printing why the target does not resolve."""
+    from repro.obs import Tracer
+    from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
+
+    tracer = Tracer()
+    resolved = _resolve_target(args)
+    if resolved is None:
+        return None
+    source, filename, name, entry, values = resolved
+    compiled = _session(args, tracer=tracer).compile(source, filename=filename)
+    config = RuntimeConfig(
+        policy=SubstitutionPolicy(use_accelerators=not args.cpu_only),
+        scheduler=args.scheduler,
+        tracer=tracer,
+        batch_size=args.batch_size,
+        **_runtime_fusion_kwargs(args),
+    )
+    return tracer, name, entry, Runtime(compiled, config).run(entry, values)
 
 
 def _cmd_trace(args) -> int:
     """Compile and run one app under tracing; export Chrome trace JSON."""
-    from repro.obs import Tracer
     from repro.obs.export import (
         render_span_tree,
         validate_trace_events,
         write_chrome_trace,
         write_json_lines,
     )
-    from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 
-    tracer = Tracer()
-    resolved = _resolve_target(args)
-    if resolved is None:
+    traced = _traced_run(args)
+    if traced is None:
         return 2
-    source, filename, name, entry, values = resolved
-    compiled = _session(args, tracer=tracer).compile(source, filename=filename)
-    policy = SubstitutionPolicy(use_accelerators=not args.cpu_only)
-    config = RuntimeConfig(
-        policy=policy,
-        scheduler=args.scheduler,
-        tracer=tracer,
-        batch_size=args.batch_size,
-        **_runtime_fusion_kwargs(args),
-    )
-    outcome = Runtime(compiled, config).run(entry, values)
+    tracer, name, entry, outcome = traced
     out_path = args.out or f"{name}.trace.json"
     payload = write_chrome_trace(tracer, out_path, process_name=name)
-    problems = validate_trace_events(payload)
-    if problems:
-        print("error: exported trace failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
+    if _report_problems("exported trace", validate_trace_events(payload)):
         return 1
     if args.jsonl:
         write_json_lines(tracer, args.jsonl)
@@ -315,31 +398,16 @@ def _cmd_trace(args) -> int:
 def _cmd_profile(args) -> int:
     """Compile and run one app under tracing, then build and print the
     structured profile report (docs/PROFILING.md)."""
-    import json
-
-    from repro.obs import Tracer
     from repro.obs.profile import (
         build_profile,
         compare_profiles,
         validate_profile,
     )
-    from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 
-    tracer = Tracer()
-    resolved = _resolve_target(args)
-    if resolved is None:
+    traced = _traced_run(args)
+    if traced is None:
         return 2
-    source, filename, name, entry, values = resolved
-    compiled = _session(args, tracer=tracer).compile(source, filename=filename)
-    policy = SubstitutionPolicy(use_accelerators=not args.cpu_only)
-    config = RuntimeConfig(
-        policy=policy,
-        scheduler=args.scheduler,
-        tracer=tracer,
-        batch_size=args.batch_size,
-        **_runtime_fusion_kwargs(args),
-    )
-    outcome = Runtime(compiled, config).run(entry, values)
+    tracer, name, entry, outcome = traced
     report = build_profile(
         tracer,
         ledger=outcome.ledger,
@@ -347,22 +415,11 @@ def _cmd_profile(args) -> int:
         entry=entry,
         scheduler=args.scheduler,
     )
-    problems = validate_profile(report.to_json())
-    if problems:
-        print("error: profile failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
+    if not _emit_report(
+        args, "profile", validate_profile(report.to_json()),
+        report.dumps(), report.render,
+    ):
         return 1
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(report.dumps())
-            f.write("\n")
-    if args.json:
-        print(report.dumps())
-    else:
-        print(report.render())
-    if args.out and not args.json:
-        print(f"\nwrote {args.out}")
 
     if args.baseline:
         try:
@@ -456,7 +513,6 @@ def _cmd_faults(args) -> int:
         RetryPolicy,
         Runtime,
         RuntimeConfig,
-        SubstitutionPolicy,
         kill_all_devices_plan,
         load_fault_plan,
     )
@@ -482,15 +538,7 @@ def _cmd_faults(args) -> int:
 
     compiled = _session(args).compile(source, filename=filename)
 
-    # Reference: accelerators disabled — the pure-bytecode answer the
-    # degraded run must reproduce exactly.
-    reference = Runtime(
-        compiled,
-        RuntimeConfig(
-            policy=SubstitutionPolicy(use_accelerators=False),
-            scheduler=args.scheduler,
-        ),
-    ).run(entry, values)
+    reference = _cpu_reference(compiled, args, entry, values)
 
     tracer = Tracer()
     runtime = Runtime(
@@ -547,17 +595,14 @@ def _cmd_faults(args) -> int:
             f"{record.attempts} attempt(s): {record.error}"
         )
 
-    ok = True
-    if outcome.output != reference.output or not _values_equal(
-        outcome.value, reference.value
-    ):
+    ok = _same_answer(outcome, reference)
+    if ok:
+        print("output matches the cpu-only reference")
+    else:
         print(
             "FAIL: degraded output differs from the cpu-only reference",
             file=sys.stderr,
         )
-        ok = False
-    else:
-        print("output matches the cpu-only reference")
     if demotions < args.require_demotions:
         print(
             f"FAIL: expected >= {args.require_demotions} demotion(s), "
@@ -577,8 +622,6 @@ def _cmd_health(args) -> int:
     keep bytecode authoritative), so the command fails when outputs
     diverge — or when fewer re-promotions happened than
     ``--require-repromotions`` demands."""
-    import json
-
     from repro.obs import Tracer
     from repro.runtime import (
         FaultPlan,
@@ -586,7 +629,6 @@ def _cmd_health(args) -> int:
         RetryPolicy,
         Runtime,
         RuntimeConfig,
-        SubstitutionPolicy,
         load_fault_plan,
         render_health_report,
         validate_health_report,
@@ -602,15 +644,9 @@ def _cmd_health(args) -> int:
 
     compiled = _session(args).compile(source, filename=filename)
 
-    # Reference: accelerators disabled — the answer the health-mediated
-    # run must reproduce exactly (probes keep bytecode authoritative).
-    reference = Runtime(
-        compiled,
-        RuntimeConfig(
-            policy=SubstitutionPolicy(use_accelerators=False),
-            scheduler=args.scheduler,
-        ),
-    ).run(entry, values)
+    # Shadow probes keep bytecode authoritative, so recovery must not
+    # show in the answer either.
+    reference = _cpu_reference(compiled, args, entry, values)
 
     tracer = Tracer()
     health = HealthPolicy(
@@ -638,38 +674,24 @@ def _cmd_health(args) -> int:
     report = runtime.health.to_report(
         app=name, entry=entry, scheduler=args.scheduler
     )
-    problems = validate_health_report(report)
-    if problems:
-        print("error: health report failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_health_report(report))
-        if args.out:
-            print(f"\nwrote {args.out}")
-
-    ok = True
-    if outcome.output != reference.output or not _values_equal(
-        outcome.value, reference.value
+    if not _emit_report(
+        args, "health report", validate_health_report(report),
+        _json_text(report), lambda: render_health_report(report),
     ):
-        print(
-            "FAIL: output differs from the cpu-only reference",
-            file=sys.stderr,
-        )
-        ok = False
-    else:
+        return 1
+
+    ok = _same_answer(outcome, reference)
+    if ok:
         # --json consumers pipe stdout straight into a JSON parser;
         # keep the status line off it.
         print(
             "output matches the cpu-only reference",
             file=sys.stderr if args.json else sys.stdout,
+        )
+    else:
+        print(
+            "FAIL: output differs from the cpu-only reference",
+            file=sys.stderr,
         )
     repromotions = report["totals"]["repromotions"]
     if repromotions < args.require_repromotions:
@@ -682,15 +704,6 @@ def _cmd_health(args) -> int:
     return 0 if ok else 1
 
 
-def _values_equal(left, right) -> bool:
-    if left is None and right is None:
-        return True
-    try:
-        return bool(left == right)
-    except Exception:
-        return repr(left) == repr(right)
-
-
 def _cmd_serve(args) -> int:
     """Run the deterministic multi-tenant service driver: N tenants
     (weights cycling 1,2,3) submit jobs concurrently through the
@@ -698,8 +711,6 @@ def _cmd_serve(args) -> int:
     leasing, shared breakers — then the service drains and prints the
     ``repro.service/1`` report. With ``--verify`` every job is
     compared bit-identically against a standalone fault-free run."""
-    import json
-
     from repro.runtime import load_fault_plan
     from repro.service import (
         render_service_report,
@@ -719,24 +730,12 @@ def _cmd_serve(args) -> int:
         fault_plan=plan,
         verify=args.verify,
     )
-    problems = validate_service_report(report)
-    if problems:
-        print("error: service report failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_service_report(report))
+    def render():
+        text = render_service_report(report)
         if args.verify:
             driver = report.get("driver", {})
-            print(
-                "verify: {n} job(s) bit-identical to standalone runs "
+            text += (
+                "\nverify: {n} job(s) bit-identical to standalone runs "
                 "({t})".format(
                     n=driver.get("verified_jobs", 0),
                     t=(
@@ -747,8 +746,13 @@ def _cmd_serve(args) -> int:
                     ),
                 )
             )
-        if args.out:
-            print(f"\nwrote {args.out}")
+        return text
+
+    if not _emit_report(
+        args, "service report", validate_service_report(report),
+        _json_text(report), render,
+    ):
+        return 1
     totals = report.get("totals", {})
     if totals.get("failed", 0):
         print(
@@ -765,7 +769,6 @@ def _cmd_recover(args) -> int:
     in a loop until a pass converges, then verify every job's result
     digest is bit-identical to an uninterrupted baseline and print the
     ``repro.recover/1`` report (docs/RECOVERY.md)."""
-    import json
     import tempfile
 
     from repro.service import (
@@ -791,22 +794,11 @@ def _cmd_recover(args) -> int:
     else:
         with tempfile.TemporaryDirectory(prefix="repro-recover-") as tmp:
             report = drive(os.path.join(tmp, "journal"))
-    problems = validate_recover_report(report)
-    if problems:
-        print("error: recovery report failed validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
+    if not _emit_report(
+        args, "recovery report", validate_recover_report(report),
+        _json_text(report), lambda: render_recover_report(report),
+    ):
         return 1
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_recover_report(report))
-        if args.out:
-            print(f"\nwrote {args.out}")
     driver = report.get("driver", {})
     if driver.get("verified_jobs", 0) != args.jobs:
         print(
@@ -823,27 +815,12 @@ def _cmd_fuse(args) -> int:
     ``repro.fusion/1`` plan (docs/FUSION.md). With ``--profile`` the
     pass only fuses groups the profile report shows actually offload;
     the rejects are recorded in the plan with their reasons."""
-    import os
-
     from repro.ir.fusion import render_fused_ir
 
-    if os.path.exists(args.target) or args.target.endswith(".lime"):
-        with open(args.target) as f:
-            source = f.read()
-        filename = args.target
-    else:
-        from repro.apps import SUITE
-
-        if args.target not in SUITE:
-            known = ", ".join(sorted(SUITE))
-            print(
-                f"error: {args.target!r} is neither a file nor a suite "
-                f"app (known apps: {known})",
-                file=sys.stderr,
-            )
-            return 2
-        spec = SUITE[args.target]
-        source, filename = spec.source, f"<{spec.name}.lime>"
+    resolved = _resolve_source(args.target)
+    if resolved is None:
+        return 2
+    source, filename, _ = resolved
 
     options = _options(args).replace(
         fusion=FusionOptions(
@@ -954,8 +931,6 @@ def _emit(args, device: str) -> int:
 
 def _cmd_harvest(args) -> int:
     """AOT-populate an artifact cache for the app suite (docs/CACHING.md)."""
-    import json
-
     if _cache_options(args) is None:
         print("error: harvest requires --cache-dir", file=sys.stderr)
         return 2
@@ -965,13 +940,7 @@ def _cmd_harvest(args) -> int:
         verify=not args.no_verify,
         pin=args.pin,
     )
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
+    if not _dump_report(args, _json_text(report)):
         print(f"harvested {len(report['apps'])} apps into {report['cache_dir']}")
         header = f"{'app':<22} {'states':<22} {'bytes':>10}"
         if not args.no_verify:
@@ -1014,7 +983,7 @@ def _cmd_cache_stats(args) -> int:
 
     stats = _maintenance_cache(args, "read").stats()
     if args.json:
-        print(json.dumps(stats, indent=2, sort_keys=True))
+        print(_json_text(stats))
         return 0
     print(f"cache: {stats['cache_dir']} ({stats['schema']})")
     print(
@@ -1111,7 +1080,7 @@ def _cmd_bench_collect(args) -> int:
             print(f"invalid snapshot: {problem}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
+        print(_json_text(snapshot))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True)
@@ -1136,7 +1105,7 @@ def _cmd_bench_diff(args) -> int:
     _, current = _resolve_snapshot(args.current, args.changelog_dir)
     diff = diff_snapshots(baseline, current, threshold_pct=args.threshold)
     if args.json:
-        print(json.dumps(diff, indent=2, sort_keys=True))
+        print(_json_text(diff))
     else:
         print(render_diff(diff, show_within=args.show_within))
     return 0
@@ -1178,7 +1147,7 @@ def _cmd_bench_trend(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         print(render_trend(report, metric_filter=args.metric))
     return 0
@@ -1235,7 +1204,7 @@ def _cmd_bench_gate(args) -> int:
             f"{args.reason}"
         )
     if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        print(_json_text(result))
     else:
         print(
             f"bench gate: {result['baseline']} -> {result['current']}, "
@@ -1265,6 +1234,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # One function per flag family; a command's --help lists options in
+    # the order they are added, so call order below is part of the UI.
+
     def cache_flags(p):
         p.add_argument(
             "--cache-dir",
@@ -1290,12 +1262,56 @@ def build_parser() -> argparse.ArgumentParser:
             help="LRU-evict unpinned entries beyond this payload size",
         )
 
-    def common(p):
-        p.add_argument("file", help="Lime source file")
+    def backend_flags(p):
         p.add_argument("--no-gpu", action="store_true")
         p.add_argument("--no-fpga", action="store_true")
         p.add_argument("--fpga-pipelined", action="store_true")
+
+    def file_command(name, fn, help):
+        """A command over one Lime source file."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file", help="Lime source file")
+        backend_flags(p)
         cache_flags(p)
+        p.set_defaults(fn=fn)
+        return p
+
+    def target_arg(p, example, **kwargs):
+        p.add_argument(
+            "target",
+            help=f"suite app name (e.g. {example}) or a Lime source file",
+            **kwargs,
+        )
+
+    def entry_args(p):
+        p.add_argument(
+            "--entry",
+            help="qualified entry point (required for .lime files; "
+            "overrides the suite default workload)",
+        )
+        p.add_argument("args", nargs="*", help="argument literals for --entry")
+
+    def scheduler_option(p, default="threaded"):
+        p.add_argument(
+            "--scheduler",
+            choices=("threaded", "sequential"),
+            default=default,
+        )
+
+    def fault_plan_flags(p, plan_help):
+        p.add_argument("--plan", help=plan_help)
+        p.add_argument(
+            "--seed", type=int, default=None, help="override the plan's RNG seed"
+        )
+        scheduler_option(p)
+
+    def report_flags(
+        p,
+        json_help="print the machine-readable JSON report instead of text",
+        out_help="also write the JSON report to this path",
+    ):
+        p.add_argument("--json", action="store_true", help=json_help)
+        p.add_argument("-o", "--out", help=out_help)
 
     def batch_size_option(p):
         p.add_argument(
@@ -1326,12 +1342,22 @@ def build_parser() -> argparse.ArgumentParser:
             "(docs/FUSION.md); off by default",
         )
 
-    p = sub.add_parser("compile", help="compile and print the report")
-    common(p)
-    p.set_defaults(fn=_cmd_compile)
+    def traced_run_flags(p):
+        """What ``trace`` and ``profile`` run: a target, where, how."""
+        target_arg(p, "mandelbrot")
+        entry_args(p)
+        backend_flags(p)
+        p.add_argument("--cpu-only", action="store_true")
+        scheduler_option(p)
 
-    p = sub.add_parser("run", help="compile and run an entry point")
-    common(p)
+    def run_knobs(p):
+        cache_flags(p)
+        batch_size_option(p)
+        fusion_flags(p)
+
+    file_command("compile", _cmd_compile, "compile and print the report")
+
+    p = file_command("run", _cmd_run, "compile and run an entry point")
     p.add_argument("entry", help="qualified entry, e.g. Bitflip.taskFlip")
     p.add_argument("args", nargs="*", help="argument literals")
     p.add_argument("--cpu-only", action="store_true")
@@ -1343,31 +1369,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_size_option(p)
     fusion_flags(p)
-    p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
         "trace",
         help="run one app under tracing and export Chrome trace JSON",
     )
-    p.add_argument(
-        "target",
-        help="suite app name (e.g. mandelbrot) or a Lime source file",
-    )
-    p.add_argument(
-        "--entry",
-        help="qualified entry point (required for .lime files; "
-        "overrides the suite default workload)",
-    )
-    p.add_argument("args", nargs="*", help="argument literals for --entry")
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
-    p.add_argument("--cpu-only", action="store_true")
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="threaded",
-    )
+    traced_run_flags(p)
     p.add_argument(
         "-o",
         "--out",
@@ -1379,9 +1386,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the span tree to stdout as well",
     )
-    cache_flags(p)
-    batch_size_option(p)
-    fusion_flags(p)
+    run_knobs(p)
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(
@@ -1389,35 +1394,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one app under tracing and print a structured "
         "profile report (utilization, queues, critical path)",
     )
-    p.add_argument(
-        "target",
-        help="suite app name (e.g. mandelbrot) or a Lime source file",
-    )
-    p.add_argument(
-        "--entry",
-        help="qualified entry point (required for .lime files; "
-        "overrides the suite default workload)",
-    )
-    p.add_argument("args", nargs="*", help="argument literals for --entry")
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
-    p.add_argument("--cpu-only", action="store_true")
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="threaded",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable JSON report instead of text",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        help="also write the JSON report to this path",
-    )
+    traced_run_flags(p)
+    report_flags(p)
     p.add_argument(
         "--baseline",
         help="baseline profile JSON to compare against; exits non-zero "
@@ -1429,9 +1407,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.10,
         help="regression threshold for --baseline (default 0.10 = 10%%)",
     )
-    cache_flags(p)
-    batch_size_option(p)
-    fusion_flags(p)
+    run_knobs(p)
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser(
@@ -1439,37 +1415,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an app under a fault plan and verify graceful "
         "degradation to bytecode",
     )
-    p.add_argument(
-        "target",
-        nargs="?",
-        help="suite app name (e.g. mandelbrot) or a Lime source file",
-    )
+    target_arg(p, "mandelbrot", nargs="?")
     p.add_argument(
         "--list-plans",
         action="store_true",
         help="list the bundled example fault plans "
         "(examples/fault_plans/*.json) and exit",
     )
-    p.add_argument(
-        "--entry",
-        help="qualified entry point (required for .lime files; "
-        "overrides the suite default workload)",
-    )
-    p.add_argument("args", nargs="*", help="argument literals for --entry")
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
-    p.add_argument(
-        "--plan",
-        help="fault plan JSON file (default: kill every device call)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=None, help="override the plan's RNG seed"
-    )
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="threaded",
+    entry_args(p)
+    backend_flags(p)
+    fault_plan_flags(
+        p, "fault plan JSON file (default: kill every device call)"
     )
     p.add_argument(
         "--max-attempts",
@@ -1493,31 +1449,13 @@ def build_parser() -> argparse.ArgumentParser:
         "print the device-health report (breaker transitions, shadow "
         "probes, re-promotions)",
     )
-    p.add_argument(
-        "target",
-        help="suite app name (e.g. gray_pipeline) or a Lime source file",
-    )
-    p.add_argument(
-        "--entry",
-        help="qualified entry point (required for .lime files; "
-        "overrides the suite default workload)",
-    )
-    p.add_argument("args", nargs="*", help="argument literals for --entry")
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
-    p.add_argument(
-        "--plan",
-        help="fault plan JSON file (default: no faults — breakers "
+    target_arg(p, "gray_pipeline")
+    entry_args(p)
+    backend_flags(p)
+    fault_plan_flags(
+        p,
+        "fault plan JSON file (default: no faults — breakers "
         "stay CLOSED)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=None, help="override the plan's RNG seed"
-    )
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="threaded",
     )
     p.add_argument(
         "--max-attempts",
@@ -1570,16 +1508,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="fail unless at least this many re-promotions happened",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable JSON report instead of text",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        help="also write the JSON report to this path",
-    )
+    report_flags(p)
     cache_flags(p)
     batch_size_option(p)
     p.set_defaults(fn=_cmd_health)
@@ -1627,11 +1556,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant queued-job bound; over it submissions are "
         "rejected with a retry-after hint",
     )
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="sequential",
-    )
+    scheduler_option(p, default="sequential")
     p.add_argument(
         "--plan",
         help="fault plan JSON file applied to every job's runtime",
@@ -1643,16 +1568,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical output/value; simulated seconds too when no "
         "fault plan)",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable JSON report instead of text",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        help="also write the JSON report to this path",
-    )
+    report_flags(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -1672,11 +1588,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=6,
         help="jobs submitted before the first crash",
     )
-    p.add_argument(
-        "--scheduler",
-        choices=("threaded", "sequential"),
-        default="sequential",
-    )
+    scheduler_option(p, default="sequential")
     p.add_argument(
         "--seed",
         type=int,
@@ -1708,16 +1620,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="give up if recovery has not converged after this many "
         "restarts",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable JSON report instead of text",
-    )
-    p.add_argument(
-        "-o",
-        "--out",
-        help="also write the JSON report to this path",
-    )
+    report_flags(p)
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser(
@@ -1730,9 +1633,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help="suite app names (default: every app in repro.apps.SUITE)",
     )
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
+    backend_flags(p)
     cache_flags(p)
     p.add_argument(
         "--no-verify",
@@ -1744,12 +1645,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="pin every harvested entry against LRU eviction",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable repro.harvest/1 report",
+    report_flags(
+        p,
+        "print the machine-readable repro.harvest/1 report",
+        "also write the JSON report here",
     )
-    p.add_argument("-o", "--out", help="also write the JSON report here")
     p.set_defaults(fn=_cmd_harvest)
 
     p = sub.add_parser(
@@ -1758,23 +1658,24 @@ def build_parser() -> argparse.ArgumentParser:
         "(stats / purge / verify)",
     )
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
-    cp = cache_sub.add_parser("stats", help="summarize cache contents")
-    cp.add_argument("--cache-dir", required=True)
+
+    def cache_command(name, fn, help):
+        cp = cache_sub.add_parser(name, help=help)
+        cp.add_argument("--cache-dir", required=True)
+        cp.set_defaults(fn=fn)
+        return cp
+
+    cp = cache_command("stats", _cmd_cache_stats, "summarize cache contents")
     cp.add_argument("--json", action="store_true")
-    cp.set_defaults(fn=_cmd_cache_stats)
-    cp = cache_sub.add_parser("purge", help="drop every entry")
-    cp.add_argument("--cache-dir", required=True)
-    cp.set_defaults(fn=_cmd_cache_purge)
-    cp = cache_sub.add_parser(
-        "verify", help="integrity-check every entry's hashes"
+    cache_command("purge", _cmd_cache_purge, "drop every entry")
+    cp = cache_command(
+        "verify", _cmd_cache_verify, "integrity-check every entry's hashes"
     )
-    cp.add_argument("--cache-dir", required=True)
     cp.add_argument(
         "--delete-corrupt",
         action="store_true",
         help="drop failing entries so the next compile repopulates them",
     )
-    cp.set_defaults(fn=_cmd_cache_verify)
 
     p = sub.add_parser(
         "bench",
@@ -1783,7 +1684,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
-    def bench_dirs(bp):
+    def bench_command(name, fn, help):
+        bp = bench_sub.add_parser(name, help=help)
         bp.add_argument(
             "--bench-dir",
             default="benchmarks/out",
@@ -1794,31 +1696,30 @@ def build_parser() -> argparse.ArgumentParser:
             default="benchmarks/changelogs",
             help="the per-PR snapshot series (repro.trajectory/1)",
         )
+        bp.set_defaults(fn=fn)
+        return bp
 
-    bp = bench_sub.add_parser(
+    bp = bench_command(
         "collect",
-        help="aggregate BENCH_*.json + profile runs into one "
+        _cmd_bench_collect,
+        "aggregate BENCH_*.json + profile runs into one "
         "repro.trajectory/1 snapshot appended to the changelog",
     )
-    bench_dirs(bp)
     bp.add_argument("--label", default="", help="human tag, e.g. 'PR 9'")
     bp.add_argument(
         "--no-profiles",
         action="store_true",
         help="skip the deterministic critical-path profile runs",
     )
-    bp.add_argument("--json", action="store_true")
-    bp.add_argument(
-        "-o", "--out",
-        help="write the snapshot here instead of into the changelog",
+    report_flags(
+        bp, None, "write the snapshot here instead of into the changelog"
     )
-    bp.set_defaults(fn=_cmd_bench_collect)
 
-    bp = bench_sub.add_parser(
+    bp = bench_command(
         "diff",
-        help="per-metric delta between two snapshots, direction-aware",
+        _cmd_bench_diff,
+        "per-metric delta between two snapshots, direction-aware",
     )
-    bench_dirs(bp)
     bp.add_argument(
         "baseline", help="snapshot path, or changelog seq (-1 = latest)"
     )
@@ -1837,15 +1738,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="also list metrics inside the threshold band",
     )
     bp.add_argument("--json", action="store_true")
-    bp.set_defaults(fn=_cmd_bench_diff)
 
-    bp = bench_sub.add_parser(
+    bp = bench_command(
         "trend",
-        help="whole-changelog series per metric, sparkline history "
+        _cmd_bench_trend,
+        "whole-changelog series per metric, sparkline history "
         "(includes an uncommitted working-tree point when bench "
         "reports exist)",
     )
-    bench_dirs(bp)
     bp.add_argument(
         "--committed-only",
         action="store_true",
@@ -1854,16 +1754,14 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument(
         "--metric", default="", help="substring filter on metric names"
     )
-    bp.add_argument("--json", action="store_true")
-    bp.add_argument("-o", "--out", help="save the JSON report here")
-    bp.set_defaults(fn=_cmd_bench_trend)
+    report_flags(bp, None, "save the JSON report here")
 
-    bp = bench_sub.add_parser(
+    bp = bench_command(
         "gate",
-        help="CI regression gate: nonzero exit when a modeled metric "
+        _cmd_bench_gate,
+        "CI regression gate: nonzero exit when a modeled metric "
         "regresses beyond the threshold (waivers via --bless)",
     )
-    bench_dirs(bp)
     bp.add_argument(
         "--baseline",
         help="snapshot path or changelog seq (default: second-latest)",
@@ -1888,20 +1786,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--reason", help="why the blessed regression is intentional"
     )
     bp.add_argument("--json", action="store_true")
-    bp.set_defaults(fn=_cmd_bench_gate)
 
     p = sub.add_parser(
         "fuse",
         help="plan task fusion for an app and print/save the "
         "repro.fusion/1 plan (docs/FUSION.md)",
     )
-    p.add_argument(
-        "target",
-        help="suite app name (e.g. gray_pipeline) or a Lime source file",
-    )
-    p.add_argument("--no-gpu", action="store_true")
-    p.add_argument("--no-fpga", action="store_true")
-    p.add_argument("--fpga-pipelined", action="store_true")
+    target_arg(p, "gray_pipeline")
+    backend_flags(p)
     p.add_argument(
         "--profile",
         help="profile report JSON (python -m repro profile -o ...); "
@@ -1913,57 +1805,45 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the canonical fused-IR rendering",
     )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the machine-readable plan instead of text",
+    report_flags(
+        p,
+        "print the machine-readable plan instead of text",
+        "save the plan JSON here",
     )
-    p.add_argument("-o", "--out", help="save the plan JSON here")
     cache_flags(p)
     p.set_defaults(fn=_cmd_fuse)
 
-    p = sub.add_parser("format", help="pretty-print (normalize) a source file")
-    common(p)
-    p.set_defaults(fn=_cmd_format)
-
-    p = sub.add_parser("markers", help="IDE-style per-line artifact markers")
-    common(p)
-    p.set_defaults(fn=_cmd_markers)
-
-    p = sub.add_parser("graphs", help="list discovered task graphs")
-    common(p)
-    p.set_defaults(fn=_cmd_graphs)
-
-    p = sub.add_parser("disas", help="disassemble the bytecode artifact")
-    common(p)
-    p.set_defaults(fn=_cmd_disas)
-
-    p = sub.add_parser("emit-opencl", help="print generated OpenCL C")
-    common(p)
-    p.set_defaults(fn=lambda a: _emit(a, "gpu"))
-
-    p = sub.add_parser("emit-verilog", help="print generated Verilog")
-    common(p)
-    p.set_defaults(fn=lambda a: _emit(a, "fpga"))
-
-    p = sub.add_parser(
-        "build", help="compile and write an on-disk artifact repository"
+    file_command(
+        "format", _cmd_format, "pretty-print (normalize) a source file"
     )
-    common(p)
+    file_command(
+        "markers", _cmd_markers, "IDE-style per-line artifact markers"
+    )
+    file_command("graphs", _cmd_graphs, "list discovered task graphs")
+    file_command("disas", _cmd_disas, "disassemble the bytecode artifact")
+    file_command(
+        "emit-opencl", lambda a: _emit(a, "gpu"), "print generated OpenCL C"
+    )
+    file_command(
+        "emit-verilog", lambda a: _emit(a, "fpga"), "print generated Verilog"
+    )
+
+    p = file_command(
+        "build", _cmd_build,
+        "compile and write an on-disk artifact repository",
+    )
     p.add_argument("-o", "--output", required=True, help="repository dir")
-    p.set_defaults(fn=_cmd_build)
 
-    p = sub.add_parser(
+    p = file_command(
         "emit-testbench",
-        help="print a self-checking Verilog testbench for each FPGA module",
+        _cmd_testbench,
+        "print a self-checking Verilog testbench for each FPGA module",
     )
-    common(p)
     p.add_argument(
         "--inputs",
         default="ints:1,2,3",
         help="stimulus literal, e.g. ints:1,2,3 or bits:1,0,1",
     )
-    p.set_defaults(fn=_cmd_testbench)
 
     return parser
 

@@ -31,7 +31,7 @@ from repro.runtime.health import (
     validate_health_report,
 )
 from repro.runtime.marshaling import BoundaryCosts, MarshalingBoundary
-from repro.runtime.queues import END_OF_STREAM, Connection
+from repro.runtime.queues import END_OF_STREAM, Connection, InlineEdge
 from repro.runtime.scheduler import SequentialScheduler, ThreadedScheduler
 from repro.runtime.specialize import (
     KernelSpecializer,
@@ -77,6 +77,7 @@ __all__ = [
     "HealthPolicy",
     "HealthRegistry",
     "InjectedFault",
+    "InlineEdge",
     "KernelSpecializer",
     "MarshalingBoundary",
     "NULL_INJECTOR",

@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.runtime.tasks import ExecutionContext, Task, _QUEUE_CYCLES
+from repro.runtime.tasks import (
+    _QUEUE_CYCLES,
+    ExecutionContext,
+    FilterTask,
+    Task,
+    replay_filters,
+    run_batches,
+)
 
 
 @dataclass
@@ -50,7 +57,8 @@ class AdaptiveTask(Task):
         self.covered_task_ids = device_task.covered_task_ids
         self.device_executor = device_task.executor
         self.batch_size = device_task.batch_size
-        self.cpu_methods = list(cpu_methods)
+        # Adaptable spans are single-input, stateless filters.
+        self.cpu_filters = [FilterTask(method) for method in cpu_methods]
         self.probe_size = max(probe_size, 1)
         self.chosen: str | None = None
         self._cpu_per_item: float | None = None
@@ -59,18 +67,10 @@ class AdaptiveTask(Task):
     # -- execution paths ---------------------------------------------------
 
     def _run_cpu(self, items: list, ctx: ExecutionContext):
-        cycles = 0
-        outputs = []
-        for item in items:
-            value = item
-            for method in self.cpu_methods:
-                value, used = ctx.invoke(method, [value])
-                cycles += used + _QUEUE_CYCLES
-            outputs.append(value)
+        outputs, cycles = replay_filters(
+            ctx.invoke, self.cpu_filters, items, overhead=_QUEUE_CYCLES
+        )
         return outputs, ctx.seconds_for_cycles(cycles)
-
-    def _run_device(self, items: list):
-        return self.device_executor(items)
 
     def _decide(self, ctx: ExecutionContext) -> None:
         assert self._cpu_per_item is not None
@@ -107,12 +107,12 @@ class AdaptiveTask(Task):
         if self.chosen is not None:
             if self.chosen == "bytecode":
                 return self._run_cpu(items, ctx)
-            return self._run_device(items)
+            return self.device_executor(items)
         if self._cpu_per_item is None:
             outputs, seconds = self._run_cpu(items, ctx)
             self._cpu_per_item = seconds / max(len(items), 1)
             return outputs, seconds
-        outputs, seconds = self._run_device(items)
+        outputs, seconds = self.device_executor(items)
         self._device_probes.append((len(items), seconds))
         if len(self._device_probes) == 2:
             self._decide(ctx)
@@ -120,44 +120,17 @@ class AdaptiveTask(Task):
 
     # -- task interface --------------------------------------------------
 
-    def _next_probe_size(self) -> int:
+    def _batch_limit(self) -> int:
+        if self.chosen is not None:
+            return self.batch_size
         # CPU probe, then device probes at 1x and 4x the probe size:
         # two points separate fixed from marginal device cost.
         if self._cpu_per_item is None or not self._device_probes:
             return self.probe_size
         return self.probe_size * 4
 
-    def process_batch(self, items, ctx):
-        stage = self._stage(ctx)
-        outputs: list = []
-        index = 0
-        while index < len(items):
-            if self.chosen is None:
-                take = min(self._next_probe_size(), len(items) - index)
-            else:
-                take = min(self.batch_size, len(items) - index)
-            chunk = items[index : index + take]
-            out, seconds = self._process(chunk, ctx)
-            outputs.extend(out)
-            stage.busy_s += seconds
-            index += take
-        stage.items += len(outputs)
-        return outputs
-
     def run(self, ctx):
-        stage = self._stage(ctx)
-        done = False
-        while not done:
-            limit = (
-                self._next_probe_size()
-                if self.chosen is None
-                else self.batch_size
-            )
-            batch, done = self.input_conn.get_up_to(limit)
-            if batch:
-                outputs, seconds = self._process(batch, ctx)
-                stage.busy_s += seconds
-                stage.items += len(outputs)
-                for value in outputs:
-                    self.output_conn.put(value)
-        self.output_conn.close()
+        run_batches(
+            self, ctx, self._batch_limit,
+            lambda batch: self._process(batch, ctx),
+        )

@@ -4,7 +4,7 @@
 are reflected in an actual graph of runtime objects" (Section 4.1). The
 connect operator conceptually creates a FIFO between tasks; in this
 implementation the pipeline is assembled first and the schedulers
-create the FIFOs when execution starts (after task substitution has
+create the edges when execution starts (after task substitution has
 replaced spans of tasks with device tasks).
 """
 
@@ -66,20 +66,23 @@ class Pipeline:
                     "source/sink in the middle of a pipeline"
                 )
 
-    def wire(self, capacity: int = 64, metrics=None) -> None:
-        """Create the FIFO connections between consecutive tasks.
+    def wire(self, capacity: int = 64, metrics=None, edge=None) -> None:
+        """Create the edges between consecutive tasks: bounded FIFO
+        :class:`Connection`s unless the scheduler passes its own
+        ``edge`` factory.
 
         ``metrics`` (a :class:`repro.obs.MetricsRegistry`) attaches
         per-edge depth/wait instrumentation to every connection; the
         default ``None`` keeps the hot path untouched."""
         for upstream, downstream in zip(self.tasks, self.tasks[1:]):
-            conn = Connection(
-                capacity,
-                metrics=metrics,
-                name=f"{upstream.task_id}->{downstream.task_id}",
-            )
-            conn.producer = upstream
-            conn.consumer = downstream
+            if edge is not None:
+                conn = edge()
+            else:
+                conn = Connection(
+                    capacity,
+                    metrics=metrics,
+                    name=f"{upstream.task_id}->{downstream.task_id}",
+                )
             upstream.output_conn = conn
             downstream.input_conn = conn
 
@@ -87,9 +90,9 @@ class Pipeline:
         return [t.task_id for t in self.tasks]
 
     def connections(self) -> list:
-        """Every wired FIFO, in pipeline order (empty before
-        :meth:`wire`). The schedulers' shutdown path iterates these to
-        drain a cancelled run."""
+        """Every wired edge, in pipeline order (empty before
+        :meth:`wire`). The threaded scheduler's shutdown path iterates
+        these to drain a cancelled run."""
         return [
             t.output_conn
             for t in self.tasks

@@ -6,6 +6,10 @@ downstream stage is slow, and carries an end-of-stream sentinel so
 graph termination propagates: "the graph execution terminates when the
 last bit produced by the source is consumed by the sink."
 
+Task bodies are written against :class:`Edge`; :class:`Connection` is
+the bounded blocking FIFO between two task threads, :class:`InlineEdge`
+what the sequential scheduler wires instead (DESIGN.md §3c).
+
 When a metrics registry is attached (profiling runs), every ``put``
 samples the queue depth into a per-edge histogram and both sides
 accumulate their blocking time (``producer_wait_s`` /
@@ -42,7 +46,27 @@ class EndOfStream:
 END_OF_STREAM = EndOfStream()
 
 
-class Connection:
+class Edge:
+    """What a task body is written against: ``put``, ``close``, ``get``
+    (the next item; ``END_OF_STREAM`` after the last) and ``get_up_to``
+    from the subclass, the firing rule written once over ``get_up_to``."""
+
+    def get_batch(self, count: int) -> "list":
+        """Blockingly read ``count`` items; a premature end-of-stream
+        with a partially filled batch is an error (the upstream closed
+        mid-firing)."""
+        batch, eos = self.get_up_to(count)
+        if not eos:
+            return batch
+        if batch:
+            raise RuntimeGraphError(
+                "stream ended mid-firing: upstream produced "
+                f"{len(batch)} of {count} required items"
+            )
+        return [END_OF_STREAM]
+
+
+class Connection(Edge):
     """A bounded FIFO between a producer task and a consumer task."""
 
     def __init__(self, capacity: int = 64, metrics=None, name: str = ""):
@@ -51,8 +75,6 @@ class Connection:
         self._queue: _queue.Queue = _queue.Queue(maxsize=capacity)
         self.capacity = capacity
         self.name = name
-        self.producer = None
-        self.consumer = None
         self.items_transferred = 0
         # Each wait accumulator is written only by its owning side
         # (producer thread / consumer thread), so no lock is needed.
@@ -100,23 +122,6 @@ class Connection:
                 self.consumer_wait_s * 1e6,
             )
         return item
-
-    def get_batch(self, count: int) -> "list":
-        """Blockingly read ``count`` items; a premature end-of-stream
-        with a partially filled batch is an error (the upstream closed
-        mid-firing)."""
-        batch = []
-        for _ in range(count):
-            item = self.get()
-            if item is END_OF_STREAM:
-                if batch:
-                    raise RuntimeGraphError(
-                        "stream ended mid-firing: upstream produced "
-                        f"{len(batch)} of {count} required items"
-                    )
-                return [END_OF_STREAM]
-            batch.append(item)
-        return batch
 
     def get_up_to(self, count: int) -> "tuple[list, bool]":
         """Blockingly drain up to ``count`` items for one batched
@@ -184,3 +189,61 @@ class Connection:
     @property
     def approximate_depth(self) -> int:
         return self._queue.qsize()
+
+
+class InlineEdge(Edge):
+    """The edge between two stages that run one after the other on one
+    thread: the producer has finished (or failed, and the scheduler
+    closed its output) before the consumer reads. Unbounded, lock-free
+    and un-instrumented — nothing waits, so sequential profile reports
+    carry no ``queue.*`` metrics — and where a FIFO would block forever
+    (reading past what was produced on an open edge) it raises."""
+
+    def __init__(self):
+        self._items: list = []
+        self._head = 0
+        self._closed = False
+        self.put = self._items.append  # per item: no Python frame
+
+    @property
+    def items_transferred(self) -> int:
+        return len(self._items)
+
+    def close(self) -> None:
+        self._closed = True
+
+    def _ran_dry(self) -> None:
+        # A read wants more than was produced: the end of a closed
+        # stream, but on an open edge a FIFO would block forever.
+        if not self._closed:
+            raise RuntimeGraphError(
+                "read past the end of an open in-process edge: the "
+                "upstream stage returned without closing its output"
+            )
+
+    def get(self):
+        head = self._head
+        if head == len(self._items):
+            self._ran_dry()
+            return END_OF_STREAM
+        self._head = head + 1
+        return self._items[head]
+
+    def get_batch(self, count: int) -> list:
+        head = self._head
+        batch = self._items[head : head + count]
+        if len(batch) < count:
+            return super().get_batch(count)  # end of stream, or an error
+        self._head = head + count
+        return batch
+
+    def get_up_to(self, count: int) -> "tuple[list, bool]":
+        """As :meth:`Connection.get_up_to`, in one slice."""
+        if count < 1:
+            raise RuntimeGraphError("batch draining requires count >= 1")
+        head = self._head
+        batch = self._items[head : head + count]
+        if len(batch) < count:
+            self._ran_dry()
+        self._head = head + len(batch)
+        return batch, len(batch) < count

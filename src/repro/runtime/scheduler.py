@@ -1,18 +1,20 @@
 """Task-graph schedulers.
 
-The paper's runtime "creates a thread for each task. These threads will
-block on the incoming connections until enough data is available"
-(Section 4.1) — that is :class:`ThreadedScheduler`. The deterministic
-:class:`SequentialScheduler` runs the pipeline stage-by-stage over the
-whole batch; for linear pipelines the two are observationally
-equivalent, and the sequential one is reproducible to the cycle, which
-the benchmark harness prefers.
+A task's computation is written once, as ``Task.run(ctx)`` against
+:class:`~repro.runtime.queues.Edge`; a scheduler is an edge type plus a
+driving order (DESIGN.md §3c). :class:`ThreadedScheduler` is the
+paper's: it "creates a thread for each task. These threads will block
+on the incoming connections until enough data is available" (Section
+4.1). :class:`SequentialScheduler` calls the same bodies one after the
+other over in-process edges; it is reproducible to the cycle, which the
+benchmark harness prefers, and quiescent between stages.
 
-Both schedulers participate in the resilience story (see
-``docs/RESILIENCE.md``): a stage failure is surfaced from ``join()``
-with the failing task/device attached, and the threaded scheduler
-optionally runs a per-stage watchdog that turns a stalled device stage
-into a :class:`~repro.errors.DeviceTimeoutError` instead of a hang.
+Both participate in the resilience story (``docs/RESILIENCE.md``): a
+stage failure closes the stage's output, so downstream drains what was
+produced, and is surfaced from ``join()`` with the failing task/device
+attached; the threaded scheduler optionally runs a per-stage watchdog
+that turns a stalled device stage into a
+:class:`~repro.errors.DeviceTimeoutError` instead of a hang.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import time
 
 from repro.errors import DeviceTimeoutError, RuntimeGraphError
 from repro.runtime.graph import Pipeline
+from repro.runtime.queues import InlineEdge
 from repro.runtime.tasks import ExecutionContext
 
 
@@ -38,74 +41,100 @@ def _attach_stage_context(exc: BaseException, task, scheduler: str) -> None:
         exc.add_note(note)
 
 
+def _run_stage(scheduler, task, ctx: ExecutionContext, **opened) -> None:
+    """Run one task body inside its ``run.graph.stage`` span. What is
+    said about a stage is said here, for both schedulers; what a
+    scheduler's edges measured comes from its ``edge_report``."""
+    with ctx.tracer.span(
+        "run.graph.stage",
+        task_id=task.task_id,
+        device=task.device,
+        task_kind=task.kind,
+        scheduler=scheduler.name,
+        **opened,
+    ) as span:
+        batch_size = getattr(task, "batch_size", None)
+        if batch_size is not None:
+            # Device stages dispatch in marshaling batches
+            # (RuntimeConfig.batch_size); surface the knob so a trace
+            # explains the crossing count.
+            span.set(batch_size=batch_size)
+        covered = getattr(task, "covered_task_ids", None)
+        if covered is not None:
+            # A multi-stage device task is a fused span: one crossing
+            # per batch for the whole run (docs/FUSION.md).
+            span.set(fused=len(covered) > 1, fused_span=len(covered))
+        task.run(ctx)
+        span.set(**scheduler.edge_report(task, ctx))
+        source = ctx.artifact_source
+        if source is not None:
+            # Warm runs execute cache-loaded artifacts; the stamp lets
+            # a trace prove no codegen ran.
+            span.set(artifact_source=source)
+        breaker = ctx.health_state(task)
+        if breaker is not None:
+            # The breaker's state after the stage drained: traces show
+            # whether a span finished demoted, on probation, or
+            # re-promoted.
+            span.set(breaker_state=breaker)
+
+
+def _end_stream(task) -> None:
+    """A failed stage ends its stream — after its error is recorded, so
+    a downstream stage tripping over the short stream never reports
+    first: downstream drains what was produced instead of waiting."""
+    if task.output_conn is not None:
+        task.output_conn.close()
+
+
+def _items_on(edge) -> int:
+    return edge.items_transferred if edge is not None else 0
+
+
 class SequentialScheduler:
-    """Runs each stage to completion over the whole stream."""
+    """Runs each stage to completion over the whole stream, on the
+    calling thread, in pipeline order."""
 
     name = "sequential"
 
-    def start(self, pipeline: Pipeline, ctx: ExecutionContext) -> None:
-        # Sequential execution cannot be detached; run to completion.
-        self.run_to_completion(pipeline, ctx)
+    @staticmethod
+    def edge_report(task, ctx: ExecutionContext) -> dict:
+        # Nothing waits on an in-process edge: the explicit zero keeps
+        # profile reports uniform across schedulers.
+        return {
+            "out_items": _items_on(task.output_conn),
+            "queue_wait_us": 0.0,
+        }
 
     def run_to_completion(self, pipeline: Pipeline, ctx: ExecutionContext) -> None:
         pipeline.validate()
-        tracer = ctx.tracer
-        items: list = []
+        pipeline.wire(edge=InlineEdge)
         for task in pipeline.tasks:
             try:
-                with tracer.span(
-                    "run.graph.stage",
-                    task_id=task.task_id,
-                    device=task.device,
-                    task_kind=task.kind,
-                    scheduler=self.name,
-                    in_items=len(items),
-                ) as span:
-                    batch_size = getattr(task, "batch_size", None)
-                    if batch_size is not None:
-                        # Device stages dispatch in marshaling batches
-                        # (RuntimeConfig.batch_size); surface the knob
-                        # so a trace explains the crossing count.
-                        span.set(batch_size=batch_size)
-                    covered = getattr(task, "covered_task_ids", None)
-                    if covered is not None:
-                        # A multi-stage device task is a fused span:
-                        # one crossing per batch for the whole run
-                        # (docs/FUSION.md).
-                        span.set(
-                            fused=len(covered) > 1,
-                            fused_span=len(covered),
-                        )
-                    items = task.process_batch(items, ctx)
-                    # No FIFOs in sequential mode: the explicit zero
-                    # keeps profile reports uniform across schedulers.
-                    span.set(out_items=len(items), queue_wait_us=0.0)
-                    source = ctx.artifact_source
-                    if source is not None:
-                        # Warm runs execute cache-loaded artifacts; the
-                        # stamp lets a trace prove no codegen ran.
-                        span.set(artifact_source=source)
-                    breaker = ctx.health_state(task)
-                    if breaker is not None:
-                        # The breaker's state after the stage drained:
-                        # traces show whether a span finished demoted,
-                        # on probation, or re-promoted.
-                        span.set(breaker_state=breaker)
+                _run_stage(
+                    self, task, ctx, in_items=_items_on(task.input_conn)
+                )
             except BaseException as exc:
-                # A mid-stage failure must not leave the pipeline
-                # looking "never started": record it so join() surfaces
-                # the original error instead of a misleading one.
-                pipeline.failed = True
-                pipeline.failure = exc
-                pipeline.started = True
-                _attach_stage_context(exc, task, self.name)
-                raise
-            # Sequential execution is quiescent between stages — the
-            # one scheduler that can persist crash-recovery checkpoint
-            # frames mid-graph (docs/RECOVERY.md).
-            quiesce = getattr(ctx.engine, "checkpoint_quiesce", None)
-            if quiesce is not None:
-                quiesce(inline=True)
+                if not pipeline.failed:
+                    # A mid-stage failure must not leave the pipeline
+                    # looking "never started": record it so join()
+                    # surfaces the original error, not a misleading one.
+                    pipeline.failed = True
+                    pipeline.failure = exc
+                    pipeline.started = True
+                    _attach_stage_context(exc, task, self.name)
+                if not isinstance(exc, Exception):
+                    raise  # a (simulated) process crash unwinds at once
+                _end_stream(task)
+            else:
+                # Sequential execution is quiescent between stages —
+                # the one scheduler that can persist crash-recovery
+                # checkpoint frames mid-graph (docs/RECOVERY.md).
+                quiesce = getattr(ctx.engine, "checkpoint_quiesce", None)
+                if quiesce is not None and not pipeline.failed:
+                    quiesce(inline=True)
+        if pipeline.failed:
+            raise pipeline.failure
         pipeline.started = True
 
     def join(self, pipeline: Pipeline) -> None:
@@ -146,75 +175,49 @@ class ThreadedScheduler:
         self.job_id = job_id
         self.tenant = tenant
 
+    @staticmethod
+    def edge_report(task, ctx: ExecutionContext) -> dict:
+        report = {}
+        stage = ctx.graph_run.stages.get(task.task_id)
+        if stage is not None:
+            report.update(items=stage.items, busy_s=stage.busy_s)
+        if task.output_conn is not None:
+            report.update(
+                out_items=task.output_conn.items_transferred,
+                queue_depth=task.output_conn.approximate_depth,
+            )
+        # Queue-wait is an explicit attribute (not folded into the span
+        # duration) so profile reports can separate blocking on FIFOs
+        # from actual work.
+        # (A source has no input edge, a sink no output edge.)
+        wait_in = getattr(task.input_conn, "consumer_wait_s", 0.0)
+        wait_out = getattr(task.output_conn, "producer_wait_s", 0.0)
+        report.update(
+            queue_wait_in_us=wait_in * 1e6,
+            queue_wait_out_us=wait_out * 1e6,
+            queue_wait_us=(wait_in + wait_out) * 1e6,
+        )
+        return report
+
     def start(self, pipeline: Pipeline, ctx: ExecutionContext) -> None:
         pipeline.validate()
         pipeline.wire(
             self.queue_capacity, metrics=getattr(ctx.tracer, "metrics", None)
         )
         errors: list = []  # [(task, exception)]
-        tracer = ctx.tracer
         # Stage spans run on worker threads; capture the graph span on
         # the scheduling thread so they nest under it explicitly.
-        parent = tracer.current()
+        parent = ctx.tracer.current()
 
         def runner(task):
             try:
-                with tracer.span(
-                    "run.graph.stage",
-                    parent=parent,
-                    task_id=task.task_id,
-                    device=task.device,
-                    task_kind=task.kind,
-                    scheduler=self.name,
-                    queue_capacity=self.queue_capacity,
-                ) as span:
-                    batch_size = getattr(task, "batch_size", None)
-                    if batch_size is not None:
-                        span.set(batch_size=batch_size)
-                    covered = getattr(task, "covered_task_ids", None)
-                    if covered is not None:
-                        span.set(
-                            fused=len(covered) > 1,
-                            fused_span=len(covered),
-                        )
-                    task.run(ctx)
-                    stage = ctx.graph_run.stages.get(task.task_id)
-                    if stage is not None:
-                        span.set(items=stage.items, busy_s=stage.busy_s)
-                    if task.output_conn is not None:
-                        span.set(
-                            out_items=task.output_conn.items_transferred,
-                            queue_depth=task.output_conn.approximate_depth,
-                        )
-                    # Queue-wait is an explicit attribute (not folded
-                    # into the span duration) so profile reports can
-                    # separate blocking on FIFOs from actual work.
-                    wait_in = (
-                        task.input_conn.consumer_wait_s
-                        if task.input_conn is not None
-                        else 0.0
-                    )
-                    wait_out = (
-                        task.output_conn.producer_wait_s
-                        if task.output_conn is not None
-                        else 0.0
-                    )
-                    span.set(
-                        queue_wait_in_us=wait_in * 1e6,
-                        queue_wait_out_us=wait_out * 1e6,
-                        queue_wait_us=(wait_in + wait_out) * 1e6,
-                    )
-                    source = ctx.artifact_source
-                    if source is not None:
-                        span.set(artifact_source=source)
-                    breaker = ctx.health_state(task)
-                    if breaker is not None:
-                        span.set(breaker_state=breaker)
+                _run_stage(
+                    self, task, ctx,
+                    parent=parent, queue_capacity=self.queue_capacity,
+                )
             except BaseException as exc:  # propagate to finish()
                 errors.append((task, exc))
-                # Unblock downstream by closing our output if any.
-                if task.output_conn is not None:
-                    task.output_conn.close()
+                _end_stream(task)
 
         pipeline.threads = [
             threading.Thread(

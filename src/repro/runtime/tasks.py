@@ -6,9 +6,10 @@ arise in the Lime language (e.g., sources, sinks, filters)"
 a stage (or fused span of stages) executing on an accelerator behind
 the marshaling boundary.
 
-Each task supports two execution modes: ``process_batch`` for the
-deterministic sequential scheduler, and ``run`` for the thread-per-task
-scheduler.
+Each task has one body, ``run(ctx)``, written against
+:class:`~repro.runtime.queues.Edge`. Which edge type it was wired with,
+and whether it runs on its own thread or after its upstream finished,
+is the scheduler's business (DESIGN.md §3c).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import RuntimeGraphError
-from repro.runtime.queues import END_OF_STREAM, Connection
+from repro.runtime.queues import END_OF_STREAM, Edge
 from repro.values import MutableArray, ValueArray
 
 
@@ -85,17 +86,13 @@ class Task:
 
     def __init__(self, task_id: Optional[str]):
         self.task_id = task_id or f"dynamic:{id(self)}"
-        self.input_conn: Optional[Connection] = None
-        self.output_conn: Optional[Connection] = None
-
-    # Sequential mode ------------------------------------------------------
-
-    def process_batch(self, items: list, ctx: ExecutionContext) -> list:
-        raise NotImplementedError
-
-    # Threaded mode --------------------------------------------------------
+        # Wired by the scheduler when execution starts.
+        self.input_conn: Optional[Edge] = None
+        self.output_conn: Optional[Edge] = None
 
     def run(self, ctx: ExecutionContext) -> None:
+        """Consume the input edge to end of stream, produce on the
+        output edge, close it."""
         raise NotImplementedError
 
     def _stage(self, ctx: ExecutionContext):
@@ -133,16 +130,6 @@ class SourceTask(Task):
             for i in range(0, len(self.array), self.rate)
         ]
 
-    def process_batch(self, items, ctx):
-        token = ctx.cancel_token
-        if token is not None:
-            token.check()
-        out = self.emit_items()
-        stage = self._stage(ctx)
-        stage.items += len(out)
-        stage.busy_s += ctx.seconds_for_cycles(_QUEUE_CYCLES * len(out))
-        return out
-
     def run(self, ctx):
         stage = self._stage(ctx)
         token = ctx.cancel_token
@@ -178,17 +165,6 @@ class SinkTask(Task):
             )
         self.array[self._index] = item
         self._index += 1
-
-    def process_batch(self, items, ctx):
-        token = ctx.cancel_token
-        if token is not None:
-            token.check()
-        stage = self._stage(ctx)
-        for item in items:
-            self._store(item)
-        stage.items += len(items)
-        stage.busy_s += ctx.seconds_for_cycles(_QUEUE_CYCLES * len(items))
-        return []
 
     def run(self, ctx):
         stage = self._stage(ctx)
@@ -234,31 +210,6 @@ class FilterTask(Task):
         hist = ctx.metrics.histogram(f"stage.item_latency_us[{self.task_id}]")
         return hist.observe if hist.enabled else None
 
-    def process_batch(self, items, ctx):
-        stage = self._stage(ctx)
-        out = []
-        if len(items) % self.arity:
-            raise RuntimeGraphError(
-                f"filter {self.method} requires groups of {self.arity} "
-                f"items; {len(items)} provided"
-            )
-        observe = self._latency_observer(ctx)
-        token = ctx.cancel_token
-        cycles = 0
-        for i in range(0, len(items), self.arity):
-            if token is not None:
-                token.check()
-            value, used = ctx.invoke(
-                self.method, self._call_args(items[i : i + self.arity])
-            )
-            cycles += used + _QUEUE_CYCLES
-            if observe is not None:
-                observe(ctx.seconds_for_cycles(used + _QUEUE_CYCLES) * 1e6)
-            out.append(value)
-        stage.items += len(out)
-        stage.busy_s += ctx.seconds_for_cycles(cycles)
-        return out
-
     def run(self, ctx):
         stage = self._stage(ctx)
         observe = self._latency_observer(ctx)
@@ -280,6 +231,46 @@ class FilterTask(Task):
         self.output_conn.close()
 
 
+def replay_filters(invoke, filters, items: list, overhead: int = 0):
+    """Apply a span's :class:`FilterTask`s to a list of items, one whole
+    stage after the other; ``invoke(method, args)`` returns ``(value,
+    cycles)``. Returns ``(outputs, cycles)``. ``overhead`` is charged
+    per firing: the queue handling a bytecode stage pays, and a breaker
+    fallback or a cost probe of the same span does not."""
+    cycles = 0
+    for task in filters:
+        fired = []
+        for i in range(0, len(items), task.arity):
+            value, used = invoke(
+                task.method, task._call_args(items[i : i + task.arity])
+            )
+            cycles += used + overhead
+            fired.append(value)
+        items = fired
+    return items, cycles
+
+
+def run_batches(task: Task, ctx: ExecutionContext, limit, execute) -> None:
+    """The body of a stage that crosses to a device in batches: drain
+    up to ``limit()`` items, ``execute(batch) -> (outputs,
+    busy_seconds)``, forward the outputs; cancellation is polled once
+    per batch."""
+    stage = task._stage(ctx)
+    token = ctx.cancel_token
+    done = False
+    while not done:
+        batch, done = task.input_conn.get_up_to(limit())
+        if batch:
+            if token is not None:
+                token.check()
+            outputs, seconds = execute(batch)
+            stage.busy_s += seconds
+            stage.items += len(outputs)
+            for value in outputs:
+                task.output_conn.put(value)
+    task.output_conn.close()
+
+
 class DeviceTask(Task):
     """A substituted span of filters running on an accelerator.
 
@@ -290,9 +281,7 @@ class DeviceTask(Task):
 
     ``batch_size`` is the marshaling batch: how many FIFO elements are
     drained and dispatched across the host/device boundary per
-    crossing (``RuntimeConfig.batch_size``). Both scheduler modes chunk
-    identically, so sequential and threaded runs cross the boundary the
-    same number of times for the same stream.
+    crossing (``RuntimeConfig.batch_size``).
     """
 
     kind = "device"
@@ -314,35 +303,5 @@ class DeviceTask(Task):
         self.executor = executor
         self.batch_size = max(int(batch_size), 1)
 
-    def process_batch(self, items, ctx):
-        stage = self._stage(ctx)
-        if not items:
-            return []
-        token = ctx.cancel_token
-        outputs: list = []
-        for start in range(0, len(items), self.batch_size):
-            if token is not None:
-                token.check()
-            out, seconds = self.executor(
-                list(items[start : start + self.batch_size])
-            )
-            outputs.extend(out)
-            stage.busy_s += seconds
-        stage.items += len(outputs)
-        return outputs
-
     def run(self, ctx):
-        stage = self._stage(ctx)
-        token = ctx.cancel_token
-        done = False
-        while not done:
-            batch, done = self.input_conn.get_up_to(self.batch_size)
-            if batch:
-                if token is not None:
-                    token.check()
-                outputs, seconds = self.executor(batch)
-                stage.busy_s += seconds
-                stage.items += len(outputs)
-                for value in outputs:
-                    self.output_conn.put(value)
-        self.output_conn.close()
+        run_batches(self, ctx, lambda: self.batch_size, self.executor)

@@ -121,10 +121,6 @@ class ServiceConfig:
     #: persist cost under the documented 10% overhead bar
     #: (docs/RECOVERY.md).
     checkpoint_interval: int = CHECKPOINT_DEFAULT_INTERVAL
-    #: Suppress every 'crash' fault firing (burning its budget so
-    #: counters/RNG stay aligned) — the uninterrupted-baseline mode
-    #: the recovery differential compares against.
-    suppress_crashes: bool = False
 
     def __post_init__(self):
         if self.gpu_slots < 0 or self.fpga_slots < 0:
@@ -536,12 +532,9 @@ class CoExecutionService:
         """Arm crash suppression on the job's injector: firings this
         job already journaled burn their budget silently on the re-run
         (counters and RNG stay aligned with the uninterrupted
-        baseline), and a baseline service can suppress every crash
-        outright."""
+        baseline)."""
         if job.crash_suppression:
             runtime.faults.suppress(job.crash_suppression)
-        if self.config.suppress_crashes:
-            runtime.faults.suppress_all_crashes = True
 
     def _check_crashed(self) -> None:
         with self._lock:

@@ -105,7 +105,7 @@ class TestFailureContext:
         from repro.values import MutableArray
 
         class _BrokenSink(SinkTask):
-            def process_batch(self, items, ctx):
+            def run(self, ctx):
                 raise DeviceError("sink exploded")
 
         class _Engine:
