@@ -2,13 +2,27 @@
 
 PYTHON ?= python
 
-.PHONY: test bench bench-smoke bench-gate examples trace-smoke \
+.PHONY: test tree-before bench bench-smoke examples trace-smoke \
 	fault-smoke profile-smoke health-smoke harvest-smoke serve-smoke \
 	recover-smoke perf-smoke perf-compare all clean
 
-test: trace-smoke fault-smoke profile-smoke health-smoke harvest-smoke \
-		serve-smoke recover-smoke bench-smoke bench-gate perf-smoke
+# A green run leaves the tree as it found it: `git status` is recorded
+# before the first smoke target runs and compared after pytest, so a
+# target or test that starts rewriting a tracked file (or dropping an
+# unignored one) fails the build and prints the difference. Outside a
+# git checkout both readings are empty and the check passes.
+TREE_BEFORE = benchmarks/out/.tree-before
+
+test: tree-before trace-smoke fault-smoke profile-smoke health-smoke \
+		harvest-smoke serve-smoke recover-smoke bench-smoke perf-smoke
 	$(PYTHON) -m pytest tests/
+	@git status --porcelain 2>/dev/null | diff $(TREE_BEFORE) - || \
+		{ echo "make test: the run changed the working tree (diff above)"; \
+		  exit 1; }
+
+tree-before:
+	@mkdir -p benchmarks/out
+	@git status --porcelain > $(TREE_BEFORE) 2>/dev/null || true
 
 # The -m "" overrides pyproject's default "not slow" filter so the
 # full-scale benchmark variants run too.
@@ -29,14 +43,6 @@ bench-smoke:
 		benchmarks/test_bench_artifact_cache.py \
 		benchmarks/test_bench_recovery.py \
 		--benchmark-disable -q
-
-# The performance-trajectory regression gate (docs/TRAJECTORY.md):
-# compare the last two committed snapshots under benchmarks/changelogs/
-# and fail on any >10% modeled regression along the critical path.
-# Skips gracefully (exit 0) while the changelog has fewer than two
-# entries, so a fresh checkout still builds.
-bench-gate:
-	PYTHONPATH=src $(PYTHON) -m repro bench gate --threshold 10
 
 # The wall-clock benchmark (perf/README.md, docs/PERFORMANCE.md
 # "Wall-clock"): all six workloads, both passes, a few ops each, every

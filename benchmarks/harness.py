@@ -14,33 +14,108 @@ simulator (not a curve fit).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 from repro.apps import SUITE, compile_app
-from repro.obs.trajectory import bench_envelope, bench_metric
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 from repro.runtime.marshaling import MarshalingBoundary
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
-def write_bench_report(
-    bench: str, metrics: dict, legacy: "dict | None" = None
-) -> str:
-    """Write ``benchmarks/out/BENCH_<bench>.json`` in the shared
-    ``repro.bench/1`` envelope (docs/TRAJECTORY.md) and return its
-    path.
+GOLDEN_DIR = os.path.join(
+    os.path.dirname(__file__), os.pardir, "tests", "golden"
+)
+#: The 59 modeled numbers every emitter reports plus the two profile
+#: passes of tests/test_modeled_golden.py: ``{section: {name: value}}``.
+GOLDEN_PATH = os.path.join(GOLDEN_DIR, "modeled_values.json")
+REGEN = os.environ.get("REPRO_REGEN_MODELED_GOLDEN") == "1"
 
-    ``metrics`` maps metric name -> :func:`repro.obs.bench_metric`
-    (value + unit + higher/lower direction + modeled/wall kind); the
-    trajectory collector (``python -m repro bench collect``) aggregates
-    these into the per-PR changelog and the regression gate judges the
-    modeled ones direction-aware. ``legacy`` keys are merged at top
-    level unchanged so pre-envelope consumers of the original three
-    reports keep working.
-    """
-    payload = bench_envelope(bench, metrics, legacy=legacy)
+
+def check_modeled_golden(section: str, got: dict) -> None:
+    """Assert ``got`` (``{name: value}``) equals ``section`` of the
+    modeled golden: ``==`` on the JSON-round-tripped values, no
+    tolerance, and a name on one side only fails too. The modeled clock
+    is deterministic, so any difference is a behaviour change; a PR's
+    diff of the golden file is what moved. Under
+    ``REPRO_REGEN_MODELED_GOLDEN=1`` the section is rewritten instead
+    (tests/golden/README)."""
+    got = json.loads(json.dumps(got))
+    golden = {}
+    if os.path.exists(GOLDEN_PATH):
+        with open(GOLDEN_PATH) as fh:
+            golden = json.load(fh)
+    if REGEN:
+        golden[section] = got
+        with open(GOLDEN_PATH, "w") as fh:
+            json.dump(golden, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return
+    want = golden.get(section)
+    if want is None:
+        raise AssertionError(
+            f"{section}: no such section in {GOLDEN_PATH}; record it "
+            "with REPRO_REGEN_MODELED_GOLDEN=1"
+        )
+    problems = [
+        f"{section}: {name}: golden {want.get(name, 'absent')!r}, "
+        f"got {got.get(name, 'absent')!r}"
+        for name in sorted(set(want) | set(got))
+        if name not in want or name not in got or want[name] != got[name]
+    ]
+    if problems:
+        raise AssertionError(
+            f"modeled values drifted from {GOLDEN_PATH}:\n  "
+            + "\n  ".join(problems)
+            + "\nregenerate with REPRO_REGEN_MODELED_GOLDEN=1 only if "
+            "the modeled clock was meant to move"
+        )
+
+
+def bench_metric(
+    value: float,
+    unit: str = "ratio",
+    direction: str = "higher",
+    kind: str = "modeled",
+) -> dict:
+    """One report metric: the value plus how to read its movement.
+    ``direction`` is ``higher`` (throughput/speedup: bigger is better)
+    or ``lower`` (seconds/crossings); ``kind`` is ``modeled``
+    (deterministic: pinned by the golden) or ``wall`` (host clock:
+    reported, never compared)."""
+    if direction not in ("higher", "lower"):
+        raise ValueError(f"direction must be higher|lower, got {direction!r}")
+    if kind not in ("modeled", "wall"):
+        raise ValueError(f"kind must be modeled|wall, got {kind!r}")
+    if not math.isfinite(value):
+        # json.dump would write the bare token NaN/Infinity (not JSON),
+        # and a NaN golden could never compare equal.
+        raise ValueError(f"metric value must be finite, got {value!r}")
+    return {
+        "value": float(value),
+        "unit": unit,
+        "direction": direction,
+        "kind": kind,
+    }
+
+
+def write_bench_report(bench: str, metrics: dict) -> str:
+    """Check the ``kind: "modeled"`` metrics against the golden, then
+    write ``benchmarks/out/BENCH_<bench>.json`` (``repro.bench/1``:
+    schema, bench, metrics) and return its path. ``metrics`` maps
+    metric name -> :func:`bench_metric`; ``wall`` metrics are written
+    and never compared."""
+    check_modeled_golden(
+        bench,
+        {
+            name: metric["value"]
+            for name, metric in metrics.items()
+            if metric["kind"] == "modeled"
+        },
+    )
+    payload = {"schema": "repro.bench/1", "bench": bench, "metrics": metrics}
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, f"BENCH_{bench}.json")
     with open(path, "w") as fh:

@@ -11,7 +11,8 @@ checks the waveform facts the paper narrates:
 * the module I/O "is not fully pipelined" (initiation interval 3 by
   default); the pipelined variant is the ablation.
 
-The VCD waveform is written next to this file for inspection in any
+The rendered VCD must equal ``tests/golden/fig4_bitflip.vcd`` byte for
+byte; a copy is written under ``benchmarks/out/`` for inspection in any
 waveform viewer.
 """
 
@@ -24,9 +25,15 @@ from repro.compiler import CompileOptions
 from repro.devices.fpga import FPGASimulator
 from repro.values import parse_bit_literal
 
-from harness import bench_metric, write_bench_report
+from harness import (
+    GOLDEN_DIR,
+    OUT_DIR,
+    REGEN,
+    bench_metric,
+    write_bench_report,
+)
 
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+GOLDEN_VCD = os.path.join(GOLDEN_DIR, "fig4_bitflip.vcd")
 
 # Figure 4 drives 9 input bits; we use the literal from the test deck.
 NINE_BITS = [int(b) for b in parse_bit_literal("110010111")]
@@ -62,10 +69,21 @@ def test_bench_fig4_waveform(benchmark, capsys):
     # Read + compute + publish: outReady three cycles after the FIFO.
     out_t = result.vcd.rising_edges("outReady")[0]
     assert out_t - fifo_t == 3 * 4
+    # The waveform itself is a golden: byte for byte.
+    rendered = result.vcd.render()
+    if REGEN:
+        with open(GOLDEN_VCD, "w") as f:
+            f.write(rendered)
+    with open(GOLDEN_VCD, "rb") as f:
+        assert rendered.encode() == f.read(), (
+            f"Figure 4 waveform drifted from {GOLDEN_VCD}; regenerate "
+            "with REPRO_REGEN_MODELED_GOLDEN=1 only if intended"
+        )
+    # A copy for whoever opens it in a waveform viewer.
     os.makedirs(OUT_DIR, exist_ok=True)
     vcd_path = os.path.join(OUT_DIR, "fig4_bitflip.vcd")
     with open(vcd_path, "w") as f:
-        f.write(result.vcd.render())
+        f.write(rendered)
     print(
         f"\n[E4] Figure 4 waveform: 9 inputs, {result.cycles} cycles, "
         f"latency 4 cycles (1 FIFO + read/compute/publish); "

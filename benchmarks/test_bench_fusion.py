@@ -72,7 +72,7 @@ def test_bench_fusion_speedup(benchmark, capsys):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = []
-    report = {}
+    metrics = {}
     for name, modes in sorted(results.items()):
         unfused, fused = modes["unfused"], modes["fused"]
         # Fusion must be invisible in the answer...
@@ -87,15 +87,18 @@ def test_bench_fusion_speedup(benchmark, capsys):
             f"fusion is not eliminating the intermediate crossings"
         )
         end_to_end = unfused["total_s"] / fused["total_s"]
-        report[name] = {
-            "device_path": APPS[name][1],
-            "unfused": {
-                k: v for k, v in unfused.items() if k != "value"
-            },
-            "fused": {k: v for k, v in fused.items() if k != "value"},
-            "device_path_speedup": speedup,
-            "end_to_end_speedup": end_to_end,
-        }
+        metrics[f"{name}.device_path_speedup"] = bench_metric(
+            speedup, unit="x", direction="higher"
+        )
+        metrics[f"{name}.end_to_end_speedup"] = bench_metric(
+            end_to_end, unit="x", direction="higher"
+        )
+        metrics[f"{name}.fused.crossings"] = bench_metric(
+            fused["crossings"], unit="count", direction="lower"
+        )
+        metrics[f"{name}.fused.device_path_s"] = bench_metric(
+            fused["device_path_s"], unit="s", direction="lower"
+        )
         rows.append(
             [
                 name,
@@ -122,18 +125,4 @@ def test_bench_fusion_speedup(benchmark, capsys):
         )
     )
 
-    metrics = {}
-    for name, entry in report.items():
-        metrics[f"{name}.device_path_speedup"] = bench_metric(
-            entry["device_path_speedup"], unit="x", direction="higher"
-        )
-        metrics[f"{name}.end_to_end_speedup"] = bench_metric(
-            entry["end_to_end_speedup"], unit="x", direction="higher"
-        )
-        metrics[f"{name}.fused.crossings"] = bench_metric(
-            entry["fused"]["crossings"], unit="count", direction="lower"
-        )
-        metrics[f"{name}.fused.device_path_s"] = bench_metric(
-            entry["fused"]["device_path_s"], unit="s", direction="lower"
-        )
-    write_bench_report("fusion", metrics, legacy=report)
+    write_bench_report("fusion", metrics)

@@ -14,11 +14,10 @@ Two claims, measured:
    crash/restart loop (journal replay, checkpoint resume, convergence)
    and of replaying a journal alone. Wall metrics are informational
    (``kind="wall"``): recovery work is real Python execution, not
-   simulated time, so the trajectory gate does not judge them.
+   simulated time, so the modeled golden does not pin them.
 
-Results land in ``benchmarks/out/BENCH_recovery.json`` in the
-``repro.bench/1`` envelope, so the PR 9 trajectory gate tracks the
-modeled overhead per PR.
+Results land in ``benchmarks/out/BENCH_recovery.json``; the modeled
+overhead is pinned by ``tests/golden/modeled_values.json``.
 """
 
 import time
@@ -152,12 +151,6 @@ def test_bench_recovery(benchmark, tmp_path, capsys):
                 replay_wall, unit="seconds", direction="lower",
                 kind="wall",
             ),
-        },
-        legacy={
-            "apps": {row["app"]: row for row in rows},
-            "acceptance_overhead_pct": ACCEPTANCE_OVERHEAD_PCT,
-            "driver": driver,
-            "journal_records": snapshot.records,
         },
     )
     with capsys.disabled():

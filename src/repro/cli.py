@@ -1027,206 +1027,6 @@ def _cmd_cache_verify(args) -> int:
     return 1
 
 
-def _resolve_snapshot(ref, changelog_dir):
-    """A snapshot reference is either a JSON file path or a changelog
-    index: positive ``N`` matches the ``seq`` field, negative counts
-    from the end of the series (``-1`` = latest)."""
-    from repro.obs.trajectory import changelog_entries
-
-    if os.path.isfile(ref):
-        with open(ref) as fh:
-            return ref, json.load(fh)
-    try:
-        index = int(ref)
-    except ValueError:
-        raise FileNotFoundError(
-            f"snapshot {ref!r}: not a file and not a changelog index"
-        )
-    entries = changelog_entries(changelog_dir)
-    if not entries:
-        raise FileNotFoundError(
-            f"no snapshots under {changelog_dir!r} to resolve {ref!r}"
-        )
-    if index < 0:
-        if -index > len(entries):
-            raise FileNotFoundError(
-                f"changelog index {ref}: only {len(entries)} snapshot(s)"
-            )
-        return entries[index]
-    for path, payload in entries:
-        if payload.get("seq") == index:
-            return path, payload
-    raise FileNotFoundError(
-        f"changelog index {ref}: no snapshot with seq={index} "
-        f"under {changelog_dir!r}"
-    )
-
-
-def _cmd_bench_collect(args) -> int:
-    from repro.obs.trajectory import (
-        collect_snapshot,
-        save_snapshot,
-        validate_trajectory,
-    )
-
-    snapshot = collect_snapshot(
-        args.bench_dir,
-        label=args.label,
-        run_profiles=not args.no_profiles,
-    )
-    problems = validate_trajectory(snapshot)
-    if problems:
-        for problem in problems:
-            print(f"invalid snapshot: {problem}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(_json_text(snapshot))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        path = args.out
-    else:
-        path = save_snapshot(snapshot, args.changelog_dir)
-    benches = snapshot["benches"]
-    n_metrics = sum(len(b["metrics"]) for b in benches.values())
-    print(
-        f"collected {len(benches)} bench report(s), {n_metrics} "
-        f"metric(s), {len(snapshot['profiles'])} profile(s) "
-        f"-> {path}"
-    )
-    return 0
-
-
-def _cmd_bench_diff(args) -> int:
-    from repro.obs.trajectory import diff_snapshots, render_diff
-
-    _, baseline = _resolve_snapshot(args.baseline, args.changelog_dir)
-    _, current = _resolve_snapshot(args.current, args.changelog_dir)
-    diff = diff_snapshots(baseline, current, threshold_pct=args.threshold)
-    if args.json:
-        print(_json_text(diff))
-    else:
-        print(render_diff(diff, show_within=args.show_within))
-    return 0
-
-
-def _cmd_bench_trend(args) -> int:
-    from repro.obs.trajectory import (
-        changelog_entries,
-        collect_snapshot,
-        render_trend,
-        trend_report,
-    )
-
-    snapshots = [payload for _, payload in
-                 changelog_entries(args.changelog_dir)]
-    if not args.committed_only:
-        try:
-            snapshots.append(
-                collect_snapshot(
-                    args.bench_dir,
-                    label="(working tree)",
-                    run_profiles=False,
-                    seq=len(snapshots) + 1,
-                )
-            )
-        except FileNotFoundError:
-            pass
-    if not snapshots:
-        print(
-            f"no snapshots under {args.changelog_dir!r} and no bench "
-            f"reports under {args.bench_dir!r}; run the benchmark "
-            "suite, then `python -m repro bench collect`",
-            file=sys.stderr,
-        )
-        return 1
-    report = trend_report(snapshots)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.json:
-        print(_json_text(report))
-    else:
-        print(render_trend(report, metric_filter=args.metric))
-    return 0
-
-
-def _cmd_bench_gate(args) -> int:
-    from repro.obs.trajectory import (
-        add_waivers,
-        changelog_entries,
-        gate_snapshots,
-    )
-
-    if args.bless and not args.reason:
-        print(
-            "bench gate --bless requires --reason (the annotation is "
-            "the point)",
-            file=sys.stderr,
-        )
-        return 1
-    if bool(args.baseline) != bool(args.current):
-        print(
-            "bench gate: give both --baseline and --current, or "
-            "neither (default: the last two changelog snapshots)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.baseline and args.current:
-        _, baseline = _resolve_snapshot(args.baseline, args.changelog_dir)
-        cur_path, current = _resolve_snapshot(
-            args.current, args.changelog_dir
-        )
-    else:
-        entries = changelog_entries(args.changelog_dir)
-        if len(entries) < 2:
-            print(
-                f"bench gate: {len(entries)} snapshot(s) under "
-                f"{args.changelog_dir!r}; need two for a comparison "
-                "-- skipping (collect more history first)"
-            )
-            return 0
-        (_, baseline), (cur_path, current) = entries[-2], entries[-1]
-    result = gate_snapshots(
-        current, baseline, threshold_pct=args.threshold
-    )
-    if args.bless and result["regressions"]:
-        metrics = [m.split(":", 1)[0] for m in result["regressions"]]
-        add_waivers(cur_path, metrics, args.reason or "")
-        _, current = _resolve_snapshot(cur_path, args.changelog_dir)
-        result = gate_snapshots(
-            current, baseline, threshold_pct=args.threshold
-        )
-        print(
-            f"blessed {len(metrics)} regression(s) into {cur_path}: "
-            f"{args.reason}"
-        )
-    if args.json:
-        print(_json_text(result))
-    else:
-        print(
-            f"bench gate: {result['baseline']} -> {result['current']}, "
-            f"{result['checked']} modeled metric(s) checked at "
-            f"{result['threshold_pct']:g}%"
-        )
-        for line in result["waived"]:
-            print(f"  ~ {line}")
-        for line in result["regressions"]:
-            print(f"  ✗ {line}", file=sys.stderr)
-    if result["regressions"]:
-        print(
-            f"bench gate: FAILED ({len(result['regressions'])} "
-            "regression(s); see docs/TRAJECTORY.md for how to bless "
-            "an intentional one)",
-            file=sys.stderr,
-        )
-        return 1
-    print("bench gate: OK")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1676,116 +1476,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="drop failing entries so the next compile repopulates them",
     )
-
-    p = sub.add_parser(
-        "bench",
-        help="performance trajectory: collect/diff/trend/gate per-PR "
-        "bench changelogs (docs/TRAJECTORY.md)",
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    def bench_command(name, fn, help):
-        bp = bench_sub.add_parser(name, help=help)
-        bp.add_argument(
-            "--bench-dir",
-            default="benchmarks/out",
-            help="directory holding the BENCH_*.json reports",
-        )
-        bp.add_argument(
-            "--changelog-dir",
-            default="benchmarks/changelogs",
-            help="the per-PR snapshot series (repro.trajectory/1)",
-        )
-        bp.set_defaults(fn=fn)
-        return bp
-
-    bp = bench_command(
-        "collect",
-        _cmd_bench_collect,
-        "aggregate BENCH_*.json + profile runs into one "
-        "repro.trajectory/1 snapshot appended to the changelog",
-    )
-    bp.add_argument("--label", default="", help="human tag, e.g. 'PR 9'")
-    bp.add_argument(
-        "--no-profiles",
-        action="store_true",
-        help="skip the deterministic critical-path profile runs",
-    )
-    report_flags(
-        bp, None, "write the snapshot here instead of into the changelog"
-    )
-
-    bp = bench_command(
-        "diff",
-        _cmd_bench_diff,
-        "per-metric delta between two snapshots, direction-aware",
-    )
-    bp.add_argument(
-        "baseline", help="snapshot path, or changelog seq (-1 = latest)"
-    )
-    bp.add_argument(
-        "current", help="snapshot path, or changelog seq (-1 = latest)"
-    )
-    bp.add_argument(
-        "--threshold",
-        type=float,
-        default=10.0,
-        help="percent band treated as noise (default 10)",
-    )
-    bp.add_argument(
-        "--show-within",
-        action="store_true",
-        help="also list metrics inside the threshold band",
-    )
-    bp.add_argument("--json", action="store_true")
-
-    bp = bench_command(
-        "trend",
-        _cmd_bench_trend,
-        "whole-changelog series per metric, sparkline history "
-        "(includes an uncommitted working-tree point when bench "
-        "reports exist)",
-    )
-    bp.add_argument(
-        "--committed-only",
-        action="store_true",
-        help="plot only committed changelog snapshots",
-    )
-    bp.add_argument(
-        "--metric", default="", help="substring filter on metric names"
-    )
-    report_flags(bp, None, "save the JSON report here")
-
-    bp = bench_command(
-        "gate",
-        _cmd_bench_gate,
-        "CI regression gate: nonzero exit when a modeled metric "
-        "regresses beyond the threshold (waivers via --bless)",
-    )
-    bp.add_argument(
-        "--baseline",
-        help="snapshot path or changelog seq (default: second-latest)",
-    )
-    bp.add_argument(
-        "--current",
-        help="snapshot path or changelog seq (default: latest)",
-    )
-    bp.add_argument(
-        "--threshold",
-        type=float,
-        default=10.0,
-        help="max tolerated regression, percent (default 10)",
-    )
-    bp.add_argument(
-        "--bless",
-        action="store_true",
-        help="record an annotated waiver for each current regression "
-        "into the current snapshot (requires --reason)",
-    )
-    bp.add_argument(
-        "--reason", help="why the blessed regression is intentional"
-    )
-    bp.add_argument("--json", action="store_true")
 
     p = sub.add_parser(
         "fuse",

@@ -48,43 +48,9 @@ from repro.obs.tracer import (
     Tracer,
     as_tracer,
 )
-from repro.obs.trajectory import (
-    BENCH_SCHEMA,
-    TRAJECTORY_SCHEMA,
-    bench_envelope,
-    bench_metric,
-    collect_snapshot,
-    diff_snapshots,
-    gate_snapshots,
-    git_metadata,
-    render_diff,
-    render_trend,
-    save_snapshot,
-    snapshot_metrics,
-    trend_report,
-    validate_bench,
-    validate_trajectory,
-    validate_trajectory_file,
-)
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "TRAJECTORY_SCHEMA",
     "Counters",
-    "bench_envelope",
-    "bench_metric",
-    "collect_snapshot",
-    "diff_snapshots",
-    "gate_snapshots",
-    "git_metadata",
-    "render_diff",
-    "render_trend",
-    "save_snapshot",
-    "snapshot_metrics",
-    "trend_report",
-    "validate_bench",
-    "validate_trajectory",
-    "validate_trajectory_file",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -20,7 +20,7 @@ behaviour change::
         python -m pytest tests/test_offload_paths.py
 
 (same convention as ``tests/golden/fusion/`` and
-``tests/golden/trajectory/``).
+``tests/golden/modeled_values.json``).
 """
 
 import hashlib
