@@ -17,7 +17,13 @@ from itertools import repeat
 from typing import Optional
 
 from repro.backends.bytecode import isa
-from repro.backends.bytecode.staging import stage, staged_functions
+from repro.backends.bytecode.staging import (
+    FRAME_CYCLES,
+    stage,
+    stage_launch,
+    staged_functions,
+    staged_launches,
+)
 from repro.errors import DeviceError, RuntimeGraphError
 
 
@@ -42,17 +48,10 @@ class Services:
             repeat(arg, n) if is_broadcast else arg
             for arg, is_broadcast in zip(args, broadcast)
         ]
-        call = interp.call
-        return [call(method, item) for item in zip(*columns)]
+        return interp.launch("map", [method], zip(*columns))
 
     def execute_reduce(self, method: str, array, interp: "Interpreter"):
-        items = list(array)
-        if not items:
-            raise DeviceError("reduce of empty array")
-        acc = items[0]
-        for item in items[1:]:
-            acc = interp.call(method, [acc, item])
-        return acc
+        return interp.launch("reduce", [method], array)
 
     # Task-graph hooks: only available when a runtime is attached.
 
@@ -72,8 +71,7 @@ class Services:
         raise RuntimeGraphError("no runtime attached for task graphs")
 
 
-# Per-invocation frame cost (see Interpreter.call).
-_FRAME_CYCLES = 12
+_NO_ITEM = object()
 
 
 class Interpreter:
@@ -98,8 +96,9 @@ class Interpreter:
         # runtime introspection hooks (Section 7 future work) read it.
         self.method_stats: dict = {}
         # qualified -> (staged function, num_params), shared with every
-        # other interpreter of this program object.
+        # other interpreter of this program object; likewise launches.
         self._staged = staged_functions(program)
+        self._launches = staged_launches(program)
 
     # ------------------------------------------------------------------
 
@@ -138,8 +137,8 @@ class Interpreter:
             raise DeviceError("stack overflow (recursion too deep)")
         # Frame setup/teardown cost charged per invocation so that both
         # CALL-opcode calls and runtime-driven calls (map/reduce/filter
-        # firings) pay the JVM's method-dispatch overhead.
-        self.cycles += _FRAME_CYCLES
+        # work-items) pay the JVM's method-dispatch overhead.
+        self.cycles += FRAME_CYCLES
         before = self.cycles
         try:
             return staged(self, args)
@@ -151,6 +150,69 @@ class Interpreter:
             else:
                 stats[0] += 1
                 stats[1] += self.cycles - before
+
+    def launch(self, kind: str, methods, items, per_item=None):
+        """Run one data-parallel launch and return its result.
+
+        ``"map"``: each item of ``items`` is the argument tuple of one
+        work-item, run through the method chain ``methods`` (each later
+        method gets the previous one's value); returns the list of
+        values. ``"filter"``: the same with each item the one argument.
+        ``"reduce"``: left-folds ``items`` (at least one) with the one
+        method of ``methods``; returns the fold's value. ``per_item``,
+        if given, receives each map/filter work-item's cycles, frames
+        included.
+
+        A launch leaves exactly what one :meth:`call` per method per
+        item leaves — ``cycles``, ``method_stats``, ``_depth`` and, if
+        an item raises, the same exception with the same state — but
+        pays that bookkeeping once. Work-item 0 (a reduce's first fold
+        step) goes through :meth:`call`: that stages the chain and
+        raises every error that does not depend on the item (unknown
+        function, staging failure, arity, call depth) exactly where N
+        calls raise it. The rest run in the loop :func:`stage_launch`
+        generated for this program object and launch shape."""
+        rest = iter(items)
+        if kind == "reduce":
+            (method,) = methods
+            acc = next(rest, _NO_ITEM)
+            if acc is _NO_ITEM:
+                raise DeviceError("reduce of empty array")
+            item = next(rest, _NO_ITEM)
+            if item is _NO_ITEM:
+                return acc
+            acc = self.call(method, (acc, item))
+            return self._run_launch("reduce", methods, acc, rest)
+        if kind == "filter":
+            rest = zip(rest)
+        elif kind != "map":
+            raise DeviceError(f"unknown launch kind {kind!r}")
+        args = next(rest, _NO_ITEM)
+        if args is _NO_ITEM:
+            return []
+        before = self.cycles
+        for method in methods:
+            args = (self.call(method, args),)
+        if per_item is not None:
+            per_item.append(self.cycles - before)
+        out = [args[0]]
+        record = None if per_item is None else per_item.append
+        self._run_launch("map", methods, rest, out, record)
+        return out
+
+    def _run_launch(self, kind: str, methods, *args):
+        key = (kind, tuple(methods))
+        staged = self._launches.get(key)
+        if staged is None:
+            functions = [self._staged[method][0] for method in methods]
+            staged = self._launches[key] = stage_launch(
+                kind, methods, functions
+            )
+        self._depth += 1
+        try:
+            return staged(self, *args)
+        finally:
+            self._depth -= 1
 
     def _stage(self, qualified: str):
         function = self.program.functions.get(qualified)

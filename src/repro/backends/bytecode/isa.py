@@ -179,6 +179,15 @@ class BytecodeProgram:
     def function(self, qualified: str) -> CompiledFunction:
         return self.functions[qualified]
 
+    def staged_launch_source(self, kind: str, methods) -> str:
+        """The loop ``Interpreter.launch`` runs for a ``map``,
+        ``filter`` or ``reduce`` launch of the chain ``methods`` (see
+        :mod:`repro.backends.bytecode.staging`), for reading next to
+        each function's :meth:`CompiledFunction.staged_source`."""
+        from repro.backends.bytecode.staging import launch_source
+
+        return launch_source(kind, methods)
+
     def disassemble(self) -> str:
         return "\n\n".join(
             f.disassemble() for f in self.functions.values()

@@ -23,10 +23,23 @@ prints it)::
 
     def _staged(interp, args, k0=...):       # k*: non-literal constants
         l0, l1 = args                        # l*: local slots
+        _f = float32_cell()                  # if it rounds to binary32
         c = 0                                # unflushed cycles
         pc = 0
         while True:                          # one arm per block
             if pc < 9: ...
+
+A ``float`` result is rounded where it is computed, by the statements
+``_f[0] = <double value>`` and ``tN = _f[0]`` (the rule and why the
+cell is per call: :data:`repro.ir.ops.FLOAT32_CELL`). ``ALOAD`` indexes
+the storage of a ``ValueArray``/``MutableArray`` (``_items``) directly;
+anything else is indexed as it is, so a non-array fails as before.
+
+A *launch* — every work-item of a map or filter batch through a method
+chain, or a reduce's fold — is staged too (:func:`stage_launch`): one
+generated loop per launch shape that calls the staged functions
+directly and does the bookkeeping of its N calls once (see
+``Interpreter.launch``).
 
 A *block* starts at pc 0 and at every jump target and runs until a
 ``JMP``/``RET``/``RETV`` or the next block; a conditional jump inside it
@@ -51,9 +64,9 @@ holds them against the instruction-at-a-time loop kept in
   locals, temporaries and constants are deferred to their use, and one
   that reads local ``k`` is evaluated before a ``STORE k``.
 * The staged function is memoised per program *object*, off to the side
-  (:func:`staged_functions`): it is never pickled, never part of an
-  artifact payload or cache key, and costs one translation per process
-  per function actually called.
+  (:func:`staged_functions`; launches: :func:`staged_launches`): it is
+  never pickled, never part of an artifact payload or cache key, and
+  costs one translation per process per function actually called.
 """
 
 from __future__ import annotations
@@ -108,6 +121,7 @@ _GLOBALS = {
     "MutableArray": MutableArray,
     "StructValue": StructValue,
     "ValueArray": ValueArray,
+    "float32_cell": ops.float32_cell,
     "_check_map_lengths": _check_map_lengths,
     "_out_of_bounds": _out_of_bounds,
     "_unknown_intrinsic": _unknown_intrinsic,
@@ -177,6 +191,7 @@ class _Stager:
         self.entry_depth = {0: 0}
         self.temps = 0
         self.binds_call = False
+        self.rounds = False         # uses the binary32 cell ``_f``
         # Per-block state.
         self.lines: list = []
         self.stack: list = []
@@ -212,6 +227,18 @@ class _Stager:
             return
         reads = frozenset().union(*(v.reads for v in operands))
         self.push(_Value(text, False, reads, nesting))
+
+    def push_parts(self, parts, *operands: _Value):
+        """Push a pure, total ``(text, float32)`` from :mod:`repro.ir.ops`:
+        deferred, unless it is a ``float`` result — that is rounded here,
+        through the call's binary32 cell."""
+        text, float32 = parts
+        if not float32:
+            self.push_pure(text, *operands)
+            return
+        self.rounds = True
+        self.emit(f"_f[0] = {text}")
+        self.push(self.temp("_f[0]"))
 
     def pop(self) -> _Value:
         return self.stack.pop()
@@ -318,18 +345,18 @@ class _Stager:
             left = pop()
             bop, typename = operand
             self.pending += isa.BINOP_EXTRA.get(operand, 0)
-            text = ops.binary_expr(bop, typename, left.text, right.text)
+            parts = ops.binary_parts(bop, typename, left.text, right.text)
             if ops.binary_can_raise(bop, typename):
-                push(self.temp(text))
+                push(self.temp(parts[0]))
             else:
-                self.push_pure(text, left, right)
+                self.push_parts(parts, left, right)
         elif op == isa.UNOP:
             value = pop()
             uop, typename = operand
-            self.push_pure(ops.unary_expr(uop, typename, value.text), value)
+            self.push_parts(ops.unary_parts(uop, typename, value.text), value)
         elif op == isa.CAST:
             value = pop()
-            self.push_pure(ops.cast_expr(operand, value.text), value)
+            self.push_parts(ops.cast_parts(operand, value.text), value)
         elif op in (isa.JZ, isa.JNZ):
             cond = pop().text
             emit(f"if not {cond}:" if op == isa.JZ else f"if {cond}:")
@@ -337,9 +364,13 @@ class _Stager:
         elif op == isa.ALOAD:
             index = self.pop_atom()
             array = self.pop_atom()
-            emit(f"if not 0 <= {index} < len({array}):")
+            emit("try:")
+            emit(f"_a = {array}._items", 1)
+            emit("except AttributeError:")
+            emit(f"_a = {array}", 1)
+            emit(f"if not 0 <= {index} < len(_a):")
             emit(f"_out_of_bounds({index}, {array})", 1)
-            push(self.temp(f"{array}[{index}]"))
+            push(self.temp(f"_a[{index}]"))
         elif op == isa.ASTORE:
             value = pop().text
             index = self.pop_atom()
@@ -495,6 +526,8 @@ class _Stager:
             out.append(f"    {names} = None")
         if self.binds_call:
             out.append("    call = interp.call")
+        if self.rounds:
+            out.append("    _f = float32_cell()")
         out.append("    c = 0")
         jumps = any(
             isinstance(text, tuple)
@@ -544,18 +577,151 @@ def stage(function: isa.CompiledFunction):
     shows the generated line (the most recently staged function of a
     name wins); nothing else keeps the text."""
     stager = _Stager(function)
-    source = stager.source()
     filename = f"<staged {function.qualified_name}>"
-    namespace = {"_k": stager.consts}
+    return _compile(stager.source(), filename, stager.consts)["_staged"]
+
+
+def _compile(source: str, filename: str, consts: list) -> dict:
+    namespace = {"_k": consts}
     exec(compile(source, filename, "exec"), _GLOBALS, namespace)
     linecache.cache[filename] = (
         len(source), None, source.splitlines(True), filename,
     )
-    return namespace["_staged"]
+    return namespace
+
+
+# --- launches ---------------------------------------------------------------
+
+#: Per-invocation frame cost, charged by ``Interpreter.call`` and, for
+#: every work-item it runs, by a staged launch.
+FRAME_CYCLES = 12
+
+
+def _launch_filename(kind: str, methods) -> str:
+    if kind == "reduce":
+        return f"<staged launch reduce {methods[0]}>"
+    return f"<staged launch {'|'.join(methods)}>"
+
+
+def launch_source(kind: str, methods) -> str:
+    """The Python text :func:`stage_launch` compiles for a launch.
+
+    ``kind`` ``"map"`` or ``"filter"``: ``_launch(interp, items, out,
+    record)`` runs each argument tuple of ``items`` through the chain
+    ``methods`` (``f0``, ``f1``, ...: their staged functions), appends
+    the last value to ``out`` and, unless ``record`` is None, records
+    the work-item's cycles. ``"reduce"``: ``_launch(interp, acc,
+    items)`` folds ``items`` into ``acc`` with ``methods[0]``.
+
+    Each call is charged its frame (``FRAME_CYCLES``) as
+    ``Interpreter.call`` charges it; the ``method_stats`` entries are
+    settled once, in a ``finally``, from counts and cycle sums kept in
+    locals. Of a chain, only the methods before the last keep their own
+    sums ``s*`` (the last one's is what remains of the total) and only
+    they need ``j``, the method in flight, to settle a raise in their
+    body: each method up to ``j`` was called ``k`` times, each after it
+    ``k - 1``. The caller holds ``interp._depth`` one deeper for the
+    whole loop."""
+    frame = FRAME_CYCLES
+    last = len(methods) - 1
+    defaults = "".join(f", f{m}=_k[{m}]" for m in range(last + 1))
+    if kind == "reduce":
+        return "\n".join((
+            f"def _launch(interp, acc, items{defaults}):",
+            "    stats = interp.method_stats",
+            "    start = interp.cycles",
+            "    k = 0",
+            "    try:",
+            "        for item in items:",
+            "            k += 1",
+            f"            interp.cycles += {frame}",
+            "            acc = f0(interp, (acc, item))",
+            "    finally:",
+            f"        st = stats[{methods[0]!r}]",
+            "        st[0] += k",
+            f"        st[1] += interp.cycles - start - {frame} * k",
+            "    return acc",
+        )) + "\n"
+    sums = [f"s{m}" for m in range(last)]
+    out = [
+        f"def _launch(interp, items, out, record{defaults}):",
+        "    stats = interp.method_stats",
+        "    append = out.append",
+        "    start = interp.cycles",
+        "    k = 0",
+    ]
+    if last:
+        out.append(f"    j = {last}")
+        out.append(f"    {' = '.join(sums)} = 0")
+    out += [
+        "    try:",
+        "        for args in items:",
+        "            k += 1",
+        "            i = interp.cycles",
+    ]
+    for m in range(last + 1):
+        since, args = ("i", "args") if m == 0 else ("e", "(v,)")
+        if last:
+            out.append(f"            interp.cycles = b = {since} + {frame}")
+            out.append(f"            j = {m}")
+        else:
+            out.append(f"            interp.cycles = i + {frame}")
+        out.append(f"            v = f{m}(interp, {args})")
+        if m < last:
+            out.append("            e = interp.cycles")
+            out.append(f"            s{m} += e - b")
+    out += [
+        "            append(v)",
+        "            if record is not None:",
+        "                record(interp.cycles - i)",
+    ]
+    if last:
+        out.append("    except BaseException:")
+        for m in range(last):
+            out.append(f"        {'el' if m else ''}if j == {m}:")
+            out.append(f"            s{m} += interp.cycles - b")
+        out.append("        raise")
+    out.append("    finally:")
+    calls = ["k"] + [f"n{m}" for m in range(1, last + 1)]
+    for m in range(1, last + 1):
+        out.append(f"        n{m} = k - (j < {m})")
+    for m, name in enumerate(methods):
+        out.append(f"        st = stats[{name!r}]")
+        out.append(f"        st[0] += {calls[m]}")
+        if m < last:
+            out.append(f"        st[1] += s{m}")
+    frames = " + ".join(calls)
+    frames = f"({frames})" if last else frames
+    rest = "".join(f" - {s}" for s in sums)
+    out.append(
+        f"        st[1] += interp.cycles - start - {frame} * {frames}{rest}"
+    )
+    return "\n".join(out) + "\n"
+
+
+def stage_launch(kind: str, methods, functions: list):
+    """Compile :func:`launch_source` over ``functions``, the staged
+    functions of ``methods`` (registered with :mod:`linecache` as
+    ``<staged launch Q1|Q2>`` or ``<staged launch reduce Q>``)."""
+    source = launch_source(kind, methods)
+    return _compile(source, _launch_filename(kind, methods), functions)[
+        "_launch"
+    ]
 
 
 # id(program) -> {qualified name: (staged function, num_params)}
 _STAGED: dict = {}
+# id(program) -> {(kind, methods): staged launch}
+_LAUNCHES: dict = {}
+
+
+def _memo(table: dict, program: isa.BytecodeProgram) -> dict:
+    key = id(program)
+    memo = table.get(key)
+    if memo is None:
+        memo = table[key] = {}
+        weakref.finalize(program, table.pop, key, None)
+    return memo
 
 
 def staged_functions(program: isa.BytecodeProgram) -> dict:
@@ -566,9 +732,10 @@ def staged_functions(program: isa.BytecodeProgram) -> dict:
     entry dies with the program. (Two threads racing here, or to stage
     one function, each do the work and one result is kept: staging is
     deterministic, so either is right.)"""
-    key = id(program)
-    memo = _STAGED.get(key)
-    if memo is None:
-        memo = _STAGED[key] = {}
-        weakref.finalize(program, _STAGED.pop, key, None)
-    return memo
+    return _memo(_STAGED, program)
+
+
+def staged_launches(program: isa.BytecodeProgram) -> dict:
+    """The memo of staged launches for this program object, kept like
+    :func:`staged_functions` and staged on a launch shape's first run."""
+    return _memo(_LAUNCHES, program)

@@ -4,7 +4,8 @@ Executes GPU kernel artifacts *functionally* — each work-item's work is
 the kernel method's bytecode, interpreted with full Lime semantics so
 results are bit-identical to the CPU path — while collecting per-item
 abstract cycle counts that feed the Fermi timing model in
-:mod:`repro.devices.gpu.timing`.
+:mod:`repro.devices.gpu.timing`. A kernel run is one
+``Interpreter.launch``: a staged loop over the work-items.
 
 A dedicated interpreter instance is used so GPU work never pollutes the
 host CPU's cycle ledger.
@@ -12,6 +13,7 @@ host CPU's cycle ledger.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -53,6 +55,7 @@ class GPUSimulator:
         self.spec = spec
         # Private interpreter: functional execution engine for kernels.
         self._interp = Interpreter(program)
+        self._lock = threading.Lock()
         self.kernel_log: list[GPUTiming] = []
 
     # ------------------------------------------------------------------
@@ -81,7 +84,8 @@ class GPUSimulator:
             repeat(arg, n) if is_broadcast else arg
             for arg, is_broadcast in zip(args, broadcast)
         ]
-        per_item, items = self._execute_items(kernel.methods, zip(*columns))
+        per_item: list = []
+        items, _ = self._launch("map", kernel.methods, zip(*columns), per_item)
         outputs = ValueArray(kernel.result_kind, items)
         bytes_in = 0.0
         for kind, arg, is_broadcast in zip(
@@ -105,19 +109,14 @@ class GPUSimulator:
         return GPUExecution(outputs, timing, per_item)
 
     def run_reduce(self, kernel: GPUKernel, array) -> GPUExecution:
-        method = kernel.methods[0]
-        items = list(array)
-        if not items:
+        n = len(array)
+        if not n:
             raise DeviceError("reduce of empty array on GPU")
-        before = self._interp.cycles
-        acc = items[0]
-        for item in items[1:]:
-            acc = self._interp.call(method, [acc, item])
-        elapsed = self._interp.cycles - before
-        per_op = elapsed / max(len(items) - 1, 1)
-        bytes_in = int(_element_bytes(kernel.param_kinds[0]) * len(items))
+        acc, elapsed = self._launch("reduce", kernel.methods[:1], array)
+        per_op = elapsed / max(n - 1, 1)
+        bytes_in = int(_element_bytes(kernel.param_kinds[0]) * n)
         timing = reduction_time(
-            self.spec, len(items), per_op, bytes_in, kernel_name=kernel.name
+            self.spec, n, per_op, bytes_in, kernel_name=kernel.name
         )
         self.kernel_log.append(timing)
         return GPUExecution(acc, timing)
@@ -125,9 +124,8 @@ class GPUSimulator:
     def run_filter(self, kernel: GPUKernel, items) -> GPUExecution:
         """A batch of stream elements pulled through the (possibly
         fused) filter chain, one work-item per element."""
-        per_item, outputs = self._execute_items(
-            kernel.methods, [(item,) for item in items]
-        )
+        per_item: list = []
+        outputs, _ = self._launch("filter", kernel.methods, items, per_item)
         bytes_in = int(_element_bytes(kernel.param_kinds[0]) * len(outputs))
         bytes_out = int(_element_bytes(kernel.result_kind) * len(outputs))
         timing = data_parallel_time(
@@ -141,24 +139,16 @@ class GPUSimulator:
         self.kernel_log.append(timing)
         return GPUExecution(outputs, timing, per_item)
 
-    # ------------------------------------------------------------------
-
-    def _execute_items(self, methods: list, item_args):
-        """Run each work-item (one argument tuple) through the method
-        chain, recording the abstract cycles each lane spends."""
-        per_item: list[int] = []
-        outputs: list = []
+    def _launch(self, kind: str, methods, items, per_item=None):
+        """One ``Interpreter.launch`` on the private interpreter and the
+        cycles it took. One launch at a time: device stages on scheduler
+        threads share this simulator, and a launch's cycle counts (the
+        timing model's input) must be its own."""
         interp = self._interp
-        call = interp.call
-        for args in item_args:
+        with self._lock:
             before = interp.cycles
-            value = None
-            for method in methods:
-                value = call(method, args)
-                args = (value,)
-            per_item.append(interp.cycles - before)
-            outputs.append(value)
-        return per_item, outputs
+            result = interp.launch(kind, methods, items, per_item)
+            return result, interp.cycles - before
 
     @property
     def total_kernel_time(self) -> float:

@@ -19,9 +19,11 @@ and remainder truncate toward zero; ``float`` operations round through
 binary32 so CPU and device results agree bit-for-bit. Floating point is
 total, as in Java: overflow rounds to an infinity, ``x / ±0.0`` is a
 signed infinity or NaN, ``x % 0.0`` is NaN, ``(int)``/``(long)`` of a
-float saturate and map NaN to 0, and the ``Math.*`` functions return
-NaN/±Infinity outside their domain. Only integer division and
-remainder by zero raise (:class:`~repro.errors.DeviceError`).
+float saturate and map NaN to 0, ``Math.min``/``Math.max`` return NaN
+if either operand is NaN and order ``-0.0`` below ``0.0``, and the other
+``Math.*`` functions return NaN/±Infinity outside their domain. Only
+integer division and remainder by zero raise
+(:class:`~repro.errors.DeviceError`).
 
 A template may evaluate its operands in any order but evaluates each
 exactly once; the stager only ever substitutes operands that are free
@@ -34,6 +36,7 @@ import functools
 import math
 import operator
 import struct
+from array import array
 
 from repro.errors import DeviceError
 from repro.values.bits import Bit
@@ -65,6 +68,23 @@ def to_float32(value: float) -> float:
         return _unpack32(_pack32(value))[0]
     except OverflowError:
         return math.copysign(math.inf, value)
+
+
+#: The same rounding as a store. Assigning a number to an ``array('f')``
+#: element is the C conversion ``(float)x`` that :func:`to_float32`'s
+#: pack performs (round to nearest even, ±inf beyond the binary32 range,
+#: NaN stays NaN), and reading it back widens exactly — about half the
+#: cost of the pack/unpack round-trip. Staged code rounds a ``float``
+#: result as the statement ``_f[0] = <value>`` followed by a read of
+#: ``_f[0]``, where ``_f`` is a copy of this prototype made by
+#: :func:`float32_cell` *per call*: a cell shared by two threads (a
+#: module-level or per-interpreter one; GPU simulators and service jobs
+#: run staged code concurrently) could be overwritten between the store
+#: and the read. The constant folder, the FPGA datapath and the test
+#: oracle keep :func:`to_float32`, so the two are checked against each
+#: other.
+FLOAT32_CELL = array("f", (0.0,))
+float32_cell = FLOAT32_CELL.__copy__
 
 
 def java_idiv(left: int, right: int) -> int:
@@ -189,8 +209,29 @@ _MATH_FUNCTIONS = {
     "Math.ceil": _total(math.ceil, _itself),
 }
 
+
+def java_min(a, b):
+    """Java's ``Math.min``: NaN if either operand is NaN (the NaN
+    operand itself), and ``-0.0`` is below ``0.0``."""
+    if a != a:
+        return a
+    if a == 0 and b == 0 and math.copysign(1.0, b) < 0:
+        return b
+    return a if a <= b else b
+
+
+def java_max(a, b):
+    """Java's ``Math.max``: NaN if either operand is NaN, and ``0.0``
+    is above ``-0.0``."""
+    if a != a:
+        return a
+    if a == 0 and b == 0 and math.copysign(1.0, a) < 0:
+        return b
+    return a if a >= b else b
+
+
 # Math.* functions whose result type follows their arguments.
-_MATH_SELECT = {"Math.abs": abs, "Math.min": min, "Math.max": max}
+_MATH_SELECT = {"Math.abs": abs, "Math.min": java_min, "Math.max": java_max}
 
 
 def apply_math(name: str, args: list, result_typename: str = "double"):
@@ -207,13 +248,39 @@ def apply_math(name: str, args: list, result_typename: str = "double"):
 
 
 def _selecting(name: str):
-    def call(*args):
+    """``name`` as an intrinsic: ``int`` when every argument is an int
+    and ``double`` otherwise. Operands of one exact class — what well-
+    typed code passes — skip :func:`apply_math` and return the same
+    values: an ``int`` result wraps, and ``float()`` of a float is the
+    float itself."""
+    select = _MATH_SELECT[name]
+
+    def general(*args):
         integral = all(
             isinstance(a, int) and not isinstance(a, bool) for a in args
         )
         return apply_math(name, args, "int" if integral else "double")
 
-    return call
+    def unary(a):
+        cls = a.__class__
+        if cls is float:
+            return select(a)
+        if cls is int:
+            r = select(a)
+            return r if -0x80000000 <= r <= 0x7FFFFFFF else wrap_int(r)
+        return general(a)
+
+    def binary(a, b):
+        cls = a.__class__
+        if cls is b.__class__:
+            if cls is float:
+                return select(a, b)
+            if cls is int:
+                r = select(a, b)
+                return r if -0x80000000 <= r <= 0x7FFFFFFF else wrap_int(r)
+        return general(a, b)
+
+    return unary if name == "Math.abs" else binary
 
 
 #: The callable behind each pure ``INTRINSIC``: abs/min/max are ``int``
@@ -229,7 +296,8 @@ INTRINSICS = {
 
 # --- the expression templates ---------------------------------------------
 
-# Result wrapping per result typename; anything else passes through.
+# Result wrapping per result typename; anything else passes through
+# (a ``float`` result is rounded separately: ``_wrapped``, ``_rounded``).
 # An ``int``/``long`` result can be a float (``x += 2.5`` on an int x is
 # ``x = (int)(x + 2.5)``), hence the class test and the cast.
 # ``_t`` is a scratch local of whatever function the text lands in: a
@@ -243,7 +311,6 @@ _WRAP = {
         "(_t if -0x8000000000000000 <= (_t := {}) <= 0x7FFFFFFFFFFFFFFF"
         " and _t.__class__ is int else cast_long(_t))"
     ),
-    "float": "to_float32({})",
     "double": "float({})",
 }
 
@@ -277,16 +344,23 @@ _UNARY = {"-": "(-{a})", "~": "(~{a})"}
 _CAST = {
     "int": "cast_int({a})",
     "long": "cast_long({a})",
-    "float": "to_float32(float({a}))",
+    "float": "float({a})",      # then rounded to binary32
     "double": "float({a})",
     "bit": "Bit(int({a}) & 1)",
     "boolean": "bool({a})",
 }
 
 
-def _wrapped(text: str, typename: str) -> str:
+def _wrapped(text: str, typename: str) -> "tuple[str, bool]":
+    if typename == "float":
+        return text, True
     template = _WRAP.get(typename)
-    return text if template is None else template.format(text)
+    return (text if template is None else template.format(text)), False
+
+
+def _rounded(parts: "tuple[str, bool]") -> str:
+    text, float32 = parts
+    return f"to_float32({text})" if float32 else text
 
 
 def shift_mask(typename: str) -> int:
@@ -301,14 +375,12 @@ def binary_can_raise(op: str, typename: str) -> bool:
     return op in ("/", "%") and typename in ("int", "long")
 
 
-def binary_expr(op: str, typename: str, a: str, b: str) -> str:
-    """Python source for ``a <op> b`` with Lime/Java semantics.
-
-    ``typename`` is the *result* type name for arithmetic ('int',
-    'long', 'float', 'double', 'boolean', 'bit', 'String').
-    """
+def binary_parts(op: str, typename: str, a: str, b: str) -> "tuple[str, bool]":
+    """:func:`binary_expr` before its binary32 rounding: the text, and
+    whether its value is a ``float`` result still to be rounded (by
+    :func:`to_float32`, or through a :data:`FLOAT32_CELL` copy)."""
     if typename == "String":
-        return f"(to_display({a}) + to_display({b}))"
+        return f"(to_display({a}) + to_display({b}))", False
     if op in ("/", "%"):
         template = _DIVISION[op, typename in ("int", "long")]
         return _wrapped(template.format(a=a, b=b), typename)
@@ -319,23 +391,42 @@ def binary_expr(op: str, typename: str, a: str, b: str) -> str:
     template = _UNWRAPPED.get(op)
     if template is None:
         raise DeviceError(f"unknown binary operator {op!r}")
-    return template.format(a=a, b=b)
+    return template.format(a=a, b=b), False
 
 
-def unary_expr(op: str, typename: str, a: str) -> str:
+def unary_parts(op: str, typename: str, a: str) -> "tuple[str, bool]":
+    """:func:`unary_expr` before its binary32 rounding."""
     if op == "!":
-        return f"(not {a})"
+        return f"(not {a})", False
     template = _UNARY.get(op)
     if template is None:
         raise DeviceError(f"unknown unary operator {op!r}")
     return _wrapped(template.format(a=a), typename)
 
 
-def cast_expr(typename: str, a: str) -> str:
+def cast_parts(typename: str, a: str) -> "tuple[str, bool]":
+    """:func:`cast_expr` before its binary32 rounding."""
     template = _CAST.get(typename)
     if template is None:
         raise DeviceError(f"cannot cast to {typename!r}")
-    return template.format(a=a)
+    return template.format(a=a), typename == "float"
+
+
+def binary_expr(op: str, typename: str, a: str, b: str) -> str:
+    """Python source for ``a <op> b`` with Lime/Java semantics.
+
+    ``typename`` is the *result* type name for arithmetic ('int',
+    'long', 'float', 'double', 'boolean', 'bit', 'String').
+    """
+    return _rounded(binary_parts(op, typename, a, b))
+
+
+def unary_expr(op: str, typename: str, a: str) -> str:
+    return _rounded(unary_parts(op, typename, a))
+
+
+def cast_expr(typename: str, a: str) -> str:
+    return _rounded(cast_parts(typename, a))
 
 
 #: Globals of every piece of text the templates above end up in.

@@ -70,6 +70,30 @@ def _coerce_element(kind: Kind, element: object) -> object:
     raise ValueSemanticsError(f"unsupported element kind {kind}")
 
 
+# The element classes a scalar kind keeps as they are: for these
+# _coerce_element returns the element itself (``float(x) is x`` for an
+# exact float).
+_CANONICAL = {
+    "int": {int},
+    "long": {int},
+    "float": {float},
+    "double": {float},
+    "boolean": {bool},
+    "bit": {Bit},
+}
+
+
+def _coerce_all(kind: Kind, items: Iterable[object]) -> tuple:
+    """``_coerce_element`` over ``items``, in one pass over the element
+    classes when they are all canonical for ``kind``; otherwise element
+    by element, so an error names the first offending element."""
+    items = tuple(items)
+    canonical = _CANONICAL.get(kind.name)
+    if canonical is not None and canonical.issuperset(map(type, items)):
+        return items
+    return tuple(_coerce_element(kind, x) for x in items)
+
+
 class ValueArray(Sequence):
     """An immutable, homogeneous Lime value array (``T[[]]``).
 
@@ -83,11 +107,7 @@ class ValueArray(Sequence):
 
     def __init__(self, element_kind: Kind, items: Iterable[object]):
         object.__setattr__(self, "_kind", element_kind)
-        object.__setattr__(
-            self,
-            "_items",
-            tuple(_coerce_element(element_kind, x) for x in items),
-        )
+        object.__setattr__(self, "_items", _coerce_all(element_kind, items))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise ValueSemanticsError("value arrays are immutable")
@@ -171,7 +191,7 @@ class MutableArray:
 
     def __init__(self, element_kind: Kind, items: Iterable[object]):
         self._kind = element_kind
-        self._items = [_coerce_element(element_kind, x) for x in items]
+        self._items = list(_coerce_all(element_kind, items))
 
     @classmethod
     def allocate(cls, element_kind: Kind, length: int) -> "MutableArray":

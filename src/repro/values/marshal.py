@@ -255,7 +255,15 @@ def _encode_dense(elem: Kind, items) -> bytes:
         return pack_bits(items)
     if elem.name in _STRUCT_FMT:
         fmt = "<" + _STRUCT_FMT[elem.name][1] * len(items)
-        if elem.name in ("int", "long"):
+        integral = elem.name in ("int", "long")
+        if {int if integral else float}.issuperset(map(type, items)):
+            # Exact ints pack iff each is in range, exact floats always:
+            # the checks below, done by struct in C.
+            try:
+                return struct.pack(fmt, *items)
+            except struct.error:
+                pass
+        if integral:
             for item in items:
                 _check_int_range(item, elem)
             return struct.pack(fmt, *items)

@@ -11,11 +11,18 @@ operation raises between two flush points.
 It evaluates operators through ``ops.apply_*``, i.e. through the same
 semantics table the stager splices; what it checks independently is
 everything the stager adds: the symbolic operand stack, block
-discovery, control flow and the per-block cycle sums.
+discovery, control flow, the per-block cycle sums and the binary32
+cell (the oracle rounds with ``to_float32``).
+
+``launch`` is the four per-work-item loops the staged launch replaced
+(``GPUSimulator._execute_items`` and its reduce fold,
+``Services.execute_map``/``execute_reduce``): one ``call`` per method
+per item.
 """
 
 from repro.backends.bytecode import isa
-from repro.backends.bytecode.interpreter import _FRAME_CYCLES, Interpreter
+from repro.backends.bytecode.interpreter import Interpreter
+from repro.backends.bytecode.staging import FRAME_CYCLES
 from repro.ir.ops import (
     apply_binary,
     apply_cast,
@@ -48,7 +55,7 @@ class OracleInterpreter(Interpreter):
         # Frame setup/teardown cost charged per invocation so that both
         # CALL-opcode calls and runtime-driven calls (map/reduce/filter
         # firings) pay the JVM's method-dispatch overhead.
-        self.cycles += _FRAME_CYCLES
+        self.cycles += FRAME_CYCLES
         before = self.cycles
         try:
             return self._run(function, args)
@@ -60,6 +67,30 @@ class OracleInterpreter(Interpreter):
             else:
                 stats[0] += 1
                 stats[1] += self.cycles - before
+
+    def launch(self, kind: str, methods, items, per_item=None):
+        """One ``call`` per method per work-item (see the module doc)."""
+        if kind == "reduce":
+            items = list(items)
+            if not items:
+                raise DeviceError("reduce of empty array")
+            acc = items[0]
+            for item in items[1:]:
+                acc = self.call(methods[0], [acc, item])
+            return acc
+        outputs = []
+        for args in items:
+            if kind == "filter":
+                args = (args,)
+            before = self.cycles
+            value = None
+            for method in methods:
+                value = self.call(method, args)
+                args = (value,)
+            if per_item is not None:
+                per_item.append(self.cycles - before)
+            outputs.append(value)
+        return outputs
 
     # ------------------------------------------------------------------
 

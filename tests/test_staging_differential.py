@@ -13,6 +13,9 @@ type, its message and the cycles already flushed.
 import linecache
 import math
 import pickle
+import struct
+import sys
+import threading
 import traceback
 from contextlib import contextmanager
 
@@ -24,15 +27,15 @@ import repro.devices.gpu.simulator as gpu_simulator
 import repro.runtime.engine as engine
 from repro.apps import SUITE, compile_app
 from repro.backends.artifacts import ArtifactCache, CacheOptions, cache_key
-from repro.backends.bytecode import Interpreter, compile_module, isa
-from repro.backends.bytecode.staging import staged_functions
+from repro.backends.bytecode import Interpreter, Services, compile_module, isa
+from repro.backends.bytecode.staging import staged_functions, staged_launches
 from repro.compiler import CompileOptions, CompilerSession
 from repro.devices.fpga import FPGASimulator
 from repro.errors import DeviceError
-from repro.ir import build_ir
+from repro.ir import build_ir, ops
 from repro.lime import analyze
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
-from repro.values import KIND_INT, ValueArray
+from repro.values import KIND_INT, MutableArray, ValueArray
 from repro.values.structs import StructValue
 from tests.oracle_interpreter import OracleInterpreter
 from tests.test_properties import _program_for, int_exprs
@@ -59,18 +62,24 @@ def oracle_everywhere():
 def recorded_work_items():
     """Every per-work-item cycle list the GPU simulator produces."""
     lists = []
-    original = gpu_simulator.GPUSimulator._execute_items
+    simulator = gpu_simulator.GPUSimulator
+    originals = {name: getattr(simulator, name)
+                 for name in ("run_map", "run_filter")}
 
-    def recording(self, methods, item_args):
-        per_item, outputs = original(self, methods, item_args)
-        lists.append(list(per_item))
-        return per_item, outputs
+    def recording(original):
+        def run(self, kernel, operands):
+            execution = original(self, kernel, operands)
+            lists.append(list(execution.per_item_cycles))
+            return execution
+        return run
 
-    gpu_simulator.GPUSimulator._execute_items = recording
+    for name, original in originals.items():
+        setattr(simulator, name, recording(original))
     try:
         yield lists
     finally:
-        gpu_simulator.GPUSimulator._execute_items = original
+        for name, original in originals.items():
+            setattr(simulator, name, original)
 
 
 def _observe(compiled, entry, args, config, engine_class=Interpreter):
@@ -109,6 +118,80 @@ def test_accelerated_suite_exercises_the_gpu_path():
     entry, args = SMALL_ARGS["mandelbrot"]()
     seen = _observe(compile_app("mandelbrot"), entry, args, ACCELERATED)
     assert seen["per_item_cycles"] and len(set(seen["per_item_cycles"][0])) > 1
+
+
+# ---------------------------------------------------------------------------
+# Launch granularity: every GPU artifact, both schedulers, batch sizes
+# ---------------------------------------------------------------------------
+
+# Every map and reduce offloads (map_offload_min_items=1), so the small
+# inputs reach the GPU too; filter batches of 1, 7 and 64 items. The
+# b7 runs are unfused, so the single-stage artifacts of a fusable chain
+# run as well as the fused one.
+LAUNCH_CONFIGS = {
+    f"{scheduler}-b{batch}": RuntimeConfig(
+        scheduler=scheduler,
+        batch_size=batch,
+        map_offload_min_items=1,
+        fusion="off" if batch == 7 else "auto",
+    )
+    for scheduler in ("sequential", "threaded")
+    for batch in (1, 7, 64)
+}
+LAUNCH_CONFIGS["cpu_only-threaded"] = RuntimeConfig(
+    policy=SubstitutionPolicy(use_accelerators=False), scheduler="threaded"
+)
+
+
+def _entries(name):
+    """The app's small run, plus any entry that launches a GPU
+    artifact that run does not (bitflip's map twin of its filter)."""
+    entry, args = SMALL_ARGS[name]()
+    runs = [(entry, args)]
+    if name == "bitflip":
+        runs.append(("Bitflip.mapFlip", args))
+    return runs
+
+
+def _launch_order_free(seen):
+    """Concurrent device stages (threaded, unfused) launch in thread
+    order: their launches compare as a multiset."""
+    return {
+        **seen,
+        "per_item_cycles": sorted(seen["per_item_cycles"]),
+        "kernel_log": sorted(seen["kernel_log"]),
+    }
+
+
+@pytest.mark.parametrize("config", sorted(LAUNCH_CONFIGS))
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_suite_launches_match_oracle(name, config):
+    compiled = compile_app(name)
+    for entry, args in _entries(name):
+        staged = _observe(compiled, entry, args, LAUNCH_CONFIGS[config])
+        with oracle_everywhere():
+            oracle = _observe(
+                compiled, entry, args, LAUNCH_CONFIGS[config],
+                OracleInterpreter,
+            )
+        if config.startswith("threaded"):
+            staged, oracle = map(_launch_order_free, (staged, oracle))
+        assert staged == oracle, (name, entry)
+
+
+def test_launch_configs_run_every_gpu_artifact():
+    missing = {}
+    for name in sorted(SUITE):
+        compiled = compile_app(name)
+        kernels = {a.payload.name for a in compiled.store.for_device("gpu")}
+        for config in ("sequential-b7", "sequential-b64"):
+            for entry, args in _entries(name):
+                runtime = Runtime(compiled, LAUNCH_CONFIGS[config])
+                runtime.run(entry, args)
+                kernels -= {t.kernel_name for t in runtime.gpu.kernel_log}
+        if kernels:
+            missing[name] = sorted(kernels)
+    assert not missing
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +308,155 @@ def test_interpreter_is_usable_after_a_raise():
             interp.call("R.divide", [1, 0])
         assert interp.call("R.divide", [8, 2]) == 9
     assert _state(staged) == _state(oracle)
+
+
+# ---------------------------------------------------------------------------
+# Launches: what N calls leave, raises mid-launch included
+# ---------------------------------------------------------------------------
+
+LAUNCHING = """
+class L {
+    local static int pick(int i, int[[]] xs) { return xs[i]; }
+    local static int inv(int x) { return 100 / x; }
+    local static int halfInv(int x) { return 100 / L.half(x); }
+    local static int add(int a, int b) { return a + 100 / b; }
+    local static int twice(int x) { return L.half(x) * 4; }
+    local static int half(int x) { return x / 2; }
+    local static int at(int i) {
+        int[] t = new int[8];
+        return t[i];
+    }
+    local static int pair(int x, int y) { return x + y; }
+    local static int deep(int n) { return n == 0 ? 0 : 1 + L.deep(n - 1); }
+    static int[[]] deepMap(int[[]] ns) { return L @ deep(ns); }
+    static int deepSum(int[[]] ns) { return L ! pair(ns); }
+}
+"""
+
+XS = _ints(7, 8, 9)
+
+
+def _launched(cls, kind, methods, items, depth=400):
+    """(result or (exception type, message), per_item, cycles,
+    method_stats, _depth) of one launch on a fresh interpreter."""
+    interp = cls(_compile(LAUNCHING), max_call_depth=depth)
+    per_item = []
+    try:
+        result = interp.launch(kind, methods, items, per_item)
+    except DeviceError as exc:
+        result = (type(exc), str(exc))
+    return result, per_item, interp.cycles, interp.method_stats, interp._depth
+
+
+@pytest.mark.parametrize(
+    "kind, methods, items, depth, message",
+    [
+        ("map", ["L.pick"], [(i, XS) for i in range(3)], 400, None),
+        ("map", ["L.pick"], [(i, XS) for i in (0, 1, 3, 2)], 400,
+         "array index 3 out of bounds (length 3)"),
+        ("map", ["L.pick"], [(-1, XS), (0, XS)], 400,
+         "array index -1 out of bounds (length 3)"),
+        ("map", ["L.inv"], [(5,), (3,), (0,), (2,)], 400,
+         "integer division by zero"),
+        ("map", ["L.inv"], [], 400, None),
+        ("reduce", ["L.add"], [1, 2, 4, 5], 400, None),
+        ("reduce", ["L.add"], [9], 400, None),
+        ("reduce", ["L.add"], [1, 2, 4, 0, 5], 400,
+         "integer division by zero"),
+        ("reduce", ["L.add"], [1, 0, 2], 400, "integer division by zero"),
+        ("reduce", ["L.add"], [], 400, "reduce of empty array"),
+        ("filter", ["L.twice", "L.at"], [0, 1, 3, 2], 400, None),
+        ("filter", ["L.twice", "L.at"], [0, 1, 4, 2], 400,
+         "array index 8 out of bounds (length 8)"),
+        ("filter", ["L.inv", "L.twice", "L.at"], [50, 100, 0, 25], 400,
+         "integer division by zero"),
+        ("filter", ["L.twice", "L.inv", "L.half"], [9, 5, 1, 3], 400,
+         "integer division by zero"),
+        ("filter", ["L.halfInv", "L.twice"], [50, 8, 1, 4], 400,
+         "integer division by zero"),
+        ("filter", ["L.twice", "L.pair"], [1, 2], 400,
+         "L.pair expects 2 arguments, got 1"),
+        ("filter", ["L.twice", "L.nothing"], [1, 2], 400,
+         "no such function 'L.nothing'"),
+        ("map", ["L.deep"], [(3,), (5,), (40,), (1,)], 20,
+         "stack overflow (recursion too deep)"),
+        ("map", ["L.deep"], [(3,), (5,)], 0,
+         "stack overflow (recursion too deep)"),
+    ],
+)
+def test_launch_matches_oracle(kind, methods, items, depth, message):
+    staged = _launched(Interpreter, kind, methods, items, depth)
+    oracle = _launched(OracleInterpreter, kind, methods, items, depth)
+    assert staged == oracle
+    result = staged[0]
+    raised = isinstance(result, tuple) and result[0] is DeviceError
+    assert (result[1] if raised else None) == message
+    assert staged[4] == 0
+
+
+@pytest.mark.parametrize(
+    "entry, ns, depth, message",
+    [
+        ("L.deepMap", (3, 5, 9, 1), 20, None),
+        ("L.deepMap", (3, 5, 40, 1), 20, "stack overflow (recursion too deep)"),
+        ("L.deepMap", (3, 5), 1, "stack overflow (recursion too deep)"),
+        ("L.deepSum", (3, 5, 9), 1, "stack overflow (recursion too deep)"),
+        ("L.deepSum", (3, 5, 9), 2, None),
+    ],
+)
+def test_host_launch_inside_a_call_matches_oracle(entry, ns, depth, message):
+    # The default services run map/reduce as launches one call deep.
+    outcomes = []
+    for cls in (Interpreter, OracleInterpreter):
+        interp = cls(_compile(LAUNCHING), max_call_depth=depth)
+        try:
+            result = interp.call(entry, [_ints(*ns)])
+        except DeviceError as exc:
+            result = str(exc)
+        outcomes.append((result, _state(interp), interp._depth))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0][0] == message) == (message is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    int_exprs(),
+    st.lists(
+        st.tuples(*[st.integers(-50, 50)] * 3), min_size=1, max_size=12
+    ),
+)
+def test_random_map_launch_matches_oracle(expr, items):
+    # Random kernels divide by zero at whatever work-item they do.
+    program = _compile(_program_for(expr))
+    outcomes = []
+    for interp in _both(program):
+        per_item = []
+        try:
+            result = interp.launch("map", ["P.f"], items, per_item)
+        except DeviceError as exc:
+            result = str(exc)
+        outcomes.append((result, per_item, _state(interp), interp._depth))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_gpu_launch_raise_matches_oracle():
+    # A raise inside GPUSimulator.run_map leaves the simulator's private
+    # interpreter exactly as the per-item loop did.
+    compiled = compile_app("matmul")
+    (artifact,) = compiled.store.for_device("gpu")
+    kernel = artifact.payload
+    matrix = ValueArray(kernel.param_kinds[1].element, [1.0] * 9)
+    indices = _ints(0, 4, 8, 30, 2)
+    outcomes = []
+    for cls in (Interpreter, OracleInterpreter):
+        gpu = gpu_simulator.GPUSimulator(compiled.bytecode_program)
+        gpu._interp = cls(compiled.bytecode_program)
+        with pytest.raises(DeviceError) as raised:
+            gpu.run_map(kernel, [indices, matrix, matrix, 3])
+        interp = gpu._interp
+        outcomes.append((str(raised.value), _state(interp), interp._depth))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].startswith("array index")
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +656,137 @@ def test_args_sequence_is_not_mutated():
     assert Interpreter(program).call("H.f", (1,)) == 9
 
 
+def test_aload_reads_array_storage_and_anything_else_as_before():
+    program = _function(
+        [(isa.LOAD, 0), (isa.LOAD, 1), (isa.ALOAD, None), (isa.RETV, None)],
+        params=2,
+    )
+    mutable = MutableArray(KIND_INT, [4, 5, 6])
+    cases = [
+        (_ints(4, 5, 6), 2), (mutable, 1), (mutable, 3), (_ints(4), -1),
+        ((4, 5), 1), ("ab", 1), (None, 0), (7, 0),
+    ]
+    for array, index in cases:
+        outcomes = []
+        for interp in _both(program):
+            try:
+                result = interp.call("H.f", [array, index])
+            except Exception as exc:
+                result = (type(exc), str(exc))
+            outcomes.append((result, _state(interp)))
+        assert outcomes[0] == outcomes[1], (array, index)
+
+
+# ---------------------------------------------------------------------------
+# The binary32 cell: staged code rounds a float result by a store
+# ---------------------------------------------------------------------------
+
+FLT_MAX = struct.unpack("<f", struct.pack("<I", 0x7F7FFFFF))[0]
+TINY = 2.0**-149                   # the smallest binary32 subnormal
+HALFWAY = FLT_MAX + 2.0**103       # half a binary32 ulp above FLT_MAX
+
+
+def _around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+_MAGNITUDES = [
+    *_around(FLT_MAX), *_around(HALFWAY), *_around(TINY), *_around(TINY / 2),
+    1 + 2.0**-24,                  # a tie, to even: 1.0
+    1 + 3 * 2.0**-24,              # a tie, to even: 1 + 2**-22
+    0.1, 0.0, math.inf,
+]
+EDGES = _MAGNITUDES + [-x for x in _MAGNITUDES] + [math.nan]
+
+
+def _bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@pytest.mark.parametrize("x", EDGES, ids=repr)
+def test_binary32_cell_rounds_like_to_float32(x):
+    cell = ops.float32_cell()
+    cell[0] = x
+    assert _bits(cell[0]) == _bits(ops.to_float32(x))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        [(isa.CAST, "float")],
+        [(isa.CONST, 1.0), (isa.BINOP, ("*", "float"))],
+        [(isa.CONST, 1.0), (isa.BINOP, ("/", "float"))],
+        [(isa.UNOP, ("-", "float")), (isa.UNOP, ("-", "float"))],
+    ],
+    ids=["cast", "multiply", "divide", "negate"],
+)
+def test_staged_float_results_round_through_the_cell(code):
+    program = _function([(isa.LOAD, 0), *code, (isa.RETV, None)], params=1)
+    source = program.functions["H.f"].staged_source()
+    assert "    _f = float32_cell()\n" in source   # one cell per call
+    assert "_f[0] = " in source and "to_float32" not in source
+    staged, oracle = _both(program)
+    for x in EDGES:
+        got = staged.call("H.f", [x])
+        assert _bits(got) == _bits(oracle.call("H.f", [x]))
+        assert _bits(got) == _bits(ops.to_float32(x)), x
+    assert _state(staged) == _state(oracle)
+
+
+def test_float_kernels_on_two_threads_are_bit_identical():
+    # Two threads, one program object, a 1 us switch interval: each
+    # thread's host map (its own interpreter) and GPU map (one shared
+    # simulator) give the bits and cycles a lone run gives. Without the
+    # simulator's one-launch-at-a-time lock this fails: per-item cycles
+    # absorb the other thread's. A shared binary32 cell would not fail
+    # it on CPython 3.11, where no thread switch falls between a
+    # rounding's store and its read; the per-call cell is pinned by
+    # test_staged_float_results_round_through_the_cell.
+    compiled = compile_app("black_scholes")
+    program = compiled.bytecode_program
+    (artifact,) = compiled.store.for_device("gpu")
+    kernel = artifact.payload
+    broadcast = kernel.properties["broadcast"]
+    _, forward = SMALL_ARGS["black_scholes"]()
+    backward = [
+        ValueArray(a.element_kind, reversed(a)) if isinstance(a, ValueArray)
+        else a
+        for a in forward
+    ]
+
+    def one_round(gpu, args):
+        interp = Interpreter(program)
+        host = Services().execute_map(kernel.methods[0], args, broadcast, interp)
+        device = gpu.run_map(kernel, args)
+        return (_bits(*host), interp.cycles, interp.method_stats,
+                _bits(*device.outputs), device.per_item_cycles)
+
+    inputs = (forward, backward)
+    expected = [
+        one_round(gpu_simulator.GPUSimulator(program), args) for args in inputs
+    ]
+    shared = gpu_simulator.GPUSimulator(program)
+    results = [[], []]
+
+    def worker(slot):
+        for _ in range(8):
+            results[slot].append(one_round(shared, inputs[slot]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for slot in (0, 1):
+        assert len(results[slot]) == 8
+        assert all(got == expected[slot] for got in results[slot])
+
+
 # ---------------------------------------------------------------------------
 # The memo stays beside the program
 # ---------------------------------------------------------------------------
@@ -474,6 +837,22 @@ def test_program_stored_in_the_artifact_cache_after_it_ran(tmp_path):
     assert loaded == compiled.bytecode_program
 
 
+def test_launches_are_staged_on_first_run_and_shared_per_program_object():
+    compiled = CompilerSession().compile(SUITE["saxpy"].source)
+    program = compiled.bytecode_program
+    assert staged_launches(program) == {}       # nothing at compile time
+    fresh = pickle.dumps(program, protocol=4)
+    entry, args = SMALL_ARGS["saxpy"]()
+    Runtime(compiled, CPU_ONLY).run(entry, args)
+    (key,) = staged_launches(program)
+    assert key == ("map", ("Saxpy.axpy",))
+    launch = staged_launches(program)[key]
+    Runtime(compiled, CPU_ONLY).run(entry, args)
+    assert staged_launches(program)[key] is launch
+    assert pickle.dumps(program, protocol=4) == fresh
+    assert staged_launches(pickle.loads(fresh)) == {}
+
+
 # ---------------------------------------------------------------------------
 # Debuggability
 # ---------------------------------------------------------------------------
@@ -499,6 +878,33 @@ def test_staged_source_sits_next_to_disassemble():
     assert "interp.cycles += c" in text
     compile(text, "<check>", "exec")
     assert function.disassemble().startswith(".method R.down")
+
+
+def test_traceback_through_a_launch_shows_the_generated_line():
+    # Work-item 0 runs through call(); item 2 raises inside the loop.
+    program = _compile(LAUNCHING)
+    with pytest.raises(DeviceError) as raised:
+        Interpreter(program).launch("filter", ["L.twice", "L.inv"], [9, 5, 1])
+    frames = traceback.extract_tb(raised.value.__traceback__)
+    name = "<staged launch L.twice|L.inv>"
+    launch = [f for f in frames if f.filename == name]
+    assert [f.line for f in launch] == ["v = f1(interp, (v,))"]
+    assert linecache.getline(name, launch[0].lineno).strip() == launch[0].line
+    names = [f.filename for f in frames]
+    assert names.index("<staged L.inv>") > names.index(name)
+
+
+def test_staged_launch_source_sits_next_to_staged_source():
+    program = _compile(LAUNCHING)
+    for kind, methods, head in [
+        ("map", ["L.pick"], "def _launch(interp, items, out, record, f0="),
+        ("filter", ["L.twice", "L.inv"], "def _launch(interp, items, out"),
+        ("reduce", ["L.add"], "def _launch(interp, acc, items, f0="),
+    ]:
+        text = program.staged_launch_source(kind, methods)
+        assert text.startswith(head)
+        assert all(f"stats[{m!r}]" in text for m in methods)
+        compile(text, "<check>", "exec")
 
 
 def test_compiled_datapath_does_not_travel_with_a_pickled_bundle(tmp_path):

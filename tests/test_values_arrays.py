@@ -5,16 +5,22 @@ import pytest
 from repro.errors import ValueSemanticsError
 from repro.values import (
     KIND_BIT,
+    KIND_BOOLEAN,
+    KIND_DOUBLE,
     KIND_FLOAT,
     KIND_INT,
+    KIND_LONG,
     Bit,
+    EnumValue,
     MutableArray,
     ValueArray,
     array_kind,
+    enum_kind,
     is_value,
     kind_of,
     parse_bit_literal,
 )
+from repro.values.arrays import _coerce_element
 
 
 class TestValueArray:
@@ -138,3 +144,61 @@ class TestMutableArray:
         thawed[0] = 7
         assert original[0] == 5
         assert thawed.freeze() == ValueArray(KIND_INT, [7, 6])
+
+
+class _Int(int):
+    """An int subclass: accepted by int kinds, never canonical."""
+
+
+_COLOR = enum_kind("color", 3)
+# (kind, good elements — canonical and not — two elements it rejects)
+COERCION_CASES = {
+    "int": (KIND_INT, [1, _Int(-2), 2**31], (True, 2.5)),
+    "long": (KIND_LONG, [2**40, -1], ("7", None)),
+    "float": (KIND_FLOAT, [1.5, 2, -0.0], (True, "x")),
+    "double": (KIND_DOUBLE, [float("nan"), -3], (None, False)),
+    "boolean": (KIND_BOOLEAN, [True, False], (1, 0.0)),
+    "bit": (KIND_BIT, [Bit(0), 1, 0], (2, 2.0)),
+    "enum": (_COLOR, [EnumValue("color", 1, 3)], (1, EnumValue("hue", 0, 3))),
+    "array": (
+        array_kind(KIND_INT),
+        [ValueArray(KIND_INT, [1]), MutableArray(KIND_INT, [2])],
+        (ValueArray(KIND_FLOAT, [1.0]), [1]),
+    ),
+}
+
+
+def _coerced_one_by_one(kind, items):
+    """What both array types built before the bulk path: one
+    ``_coerce_element`` per element, in order."""
+    try:
+        return tuple(_coerce_element(kind, x) for x in items)
+    except ValueSemanticsError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(COERCION_CASES))
+@pytest.mark.parametrize("at", [0, 1, -1])
+@pytest.mark.parametrize("array_type", [ValueArray, MutableArray])
+def test_bulk_coercion_accepts_and_rejects_as_one_by_one(case, at, array_type):
+    kind, good, (bad, later) = COERCION_CASES[case]
+    at = len(good) if at == -1 else at
+    for items in (good, good[:at] + [bad] + good[at:] + [later]):
+        want = _coerced_one_by_one(kind, items)
+        try:
+            got = array_type(kind, items)
+        except ValueSemanticsError as exc:
+            assert str(exc) == want
+            assert str(exc) == f"expected {kind} element, got {bad!r}"
+        else:
+            assert tuple(got) == want
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_bulk_coercion_keeps_canonical_elements_and_copies_mutables():
+    items = [1.5, -0.0, 2.25]
+    assert all(a is b for a, b in zip(ValueArray(KIND_FLOAT, items), items))
+    source = [1, 2]
+    mutable = MutableArray(KIND_INT, source)
+    mutable[0] = 9
+    assert source == [1, 2]

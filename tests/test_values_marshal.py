@@ -1,5 +1,7 @@
 """Tests for the universal wire format (Figure 3, Section 4.3)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.values import (
     serialize,
     serializer_for,
 )
+from repro.values.marshal import _check_int_range, _encode_dense
 
 
 class TestScalars:
@@ -172,3 +175,60 @@ class TestPropertyBased:
     @given(st.integers(min_value=-(2**31), max_value=2**31 - 1))
     def test_wire_format_is_deterministic(self, x):
         assert serialize(x) == serialize(x)
+
+
+def _dense_one_by_one(elem, items):
+    """The numeric branch of ``_encode_dense`` before its bulk path:
+    every int range-checked, every float through ``float()``."""
+    fmt = "<" + {"int": "i", "long": "q", "float": "f", "double": "d"}[
+        elem.name
+    ] * len(items)
+    if elem.name in ("int", "long"):
+        for item in items:
+            _check_int_range(item, elem)
+        return struct.pack(fmt, *items)
+    return struct.pack(fmt, *(float(x) for x in items))
+
+
+def _outcome(encode, elem, items):
+    try:
+        return encode(elem, items)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# (kind, elements: canonical, non-canonical and rejected, in that order)
+DENSE_CASES = {
+    "int": (KIND_INT, [[1, -2, 2**31 - 1, -(2**31)], [True, 3],
+                       [2**31, -(2**31) - 1, 2.5]]),
+    "long": (KIND_LONG, [[2**63 - 1, -(2**63)], [False],
+                         [2**63, -(2**63) - 1, 1.5]]),
+    "float": (KIND_FLOAT, [[1.5, -0.0, float("inf")], [2, True],
+                           [1e300, -1e300]]),
+    "double": (KIND_DOUBLE, [[1e300, float("nan")], [2**70, False], []]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_dense_bulk_path_accepts_and_rejects_as_one_by_one(case):
+    elem, (canonical, other, rejected) = DENSE_CASES[case]
+    pool = canonical + other + rejected
+    runs = [canonical, canonical + other]
+    for bad in rejected:
+        for at in (0, len(canonical)):
+            runs.append(canonical[:at] + [bad] + canonical[at:] + pool)
+    for items in runs:
+        want = _outcome(_dense_one_by_one, elem, items)
+        assert _outcome(_encode_dense, elem, items) == want, items
+        if isinstance(want, tuple) and want[0] is MarshalingError:
+            bits = 32 if elem.name == "int" else 64
+            first = next(
+                x for x in items if not -(2 ** (bits - 1)) <= x < 2 ** (bits - 1)
+            )
+            assert want[1] == f"{first} out of range for {elem}"
+
+
+def test_array_serializer_names_the_first_out_of_range_element():
+    array = ValueArray(KIND_INT, [1, 2**31 + 4, -(2**31) - 9])
+    with pytest.raises(MarshalingError, match=r"^2147483652 out of range"):
+        serializer_for(array_kind(KIND_INT)).serialize(array)
