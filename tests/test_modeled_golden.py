@@ -12,6 +12,7 @@ clock was meant to move::
 """
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -50,7 +51,16 @@ def _profile_app(app: str) -> dict:
     tracer = Tracer()
     entry, values = SUITE[app].default_args()
     config = RuntimeConfig(scheduler="sequential", tracer=tracer)
-    outcome = Runtime(compile_app(app), config).run(entry, values)
+    program = compile_app(app)
+    # The bottleneck is the longest segment on the host clock; a cyclic
+    # collection inside a short segment (likely late in a full run, with
+    # a large heap) could make it the longest, so none runs here.
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = Runtime(program, config).run(entry, values)
+    finally:
+        gc.enable()
     report = build_profile(
         tracer,
         ledger=outcome.ledger,
