@@ -62,8 +62,8 @@ perf-compare:
 
 # AOT-harvest the whole app suite into a scratch cache, prove every
 # backend warm-starts (the harvest command exits non-zero otherwise),
-# then integrity-check every stored entry and print the stats summary
-# (docs/CACHING.md).
+# then integrity-check every stored entry, print the stats summary and
+# require one program index entry per suite app (docs/CACHING.md).
 harvest-smoke:
 	mkdir -p benchmarks/out
 	rm -rf benchmarks/out/cache_smoke
@@ -74,6 +74,10 @@ harvest-smoke:
 		--cache-dir benchmarks/out/cache_smoke
 	PYTHONPATH=src $(PYTHON) -m repro cache stats \
 		--cache-dir benchmarks/out/cache_smoke
+	PYTHONPATH=src $(PYTHON) -m repro cache stats --json \
+		--cache-dir benchmarks/out/cache_smoke | $(PYTHON) -c "\
+	import json, sys; n = json.load(sys.stdin)['programs']; \
+	sys.exit(0 if n == 17 else f'harvest-smoke: {n} indexed programs, expected 17')"
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -18,9 +18,16 @@ invoking backend codegen at all — the shape metalfpga's
 minutes of recompile). Integrity is enforced on load: every payload and
 source text carries a SHA-256 recorded at store time, and any mismatch,
 truncation, or unreadable manifest demotes the entry to a *miss* (never
-a wrong-artifact hit) while a ``cache.corrupt`` counter fires and the
-entry is dropped. Capacity is bounded by LRU-by-bytes eviction with
-explicit pinning.
+a wrong-artifact hit) while a ``cache.corrupt`` counter fires and, in
+``readwrite`` mode, the entry is dropped. Capacity is bounded by
+LRU-by-bytes eviction with explicit pinning; recency is the mtime of
+each entry's manifest.
+
+In front of the entries sits a *program index* (``programs/``): one
+small file per (source text, options, toolchain) digest
+(:func:`program_digest`) naming the entry key of every backend, so a
+warm compile of an unchanged program is answered without running the
+frontend at all.
 
 Time in this reproduction is modeled, and the cache participates in the
 model: each entry records the modeled cost of the backend compilation
@@ -37,7 +44,10 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import shutil
+import threading
+import time
 
 from repro.backends.common import Artifact, Exclusion, Manifest
 from repro.errors import ConfigurationError
@@ -47,9 +57,14 @@ from repro.obs.tracer import NULL_TRACER
 #: with any other tag are treated as misses (forward/backward safe).
 ARTIFACT_SCHEMA = "repro.artifact/1"
 
+#: Schema tag of a program index file (``programs/<digest>.json``).
+PROGRAM_SCHEMA = "repro.program/1"
+
 _MANIFEST_NAME = "manifest.json"
-_LRU_NAME = "lru.json"
+_PIN_NAME = "pinned"
 _OBJECTS_DIR = "objects"
+_PROGRAMS_DIR = "programs"
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 _SOURCE_EXT = {"opencl": ".cl", "verilog": ".v", "java-bytecode": ".class.txt"}
 
 _CACHE_MODES = ("off", "read", "readwrite")
@@ -234,17 +249,97 @@ def options_fingerprint(options, backend_id: str) -> dict:
     return {name: getattr(options, name) for name in fields}
 
 
-def cache_key(module, backend_id: str, options, device_family: str = "default") -> str:
-    """The content-addressed digest for one backend compilation."""
+def cache_key(
+    module,
+    backend_id: str,
+    options,
+    device_family: str = "default",
+    fingerprint: "str | None" = None,
+) -> str:
+    """The content-addressed digest for one backend compilation.
+
+    ``fingerprint`` is ``ir_fingerprint(module)`` when the caller has
+    it already: a compile derives three keys from one module and
+    canonicalizes it once."""
     material = {
         "schema": ARTIFACT_SCHEMA,
         "backend": backend_id,
-        "ir": ir_fingerprint(module),
+        "ir": fingerprint or ir_fingerprint(module),
         "options": options_fingerprint(options, backend_id),
         "device_family": device_family,
     }
     blob = json.dumps(material, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: Everything besides the source that reaches a program's keys: the
+#: union of the backend option slices, plus which backends run at all.
+_PROGRAM_OPTION_FIELDS = tuple(
+    sorted({f for fields in _BACKEND_OPTION_FIELDS.values() for f in fields})
+) + ("enable_gpu", "enable_fpga")
+
+#: The code that turns source text into cache keys, relative to the
+#: ``repro`` package (a directory stands for its ``*.py`` files).
+_TOOLCHAIN_PARTS = ("lime", "ir", "compiler.py", "backends/artifacts.py")
+
+_toolchain_lock = threading.Lock()
+_toolchain: "str | None" = None
+
+
+def toolchain_digest() -> str:
+    """SHA-256 over the source of the frontend, the IR lowering, the
+    compiler driver and this module; computed once per process.
+
+    A program index entry is only valid for the toolchain that wrote
+    it: an edit to the lowering changes the IR, hence the keys, while
+    the source text stays the same."""
+    global _toolchain
+    with _toolchain_lock:
+        if _toolchain is None:
+            _toolchain = _hash_package_files(_TOOLCHAIN_PARTS)
+        return _toolchain
+
+
+def _hash_package_files(parts) -> str:
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    names = []
+    for part in parts:
+        if part.endswith(".py"):
+            names.append(part)
+        else:
+            names.extend(
+                f"{part}/{name}"
+                for name in os.listdir(os.path.join(package, part))
+                if name.endswith(".py")
+            )
+    digest = hashlib.sha256()
+    for name in sorted(names):
+        with open(os.path.join(package, name), "rb") as f:
+            data = f.read()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def program_digest(
+    source: str, options, device_family: str = "default"
+) -> str:
+    """The program index digest of one compile: the source text, the
+    option fields that reach any key, the device family and the
+    :func:`toolchain_digest`."""
+    material = {
+        "schema": PROGRAM_SCHEMA,
+        "options": {
+            name: getattr(options, name) for name in _PROGRAM_OPTION_FIELDS
+        },
+        "device_family": device_family,
+        "toolchain": toolchain_digest(),
+    }
+    digest = hashlib.sha256(
+        json.dumps(material, sort_keys=True, default=repr).encode("utf-8")
+    )
+    digest.update(source.encode("utf-8"))
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +411,36 @@ class CacheCorruption(Exception):
     """Internal: an entry failed an integrity check during load."""
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+_clock_lock = threading.Lock()
+_last_used_ns = 0
+
+
+def _recency_ns() -> int:
+    """A per-process strictly increasing ``time_ns()``: two touches in
+    one process never share a timestamp, so sorting entries by
+    ``(st_mtime_ns, key)`` replays the order they were used in."""
+    global _last_used_ns
+    with _clock_lock:
+        _last_used_ns = max(time.time_ns(), _last_used_ns + 1)
+        return _last_used_ns
+
+
+def _read_verified(entry_dir: str, name: str, sha256: str, what: str,
+                   size: "int | None" = None) -> bytes:
+    """One file of an entry, read once and checked against the size
+    and hash its manifest recorded."""
+    try:
+        with open(os.path.join(entry_dir, name), "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise CacheCorruption(f"missing {what} {name}") from exc
+    if size is not None and len(data) != size:
+        raise CacheCorruption(
+            f"{what} {name} truncated: {len(data)} != {size} bytes"
+        )
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise CacheCorruption(f"{what} {name} hash mismatch")
+    return data
 
 
 class ArtifactCache:
@@ -330,15 +449,19 @@ class ArtifactCache:
     Directory layout::
 
         <cache_dir>/
-          lru.json                    # logical clock, ticks, pins
-          objects/<digest>/manifest.json
+          objects/<digest>/manifest.json      # mtime = last use
+          objects/<digest>/pinned             # present while pinned
           objects/<digest>/payload.<i>.pkl
           objects/<digest>/source.<i>.cl|.v|...
+          programs/<digest>.json              # the program index
 
     One entry holds *everything one backend produced for one key*:
     artifacts (manifest metadata + pickled payloads + generated source
-    text) and exclusions. The cache is single-writer per process — the
-    same assumption the on-disk repository makes.
+    text) and exclusions. Recency lives on the entry: a store or a hit
+    sets its manifest's mtime, and eviction drops the oldest first.
+    ``read`` mode writes nothing — no touch, no index entry, and a
+    corrupt entry stays on disk. The cache is single-writer per
+    process — the same assumption the on-disk repository makes.
     """
 
     def __init__(self, options: CacheOptions):
@@ -348,7 +471,8 @@ class ArtifactCache:
             )
         self.options = options.validate()
         self.root = options.cache_dir
-        os.makedirs(self._objects_root(), exist_ok=True)
+        if options.writable:
+            os.makedirs(self._objects_root(), exist_ok=True)
 
     # -- paths ----------------------------------------------------------
 
@@ -358,58 +482,47 @@ class ArtifactCache:
     def _entry_dir(self, key: str) -> str:
         return os.path.join(self._objects_root(), key)
 
-    def _lru_path(self) -> str:
-        return os.path.join(self.root, _LRU_NAME)
+    def _manifest_path(self, key: str) -> str:
+        return os.path.join(self._objects_root(), key, _MANIFEST_NAME)
 
-    # -- LRU state ------------------------------------------------------
+    def _programs_root(self) -> str:
+        return os.path.join(self.root, _PROGRAMS_DIR)
 
-    def _read_lru(self) -> dict:
-        try:
-            with open(self._lru_path()) as f:
-                state = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            state = {}
-        state.setdefault("tick", 0)
-        state.setdefault("entries", {})
-        state.setdefault("pins", [])
-        return state
+    def _program_path(self, digest: str) -> str:
+        return os.path.join(self._programs_root(), digest + ".json")
 
-    def _write_lru(self, state: dict) -> None:
-        tmp = self._lru_path() + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(state, f, indent=2, sort_keys=True)
-        os.replace(tmp, self._lru_path())
+    def _require_writable(self, operation: str) -> None:
+        if not self.options.writable:
+            raise ConfigurationError(
+                f"cache at {self.root!r} is read-only "
+                f"(mode={self.options.mode!r}); {operation} requires "
+                "mode='readwrite'"
+            )
+
+    # -- recency and pinning --------------------------------------------
 
     def _touch(self, key: str) -> None:
-        state = self._read_lru()
-        state["tick"] += 1
-        state["entries"][key] = state["tick"]
-        self._write_lru(state)
+        now = _recency_ns()
+        os.utime(self._manifest_path(key), ns=(now, now))
 
-    def _forget(self, key: str) -> None:
-        state = self._read_lru()
-        state["entries"].pop(key, None)
-        if key in state["pins"]:
-            state["pins"].remove(key)
-        self._write_lru(state)
+    def last_used_ns(self, key: str) -> int:
+        """When the entry was last stored or hit (its manifest mtime)."""
+        return os.stat(self._manifest_path(key)).st_mtime_ns
 
-    # -- pinning --------------------------------------------------------
+    def pin(self, key: str) -> bool:
+        """Exempt an entry from LRU eviction; False when there is no
+        such entry."""
+        if not os.path.isfile(self._manifest_path(key)):
+            return False
+        with open(os.path.join(self._entry_dir(key), _PIN_NAME), "wb"):
+            pass
+        return True
 
-    def pin(self, key: str) -> None:
-        """Exempt an entry from LRU eviction."""
-        state = self._read_lru()
-        if key not in state["pins"]:
-            state["pins"].append(key)
-        self._write_lru(state)
-
-    def unpin(self, key: str) -> None:
-        state = self._read_lru()
-        if key in state["pins"]:
-            state["pins"].remove(key)
-        self._write_lru(state)
+    def _is_pinned(self, key: str) -> bool:
+        return os.path.exists(os.path.join(self._entry_dir(key), _PIN_NAME))
 
     def pinned(self) -> list:
-        return list(self._read_lru()["pins"])
+        return [key for key in self.keys() if self._is_pinned(key)]
 
     # -- inspection -----------------------------------------------------
 
@@ -424,12 +537,23 @@ class ArtifactCache:
             if os.path.isfile(os.path.join(root, name, _MANIFEST_NAME))
         )
 
+    def programs(self) -> list:
+        """Digests of every program index entry on disk, sorted."""
+        root = self._programs_root()
+        if not os.path.isdir(root):
+            return []
+        return sorted(
+            name[: -len(".json")]
+            for name in os.listdir(root)
+            if name.endswith(".json")
+        )
+
     def entry_bytes(self, key: str) -> int:
         """Total payload + text bytes of one entry."""
         entry_dir = self._entry_dir(key)
         total = 0
         for name in os.listdir(entry_dir):
-            if name != _MANIFEST_NAME:
+            if name not in (_MANIFEST_NAME, _PIN_NAME):
                 total += os.path.getsize(os.path.join(entry_dir, name))
         return total
 
@@ -438,14 +562,11 @@ class ArtifactCache:
 
     def stats(self) -> dict:
         """Machine-readable summary for ``python -m repro cache stats``."""
-        state = self._read_lru()
         per_backend: dict = {}
         entries = []
         for key in self.keys():
             try:
-                with open(
-                    os.path.join(self._entry_dir(key), _MANIFEST_NAME)
-                ) as f:
+                with open(self._manifest_path(key)) as f:
                     manifest = json.load(f)
             except (OSError, json.JSONDecodeError):
                 manifest = {}
@@ -468,8 +589,8 @@ class ArtifactCache:
                     "modeled_compile_s": manifest.get(
                         "modeled_compile_s", 0.0
                     ),
-                    "pinned": key in state["pins"],
-                    "last_used_tick": state["entries"].get(key),
+                    "pinned": self._is_pinned(key),
+                    "last_used_ns": self.last_used_ns(key),
                 }
             )
         return {
@@ -480,10 +601,51 @@ class ArtifactCache:
             "max_bytes": self.options.max_bytes,
             "total_bytes": sum(e["bytes"] for e in entries),
             "entry_count": len(entries),
-            "pinned": list(state["pins"]),
+            "pinned": [e["key"] for e in entries if e["pinned"]],
+            "programs": len(self.programs()),
             "backends": per_backend,
             "entries": entries,
         }
+
+    # -- program index --------------------------------------------------
+
+    def load_program(self, digest: str) -> "dict | None":
+        """The backend -> entry key map indexed under ``digest``
+        (:func:`program_digest`), or None when there is none, or the
+        file is unreadable, malformed or written for another digest."""
+        try:
+            with open(self._program_path(digest), encoding="utf-8") as f:
+                record = json.load(f)
+        except (OSError, ValueError):
+            return None
+        if (
+            not isinstance(record, dict)
+            or record.get("schema") != PROGRAM_SCHEMA
+            or record.get("program") != digest
+        ):
+            return None
+        keys = record.get("keys")
+        if not isinstance(keys, dict) or not all(
+            isinstance(key, str) and _DIGEST.fullmatch(key)
+            for key in keys.values()
+        ):
+            return None
+        return keys
+
+    def store_program(self, digest: str, keys: dict) -> None:
+        """Index ``digest`` as answered by ``keys`` (backend -> entry
+        key); written atomically."""
+        self._require_writable("store_program()")
+        os.makedirs(self._programs_root(), exist_ok=True)
+        path = self._program_path(digest)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(
+                {"schema": PROGRAM_SCHEMA, "program": digest, "keys": keys},
+                f,
+                sort_keys=True,
+            )
+        os.replace(tmp, path)
 
     # -- store ----------------------------------------------------------
 
@@ -501,12 +663,7 @@ class ArtifactCache:
         atomic rename), so a crash mid-store leaves a manifest-less
         directory the loader treats as a miss.
         """
-        if not self.options.writable:
-            raise ConfigurationError(
-                f"cache at {self.root!r} is read-only "
-                f"(mode={self.options.mode!r}); store() requires "
-                "mode='readwrite'"
-            )
+        self._require_writable("store()")
         entry_dir = self._entry_dir(key)
         if os.path.isdir(entry_dir):
             shutil.rmtree(entry_dir)
@@ -582,13 +739,14 @@ class ArtifactCache:
         """Load the entry for ``key``, or None on miss/corruption.
 
         Every payload and text hash recorded at store time is verified;
-        any failure counts ``cache.corrupt``, drops the entry, and
-        reports a miss — a wrong-artifact hit is never possible.
+        any failure counts ``cache.corrupt`` and reports a miss — a
+        wrong-artifact hit is never possible. In ``readwrite`` mode a
+        hit refreshes the entry's recency and a corrupt entry is
+        dropped; ``read`` mode leaves the directory untouched.
         """
         counters = tracer.counters
         entry_dir = self._entry_dir(key)
-        manifest_path = os.path.join(entry_dir, _MANIFEST_NAME)
-        if not os.path.isfile(manifest_path):
+        if not os.path.isfile(os.path.join(entry_dir, _MANIFEST_NAME)):
             counters.add("cache.miss")
             counters.add(f"cache.miss[{backend_id}]")
             return None
@@ -602,8 +760,8 @@ class ArtifactCache:
                 counters.add("cache.miss")
                 counters.add(f"cache.miss[{backend_id}]")
                 span.set(state="corrupt", problem=str(problem))
-                shutil.rmtree(entry_dir, ignore_errors=True)
-                self._forget(key)
+                if self.options.writable:
+                    shutil.rmtree(entry_dir, ignore_errors=True)
                 return None
             span.set(
                 state="hit",
@@ -615,7 +773,8 @@ class ArtifactCache:
         counters.add(f"cache.hit[{backend_id}]")
         counters.add("cache.bytes", entry.payload_bytes)
         counters.add("cache.bytes.read", entry.payload_bytes)
-        self._touch(key)
+        if self.options.writable:
+            self._touch(key)
         return entry
 
     def _load_verified(
@@ -638,37 +797,23 @@ class ArtifactCache:
         artifacts = []
         payload_bytes = 0
         for record in manifest.get("artifacts", ()):
-            payload_path = os.path.join(entry_dir, record["payload_file"])
-            if not os.path.isfile(payload_path):
-                raise CacheCorruption(
-                    f"missing payload {record['payload_file']}"
-                )
-            size = os.path.getsize(payload_path)
-            if size != record["payload_bytes"]:
-                raise CacheCorruption(
-                    f"payload {record['payload_file']} truncated: "
-                    f"{size} != {record['payload_bytes']} bytes"
-                )
-            if _sha256_file(payload_path) != record["payload_sha256"]:
-                raise CacheCorruption(
-                    f"payload {record['payload_file']} hash mismatch"
-                )
-            with open(payload_path, "rb") as f:
-                payload = pickle.load(f)
-            payload_bytes += size
+            blob = _read_verified(
+                entry_dir,
+                record["payload_file"],
+                record["payload_sha256"],
+                "payload",
+                size=record["payload_bytes"],
+            )
+            payload = pickle.loads(blob)
+            payload_bytes += len(blob)
             text = ""
             if "text_file" in record:
-                text_path = os.path.join(entry_dir, record["text_file"])
-                if not os.path.isfile(text_path):
-                    raise CacheCorruption(
-                        f"missing source {record['text_file']}"
-                    )
-                with open(text_path, "rb") as f:
-                    data = f.read()
-                if hashlib.sha256(data).hexdigest() != record["text_sha256"]:
-                    raise CacheCorruption(
-                        f"source {record['text_file']} hash mismatch"
-                    )
+                data = _read_verified(
+                    entry_dir,
+                    record["text_file"],
+                    record["text_sha256"],
+                    "source",
+                )
                 text = data.decode("utf-8")
                 payload_bytes += len(data)
             artifacts.append(
@@ -701,24 +846,23 @@ class ArtifactCache:
     # -- eviction / maintenance -----------------------------------------
 
     def _evict_to_fit(self, keep: "str | None" = None, tracer=NULL_TRACER):
-        """LRU-by-bytes eviction down to ``max_bytes``; pinned entries
-        and the just-touched ``keep`` entry are never dropped."""
+        """LRU-by-bytes eviction down to ``max_bytes``, oldest
+        ``(last_used_ns, key)`` first; pinned entries and the
+        just-touched ``keep`` entry are never dropped."""
         limit = self.options.max_bytes
         if limit is None:
             return
-        state = self._read_lru()
-        pins = set(state["pins"])
         sizes = {key: self.entry_bytes(key) for key in self.keys()}
         total = sum(sizes.values())
         if total <= limit:
             return
-        in_lru_order = sorted(
-            sizes, key=lambda k: state["entries"].get(k, 0)
+        oldest_first = sorted(
+            sizes, key=lambda k: (self.last_used_ns(k), k)
         )
-        for key in in_lru_order:
+        for key in oldest_first:
             if total <= limit:
                 break
-            if key in pins or key == keep:
+            if key == keep or self._is_pinned(key):
                 continue
             self.evict(key, tracer=tracer)
             total -= sizes[key]
@@ -729,42 +873,56 @@ class ArtifactCache:
         if not os.path.isdir(entry_dir):
             return False
         shutil.rmtree(entry_dir, ignore_errors=True)
-        self._forget(key)
         tracer.counters.add("cache.evict")
         return True
 
     def purge(self) -> int:
-        """Drop every entry (pins included); returns the count dropped."""
+        """Drop every entry (pins included) and the program index;
+        returns the count of entries dropped."""
         count = 0
         for key in self.keys():
             shutil.rmtree(self._entry_dir(key), ignore_errors=True)
             count += 1
-        self._write_lru({"tick": 0, "entries": {}, "pins": []})
+        shutil.rmtree(self._programs_root(), ignore_errors=True)
         return count
 
     def verify(self, delete_corrupt: bool = False) -> list:
-        """Integrity-check every entry; returns ``(key, problem)``
-        pairs. ``delete_corrupt=True`` additionally drops the failing
-        entries so the next compile repopulates them."""
+        """Integrity-check every entry, then every program index entry
+        against the entries left; returns ``(name, problem)`` pairs
+        (``name`` is a key, or ``programs/<digest>`` for the index).
+        ``delete_corrupt=True`` additionally drops what failed, so the
+        next compile repopulates it."""
         problems = []
         for key in self.keys():
             entry_dir = self._entry_dir(key)
             try:
-                with open(
-                    os.path.join(entry_dir, _MANIFEST_NAME)
-                ) as f:
+                with open(self._manifest_path(key)) as f:
                     backend = json.load(f).get("backend", "")
+                self._load_verified(backend, key, entry_dir)
             except (OSError, json.JSONDecodeError) as exc:
                 problems.append((key, f"unreadable manifest: {exc}"))
-                if delete_corrupt:
-                    shutil.rmtree(entry_dir, ignore_errors=True)
-                    self._forget(key)
-                continue
-            try:
-                self._load_verified(backend, key, entry_dir)
             except CacheCorruption as problem:
                 problems.append((key, str(problem)))
-                if delete_corrupt:
-                    shutil.rmtree(entry_dir, ignore_errors=True)
-                    self._forget(key)
+            else:
+                continue
+            if delete_corrupt:
+                shutil.rmtree(entry_dir, ignore_errors=True)
+        present = set(self.keys())
+        for digest in self.programs():
+            keys = self.load_program(digest)
+            if keys is None:
+                problem = "unreadable program index entry"
+            else:
+                missing = sorted(
+                    backend for backend, key in keys.items()
+                    if key not in present
+                )
+                if not missing:
+                    continue
+                problem = "names missing entries: " + ", ".join(
+                    f"{backend} {keys[backend][:12]}" for backend in missing
+                )
+            problems.append((f"programs/{digest}", problem))
+            if delete_corrupt:
+                os.remove(self._program_path(digest))
         return problems

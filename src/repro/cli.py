@@ -995,6 +995,7 @@ def _cmd_cache_stats(args) -> int:
             else ""
         )
     )
+    print(f"  programs: {stats['programs']}")
     for backend, row in sorted(stats["backends"].items()):
         print(
             f"  {backend:<10} {row['entries']:>4} entries  "

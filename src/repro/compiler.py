@@ -41,7 +41,9 @@ from repro.backends.artifacts import (
     ArtifactCache,
     CacheOptions,
     cache_key,
+    ir_fingerprint,
     modeled_compile_s,
+    program_digest,
 )
 from repro.backends.bytecode.compiler import compile_module, make_cpu_artifact
 from repro.backends.common import Artifact, ArtifactStore, Manifest
@@ -106,11 +108,15 @@ class CachedBackend:
 
 @dataclass
 class CompileResult:
-    """Everything the compilation produced."""
+    """Everything the compilation produced.
+
+    ``checked`` and ``module`` of a result answered from the program
+    index (docs/CACHING.md) are built from ``source`` and ``filename``
+    the first time they are read, at most once; the runtime never reads
+    them.
+    """
 
     source: str
-    checked: object           # CheckedProgram
-    module: object            # IRModule
     bytecode_artifact: Artifact
     store: ArtifactStore
     gpu_backend: object = None
@@ -122,6 +128,33 @@ class CompileResult:
     #: The applied repro.fusion/1 plan, or None when fusion was off
     #: (docs/FUSION.md).
     fusion_plan: object = None
+    filename: str = "<lime>"
+    _checked: object = field(default=None, repr=False)   # CheckedProgram
+    _module: object = field(default=None, repr=False)    # IRModule
+    _frontend_lock: object = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def _frontend(self):
+        with self._frontend_lock:
+            if self._module is None:
+                options = self.compile_options or CompileOptions()
+                checked = analyze(self.source, self.filename)
+                self._module = build_ir(
+                    checked, run_optimizations=options.run_optimizations
+                )
+                self._checked = checked
+        return self._checked, self._module
+
+    @property
+    def checked(self):
+        """The type-checked program (``CheckedProgram``)."""
+        return self._frontend()[0]
+
+    @property
+    def module(self):
+        """The lowered ``IRModule``."""
+        return self._frontend()[1]
 
     @property
     def bytecode_program(self):
@@ -170,11 +203,13 @@ class CompilerSession:
     frozen :class:`CompileOptions`, the
     :class:`~repro.backends.artifacts.ArtifactCache` handle (when
     ``options.cache`` enables one), and the obs registry (the options'
-    tracer and its metrics/counters). ``compile`` runs the frontend and
-    IR lowering, then resolves each enabled backend *through the
-    cache*: a hit loads verified artifacts without invoking backend
-    codegen at all; a miss compiles and (in ``readwrite`` mode) writes
-    the entry back. ``harvest`` pre-populates the cache for the whole
+    tracer and its metrics/counters). ``compile`` first asks the
+    cache's program index, which answers an unchanged program without
+    running the frontend; otherwise it runs the frontend and IR
+    lowering, then resolves each enabled backend *through the cache*:
+    a hit loads verified artifacts without invoking backend codegen at
+    all; a miss compiles and (in ``readwrite`` mode) writes the entry
+    back. ``harvest`` pre-populates the cache for the whole
     application suite ahead of time (AOT harvesting).
     """
 
@@ -243,9 +278,36 @@ class CompilerSession:
             return list(backend.artifacts), list(backend.exclusions), backend
         raise ValueError(f"unknown backend id {backend_id!r}")
 
-    def _resolve_backend(self, backend_id: str, module, tracer):
+    def _backend_ids(self) -> list:
+        ids = ["bytecode"]
+        if self.options.enable_gpu:
+            ids.append("opencl")
+        if self.options.enable_fpga:
+            ids.append("verilog")
+        return ids
+
+    @staticmethod
+    def _cached_backend(backend_id: str, key: str, entry):
+        """A cache hit as ``(artifacts, exclusions, stub, info)``."""
+        info = {
+            "state": "hit",
+            "key": key,
+            "modeled_s": entry.modeled_load_s,
+            "modeled_cold_s": entry.modeled_compile_s,
+            "payload_bytes": entry.payload_bytes,
+        }
+        stub = CachedBackend(
+            backend_id, entry.artifacts, entry.exclusions, entry
+        )
+        return entry.artifacts, entry.exclusions, stub, info
+
+    def _resolve_backend(
+        self, backend_id: str, module, fingerprint, tracer, loaded: dict
+    ):
         """One backend through the cache: hit loads, miss compiles
-        (and stores in readwrite mode). Returns
+        (and stores in readwrite mode). ``loaded`` holds the entries
+        the program index already loaded (backend -> (key, entry or
+        None)); they are reused, not loaded and counted again. Returns
         ``(artifacts, exclusions, backend_obj, info)``."""
         info: dict = {"state": "off"}
         key = None
@@ -255,24 +317,17 @@ class CompilerSession:
                 backend_id,
                 self.options,
                 self.cache.options.device_family,
+                fingerprint=fingerprint,
             )
             info["key"] = key
             if self.cache.options.readable:
-                entry = self.cache.load(backend_id, key, tracer=tracer)
+                preloaded = loaded.get(backend_id)
+                if preloaded is not None and preloaded[0] == key:
+                    entry = preloaded[1]
+                else:
+                    entry = self.cache.load(backend_id, key, tracer=tracer)
                 if entry is not None:
-                    info.update(
-                        state="hit",
-                        modeled_s=entry.modeled_load_s,
-                        modeled_cold_s=entry.modeled_compile_s,
-                        payload_bytes=entry.payload_bytes,
-                    )
-                    stub = CachedBackend(
-                        backend_id,
-                        entry.artifacts,
-                        entry.exclusions,
-                        entry,
-                    )
-                    return entry.artifacts, entry.exclusions, stub, info
+                    return self._cached_backend(backend_id, key, entry)
         artifacts, exclusions, backend = self._compile_backend(
             backend_id, module, tracer
         )
@@ -288,77 +343,130 @@ class CompilerSession:
 
     # -- compilation ----------------------------------------------------
 
+    def _index_digest(self, source: str) -> "str | None":
+        """The program index digest of ``source``, or None when the
+        index does not apply: no cache, or fusion on (the plan is part
+        of the result, and its plan/profile files are inputs the digest
+        does not cover)."""
+        if self.cache is None or self.options.fusion.enabled:
+            return None
+        return program_digest(
+            source, self.options, self.cache.options.device_family
+        )
+
+    def _resolve_indexed(self, digest: str, tracer, loaded: dict):
+        """Every enabled backend loaded through the program index, or
+        None when the index has no usable entry or one of the entries
+        it names is missing or corrupt. What was loaded before the
+        failure stays in ``loaded`` for the full path."""
+        keys = self.cache.load_program(digest)
+        backend_ids = self._backend_ids()
+        if keys is None or sorted(keys) != sorted(backend_ids):
+            return None
+        resolved = {}
+        for backend_id in backend_ids:
+            key = keys[backend_id]
+            entry = self.cache.load(backend_id, key, tracer=tracer)
+            loaded[backend_id] = (key, entry)
+            if entry is None:
+                return None
+            resolved[backend_id] = self._cached_backend(
+                backend_id, key, entry
+            )
+        return resolved
+
+    def _compile_full(self, source: str, filename: str, tracer,
+                      loaded: dict):
+        """Frontend, IR, fusion, then each backend through the cache.
+        Returns ``(checked, module, fusion_plan, resolved)``."""
+        options = self.options
+        counters = tracer.counters
+        with tracer.span("compile.frontend", filename=filename):
+            checked = analyze(source, filename)
+        with tracer.span(
+            "compile.ir", run_optimizations=options.run_optimizations
+        ) as ir_span:
+            module = build_ir(
+                checked, run_optimizations=options.run_optimizations
+            )
+            ir_span.set(
+                functions=len(module.functions),
+                task_graphs=len(module.task_graphs),
+            )
+        fusion_plan = None
+        if options.fusion.enabled:
+            with tracer.span(
+                "compile.fusion", mode=options.fusion.mode
+            ) as fusion_span:
+                fusion_plan = fuse_module(
+                    module,
+                    options.fusion.mode,
+                    plan_path=options.fusion.plan_path,
+                    profile=self._load_profile(options.fusion.profile_path),
+                )
+                map_groups = len(fusion_plan.map_groups)
+                graph_groups = len(fusion_plan.graph_groups)
+                fusion_span.set(
+                    map_groups=map_groups,
+                    graph_groups=graph_groups,
+                    rejected=len(fusion_plan.rejected),
+                )
+                counters.add("fusion.map.fused", map_groups)
+                counters.add("fusion.graph.planned", graph_groups)
+                counters.add(
+                    "fusion.plan.rejected", len(fusion_plan.rejected)
+                )
+        # One canonicalization of the IR serves all three keys.
+        fingerprint = (
+            ir_fingerprint(module) if self.cache is not None else None
+        )
+        resolved = {
+            backend_id: self._resolve_backend(
+                backend_id, module, fingerprint, tracer, loaded
+            )
+            for backend_id in self._backend_ids()
+        }
+        return checked, module, fusion_plan, resolved
+
     def compile(
         self, source: str, filename: str = "<lime>"
     ) -> CompileResult:
-        """Run the whole toolchain over Lime source text."""
-        options = self.options
+        """Run the whole toolchain over Lime source text.
+
+        With a cache and fusion off, the program index is asked first:
+        when it names a verified entry for every enabled backend, the
+        compile is answered from those entries without running the
+        frontend (the result's ``checked``/``module`` are then built on
+        first read). Otherwise the full path runs and, in readwrite
+        mode, indexes the program for the next compile."""
         tracer = self.tracer
         counters = tracer.counters
-        cache_info: dict = {}
         with tracer.span(
             "compile", filename=filename, source_chars=len(source)
         ) as compile_span:
-            with tracer.span("compile.frontend", filename=filename):
-                checked = analyze(source, filename)
-            with tracer.span(
-                "compile.ir", run_optimizations=options.run_optimizations
-            ) as ir_span:
-                module = build_ir(
-                    checked, run_optimizations=options.run_optimizations
+            digest = self._index_digest(source)
+            loaded: dict = {}
+            resolved = None
+            checked = module = fusion_plan = None
+            if digest is not None:
+                resolved = self._resolve_indexed(digest, tracer, loaded)
+            if resolved is None:
+                checked, module, fusion_plan, resolved = self._compile_full(
+                    source, filename, tracer, loaded
                 )
-                ir_span.set(
-                    functions=len(module.functions),
-                    task_graphs=len(module.task_graphs),
-                )
-            fusion_plan = None
-            if options.fusion.enabled:
-                with tracer.span(
-                    "compile.fusion", mode=options.fusion.mode
-                ) as fusion_span:
-                    fusion_plan = fuse_module(
-                        module,
-                        options.fusion.mode,
-                        plan_path=options.fusion.plan_path,
-                        profile=self._load_profile(
-                            options.fusion.profile_path
-                        ),
-                    )
-                    map_groups = len(fusion_plan.map_groups)
-                    graph_groups = len(fusion_plan.graph_groups)
-                    fusion_span.set(
-                        map_groups=map_groups,
-                        graph_groups=graph_groups,
-                        rejected=len(fusion_plan.rejected),
-                    )
-                    counters.add("fusion.map.fused", map_groups)
-                    counters.add("fusion.graph.planned", graph_groups)
-                    counters.add(
-                        "fusion.plan.rejected", len(fusion_plan.rejected)
+                if digest is not None and self.cache.options.writable:
+                    self.cache.store_program(
+                        digest,
+                        {b: r[3]["key"] for b, r in resolved.items()},
                     )
             store = ArtifactStore()
-            bc_artifacts, _, _, bc_info = self._resolve_backend(
-                "bytecode", module, tracer
-            )
-            cache_info["bytecode"] = bc_info
-            cpu_artifact = bc_artifacts[0]
-            store.add(cpu_artifact)
-            gpu_backend = None
-            fpga_backend = None
-            if options.enable_gpu:
-                artifacts, exclusions, gpu_backend, info = (
-                    self._resolve_backend("opencl", module, tracer)
-                )
-                cache_info["opencl"] = info
-                for artifact in artifacts:
-                    store.add(artifact)
-                for exclusion in exclusions:
-                    store.add_exclusion(exclusion)
-            if options.enable_fpga:
-                artifacts, exclusions, fpga_backend, info = (
-                    self._resolve_backend("verilog", module, tracer)
-                )
-                cache_info["verilog"] = info
+            cache_info: dict = {}
+            backends: dict = {}
+            for backend_id, (artifacts, exclusions, backend, info) in (
+                resolved.items()
+            ):
+                cache_info[backend_id] = info
+                backends[backend_id] = backend
                 for artifact in artifacts:
                     store.add(artifact)
                 for exclusion in exclusions:
@@ -381,15 +489,16 @@ class CompilerSession:
             )
         return CompileResult(
             source=source,
-            checked=checked,
-            module=module,
-            bytecode_artifact=cpu_artifact,
+            bytecode_artifact=resolved["bytecode"][0][0],
             store=store,
-            gpu_backend=gpu_backend,
-            fpga_backend=fpga_backend,
-            compile_options=options,
+            gpu_backend=backends.get("opencl"),
+            fpga_backend=backends.get("verilog"),
+            compile_options=self.options,
             cache_info=cache_info,
             fusion_plan=fusion_plan,
+            filename=filename,
+            _checked=checked,
+            _module=module,
         )
 
     def compile_cached(

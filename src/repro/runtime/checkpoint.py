@@ -80,10 +80,12 @@ ENTRY_KINDS = ("filter-batch", "map", "reduce")
 class CheckpointRecorder:
     """Memoizing capture/replay of one job's device decision points.
 
-    Construct directly for a fresh capture (truncates ``path``), or
-    via :meth:`resume` to replay the last valid frame of an existing
-    file. Either way, :meth:`attach` binds the recorder to the job's
-    :class:`~repro.runtime.engine.Runtime` before the run starts.
+    Construct directly for a fresh capture (removes ``path``; the file
+    is created with the first frame, so a job that never persists
+    leaves none), or via :meth:`resume` to replay the last valid frame
+    of an existing file. Either way, :meth:`attach` binds the recorder
+    to the job's :class:`~repro.runtime.engine.Runtime` before the run
+    starts.
     """
 
     def __init__(self, path: str, interval: int = DEFAULT_INTERVAL,
@@ -118,12 +120,10 @@ class CheckpointRecorder:
         self.bytes_persisted = 0
         self.resume_hits = 0
         self.modeled_persist_s = 0.0
-        if self._frame is None:
-            directory = os.path.dirname(path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(path, "wb") as f:
-                f.write(CHECKPOINT_MAGIC)
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
 
     # -- construction --------------------------------------------------
 
@@ -386,8 +386,16 @@ class CheckpointRecorder:
             sort_keys=True,
         ).encode("utf-8")
         frame = frame_record(payload)
-        with open(self.path, "ab") as f:
-            f.write(frame)
+        if self._next_seq == 0:
+            # A fresh capture's first frame creates the file.
+            directory = os.path.dirname(self.path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            with open(self.path, "wb") as f:
+                f.write(CHECKPOINT_MAGIC + frame)
+        else:
+            with open(self.path, "ab") as f:
+                f.write(frame)
         entries = len(self._entries)
         self._entries = []
         self._next_seq += 1

@@ -471,6 +471,9 @@ class CoExecutionService:
                 self.journal.record_running(job.job_id)
                 to_start.append(job)
             self._running += len(to_start)
+            # Finished job threads are dropped here; drain joins the
+            # rest.
+            self._threads = [t for t in self._threads if t.is_alive()]
             for job in to_start:
                 thread = threading.Thread(
                     target=self._run_job,

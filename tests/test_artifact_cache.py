@@ -7,14 +7,19 @@ verification, LRU eviction with pinning, corruption handling, and the
 maintenance surface (stats/verify/purge). The end-to-end warm-start
 behaviour through :class:`repro.compiler.CompilerSession` lives in
 ``test_session.py``; bit-identical cold/warm execution lives in
-``test_cache_differential.py``.
+``test_cache_differential.py``. The program index in front of the
+entries, and read mode's promise to write nothing, are tested here
+through the session.
 """
 
 import json
 import os
+import shutil
 
 import pytest
 
+import repro.compiler
+import repro.backends.artifacts as artifacts_module
 from repro.backends.artifacts import (
     ARTIFACT_SCHEMA,
     ArtifactCache,
@@ -25,8 +30,10 @@ from repro.backends.artifacts import (
     modeled_compile_s,
     modeled_load_s,
     options_fingerprint,
+    program_digest,
+    toolchain_digest,
 )
-from repro.compiler import CompileOptions, compile_program
+from repro.compiler import CompileOptions, CompilerSession, compile_program
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 
@@ -380,8 +387,31 @@ class TestEviction:
         # The just-stored entry is protected this round too (keep=key);
         # only older unpinned entries are LRU victims.
         assert second in remaining
-        cache.unpin(first)
-        assert first not in cache.pinned()
+        assert cache.pinned() == [first]
+
+    def test_lru_order_spans_cache_instances(self, tmp_path):
+        # Recency is on the entries, so a hit through one instance
+        # orders eviction for every other instance.
+        writer = _cache(tmp_path)
+        sources = (BITFLIP, SAXPY, BITFLIP.replace("~b", "b"))
+        keys = [self._store_program(writer, source) for source in sources]
+        reader = ArtifactCache(writer.options)
+        assert reader.load("opencl", keys[0]) is not None
+        assert sorted(
+            keys, key=lambda k: (reader.last_used_ns(k), k)
+        ) == [keys[1], keys[2], keys[0]]
+        assert [
+            e["last_used_ns"] for e in writer.stats()["entries"]
+        ] == [writer.last_used_ns(k) for k in writer.keys()]
+        # Room for everything but one byte: storing a fourth entry
+        # evicts exactly the least recently used one.
+        other = _cache(tmp_path / "other")
+        fourth = self._store_program(other, SUITE["crc8"].source)
+        small = ArtifactCache(writer.options.replace(
+            max_bytes=writer.total_bytes() + other.entry_bytes(fourth) - 1
+        ))
+        self._store_program(small, SUITE["crc8"].source)
+        assert set(small.keys()) == {keys[0], keys[2], fourth}
 
     def test_evict_counter(self, tmp_path):
         cache = _cache(tmp_path)
@@ -437,3 +467,306 @@ class TestMaintenance:
         assert cache.keys() == []
         assert cache.pinned() == []
         assert cache.total_bytes() == 0
+
+
+def _rw(tmp_path, **overrides):
+    return CompileOptions(
+        cache=CacheOptions(
+            cache_dir=str(tmp_path / "cache"), mode="readwrite"
+        ),
+        **overrides,
+    )
+
+
+def _index_path(options, source=BITFLIP):
+    digest = program_digest(source, options, options.cache.device_family)
+    return os.path.join(options.cache.cache_dir, "programs", digest + ".json")
+
+
+def _count_frontend(monkeypatch) -> list:
+    """Count the compiles that run the frontend (the index serves the
+    others)."""
+    calls = []
+    real = repro.compiler.analyze
+
+    def analyze(source, filename="<lime>"):
+        calls.append(filename)
+        return real(source, filename)
+
+    monkeypatch.setattr(repro.compiler, "analyze", analyze)
+    return calls
+
+
+def _tree(root) -> list:
+    """Every directory and file under ``root`` with its mtime (and a
+    file's size): equal trees mean nothing was written."""
+    rows = []
+    for dirpath, _, filenames in os.walk(root):
+        rows.append((dirpath, "dir", os.stat(dirpath).st_mtime_ns))
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            stat = os.stat(path)
+            rows.append((path, stat.st_size, stat.st_mtime_ns))
+    return sorted(rows)
+
+
+class TestReadMode:
+    def test_read_mode_writes_nothing(self, tmp_path):
+        rw = _rw(tmp_path)
+        for name in sorted(SUITE):
+            CompilerSession(rw).compile(
+                SUITE[name].source, filename=f"<{name}.lime>"
+            )
+        key = cache_key(_compiled().module, "opencl", CompileOptions())
+        payload = os.path.join(rw.cache.cache_dir, "objects", key,
+                               "payload.0.pkl")
+        with open(payload, "r+b") as f:
+            f.truncate(os.path.getsize(payload) // 2)
+        before = _tree(rw.cache.cache_dir)
+
+        tracer = Tracer()
+        ro = rw.replace(cache=rw.cache.replace(mode="read"), tracer=tracer)
+        for name in sorted(SUITE):
+            result = CompilerSession(ro).compile(
+                SUITE[name].source, filename=f"<{name}.lime>"
+            )
+            assert result.warm == (name != "bitflip"), name
+        assert tracer.counters.get("cache.corrupt") == 1
+        reader = ArtifactCache(ro.cache)
+        assert reader.load("opencl", key, tracer=tracer) is None
+        assert tracer.counters.get("cache.corrupt") == 2
+        # No touch, no index entry, and the corrupt entry stays.
+        assert _tree(rw.cache.cache_dir) == before
+
+    def test_read_mode_creates_no_directory(self, tmp_path):
+        absent = tmp_path / "absent"
+        cache = ArtifactCache(CacheOptions(cache_dir=str(absent), mode="read"))
+        assert cache.keys() == [] and cache.stats()["programs"] == 0
+        assert not absent.exists()
+
+
+class TestOneFingerprint:
+    def test_keys_equal_the_three_call_keys(self, tmp_path, monkeypatch):
+        fingerprints = []
+        real = repro.compiler.ir_fingerprint
+        monkeypatch.setattr(
+            repro.compiler,
+            "ir_fingerprint",
+            lambda module: fingerprints.append(1) or real(module),
+        )
+        options = _rw(tmp_path)
+        for name in sorted(SUITE):
+            result = CompilerSession(options).compile(SUITE[name].source)
+            for backend, info in result.cache_info.items():
+                assert info["key"] == cache_key(
+                    result.module, backend, options
+                ), (name, backend)
+        assert len(fingerprints) == len(SUITE)
+
+
+class TestProgramIndex:
+    def test_index_entry_names_every_backend(self, tmp_path):
+        options = _rw(tmp_path)
+        cold = CompilerSession(options).compile(BITFLIP)
+        cache = ArtifactCache(options.cache)
+        digest = program_digest(BITFLIP, options)
+        assert cache.programs() == [digest]
+        assert cache.load_program(digest) == {
+            backend: info["key"] for backend, info in cold.cache_info.items()
+        }
+
+    def test_indexed_compile_skips_the_frontend(self, tmp_path, monkeypatch):
+        options = _rw(tmp_path)
+        cold = CompilerSession(options).compile(BITFLIP)
+        calls = _count_frontend(monkeypatch)
+        tracer = Tracer()
+        warm = CompilerSession(options.replace(tracer=tracer)).compile(
+            BITFLIP
+        )
+        assert calls == [] and warm.warm
+        assert {b: i["key"] for b, i in warm.cache_info.items()} == {
+            b: i["key"] for b, i in cold.cache_info.items()
+        }
+        assert [s.name for s in tracer.spans if s.name.startswith("compile")] \
+            == ["compile"]
+        assert len(tracer.find("cache.load")) == 3
+        assert tracer.counters.get("cache.hit") == 3
+        # The lazy module is built from the stored source, once.
+        module = warm.module
+        assert calls == ["<lime>"]
+        assert warm.module is module and warm.checked is not None
+        assert ir_fingerprint(module) == ir_fingerprint(cold.module)
+        assert calls == ["<lime>"]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "garbage",
+            "truncated",
+            "empty",
+            "not_an_object",
+            "wrong_schema",
+            "other_program",
+            "missing_backend",
+            "extra_backend",
+            "path_as_key",
+        ],
+    )
+    def test_damaged_index_falls_through(self, tmp_path, monkeypatch,
+                                         damage):
+        options = _rw(tmp_path)
+        cold = CompilerSession(options).compile(BITFLIP)
+        CompilerSession(options).compile(SAXPY)
+        path = _index_path(options)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        record = json.loads(text)
+        if damage == "garbage":
+            text = "\x00\xff not json"
+        elif damage == "truncated":
+            text = text[: len(text) // 2]
+        elif damage == "empty":
+            text = ""
+        elif damage == "not_an_object":
+            text = json.dumps(list(record["keys"].values()))
+        elif damage == "other_program":
+            with open(_index_path(options, SAXPY), encoding="utf-8") as f:
+                text = f.read()
+        else:
+            if damage == "wrong_schema":
+                record["schema"] = "repro.program/0"
+            elif damage == "missing_backend":
+                del record["keys"]["verilog"]
+            elif damage == "extra_backend":
+                record["keys"]["specialize"] = record["keys"]["opencl"]
+            elif damage == "path_as_key":
+                record["keys"]["opencl"] = "../" + record["keys"]["opencl"]
+            text = json.dumps(record)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+
+        calls = _count_frontend(monkeypatch)
+        tracer = Tracer()
+        result = CompilerSession(options.replace(tracer=tracer)).compile(
+            BITFLIP
+        )
+        assert calls == ["<lime>"], "a damaged index must not serve"
+        assert result.warm
+        assert [(a.artifact_id, a.text) for a in result.store.all()] == [
+            (a.artifact_id, a.text) for a in cold.store.all()
+        ]
+        assert tracer.counters.get("cache.hit") == 3
+        assert tracer.counters.get("cache.miss") == 0
+        # The full path rewrote a good entry.
+        digest = program_digest(BITFLIP, options)
+        assert ArtifactCache(options.cache).load_program(digest) == {
+            backend: info["key"] for backend, info in cold.cache_info.items()
+        }
+
+    @pytest.mark.parametrize("damage", ["evicted", "corrupted"])
+    @pytest.mark.parametrize("backend", ["bytecode", "opencl", "verilog"])
+    def test_missing_entry_counts_like_the_full_path(
+        self, tmp_path, monkeypatch, backend, damage
+    ):
+        # Two identical caches, the same entry damaged in both; one
+        # keeps its index, the other has none (the full path alone).
+        # The per-compile counters must be the same.
+        observed = {}
+        for variant in ("indexed", "unindexed"):
+            options = _rw(tmp_path / variant)
+            key = CompilerSession(options).compile(BITFLIP).cache_info[
+                backend
+            ]["key"]
+            cache = ArtifactCache(options.cache)
+            if damage == "evicted":
+                assert cache.evict(key)
+            else:
+                payload = os.path.join(
+                    cache.root, "objects", key, "payload.0.pkl"
+                )
+                with open(payload, "wb") as f:
+                    f.write(b"garbage")
+            if variant == "unindexed":
+                shutil.rmtree(os.path.join(cache.root, "programs"))
+            calls = _count_frontend(monkeypatch)
+            tracer = Tracer()
+            result = CompilerSession(options.replace(tracer=tracer)).compile(
+                BITFLIP
+            )
+            assert calls == ["<lime>"]
+            assert result.store.provenance == "mixed"
+            assert result.cache_info[backend]["state"] == "miss"
+            observed[variant] = {
+                name: value
+                for name, value in tracer.counters.snapshot().items()
+                if name.startswith("cache.")
+            }
+            assert len(tracer.find("cache.load")) == (
+                3 if damage == "corrupted" else 2
+            )
+        assert observed["indexed"] == observed["unindexed"]
+        counts = observed["indexed"]
+        assert counts.get("cache.hit", 0) + counts.get("cache.miss", 0) == 3
+        assert counts.get("cache.corrupt", 0) == (damage == "corrupted")
+
+    def test_other_toolchain_index_is_ignored(self, tmp_path, monkeypatch):
+        options = _rw(tmp_path)
+        monkeypatch.setattr(artifacts_module, "_toolchain", "0" * 64)
+        CompilerSession(options).compile(BITFLIP)
+        monkeypatch.setattr(artifacts_module, "_toolchain", "1" * 64)
+        calls = _count_frontend(monkeypatch)
+        result = CompilerSession(options).compile(BITFLIP)
+        assert calls == ["<lime>"] and result.warm
+        assert len(ArtifactCache(options.cache).programs()) == 2
+
+    def test_toolchain_digest_is_computed_once(self, monkeypatch):
+        monkeypatch.setattr(artifacts_module, "_toolchain", None)
+        parts = []
+        real = artifacts_module._hash_package_files
+        monkeypatch.setattr(
+            artifacts_module,
+            "_hash_package_files",
+            lambda names: parts.append(names) or real(names),
+        )
+        digest = toolchain_digest()
+        assert toolchain_digest() == digest and len(digest) == 64
+        assert parts == [
+            ("lime", "ir", "compiler.py", "backends/artifacts.py")
+        ]
+
+    def test_whitespace_edit_adds_an_index_entry(self, tmp_path,
+                                                 monkeypatch):
+        options = _rw(tmp_path)
+        CompilerSession(options).compile(BITFLIP)
+        reformatted = BITFLIP.replace("\n    ", "\n        ")
+        assert reformatted != BITFLIP
+        calls = _count_frontend(monkeypatch)
+        first = CompilerSession(options).compile(reformatted)
+        assert calls == ["<lime>"] and first.warm
+        assert len(ArtifactCache(options.cache).programs()) == 2
+        again = CompilerSession(options).compile(reformatted)
+        assert calls == ["<lime>"] and again.warm
+
+    def test_option_changes_change_the_digest(self):
+        plain = program_digest(BITFLIP, CompileOptions())
+        for changed in (
+            CompileOptions(enable_gpu=False),
+            CompileOptions(enable_fpga=False),
+            CompileOptions(fpga_pipelined=True),
+            CompileOptions(fpga_max_stage_depth=2),
+            CompileOptions(run_optimizations=False),
+        ):
+            assert program_digest(BITFLIP, changed) != plain
+        assert program_digest(BITFLIP, CompileOptions(), "v2") != plain
+        assert program_digest(BITFLIP + " ", CompileOptions()) != plain
+
+    def test_fusion_skips_the_index(self, tmp_path, monkeypatch):
+        from repro.ir.fusion import FusionOptions
+
+        options = _rw(tmp_path, fusion=FusionOptions(mode="auto"))
+        CompilerSession(options).compile(BITFLIP)
+        calls = _count_frontend(monkeypatch)
+        result = CompilerSession(options).compile(BITFLIP)
+        assert calls == ["<lime>"] and result.warm
+        assert result.fusion_plan is not None
+        assert ArtifactCache(options.cache).programs() == []

@@ -7,6 +7,10 @@ schedulers, a warm-started compile must produce bit-identical results
 to the cold compile it was harvested from: same printed output, same
 return value, same simulated seconds.
 
+The same sweep runs again with the frontend made to raise, which
+proves the program index answered the warm compiles; an indexed
+result's lazily built module canonicalizes like the cold one.
+
 The corruption half proves the failure path is equally invisible: a
 truncated payload or a flipped manifest hash downgrades to an honest
 miss (counted as ``cache.corrupt``), recompiles, repopulates the
@@ -18,8 +22,14 @@ import os
 
 import pytest
 
+import repro.compiler
 from repro.apps import SUITE
-from repro.backends.artifacts import ArtifactCache, CacheOptions, cache_key
+from repro.backends.artifacts import (
+    ArtifactCache,
+    CacheOptions,
+    cache_key,
+    ir_fingerprint,
+)
 from repro.compiler import CompileOptions, CompilerSession
 from repro.obs import Tracer
 from repro.runtime import Runtime, RuntimeConfig
@@ -65,6 +75,43 @@ def test_warm_start_is_invisible(name, scheduler, cache_dir):
     warm = CompilerSession(_options(cache_dir, mode="read")).compile(
         source, filename=f"<{name}.lime>"
     )
+    _assert_invisible(name, scheduler, cold, warm)
+
+
+@pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_warm_start_is_served_by_the_index(name, scheduler, cache_dir,
+                                            monkeypatch):
+    """The same differential with the frontend made to raise: the warm
+    compile, and the runs of its result, never reach it."""
+    source = SUITE[name].source
+    cold = CompilerSession().compile(source, filename=f"<{name}.lime>")
+
+    def analyze(*args, **kwargs):
+        raise AssertionError("the program index should have served this")
+
+    monkeypatch.setattr(repro.compiler, "analyze", analyze)
+    warm = CompilerSession(_options(cache_dir, mode="read")).compile(
+        source, filename=f"<{name}.lime>"
+    )
+    _assert_invisible(name, scheduler, cold, warm)
+
+
+def test_lazy_module_matches_the_cold_module(cache_dir):
+    for name in sorted(SUITE):
+        source = SUITE[name].source
+        cold = CompilerSession().compile(source, filename=f"<{name}.lime>")
+        warm = CompilerSession(_options(cache_dir, mode="read")).compile(
+            source, filename=f"<{name}.lime>"
+        )
+        assert warm._module is None, f"{name} was not served by the index"
+        assert ir_fingerprint(warm.module) == ir_fingerprint(cold.module)
+        assert [g.graph_id for g in warm.task_graphs] == [
+            g.graph_id for g in cold.task_graphs
+        ], name
+
+
+def _assert_invisible(name, scheduler, cold, warm):
     assert warm.warm, f"{name} did not warm-start from the harvest"
     assert warm.store.provenance == "warm"
     # Same artifacts, bit for bit (ids, devices, generated source).

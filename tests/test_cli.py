@@ -1,5 +1,8 @@
 """Tests for the command-line interface and the IDE-style views."""
 
+import os
+import shutil
+
 import pytest
 
 from tests.lime_sources import FIGURE1
@@ -384,3 +387,33 @@ class TestServeCommand:
         ])
         assert code == 0
         assert "timing exempt" in capsys.readouterr().out
+
+
+class TestCacheCommands:
+    def test_index_through_the_cli(self, bitflip_file, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        flags = ["--cache-dir", cache_dir]
+        assert main(["compile", bitflip_file, *flags]) == 0
+        assert "artifact source: cold" in capsys.readouterr().out
+        # The second compile is answered from the program index; the
+        # report still lists the task graphs (built on first read).
+        assert main(["compile", bitflip_file, *flags]) == 0
+        out = capsys.readouterr().out
+        assert "artifact source: warm" in out
+        assert "source(1) => [flip] => sink" in out
+
+        assert main(["cache", "stats", *flags]) == 0
+        assert "programs: 1" in capsys.readouterr().out
+
+        objects = os.path.join(cache_dir, "objects")
+        shutil.rmtree(os.path.join(objects, sorted(os.listdir(objects))[0]))
+        assert main(["cache", "verify", *flags]) == 1
+        assert "corrupt programs/" in capsys.readouterr().err
+        assert main(["cache", "verify", *flags, "--delete-corrupt"]) == 1
+        capsys.readouterr()
+        assert main(["cache", "verify", *flags]) == 0
+        assert os.listdir(os.path.join(cache_dir, "programs")) == []
+
+        assert main(["compile", bitflip_file, *flags]) == 0
+        assert main(["cache", "purge", *flags]) == 0
+        assert not os.path.exists(os.path.join(cache_dir, "programs"))

@@ -9,6 +9,8 @@ soak (three successive crashes on one workload converge), idempotent
 completed-job dedup (no re-execution), unrecoverable-args handling,
 and rejected (submitted-but-never-admitted) jobs."""
 
+import os
+
 import pytest
 
 from repro.apps import SUITE, compile_app, workloads
@@ -219,6 +221,23 @@ def test_recovery_driver_converges(tmp_path, scheduler):
     assert driver["restarts"] >= 3
     if scheduler == "sequential":
         assert driver["checkpoint_resumes"] >= 1
+
+
+@pytest.mark.parametrize("interval", [1, 10**6])
+def test_checkpoint_file_only_for_jobs_that_persist(tmp_path, interval):
+    """The checkpoint file is created by the first frame: a job that
+    never reaches an interval leaves no ``.ckpt`` behind."""
+    journal_dir = tmp_path / "journal"
+    service = _service(journal_dir, None, "sequential", interval=interval)
+    entry, args = workloads.small_args("gray_pipeline")
+    job_id = service.submit(
+        SUITE["gray_pipeline"].source, entry, args, tenant="t0",
+        app="gray_pipeline",
+    )
+    service.drain()
+    assert service.status(job_id)["state"] == COMPLETED
+    written = sorted(os.listdir(journal_dir / "checkpoints"))
+    assert written == ([f"{job_id}.ckpt"] if interval == 1 else [])
 
 
 class TestIdempotentDedup:

@@ -245,6 +245,13 @@ class TestServiceLifecycle:
         assert validate_service_report(report) == []
         assert report["pool"]["in_use"] == {GPU: 0, FPGA: 0}
 
+    def test_finished_job_threads_are_pruned(self):
+        svc = _service()
+        for _ in range(50):
+            svc.result(_submit_app(svc, "bitflip", "alice"), timeout_s=30.0)
+        assert len(svc._threads) <= svc.config.max_running
+        svc.drain()
+
     def test_unknown_job_id_raises(self):
         svc = _service()
         with pytest.raises(ConfigurationError):
