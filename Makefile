@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: test tree-before bench bench-smoke examples trace-smoke \
 	fault-smoke profile-smoke health-smoke harvest-smoke serve-smoke \
-	recover-smoke perf-smoke perf-compare all clean
+	recover-smoke perf-smoke perf-compare perf-pairs all clean
 
 # A green run leaves the tree as it found it: `git status` is recorded
 # before the first smoke target runs and compared after pytest, so a
@@ -59,6 +59,18 @@ perf-compare:
 	@test -n "$(BASE)" -a -n "$(NEW)" || \
 		{ echo "usage: make perf-compare BASE=<results> NEW=<results>"; exit 2; }
 	$(PYTHON) perf/compare.py $(BASE) $(NEW)
+
+# docs/PERFORMANCE.md's paired protocol between two trees: one
+# perf/run.py run of each per seed, alternating which goes first, then
+# per metric q1/median/q3 of each side, the ratio, the pairs the new
+# tree read lower and perf/compare.py's verdict, e.g.
+#   make perf-pairs BASE=../parent NEW=. WORKLOAD=service_jobs SEEDS=2801-2810
+# Results land in benchmarks/out/perf_pairs/<workload>/.
+perf-pairs:
+	@test -n "$(BASE)" -a -n "$(NEW)" -a -n "$(WORKLOAD)" -a -n "$(SEEDS)" || \
+		{ echo "usage: make perf-pairs BASE=<tree> NEW=<tree> WORKLOAD=<w> SEEDS=<a>-<b>"; exit 2; }
+	$(PYTHON) tools/perf_pairs.py --base $(BASE) --new $(NEW) \
+		--workload $(WORKLOAD) --seeds $(SEEDS)
 
 # AOT-harvest the whole app suite into a scratch cache, prove every
 # backend warm-starts (the harvest command exits non-zero otherwise),

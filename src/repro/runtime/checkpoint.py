@@ -24,6 +24,12 @@ the live call signature raises
 discards the checkpoint and re-runs the job from scratch (still
 bit-identical, just slower).
 
+A decision point's outputs are kept as (immutable) values and packed
+into the wire format only when a frame is written, so a job that
+persists nothing packs nothing. An output outside the wire format stops
+capture at that persist: the frame that would hold it, and every later
+one, is never written.
+
 Frames are only written at *quiescent* points: the sequential
 scheduler persists inline at stage boundaries, the threaded scheduler
 only between graphs and after top-level map/reduce commits — a frame
@@ -109,6 +115,8 @@ class CheckpointRecorder:
         # frame. Frames are *deltas* — each carries only this slice,
         # so persist cost stays O(interval) however long the run is;
         # resume concatenates the entry slices of every valid frame.
+        # An entry holds its outputs as values until _persist packs
+        # them; ``_lock`` guards the list.
         self._entries: list = []
         self._next_seq = 0
         self._unpersisted = 0
@@ -306,19 +314,14 @@ class CheckpointRecorder:
             self._depth -= 1
         if self._disabled:
             return outputs, seconds
-        try:
-            packed = pack_values(list(outputs))
-        except Exception:
-            # Outputs outside the wire format cannot be memoized; a
-            # partial memo is worse than none, so stop capturing (the
-            # job stays journal-recoverable from scratch).
-            self._disable()
-            return outputs, seconds
+        # Kept as values and packed only when a frame is written
+        # (_persist): a job that never persists packs nothing. Wire
+        # values are immutable, so the copy of the list is enough.
         self._entries.append({
             "kind": kind,
             "key": key,
             "items": items,
-            "outputs": packed.hex(),
+            "outputs": list(outputs),
             "seconds": seconds,
             "cycles": interp.cycles - cycles_before,
             "stdout": list(interp.stdout[out_before:]),
@@ -371,13 +374,25 @@ class CheckpointRecorder:
 
     def _persist(self) -> None:
         runtime = self._runtime
+        try:
+            entries = [
+                {**entry, "outputs": pack_values(entry["outputs"]).hex()}
+                for entry in self._entries
+            ]
+        except Exception:
+            # Outputs outside the wire format cannot be memoized; a
+            # partial memo is worse than none, so stop capturing and
+            # write neither this frame nor any later one (the job stays
+            # journal-recoverable from scratch).
+            self._disable()
+            return
         payload = json.dumps(
             {
                 "schema": CHECKPOINT_SCHEMA,
                 "job_id": self.job_id,
                 "scheduler": self._scheduler,
                 "seq": self._next_seq,
-                "entries": self._entries,
+                "entries": entries,
                 "injector": runtime.faults.export_state(),
                 "supervisor": runtime.supervisor.export_state(),
                 "health": runtime.health.export_state(),
@@ -396,7 +411,6 @@ class CheckpointRecorder:
         else:
             with open(self.path, "ab") as f:
                 f.write(frame)
-        entries = len(self._entries)
         self._entries = []
         self._next_seq += 1
         self.frames_persisted += 1
@@ -411,7 +425,7 @@ class CheckpointRecorder:
         with self.tracer.span(
             "checkpoint.persist",
             job_id=self.job_id,
-            entries=entries,
+            entries=len(entries),
             bytes=len(frame),
         ):
             pass

@@ -5,7 +5,9 @@ A task's computation is written once, as ``Task.run(ctx)`` against
 driving order (DESIGN.md §3c). :class:`ThreadedScheduler` is the
 paper's: it "creates a thread for each task. These threads will block
 on the incoming connections until enough data is available" (Section
-4.1). :class:`SequentialScheduler` calls the same bodies one after the
+4.1); the threads are pooled, so a graph run starts one only when
+none is idle.
+:class:`SequentialScheduler` calls the same bodies one after the
 other over in-process edges; it is reproducible to the cycle, which the
 benchmark harness prefers, and quiescent between stages.
 
@@ -19,13 +21,14 @@ that turns a stalled device stage into a
 
 from __future__ import annotations
 
-import threading
+import functools
 import time
 
 from repro.errors import DeviceTimeoutError, RuntimeGraphError
 from repro.runtime.graph import Pipeline
 from repro.runtime.queues import InlineEdge
 from repro.runtime.tasks import ExecutionContext
+from repro.runtime.workers import spawn
 
 
 def _attach_stage_context(exc: BaseException, task, scheduler: str) -> None:
@@ -154,12 +157,16 @@ class SequentialScheduler:
 class ThreadedScheduler:
     """One thread per task, blocking FIFO connections in between.
 
+    The threads come from the process-wide pool
+    (:mod:`repro.runtime.workers`): each stage holds one for its whole
+    run, and ``pipeline.threads`` holds their joinable handles.
     ``stage_timeout_s`` arms a per-stage watchdog: ``join()`` waits at
     most that long for each stage thread (cumulatively from the point
     the previous stage finished) and raises
     :class:`~repro.errors.DeviceTimeoutError` naming the stalled stage.
     Worker threads are daemonic so a genuinely hung device simulator
-    cannot wedge interpreter shutdown.
+    cannot wedge interpreter shutdown; its worker never returns to the
+    pool.
     """
 
     name = "threaded"
@@ -219,18 +226,11 @@ class ThreadedScheduler:
                 errors.append((task, exc))
                 _end_stream(task)
 
+        pipeline._errors = errors
         pipeline.threads = [
-            threading.Thread(
-                target=runner,
-                args=(task,),
-                name=f"lime-{task.task_id}",
-                daemon=True,
-            )
+            spawn(functools.partial(runner, task), f"lime-{task.task_id}")
             for task in pipeline.tasks
         ]
-        pipeline._errors = errors
-        for thread in pipeline.threads:
-            thread.start()
         pipeline.started = True
 
     def run_to_completion(self, pipeline: Pipeline, ctx: ExecutionContext) -> None:

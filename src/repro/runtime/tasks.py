@@ -133,13 +133,17 @@ class SourceTask(Task):
     def run(self, ctx):
         stage = self._stage(ctx)
         token = ctx.cancel_token
-        for item in self.emit_items():
-            if token is not None:
-                token.check()
-            self.output_conn.put(item)
-            stage.items += 1
+        out = self.output_conn
+        try:
+            # Cancellation is polled before each item; the edge moves
+            # them in runs, one lock per run.
+            out.put_many(
+                self.emit_items(), None if token is None else token.check
+            )
+        finally:
+            stage.items += out.items_transferred
         stage.busy_s += ctx.seconds_for_cycles(_QUEUE_CYCLES * stage.items)
-        self.output_conn.close()
+        out.close()
 
 
 class SinkTask(Task):
@@ -169,14 +173,15 @@ class SinkTask(Task):
     def run(self, ctx):
         stage = self._stage(ctx)
         token = ctx.cancel_token
-        while True:
-            item = self.input_conn.get()
-            if item is END_OF_STREAM:
-                break
-            if token is not None:
-                token.check()
-            self._store(item)
-            stage.items += 1
+        eos = False
+        while not eos:
+            # Whatever is queued, in one take; stored one at a time.
+            items, eos = self.input_conn.get_queued()
+            for item in items:
+                if token is not None:
+                    token.check()
+                self._store(item)
+                stage.items += 1
         stage.busy_s += ctx.seconds_for_cycles(_QUEUE_CYCLES * stage.items)
 
 
@@ -253,8 +258,8 @@ def replay_filters(invoke, filters, items: list, overhead: int = 0):
 def run_batches(task: Task, ctx: ExecutionContext, limit, execute) -> None:
     """The body of a stage that crosses to a device in batches: drain
     up to ``limit()`` items, ``execute(batch) -> (outputs,
-    busy_seconds)``, forward the outputs; cancellation is polled once
-    per batch."""
+    busy_seconds)``, forward the outputs in one ``put_many``;
+    cancellation is polled once per batch."""
     stage = task._stage(ctx)
     token = ctx.cancel_token
     done = False
@@ -266,8 +271,7 @@ def run_batches(task: Task, ctx: ExecutionContext, limit, execute) -> None:
             outputs, seconds = execute(batch)
             stage.busy_s += seconds
             stage.items += len(outputs)
-            for value in outputs:
-                task.output_conn.put(value)
+            task.output_conn.put_many(outputs)
     task.output_conn.close()
 
 

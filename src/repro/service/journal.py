@@ -38,6 +38,7 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "RECOVER_SCHEMA",
     "canonical_args",
+    "encode_args",
     "JobJournal",
     "NULL_JOURNAL",
     "JobReplay",
@@ -85,7 +86,14 @@ def canonical_args(args) -> list:
     arguments come back out of the journal) execute bit-identical
     inputs. Raises on values outside the wire format.
     """
-    return [deserialize(serialize(value)) for value in args]
+    return [deserialize(wire) for wire in encode_args(args)]
+
+
+def encode_args(args) -> list:
+    """Each argument's wire bytes: what a ``submitted`` record
+    journals and, decoded, what the job runs. Raises on values outside
+    the wire format."""
+    return [serialize(value) for value in args]
 
 
 def outcome_digest(value, output: str, total_s: float,
@@ -149,9 +157,12 @@ class RecoveredOutcome:
 class JobJournal:
     """Append-only journal over ``<journal_dir>/journal.rj``.
 
-    Writes are framed JSON records; :meth:`mark_dead` models the
-    process dying — every subsequent append is dropped, exactly the
-    writes a real crash would lose.
+    Writes are framed JSON records, each one ``write`` to an unbuffered
+    append handle that is opened on first use and held, under
+    ``_lock``, until :meth:`close` or :meth:`mark_dead`. (A write hands
+    the bytes to the OS and nothing more; there is no fsync.)
+    :meth:`mark_dead` models the process dying — every subsequent
+    append is dropped, exactly the writes a real crash would lose.
     """
 
     enabled = True
@@ -162,6 +173,7 @@ class JobJournal:
         self.path = os.path.join(journal_dir, JOURNAL_FILE)
         self._lock = threading.Lock()
         self._dead = False
+        self._handle = None
         self.records_written = 0
         os.makedirs(os.path.join(journal_dir, CHECKPOINT_DIR),
                     exist_ok=True)
@@ -179,7 +191,18 @@ class JobJournal:
         """The simulated process crash: all later appends are lost."""
         with self._lock:
             self._dead = True
+            self._close_handle()
         self.tracer.counters.add("journal.dead")
+
+    def close(self) -> None:
+        """Release the append handle; the next append reopens it."""
+        with self._lock:
+            self._close_handle()
+
+    def _close_handle(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def checkpoint_path(self, job_id: str) -> str:
         return os.path.join(
@@ -197,8 +220,11 @@ class JobJournal:
             if self._dead:
                 self.tracer.counters.add("journal.append.dropped")
                 return
-            with open(self.path, "ab") as f:
-                f.write(frame)
+            if self._handle is None:
+                self._handle = open(self.path, "ab", buffering=0)
+            view = memoryview(frame)
+            while view:   # one write, unless the OS takes fewer bytes
+                view = view[self._handle.write(view):]
             self.records_written += 1
         counters = self.tracer.counters
         counters.add("journal.append")
@@ -206,16 +232,17 @@ class JobJournal:
 
     # -- record constructors -------------------------------------------
 
-    def record_submitted(self, job) -> None:
-        args_wire: "list | None" = []
-        for value in job.args:
+    def record_submitted(self, job, wire: "list | None" = None) -> None:
+        """``wire`` is :func:`encode_args` of the job's arguments when
+        the caller already has it."""
+        if wire is None:
             try:
-                args_wire.append(serialize(value).hex())
+                wire = encode_args(job.args)
             except Exception:
                 # Inputs outside the wire format cannot be re-run from
                 # the journal; the job is journaled but unrecoverable.
-                args_wire = None
-                break
+                wire = None
+        args_wire = None if wire is None else [w.hex() for w in wire]
         self.append({
             "type": "submitted",
             "job_id": job.job_id,
@@ -307,13 +334,16 @@ class _NullJournal:
     def mark_dead(self) -> None:
         pass
 
+    def close(self) -> None:
+        pass
+
     def checkpoint_path(self, job_id: str) -> None:
         return None
 
     def append(self, record: dict) -> None:
         pass
 
-    def record_submitted(self, job) -> None:
+    def record_submitted(self, job, wire=None) -> None:
         pass
 
     def record_admitted(self, job_id) -> None:

@@ -12,9 +12,9 @@ enforcing bounded per-tenant queues with deterministic weighted
 round-robin dispatch.
 
 The API is ``submit / status / result / cancel / drain``. Each
-admitted job runs a full task-graph runtime on its own thread with its
-own interpreter, timing ledger, and fault injector — simulated time is
-per job, so concurrent execution is bit-identical to standalone
+admitted job runs a full task-graph runtime on its own (pooled) thread
+with its own interpreter, timing ledger, and fault injector — simulated
+time is per job, so concurrent execution is bit-identical to standalone
 execution — while device access is arbitrated by slot leases and the
 shared breakers.
 
@@ -34,6 +34,7 @@ Cancel mid-run      cooperative stop at the next firing boundary;
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.engine import Runtime, RuntimeConfig
 from repro.runtime.faults import fault_log_payload
 from repro.runtime.health import HealthRegistry
+from repro.runtime.workers import spawn
 from repro.service.admission import AdmissionController
 from repro.service.jobs import (
     CANCELLED,
@@ -72,10 +74,12 @@ from repro.service.journal import (
     RECOVER_SCHEMA,
     JobJournal,
     canonical_args,
+    encode_args,
     load_journal,
     outcome_digest,
 )
 from repro.service.pool import DevicePool
+from repro.values import deserialize
 
 __all__ = [
     "SERVICE_SCHEMA",
@@ -167,7 +171,7 @@ class CoExecutionService:
         )
         self._lock = threading.RLock()
         self._jobs: dict = {}       # job_id -> Job (insertion-ordered)
-        self._threads: list = []
+        self._handles: list = []    # pooled job threads (runtime.workers)
         self._seq = 0
         self._running = 0
         self._draining = False
@@ -300,22 +304,26 @@ class CoExecutionService:
                 deadline_s=deadline_s,
                 clock=self.config.clock,
             )
+            wire = None
             if self.journal.enabled:
                 # Wire-canonical inputs (docs/RECOVERY.md): a
                 # recovered re-run gets its arguments back out of the
                 # journal, so the first run must execute the same
-                # post-round-trip values. Unserializable arguments
-                # stay as-is; the journal marks the job
-                # unrecoverable.
+                # post-round-trip values. Encoded once: the job runs
+                # the decoded bytes and the journal records them.
+                # Unserializable arguments stay as-is; the journal
+                # marks the job unrecoverable.
                 try:
-                    job.args = canonical_args(job.args)
+                    wire = encode_args(job.args)
                 except Exception:
                     pass
+                else:
+                    job.args = [deserialize(w) for w in wire]
             # Write-ahead: the submitted record (full deterministic
             # inputs) lands before the queue commit; a crash between
             # the two leaves a submitted-but-never-admitted record
             # that recovery treats as rejected.
-            self.journal.record_submitted(job)
+            self.journal.record_submitted(job, wire)
             try:
                 self.admission.enqueue(tenant, job)
             except AdmissionRejected:
@@ -471,18 +479,17 @@ class CoExecutionService:
                 self.journal.record_running(job.job_id)
                 to_start.append(job)
             self._running += len(to_start)
-            # Finished job threads are dropped here; drain joins the
+            # Finished jobs' handles are dropped here; drain joins the
             # rest.
-            self._threads = [t for t in self._threads if t.is_alive()]
+            self._handles = [h for h in self._handles if h.is_alive()]
             for job in to_start:
-                thread = threading.Thread(
-                    target=self._run_job,
-                    args=(job,),
-                    name=f"svc-{job.job_id}",
-                    daemon=True,
-                )
-                self._threads.append(thread)
-                thread.start()
+                # The job reads done once its worker is idle again, so
+                # a client that waits and resubmits reuses it.
+                self._handles.append(spawn(
+                    functools.partial(self._run_job, job),
+                    f"svc-{job.job_id}",
+                    done=job.done.set,
+                ))
 
     def _runtime_config(self, job: Job) -> RuntimeConfig:
         base = self.config.runtime
@@ -673,7 +680,6 @@ class CoExecutionService:
             self.admission.observe_duration(job.wall_s)
             with self._lock:
                 self._running -= 1
-            job.done.set()
             self._dispatch()
 
     # -- drain -------------------------------------------------------------
@@ -693,8 +699,9 @@ class CoExecutionService:
         )
         for job in jobs:
             self._wait_job(job, deadline, "drain")
-        for thread in list(self._threads):
-            thread.join(1.0)
+        for handle in list(self._handles):
+            handle.join(1.0)
+        self.journal.close()
         self._check_crashed()
         return self.to_report()
 

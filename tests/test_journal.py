@@ -66,6 +66,7 @@ def _write_journal(tmp_path, jobs=2):
             fault_log=[],
         )
         journal.record_completed(job)
+    journal.close()
     return str(tmp_path / JOURNAL_FILE)
 
 
@@ -122,6 +123,7 @@ class TestJournalFile:
         before = load_journal(str(tmp_path)).records
         journal = JobJournal(str(tmp_path))
         journal.record_admitted("job-0009")
+        journal.close()
         after = load_journal(str(tmp_path))
         assert after.records == before + 1
 

@@ -307,6 +307,7 @@ class TestJournalEdgeCases:
         journal.record_submitted(job)
         journal.record_admitted(job.job_id)
         journal.record_running(job.job_id)
+        journal.close()
 
         service = CoExecutionService(
             ServiceConfig(
@@ -333,6 +334,7 @@ class TestJournalEdgeCases:
             app="bitflip",
         )
         journal.record_submitted(job)   # crash before admission
+        journal.close()
 
         service = CoExecutionService(
             ServiceConfig(

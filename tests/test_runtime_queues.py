@@ -267,7 +267,7 @@ class TestDrainBounded:
 
 
 class TestCancelMidStageShutdown:
-    def test_threaded_cancel_drains_and_joins(self):
+    def test_threaded_cancel_drains_and_joins(self, monkeypatch):
         """A job cancelled mid-stage on the threaded scheduler must
         drain its Connections and join worker threads — not deadlock
         on a full queue (the pre-PR hazard: a failed stage blocking in
@@ -288,24 +288,39 @@ class TestCancelMidStageShutdown:
                     self.cancel()
                 return super().cancelled()
 
+        from repro.runtime.scheduler import ThreadedScheduler
+        from repro.runtime.workers import WORKERS
+
         compiled = compile_app("gray_pipeline")
         runtime = Runtime(
             compiled,
             RuntimeConfig(scheduler="threaded"),
             cancel_token=TripOnThirdPoll(),
         )
+        pipelines = []
+        start = ThreadedScheduler.start
+
+        def recording_start(scheduler, pipeline, ctx):
+            pipelines.append(pipeline)
+            start(scheduler, pipeline, ctx)
+
+        monkeypatch.setattr(ThreadedScheduler, "start", recording_start)
         entry, args = workloads.small_args("gray_pipeline")
-        before = threading.active_count()
+        busy_before = WORKERS.busy
         with pytest.raises(JobCancelledError) as excinfo:
             runtime.run(entry, args)
         assert excinfo.value.job_id == "job-q"
         assert runtime.shutdown_active(timeout_s=2.0)
-        # Give daemonic workers a beat to exit, then confirm none of
-        # the pipeline's threads are wedged in put()/close().
+        # Stage threads are pooled: an idle worker outlives the run by
+        # design, so "no thread wedged in put()/close()" reads as every
+        # stage handle finished and every worker back in the pool (not
+        # as the process's thread count falling back).
+        assert pipelines
         deadline = time.monotonic() + 2.0
         while (
-            threading.active_count() > before
-            and time.monotonic() < deadline
-        ):
+            any(h.is_alive() for p in pipelines for h in p.threads)
+            or WORKERS.busy > busy_before
+        ) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert threading.active_count() <= before
+        assert not any(h.is_alive() for p in pipelines for h in p.threads)
+        assert WORKERS.busy <= busy_before

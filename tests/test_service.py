@@ -249,7 +249,7 @@ class TestServiceLifecycle:
         svc = _service()
         for _ in range(50):
             svc.result(_submit_app(svc, "bitflip", "alice"), timeout_s=30.0)
-        assert len(svc._threads) <= svc.config.max_running
+        assert len(svc._handles) <= svc.config.max_running
         svc.drain()
 
     def test_unknown_job_id_raises(self):
