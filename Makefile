@@ -176,6 +176,10 @@ recover-smoke:
 	from repro.service import validate_recover_file; \
 	validate_recover_file('benchmarks/out/recover_smoke.json'); \
 	print('recover-smoke: benchmarks/out/recover_smoke.json valid')"
+	@test "$$(ls -A benchmarks/out/recover_smoke_journal)" = journal.rj || \
+		{ echo "recover-smoke: the journal directory must hold only" \
+		  "journal.rj:"; ls -AR benchmarks/out/recover_smoke_journal; \
+		  exit 1; }
 
 # Kill every accelerator call against a GPU map app and an FPGA stream
 # app: both runs must still produce output identical to a cpu-only run,

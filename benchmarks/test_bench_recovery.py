@@ -24,7 +24,7 @@ import time
 
 from repro.apps import compile_app, workloads
 from repro.runtime import CheckpointRecorder, Runtime, RuntimeConfig
-from repro.service import load_journal, run_recovery_driver
+from repro.service import JobJournal, load_journal, run_recovery_driver
 
 from harness import bench_metric, format_table, write_bench_report
 
@@ -47,9 +47,8 @@ BATCH = 64
 def _measure_overhead(name: str, tmp_path) -> dict:
     entry, args = getattr(workloads, f"{name}_args")(STREAM_ITEMS)
     compiled = compile_app(name)
-    recorder = CheckpointRecorder(
-        str(tmp_path / f"{name}.ckpt"), job_id=f"bench-{name}"
-    )
+    journal = JobJournal(str(tmp_path / f"{name}-journal"))
+    recorder = CheckpointRecorder(journal, f"bench-{name}")
     runtime = Runtime(
         compiled,
         RuntimeConfig(

@@ -6,8 +6,6 @@ from repro.runtime.cancel import CancelToken
 from repro.runtime.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointRecorder,
-    load_frames,
-    load_last_frame,
 )
 from repro.runtime.engine import Runtime, RuntimeConfig, RunOutcome
 from repro.runtime.faults import (
@@ -63,8 +61,6 @@ __all__ = [
     "CancelToken",
     "CheckpointRecorder",
     "fault_log_payload",
-    "load_frames",
-    "load_last_frame",
     "Connection",
     "DemotionRecord",
     "DeviceHealth",

@@ -5,12 +5,14 @@ A :class:`CheckpointRecorder` memoizes the results of the runtime's
 and every whole ``execute_map`` / ``execute_reduce`` invocation — and
 periodically persists them, together with wholesale snapshots of the
 fault injector, the retry supervisor, and the device-health registry,
-as torn-write-tolerant frames (``repro.checkpoint/1``) appended to a
-per-job checkpoint file. Frames are *deltas*: each carries only the
-entries captured since the previous frame (state snapshots are always
+as ``repro.checkpoint/1`` frames appended to the service's job journal
+(:class:`~repro.service.journal.JobJournal`) through its one locked
+append handle. Frames are *deltas*: each carries only the entries
+captured since the previous frame (state snapshots are always
 wholesale), so a frame costs O(interval) however long the run is, and
-resume consumes the concatenated entry slices of the whole valid
-chain.
+resume consumes the concatenated entry slices of the job's frame chain
+(``seq`` 0, 1, 2, ...), which :func:`~repro.service.journal.load_journal`
+folds out of the journal beside the job's lifecycle state.
 
 On restart the service resumes an interrupted job by re-running it
 from its entry point with a recorder in *replay* mode: host/bytecode
@@ -21,8 +23,8 @@ and interpreter cycles replayed — so the resumed run is bit-identical
 to the uninterrupted one. A decision point whose memo does not match
 the live call signature raises
 :class:`~repro.errors.CheckpointReplayError`; the service then
-discards the checkpoint and re-runs the job from scratch (still
-bit-identical, just slower).
+journals the job as recovered from scratch (which makes the chain
+unresumable) and re-runs it (still bit-identical, just slower).
 
 A decision point's outputs are kept as (immutable) values and packed
 into the wire format only when a frame is written, so a job that
@@ -45,25 +47,16 @@ benchmark harness (``BENCH_recovery.json``) to report against the
 from __future__ import annotations
 
 import json
-import os
 import threading
 
 from repro.errors import CheckpointReplayError, ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.health import OPEN
 from repro.runtime.timing import OffloadRecord
-from repro.values import (
-    frame_record,
-    pack_values,
-    unframe_records,
-    unpack_values,
-)
+from repro.values import frame_record, pack_values, unpack_values
 
 #: Schema tag stamped into every checkpoint frame.
 CHECKPOINT_SCHEMA = "repro.checkpoint/1"
-
-#: File magic for checkpoint files (frames follow).
-CHECKPOINT_MAGIC = b"RC1\n"
 
 #: Modeled cost of persisting one frame: a fixed submit latency plus
 #: the frame bytes over a local-SSD-class write stream. Kept out of
@@ -86,39 +79,48 @@ ENTRY_KINDS = ("filter-batch", "map", "reduce")
 class CheckpointRecorder:
     """Memoizing capture/replay of one job's device decision points.
 
-    Construct directly for a fresh capture (removes ``path``; the file
-    is created with the first frame, so a job that never persists
-    leaves none), or via :meth:`resume` to replay the last valid frame
-    of an existing file. Either way, :meth:`attach` binds the recorder
-    to the job's :class:`~repro.runtime.engine.Runtime` before the run
-    starts.
+    ``chain`` is the job's frame chain from the journal snapshot
+    (:attr:`~repro.service.journal.JobReplay.checkpoints`): a non-empty
+    chain makes the recorder replay it and continue it at the next
+    ``seq``; without one it captures afresh from ``seq`` 0. Frames are
+    written to ``journal``. Either way, :meth:`attach` binds the
+    recorder to the job's :class:`~repro.runtime.engine.Runtime`
+    before the run starts.
     """
 
-    def __init__(self, path: str, interval: int = DEFAULT_INTERVAL,
-                 job_id: str = "", tracer=NULL_TRACER):
+    def __init__(self, journal, job_id: str,
+                 interval: int = DEFAULT_INTERVAL, tracer=NULL_TRACER,
+                 chain: "list | None" = None):
         if interval < 1:
             raise ConfigurationError(
                 f"checkpoint interval must be >= 1, got {interval}"
             )
-        self.path = path
+        chain = chain or []
+        self.journal = journal
         self.interval = interval
         self.job_id = job_id
         self.tracer = tracer
         self._runtime = None
         self._scheduler = ""
-        # Replay state (resume mode): per-(kind, key) FIFO queues of
-        # frame entries, plus the last frame's state snapshots.
+        # Replay state: per-(kind, key) FIFO queues of the chain's
+        # entries (frames are deltas, so every frame's slice in frame
+        # order), plus the last frame — its injector/supervisor/health
+        # snapshots are the crashed run's state at its most recent
+        # quiescent persist.
         self._queues: dict = {}
-        self._frame: "dict | None" = None
+        for frame in chain:
+            for entry in frame["entries"]:
+                handle = (entry["kind"], entry["key"])
+                self._queues.setdefault(handle, []).append(entry)
+        self._frame: "dict | None" = chain[-1] if chain else None
         self._restored_breakers: list = []
         # Capture state: entries recorded since the last persisted
         # frame. Frames are *deltas* — each carries only this slice,
-        # so persist cost stays O(interval) however long the run is;
-        # resume concatenates the entry slices of every valid frame.
+        # so persist cost stays O(interval) however long the run is.
         # An entry holds its outputs as values until _persist packs
         # them; ``_lock`` guards the list.
         self._entries: list = []
-        self._next_seq = 0
+        self._next_seq = len(chain)
         self._unpersisted = 0
         self._disabled = False
         self._depth = 0
@@ -128,54 +130,6 @@ class CheckpointRecorder:
         self.bytes_persisted = 0
         self.resume_hits = 0
         self.modeled_persist_s = 0.0
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            pass
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def resume(cls, path: str, interval: int = DEFAULT_INTERVAL,
-               job_id: str = "",
-               tracer=NULL_TRACER) -> "CheckpointRecorder | None":
-        """A recorder replaying ``path``'s valid frame chain, or
-        ``None`` when the file is missing, empty, or wholly torn.
-
-        Frames are deltas: the replay queue is the concatenation of
-        every valid frame's entry slice (in frame order), while the
-        injector/supervisor/health snapshots come from the *last*
-        valid frame — the state the crashed run had at its most recent
-        quiescent persist."""
-        frames = load_frames(path)
-        if not frames:
-            return None
-        frame = frames[-1]
-        recorder = cls.__new__(cls)
-        recorder.path = path
-        recorder.interval = max(1, int(interval))
-        recorder.job_id = job_id or frame.get("job_id", "")
-        recorder.tracer = tracer
-        recorder._runtime = None
-        recorder._scheduler = ""
-        recorder._frame = frame
-        recorder._restored_breakers = []
-        recorder._entries = []
-        recorder._next_seq = len(frames)
-        recorder._queues = {}
-        for chunk in frames:
-            for entry in chunk["entries"]:
-                handle = (entry["kind"], entry["key"])
-                recorder._queues.setdefault(handle, []).append(entry)
-        recorder._unpersisted = 0
-        recorder._disabled = False
-        recorder._depth = 0
-        recorder._lock = threading.RLock()
-        recorder.frames_persisted = 0
-        recorder.bytes_persisted = 0
-        recorder.resume_hits = 0
-        recorder.modeled_persist_s = 0.0
-        return recorder
 
     @property
     def resuming(self) -> bool:
@@ -337,16 +291,6 @@ class CheckpointRecorder:
         self._disabled = True
         self.tracer.counters.add("checkpoint.disabled")
 
-    def kill(self) -> None:
-        """Stop this recorder persisting any further frames. The
-        service calls this on every live recorder when a simulated
-        process crash fires: a zombie runtime thread unwinding after
-        the crash must not race the restarted service with stale
-        frames (lost-writes semantics, like the journal's
-        ``mark_dead``)."""
-        self._disabled = True
-        self.tracer.counters.add("checkpoint.killed")
-
     # -- persistence ---------------------------------------------------
 
     def quiesce(self) -> None:
@@ -401,16 +345,9 @@ class CheckpointRecorder:
             sort_keys=True,
         ).encode("utf-8")
         frame = frame_record(payload)
-        if self._next_seq == 0:
-            # A fresh capture's first frame creates the file.
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            with open(self.path, "wb") as f:
-                f.write(CHECKPOINT_MAGIC + frame)
-        else:
-            with open(self.path, "ab") as f:
-                f.write(frame)
+        # Under _lock, so the lock order is recorder then journal.
+        # A dead journal (a simulated process crash) drops the frame.
+        self.journal.write_frame(frame)
         self._entries = []
         self._next_seq += 1
         self.frames_persisted += 1
@@ -437,43 +374,3 @@ class CheckpointRecorder:
             f"{self.frames_persisted} frame(s)>"
         )
 
-
-def load_frames(path: str) -> list:
-    """The valid ``repro.checkpoint/1`` frame chain in ``path``.
-
-    Frames are deltas, so only an unbroken prefix is usable: decoding
-    stops at the first torn, non-JSON, wrong-schema, or out-of-order
-    (``seq`` != position) frame — everything after it is discarded.
-    Returns ``[]`` when the file is missing, empty, or wholly torn."""
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError:
-        return []
-    if not data.startswith(CHECKPOINT_MAGIC):
-        return []
-    payloads, _torn = unframe_records(data[len(CHECKPOINT_MAGIC):])
-    frames: list = []
-    for payload in payloads:
-        try:
-            frame = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            break
-        if (
-            not isinstance(frame, dict)
-            or frame.get("schema") != CHECKPOINT_SCHEMA
-            or not isinstance(frame.get("entries"), list)
-            or frame.get("seq") != len(frames)
-        ):
-            break
-        frames.append(frame)
-    return frames
-
-
-def load_last_frame(path: str) -> "dict | None":
-    """The last frame of ``path``'s valid chain (its state snapshots
-    are the most recent quiescent ones), or ``None`` when no valid
-    frame exists. Note frames are deltas: ``entries`` here is only the
-    final slice — use :func:`load_frames` for the full replay chain."""
-    frames = load_frames(path)
-    return frames[-1] if frames else None

@@ -84,6 +84,9 @@ class Job:
         #: (spec_index, call_index) crash firings already journaled —
         #: suppressed on re-run so the job converges past its crash.
         self.crash_suppression: set = set()
+        #: The journaled frame chain a checkpoint-mode recovery
+        #: resumes (consumed by the job's first run).
+        self.checkpoints: list = []
         #: Outcome digest (see ``repro.service.journal.outcome_digest``)
         #: — the bit-identity certificate recovery verifies against.
         self.digest: "str | None" = None

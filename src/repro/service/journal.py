@@ -1,22 +1,30 @@
 """Durable job journal for crash-consistent co-execution.
 
-The :class:`JobJournal` is a write-ahead log of every job state
-transition the service performs — ``submitted`` / ``admitted`` /
-``leased`` / ``running`` / ``completed`` / ``failed`` / ``cancelled``
-/ ``crashed`` / ``recovered`` — appended as torn-write-tolerant frames
-(length + sha256, see :func:`repro.values.frame_record`) to
-``<journal_dir>/journal.rj`` (``repro.journal/1``). The ``submitted``
-record carries the job's *full deterministic inputs* (source, entry,
-wire-serialized arguments), so a restarted service can re-run the job
-bit-identically; the ``completed`` record carries the outcome digest
-and enough of the result to satisfy ``result()`` without re-running
-(idempotent dedup).
+The :class:`JobJournal` is the service's one durable file,
+``<journal_dir>/journal.rj``: torn-write-tolerant frames (length +
+sha256, see :func:`repro.values.frame_record`) of two kinds.
+
+* ``repro.journal/1`` records: every job state transition the service
+  performs — ``submitted`` / ``admitted`` / ``leased`` / ``running`` /
+  ``completed`` / ``failed`` / ``cancelled`` / ``crashed`` /
+  ``recovered``. The ``submitted`` record carries the job's *full
+  deterministic inputs* (source, entry, wire-serialized arguments), so
+  a restarted service can re-run the job bit-identically; the
+  ``completed`` record carries the outcome digest and enough of the
+  result to satisfy ``result()`` without re-running (idempotent
+  dedup).
+* ``repro.checkpoint/1`` frames: a job's stage checkpoints, written by
+  its :class:`~repro.runtime.checkpoint.CheckpointRecorder` through the
+  same locked append handle.
 
 No fsync: the simulated :class:`~repro.errors.ProcessCrash` marks the
 journal *dead* — every later append is silently dropped, modeling the
-lost writes of a real crash — and on restart
-:func:`load_journal` folds the surviving records per job, dropping a
-torn tail record exactly (and nothing before it).
+lost writes of a real crash — and on restart :func:`load_journal`
+folds the surviving records per job (lifecycle state and checkpoint
+chain), dropping a torn tail record exactly (and nothing before it).
+A reopened journal truncates the file to the end of the last folded
+record before it appends, so every record written after a tear is
+read by the next recovery.
 
 ``repro.recover/1`` is the machine-readable recovery report the
 service's ``recover()`` produces; validate/render helpers follow the
@@ -32,6 +40,7 @@ import threading
 
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
+from repro.runtime.checkpoint import CHECKPOINT_SCHEMA
 from repro.values import deserialize, frame_record, serialize, unframe_records
 
 __all__ = [
@@ -63,8 +72,8 @@ JOURNAL_MAGIC = b"RJ1\n"
 #: Journal file name inside the journal directory.
 JOURNAL_FILE = "journal.rj"
 
-#: Per-job checkpoint files live under this subdirectory.
-CHECKPOINT_DIR = "checkpoints"
+#: Bytes a frame adds to its payload (length + sha256).
+FRAME_OVERHEAD = len(frame_record(b""))
 
 #: Record types a journal may carry, in lifecycle order.
 RECORD_TYPES = (
@@ -157,17 +166,24 @@ class RecoveredOutcome:
 class JobJournal:
     """Append-only journal over ``<journal_dir>/journal.rj``.
 
-    Writes are framed JSON records, each one ``write`` to an unbuffered
-    append handle that is opened on first use and held, under
-    ``_lock``, until :meth:`close` or :meth:`mark_dead`. (A write hands
-    the bytes to the OS and nothing more; there is no fsync.)
+    Every frame — a lifecycle record from :meth:`append` or a
+    checkpoint frame — is one :meth:`write_frame`: a ``write`` to an
+    unbuffered append handle that is opened on first use and held,
+    under ``_lock``, until :meth:`close` or :meth:`mark_dead`. (A write
+    hands the bytes to the OS and nothing more; there is no fsync.)
     :meth:`mark_dead` models the process dying — every subsequent
     append is dropped, exactly the writes a real crash would lose.
+
+    Opening an existing journal truncates it to ``snapshot.end`` (the
+    :func:`load_journal` of the directory, loaded here when not
+    given): a torn tail is dropped before anything is appended after
+    it.
     """
 
     enabled = True
 
-    def __init__(self, journal_dir: str, tracer=NULL_TRACER):
+    def __init__(self, journal_dir: str, tracer=NULL_TRACER,
+                 snapshot: "JournalSnapshot | None" = None):
         self.journal_dir = journal_dir
         self.tracer = tracer
         self.path = os.path.join(journal_dir, JOURNAL_FILE)
@@ -175,11 +191,15 @@ class JobJournal:
         self._dead = False
         self._handle = None
         self.records_written = 0
-        os.makedirs(os.path.join(journal_dir, CHECKPOINT_DIR),
-                    exist_ok=True)
-        if not os.path.exists(self.path):
+        if snapshot is None:
+            snapshot = load_journal(journal_dir)
+        if not snapshot.existed:
+            os.makedirs(journal_dir, exist_ok=True)
             with open(self.path, "wb") as f:
                 f.write(JOURNAL_MAGIC)
+        elif os.path.getsize(self.path) > snapshot.end:
+            os.truncate(self.path, snapshot.end)
+            self.tracer.counters.add("journal.truncated")
 
     # -- plumbing ------------------------------------------------------
 
@@ -204,10 +224,20 @@ class JobJournal:
             self._handle.close()
             self._handle = None
 
-    def checkpoint_path(self, job_id: str) -> str:
-        return os.path.join(
-            self.journal_dir, CHECKPOINT_DIR, f"{job_id}.ckpt"
-        )
+    def write_frame(self, frame: bytes) -> bool:
+        """Append one framed record; False when the journal is dead
+        and the frame was dropped."""
+        with self._lock:
+            if self._dead:
+                self.tracer.counters.add("journal.append.dropped")
+                return False
+            if self._handle is None:
+                self._handle = open(self.path, "ab", buffering=0)
+            view = memoryview(frame)
+            while view:   # one write, unless the OS takes fewer bytes
+                view = view[self._handle.write(view):]
+            self.records_written += 1
+        return True
 
     def append(self, record: dict) -> None:
         payload = json.dumps(
@@ -215,17 +245,8 @@ class JobJournal:
             separators=(",", ":"),
             sort_keys=True,
         ).encode("utf-8")
-        frame = frame_record(payload)
-        with self._lock:
-            if self._dead:
-                self.tracer.counters.add("journal.append.dropped")
-                return
-            if self._handle is None:
-                self._handle = open(self.path, "ab", buffering=0)
-            view = memoryview(frame)
-            while view:   # one write, unless the OS takes fewer bytes
-                view = view[self._handle.write(view):]
-            self.records_written += 1
+        if not self.write_frame(frame_record(payload)):
+            return
         counters = self.tracer.counters
         counters.add("journal.append")
         counters.add(f"journal.append[{record.get('type')}]")
@@ -337,9 +358,6 @@ class _NullJournal:
     def close(self) -> None:
         pass
 
-    def checkpoint_path(self, job_id: str) -> None:
-        return None
-
     def append(self, record: dict) -> None:
         pass
 
@@ -378,7 +396,14 @@ NULL_JOURNAL = _NullJournal()
 
 
 class JobReplay:
-    """One job's state folded out of the journal records."""
+    """One job's state folded out of the journal records.
+
+    ``checkpoints`` is the job's resumable frame chain: frames whose
+    ``seq`` runs 0, 1, 2, ... A frame out of that order ends the chain
+    (later frames are ignored), a ``seq`` 0 frame — a fresh capture —
+    starts it afresh, and a terminal record or a ``recovered`` record
+    in any mode but ``checkpoint`` (a re-run from scratch) drops it.
+    """
 
     def __init__(self, job_id: str):
         self.job_id = job_id
@@ -397,12 +422,17 @@ class JobReplay:
         self.crashes: list = []        # [(spec_index, call_index), ...]
         self.recovered_modes: list = []
         self.unrecoverable = False
+        self.checkpoints: list = []
+        self._chain_ended = False
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_TYPES
 
     def apply(self, record: dict) -> None:
+        if record.get("schema") == CHECKPOINT_SCHEMA:
+            self._chain(record)
+            return
         kind = record.get("type")
         if kind == "submitted":
             self.tenant = record.get("tenant", "")
@@ -425,6 +455,7 @@ class JobReplay:
             self.state = "running"
         elif kind in TERMINAL_TYPES:
             self.state = kind
+            self.checkpoints = []
             if kind == "completed":
                 self.completed = record
             else:
@@ -438,6 +469,20 @@ class JobReplay:
             self.state = "crashed"
         elif kind == "recovered":
             self.recovered_modes.append(record.get("mode", ""))
+            if record.get("mode") != "checkpoint":
+                self.checkpoints = []
+
+    def _chain(self, frame: dict) -> None:
+        if frame.get("seq") == 0:
+            self.checkpoints, self._chain_ended = [], False
+        if (
+            self._chain_ended
+            or frame.get("seq") != len(self.checkpoints)
+            or not isinstance(frame.get("entries"), list)
+        ):
+            self._chain_ended = True
+        else:
+            self.checkpoints.append(frame)
 
     def outcome(self) -> RecoveredOutcome:
         """Reconstruct the completed outcome (requires ``completed``)."""
@@ -462,11 +507,12 @@ class JournalSnapshot:
     """Everything :func:`load_journal` learned from one journal file."""
 
     def __init__(self, jobs: dict, records: int, torn_bytes: int,
-                 existed: bool):
+                 existed: bool, end: int = 0):
         self.jobs = jobs               # job_id -> JobReplay (in order)
-        self.records = records
+        self.records = records         # folded records, frames included
         self.torn_bytes = torn_bytes
         self.existed = existed
+        self.end = end                 # file offset after the last one
 
     def __repr__(self) -> str:
         return (
@@ -476,10 +522,12 @@ class JournalSnapshot:
 
 
 def load_journal(journal_dir: str) -> JournalSnapshot:
-    """Replay a journal directory into per-job folded state. Missing
-    file → empty snapshot; a torn tail drops exactly the torn record;
-    a record that fails to decode stops the fold there (everything
-    after it is unreachable anyway under append-only semantics)."""
+    """Replay a journal directory into per-job folded state: lifecycle
+    records into the job's state, checkpoint frames into its chain
+    (see :class:`JobReplay`). Missing file → empty snapshot; a torn
+    tail drops exactly the torn record; a record that fails to decode,
+    carries another schema or no ``job_id`` stops the fold there
+    (a reopened :class:`JobJournal` truncates it away)."""
     path = os.path.join(journal_dir, JOURNAL_FILE)
     try:
         with open(path, "rb") as f:
@@ -493,6 +541,7 @@ def load_journal(journal_dir: str) -> JournalSnapshot:
     payloads, torn = unframe_records(data[len(JOURNAL_MAGIC):])
     jobs: dict = {}
     records = 0
+    end = len(JOURNAL_MAGIC)
     for payload in payloads:
         try:
             record = json.loads(payload.decode("utf-8"))
@@ -500,18 +549,19 @@ def load_journal(journal_dir: str) -> JournalSnapshot:
             break
         if (
             not isinstance(record, dict)
-            or record.get("schema") != JOURNAL_SCHEMA
+            or record.get("schema") not in (JOURNAL_SCHEMA, CHECKPOINT_SCHEMA)
         ):
             break
         job_id = record.get("job_id")
         if not job_id:
             break
         records += 1
+        end += FRAME_OVERHEAD + len(payload)
         replay = jobs.get(job_id)
         if replay is None:
             replay = jobs[job_id] = JobReplay(job_id)
         replay.apply(record)
-    return JournalSnapshot(jobs, records, torn, existed=True)
+    return JournalSnapshot(jobs, records, torn, existed=True, end=end)
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,9 @@ class ServiceConfig:
     #: Wall clock used for job deadlines and retry-after estimates —
     #: injectable so deadline tests are deterministic.
     clock: object = time.monotonic
-    #: Directory for the durable job journal + per-job checkpoint
-    #: files (docs/RECOVERY.md). None disables crash consistency.
+    #: Directory for the durable job journal, ``journal.rj``, which
+    #: also holds every job's checkpoint frames (docs/RECOVERY.md).
+    #: None disables crash consistency.
     journal_dir: "str | None" = None
     #: Decision points between persisted checkpoint frames (only
     #: meaningful with a journal_dir). The default keeps the modeled
@@ -179,7 +180,6 @@ class CoExecutionService:
         # survived the previous incarnation *before* opening it for
         # append, so recovery sees exactly the pre-crash records.
         self._crashed: "ProcessCrash | None" = None
-        self._recorders: dict = {}   # job_id -> live CheckpointRecorder
         self._to_recover: list = []  # JobReplay rows needing a re-run
         self._deduped: list = []     # report rows for replayed jobs
         self._rejected_ids: list = []
@@ -190,7 +190,8 @@ class CoExecutionService:
         else:
             snapshot = load_journal(self.config.journal_dir)
             self.journal = JobJournal(
-                self.config.journal_dir, tracer=self.tracer
+                self.config.journal_dir, tracer=self.tracer,
+                snapshot=snapshot,
             )
             self._ingest_journal(snapshot)
 
@@ -507,35 +508,27 @@ class CoExecutionService:
             policy=policy, job_id=job.job_id, tenant=job.tenant
         )
 
-    def _make_recorder(
-        self, job: Job, resume: bool
-    ) -> "CheckpointRecorder | None":
-        """A checkpoint recorder for this job run, or None when the
-        service has no journal or the runtime config is not
-        capturable (kernel specialization, adaptive policies)."""
+    def _make_recorder(self, job: Job) -> "CheckpointRecorder | None":
+        """A checkpoint recorder for this job run — replaying the
+        job's frame chain, which only the first run of a
+        checkpoint-mode recovery has — or None when the service has no
+        journal or the runtime config is not capturable (kernel
+        specialization, adaptive policies)."""
         if not self.journal.enabled:
             return None
         cfg = self.config.runtime
         if cfg.specialize.enabled or cfg.policy.adaptive:
             return None
-        path = self.journal.checkpoint_path(job.job_id)
-        if resume:
-            recorder = CheckpointRecorder.resume(
-                path,
-                interval=self.config.checkpoint_interval,
-                job_id=job.job_id,
-                tracer=self.tracer,
-            )
-            if recorder is not None:
-                return recorder
-            # Missing/empty/wholly-torn checkpoint: fall back to a
-            # from-scratch re-run (fresh capture below).
+        chain, job.checkpoints = job.checkpoints, []
+        if job.recovery_mode == "checkpoint" and not chain:
+            # No valid frame: the re-run starts from scratch.
             job.recovery_mode = "scratch"
         return CheckpointRecorder(
-            path,
+            self.journal,
+            job.job_id,
             interval=self.config.checkpoint_interval,
-            job_id=job.job_id,
             tracer=self.tracer,
+            chain=chain,
         )
 
     def _prepare_faults(self, runtime: Runtime, job: Job) -> None:
@@ -554,20 +547,17 @@ class CoExecutionService:
 
     def _die(self, crash: ProcessCrash) -> None:
         """Simulate the process dying: all later journal writes are
-        lost, every live checkpoint recorder stops persisting (a
-        zombie runtime thread must not race the restarted service with
-        stale frames), every running job's token trips so its thread
-        unwinds, and the public API raises the crash."""
+        lost — checkpoint frames included, so a zombie runtime thread
+        cannot race the restarted service with stale frames — every
+        running job's token trips so its thread unwinds, and the
+        public API raises the crash."""
         self.journal.mark_dead()
         with self._lock:
             self._crashed = crash
-            recorders = list(self._recorders.values())
             running = [
                 j for j in self._jobs.values()
                 if j.state == RUNNING and j.error is None
             ]
-        for recorder in recorders:
-            recorder.kill()
         for other in running:
             other.token.cancel("process crash")
 
@@ -588,11 +578,8 @@ class CoExecutionService:
                 compiled = self.session.compile_cached(
                     job.source, filename=job.filename
                 )
-                resume = (
-                    job.recovered and job.recovery_mode == "checkpoint"
-                )
                 while True:
-                    recorder = self._make_recorder(job, resume)
+                    recorder = self._make_recorder(job)
                     try:
                         runtime = Runtime(
                             compiled,
@@ -605,15 +592,14 @@ class CoExecutionService:
                             # resume leaves a closeable runtime.
                             runtime.checkpointer = recorder
                             recorder.attach(runtime)
-                            with self._lock:
-                                self._recorders[job.job_id] = recorder
                         self._prepare_faults(runtime, job)
                         outcome = runtime.run(job.entry, job.args)
                     except CheckpointReplayError:
                         # The frame does not match the re-run (config
                         # drift, torn memo): scrub the breakers it
                         # restored and re-run from scratch — still
-                        # bit-identical, just slower.
+                        # bit-identical, just slower. The journaled
+                        # mode makes the chain unresumable.
                         if recorder is not None:
                             recorder.invalidate(self.health)
                         if runtime is not None:
@@ -621,7 +607,9 @@ class CoExecutionService:
                             runtime.close()
                             runtime = None
                         job.recovery_mode = "scratch"
-                        resume = False
+                        self.journal.record_recovered(
+                            job.job_id, job.recovery_mode
+                        )
                         counters.add("service.job.checkpoint_invalid")
                         continue
                     break
@@ -667,8 +655,6 @@ class CoExecutionService:
             self.journal.record_failed(job.job_id, exc)
             counters.add("service.job.failed")
         finally:
-            with self._lock:
-                self._recorders.pop(job.job_id, None)
             if runtime is not None:
                 # Drain any wreckage a cancellation left behind, then
                 # detach the runtime's listener from the shared
@@ -767,6 +753,8 @@ class CoExecutionService:
                 job.recovery_mode = (
                     "checkpoint" if use_checkpoints else "scratch"
                 )
+                if use_checkpoints:
+                    job.checkpoints = replay.checkpoints
                 if replay.unrecoverable:
                     job.recovery_mode = "unrecoverable"
                     job.error = ConfigurationError(

@@ -525,8 +525,8 @@ def deserialize_batch(data: bytes) -> list:
 # Checkpoint/journal frames (docs/RECOVERY.md)
 # ---------------------------------------------------------------------------
 #
-# The durable job journal and the stage-checkpoint files both persist
-# append-only streams of *framed* records over the wire format above:
+# The durable job journal persists an append-only stream of *framed*
+# records (lifecycle records and stage-checkpoint frames):
 #
 #     [u32 payload length][32-byte sha256(payload)][payload bytes]
 #

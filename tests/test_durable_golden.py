@@ -4,16 +4,21 @@ One client drives a journaled :class:`CoExecutionService` through the
 eight kinds of perf's ``service_jobs`` workload, one job at a time.
 A second incarnation over the same directory, with
 ``checkpoint_interval=1``, then runs a stream job (which writes a
-checkpoint file) and a job whose second map returns a value the wire
+checkpoint frame) and a job whose second map returns a value the wire
 format refuses (an enum whose name is longer than 255 bytes): its
 first frame is written, and no frame that holds or follows the
 unpackable output is.
 
-The golden pins the sha256 and size of ``journal.rj`` and of every
-``.ckpt`` file, so how and when the service writes them (one handle or
-one open per record, arguments encoded once or twice, checkpoint
-entries packed at capture or at persist) may change and the bytes may
-not. Regenerate only for an intended change of the durable formats::
+The golden pins two things. ``files``: the sha256 and size of every
+file the runs leave in the journal directory -- only ``journal.rj``.
+``streams``: the ordered sha256 of every frame payload, split by
+schema and, for checkpoint frames, by ``job_id``. The streams were
+recorded when checkpoint frames still lived in one file per job, so
+they pin the record and frame bytes across that change of layout. How and when the service
+writes them (one handle or one open per record, arguments encoded
+once or twice, checkpoint entries packed at capture or at persist)
+may change and the bytes may not. Regenerate only for an intended
+change of the durable formats::
 
     REPRO_REGEN_DURABLE_GOLDEN=1 PYTHONPATH=src:. \\
         python -m pytest tests/test_durable_golden.py
@@ -29,7 +34,8 @@ from repro.apps import SUITE, workloads
 from repro.obs import Tracer
 from repro.runtime import RuntimeConfig
 from repro.service import CoExecutionService, ServiceConfig
-from repro.values import KIND_INT, ValueArray
+from repro.service.journal import JOURNAL_MAGIC
+from repro.values import KIND_INT, ValueArray, unframe_records
 
 GOLDEN = os.path.join(
     os.path.dirname(__file__), "golden", "durable_files.json"
@@ -90,8 +96,9 @@ def _record(directory: str) -> dict:
     second.drain()
 
     files = {}
+    streams: dict = {}
     for root, _dirs, names in os.walk(directory):
-        for name in names:
+        for name in sorted(names):
             path = os.path.join(root, name)
             with open(path, "rb") as handle:
                 data = handle.read()
@@ -99,38 +106,65 @@ def _record(directory: str) -> dict:
                 "bytes": len(data),
                 "sha256": hashlib.sha256(data).hexdigest(),
             }
-    return dict(sorted(files.items()))
+            payloads, torn = unframe_records(data[len(JOURNAL_MAGIC):])
+            assert torn == 0, path
+            for payload in payloads:
+                streams.setdefault(_stream(payload), []).append(
+                    hashlib.sha256(payload).hexdigest()
+                )
+    return {"files": dict(sorted(files.items())),
+            "streams": dict(sorted(streams.items()))}
+
+
+def _stream(payload: bytes) -> str:
+    """Lifecycle records form one stream; checkpoint frames one per
+    job."""
+    record = json.loads(payload.decode("utf-8"))
+    if record["schema"] == "repro.checkpoint/1":
+        return f"{record['schema']} {record['job_id']}"
+    return record["schema"]
 
 
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
-    files = _record(str(tmp_path_factory.mktemp("durable")))
+    durable = _record(str(tmp_path_factory.mktemp("durable")))
     if REGEN:
         with open(GOLDEN, "w") as handle:
-            json.dump(files, handle, indent=1, sort_keys=True)
+            json.dump(durable, handle, indent=1, sort_keys=True)
             handle.write("\n")
         pytest.skip(f"regenerated {GOLDEN}")
-    return files
+    return durable
+
+
+def _golden() -> dict:
+    with open(GOLDEN) as handle:
+        return json.load(handle)
 
 
 def test_durable_files_locked(recorded):
-    with open(GOLDEN) as handle:
-        golden = json.load(handle)
-    assert recorded == golden, (
+    assert recorded["files"] == _golden()["files"], (
         "the service's durable files drifted; regenerate with "
         "REPRO_REGEN_DURABLE_GOLDEN=1 only for an intended format change"
+    )
+
+
+def test_frame_streams_locked(recorded):
+    """Every lifecycle record and every checkpoint frame, in order per
+    stream, byte for byte."""
+    assert recorded["streams"] == _golden()["streams"], (
+        "a journal record or checkpoint frame changed bytes or order"
     )
 
 
 def test_golden_covers_every_writer():
     """Anchors, so a regenerated file cannot pin a run that never wrote
     what it is named for."""
-    with open(GOLDEN) as handle:
-        golden = json.load(handle)
-    checkpoints = sorted(name for name in golden if name.endswith(".ckpt"))
+    golden = _golden()
+    assert list(golden["files"]) == ["journal.rj"]
     # The stream job and the first frame of the unpackable job.
-    assert checkpoints == [
-        os.path.join("checkpoints", "job-0009.ckpt"),
-        os.path.join("checkpoints", "job-0010.ckpt"),
+    assert list(golden["streams"]) == [
+        "repro.checkpoint/1 job-0009",
+        "repro.checkpoint/1 job-0010",
+        "repro.journal/1",
     ]
-    assert set(golden) == set(checkpoints) | {"journal.rj"}
+    assert len(golden["streams"]["repro.checkpoint/1 job-0010"]) == 1

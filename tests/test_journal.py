@@ -1,9 +1,11 @@
 """Tests for the durable job journal (repro.service.journal).
 
 Covers the append-only framed file format (magic, schema stamp,
-torn-write tolerance at *every* truncation offset), record folding
-into :class:`JobReplay`, wire-canonical argument normalization, the
-outcome digest, and the ``repro.recover/1`` report validator."""
+torn-write tolerance at *every* truncation offset of a journal that
+interleaves checkpoint frames, the torn tail truncated on reopen),
+record folding into :class:`JobReplay`, wire-canonical argument
+normalization, the outcome digest, and the ``repro.recover/1`` report
+validator."""
 
 import json
 import random
@@ -11,6 +13,8 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import Tracer
+from repro.runtime import CHECKPOINT_SCHEMA
 from repro.service import (
     JOURNAL_SCHEMA,
     RECOVER_SCHEMA,
@@ -46,8 +50,19 @@ def _job(job_id="job-0001", tenant="t0", args=None):
     )
 
 
-def _write_journal(tmp_path, jobs=2):
-    """A journal with a full lifecycle per job; returns its path."""
+def _checkpoint_frame(job_id, seq) -> bytes:
+    payload = json.dumps(
+        {"schema": CHECKPOINT_SCHEMA, "job_id": job_id, "seq": seq,
+         "entries": [{"kind": "map", "key": "k", "items": seq}]},
+        separators=(",", ":"),
+        sort_keys=True,
+    )
+    return frame_record(payload.encode("utf-8"))
+
+
+def _write_journal(tmp_path, jobs=2, frames=0):
+    """A journal with a full lifecycle per job, ``frames`` checkpoint
+    frames written while each job runs; returns its path."""
     journal = JobJournal(str(tmp_path))
     for index in range(jobs):
         job = _job(job_id=f"job-{index + 1:04d}", tenant=f"t{index}")
@@ -55,6 +70,8 @@ def _write_journal(tmp_path, jobs=2):
         journal.record_admitted(job.job_id)
         journal.record_leased(job.job_id, ("gpu",))
         journal.record_running(job.job_id)
+        for seq in range(frames):
+            journal.write_frame(_checkpoint_frame(job.job_id, seq))
         job.digest = f"d{index}"
         job.fault_log = []
         job.outcome = RecoveredOutcome(
@@ -136,12 +153,20 @@ class TestJournalFile:
         assert snapshot.records == 1
 
 
+def _folded(snapshot) -> dict:
+    return {
+        job_id: (replay.state, len(replay.checkpoints))
+        for job_id, replay in snapshot.jobs.items()
+    }
+
+
 class TestTornTail:
-    """Satellite: truncate the journal at EVERY byte offset and assert
-    recovery drops only the torn record."""
+    """Truncate a journal that interleaves lifecycle records and
+    checkpoint frames at EVERY byte offset and assert recovery drops
+    only the torn record."""
 
     def test_truncation_at_every_offset(self, tmp_path):
-        path = _write_journal(tmp_path, jobs=2)
+        path = _write_journal(tmp_path, jobs=2, frames=2)
         data = open(path, "rb").read()
         ends = _frame_ends(data)
         full = load_journal(str(tmp_path))
@@ -159,50 +184,89 @@ class TestTornTail:
             assert snapshot.records == len(complete), offset
             boundary = complete[-1] if complete else len(JOURNAL_MAGIC)
             assert snapshot.torn_bytes == offset - boundary, offset
-            # Folded job state equals the state at the last complete
-            # frame: a clean prefix, nothing else.
-            states = {
-                job_id: replay.state
-                for job_id, replay in snapshot.jobs.items()
-            }
+            assert snapshot.end == boundary, offset
+            # Folded job state (lifecycle and chain) equals the state
+            # at the last complete frame: a clean prefix, nothing
+            # else.
+            folded = _folded(snapshot)
             target.write_bytes(data[:boundary])
-            clean = load_journal(str(scratch))
-            assert states == {
-                job_id: replay.state
-                for job_id, replay in clean.jobs.items()
-            }, offset
+            assert folded == _folded(load_journal(str(scratch))), offset
 
     def test_corrupt_byte_in_last_frame_drops_only_it(self, tmp_path):
-        path = _write_journal(tmp_path, jobs=2)
-        data = open(path, "rb").read()
-        ends = _frame_ends(data)
-        last_start = ends[-2]
-        rng = random.Random(1234)
+        """Whether the last frame is a lifecycle record or a
+        checkpoint frame."""
+        journal_dir = tmp_path / "journal"
+        path = _write_journal(journal_dir, jobs=2, frames=2)
+        ends_in_record = open(path, "rb").read()
+        journal = JobJournal(str(journal_dir))
+        journal.write_frame(_checkpoint_frame("job-0002", 0))
+        journal.close()
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         target = scratch / JOURNAL_FILE
-        for _ in range(32):
-            position = rng.randrange(last_start, len(data))
-            corrupted = bytearray(data)
-            corrupted[position] ^= 0xFF
-            target.write_bytes(bytes(corrupted))
-            snapshot = load_journal(str(scratch))
-            assert snapshot.records == len(ends) - 1, position
+        rng = random.Random(1234)
+        for data in (ends_in_record, open(path, "rb").read()):
+            ends = _frame_ends(data)
+            last_start = ends[-2]
+            target.write_bytes(data[:last_start])
+            prefix = _folded(load_journal(str(scratch)))
+            for _ in range(32):
+                position = rng.randrange(last_start, len(data))
+                corrupted = bytearray(data)
+                corrupted[position] ^= 0xFF
+                target.write_bytes(bytes(corrupted))
+                snapshot = load_journal(str(scratch))
+                assert snapshot.records == len(ends) - 1, position
+                assert snapshot.end == last_start, position
+                assert _folded(snapshot) == prefix, position
 
-    def test_append_after_torn_tail_recovers_cleanly(self, tmp_path):
-        """A journal whose tail tore mid-frame keeps accepting
-        appends from a new incarnation; the torn bytes stay inert."""
-        path = _write_journal(tmp_path, jobs=1)
+    def test_reopen_after_tear_drops_the_torn_tail(self, tmp_path):
+        """A new incarnation truncates the torn tail before it
+        appends, so every record it writes is read back."""
+        journal = JobJournal(str(tmp_path))
+        journal.record_admitted("job-0001")
+        journal.record_admitted("job-0002")
+        journal.close()
+        path = tmp_path / JOURNAL_FILE
+        path.write_bytes(path.read_bytes()[:-3])
+        assert load_journal(str(tmp_path)).records == 1
+
+        journal = JobJournal(str(tmp_path))
+        journal.record_admitted("job-0003")
+        journal.record_admitted("job-0004")
+        journal.close()
+        snapshot = load_journal(str(tmp_path))
+        assert snapshot.torn_bytes == 0
+        assert snapshot.records == 3
+        assert list(snapshot.jobs) == ["job-0001", "job-0003", "job-0004"]
+
+    def test_reopen_inside_a_checkpoint_frame(self, tmp_path):
+        """Torn mid-frame: the chain keeps its whole frames and the new
+        incarnation's records and frames all fold."""
+        path = _write_journal(tmp_path, jobs=1, frames=0)
+        journal = JobJournal(str(tmp_path))
+        journal.record_running("job-0002")
+        for seq in range(3):
+            journal.write_frame(_checkpoint_frame("job-0002", seq))
+        journal.close()
         data = open(path, "rb").read()
         with open(path, "wb") as f:
-            f.write(data[:-3])
-        snapshot = load_journal(str(tmp_path))
-        torn_records = snapshot.records
-        assert snapshot.torn_bytes > 0
-        # NOTE: a real restart truncates through JobJournal -- here we
-        # only assert the loader's tolerance is stable across loads.
-        again = load_journal(str(tmp_path))
-        assert again.records == torn_records
+            f.write(data[:-7])
+        before = load_journal(str(tmp_path))
+        assert len(before.jobs["job-0002"].checkpoints) == 2
+
+        tracer = Tracer()
+        journal = JobJournal(str(tmp_path), tracer=tracer, snapshot=before)
+        assert tracer.counters.get("journal.truncated") == 1
+        journal.record_recovered("job-0002", "checkpoint")
+        journal.write_frame(_checkpoint_frame("job-0002", 2))
+        journal.close()
+        after = load_journal(str(tmp_path))
+        assert after.torn_bytes == 0
+        assert after.records == before.records + 2
+        assert after.end == len(open(path, "rb").read())
+        chain = after.jobs["job-0002"].checkpoints
+        assert [frame["seq"] for frame in chain] == [0, 1, 2]
 
 
 class TestCanonicalArgs:

@@ -9,14 +9,16 @@ soak (three successive crashes on one workload converge), idempotent
 completed-job dedup (no re-execution), unrecoverable-args handling,
 and rejected (submitted-but-never-admitted) jobs."""
 
+import json
 import os
 
 import pytest
 
 from repro.apps import SUITE, compile_app, workloads
 from repro.errors import ProcessCrash
-from repro.obs import Tracer
+from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import (
+    CHECKPOINT_SCHEMA,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -35,7 +37,13 @@ from repro.service import (
     run_recovery_driver,
     validate_recover_report,
 )
-from repro.service.journal import RecoveredOutcome, canonical_args
+from repro.service.journal import (
+    JOURNAL_FILE,
+    JOURNAL_MAGIC,
+    RecoveredOutcome,
+    canonical_args,
+)
+from repro.values import unframe_records
 
 ALL_APPS = sorted(SUITE)
 BATCH = 8
@@ -56,13 +64,15 @@ def _crash_plan(crash_calls=(1,), times=1, seed=5):
     )
 
 
-def _service(journal_dir, plan, scheduler, interval=1):
+def _service(journal_dir, plan, scheduler, interval=1, batch_size=BATCH,
+             tracer=NULL_TRACER):
     return CoExecutionService(
         ServiceConfig(
             runtime=RuntimeConfig(
                 scheduler=scheduler,
                 fault_plan=plan,
-                batch_size=BATCH,
+                batch_size=batch_size,
+                tracer=tracer,
                 stage_timeout_s=(
                     10.0 if scheduler == "threaded" else None
                 ),
@@ -186,6 +196,75 @@ def test_checkpoint_disabled_recovers_from_scratch(tmp_path):
     )
 
 
+def _crash_with_frames(journal_dir, app, entry, args, plan):
+    """First incarnation: persist a frame per decision point, then
+    crash. Returns the job id."""
+    tracer = Tracer()
+    service = _service(journal_dir, plan, "sequential", tracer=tracer)
+    job_id = service.submit(
+        SUITE[app].source, entry, args, tenant="t0", app=app,
+    )
+    with pytest.raises(ProcessCrash):
+        service.drain()
+    assert tracer.counters.get("checkpoint.frame.persisted") >= 1
+    return job_id
+
+
+def _recover_after_discard(journal_dir, app, entry, args, plan, job_id):
+    """Last incarnation: the frames of the first are stale, so the job
+    recovers from scratch and still matches the baseline."""
+    service = _service(journal_dir, plan, "sequential")
+    report = service.recover()
+    assert [r["mode"] for r in report["recovered"]] == ["scratch"]
+    row = service.status(job_id)
+    assert row["state"] == COMPLETED
+    assert row["digest"] == _baseline_digest(
+        app, entry, args, plan, "sequential"
+    )
+
+
+def test_scratch_recovery_discards_stale_frames(tmp_path):
+    """A scratch recovery that persists no frame before crashing again
+    still leaves the first incarnation's frames unresumable."""
+    app = "gray_pipeline"
+    entry, args = workloads.small_args(app)
+    args = canonical_args(args)
+    plan = _crash_plan(crash_calls=(2, 4), times=2)
+    journal_dir = tmp_path / "journal"
+    job_id = _crash_with_frames(journal_dir, app, entry, args, plan)
+    tracer = Tracer()
+    scratch = _service(journal_dir, plan, "sequential", interval=10**6,
+                       tracer=tracer)
+    with pytest.raises(ProcessCrash):
+        scratch.recover(use_checkpoints=False)
+        scratch.drain()
+    assert tracer.counters.get("checkpoint.frame.persisted") == 0
+    _recover_after_discard(journal_dir, app, entry, args, plan, job_id)
+
+
+def test_replay_error_fallback_discards_stale_frames(tmp_path):
+    """A resume refused mid-replay (the batch size changed, so the
+    first memo sees another item count) falls back to scratch; when
+    that run crashes before persisting, the refused frames stay
+    unresumable."""
+    app = "gray_pipeline"
+    entry, args = workloads.small_args(app)
+    args = canonical_args(args)
+    plan = _crash_plan(crash_calls=(2, 4), times=2)
+    journal_dir = tmp_path / "journal"
+    job_id = _crash_with_frames(journal_dir, app, entry, args, plan)
+    tracer = Tracer()
+    fallback = _service(journal_dir, plan, "sequential", interval=10**6,
+                        batch_size=BATCH // 2, tracer=tracer)
+    with pytest.raises(ProcessCrash):
+        fallback.recover()
+        fallback.drain()
+    counters = tracer.counters
+    assert counters.get("service.job.checkpoint_invalid") == 1
+    assert counters.get("checkpoint.frame.persisted") == 0
+    _recover_after_discard(journal_dir, app, entry, args, plan, job_id)
+
+
 def test_chaos_soak_three_crashes_one_workload(tmp_path):
     """Three successive crashes on ONE workload (calls 2, 4, 6 of the
     same job) converge: each restart suppresses the journaled crash
@@ -225,8 +304,9 @@ def test_recovery_driver_converges(tmp_path, scheduler):
 
 @pytest.mark.parametrize("interval", [1, 10**6])
 def test_checkpoint_file_only_for_jobs_that_persist(tmp_path, interval):
-    """The checkpoint file is created by the first frame: a job that
-    never reaches an interval leaves no ``.ckpt`` behind."""
+    """Checkpoint frames are records of the one journal file: the
+    journal directory holds only ``journal.rj``, and a job that never
+    reaches an interval writes no frame."""
     journal_dir = tmp_path / "journal"
     service = _service(journal_dir, None, "sequential", interval=interval)
     entry, args = workloads.small_args("gray_pipeline")
@@ -236,8 +316,14 @@ def test_checkpoint_file_only_for_jobs_that_persist(tmp_path, interval):
     )
     service.drain()
     assert service.status(job_id)["state"] == COMPLETED
-    written = sorted(os.listdir(journal_dir / "checkpoints"))
-    assert written == ([f"{job_id}.ckpt"] if interval == 1 else [])
+    assert os.listdir(journal_dir) == [JOURNAL_FILE]
+    data = (journal_dir / JOURNAL_FILE).read_bytes()
+    payloads, _torn = unframe_records(data[len(JOURNAL_MAGIC):])
+    frames = [
+        payload for payload in payloads
+        if json.loads(payload)["schema"] == CHECKPOINT_SCHEMA
+    ]
+    assert bool(frames) == (interval == 1)
 
 
 class TestIdempotentDedup:
