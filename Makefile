@@ -108,8 +108,8 @@ trace-smoke:
 		-o benchmarks/out/trace_smoke.json \
 		--jsonl benchmarks/out/trace_smoke.jsonl
 	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.obs import validate_trace_file; \
-	validate_trace_file('benchmarks/out/trace_smoke.json'); \
+	from repro.schema import load; from repro.obs import TRACE_SPEC; \
+	load('benchmarks/out/trace_smoke.json', TRACE_SPEC, 'trace'); \
 	print('trace-smoke: benchmarks/out/trace_smoke.json valid')"
 
 # Profile a GPU map app and a streaming graph app end-to-end, writing
@@ -124,9 +124,9 @@ profile-smoke:
 		--scheduler threaded --json \
 		-o benchmarks/out/profile_smoke_bitflip.json > /dev/null
 	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.obs import validate_profile_file; \
-	validate_profile_file('benchmarks/out/profile_smoke_mandelbrot.json'); \
-	validate_profile_file('benchmarks/out/profile_smoke_bitflip.json'); \
+	from repro.schema import load; from repro.obs import PROFILE_SPEC; \
+	load('benchmarks/out/profile_smoke_mandelbrot.json', PROFILE_SPEC, 'profile'); \
+	load('benchmarks/out/profile_smoke_bitflip.json', PROFILE_SPEC, 'profile'); \
 	print('profile-smoke: both profile reports valid')"
 
 # Transient-window recovery end-to-end: the first device call fails, so
@@ -142,8 +142,8 @@ health-smoke:
 		--require-repromotions 1 \
 		-o benchmarks/out/health_smoke.json > /dev/null
 	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.runtime import validate_health_file; \
-	validate_health_file('benchmarks/out/health_smoke.json'); \
+	from repro.schema import load; from repro.runtime import HEALTH_SPEC; \
+	load('benchmarks/out/health_smoke.json', HEALTH_SPEC, 'health report'); \
 	print('health-smoke: benchmarks/out/health_smoke.json valid')"
 
 # Multi-tenant co-execution service smoke: 3 tenants x 4 jobs through
@@ -156,8 +156,8 @@ serve-smoke:
 		--tenants 3 --jobs-per-tenant 4 --scheduler sequential \
 		--verify -o benchmarks/out/serve_smoke.json > /dev/null
 	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.service import validate_service_file; \
-	validate_service_file('benchmarks/out/serve_smoke.json'); \
+	from repro.schema import load; from repro.service import SERVICE_SPEC; \
+	load('benchmarks/out/serve_smoke.json', SERVICE_SPEC, 'service report'); \
 	print('serve-smoke: benchmarks/out/serve_smoke.json valid')"
 
 # Crash-consistent recovery smoke: submit 6 jobs against a journaled
@@ -173,8 +173,8 @@ recover-smoke:
 		--jobs 6 --scheduler sequential --seed 1 --crash-call 3 \
 		-o benchmarks/out/recover_smoke.json > /dev/null
 	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.service import validate_recover_file; \
-	validate_recover_file('benchmarks/out/recover_smoke.json'); \
+	from repro.schema import load; from repro.service import RECOVER_SPEC; \
+	load('benchmarks/out/recover_smoke.json', RECOVER_SPEC, 'recovery report'); \
 	print('recover-smoke: benchmarks/out/recover_smoke.json valid')"
 	@test "$$(ls -A benchmarks/out/recover_smoke_journal)" = journal.rj || \
 		{ echo "recover-smoke: the journal directory must hold only" \

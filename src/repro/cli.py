@@ -63,6 +63,7 @@ from repro.compiler import (
     compile_program,
     compile_report,
 )
+from repro import schema
 from repro.errors import LiquidMetalError
 from repro.ir.fusion import FusionOptions
 
@@ -258,8 +259,9 @@ def _resolve_target(args):
     return source, filename, name, entry, values
 
 
-def _report_problems(label: str, problems) -> bool:
-    """Print a report's schema violations; True when there are any."""
+def _report_problems(label: str, payload, spec) -> bool:
+    """Print how a report departs from ``spec``; True when it does."""
+    problems = schema.problems(payload, spec)
     if problems:
         print(f"error: {label} failed validation:", file=sys.stderr)
         for problem in problems:
@@ -283,12 +285,12 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit_report(args, label: str, problems, dumped: str, render) -> bool:
+def _emit_report(args, label: str, payload, spec, dumped: str, render) -> bool:
     """The tail of every report command: refuse a report that fails
-    its schema, honour ``-o``, print the JSON text or the
+    its ``spec``, honour ``-o``, print the JSON text or the
     ``render()``-ed one, say where the file went. False when
     validation failed."""
-    if _report_problems(label, problems):
+    if _report_problems(label, payload, spec):
         return False
     if not _dump_report(args, dumped):
         print(render())
@@ -352,8 +354,8 @@ def _traced_run(args):
 def _cmd_trace(args) -> int:
     """Compile and run one app under tracing; export Chrome trace JSON."""
     from repro.obs.export import (
+        TRACE_SPEC,
         render_span_tree,
-        validate_trace_events,
         write_chrome_trace,
         write_json_lines,
     )
@@ -364,7 +366,7 @@ def _cmd_trace(args) -> int:
     tracer, name, entry, outcome = traced
     out_path = args.out or f"{name}.trace.json"
     payload = write_chrome_trace(tracer, out_path, process_name=name)
-    if _report_problems("exported trace", validate_trace_events(payload)):
+    if _report_problems("exported trace", payload, TRACE_SPEC):
         return 1
     if args.jsonl:
         write_json_lines(tracer, args.jsonl)
@@ -399,9 +401,9 @@ def _cmd_profile(args) -> int:
     """Compile and run one app under tracing, then build and print the
     structured profile report (docs/PROFILING.md)."""
     from repro.obs.profile import (
+        PROFILE_SPEC,
         build_profile,
         compare_profiles,
-        validate_profile,
     )
 
     traced = _traced_run(args)
@@ -416,21 +418,18 @@ def _cmd_profile(args) -> int:
         scheduler=args.scheduler,
     )
     if not _emit_report(
-        args, "profile", validate_profile(report.to_json()),
+        args, "profile", report.to_json(), PROFILE_SPEC,
         report.dumps(), report.render,
     ):
         return 1
 
     if args.baseline:
         try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(
-                f"error: cannot load baseline {args.baseline!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+            baseline = schema.load(args.baseline, PROFILE_SPEC, "baseline")
+        except LiquidMetalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            # Unreadable or not JSON is a usage error, as for a target.
+            return 2 if exc.__cause__ is not None else 1
         regressions = compare_profiles(
             report.to_json(), baseline, threshold=args.threshold
         )
@@ -466,7 +465,7 @@ def _list_fault_plans() -> int:
     """Print every bundled example fault plan with its seed, spec
     summary, and comment, so ``faults --plan`` / ``recover`` users can
     discover them without grepping the tree."""
-    from repro.runtime import load_fault_plan
+    from repro.runtime import FAULT_PLAN_SPEC, FaultPlan
 
     for directory in _fault_plan_dirs():
         if not os.path.isdir(directory):
@@ -480,7 +479,8 @@ def _list_fault_plans() -> int:
         for fname in names:
             path = os.path.join(directory, fname)
             try:
-                plan = load_fault_plan(path)
+                raw = schema.load(path, FAULT_PLAN_SPEC, "fault plan")
+                plan = FaultPlan.from_dict(raw)
             except LiquidMetalError as exc:
                 print(f"  {fname}: INVALID ({exc})")
                 continue
@@ -491,8 +491,6 @@ def _list_fault_plans() -> int:
                 f"  {fname}: seed={plan.seed}, {len(plan)} spec(s), "
                 f"kind(s): {kinds}"
             )
-            with open(path) as f:
-                raw = json.load(f)
             for spec in raw.get("faults", []):
                 comment = spec.get("comment")
                 if comment:
@@ -630,8 +628,8 @@ def _cmd_health(args) -> int:
         Runtime,
         RuntimeConfig,
         load_fault_plan,
+        HEALTH_SPEC,
         render_health_report,
-        validate_health_report,
     )
 
     resolved = _resolve_target(args)
@@ -675,8 +673,8 @@ def _cmd_health(args) -> int:
         app=name, entry=entry, scheduler=args.scheduler
     )
     if not _emit_report(
-        args, "health report", validate_health_report(report),
-        _json_text(report), lambda: render_health_report(report),
+        args, "health report", report, HEALTH_SPEC, _json_text(report),
+        lambda: render_health_report(report),
     ):
         return 1
 
@@ -713,9 +711,9 @@ def _cmd_serve(args) -> int:
     compared bit-identically against a standalone fault-free run."""
     from repro.runtime import load_fault_plan
     from repro.service import (
+        SERVICE_SPEC,
         render_service_report,
         run_service_driver,
-        validate_service_report,
     )
 
     plan = load_fault_plan(args.plan) if args.plan else None
@@ -749,8 +747,8 @@ def _cmd_serve(args) -> int:
         return text
 
     if not _emit_report(
-        args, "service report", validate_service_report(report),
-        _json_text(report), render,
+        args, "service report", report, SERVICE_SPEC, _json_text(report),
+        render,
     ):
         return 1
     totals = report.get("totals", {})
@@ -772,9 +770,9 @@ def _cmd_recover(args) -> int:
     import tempfile
 
     from repro.service import (
+        RECOVER_SPEC,
         render_recover_report,
         run_recovery_driver,
-        validate_recover_report,
     )
 
     def drive(journal_dir):
@@ -795,8 +793,8 @@ def _cmd_recover(args) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-recover-") as tmp:
             report = drive(os.path.join(tmp, "journal"))
     if not _emit_report(
-        args, "recovery report", validate_recover_report(report),
-        _json_text(report), lambda: render_recover_report(report),
+        args, "recovery report", report, RECOVER_SPEC, _json_text(report),
+        lambda: render_recover_report(report),
     ):
         return 1
     driver = report.get("driver", {})

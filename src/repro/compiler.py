@@ -398,12 +398,7 @@ class CompilerSession:
             with tracer.span(
                 "compile.fusion", mode=options.fusion.mode
             ) as fusion_span:
-                fusion_plan = fuse_module(
-                    module,
-                    options.fusion.mode,
-                    plan_path=options.fusion.plan_path,
-                    profile=self._load_profile(options.fusion.profile_path),
-                )
+                fusion_plan = fuse_module(module, options.fusion)
                 map_groups = len(fusion_plan.map_groups)
                 graph_groups = len(fusion_plan.graph_groups)
                 fusion_span.set(
@@ -524,26 +519,7 @@ class CompilerSession:
                 self.counters.add("session.compile.memo_hit")
         return result
 
-    # -- profile / specialization ---------------------------------------
-
-    @staticmethod
-    def _load_profile(path: str) -> "dict | None":
-        """The repro.profile/1 payload gating fusion, or None."""
-        if not path:
-            return None
-        from repro.errors import ConfigurationError
-
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read profile report {path!r}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"profile report {path!r} is not valid JSON: {exc}"
-            ) from exc
+    # -- specialization -------------------------------------------------
 
     def compile_specialized(
         self, artifact: Artifact, guard: str, tracer=None

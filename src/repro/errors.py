@@ -102,11 +102,6 @@ class ConfigurationError(LiquidMetalError):
     ``CompileOptions`` rather than deep inside the engine)."""
 
 
-class TraceExportError(LiquidMetalError):
-    """An exported trace failed schema validation or could not be
-    read back (the ``make trace-smoke`` gate)."""
-
-
 class RuntimeGraphError(LiquidMetalError):
     """Error while constructing or executing a runtime task graph."""
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro import schema
 from repro.errors import ConfigurationError, LoweringError
 from repro.ir import nodes as ir
 from repro.ir.verifier import verify_module
@@ -136,6 +137,30 @@ class FusionGroup:
         )
 
 
+def _graph_group_names_graph(group: dict) -> list:
+    if group["kind"] == "graph" and not group.get("graph_id"):
+        return ["(graph) must name its graph_id"]
+    return []
+
+
+_GROUP_SPEC = schema.obj(
+    {
+        "kind": schema.one_of("map", "graph", noun="kind"),
+        "task_ids": schema.array(schema.STRING, min=2),
+    },
+    checks=(_graph_group_names_graph,),
+)
+
+#: The ``repro.fusion/1`` document (:mod:`repro.schema`).
+FUSION_PLAN_SPEC = schema.obj(
+    {
+        "schema": schema.one_of(FUSION_SCHEMA),
+        "groups": schema.array(_GROUP_SPEC),
+    },
+    {"rejected": schema.array(_GROUP_SPEC)},
+)
+
+
 @dataclass
 class FusionPlan:
     """A saved, inspectable, replayable fusion decision set."""
@@ -179,11 +204,7 @@ class FusionPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FusionPlan":
-        problems = validate_plan_data(data)
-        if problems:
-            raise ConfigurationError(
-                "invalid fusion plan: " + "; ".join(problems)
-            )
+        schema.require(data, FUSION_PLAN_SPEC, "fusion plan")
         return cls(
             program=data.get("program", ""),
             profile=data.get("profile", ""),
@@ -199,17 +220,9 @@ class FusionPlan:
 
     @classmethod
     def load(cls, path: str) -> "FusionPlan":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return cls.loads(handle.read())
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read fusion plan {path!r}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"fusion plan {path!r} is not valid JSON: {exc}"
-            ) from exc
+        return cls.from_dict(
+            schema.load(path, FUSION_PLAN_SPEC, "fusion plan")
+        )
 
     def describe(self) -> str:
         """Human-readable plan rendering (`python -m repro fuse`)."""
@@ -230,40 +243,6 @@ class FusionPlan:
                 arrow = " -> ".join(group.task_ids)
                 lines.append(f"  [{group.kind:5s}] {arrow}: {group.reason}")
         return "\n".join(lines)
-
-
-def validate_plan_data(data) -> list:
-    """Problems with a ``repro.fusion/1`` payload; empty means valid."""
-    problems: list = []
-    if not isinstance(data, dict):
-        return ["plan must be a JSON object"]
-    if data.get("schema") != FUSION_SCHEMA:
-        problems.append(
-            f"schema must be {FUSION_SCHEMA!r}, got {data.get('schema')!r}"
-        )
-    groups = data.get("groups")
-    if not isinstance(groups, list):
-        problems.append("groups must be a list")
-        groups = []
-    for i, group in enumerate(groups):
-        if not isinstance(group, dict):
-            problems.append(f"groups[{i}] must be an object")
-            continue
-        kind = group.get("kind")
-        if kind not in ("map", "graph"):
-            problems.append(f"groups[{i}].kind must be 'map' or 'graph'")
-        task_ids = group.get("task_ids")
-        if (
-            not isinstance(task_ids, list)
-            or len(task_ids) < 2
-            or not all(isinstance(t, str) for t in task_ids)
-        ):
-            problems.append(
-                f"groups[{i}].task_ids must list >= 2 task id strings"
-            )
-        if kind == "graph" and not group.get("graph_id"):
-            problems.append(f"groups[{i}] (graph) must name its graph_id")
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -811,26 +790,23 @@ def _check_graph_group(module: ir.IRModule, group: FusionGroup) -> None:
             )
 
 
-def fuse_module(module: ir.IRModule, mode: str, plan_path: str = "",
-                profile=None) -> "FusionPlan | None":
-    """The compile-driver entry: plan (or load) and apply fusion in the
-    requested mode. Returns the applied plan, or None for 'off'."""
-    if mode not in FUSION_MODES:
-        raise ConfigurationError(
-            f"unknown fusion mode {mode!r}; expected one of "
-            + ", ".join(FUSION_MODES)
-        )
-    if mode == "off":
+def fuse_module(module: ir.IRModule,
+                options: FusionOptions) -> "FusionPlan | None":
+    """The compile-driver entry: plan (or load) and apply fusion as the
+    (validated) ``options`` ask; the applied plan, or None for 'off'."""
+    if options.mode == "off":
         return None
-    if mode == "plan":
-        if not plan_path:
-            raise ConfigurationError(
-                "fusion mode 'plan' requires a plan file "
-                "(--fusion plan=FILE)"
-            )
-        plan = FusionPlan.load(plan_path)
+    if options.mode == "plan":
+        plan = FusionPlan.load(options.plan_path)
         apply_fusion(module, plan)
         return plan
+    from repro.obs.profile import PROFILE_SPEC
+
+    profile = (
+        schema.load(options.profile_path, PROFILE_SPEC, "profile report")
+        if options.profile_path
+        else None
+    )
     # 'auto': planning applies as it goes (iterative chain rewriting).
     return plan_fusion(module, profile=profile)
 

@@ -14,11 +14,10 @@ Tracing is off by default and costs nothing when off: pass a
 """
 
 from repro.obs.export import (
+    TRACE_SPEC,
     render_span_tree,
     to_chrome_trace,
     to_json_lines,
-    validate_trace_events,
-    validate_trace_file,
     write_chrome_trace,
     write_json_lines,
 )
@@ -33,13 +32,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     PROFILE_SCHEMA,
+    PROFILE_SPEC,
     ProfileReport,
     build_profile,
     compare_profiles,
     critical_path,
     render_profile,
-    validate_profile,
-    validate_profile_file,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -59,8 +57,10 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "PROFILE_SCHEMA",
+    "PROFILE_SPEC",
     "ProfileReport",
     "Span",
+    "TRACE_SPEC",
     "Tracer",
     "as_metrics",
     "as_tracer",
@@ -71,10 +71,6 @@ __all__ = [
     "render_span_tree",
     "to_chrome_trace",
     "to_json_lines",
-    "validate_profile",
-    "validate_profile_file",
-    "validate_trace_events",
-    "validate_trace_file",
     "write_chrome_trace",
     "write_json_lines",
 ]

@@ -7,20 +7,20 @@ marshaling crossings per thread. The JSON-lines format is the
 machine-diffable equivalent: one object per span, then one per
 counter.
 
-``validate_trace_events`` checks a payload against the subset of the
-trace-event schema we emit, so CI can assert exported traces stay
-loadable (the ``make trace-smoke`` target).
+``TRACE_SPEC`` declares the subset of the trace-event schema we emit;
+:mod:`repro.schema` checks a payload against it, so CI can assert
+exported traces stay loadable (the ``make trace-smoke`` target).
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.errors import TraceExportError
+from repro import schema
 
 #: Event phases we emit / accept: complete, metadata, counter,
 #: begin/end (accepted for forward compatibility), instant.
-_KNOWN_PHASES = {"X", "M", "C", "B", "E", "i"}
+_KNOWN_PHASES = ("X", "M", "C", "B", "E", "i")
 
 
 def _jsonable(value):
@@ -162,67 +162,29 @@ def write_json_lines(tracer, path: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Validation (the trace-smoke CI gate)
+# The document (the trace-smoke CI gate)
 # ----------------------------------------------------------------------
 
 
-def validate_trace_events(payload) -> list:
-    """Return a list of problems (empty = valid trace-event payload).
-
-    Checks the envelope plus, per event: required keys, known phase,
-    numeric non-negative timestamps, ``dur`` on complete events, and a
-    JSON-object ``args``.
-    """
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return [f"payload must be a JSON object, got {type(payload).__name__}"]
-    events = payload.get("traceEvents")
-    if not isinstance(events, list):
-        return ["payload.traceEvents must be a list"]
-    if not events:
-        problems.append("traceEvents is empty")
-    for i, event in enumerate(events):
-        where = f"traceEvents[{i}]"
-        if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        for key in ("name", "ph", "pid", "tid"):
-            if key not in event:
-                problems.append(f"{where}: missing {key!r}")
-        if not isinstance(event.get("name", ""), str):
-            problems.append(f"{where}: name must be a string")
-        phase = event.get("ph")
-        if phase not in _KNOWN_PHASES:
-            problems.append(f"{where}: unknown phase {phase!r}")
-        ts = event.get("ts", 0)
-        if not isinstance(ts, (int, float)) or ts < 0:
-            problems.append(f"{where}: ts must be a non-negative number")
-        if phase == "X":
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                problems.append(
-                    f"{where}: complete event needs non-negative dur"
-                )
-        if "args" in event and not isinstance(event["args"], dict):
-            problems.append(f"{where}: args must be an object")
-    return problems
+def _complete_event_has_dur(event: dict) -> list:
+    dur = event.get("dur")
+    if event["ph"] == "X" and schema.problems(dur, schema.NON_NEGATIVE):
+        return ["complete event needs non-negative dur"]
+    return []
 
 
-def validate_trace_file(path: str) -> dict:
-    """Load ``path`` and validate it; raises :class:`TraceExportError`
-    listing every problem, returns the payload when valid."""
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TraceExportError(f"cannot load trace {path!r}: {exc}") from exc
-    problems = validate_trace_events(payload)
-    if problems:
-        raise TraceExportError(
-            f"{path!r} is not a valid trace-event file:\n  "
-            + "\n  ".join(problems)
-        )
-    return payload
+#: The subset of the trace-event format we emit (:mod:`repro.schema`).
+TRACE_SPEC = schema.obj({
+    "traceEvents": schema.array(schema.obj(
+        {
+            "name": schema.STRING,
+            "ph": schema.one_of(*_KNOWN_PHASES, noun="phase"),
+            **schema.keys("pid", "tid"),
+        },
+        {"ts": schema.NON_NEGATIVE, "args": schema.OBJECT},
+        checks=(_complete_event_has_dur,),
+    ), min=1),
+})
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro import schema
+
 #: Schema identifier stamped into every report (bump on breaking
 #: changes to the JSON layout; validators match it exactly).
 PROFILE_SCHEMA = "repro.profile/1"
@@ -426,74 +428,41 @@ def build_profile(
 
 
 # ----------------------------------------------------------------------
-# Validation (the profile-smoke CI gate)
+# The document (the profile-smoke CI gate)
 # ----------------------------------------------------------------------
 
 
-def validate_profile(payload) -> list:
-    """Return a list of problems (empty = valid profile payload)."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return [f"payload must be a JSON object, got {type(payload).__name__}"]
-    if payload.get("schema") != PROFILE_SCHEMA:
-        problems.append(
-            f"schema must be {PROFILE_SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    wall_us = payload.get("wall_us")
-    if not isinstance(wall_us, (int, float)) or wall_us < 0:
-        problems.append("wall_us must be a non-negative number")
-    for key, kind in (
-        ("stages", list),
-        ("queues", list),
-        ("breakdown_us", dict),
-        ("histograms", dict),
-        ("counters", dict),
-        ("critical_path", dict),
-    ):
-        if not isinstance(payload.get(key), kind):
-            problems.append(f"{key} must be a {kind.__name__}")
-    if problems:
-        return problems
-    for i, row in enumerate(payload["stages"]):
-        for key in ("name", "device", "span_us", "utilization"):
-            if key not in row:
-                problems.append(f"stages[{i}]: missing {key!r}")
-    critical = payload["critical_path"]
-    segments = critical.get("segments")
-    if not isinstance(segments, list):
-        problems.append("critical_path.segments must be a list")
-        return problems
-    total = 0.0
-    for i, seg in enumerate(segments):
-        dur = seg.get("duration_us")
-        if not isinstance(dur, (int, float)) or dur < 0:
-            problems.append(
-                f"critical_path.segments[{i}]: non-negative duration_us "
-                "required"
-            )
-            continue
-        total += dur
-    if isinstance(wall_us, (int, float)) and wall_us > 0:
-        if abs(total - wall_us) > 0.05 * wall_us:
-            problems.append(
-                f"critical path sums to {total:.1f}us but wall clock is "
-                f"{wall_us:.1f}us (>5% apart)"
-            )
-    return problems
+def _critical_path_matches_wall(payload: dict) -> list:
+    wall_us = payload["wall_us"]
+    total = sum(
+        seg["duration_us"] for seg in payload["critical_path"]["segments"]
+    )
+    if wall_us > 0 and abs(total - wall_us) > 0.05 * wall_us:
+        return [
+            f"critical path sums to {total:.1f}us but wall clock is "
+            f"{wall_us:.1f}us (>5% apart)"
+        ]
+    return []
 
 
-def validate_profile_file(path: str) -> dict:
-    """Load and validate a profile JSON file; raises ``ValueError``
-    listing every problem, returns the payload when valid."""
-    with open(path) as f:
-        payload = json.load(f)
-    problems = validate_profile(payload)
-    if problems:
-        raise ValueError(
-            f"{path!r} is not a valid profile report:\n  "
-            + "\n  ".join(problems)
-        )
-    return payload
+#: The ``repro.profile/1`` document (:mod:`repro.schema`).
+PROFILE_SPEC = schema.obj(
+    {
+        "schema": schema.one_of(PROFILE_SCHEMA),
+        "wall_us": schema.NON_NEGATIVE,
+        "stages": schema.array(schema.obj(
+            schema.keys("name", "device", "span_us", "utilization")
+        )),
+        "queues": schema.array(),
+        **dict.fromkeys(
+            ("breakdown_us", "histograms", "counters"), schema.OBJECT
+        ),
+        "critical_path": schema.obj({"segments": schema.array(schema.obj(
+            {"duration_us": schema.NON_NEGATIVE}
+        ))}),
+    },
+    checks=(_critical_path_matches_wall,),
+)
 
 
 # ----------------------------------------------------------------------

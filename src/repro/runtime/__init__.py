@@ -9,6 +9,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.engine import Runtime, RuntimeConfig, RunOutcome
 from repro.runtime.faults import (
+    FAULT_PLAN_SPEC,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -20,13 +21,12 @@ from repro.runtime.faults import (
 )
 from repro.runtime.graph import Pipeline
 from repro.runtime.health import (
+    HEALTH_SPEC,
     DeviceHealth,
     HealthPolicy,
     HealthRegistry,
     TransitionRecord,
     render_health_report,
-    validate_health_file,
-    validate_health_report,
 )
 from repro.runtime.marshaling import BoundaryCosts, MarshalingBoundary
 from repro.runtime.queues import END_OF_STREAM, Connection, InlineEdge
@@ -66,10 +66,12 @@ __all__ = [
     "DeviceHealth",
     "DeviceTask",
     "END_OF_STREAM",
+    "FAULT_PLAN_SPEC",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
     "FilterTask",
+    "HEALTH_SPEC",
     "HealthPolicy",
     "HealthRegistry",
     "InjectedFault",
@@ -96,6 +98,4 @@ __all__ = [
     "load_fault_plan",
     "plan_substitutions",
     "render_health_report",
-    "validate_health_file",
-    "validate_health_report",
 ]

@@ -21,11 +21,11 @@ spec's site was hit, never on thread interleaving between specs.
 from __future__ import annotations
 
 import fnmatch
-import json
 import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import schema
 from repro.errors import (
     ConfigurationError,
     DeviceError,
@@ -54,6 +54,24 @@ ERRORS = (
                    # the host process dying mid-dispatch; only the
                    # journal/recovery path survives it (docs/RECOVERY.md)
 )
+
+
+#: A fault-plan file (``examples/fault_plans/``): each entry of
+#: ``faults`` is a :class:`FaultSpec`'s keywords plus an ignored comment.
+FAULT_PLAN_SPEC = schema.obj(optional={
+    "seed": schema.NUMBER,
+    "faults": schema.array(schema.obj(
+        optional={
+            **dict.fromkeys(("site", "error", "target", "message"),
+                            schema.STRING),
+            **dict.fromkeys(("probability", "stall_s"), schema.NUMBER),
+            **dict.fromkeys(("from_call", "until_call", "times"),
+                            {"type": "number", "nullable": True}),
+            "on_calls": schema.array(schema.NUMBER),
+        },
+        closed=True,
+    )),
+})
 
 
 class _XorShift:
@@ -231,24 +249,11 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPlan":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"fault plan must be a JSON object, got {type(payload).__name__}"
-            )
-        known = {"site", "error", "target", "on_calls", "from_call",
-                 "until_call", "probability", "times", "stall_s",
-                 "message"}
-        specs = []
-        for entry in payload.get("faults", []):
-            fields = {k: v for k, v in entry.items() if k in known}
-            unknown = set(entry) - known - {"comment"}
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown fault spec keys: {', '.join(sorted(unknown))}"
-                )
-            if "on_calls" in fields:
-                fields["on_calls"] = tuple(fields["on_calls"])
-            specs.append(FaultSpec(**fields))
+        schema.require(payload, FAULT_PLAN_SPEC, "fault plan")
+        specs = [
+            FaultSpec(**{k: v for k, v in entry.items() if k != "comment"})
+            for entry in payload.get("faults", [])
+        ]
         return cls(specs, seed=payload.get("seed", 0))
 
     def to_dict(self) -> dict:
@@ -266,14 +271,9 @@ class FaultPlan:
 
 def load_fault_plan(path: str) -> FaultPlan:
     """Load a :class:`FaultPlan` from a JSON file."""
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"fault plan {path} is not valid JSON: {exc}"
-            ) from exc
-    return FaultPlan.from_dict(payload)
+    return FaultPlan.from_dict(
+        schema.load(path, FAULT_PLAN_SPEC, "fault plan")
+    )
 
 
 def kill_all_devices_plan(seed: int = 0) -> FaultPlan:

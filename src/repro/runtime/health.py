@@ -37,6 +37,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro import schema
 from repro.errors import ConfigurationError
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
@@ -616,91 +617,41 @@ class HealthRegistry:
         return f"<HealthRegistry {len(self._breakers)} breakers>"
 
 
-#: Keys every repro.health/1 report must carry.
-_REPORT_KEYS = ("schema", "policy", "breakers", "totals")
-_BREAKER_KEYS = (
-    "key", "device", "state", "trips", "now_s", "successes", "failures",
-    "fallbacks", "probes", "probe_failures", "repromotions",
-    "covered_task_ids", "transitions",
+def _time_moves_forward(transitions: list) -> list:
+    times = [t["at_s"] for t in transitions
+             if isinstance(t["at_s"], (int, float))]
+    if any(later < earlier for earlier, later in zip(times, times[1:])):
+        return ["a transition goes backwards in simulated time"]
+    return []
+
+
+_STATE = schema.one_of(CLOSED, OPEN, HALF_OPEN, noun="state")
+
+#: The ``repro.health/1`` document (:mod:`repro.schema`).
+HEALTH_SPEC = schema.obj(
+    {
+        "schema": schema.one_of(HEALTH_SCHEMA),
+        "policy": schema.ANY,
+        "breakers": schema.array(schema.obj({
+            **schema.keys(
+                "key", "device", "trips", "now_s", "successes",
+                "failures", "fallbacks", "probes", "probe_failures",
+                "repromotions", "covered_task_ids",
+            ),
+            "state": _STATE,
+            "transitions": schema.array(
+                schema.obj({
+                    **schema.keys("key", "device", "at_s", "reason", "trips"),
+                    "from": _STATE,
+                    "to": _STATE,
+                }),
+                checks=(_time_moves_forward,),
+            ),
+        })),
+        "totals": schema.OBJECT,
+    },
+    checks=(schema.totals_match("breakers"),),
 )
-_TRANSITION_KEYS = ("key", "device", "from", "to", "at_s", "reason", "trips")
-_STATES = (CLOSED, OPEN, HALF_OPEN)
-
-
-def validate_health_report(payload) -> list:
-    """Schema check for a ``repro.health/1`` report; returns problem
-    strings (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(payload, dict):
-        return [f"report must be an object, got {type(payload).__name__}"]
-    if payload.get("schema") != HEALTH_SCHEMA:
-        problems.append(
-            f"schema must be {HEALTH_SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    for key in _REPORT_KEYS:
-        if key not in payload:
-            problems.append(f"missing top-level key {key!r}")
-    breakers = payload.get("breakers", [])
-    if not isinstance(breakers, list):
-        problems.append("breakers must be a list")
-        breakers = []
-    for index, row in enumerate(breakers):
-        where = f"breakers[{index}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        for key in _BREAKER_KEYS:
-            if key not in row:
-                problems.append(f"{where} missing key {key!r}")
-        if row.get("state") not in _STATES:
-            problems.append(
-                f"{where} has unknown state {row.get('state')!r}"
-            )
-        previous_at = None
-        for t_index, transition in enumerate(row.get("transitions", [])):
-            t_where = f"{where}.transitions[{t_index}]"
-            if not isinstance(transition, dict):
-                problems.append(f"{t_where} must be an object")
-                continue
-            for key in _TRANSITION_KEYS:
-                if key not in transition:
-                    problems.append(f"{t_where} missing key {key!r}")
-            for end in ("from", "to"):
-                if transition.get(end) not in _STATES:
-                    problems.append(
-                        f"{t_where} has unknown state "
-                        f"{transition.get(end)!r}"
-                    )
-            at_s = transition.get("at_s")
-            if isinstance(at_s, (int, float)):
-                if previous_at is not None and at_s < previous_at:
-                    problems.append(
-                        f"{t_where} goes backwards in simulated time"
-                    )
-                previous_at = at_s
-    totals = payload.get("totals")
-    if isinstance(totals, dict):
-        if totals.get("breakers") != len(breakers):
-            problems.append(
-                "totals.breakers disagrees with the breakers list"
-            )
-    elif "totals" in payload:
-        problems.append("totals must be an object")
-    return problems
-
-
-def validate_health_file(path: str) -> dict:
-    """Load and validate a health report; raises on problems."""
-    import json
-
-    with open(path) as f:
-        payload = json.load(f)
-    problems = validate_health_report(payload)
-    if problems:
-        raise ConfigurationError(
-            f"health report {path} is invalid: " + "; ".join(problems)
-        )
-    return payload
 
 
 def render_health_report(report: dict) -> str:

@@ -24,7 +24,9 @@ from __future__ import annotations
 import functools
 import time
 
-from repro.errors import DeviceTimeoutError, RuntimeGraphError
+from repro.errors import (
+    DeviceTimeoutError, JobCancelledError, RuntimeGraphError,
+)
 from repro.runtime.graph import Pipeline
 from repro.runtime.queues import InlineEdge
 from repro.runtime.tasks import ExecutionContext
@@ -88,6 +90,15 @@ def _end_stream(task) -> None:
     first: downstream drains what was produced instead of waiting."""
     if task.output_conn is not None:
         task.output_conn.close()
+
+
+def _fatal(errors) -> bool:
+    """Whether a cancellation or a (simulated) process crash takes every
+    stage down, so the run is drained (DESIGN.md §3c)."""
+    return any(
+        isinstance(exc, JobCancelledError) or not isinstance(exc, Exception)
+        for _, exc in errors
+    )
 
 
 def _items_on(edge) -> int:
@@ -225,6 +236,11 @@ class ThreadedScheduler:
             except BaseException as exc:  # propagate to finish()
                 errors.append((task, exc))
                 _end_stream(task)
+                if not _fatal([(task, exc)]) and task.input_conn is not None:
+                    # As in a sequential run: upstream runs to its end
+                    # (taken here, dropped), downstream to ours.
+                    while not task.input_conn.get_queued()[1]:
+                        pass
 
         pipeline._errors = errors
         pipeline.threads = [
@@ -249,16 +265,16 @@ class ThreadedScheduler:
             )
         errors = pipeline._errors
         for thread, task in zip(pipeline.threads, pipeline.tasks):
-            if errors:
-                # A stage already failed (or the job was cancelled);
-                # stop waiting for orderly completion and drain below.
+            if _fatal(errors):
+                # The job was cancelled or the process crashed: stop
+                # waiting for orderly completion and drain below.
                 break
             deadline = (
                 time.perf_counter() + self.stage_timeout_s
                 if self.stage_timeout_s is not None
                 else None
             )
-            while thread.is_alive() and not errors:
+            while thread.is_alive() and not _fatal(errors):
                 if deadline is not None and time.perf_counter() >= deadline:
                     # The stage watchdog fired: a stage is stalled
                     # (hung kernel, wedged queue). Threads are
@@ -279,10 +295,11 @@ class ThreadedScheduler:
                     raise error
                 thread.join(self._JOIN_SLICE_S)
         if errors:
-            # Drain FIFOs and join the surviving workers before
-            # surfacing the failure: a blocked producer (full queue
-            # into a dead stage) must not wedge this join forever.
-            self.shutdown(pipeline)
+            if _fatal(errors):
+                # Drain FIFOs and join the surviving workers before
+                # surfacing the failure: a blocked producer must not
+                # wedge this join forever.
+                self.shutdown(pipeline)
             task, exc = errors[0]
             pipeline.failed = True
             pipeline.failure = exc

@@ -21,6 +21,7 @@ from repro.service.journal import (
     JOURNAL_SCHEMA,
     NULL_JOURNAL,
     RECOVER_SCHEMA,
+    RECOVER_SPEC,
     JobJournal,
     JobReplay,
     JournalSnapshot,
@@ -28,24 +29,22 @@ from repro.service.journal import (
     load_journal,
     outcome_digest,
     render_recover_report,
-    validate_recover_file,
-    validate_recover_report,
 )
 from repro.service.pool import DevicePool, Lease
 from repro.service.service import (
     SERVICE_SCHEMA,
+    SERVICE_SPEC,
     CoExecutionService,
     ServiceConfig,
     render_service_report,
     run_recovery_driver,
     run_service_driver,
-    validate_service_file,
-    validate_service_report,
 )
 
 __all__ = [
     "JOURNAL_SCHEMA",
     "RECOVER_SCHEMA",
+    "RECOVER_SPEC",
     "JobJournal",
     "NULL_JOURNAL",
     "JobReplay",
@@ -54,8 +53,6 @@ __all__ = [
     "load_journal",
     "outcome_digest",
     "render_recover_report",
-    "validate_recover_file",
-    "validate_recover_report",
     "run_recovery_driver",
     "AdmissionController",
     "TenantState",
@@ -69,10 +66,9 @@ __all__ = [
     "FAILED",
     "CANCELLED",
     "SERVICE_SCHEMA",
+    "SERVICE_SPEC",
     "CoExecutionService",
     "ServiceConfig",
     "run_service_driver",
-    "validate_service_report",
-    "validate_service_file",
     "render_service_report",
 ]

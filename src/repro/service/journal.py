@@ -38,6 +38,7 @@ import json
 import os
 import threading
 
+from repro import schema
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.checkpoint import CHECKPOINT_SCHEMA
@@ -55,8 +56,7 @@ __all__ = [
     "load_journal",
     "outcome_digest",
     "RecoveredOutcome",
-    "validate_recover_report",
-    "validate_recover_file",
+    "RECOVER_SPEC",
     "render_recover_report",
 ]
 
@@ -565,78 +565,26 @@ def load_journal(journal_dir: str) -> JournalSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# repro.recover/1 report validation / rendering
+# The repro.recover/1 report document / rendering
 # ---------------------------------------------------------------------------
 
-_REPORT_KEYS = ("schema", "journal", "deduped", "recovered", "totals")
-_RECOVERED_KEYS = ("job_id", "app", "tenant", "mode", "state")
-_MODES = ("checkpoint", "scratch", "unrecoverable")
 
-
-def validate_recover_report(payload) -> list:
-    """Schema check for a ``repro.recover/1`` report; returns problem
-    strings (empty = valid)."""
-    problems: list = []
-    if not isinstance(payload, dict):
-        return [f"report must be an object, got {type(payload).__name__}"]
-    if payload.get("schema") != RECOVER_SCHEMA:
-        problems.append(
-            f"schema must be {RECOVER_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    for key in _REPORT_KEYS:
-        if key not in payload:
-            problems.append(f"missing top-level key {key!r}")
-    journal = payload.get("journal")
-    if journal is not None and not isinstance(journal, dict):
-        problems.append("journal must be an object")
-    for name in ("deduped", "recovered"):
-        rows = payload.get(name, [])
-        if not isinstance(rows, list):
-            problems.append(f"{name} must be a list")
-            continue
-        for index, row in enumerate(rows):
-            where = f"{name}[{index}]"
-            if not isinstance(row, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            if "job_id" not in row:
-                problems.append(f"{where} missing key 'job_id'")
-            if name == "recovered":
-                for key in _RECOVERED_KEYS:
-                    if key not in row:
-                        problems.append(f"{where} missing key {key!r}")
-                if row.get("mode") not in _MODES:
-                    problems.append(
-                        f"{where} has unknown mode {row.get('mode')!r}"
-                    )
-    totals = payload.get("totals")
-    if isinstance(totals, dict):
-        if totals.get("deduped") != len(payload.get("deduped", []) or []):
-            problems.append(
-                "totals.deduped disagrees with the deduped list"
-            )
-        if totals.get("recovered") != len(
-            payload.get("recovered", []) or []
-        ):
-            problems.append(
-                "totals.recovered disagrees with the recovered list"
-            )
-    elif "totals" in payload:
-        problems.append("totals must be an object")
-    return problems
-
-
-def validate_recover_file(path: str) -> dict:
-    """Load and validate a recovery report; raises on problems."""
-    with open(path) as f:
-        payload = json.load(f)
-    problems = validate_recover_report(payload)
-    if problems:
-        raise ConfigurationError(
-            f"recovery report {path} is invalid: " + "; ".join(problems)
-        )
-    return payload
+#: The ``repro.recover/1`` document (:mod:`repro.schema`).
+RECOVER_SPEC = schema.obj(
+    {
+        "schema": schema.one_of(RECOVER_SCHEMA),
+        "journal": {"type": "object", "nullable": True},
+        "deduped": schema.array(schema.obj(schema.keys("job_id"))),
+        "recovered": schema.array(schema.obj({
+            **schema.keys("job_id", "app", "tenant", "state"),
+            "mode": schema.one_of(
+                "checkpoint", "scratch", "unrecoverable", noun="mode"
+            ),
+        })),
+        "totals": schema.OBJECT,
+    },
+    checks=(schema.totals_match("deduped", "recovered"),),
+)
 
 
 def render_recover_report(report: dict) -> str:

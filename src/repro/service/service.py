@@ -39,6 +39,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import schema
 from repro.backends.common import FPGA, GPU
 from repro.compiler import CompileOptions, CompilerSession
 from repro.errors import (
@@ -85,8 +86,7 @@ __all__ = [
     "SERVICE_SCHEMA",
     "ServiceConfig",
     "CoExecutionService",
-    "validate_service_report",
-    "validate_service_file",
+    "SERVICE_SPEC",
     "render_service_report",
     "run_service_driver",
     "run_recovery_driver",
@@ -896,108 +896,61 @@ class CoExecutionService:
 
 
 # ---------------------------------------------------------------------------
-# Report validation / rendering (the profile/health report pattern)
+# The report document / rendering
 # ---------------------------------------------------------------------------
 
-_REPORT_KEYS = (
-    "schema", "config", "tenants", "jobs", "pool", "admission",
-    "health", "totals",
+
+def _job_has_typed_error(job: dict) -> list:
+    if job["state"] in (FAILED, CANCELLED):
+        error = job.get("error")
+        if not isinstance(error, dict) or "type" not in error:
+            return [f"is {job['state']} but has no typed error record"]
+    return []
+
+
+def _state_counts_agree(report: dict) -> list:
+    counts = (report["totals"].get(state, 0) for state in JOB_STATES)
+    if sum(counts) != len(report["jobs"]):
+        return ["totals per-state counts do not sum to totals.jobs"]
+    return []
+
+
+def _no_leaked_leases(report: dict) -> list:
+    totals = report["totals"]
+    in_use = report["pool"].get("in_use", {})
+    quiescent = totals.get(RUNNING, 0) == 0 and totals.get(QUEUED, 0) == 0
+    if quiescent and any(v != 0 for v in in_use.values()):
+        return [
+            f"leaked device leases: pool.in_use={in_use} with no "
+            f"running or queued jobs"
+        ]
+    return []
+
+
+#: The ``repro.service/1`` document (:mod:`repro.schema`).
+SERVICE_SPEC = schema.obj(
+    {
+        "schema": schema.one_of(SERVICE_SCHEMA),
+        **schema.keys("config", "admission", "health"),
+        "tenants": schema.array(schema.obj(schema.keys(
+            "tenant", "weight", "queued", "submitted", "admitted",
+            "rejected", "completed", "failed", "cancelled",
+        ))),
+        "jobs": schema.array(schema.obj(
+            {
+                **schema.keys("job_id", "tenant", "app", "entry", "leased"),
+                "state": schema.one_of(*JOB_STATES, noun="state"),
+            },
+            checks=(_job_has_typed_error,),
+        )),
+        "pool": schema.obj(optional={"in_use": schema.OBJECT}),
+        "totals": schema.obj(
+            optional=dict.fromkeys(JOB_STATES, schema.NUMBER)
+        ),
+    },
+    checks=(schema.totals_match("jobs"), _state_counts_agree,
+            _no_leaked_leases),
 )
-_JOB_KEYS = ("job_id", "tenant", "app", "entry", "state", "leased")
-_TENANT_KEYS = (
-    "tenant", "weight", "queued", "submitted", "admitted", "rejected",
-    "completed", "failed", "cancelled",
-)
-
-
-def validate_service_report(payload) -> list:
-    """Schema check for a ``repro.service/1`` report; returns problem
-    strings (empty = valid)."""
-    problems: list = []
-    if not isinstance(payload, dict):
-        return [f"report must be an object, got {type(payload).__name__}"]
-    if payload.get("schema") != SERVICE_SCHEMA:
-        problems.append(
-            f"schema must be {SERVICE_SCHEMA!r}, "
-            f"got {payload.get('schema')!r}"
-        )
-    for key in _REPORT_KEYS:
-        if key not in payload:
-            problems.append(f"missing top-level key {key!r}")
-    jobs = payload.get("jobs", [])
-    if not isinstance(jobs, list):
-        problems.append("jobs must be a list")
-        jobs = []
-    for index, row in enumerate(jobs):
-        where = f"jobs[{index}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        for key in _JOB_KEYS:
-            if key not in row:
-                problems.append(f"{where} missing key {key!r}")
-        if row.get("state") not in JOB_STATES:
-            problems.append(
-                f"{where} has unknown state {row.get('state')!r}"
-            )
-        if row.get("state") in (FAILED, CANCELLED):
-            error = row.get("error")
-            if not isinstance(error, dict) or "type" not in error:
-                problems.append(
-                    f"{where} is {row.get('state')} but has no typed "
-                    f"error record"
-                )
-    for index, row in enumerate(payload.get("tenants", []) or []):
-        where = f"tenants[{index}]"
-        if not isinstance(row, dict):
-            problems.append(f"{where} must be an object")
-            continue
-        for key in _TENANT_KEYS:
-            if key not in row:
-                problems.append(f"{where} missing key {key!r}")
-    totals = payload.get("totals")
-    if isinstance(totals, dict):
-        if totals.get("jobs") != len(jobs):
-            problems.append("totals.jobs disagrees with the jobs list")
-        counted = sum(
-            totals.get(state, 0) for state in JOB_STATES
-        )
-        if counted != len(jobs):
-            problems.append(
-                "totals per-state counts do not sum to totals.jobs"
-            )
-    elif "totals" in payload:
-        problems.append("totals must be an object")
-    pool = payload.get("pool")
-    if isinstance(pool, dict):
-        in_use = pool.get("in_use", {})
-        quiescent = (
-            isinstance(totals, dict)
-            and totals.get("running", 0) == 0
-            and totals.get(QUEUED, 0) == 0
-        )
-        if quiescent and any(v != 0 for v in in_use.values()):
-            problems.append(
-                f"leaked device leases: pool.in_use={in_use} with no "
-                f"running or queued jobs"
-            )
-    elif "pool" in payload:
-        problems.append("pool must be an object")
-    return problems
-
-
-def validate_service_file(path: str) -> dict:
-    """Load and validate a service report; raises on problems."""
-    import json
-
-    with open(path) as f:
-        payload = json.load(f)
-    problems = validate_service_report(payload)
-    if problems:
-        raise ConfigurationError(
-            f"service report {path} is invalid: " + "; ".join(problems)
-        )
-    return payload
 
 
 def render_service_report(report: dict) -> str:

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from tests.lime_sources import FIGURE1
+from repro import schema
 from repro.cli import _parse_value, main
 from repro.compiler import compile_program
 from repro.ide import annotate_source, exclusion_notes
@@ -295,12 +296,12 @@ class TestProfileCommand:
         assert payload["critical_path"]["segments"]
 
     def test_out_writes_valid_file(self, tmp_path, capsys):
-        from repro.obs import validate_profile_file
+        from repro.obs import PROFILE_SPEC
 
         out = tmp_path / "profile.json"
         assert main(["profile", "mandelbrot", "--json", "-o", str(out)]) == 0
         capsys.readouterr()
-        payload = validate_profile_file(str(out))
+        payload = schema.load(str(out), PROFILE_SPEC, "profile")
         assert payload["app"] == "mandelbrot"
 
     def test_lime_file_target(self, bitflip_file, capsys):
@@ -354,7 +355,7 @@ class TestProfileCommand:
 
 class TestServeCommand:
     def test_serve_writes_valid_report(self, tmp_path, capsys):
-        from repro.service import validate_service_file
+        from repro.service import SERVICE_SPEC
 
         out = tmp_path / "serve.json"
         code = main([
@@ -365,7 +366,7 @@ class TestServeCommand:
         text = capsys.readouterr().out
         assert "co-execution service" in text
         assert "bit-identical" in text
-        report = validate_service_file(str(out))
+        report = schema.load(str(out), SERVICE_SPEC, "service report")
         assert report["totals"]["completed"] == 4
 
     def test_serve_json_output_is_parseable(self, capsys):
@@ -417,3 +418,69 @@ class TestCacheCommands:
         assert main(["compile", bitflip_file, *flags]) == 0
         assert main(["cache", "purge", *flags]) == 0
         assert not os.path.exists(os.path.join(cache_dir, "programs"))
+
+
+class TestMalformedInputFiles:
+    """A document read from outside the program fails with a typed
+    error naming the file and the JSON path of the bad node — never a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def profile(self, tmp_path_factory):
+        import json
+
+        path = tmp_path_factory.mktemp("profile") / "profile.json"
+        argv = ["profile", "photo_pipeline", "--json", "-o", str(path)]
+        assert main(argv) == 0
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def _refused(tmp_path, capsys, document, argv, where):
+        import json
+
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main([arg.format(path=path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err
+        assert where in err
+
+    @pytest.mark.parametrize("document, where", [
+        ({"faults": ["x"]}, "faults[0]: expected object"),
+        ({"faults": 3}, "faults: expected list"),
+        ({"faults": [{"site": "device", "sit": "device"}]},
+         "faults[0]: unknown key 'sit'"),
+    ])
+    def test_fault_plan(self, tmp_path, capsys, document, where):
+        self._refused(
+            tmp_path, capsys, document,
+            ["faults", "bitflip", "--plan", "{path}"], where,
+        )
+
+    @pytest.mark.parametrize("document, where", [
+        ({"schema": "repro.fusion/1", "groups": [], "rejected": 3},
+         "rejected: expected list"),
+        ({"schema": "repro.fusion/1", "groups": ["x"]},
+         "groups[0]: expected object"),
+    ])
+    def test_fusion_plan(self, tmp_path, capsys, document, where):
+        self._refused(
+            tmp_path, capsys, document,
+            ["trace", "photo_pipeline", "--fusion", "plan={path}",
+             "-o", str(tmp_path / "trace.json")],
+            where,
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "photo_pipeline", "--baseline", "{path}"],
+        ["fuse", "photo_pipeline", "--profile", "{path}"],
+    ])
+    def test_profile_with_a_stages_row_that_is_not_an_object(
+        self, tmp_path, capsys, profile, argv
+    ):
+        document = dict(profile, stages=[3] + profile["stages"][1:])
+        self._refused(
+            tmp_path, capsys, document, argv, "stages[0]: expected object"
+        )

@@ -17,9 +17,10 @@ import os
 
 import pytest
 
+from repro import schema
 from repro.apps import compile_app
 from repro.compiler import CompileOptions
-from repro.ir.fusion import FusionOptions, render_fused_ir, validate_plan_data
+from repro.ir.fusion import FUSION_PLAN_SPEC, FusionOptions, render_fused_ir
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "fusion")
 REGEN = os.environ.get("REPRO_REGEN_FUSION_GOLDEN") == "1"
@@ -88,6 +89,6 @@ class TestGoldenContent:
 
         with open(_golden_path(name, "plan.json")) as fh:
             data = json.load(fh)
-        assert validate_plan_data(data) == []
+        assert schema.problems(data, FUSION_PLAN_SPEC) == []
         assert data["schema"] == "repro.fusion/1"
         assert data["groups"], name

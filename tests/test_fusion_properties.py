@@ -19,13 +19,14 @@ import random
 
 import pytest
 
+from repro import schema
 from repro.apps import compile_app
 from repro.compiler import CompileOptions, CompilerSession
 from repro.errors import ConfigurationError
 from repro.ir.fusion import (
+    FUSION_PLAN_SPEC,
     FusionOptions,
     FusionPlan,
-    validate_plan_data,
 )
 from repro.obs import Tracer
 from repro.runtime import (
@@ -235,8 +236,10 @@ def test_plan_round_trip_and_allows_span():
 
 
 def test_malformed_plans_rejected():
-    assert validate_plan_data({"schema": "bogus/9"})
-    assert validate_plan_data({"schema": "repro.fusion/1", "groups": 3})
+    assert schema.problems({"schema": "bogus/9"}, FUSION_PLAN_SPEC)
+    assert schema.problems(
+        {"schema": "repro.fusion/1", "groups": 3}, FUSION_PLAN_SPEC
+    )
     with pytest.raises(ConfigurationError):
         FusionPlan.loads('{"schema": "bogus/9"}')
     with pytest.raises(ConfigurationError):

@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro import schema
 from repro.apps import SUITE
 from repro.backends.common import BYTECODE
 from repro.compiler import CompileOptions, compile_program
@@ -25,6 +26,7 @@ from repro.errors import (
 )
 from repro.obs import Tracer
 from repro.runtime import (
+    HEALTH_SPEC,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -36,7 +38,6 @@ from repro.runtime import (
     SubstitutionPolicy,
     Supervisor,
     render_health_report,
-    validate_health_report,
 )
 from repro.runtime.graph import Pipeline
 from repro.runtime.health import (
@@ -285,17 +286,18 @@ class TestHealthRegistry:
         report = registry.to_report(
             app="x", entry="X.main", scheduler="sequential"
         )
-        assert validate_health_report(report) == []
+        assert schema.problems(report, HEALTH_SPEC) == []
         assert report["schema"] == "repro.health/1"
         assert report["totals"]["open"] == 1
         text = render_health_report(report)
         assert "gpu:a" in text and "OPEN" in text
         # Round-trips through JSON untouched.
-        assert validate_health_report(json.loads(json.dumps(report))) == []
+        roundtrip = json.loads(json.dumps(report))
+        assert schema.problems(roundtrip, HEALTH_SPEC) == []
 
     def test_validation_catches_broken_reports(self):
-        assert validate_health_report([]) != []
-        assert validate_health_report({"schema": "nope"}) != []
+        assert schema.problems([], HEALTH_SPEC) != []
+        assert schema.problems({"schema": "nope"}, HEALTH_SPEC) != []
         registry = HealthRegistry(
             HealthPolicy(cooldown_s=1e-6, failure_threshold=1)
         )
@@ -303,16 +305,18 @@ class TestHealthRegistry:
         report = registry.to_report()
         bad = json.loads(json.dumps(report))
         bad["breakers"][0]["state"] = "exploded"
-        assert any("unknown state" in p for p in validate_health_report(bad))
+        assert any(
+            "unknown state" in p for p in schema.problems(bad, HEALTH_SPEC)
+        )
         bad = json.loads(json.dumps(report))
         bad["totals"]["breakers"] = 99
-        assert any("totals" in p for p in validate_health_report(bad))
+        assert any("totals" in p for p in schema.problems(bad, HEALTH_SPEC))
         bad = json.loads(json.dumps(report))
         bad["breakers"][0]["transitions"].append(
             dict(bad["breakers"][0]["transitions"][0], at_s=-1.0)
         )
         assert any(
-            "backwards" in p for p in validate_health_report(bad)
+            "backwards" in p for p in schema.problems(bad, HEALTH_SPEC)
         )
 
 
@@ -631,7 +635,7 @@ class TestRecoveryEndToEnd:
         assert len(first) == 3
 
     def test_breaker_spans_reach_chrome_trace(self, tmp_path):
-        from repro.obs.export import validate_trace_events, write_chrome_trace
+        from repro.obs.export import TRACE_SPEC, write_chrome_trace
 
         runtime, _, _, tracer = _recovery_run("sequential")
         assert len(tracer.find("breaker.transition")) == 3
@@ -642,7 +646,7 @@ class TestRecoveryEndToEnd:
         payload = write_chrome_trace(
             tracer, str(tmp_path / "health.json"), process_name="t"
         )
-        assert validate_trace_events(payload) == []
+        assert schema.problems(payload, TRACE_SPEC) == []
         names = {e.get("name") for e in payload["traceEvents"]}
         assert "breaker.transition" in names
         assert "probe.shadow" in names
@@ -705,6 +709,6 @@ class TestRecoveryEndToEnd:
             app="gray_pipeline", entry="GrayCoder.pipeline",
             scheduler="sequential",
         )
-        assert validate_health_report(report) == []
+        assert schema.problems(report, HEALTH_SPEC) == []
         assert report["totals"]["repromotions"] == 1
         assert report["totals"]["trips"] == 1

@@ -12,17 +12,18 @@ import random
 
 import pytest
 
+from repro import schema
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.runtime import CHECKPOINT_SCHEMA
 from repro.service import (
     JOURNAL_SCHEMA,
     RECOVER_SCHEMA,
+    RECOVER_SPEC,
     Job,
     JobJournal,
     load_journal,
     outcome_digest,
-    validate_recover_report,
 )
 from repro.service.journal import (
     JOURNAL_FILE,
@@ -326,22 +327,22 @@ class TestRecoverReportValidator:
         }
 
     def test_valid(self):
-        assert validate_recover_report(self._report()) == []
+        assert schema.problems(self._report(), RECOVER_SPEC) == []
 
     def test_bad_schema(self):
         report = self._report()
         report["schema"] = "nope/1"
-        assert validate_recover_report(report)
+        assert schema.problems(report, RECOVER_SPEC)
 
     def test_bad_mode(self):
         report = self._report()
         report["recovered"][0]["mode"] = "sideways"
-        assert validate_recover_report(report)
+        assert schema.problems(report, RECOVER_SPEC)
 
     def test_inconsistent_totals(self):
         report = self._report()
         report["totals"]["recovered"] = 7
-        assert validate_recover_report(report)
+        assert schema.problems(report, RECOVER_SPEC)
 
     def test_not_a_dict(self):
-        assert validate_recover_report([1, 2])
+        assert schema.problems([1, 2], RECOVER_SPEC)

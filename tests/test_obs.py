@@ -12,18 +12,18 @@ import json
 import pytest
 
 from tests.lime_sources import FIGURE1
+from repro import schema
 from repro.apps import SUITE
 from repro.compiler import CompileOptions, compile_program, compile_report
-from repro.errors import ConfigurationError, TraceExportError
+from repro.errors import ConfigurationError
 from repro.obs import (
     NULL_TRACER,
+    TRACE_SPEC,
     Counters,
     Tracer,
     render_span_tree,
     to_chrome_trace,
     to_json_lines,
-    validate_trace_events,
-    validate_trace_file,
     write_chrome_trace,
 )
 from repro.obs.export import span_to_event
@@ -176,8 +176,8 @@ class TestExport:
         tracer, _ = traced_run("bitflip")
         path = tmp_path / "bitflip.trace.json"
         payload = write_chrome_trace(tracer, str(path))
-        assert validate_trace_events(payload) == []
-        loaded = validate_trace_file(str(path))
+        assert schema.problems(payload, TRACE_SPEC) == []
+        loaded = schema.load(str(path), TRACE_SPEC, "trace")
         names = {e["name"] for e in loaded["traceEvents"]}
         assert {"compile", "run", "run.graph.stage"} <= names
         x_events = [e for e in loaded["traceEvents"] if e["ph"] == "X"]
@@ -213,16 +213,17 @@ class TestExport:
         assert all("name" in o and "duration_us" in o for o in spans)
 
     def test_validate_rejects_malformed(self, tmp_path):
-        assert validate_trace_events([]) != []
-        assert validate_trace_events({"traceEvents": "nope"}) != []
-        problems = validate_trace_events(
-            {"traceEvents": [{"name": "x", "ph": "Z", "pid": 1, "tid": 1}]}
+        assert schema.problems([], TRACE_SPEC) != []
+        assert schema.problems({"traceEvents": "nope"}, TRACE_SPEC) != []
+        problems = schema.problems(
+            {"traceEvents": [{"name": "x", "ph": "Z", "pid": 1, "tid": 1}]},
+            TRACE_SPEC,
         )
         assert any("phase" in p for p in problems)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(TraceExportError):
-            validate_trace_file(str(bad))
+        with pytest.raises(ConfigurationError):
+            schema.load(str(bad), TRACE_SPEC, "trace")
 
     def test_render_span_tree_indents_children(self):
         tracer = Tracer()
@@ -255,7 +256,7 @@ class TestSpanToEventEdgeCases:
         event = span_to_event(span)
         assert event["dur"] == 0.0
         assert event["ph"] == "X"
-        assert validate_trace_events({"traceEvents": [event]}) == []
+        assert schema.problems({"traceEvents": [event]}, TRACE_SPEC) == []
 
     def test_non_string_attribute_values_are_jsonable(self):
         tracer, now = self._frozen_tracer()

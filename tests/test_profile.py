@@ -10,17 +10,18 @@ import json
 
 import pytest
 
+from repro import schema
 from repro.apps import SUITE
 from repro.compiler import CompileOptions, compile_program
+from repro.errors import ConfigurationError
 from repro.obs import (
     PROFILE_SCHEMA,
+    PROFILE_SPEC,
     Tracer,
     build_profile,
     compare_profiles,
     critical_path,
     render_profile,
-    validate_profile,
-    validate_profile_file,
 )
 from repro.obs.profile import find_run_root
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
@@ -98,7 +99,7 @@ class TestProfileReport:
 
     def test_validates_clean(self, bitflip_report, mandelbrot_report):
         for _, report in (bitflip_report, mandelbrot_report):
-            assert validate_profile(report.to_json()) == []
+            assert schema.problems(report.to_json(), PROFILE_SPEC) == []
 
     def test_critical_path_within_5pct_of_wall(self, bitflip_report):
         _, report = bitflip_report
@@ -171,10 +172,12 @@ class TestValidateProfile:
     def test_rejects_wrong_schema(self, bitflip_report):
         _, report = bitflip_report
         payload = dict(report.to_json(), schema="repro.profile/0")
-        assert any("schema" in p for p in validate_profile(payload))
+        assert any(
+            "schema" in p for p in schema.problems(payload, PROFILE_SPEC)
+        )
 
     def test_rejects_non_dict(self):
-        assert validate_profile([1, 2]) != []
+        assert schema.problems([1, 2], PROFILE_SPEC) != []
 
     def test_rejects_critical_path_drift(self, bitflip_report):
         _, report = bitflip_report
@@ -183,10 +186,14 @@ class TestValidateProfile:
             "segments"
         ][:1]
         payload["critical_path"]["segments"][0]["duration_us"] = 1.0
-        assert any(">5%" in p for p in validate_profile(payload))
+        assert any(
+            ">5%" in p for p in schema.problems(payload, PROFILE_SPEC)
+        )
 
     def test_rejects_missing_sections(self):
-        assert validate_profile({"schema": PROFILE_SCHEMA, "wall_us": 1.0})
+        assert schema.problems(
+            {"schema": PROFILE_SCHEMA, "wall_us": 1.0}, PROFILE_SPEC
+        )
 
     def test_file_validator_raises_with_problems(
         self, tmp_path, bitflip_report
@@ -194,12 +201,13 @@ class TestValidateProfile:
         _, report = bitflip_report
         good = tmp_path / "good.json"
         good.write_text(report.dumps())
-        assert validate_profile_file(str(good))["schema"] == PROFILE_SCHEMA
+        loaded = schema.load(str(good), PROFILE_SPEC, "profile")
+        assert loaded["schema"] == PROFILE_SCHEMA
         bad = tmp_path / "bad.json"
         payload = dict(report.to_json(), schema="nope")
         bad.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="schema"):
-            validate_profile_file(str(bad))
+        with pytest.raises(ConfigurationError, match="schema"):
+            schema.load(str(bad), PROFILE_SPEC, "profile")
 
 
 class TestCompareProfiles:

@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro import schema
 from repro.apps import SUITE, compile_app, workloads
 from repro.errors import ProcessCrash
 from repro.obs import NULL_TRACER, Tracer
@@ -29,13 +30,13 @@ from repro.runtime import (
 from repro.service import (
     COMPLETED,
     FAILED,
+    RECOVER_SPEC,
     CoExecutionService,
     Job,
     JobJournal,
     ServiceConfig,
     outcome_digest,
     run_recovery_driver,
-    validate_recover_report,
 )
 from repro.service.journal import (
     JOURNAL_FILE,
@@ -149,7 +150,7 @@ def test_crash_recover_bit_identical(tmp_path, app, scheduler):
     job_id, row, report, restarts = _run_to_convergence(
         tmp_path / "journal", app, entry, args, plan, scheduler
     )
-    assert validate_recover_report(report) == []
+    assert schema.problems(report, RECOVER_SPEC) == []
     assert row["state"] == COMPLETED
     assert row["digest"] == _baseline_digest(
         app, entry, args, plan, scheduler
@@ -294,7 +295,7 @@ def test_recovery_driver_converges(tmp_path, scheduler):
         str(tmp_path / "journal"), jobs=6, scheduler=scheduler, seed=1,
         crash_call=3,
     )
-    assert validate_recover_report(report) == []
+    assert schema.problems(report, RECOVER_SPEC) == []
     driver = report["driver"]
     assert driver["verified_jobs"] == 6
     assert driver["restarts"] >= 3
@@ -362,6 +363,25 @@ class TestIdempotentDedup:
         # No execution happened in the reborn service: dedup is a
         # journal fold, not a re-run.
         assert counters.get("service.job.completed", 0) == 0
+
+    def test_deduped_outcome_returns_the_value(self, tmp_path):
+        """A deduplicated job answers with the value its entry returned,
+        decoded from the journal — not just the digest over it."""
+        journal_dir = tmp_path / "journal"
+        service = _service(journal_dir, None, "sequential")
+        entry, args = workloads.small_args("vector_sum")
+        job_id = service.submit(
+            SUITE["vector_sum"].source, entry, args, tenant="t0",
+            app="vector_sum",
+        )
+        service.drain()
+        value = service.result(job_id).value
+        assert value is not None
+        reborn = _service(journal_dir, None, "sequential")
+        assert reborn.recover()["totals"]["deduped"] == 1
+        outcome = reborn.result(job_id)
+        assert isinstance(outcome, RecoveredOutcome)
+        assert repr(outcome.value) == repr(value)
 
     def test_recover_twice_is_stable(self, tmp_path):
         journal_dir = tmp_path / "journal"

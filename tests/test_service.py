@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro import schema
 from repro.apps import SUITE, workloads
 from repro.errors import (
     AdmissionRejected,
@@ -31,13 +32,13 @@ from repro.runtime.cancel import CancelToken
 from repro.service import (
     CANCELLED,
     COMPLETED,
+    SERVICE_SPEC,
     AdmissionController,
     CoExecutionService,
     DevicePool,
     ServiceConfig,
     render_service_report,
     run_service_driver,
-    validate_service_report,
 )
 
 GPU = "gpu"
@@ -242,7 +243,7 @@ class TestServiceLifecycle:
         assert row["state"] == COMPLETED
         assert row["tenant"] == "alice"
         report = svc.drain()
-        assert validate_service_report(report) == []
+        assert schema.problems(report, SERVICE_SPEC) == []
         assert report["pool"]["in_use"] == {GPU: 0, FPGA: 0}
 
     def test_finished_job_threads_are_pruned(self):
@@ -358,7 +359,7 @@ class TestServiceLifecycle:
         assert job.state in (COMPLETED, CANCELLED)
         report = svc.drain()
         assert report["pool"]["in_use"] == {GPU: 0, FPGA: 0}
-        assert validate_service_report(report) == []
+        assert schema.problems(report, SERVICE_SPEC) == []
 
     def test_draining_service_rejects_submissions(self):
         svc = _service()
@@ -393,7 +394,7 @@ class TestServiceLifecycle:
         assert row["state"] == "failed"
         assert row["error"]["type"]
         report = svc.drain()
-        assert validate_service_report(report) == []
+        assert schema.problems(report, SERVICE_SPEC) == []
 
     def test_context_manager_drains(self):
         with _service() as svc:
@@ -562,21 +563,21 @@ class TestServiceReport:
         report = run_service_driver(
             tenants=2, jobs_per_tenant=2, scheduler="sequential"
         )
-        assert validate_service_report(report) == []
+        assert schema.problems(report, SERVICE_SPEC) == []
         text = render_service_report(report)
         assert "co-execution service" in text
         assert "t0" in text and "t1" in text
 
     def test_validator_rejects_garbage(self):
-        assert validate_service_report([]) != []
-        assert validate_service_report({"schema": "nope"}) != []
+        assert schema.problems([], SERVICE_SPEC) != []
+        assert schema.problems({"schema": "nope"}, SERVICE_SPEC) != []
 
     def test_validator_flags_leaked_leases(self):
         report = run_service_driver(
             tenants=1, jobs_per_tenant=1, scheduler="sequential"
         )
         report["pool"]["in_use"][GPU] = 1
-        problems = validate_service_report(report)
+        problems = schema.problems(report, SERVICE_SPEC)
         assert any("leaked" in p for p in problems)
 
     def test_validator_flags_state_count_mismatch(self):
@@ -584,7 +585,7 @@ class TestServiceReport:
             tenants=1, jobs_per_tenant=1, scheduler="sequential"
         )
         report["totals"]["completed"] += 1
-        assert validate_service_report(report) != []
+        assert schema.problems(report, SERVICE_SPEC) != []
 
     def test_error_rows_carry_job_and_tenant_context(self):
         svc = _service()

@@ -9,13 +9,14 @@ compiled program — on both schedulers. Concurrency arbitrates device
 
 import pytest
 
+from repro import schema
 from repro.apps import SUITE, workloads
 from repro.runtime import Runtime, RuntimeConfig
 from repro.service import (
     COMPLETED,
+    SERVICE_SPEC,
     CoExecutionService,
     ServiceConfig,
-    validate_service_report,
 )
 
 TENANTS = ("t0", "t1", "t2", "t3")
@@ -111,7 +112,7 @@ class TestServiceDifferential:
 
     def test_no_leaked_leases_and_valid_report(self, service_run):
         _, svc, report, _, _ = service_run
-        assert validate_service_report(report) == []
+        assert schema.problems(report, SERVICE_SPEC) == []
         assert all(
             used == 0 for used in report["pool"]["in_use"].values()
         )

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro import schema
 from repro.apps import SUITE, workloads
 from repro.errors import JobCancelledError, LiquidMetalError
 from repro.runtime import (
@@ -25,9 +26,9 @@ from repro.runtime import (
 )
 from repro.service import (
     COMPLETED,
+    SERVICE_SPEC,
     CoExecutionService,
     ServiceConfig,
-    validate_service_report,
 )
 
 PLAN_PATH = os.path.join(
@@ -140,7 +141,7 @@ class TestChaosSoak:
 
     def test_no_leaked_leases_under_chaos(self, soak):
         svc, report, _, _, _ = soak
-        assert validate_service_report(report) == []
+        assert schema.problems(report, SERVICE_SPEC) == []
         assert all(
             used == 0 for used in report["pool"]["in_use"].values()
         )

@@ -24,8 +24,10 @@ exception with the same message, leave the same sink contents and
 report ``stage.items`` = work done before the failure.
 """
 
+import functools
 import json
 import os
+import sys
 import threading
 
 import pytest
@@ -427,9 +429,14 @@ def _stage_items(runtime):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _programs():
+    return compile_program(PROGRAMS)
+
+
 def _fail(entry, xs, out_len, scheduler, error):
     runtime = Runtime(
-        compile_program(PROGRAMS),
+        _programs(),
         RuntimeConfig(scheduler=scheduler, policy=_CPU),
     )
     out = MutableArray.allocate(KIND_INT, out_len)
@@ -605,3 +612,21 @@ class TestFailurePathsOnBareTasks:
         stages = engine.ledger.graph_runs[-1].stages
         assert stages["adaptive:gpu:span"].items == 64
         assert engine.adaptation_log == []
+
+
+def test_threaded_failure_paths_at_every_interleaving():
+    """A thread switch offered at nearly every bytecode: a failed
+    threaded run still leaves what a failed sequential run leaves
+    (DESIGN.md §3c) — the stages downstream of the failure run to the
+    end of their stream instead of being drained."""
+    paths, bare = TestFailurePaths(), TestFailurePathsOnBareTasks()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            paths.test_arity_that_does_not_divide_the_stream("threaded")
+            paths.test_sink_overflow("threaded")
+            paths.test_error_in_the_middle_of_a_stream("threaded")
+            bare.test_device_error_in_the_middle_of_a_stream("threaded")
+    finally:
+        sys.setswitchinterval(interval)
