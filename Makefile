@@ -13,9 +13,11 @@ PYTHON ?= python
 # git checkout both readings are empty and the check passes.
 TREE_BEFORE = benchmarks/out/.tree-before
 
+# pytest runs pyproject's testpaths (tests/ and benchmarks/) under its
+# "not slow" filter: the tier-1 set, Fig. 4 VCD golden included.
 test: tree-before trace-smoke fault-smoke profile-smoke health-smoke \
 		harvest-smoke serve-smoke recover-smoke bench-smoke perf-smoke
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest
 	@git status --porcelain 2>/dev/null | diff $(TREE_BEFORE) - || \
 		{ echo "make test: the run changed the working tree (diff above)"; \
 		  exit 1; }

@@ -15,7 +15,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from repro.devices.fpga.rtl import Netlist
+from repro.devices.fpga.rtl import Assign, Module, Netlist, Signal, Update
 from repro.devices.fpga.synthesis import SynthesisReport, estimate, width_of
 from repro.errors import BackendError
 from repro.ir import nodes as ir
@@ -182,11 +182,24 @@ def _python_const(expr: ir.EConst) -> str:
     raise BackendError(f"constant {value!r} has no hardware encoding")
 
 
-#: id(bundle) -> its compiled datapath. Kept beside the bundle, not on
-#: it (like the stager's memo): the runtime elaborates per run, so the
-#: compile happens once per bundle object, and a pickled, cached or
-#: copied bundle carries no callable -- ``payload_bytes`` is unchanged.
+#: id(bundle) -> its compiled datapath, and id(bundle) -> its netlist.
+#: Kept beside the bundle, not on it (like the stager's memo): the
+#: runtime elaborates per run, so each compile happens once per bundle
+#: object, and a pickled, cached or copied bundle carries no callable --
+#: ``payload_bytes`` is unchanged.
 _COMPILED: dict = {}
+_NETLISTS: dict = {}
+
+
+def _beside(memo: dict, bundle, make):
+    """``memo``'s value for ``bundle``, made on first use and dropped
+    with the bundle."""
+    key = id(bundle)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = make()
+        weakref.finalize(bundle, memo.pop, key, None)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -244,202 +257,180 @@ class FPGAModuleBundle:
 
     def compiled_datapath(self):
         """The datapath as a Python function of the input word."""
-        key = id(self)
-        datapath = _COMPILED.get(key)
-        if datapath is None:
-            datapath = _COMPILED[key] = compile_datapath(
-                self.datapath, [self.param_name]
-            )
-            weakref.finalize(self, _COMPILED.pop, key, None)
-        return datapath
-
-    # -- elaboration ------------------------------------------------------
+        return _beside(
+            _COMPILED, self,
+            lambda: compile_datapath(self.datapath, [self.param_name]),
+        )
 
     def elaborate(self) -> Netlist:
-        net = Netlist(self.name)
-        w_in, w_out = self.in_width, self.out_width
-        net.add_input("inReady", 1)
-        net.add_input("inWord", w_in)
-        # 1-deep input FIFO; its output register is the waveform's
-        # inData, which goes high one cycle after inReady (Figure 4).
-        net.add_reg("fifo_valid", 1)
-        net.add_reg("inData", w_in)
-        net.add_reg("read_valid", 1)
-        net.add_reg("read_data", w_in)
+        """The module compiled for the cycle simulator, once per bundle."""
+        return _beside(
+            _NETLISTS, self,
+            lambda: Netlist(self.rtl(), self.compiled_datapath()),
+        )
+
+    # -- the hardware -----------------------------------------------------
+
+    def rtl(self) -> Module:
+        """The module's one description: the Verilog text, the simulated
+        netlist and the testbench's ports all derive from it.
+
+        The handshake of Figure 4: a 1-deep input FIFO whose output
+        register is the waveform's inData (high one cycle after
+        inReady), then read, compute (retimed into ``compute_stages``
+        register-separated stages; the first evaluates the datapath) and
+        publish, one cycle each."""
         stages = max(self.compute_stages, 1)
-        stage_names = [
-            ("comp_valid" if i == 0 else f"comp{i + 1}_valid",
-             "comp_data" if i == 0 else f"comp{i + 1}_data")
-            for i in range(stages)
+
+        def word(name, type_, kind="reg"):
+            return Signal(name, width_of(type_), kind, _signed(type_), True)
+
+        def valid(name, comment=""):
+            return Signal(name, 1, "reg", comment=comment)
+
+        def stage(valid_reg, data_reg, prev_valid, prev_data):
+            return (
+                Update(valid_reg, prev_valid, reset=0),
+                Update(data_reg, prev_data, enable=prev_valid),
+            )
+
+        chain = [("comp_valid", "comp_data")] + [
+            (f"comp{i}_valid", f"comp{i}_data") for i in range(2, stages + 1)
         ]
-        for valid_name, data_name in stage_names:
-            net.add_reg(valid_name, 1)
-            net.add_reg(data_name, w_out)
-        net.add_reg("out_valid", 1)
-        net.add_reg("out_data", w_out)
-        net.add_wire("can_issue", 1)
-        net.add_wire("datapath", w_out)
-        net.add_output("inAccept", 1)
-        net.add_output("outReady", 1)
-        net.add_output("outData", w_out)
-
-        if self.pipelined:
-            net.assign("can_issue", lambda e: e["fifo_valid"], ["fifo_valid"])
-        else:
-            busy_signals = (
-                ["read_valid"]
-                + [v for v, _ in stage_names]
-                + ["out_valid"]
-            )
-
-            def issue(e, names=tuple(busy_signals)):
-                busy = 0
-                for name in names:
-                    busy |= e[name]
-                return e["fifo_valid"] & ~busy & 1
-
-            net.assign(
-                "can_issue", issue, ["fifo_valid"] + busy_signals
-            )
-        datapath = self.compiled_datapath()
-        net.assign(
-            "datapath", lambda e: datapath(e["read_data"]), ["read_data"]
+        signals = (
+            Signal("inReady", 1, "input"),
+            word("inWord", self.in_type, "input"),
+            valid("fifo_valid", "1-deep input FIFO: produces its value on "
+                                "the next rising edge"),
+            word("inData", self.in_type),
+            valid("read_valid", f"read -> compute x{stages} -> publish "
+                                "stages (one cycle each)"),
+            word("read_data", self.in_type),
+            *[s for v, d in chain for s in (valid(v), word(d, self.out_type))],
+            valid("out_valid"),
+            word("out_data", self.out_type),
+            Signal("can_issue", 1),
+            word("datapath", self.out_type, "wire"),
+            Signal("inAccept", 1, "output"),
+            Signal("outReady", 1, "output"),
+            word("outData", self.out_type, "output"),
         )
-        net.assign(
-            "inAccept",
-            lambda e: (1 - e["fifo_valid"]) | e["can_issue"],
-            ["fifo_valid", "can_issue"],
+        busy = ("|", "read_valid", *[v for v, _ in chain], "out_valid")
+        assigns = (
+            Assign("can_issue", "fifo_valid" if self.pipelined
+                   else ("&", "fifo_valid", ("~", busy))),
+            Assign("datapath", ("datapath", "read_data")),
+            Assign("inAccept", ("|", ("~", "fifo_valid"), "can_issue")),
+            Assign("outReady", "out_valid"),
+            Assign("outData", "out_data"),
         )
-        net.assign("outReady", lambda e: e["out_valid"], ["out_valid"])
-        net.assign("outData", lambda e: e["out_data"], ["out_data"])
-
-        net.on_clock(
-            "fifo_valid",
-            lambda e: e["inReady"] | (e["fifo_valid"] & (1 - e["can_issue"])),
-        )
-        net.on_clock(
-            "inData",
-            lambda e: e["inWord"] if e["inReady"] else e["inData"],
-        )
-        net.on_clock("read_valid", lambda e: e["can_issue"])
-        net.on_clock(
-            "read_data",
-            lambda e: e["inData"] if e["can_issue"] else e["read_data"],
-        )
-        # First compute stage evaluates the (retimed) datapath; the
-        # remaining stages are the retiming registers.
-        net.on_clock("comp_valid", lambda e: e["read_valid"])
-        net.on_clock(
-            "comp_data",
-            lambda e: e["datapath"] if e["read_valid"] else e["comp_data"],
-        )
-        for (prev_valid, prev_data), (valid_name, data_name) in zip(
-            stage_names, stage_names[1:]
-        ):
-            net.on_clock(
-                valid_name, lambda e, pv=prev_valid: e[pv]
-            )
-            net.on_clock(
-                data_name,
-                lambda e, pv=prev_valid, pd=prev_data, dn=data_name: (
-                    e[pd] if e[pv] else e[dn]
-                ),
-            )
-        last_valid, last_data = stage_names[-1]
-        net.on_clock("out_valid", lambda e, lv=last_valid: e[lv])
-        net.on_clock(
-            "out_data",
-            lambda e, lv=last_valid, ld=last_data: (
-                e[ld] if e[lv] else e["out_data"]
+        fifo = ("|", "inReady", ("&", "fifo_valid", ("~", "can_issue")))
+        updates = (
+            (
+                Update("inData", "inWord", enable="inReady"),
+                Update("fifo_valid", fifo, reset=0),
+                *stage("read_valid", "read_data", "can_issue", "inData"),
+                *stage(*chain[0], "read_valid", "datapath"),
             ),
+            tuple(  # the retiming registers
+                update
+                for prev, this in zip(chain, chain[1:])
+                for update in stage(*this, *prev)
+            ),
+            stage("out_valid", "out_data", *chain[-1]),
         )
-        return net
-
-    # -- Verilog text -----------------------------------------------------
+        return Module(self.name, signals, assigns, updates)
 
     def verilog(self) -> str:
-        w_in, w_out = self.in_width, self.out_width
-        signed_in = " signed" if _signed(self.in_type) else ""
-        signed_out = " signed" if _signed(self.out_type) else ""
         stages = max(self.compute_stages, 1)
-        stage_names = [
-            ("comp_valid" if i == 0 else f"comp{i + 1}_valid",
-             "comp_data" if i == 0 else f"comp{i + 1}_data")
-            for i in range(stages)
-        ]
-        busy = " | ".join(
-            ["read_valid"] + [v for v, _ in stage_names] + ["out_valid"]
+        header = (
+            "// generated by the Liquid Metal FPGA backend\n"
+            f"// methods: {', '.join(self.methods)}\n"
+            f"// initiation interval: {1 if self.pipelined else 2 + stages}\n"
+            f"// compute stages (retiming): {stages}\n"
         )
-        issue = (
-            "fifo_valid"
-            if self.pipelined
-            else f"fifo_valid & ~({busy})"
+        return header + verilog_module(
+            self.rtl(),
+            lambda names: verilog_expr(
+                self.datapath, {self.param_name: names[0]}
+            ),
         )
-        expr_text = verilog_expr(self.datapath, {self.param_name: "read_data"})
-        stage_decls = "\n".join(
-            f"    reg {valid};\n"
-            f"    reg{signed_out} [{w_out - 1}:0] {data};"
-            for valid, data in stage_names
-        )
-        stage_resets = "\n".join(
-            f"            {valid} <= 1'b0;" for valid, _ in stage_names
-        )
-        shift_lines = []
-        for (pv, pd), (valid, data) in zip(stage_names, stage_names[1:]):
-            shift_lines.append(f"            {valid} <= {pv};")
-            shift_lines.append(f"            if ({pv}) {data} <= {pd};")
-        shifts = "\n".join(shift_lines)
-        last_valid, last_data = stage_names[-1]
-        return f"""// generated by the Liquid Metal FPGA backend
-// methods: {', '.join(self.methods)}
-// initiation interval: {1 if self.pipelined else 2 + stages}
-// compute stages (retiming): {stages}
-module {self.name} (
-    input  wire clk,
-    input  wire rst,
-    input  wire inReady,
-    input  wire{signed_in} [{w_in - 1}:0] inWord,
-    output wire inAccept,
-    output wire outReady,
-    output wire{signed_out} [{w_out - 1}:0] outData
-);
-    // 1-deep input FIFO: produces its value on the next rising edge
-    reg fifo_valid;
-    reg{signed_in} [{w_in - 1}:0] inData;
-    // read -> compute x{stages} -> publish stages (one cycle each)
-    reg read_valid;
-    reg{signed_in} [{w_in - 1}:0] read_data;
-{stage_decls}
-    reg out_valid;
-    reg{signed_out} [{w_out - 1}:0] out_data;
 
-    wire can_issue = {issue};
-    wire{signed_out} [{w_out - 1}:0] datapath = {expr_text};
 
-    assign inAccept = ~fifo_valid | can_issue;
-    assign outReady = out_valid;
-    assign outData  = out_data;
+def verilog_module(module: Module, datapath) -> str:
+    """``module`` as Verilog text; ``datapath(names)`` renders its
+    datapath leaf over the signals ``names``."""
+    drives = {assign.target: assign.expr for assign in module.assigns}
+    signals = {signal.name: signal for signal in module.signals}
 
-    always @(posedge clk) begin
-        if (rst) begin
-            fifo_valid <= 1'b0;
-            read_valid <= 1'b0;
-{stage_resets}
-            out_valid  <= 1'b0;
-        end else begin
-            if (inReady) inData <= inWord;
-            fifo_valid <= inReady | (fifo_valid & ~can_issue);
-            read_valid <= can_issue;
-            if (can_issue) read_data <= inData;
-            comp_valid <= read_valid;
-            if (read_valid) comp_data <= datapath;
-{shifts}
-            out_valid <= {last_valid};
-            if ({last_valid}) out_data <= {last_data};
-        end
-    end
-endmodule
-"""
+    def text(expr, nested=False) -> str:
+        if isinstance(expr, str):
+            return expr
+        op, *operands = expr
+        if op == "datapath":
+            return datapath(operands)
+        if op == "~":
+            return "~" + text(operands[0], nested=True)
+        joined = f" {op} ".join(text(x, nested=True) for x in operands)
+        return f"({joined})" if nested else joined
+
+    def declare(signal) -> str:
+        signed = " signed" if signal.signed else ""
+        return f"{signed}{bit_range(signal)} {signal.name}"
+
+    def clocked(update) -> str:
+        line = f"{update.target} <= {text(update.expr)};"
+        if update.enable is not None:
+            line = f"if ({text(update.enable)}) {line}"
+        return " " * 12 + line
+
+    lines = [
+        f"module {module.name} (",
+        "    input  wire clk,",
+        "    input  wire rst,",
+        ",\n".join(f"    {s.kind:<6} wire{declare(s)}" for s in module.ports),
+        ");",
+    ]
+    for kind in ("reg", "wire"):
+        for s in module.signals:
+            if s.kind == kind:
+                lines += [f"    // {s.comment}"] if s.comment else []
+                lines.append(f"    {kind}{declare(s)}" + (
+                    f" = {text(drives[s.name])};" if kind == "wire" else ";"
+                ))
+        lines.append("")
+    # Each run of aligned lines is aligned on its first target.
+    outputs = [s.name for s in module.ports if s.kind == "output"]
+    lines += [
+        f"    assign {name:<{len(outputs[0])}} = {text(drives[name])};"
+        for name in outputs
+    ]
+    updates = [update for block in module.updates for update in block]
+    resets = [u for u in updates if u.reset is not None]
+    lines += ["", "    always @(posedge clk) begin", "        if (rst) begin"]
+    lines += [
+        f"            {u.target:<{len(resets[0].target)}} <= "
+        f"{literal(signals[u.target], u.reset)};"
+        for u in resets
+    ]
+    lines.append("        end else begin")
+    lines += ["\n".join(map(clocked, block)) for block in module.updates]
+    lines += ["        end", "    end", "endmodule", ""]
+    return "\n".join(lines)
+
+
+def bit_range(signal: Signal) -> str:
+    """A data word's bit range; a one-bit control signal has none."""
+    if signal.vector or signal.width > 1:
+        return f" [{signal.width - 1}:0]"
+    return ""
+
+
+def literal(signal: Signal, value: int) -> str:
+    """``value`` as a Verilog literal sized for ``signal``."""
+    if bit_range(signal):
+        return f"{signal.width}'d{value}"
+    return f"1'b{value}"
 
 
 def make_bundle(

@@ -11,7 +11,11 @@ runtime. The testbench drives the Figure 4 handshake and compares
 
 from __future__ import annotations
 
+import itertools
+import re
+
 from repro.backends.verilog.codegen import FPGAModuleBundle
+from repro.backends.verilog.codegen import bit_range, literal
 
 
 def generate_testbench(
@@ -26,24 +30,31 @@ def generate_testbench(
     in_mask = (1 << w_in) - 1
     n = len(inputs)
     half = clock_period_ns // 2
-    in_words = ", ".join(f"{w_in}'d{x & in_mask}" for x in inputs)
-    exp_words = ", ".join(f"{w_out}'d{x}" for x in expected)
+    in_words = [f"{w_in}'d{x & in_mask}" for x in inputs]
+    exp_words = [f"{w_out}'d{x}" for x in expected]
+    ports = bundle.rtl().ports
+    declarations = "\n    ".join(
+        f"reg{bit_range(s)} {s.name} = {literal(s, 0)};"
+        if s.kind == "input" else f"wire{bit_range(s)} {s.name};"
+        for s in ports
+    )
+    # One line per direction of each stream (the lowercase stem: in, out).
+    port_map = ",\n        ".join(
+        ", ".join(f".{s.name}({s.name})" for s in group)
+        for _, group in itertools.groupby(
+            ports, lambda s: (s.kind, re.match("[a-z]*", s.name).group())
+        )
+    )
     return f"""// self-checking testbench generated by the Liquid Metal FPGA backend
 `timescale 1ns/1ps
 module tb_{bundle.name};
     reg clk = 1'b0;
     reg rst = 1'b1;
-    reg inReady = 1'b0;
-    reg [{w_in - 1}:0] inWord = {w_in}'d0;
-    wire inAccept;
-    wire outReady;
-    wire [{w_out - 1}:0] outData;
+    {declarations}
 
     {bundle.name} dut (
         .clk(clk), .rst(rst),
-        .inReady(inReady), .inWord(inWord),
-        .inAccept(inAccept),
-        .outReady(outReady), .outData(outData)
+        {port_map}
     );
 
     always #{half} clk = ~clk;
@@ -100,9 +111,6 @@ endmodule
 """
 
 
-def _array_init(name: str, words: str) -> str:
-    items = [w for w in words.split(", ") if w]
-    lines = [
-        f"{name}[{i}] = {word};" for i, word in enumerate(items)
-    ]
+def _array_init(name: str, words: list) -> str:
+    lines = [f"{name}[{i}] = {word};" for i, word in enumerate(words)]
     return "\n        ".join(lines)

@@ -190,7 +190,6 @@ class JobJournal:
         self._lock = threading.Lock()
         self._dead = False
         self._handle = None
-        self.records_written = 0
         if snapshot is None:
             snapshot = load_journal(journal_dir)
         if not snapshot.existed:
@@ -236,7 +235,6 @@ class JobJournal:
             view = memoryview(frame)
             while view:   # one write, unless the OS takes fewer bytes
                 view = view[self._handle.write(view):]
-            self.records_written += 1
         return True
 
     def append(self, record: dict) -> None:
@@ -338,10 +336,7 @@ class JobJournal:
 
     def __repr__(self) -> str:
         state = "dead" if self._dead else "live"
-        return (
-            f"<JobJournal {self.path} {state} "
-            f"{self.records_written} record(s)>"
-        )
+        return f"<JobJournal {self.path} {state}>"
 
 
 class _NullJournal:
@@ -349,7 +344,6 @@ class _NullJournal:
 
     enabled = False
     dead = False
-    records_written = 0
     path = None
 
     def mark_dead(self) -> None:

@@ -57,7 +57,6 @@ from repro.values.base import (
 )
 from repro.values.arrays import ValueArray
 from repro.values.bits import Bit, pack_bits, unpack_bits
-from repro.values.bufpool import DEFAULT_POOL, BufferPool
 from repro.values.enums import EnumValue
 
 TAG_INT = 0x01
@@ -435,23 +434,7 @@ def infer_batch_kind(values) -> Kind:
     return kind
 
 
-def _dense_size_hint(kind: Kind, count: int) -> int:
-    """Approximate payload bytes, for sizing the staging buffer."""
-    if kind.name == "bit":
-        return (count + 7) // 8
-    if kind.name in ("int", "float"):
-        return 4 * count
-    if kind.name in ("long", "double"):
-        return 8 * count
-    # booleans, enums: 1 byte each; nested arrays: unknowable cheaply.
-    return count
-
-
-def serialize_batch(
-    values,
-    kind: "Kind | None" = None,
-    pool: "BufferPool | None" = None,
-) -> bytes:
+def serialize_batch(values, kind: "Kind | None" = None) -> bytes:
     """Pack N homogeneous values into one contiguous 0x09 frame.
 
     One header covers the whole batch, so per-value tag bytes and
@@ -459,10 +442,6 @@ def serialize_batch(
     block is byte-identical to the dense payload of
     ``serialize(ValueArray(kind, values))`` — only the leading tag
     differs — which is what the conformance suite locks down.
-
-    The staging buffer comes from ``pool`` (default: the process-wide
-    :data:`~repro.values.bufpool.DEFAULT_POOL`) and is returned to it
-    after the immutable snapshot is taken.
     """
     values = list(values)
     if kind is None:
@@ -471,17 +450,12 @@ def serialize_batch(
         raise MarshalingError(f"cannot batch values of kind {kind}")
     for value in values:
         _check_batch_element(kind, value)
-    pool = pool if pool is not None else DEFAULT_POOL
-    hint = 8 + _dense_size_hint(kind, len(values))
-    buffer = pool.acquire(hint)
-    try:
-        buffer.append(TAG_BATCH)
-        buffer += _encode_element_kind(kind)
-        buffer += struct.pack("<I", len(values))
-        buffer += _encode_dense(kind, values)
-        return bytes(buffer)
-    finally:
-        pool.release(buffer, hint)
+    return b"".join((
+        bytes((TAG_BATCH,)),
+        _encode_element_kind(kind),
+        struct.pack("<I", len(values)),
+        _encode_dense(kind, values),
+    ))
 
 
 def _decode_batch_header(data: bytes) -> "tuple[Kind, int, int]":

@@ -4,7 +4,7 @@ synthesis."""
 import pytest
 
 from repro.devices.cpu import CPUDevice, CPUSpec
-from repro.devices.fpga.rtl import Netlist
+from repro.devices.fpga.rtl import Assign, Module, Netlist, Signal, Update
 from repro.devices.fpga.vcd import VCDWriter, _short_id
 from repro.devices.gpu.timing import (
     GTX580,
@@ -82,55 +82,61 @@ class TestGPUTiming:
         assert big_t.compute_s > fast_t.compute_s * 100
 
 
+def netlist(signals, assigns=(), updates=(), datapath=None):
+    return Netlist(
+        Module("m", tuple(signals), tuple(assigns), (tuple(updates),)),
+        datapath,
+    )
+
+
 class TestNetlist:
     def test_combinational_loop_detected(self):
-        net = Netlist("loop")
-        net.add_wire("a", 1)
-        net.add_wire("b", 1)
-        net.assign("a", lambda e: e["b"], ["b"])
-        net.assign("b", lambda e: e["a"], ["a"])
-        with pytest.raises(SimulationError):
-            net.ordered_assigns()
+        with pytest.raises(SimulationError, match="a -> b -> a|b -> a -> b"):
+            netlist(
+                [Signal("a", 1), Signal("b", 1)],
+                [Assign("a", "b"), Assign("b", "a")],
+            )
 
     def test_multiple_drivers_detected(self):
-        net = Netlist("dup")
-        net.add_wire("a", 1)
-        net.assign("a", lambda e: 0, [])
-        net.assign("a", lambda e: 1, [])
-        with pytest.raises(SimulationError):
-            net.ordered_assigns()
+        with pytest.raises(SimulationError, match="multiple drivers"):
+            netlist(
+                [Signal("a", 1), Signal("r", 1, "reg")],
+                [Assign("a", "r")],
+                [Update("r", "a"), Update("r", ("~", "a"))],
+            )
+
+    def test_undeclared_target_rejected(self):
+        with pytest.raises(SimulationError, match="undeclared signal 'w'"):
+            netlist([Signal("a", 1)], [Assign("w", "a")])
 
     def test_topological_settle(self):
-        net = Netlist("chain")
-        net.add_input("x", 8)
-        net.add_wire("y", 8)
-        net.add_wire("z", 8)
         # Declare z first but make it depend on y: order must fix it.
-        net.assign("z", lambda e: e["y"] + 1, ["y"])
-        net.assign("y", lambda e: e["x"] * 2, ["x"])
+        net = netlist(
+            [Signal("x", 8, "input"), Signal("y", 8), Signal("z", 8)],
+            [Assign("z", "y"), Assign("y", ("datapath", "x"))],
+            datapath=lambda x: x * 2,
+        )
         env = net.initial_state()
         env["x"] = 3
         settled = net.settle(env)
         assert settled["y"] == 6
-        assert settled["z"] == 7
+        assert settled["z"] == 6
 
     def test_width_masking(self):
-        net = Netlist("mask")
-        net.add_input("x", 8)
-        net.add_wire("y", 4)
-        net.assign("y", lambda e: e["x"], ["x"])
+        net = netlist(
+            [Signal("x", 8, "input"), Signal("y", 4)], [Assign("y", "x")]
+        )
         env = net.initial_state()
         env["x"] = 0xFF
         assert net.settle(env)["y"] == 0xF
 
     def test_register_semantics_two_phase(self):
         # A register chain shifts one position per clock.
-        net = Netlist("shift")
-        net.add_input("d", 1)
-        net.add_reg("q1", 1)
-        net.add_reg("q2", 1)
-        net.on_clock("q1", lambda e: e["d"])
-        net.on_clock("q2", lambda e: e["q1"])
+        net = netlist(
+            [Signal("d", 1, "input")]
+            + [Signal(q, 1, "reg") for q in ("q1", "q2")],
+            updates=[Update("q1", "d"), Update("q2", "q1")],
+        )
         env = net.initial_state()
         env["d"] = 1
         env = net.clock_edge(net.settle(env))
@@ -139,17 +145,27 @@ class TestNetlist:
         env = net.clock_edge(net.settle(env))
         assert env["q1"] == 0 and env["q2"] == 1
 
+    def test_enable_holds_and_reset_is_the_initial_value(self):
+        net = netlist(
+            [Signal("en", 1, "input"), Signal("d", 4, "input"),
+             Signal("r", 4, "reg")],
+            updates=[Update("r", "d", enable="en", reset=5)],
+        )
+        env = net.initial_state()
+        assert env["r"] == 5
+        env["d"] = 9
+        env = net.clock_edge(net.settle(env))
+        assert env["r"] == 5  # enable low: held
+        env["en"] = 1
+        assert net.clock_edge(net.settle(env))["r"] == 9
+
     def test_comb_assign_to_register_rejected(self):
-        net = Netlist("bad")
-        net.add_reg("r", 1)
-        with pytest.raises(SimulationError):
-            net.assign("r", lambda e: 1, [])
+        with pytest.raises(SimulationError, match="assign to register"):
+            netlist([Signal("r", 1, "reg")], [Assign("r", "r")])
 
     def test_clock_update_of_wire_rejected(self):
-        net = Netlist("bad2")
-        net.add_wire("w", 1)
-        with pytest.raises(SimulationError):
-            net.on_clock("w", lambda e: 1)
+        with pytest.raises(SimulationError, match="non-register"):
+            netlist([Signal("w", 1)], updates=[Update("w", "w")])
 
 
 class TestVCD:

@@ -215,16 +215,3 @@ class TestBatchedBoundary:
         result, records = boundary.transfer_batch([], kind=KIND_INT)
         assert result == []
         assert len(records) == 2
-
-    def test_buffer_pool_reuses_staging_buffers(self):
-        from repro.values.bufpool import BufferPool
-        from repro.values import serialize_batch
-
-        pool = BufferPool()
-        for _ in range(5):
-            serialize_batch(list(range(256)), pool=pool)
-        stats = pool.stats()
-        assert stats["misses"] == 1     # first acquire allocates
-        assert stats["hits"] == 4       # the rest reuse it
-        assert stats["releases"] == 5
-        assert pool.pooled_buffers == 1

@@ -1,10 +1,12 @@
 """Tests for the FPGA backend: datapath synthesis, Verilog text, RTL
 simulation, and the Figure 4 waveform behaviour."""
 
+import pickle
+
 import pytest
 
 from tests.lime_sources import FIGURE1
-from repro.backends.verilog import DatapathBuilder, compile_fpga
+from repro.backends.verilog import DatapathBuilder, codegen, compile_fpga
 from repro.backends.verilog.codegen import compile_datapath, verilog_expr
 from repro.devices.fpga import FPGASimulator
 from repro.errors import ExclusionNotice, SimulationError
@@ -312,3 +314,37 @@ class TestFusedModules:
             bundle.elaborate(), [bundle.encode(3)]
         )
         assert bundle.decode(result.outputs[0]) == 8  # (3+1)*2
+
+
+class TestOneDescription:
+    """The Verilog text, the netlist and the testbench derive from
+    ``FPGAModuleBundle.rtl()``; compiling never touches the simulator
+    side."""
+
+    def bundle(self):
+        return compile_fpga(module_for(FIGURE1)).artifacts[0].payload
+
+    def test_compile_compiles_no_python(self):
+        bundle = self.bundle()
+        assert id(bundle) not in codegen._COMPILED
+        assert id(bundle) not in codegen._NETLISTS
+
+    def test_netlist_is_compiled_once_per_bundle(self):
+        bundle = self.bundle()
+        netlist = bundle.elaborate()
+        assert bundle.elaborate() is netlist
+        assert codegen._NETLISTS[id(bundle)] is netlist
+        assert pickle.loads(pickle.dumps(bundle)).elaborate() is not netlist
+
+    def test_text_and_netlist_declare_the_same_signals(self):
+        bundle = self.bundle()
+        module = bundle.rtl()
+        text = bundle.verilog()
+        assert list(bundle.elaborate().signals) == [
+            s.name for s in module.signals
+        ]
+        for signal in module.signals:
+            assert f" {signal.name}" in text
+        assert [s.name for s in module.ports] == [
+            "inReady", "inWord", "inAccept", "outReady", "outData"
+        ]
