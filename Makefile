@@ -110,7 +110,7 @@ trace-smoke:
 		-o benchmarks/out/trace_smoke.json \
 		--jsonl benchmarks/out/trace_smoke.jsonl
 	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.schema import load; from repro.obs import TRACE_SPEC; \
+	from repro.schema import load; from repro.obs.export import TRACE_SPEC; \
 	load('benchmarks/out/trace_smoke.json', TRACE_SPEC, 'trace'); \
 	print('trace-smoke: benchmarks/out/trace_smoke.json valid')"
 
@@ -126,7 +126,7 @@ profile-smoke:
 		--scheduler threaded --json \
 		-o benchmarks/out/profile_smoke_bitflip.json > /dev/null
 	PYTHONPATH=src $(PYTHON) -c "\
-	from repro.schema import load; from repro.obs import PROFILE_SPEC; \
+	from repro.schema import load; from repro.obs.profile import PROFILE_SPEC; \
 	load('benchmarks/out/profile_smoke_mandelbrot.json', PROFILE_SPEC, 'profile'); \
 	load('benchmarks/out/profile_smoke_bitflip.json', PROFILE_SPEC, 'profile'); \
 	print('profile-smoke: both profile reports valid')"

@@ -8,8 +8,6 @@ from repro.backends.artifacts import (
     CacheEntry,
     CacheOptions,
     cache_key,
-    canonical_fingerprint,
-    ir_fingerprint,
     modeled_compile_s,
     modeled_load_s,
     options_fingerprint,
@@ -39,8 +37,6 @@ __all__ = [
     "GPU",
     "Manifest",
     "cache_key",
-    "canonical_fingerprint",
-    "ir_fingerprint",
     "modeled_compile_s",
     "modeled_load_s",
     "options_fingerprint",

@@ -1,17 +1,7 @@
-"""The CPU backend: bytecode ISA, compiler, and interpreter."""
+"""The CPU backend: bytecode ISA (:mod:`.isa`), compiler
+(:mod:`.compiler`), interpreter (:mod:`.interpreter`) and the staging of
+bytecode to Python functions (:mod:`.staging`).
 
-from repro.backends.bytecode.compiler import (
-    compile_module,
-    make_cpu_artifact,
-)
-from repro.backends.bytecode.interpreter import Interpreter, Services
-from repro.backends.bytecode.isa import BytecodeProgram, CompiledFunction
-
-__all__ = [
-    "BytecodeProgram",
-    "CompiledFunction",
-    "Interpreter",
-    "Services",
-    "compile_module",
-    "make_cpu_artifact",
-]
+The runtime loads the ISA and the interpreter without the compiler, so
+import each name from the module that defines it.
+"""

@@ -842,7 +842,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_format(args) -> int:
-    from repro.lime import parse, pretty
+    from repro.lime.parser import parse
+    from repro.lime.printer import pretty
 
     with open(args.file) as f:
         source = f.read()

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import threading
 from dataclasses import dataclass, field
 
@@ -41,17 +40,17 @@ from repro.backends.artifacts import (
     ArtifactCache,
     CacheOptions,
     cache_key,
-    ir_fingerprint,
     modeled_compile_s,
     program_digest,
 )
-from repro.backends.bytecode.compiler import compile_module, make_cpu_artifact
-from repro.backends.common import Artifact, ArtifactStore, Manifest
+from repro.backends.bytecode.compiler import make_cpu_artifact
+from repro.backends.common import Artifact, ArtifactStore
 from repro.backends.opencl.compiler import compile_gpu
 from repro.backends.verilog.compiler import compile_fpga
-from repro.ir import build_ir
+from repro.ir.builder import build_ir
+from repro.ir.fingerprint import ir_fingerprint
 from repro.ir.fusion import FusionOptions, fuse_module
-from repro.lime import analyze
+from repro.lime.typecheck import analyze
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -518,86 +517,6 @@ class CompilerSession:
             else:
                 self.counters.add("session.compile.memo_hit")
         return result
-
-    # -- specialization -------------------------------------------------
-
-    def compile_specialized(
-        self, artifact: Artifact, guard: str, tracer=None
-    ):
-        """Compile a specialized variant of one device kernel.
-
-        ``guard`` is the specialization guard digest (the content hash
-        of the stable operands the runtime observed —
-        :mod:`repro.runtime.specialize`). The variant is the same
-        executable payload under a guarded identity
-        (``<generic>@spec:<guard>``): bit-identical results by
-        construction, with the modeled win coming from skipping
-        re-marshaling of guard-resident operands. Content-addressed in
-        the artifact cache under backend id ``specialize`` and keyed on
-        (generic artifact id, guard, device family), so a service that
-        re-observes the same stable operands warm-loads the variant
-        instead of re-specializing. Returns ``(artifact, info)`` with
-        the usual cache-info dict (docs/FUSION.md).
-        """
-        tracer = tracer or self.tracer
-        base = artifact.manifest
-        spec_id = f"{base.artifact_id}@spec:{guard[:12]}"
-        info: dict = {"state": "off"}
-        key = None
-        if self.cache is not None:
-            material = json.dumps(
-                {
-                    "schema": "repro.specialize/1",
-                    "artifact": base.artifact_id,
-                    "guard": guard,
-                    "device_family": self.cache.options.device_family,
-                },
-                sort_keys=True,
-            )
-            key = hashlib.sha256(material.encode("utf-8")).hexdigest()
-            info["key"] = key
-            if self.cache.options.readable:
-                entry = self.cache.load("specialize", key, tracer=tracer)
-                if entry is not None:
-                    info.update(
-                        state="hit",
-                        modeled_s=entry.modeled_load_s,
-                        payload_bytes=entry.payload_bytes,
-                    )
-                    return entry.artifacts[0], info
-        with tracer.span(
-            "compile.specialize",
-            artifact=base.artifact_id,
-            guard=guard[:12],
-        ) as spec_span:
-            manifest = Manifest(
-                artifact_id=spec_id,
-                device=base.device,
-                task_ids=list(base.task_ids),
-                graph_id=base.graph_id,
-                source_language=base.source_language,
-                properties={
-                    **base.properties,
-                    "specialized": True,
-                    "guard": guard,
-                    "generic": base.artifact_id,
-                },
-            )
-            specialized = Artifact(
-                manifest=manifest,
-                payload=artifact.payload,
-                text=artifact.text,
-            )
-            spec_span.set(artifact_id=spec_id)
-        info["modeled_s"] = modeled_compile_s("specialize", [specialized])
-        if self.cache is not None:
-            info["state"] = "miss"
-            if self.cache.options.writable:
-                entry = self.cache.store(
-                    "specialize", key, [specialized], [], tracer=tracer
-                )
-                info["payload_bytes"] = entry.payload_bytes
-        return specialized, info
 
     # -- cache operations -----------------------------------------------
 

@@ -8,7 +8,9 @@ abstract cycle counts that feed the Fermi timing model in
 ``Interpreter.launch``: a staged loop over the work-items.
 
 A dedicated interpreter instance is used so GPU work never pollutes the
-host CPU's cycle ledger.
+host CPU's cycle ledger. Kernels are the payloads of GPU artifacts
+(``GPUKernel`` of :mod:`repro.backends.opencl.compiler`); the simulator
+only reads them, so it does not import the backend that builds them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from itertools import repeat
 
 from repro.backends.bytecode.interpreter import Interpreter
 from repro.backends.bytecode.isa import BytecodeProgram
-from repro.backends.opencl.compiler import GPUKernel
 from repro.devices.gpu.timing import (
     GPUSpec,
     GTX580,

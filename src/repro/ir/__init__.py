@@ -1,49 +1,9 @@
-"""Intermediate representation: function IR, task-graph IR, lowering,
-shape discovery, and shallow optimizations."""
+"""Intermediate representation: function IR (:mod:`.nodes`), task-graph
+IR (:mod:`.taskgraph`), lowering (:mod:`.builder`, whose ``build_ir``
+runs the whole pipeline), shape discovery, shallow optimizations,
+verification, task fusion and canonical fingerprints.
 
-from repro.ir.builder import lower
-from repro.ir.fusion import (
-    FusionGroup,
-    FusionOptions,
-    FusionPlan,
-    apply_fusion,
-    fuse_module,
-    plan_fusion,
-    render_fused_ir,
-)
-from repro.ir.nodes import IRFunction, IRModule
-from repro.ir.optimizations import optimize
-from repro.ir.shape import discover_task_graphs
-from repro.ir.taskgraph import StageIR, TaskGraphIR
-from repro.ir.verifier import verify_module
-
-
-def build_ir(checked, run_optimizations: bool = True) -> IRModule:
-    """Lower a checked program, optimize, verify, and discover task
-    graphs. Verification is an internal consistency check on the
-    lowerer/optimizer output (compiler bugs, not user errors)."""
-    module = lower(checked)
-    if run_optimizations:
-        optimize(module)
-    verify_module(module)
-    discover_task_graphs(module)
-    return module
-
-
-__all__ = [
-    "FusionGroup",
-    "FusionOptions",
-    "FusionPlan",
-    "IRFunction",
-    "IRModule",
-    "StageIR",
-    "TaskGraphIR",
-    "apply_fusion",
-    "build_ir",
-    "discover_task_graphs",
-    "fuse_module",
-    "lower",
-    "optimize",
-    "plan_fusion",
-    "render_fused_ir",
-]
+Import each name from the module that defines it: the runtime and the
+devices load ``nodes``/``ops``/``taskgraph`` without the lowering, which
+pulls in the frontend.
+"""

@@ -21,6 +21,9 @@ from repro.lime import ast_nodes as ast
 from repro.lime import types as ty
 from repro.lime.symbols import CheckedProgram, ClassInfo
 from repro.ir import nodes as ir
+from repro.ir.optimizations import optimize
+from repro.ir.shape import discover_task_graphs
+from repro.ir.verifier import verify_module
 from repro.values.bits import Bit
 from repro.values.arrays import ValueArray
 from repro.values.enums import EnumValue
@@ -612,4 +615,16 @@ def lower(checked: CheckedProgram) -> ir.IRModule:
     module = Lowerer(checked).lower()
     for function in module.functions.values():
         _rewrite_graph_starts(function.body)
+    return module
+
+
+def build_ir(checked, run_optimizations: bool = True) -> ir.IRModule:
+    """Lower a checked program, optimize, verify, and discover task
+    graphs. Verification is an internal consistency check on the
+    lowerer/optimizer output (compiler bugs, not user errors)."""
+    module = lower(checked)
+    if run_optimizations:
+        optimize(module)
+    verify_module(module)
+    discover_task_graphs(module)
     return module

@@ -37,13 +37,12 @@ from dataclasses import dataclass, field
 from repro import schema
 from repro.errors import ConfigurationError, LoweringError
 from repro.ir import nodes as ir
+from repro.ir.fingerprint import ir_fingerprint
+from repro.ir.taskgraph import FUSION_MODES
 from repro.ir.verifier import verify_module
 
 #: Schema tag stamped on every serialized plan.
 FUSION_SCHEMA = "repro.fusion/1"
-
-#: Accepted fusion modes (compile-time and runtime).
-FUSION_MODES = ("off", "auto", "plan")
 
 
 @dataclass(frozen=True)
@@ -549,8 +548,6 @@ def plan_fusion(module: ir.IRModule, profile=None) -> FusionPlan:
     report, only groups the evidence says are worth it are applied
     (critical-path offloads and marshaling crossings); the rest are
     recorded as rejected so the plan stays inspectable."""
-    from repro.backends.artifacts import ir_fingerprint
-
     payload = _profile_payload(profile)
     plan = FusionPlan(
         program=ir_fingerprint(module),
@@ -698,8 +695,6 @@ def apply_fusion(
     replay: the same plan against the same program always produces the
     same rewritten IR; a plan recorded against a *different* program is
     rejected up front."""
-    from repro.backends.artifacts import ir_fingerprint
-
     if check_program and plan.program:
         actual = ir_fingerprint(module)
         if actual != plan.program:

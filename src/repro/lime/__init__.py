@@ -1,16 +1,6 @@
-"""The Lime language frontend: lexer, parser, types, semantic analysis."""
+"""The Lime language frontend: lexer, parser, types, semantic analysis.
 
-from repro.lime.lexer import lex
-from repro.lime.parser import Parser, parse
-from repro.lime.printer import pretty
-from repro.lime.typecheck import TypeChecker, analyze, check
-
-__all__ = [
-    "Parser",
-    "TypeChecker",
-    "analyze",
-    "check",
-    "lex",
-    "parse",
-    "pretty",
-]
+Import each name from the module that defines it (``analyze`` from
+:mod:`.typecheck`, ``parse`` from :mod:`.parser`, ...): the runtime and
+the devices load :mod:`.types` without the rest of the frontend.
+"""

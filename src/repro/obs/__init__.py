@@ -11,16 +11,13 @@ Tracing is off by default and costs nothing when off: pass a
 :class:`Tracer` via ``CompileOptions(tracer=...)`` and
 ``RuntimeConfig(tracer=...)`` to turn it on; the default
 :data:`NULL_TRACER` swallows every call without allocating.
+
+This package re-exports only what every layer reports into
+(:mod:`.tracer`, :mod:`.metrics`). The exporters (:mod:`.export`) and
+the profiler (:mod:`.profile`) sit above the runtime: import them from
+their modules.
 """
 
-from repro.obs.export import (
-    TRACE_SPEC,
-    render_span_tree,
-    to_chrome_trace,
-    to_json_lines,
-    write_chrome_trace,
-    write_json_lines,
-)
 from repro.obs.metrics import (
     NULL_METRICS,
     Counters,
@@ -29,15 +26,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetrics,
     as_metrics,
-)
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    PROFILE_SPEC,
-    ProfileReport,
-    build_profile,
-    compare_profiles,
-    critical_path,
-    render_profile,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -56,21 +44,8 @@ __all__ = [
     "NULL_METRICS",
     "NULL_TRACER",
     "NullTracer",
-    "PROFILE_SCHEMA",
-    "PROFILE_SPEC",
-    "ProfileReport",
     "Span",
-    "TRACE_SPEC",
     "Tracer",
     "as_metrics",
     "as_tracer",
-    "build_profile",
-    "compare_profiles",
-    "critical_path",
-    "render_profile",
-    "render_span_tree",
-    "to_chrome_trace",
-    "to_json_lines",
-    "write_chrome_trace",
-    "write_json_lines",
 ]

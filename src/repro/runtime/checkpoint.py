@@ -76,6 +76,24 @@ DEFAULT_INTERVAL = 32
 ENTRY_KINDS = ("filter-batch", "map", "reduce")
 
 
+def capture_refusal(config) -> "str | None":
+    """Why a run under ``config`` (a ``RuntimeConfig``) cannot be
+    checkpointed, or None when it can. Kernel specialization mutates
+    artifacts across calls and adaptive policies re-decide per firing,
+    so neither run's decision points are replayable."""
+    if config.specialize.enabled:
+        return (
+            "checkpointing cannot capture specialized kernels; "
+            "disable SpecializationPolicy or checkpointing"
+        )
+    if config.policy.adaptive:
+        return (
+            "checkpointing cannot capture adaptive substitution; "
+            "disable policy.adaptive or checkpointing"
+        )
+    return None
+
+
 class CheckpointRecorder:
     """Memoizing capture/replay of one job's device decision points.
 
@@ -146,22 +164,14 @@ class CheckpointRecorder:
         """Bind to a runtime before its run starts.
 
         Fresh capture refuses configurations whose decision points are
-        not replayable (kernel specialization mutates artifacts across
-        calls; adaptive policies re-decide per firing). Resume restores
+        not replayable (:func:`capture_refusal`). Resume restores
         the frame's injector/supervisor/health snapshots wholesale and
         re-pins OPEN breakers into the runtime's substitution policy —
         exactly the state the crashed run had at its last frame.
         """
-        if runtime.config.specialize.enabled:
-            raise ConfigurationError(
-                "checkpointing cannot capture specialized kernels; "
-                "disable SpecializationPolicy or checkpointing"
-            )
-        if runtime.policy.adaptive:
-            raise ConfigurationError(
-                "checkpointing cannot capture adaptive substitution; "
-                "disable policy.adaptive or checkpointing"
-            )
+        refusal = capture_refusal(runtime.config)
+        if refusal is not None:
+            raise ConfigurationError(refusal)
         self._runtime = runtime
         self._scheduler = runtime.config.scheduler
         frame = self._frame

@@ -11,10 +11,11 @@ the generic kernel in one step.
 Correctness is by construction: the specialized variant shares the
 generic kernel's executable payload, so outputs are bit-identical —
 only the modeled marshaling/launch costs change. The variant is
-content-addressed in the PR 6 artifact cache under backend id
-``specialize`` (:meth:`CompilerSession.compile_specialized`), so a
-long-lived service observing the same stable operands across jobs
-warm-loads the variant instead of re-specializing.
+content-addressed in the compilation's artifact cache under backend id
+``specialize`` (:func:`compile_specialized`), so runtimes that observe
+the same stable operands over one cache directory warm-load the variant
+instead of re-specializing. Nothing here runs a compiler: the variant
+relabels an artifact the backends already built.
 
 State machine per generic kernel::
 
@@ -29,8 +30,11 @@ PR 4 profiler.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 
+from repro.backends.artifacts import ArtifactCache, modeled_compile_s
+from repro.backends.common import Artifact, Manifest
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.values import ValueArray, serialize
@@ -80,6 +84,80 @@ def guard_digest(args: list, broadcast) -> "tuple[str, tuple]":
     return hasher.hexdigest(), tuple(positions)
 
 
+def compile_specialized(artifact, guard: str, cache=None,
+                        tracer=NULL_TRACER):
+    """A specialized variant of one device kernel.
+
+    ``guard`` is the specialization guard digest (:func:`guard_digest`).
+    The variant is the same executable payload under a guarded identity
+    (``<generic>@spec:<guard>``): bit-identical results by construction,
+    with the modeled win coming from skipping re-marshaling of
+    guard-resident operands. With an :class:`ArtifactCache`, the variant
+    is content-addressed under backend id ``specialize`` and keyed on
+    (generic artifact id, guard, device family), so a runtime that
+    re-observes the same stable operands warm-loads it instead of
+    re-specializing. Returns ``(artifact, info)`` with the usual
+    cache-info dict (docs/FUSION.md).
+    """
+    base = artifact.manifest
+    spec_id = f"{base.artifact_id}@spec:{guard[:12]}"
+    info: dict = {"state": "off"}
+    key = None
+    if cache is not None:
+        material = json.dumps(
+            {
+                "schema": "repro.specialize/1",
+                "artifact": base.artifact_id,
+                "guard": guard,
+                "device_family": cache.options.device_family,
+            },
+            sort_keys=True,
+        )
+        key = hashlib.sha256(material.encode("utf-8")).hexdigest()
+        info["key"] = key
+        entry = cache.load("specialize", key, tracer=tracer)
+        if entry is not None:
+            info.update(
+                state="hit",
+                modeled_s=entry.modeled_load_s,
+                payload_bytes=entry.payload_bytes,
+            )
+            return entry.artifacts[0], info
+    with tracer.span(
+        "compile.specialize",
+        artifact=base.artifact_id,
+        guard=guard[:12],
+    ) as spec_span:
+        manifest = Manifest(
+            artifact_id=spec_id,
+            device=base.device,
+            task_ids=list(base.task_ids),
+            graph_id=base.graph_id,
+            source_language=base.source_language,
+            properties={
+                **base.properties,
+                "specialized": True,
+                "guard": guard,
+                "generic": base.artifact_id,
+            },
+        )
+        specialized = Artifact(
+            manifest=manifest,
+            payload=artifact.payload,
+            text=artifact.text,
+        )
+        spec_span.set(artifact_id=spec_id)
+    info["modeled_s"] = modeled_compile_s("specialize", [specialized])
+    if cache is not None:
+        info["state"] = "miss"
+        if cache.options.writable:
+            entry = cache.store(
+                "specialize", key, [specialized], [], tracer=tracer
+            )
+            info["payload_bytes"] = entry.payload_bytes
+    return specialized, info
+
+
 class _KernelState:
     __slots__ = ("guard", "streak", "variants")
 
@@ -92,16 +170,25 @@ class _KernelState:
 class KernelSpecializer:
     """Guarded specialization over the runtime's map kernels.
 
-    ``compile_fn(artifact, guard) -> (variant, info)`` is
-    :meth:`CompilerSession.compile_specialized`; ``charge(seconds)``
-    bills the modeled (re)compile stall to the runtime's simulated
-    clock, so specialization pays for itself honestly.
+    Variants go through :func:`compile_specialized` into the artifact
+    cache of ``compile_options`` (the ``CompileOptions`` the program
+    was compiled with; none when its cache is off) and trace on its
+    tracer, where the program's own ``compile.*`` spans are.
+    ``charge(seconds)`` bills the modeled (re)compile stall to the
+    runtime's simulated clock, so specialization pays for itself
+    honestly.
     """
 
-    def __init__(self, policy: SpecializationPolicy, compile_fn,
+    def __init__(self, policy: SpecializationPolicy, compile_options=None,
                  tracer=NULL_TRACER, charge=None):
         self.policy = policy
-        self.compile_fn = compile_fn
+        cache_options = getattr(compile_options, "cache", None)
+        self.cache = (
+            ArtifactCache(cache_options)
+            if cache_options is not None and cache_options.enabled
+            else None
+        )
+        self.compile_tracer = getattr(compile_options, "tracer", NULL_TRACER)
         self.tracer = tracer
         self.charge = charge
         self._states: dict = {}
@@ -146,7 +233,9 @@ class KernelSpecializer:
         self._note(key, "observe", guard)
         if state.streak < self.policy.observe_batches:
             return artifact, ()
-        variant, info = self.compile_fn(artifact, guard)
+        variant, info = compile_specialized(
+            artifact, guard, self.cache, self.compile_tracer
+        )
         state.variants[guard] = variant
         self._note(
             key,

@@ -55,6 +55,7 @@ from repro.obs.metrics import NULL_METRICS
 from repro.runtime.checkpoint import (
     DEFAULT_INTERVAL as CHECKPOINT_DEFAULT_INTERVAL,
     CheckpointRecorder,
+    capture_refusal,
 )
 from repro.runtime.engine import Runtime, RuntimeConfig
 from repro.runtime.faults import fault_log_payload
@@ -512,12 +513,11 @@ class CoExecutionService:
         """A checkpoint recorder for this job run — replaying the
         job's frame chain, which only the first run of a
         checkpoint-mode recovery has — or None when the service has no
-        journal or the runtime config is not capturable (kernel
-        specialization, adaptive policies)."""
+        journal or the runtime config is not capturable
+        (:func:`capture_refusal`)."""
         if not self.journal.enabled:
             return None
-        cfg = self.config.runtime
-        if cfg.specialize.enabled or cfg.policy.adaptive:
+        if capture_refusal(self.config.runtime) is not None:
             return None
         chain, job.checkpoints = job.checkpoints, []
         if job.recovery_mode == "checkpoint" and not chain:

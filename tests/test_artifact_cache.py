@@ -25,8 +25,6 @@ from repro.backends.artifacts import (
     ArtifactCache,
     CacheOptions,
     cache_key,
-    canonical_fingerprint,
-    ir_fingerprint,
     modeled_compile_s,
     modeled_load_s,
     options_fingerprint,
@@ -35,6 +33,7 @@ from repro.backends.artifacts import (
 )
 from repro.compiler import CompileOptions, CompilerSession, compile_program
 from repro.errors import ConfigurationError
+from repro.ir.fingerprint import canonical_fingerprint, ir_fingerprint
 from repro.obs import Tracer
 
 from repro.apps import SUITE

@@ -3,10 +3,11 @@
 import pytest
 
 from tests.lime_sources import FIGURE1, SAXPY
-from repro.backends.bytecode import Interpreter, compile_module
+from repro.backends.bytecode.compiler import compile_module
+from repro.backends.bytecode.interpreter import Interpreter
 from repro.errors import DeviceError
-from repro.ir import build_ir
-from repro.lime import analyze
+from repro.ir.builder import build_ir
+from repro.lime.typecheck import analyze
 from repro.values import KIND_BIT, KIND_FLOAT, KIND_INT, Bit, ValueArray
 from repro.values import parse_bit_literal
 

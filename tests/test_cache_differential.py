@@ -24,13 +24,9 @@ import pytest
 
 import repro.compiler
 from repro.apps import SUITE
-from repro.backends.artifacts import (
-    ArtifactCache,
-    CacheOptions,
-    cache_key,
-    ir_fingerprint,
-)
+from repro.backends.artifacts import ArtifactCache, CacheOptions, cache_key
 from repro.compiler import CompileOptions, CompilerSession
+from repro.ir.fingerprint import ir_fingerprint
 from repro.obs import Tracer
 from repro.runtime import Runtime, RuntimeConfig
 from tests.test_suite_equivalence import SMALL_ARGS

@@ -29,8 +29,15 @@ from repro.runtime.checkpoint import (
     DEFAULT_INTERVAL,
     PERSIST_BYTES_PER_S,
     PERSIST_FIXED_S,
+    capture_refusal,
 )
-from repro.service import JobJournal, load_journal
+from repro.service import (
+    COMPLETED,
+    CoExecutionService,
+    JobJournal,
+    ServiceConfig,
+    load_journal,
+)
 from repro.service.journal import JOURNAL_FILE, JOURNAL_MAGIC
 from repro.values import frame_record, unframe_records
 
@@ -148,6 +155,53 @@ class TestCaptureAndPersist:
                 ),
                 checkpointer=recorder,
             )
+
+    def test_one_rule_names_what_is_not_capturable(self):
+        plain = RuntimeConfig()
+        assert capture_refusal(plain) is None
+        specialized = plain.with_overrides(
+            specialize=SpecializationPolicy(enabled=True)
+        )
+        adaptive = plain.with_overrides(
+            policy=SubstitutionPolicy(adaptive=True)
+        )
+        assert "specialized kernels" in capture_refusal(specialized)
+        assert "adaptive substitution" in capture_refusal(adaptive)
+
+    @pytest.mark.parametrize(
+        "overrides, frames",
+        [
+            ({}, True),
+            ({"specialize": SpecializationPolicy(enabled=True)}, False),
+            ({"policy": SubstitutionPolicy(adaptive=True)}, False),
+        ],
+        ids=["plain", "specialize", "adaptive"],
+    )
+    def test_journaled_service_runs_uncapturable_jobs_unrecorded(
+        self, tmp_path, overrides, frames
+    ):
+        """The service asks the same rule as ``attach``: a job it
+        cannot capture runs to completion without a recorder, so the
+        journal holds its lifecycle records and no frame."""
+        service = CoExecutionService(
+            ServiceConfig(
+                runtime=RuntimeConfig(
+                    scheduler="sequential", batch_size=8
+                ).with_overrides(**overrides),
+                journal_dir=str(tmp_path),
+                checkpoint_interval=1,
+            )
+        )
+        entry, args = workloads.small_args(APP)
+        job_id = service.submit(
+            compile_app(APP).source, entry, args, tenant="t0", app=APP
+        )
+        service.drain()
+        assert service.status(job_id)["state"] == COMPLETED
+        data = (tmp_path / JOURNAL_FILE).read_bytes()
+        payloads, _torn = unframe_records(data[len(JOURNAL_MAGIC):])
+        schemas = [json.loads(payload)["schema"] for payload in payloads]
+        assert (CHECKPOINT_SCHEMA in schemas) == frames
 
 
 class TestResume:

@@ -296,7 +296,7 @@ class TestProfileCommand:
         assert payload["critical_path"]["segments"]
 
     def test_out_writes_valid_file(self, tmp_path, capsys):
-        from repro.obs import PROFILE_SPEC
+        from repro.obs.profile import PROFILE_SPEC
 
         out = tmp_path / "profile.json"
         assert main(["profile", "mandelbrot", "--json", "-o", str(out)]) == 0

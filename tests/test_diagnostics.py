@@ -9,7 +9,8 @@ from repro.errors import (
     LimeTypeError,
     TaskGraphError,
 )
-from repro.lime import analyze, parse
+from repro.lime.parser import parse
+from repro.lime.typecheck import analyze
 
 
 def error_for(source, exc=LimeTypeError):

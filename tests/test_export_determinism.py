@@ -7,7 +7,8 @@ import json
 
 class TestExportDeterminism:
     def _trace_bytes(self, tmp_path, name):
-        from repro.obs import Tracer, write_chrome_trace, write_json_lines
+        from repro.obs import Tracer
+        from repro.obs.export import write_chrome_trace, write_json_lines
 
         tracer = Tracer()
         # Attributes inserted in different orders across spans: the

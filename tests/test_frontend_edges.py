@@ -3,10 +3,12 @@ aliasing, numeric promotion details."""
 
 import pytest
 
-from repro.backends.bytecode import Interpreter, compile_module
+from repro.backends.bytecode.compiler import compile_module
+from repro.backends.bytecode.interpreter import Interpreter
 from repro.errors import LimeTypeError, TaskGraphError
-from repro.ir import build_ir
-from repro.lime import analyze, parse
+from repro.ir.builder import build_ir
+from repro.lime.parser import parse
+from repro.lime.typecheck import analyze
 from repro.lime import ast_nodes as ast
 
 

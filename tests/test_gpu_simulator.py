@@ -4,13 +4,13 @@ import pytest
 
 from tests.lime_sources import SAXPY
 from repro.apps import compile_app
-from repro.backends.bytecode import Interpreter
+from repro.backends.bytecode.interpreter import Interpreter
 from repro.backends.opencl import compile_gpu
 from repro.compiler import compile_program
 from repro.devices.gpu import GPUSimulator, GTX580
 from repro.errors import DeviceError
-from repro.ir import build_ir
-from repro.lime import analyze
+from repro.ir.builder import build_ir
+from repro.lime.typecheck import analyze
 from repro.values import KIND_FLOAT, KIND_INT, ValueArray
 
 

@@ -3,10 +3,11 @@ strings, longs, nesting, and value-class behaviours."""
 
 import pytest
 
-from repro.backends.bytecode import Interpreter, compile_module
+from repro.backends.bytecode.compiler import compile_module
+from repro.backends.bytecode.interpreter import Interpreter
 from repro.errors import DeviceError
-from repro.ir import build_ir
-from repro.lime import analyze
+from repro.ir.builder import build_ir
+from repro.lime.typecheck import analyze
 from repro.values import Bit, EnumValue
 
 

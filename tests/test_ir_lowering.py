@@ -4,9 +4,10 @@ import pytest
 
 from tests.lime_sources import FIGURE1, SAXPY
 from repro.errors import TaskGraphError
-from repro.ir import build_ir, lower, optimize
+from repro.ir.builder import build_ir, lower
+from repro.ir.optimizations import optimize
 from repro.ir import nodes as ir
-from repro.lime import analyze
+from repro.lime.typecheck import analyze
 from repro.lime import types as ty
 
 

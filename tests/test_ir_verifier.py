@@ -6,10 +6,10 @@ import pytest
 
 from repro.apps import SUITE
 from repro.errors import LoweringError
-from repro.ir import build_ir, verify_module
+from repro.ir.builder import build_ir
 from repro.ir import nodes as ir
-from repro.ir.verifier import _FunctionVerifier
-from repro.lime import analyze
+from repro.ir.verifier import _FunctionVerifier, verify_module
+from repro.lime.typecheck import analyze
 from repro.lime import types as ty
 
 

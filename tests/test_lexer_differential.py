@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from tests.oracle_lexer import _ONE_CHAR, _TWO_CHAR
 from tests.oracle_lexer import lex as oracle_lex
 from repro.apps import SUITE
-from repro.lime import lex
+from repro.lime.lexer import lex
 from repro.lime.tokens import KEYWORDS
 
 

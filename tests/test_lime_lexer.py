@@ -6,8 +6,7 @@ import re
 import pytest
 
 from repro.errors import LimeSyntaxError
-from repro.lime import lex
-from repro.lime.lexer import _MASTER
+from repro.lime.lexer import _MASTER, lex
 from repro.lime.tokens import TokenKind
 from repro.values import Bit
 

@@ -4,7 +4,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1, SAXPY, USER_ENUM
 from repro.errors import LimeSyntaxError
-from repro.lime import parse
+from repro.lime.parser import parse
 from repro.lime import ast_nodes as ast
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from tests.lime_sources import FIGURE1, SAXPY, USER_ENUM
 from repro.errors import IsolationError, LimeTypeError, TaskGraphError
-from repro.lime import analyze
+from repro.lime.typecheck import analyze
 from repro.lime import types as ty
 
 

@@ -104,9 +104,10 @@ class TestClinitSemantics:
     def test_cross_class_static_dependency(self):
         # Static initializers run in class-declaration order; a static
         # referring to a later class's static sees its default.
-        from repro.backends.bytecode import Interpreter, compile_module
-        from repro.ir import build_ir
-        from repro.lime import analyze
+        from repro.backends.bytecode.compiler import compile_module
+        from repro.backends.bytecode.interpreter import Interpreter
+        from repro.ir.builder import build_ir
+        from repro.lime.typecheck import analyze
 
         source = """
         class A { static int x = 10; }

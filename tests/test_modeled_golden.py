@@ -26,7 +26,8 @@ import test_bench_fig3_marshaling as fig3
 from harness import bench_metric, write_bench_report
 from repro.apps import SUITE, compile_app
 from repro.devices.interconnect import PCIE_GEN2_X16
-from repro.obs import Tracer, build_profile
+from repro.obs import Tracer
+from repro.obs.profile import build_profile
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.marshaling import MarshalingBoundary
 

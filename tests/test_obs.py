@@ -16,17 +16,15 @@ from repro import schema
 from repro.apps import SUITE
 from repro.compiler import CompileOptions, compile_program, compile_report
 from repro.errors import ConfigurationError
-from repro.obs import (
-    NULL_TRACER,
+from repro.obs import NULL_TRACER, Counters, Tracer
+from repro.obs.export import (
     TRACE_SPEC,
-    Counters,
-    Tracer,
     render_span_tree,
+    span_to_event,
     to_chrome_trace,
     to_json_lines,
     write_chrome_trace,
 )
-from repro.obs.export import span_to_event
 from repro.obs.tracer import _NULL_SPAN
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 

@@ -4,8 +4,8 @@ import pytest
 
 from tests.lime_sources import FIGURE1, SAXPY
 from repro.backends.opencl import compile_gpu, exclusion_reasons
-from repro.ir import build_ir
-from repro.lime import analyze
+from repro.ir.builder import build_ir
+from repro.lime.typecheck import analyze
 
 
 def module_for(source):

@@ -7,7 +7,7 @@ import pytest
 from tests.lime_sources import FIGURE1, SAXPY, USER_ENUM
 from repro.apps import SUITE
 from repro.compiler import compile_program
-from repro.lime import parse
+from repro.lime.parser import parse
 from repro.lime.printer import pretty
 from repro.runtime import Runtime
 

@@ -14,16 +14,16 @@ from repro import schema
 from repro.apps import SUITE
 from repro.compiler import CompileOptions, compile_program
 from repro.errors import ConfigurationError
-from repro.obs import (
+from repro.obs import Tracer
+from repro.obs.profile import (
     PROFILE_SCHEMA,
     PROFILE_SPEC,
-    Tracer,
     build_profile,
     compare_profiles,
     critical_path,
+    find_run_root,
     render_profile,
 )
-from repro.obs.profile import find_run_root
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 
 

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.bytecode import Interpreter, compile_module
-from repro.ir import build_ir
-from repro.lime import analyze
+from repro.backends.bytecode.compiler import compile_module
+from repro.backends.bytecode.interpreter import Interpreter
+from repro.ir.builder import build_ir
+from repro.lime.typecheck import analyze
 from repro.values import KIND_INT, ValueArray
 
 # ---------------------------------------------------------------------------

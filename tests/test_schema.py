@@ -15,8 +15,9 @@ from repro import schema
 from repro.apps import SUITE, compile_app
 from repro.compiler import CompileOptions, compile_program
 from repro.ir.fusion import FUSION_PLAN_SPEC, FusionOptions
-from repro.obs import PROFILE_SPEC, TRACE_SPEC, Tracer, build_profile
-from repro.obs.export import to_chrome_trace
+from repro.obs import Tracer
+from repro.obs.export import TRACE_SPEC, to_chrome_trace
+from repro.obs.profile import PROFILE_SPEC, build_profile
 from repro.runtime import (
     FAULT_PLAN_SPEC,
     HEALTH_SPEC,

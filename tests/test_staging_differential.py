@@ -27,13 +27,16 @@ import repro.devices.gpu.simulator as gpu_simulator
 import repro.runtime.engine as engine
 from repro.apps import SUITE, compile_app
 from repro.backends.artifacts import ArtifactCache, CacheOptions, cache_key
-from repro.backends.bytecode import Interpreter, Services, compile_module, isa
+from repro.backends.bytecode import isa
+from repro.backends.bytecode.compiler import compile_module
+from repro.backends.bytecode.interpreter import Interpreter, Services
 from repro.backends.bytecode.staging import staged_functions, staged_launches
 from repro.compiler import CompileOptions, CompilerSession
 from repro.devices.fpga import FPGASimulator
 from repro.errors import DeviceError
-from repro.ir import build_ir, ops
-from repro.lime import analyze
+from repro.ir import ops
+from repro.ir.builder import build_ir
+from repro.lime.typecheck import analyze
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 from repro.values import KIND_INT, MutableArray, ValueArray
 from repro.values.structs import StructValue

@@ -14,7 +14,7 @@ import pytest
 from repro.apps import SUITE, compile_app
 from repro.compiler import compile_program
 from repro.errors import IsolationError, LimeTypeError
-from repro.lime import analyze
+from repro.lime.typecheck import analyze
 from repro.runtime import Runtime, RuntimeConfig
 from repro.values import KIND_INT, ValueArray
 

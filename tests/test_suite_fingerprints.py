@@ -29,8 +29,8 @@ import pickle
 import pytest
 
 from repro.apps import SUITE
-from repro.backends.artifacts import ir_fingerprint
 from repro.compiler import compile_program
+from repro.ir.fingerprint import ir_fingerprint
 
 GOLDEN = os.path.join(
     os.path.dirname(__file__), "golden", "suite_fingerprints.json"

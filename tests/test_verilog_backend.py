@@ -10,9 +10,9 @@ from repro.backends.verilog import DatapathBuilder, codegen, compile_fpga
 from repro.backends.verilog.codegen import compile_datapath, verilog_expr
 from repro.devices.fpga import FPGASimulator
 from repro.errors import ExclusionNotice, SimulationError
-from repro.ir import build_ir
+from repro.ir.builder import build_ir
 from repro.ir import nodes as ir
-from repro.lime import analyze
+from repro.lime.typecheck import analyze
 
 
 def module_for(source):

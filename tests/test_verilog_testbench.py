@@ -4,8 +4,8 @@ import pytest
 
 from repro.apps import compile_app
 from repro.backends.verilog import compile_fpga, generate_testbench
-from repro.ir import build_ir
-from repro.lime import analyze
+from repro.ir.builder import build_ir
+from repro.lime.typecheck import analyze
 
 
 def bundle_for(app):
