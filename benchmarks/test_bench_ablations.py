@@ -16,6 +16,7 @@ import pytest
 from repro.apps import SUITE, compile_app
 from repro.devices.gpu.timing import GTX580, GPUSpec, data_parallel_time
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
+from repro.runtime.engine import GPU_LINK
 from repro.runtime.marshaling import BoundaryCosts, MarshalingBoundary
 from repro.values import KIND_INT, ValueArray
 
@@ -147,9 +148,7 @@ def test_bench_marshal_cost_sweep(benchmark, capsys):
                 crossing_per_byte_s=per_byte / 2,
                 convert_per_byte_s=per_byte / 2,
             )
-            runtime.gpu_boundary = MarshalingBoundary(
-                runtime.config.gpu_link, costs
-            )
+            runtime.gpu_boundary = MarshalingBoundary(GPU_LINK, costs)
             gpu = runtime.run(entry, args)
             cpu = Runtime(
                 compiled,

@@ -373,7 +373,7 @@ class ArtifactCache:
     sets its manifest's mtime, and eviction drops the oldest first.
     ``read`` mode writes nothing — no touch, no index entry, and a
     corrupt entry stays on disk. The cache is single-writer per
-    process — the same assumption the on-disk repository makes.
+    process.
     """
 
     def __init__(self, options: CacheOptions):

@@ -17,7 +17,7 @@ Subcommands::
     python -m repro emit-verilog prog.lime        # generated Verilog
     python -m repro emit-testbench prog.lime      # self-checking Verilog TB
     python -m repro format   prog.lime            # pretty-print/normalize
-    python -m repro build    prog.lime -o out/    # on-disk artifact repo
+    python -m repro build    prog.lime -o out/    # on-disk artifact cache
 
 Every compiling command accepts the artifact-cache flags uniformly
 (docs/CACHING.md): ``--cache-dir DIR`` warm-starts backend compilation
@@ -25,6 +25,7 @@ from the content-addressed cache (``readwrite`` by default;
 ``--cache-mode read`` consumes without writing back), ``--no-cache``
 disables cache I/O even when a directory is given, and
 ``--cache-max-bytes`` bounds the on-disk size (LRU eviction).
+``build FILE -o DIR`` is ``compile FILE --cache-dir DIR``.
 ``harvest`` pre-populates a cache for the whole app suite; ``cache
 {stats,purge,verify}`` inspect and maintain one.
 
@@ -146,17 +147,10 @@ def _runtime_fusion_kwargs(args) -> dict:
     honestly unfused; ``plan=FILE`` restricts fused substitutions to
     the spans the replayed plan sanctions (the plan object itself rides
     in on ``CompileResult.fusion_plan``)."""
-    kwargs = {}
+    kwargs = {"specialize_after": getattr(args, "specialize_after", None)}
     flag = getattr(args, "fusion", None)
     if flag is not None:
         kwargs["fusion"] = FusionOptions.from_flag(flag).mode
-    observe = getattr(args, "specialize_after", None)
-    if observe is not None:
-        from repro.runtime import SpecializationPolicy
-
-        kwargs["specialize"] = SpecializationPolicy(
-            enabled=True, observe_batches=observe
-        )
     return kwargs
 
 
@@ -508,7 +502,6 @@ def _cmd_faults(args) -> int:
     from repro.obs import Tracer
     from repro.runtime import (
         FaultPlan,
-        RetryPolicy,
         Runtime,
         RuntimeConfig,
         kill_all_devices_plan,
@@ -545,7 +538,7 @@ def _cmd_faults(args) -> int:
             scheduler=args.scheduler,
             tracer=tracer,
             fault_plan=plan,
-            retry=RetryPolicy(max_attempts=args.max_attempts),
+            max_attempts=args.max_attempts,
             batch_size=args.batch_size,
         ),
     )
@@ -624,7 +617,6 @@ def _cmd_health(args) -> int:
     from repro.runtime import (
         FaultPlan,
         HealthPolicy,
-        RetryPolicy,
         Runtime,
         RuntimeConfig,
         load_fault_plan,
@@ -663,7 +655,7 @@ def _cmd_health(args) -> int:
             scheduler=args.scheduler,
             tracer=tracer,
             fault_plan=plan,
-            retry=RetryPolicy(max_attempts=args.max_attempts),
+            max_attempts=args.max_attempts,
             health=health,
             batch_size=args.batch_size,
         ),
@@ -898,13 +890,15 @@ def _cmd_testbench(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from repro.backends.repository import save_repository
-
+    """``compile --cache-dir DIR`` under another name: the artifacts
+    land in a readwrite artifact cache at ``-o DIR`` (verified blobs
+    plus the program index, docs/CACHING.md), where a later compile of
+    the same source with ``--cache-dir DIR`` loads them warm."""
     compiled = _compiled(args)
-    index_path = save_repository(compiled.store, args.output)
+    source = "warm" if compiled.warm else "cold"
     print(
-        f"wrote {len(compiled.store)} artifacts to {args.output} "
-        f"(index: {index_path})"
+        f"wrote {len(compiled.store)} artifacts to the artifact cache "
+        f"at {args.cache_dir} ({source})"
     )
     return 0
 
@@ -1518,11 +1512,16 @@ def build_parser() -> argparse.ArgumentParser:
         "emit-verilog", lambda a: _emit(a, "fpga"), "print generated Verilog"
     )
 
-    p = file_command(
-        "build", _cmd_build,
-        "compile and write an on-disk artifact repository",
+    p = sub.add_parser(
+        "build", help="compile into an on-disk artifact cache directory"
     )
-    p.add_argument("-o", "--output", required=True, help="repository dir")
+    p.add_argument("file", help="Lime source file")
+    backend_flags(p)
+    p.add_argument(
+        "-o", "--output", dest="cache_dir", required=True,
+        help="artifact cache directory (what compile --cache-dir reads)",
+    )
+    p.set_defaults(fn=_cmd_build)
 
     p = file_command(
         "emit-testbench",

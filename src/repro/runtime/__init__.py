@@ -31,20 +31,13 @@ from repro.runtime.health import (
 from repro.runtime.marshaling import BoundaryCosts, MarshalingBoundary
 from repro.runtime.queues import END_OF_STREAM, Connection, InlineEdge
 from repro.runtime.scheduler import SequentialScheduler, ThreadedScheduler
-from repro.runtime.specialize import (
-    KernelSpecializer,
-    SpecializationPolicy,
-)
+from repro.runtime.specialize import KernelSpecializer
 from repro.runtime.substitution import (
     SubstitutionPolicy,
     apply_substitutions,
     plan_substitutions,
 )
-from repro.runtime.supervisor import (
-    DemotionRecord,
-    RetryPolicy,
-    Supervisor,
-)
+from repro.runtime.supervisor import DemotionRecord, Supervisor
 from repro.runtime.tasks import (
     DeviceTask,
     FilterTask,
@@ -80,7 +73,6 @@ __all__ = [
     "MarshalingBoundary",
     "NULL_INJECTOR",
     "Pipeline",
-    "RetryPolicy",
     "TransitionRecord",
     "RunOutcome",
     "Runtime",
@@ -88,7 +80,6 @@ __all__ = [
     "SequentialScheduler",
     "SinkTask",
     "SourceTask",
-    "SpecializationPolicy",
     "SubstitutionPolicy",
     "Supervisor",
     "ThreadedScheduler",

@@ -81,10 +81,10 @@ def capture_refusal(config) -> "str | None":
     checkpointed, or None when it can. Kernel specialization mutates
     artifacts across calls and adaptive policies re-decide per firing,
     so neither run's decision points are replayable."""
-    if config.specialize.enabled:
+    if config.specialize_after is not None:
         return (
             "checkpointing cannot capture specialized kernels; "
-            "disable SpecializationPolicy or checkpointing"
+            "disable specialize_after or checkpointing"
         )
     if config.policy.adaptive:
         return (

@@ -19,7 +19,7 @@ relabels an artifact the backends already built.
 
 State machine per generic kernel::
 
-    observing --(same guard for observe_batches)--> compile --> hit
+    observing --(same guard for specialize_after)--> compile --> hit
         ^                                                        |
         +----------------- guard mismatch (demote) --------------+
 
@@ -31,39 +31,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 from repro.backends.artifacts import ArtifactCache, modeled_compile_s
 from repro.backends.common import Artifact, Manifest
-from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 from repro.values import ValueArray, serialize
-
-
-@dataclass(frozen=True)
-class SpecializationPolicy:
-    """Runtime specialization knobs (``RuntimeConfig.specialize``).
-
-    Disabled by default: specialization changes modeled timing (that is
-    its purpose), so it is strictly opt-in — the differential suites
-    pin down that enabling it never changes *values*.
-    """
-
-    enabled: bool = False
-    #: Consecutive batches a guard must stay stable before the
-    #: specialized variant is compiled.
-    observe_batches: int = 3
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> "SpecializationPolicy":
-        if self.observe_batches < 1:
-            raise ConfigurationError(
-                f"specialize.observe_batches must be positive, "
-                f"got {self.observe_batches}"
-            )
-        return self
 
 
 def guard_digest(args: list, broadcast) -> "tuple[str, tuple]":
@@ -170,18 +142,21 @@ class _KernelState:
 class KernelSpecializer:
     """Guarded specialization over the runtime's map kernels.
 
-    Variants go through :func:`compile_specialized` into the artifact
-    cache of ``compile_options`` (the ``CompileOptions`` the program
-    was compiled with; none when its cache is off) and trace on its
+    A variant is compiled once its guard has stayed the same for
+    ``specialize_after`` consecutive batches
+    (``RuntimeConfig.specialize_after``). Variants go through
+    :func:`compile_specialized` into the artifact cache of
+    ``compile_options`` (the ``CompileOptions`` the program was
+    compiled with; none when its cache is off) and trace on its
     tracer, where the program's own ``compile.*`` spans are.
     ``charge(seconds)`` bills the modeled (re)compile stall to the
     runtime's simulated clock, so specialization pays for itself
     honestly.
     """
 
-    def __init__(self, policy: SpecializationPolicy, compile_options=None,
+    def __init__(self, specialize_after: int, compile_options=None,
                  tracer=NULL_TRACER, charge=None):
-        self.policy = policy
+        self.specialize_after = specialize_after
         cache_options = getattr(compile_options, "cache", None)
         self.cache = (
             ArtifactCache(cache_options)
@@ -231,7 +206,7 @@ class KernelSpecializer:
             state.guard = guard
             state.streak = 1
         self._note(key, "observe", guard)
-        if state.streak < self.policy.observe_batches:
+        if state.streak < self.specialize_after:
             return artifact, ()
         variant, info = compile_specialized(
             artifact, guard, self.cache, self.compile_tracer

@@ -25,6 +25,10 @@ from repro.runtime.graph import Pipeline
 #: Device names a directive may name.
 DIRECTIVE_DEVICES = (BYTECODE, GPU, FPGA)
 
+#: Communication-aware mode skips a substitution whose modeled transfer
+#: time exceeds this multiple of the covered span's estimated CPU time.
+BENEFIT_RATIO = 1.0
+
 
 @dataclass
 class SubstitutionPolicy:
@@ -40,10 +44,9 @@ class SubstitutionPolicy:
     # Disabling this prefers the smallest candidates — ablation E6.
     prefer_larger: bool = True
     # Communication-aware mode (paper future work): skip a substitution
-    # when the modeled transfer time exceeds benefit_ratio x the
+    # when the modeled transfer time exceeds BENEFIT_RATIO x the
     # estimated CPU compute time of the covered span.
     communication_aware: bool = False
-    benefit_ratio: float = 1.0
     # Runtime adaptation (paper future work): substitute an adaptive
     # task that probes CPU vs device online and migrates to the winner.
     adaptive: bool = False
@@ -180,12 +183,12 @@ def plan_substitutions(
         )
         if policy.communication_aware and cost_estimator is not None:
             transfer_s, cpu_s = cost_estimator(artifact, covered)
-            if transfer_s > policy.benefit_ratio * cpu_s:
+            if transfer_s > BENEFIT_RATIO * cpu_s:
                 counters.add("substitution.rejected[communication]")
                 continue
             reason = (
                 f"communication-aware: transfer {transfer_s:.3g}s <= "
-                f"{policy.benefit_ratio}x cpu {cpu_s:.3g}s"
+                f"{BENEFIT_RATIO}x cpu {cpu_s:.3g}s"
             )
         taken |= span
         counters.add(f"substitution.taken[{artifact.device}]")

@@ -2,7 +2,7 @@
 
 The runtime always holds a bytecode artifact for every task
 (Section 4.1), so no device failure needs to be fatal: a failing
-GPU/FPGA executor is retried under a :class:`RetryPolicy`, and when
+GPU/FPGA executor is retried up to ``max_attempts`` times, and when
 retries are exhausted the :class:`Supervisor` performs runtime
 re-substitution — the caller supplies a bytecode fallback built from
 the always-available artifact, the failed batch is replayed on it, and
@@ -22,7 +22,6 @@ import zlib
 from dataclasses import dataclass
 
 from repro.errors import (
-    ConfigurationError,
     DeviceError,
     DeviceTimeoutError,
     LiquidMetalError,
@@ -34,64 +33,34 @@ from repro.obs.tracer import NULL_TRACER
 from repro.runtime.faults import _XorShift
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times to retry a failing device task, and how.
+#: The backoff schedule: retry ``k`` (1-based) backs off
+#: ``BASE_BACKOFF_S * BACKOFF_MULTIPLIER**(k-1)`` seconds, capped at
+#: ``MAX_BACKOFF_S``, scaled by a jitter factor in
+#: ``[1 - JITTER_RATIO, 1 + JITTER_RATIO)`` drawn from a stream seeded
+#: with ``RETRY_SEED`` (docs/RESILIENCE.md).
+BASE_BACKOFF_S = 100e-6
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_S = 0.1
+JITTER_RATIO = 0.1
+RETRY_SEED = 0x5EED
 
-    Backoff is exponential with deterministic jitter: attempt ``k``
-    (1-based) backs off ``base_backoff_s * backoff_multiplier**(k-1)``
-    seconds, capped at ``max_backoff_s``, scaled by a jitter factor in
-    ``[1 - jitter_ratio, 1 + jitter_ratio)`` drawn from a seeded RNG.
 
-    Retryability is per error class: transient ``DeviceError`` /
-    ``MarshalingError`` faults are retried by default, while
-    ``DeviceTimeoutError`` (a stalled device) demotes immediately —
-    retrying a hang just hangs again.
-    """
-
-    max_attempts: int = 3
-    base_backoff_s: float = 100e-6
-    backoff_multiplier: float = 2.0
-    max_backoff_s: float = 0.1
-    jitter_ratio: float = 0.1
-    seed: int = 0x5EED
-    retry_device_errors: bool = True
-    retry_marshaling_errors: bool = True
-    retry_timeouts: bool = False
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ConfigurationError("backoff seconds must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError(
-                f"backoff_multiplier must be >= 1, "
-                f"got {self.backoff_multiplier}"
-            )
-        if not 0.0 <= self.jitter_ratio <= 1.0:
-            raise ConfigurationError(
-                f"jitter_ratio must be in [0, 1], got {self.jitter_ratio}"
-            )
-
-    def is_retryable(self, exc: BaseException) -> bool:
-        if isinstance(exc, DeviceTimeoutError):
-            return self.retry_timeouts
-        if isinstance(exc, MarshalingError):
-            return self.retry_marshaling_errors
-        if isinstance(exc, DeviceError):
-            return self.retry_device_errors
+def is_retryable(exc: BaseException) -> bool:
+    """Transient ``DeviceError`` / ``MarshalingError`` faults are
+    retried; a ``DeviceTimeoutError`` (a stalled device) demotes at
+    once, since retrying a hang just hangs again."""
+    if isinstance(exc, DeviceTimeoutError):
         return False
+    return isinstance(exc, (DeviceError, MarshalingError))
 
-    def backoff_s(self, attempt: int, unit: float) -> float:
-        """Backoff before retry #``attempt`` given a unit draw."""
-        base = min(
-            self.base_backoff_s * self.backoff_multiplier ** (attempt - 1),
-            self.max_backoff_s,
-        )
-        return base * (1.0 + self.jitter_ratio * (2.0 * unit - 1.0))
+
+def backoff_s(attempt: int, unit: float) -> float:
+    """Backoff before retry #``attempt`` given a unit draw."""
+    base = min(
+        BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (attempt - 1),
+        MAX_BACKOFF_S,
+    )
+    return base * (1.0 + JITTER_RATIO * (2.0 * unit - 1.0))
 
 
 @dataclass
@@ -133,10 +102,10 @@ class Supervisor:
     recovery.
     """
 
-    def __init__(self, policy: "RetryPolicy | None" = None,
-                 tracer=NULL_TRACER, job_id: "str | None" = None,
+    def __init__(self, max_attempts: int, tracer=NULL_TRACER,
+                 job_id: "str | None" = None,
                  tenant: "str | None" = None):
-        self.policy = policy or RetryPolicy()
+        self.max_attempts = max_attempts
         self.tracer = tracer
         # Service-job attribution, stamped onto RetryExhaustedError so
         # multi-tenant error reports can say whose retries ran out.
@@ -148,7 +117,7 @@ class Supervisor:
         # ThreadedScheduler must not interleave draws from one shared
         # stream, or the backoff sequence depends on thread timing.
         # Each task id gets its own deterministic stream derived from
-        # the policy seed, so draw order across tasks is irrelevant.
+        # RETRY_SEED, so draw order across tasks is irrelevant.
         self._rngs: dict = {}
         self._backoff_by_task: dict = {}
         self.demotions: list[DemotionRecord] = []
@@ -172,11 +141,11 @@ class Supervisor:
         with self._lock:
             rng = self._rngs.get(task_id)
             if rng is None:
-                stream_seed = self.policy.seed ^ zlib.crc32(
+                stream_seed = RETRY_SEED ^ zlib.crc32(
                     task_id.encode("utf-8")
                 )
                 rng = self._rngs[task_id] = _XorShift(stream_seed)
-            backoff = self.policy.backoff_s(attempt, rng.random())
+            backoff = backoff_s(attempt, rng.random())
             self._backoff_by_task[task_id] = (
                 self._backoff_by_task.get(task_id, 0.0) + backoff
             )
@@ -184,19 +153,18 @@ class Supervisor:
 
     def run(self, attempt_fn, *, task_id: str, device: str,
             fallback=None, covered_task_ids=None, on_demote=None):
-        """Execute ``attempt_fn()`` under the retry policy.
+        """Execute ``attempt_fn()`` with up to ``max_attempts`` tries.
 
         On exhausted retries (or a non-retryable error), replays via
         ``fallback()`` — calling ``on_demote(record, error)`` first so
         the engine can pin the span to bytecode — or raises
         :class:`RetryExhaustedError` when no fallback exists.
         """
-        policy = self.policy
         counters = self.tracer.counters
         last: "LiquidMetalError | None" = None
         attempts = 0
         call_backoff_s = 0.0
-        while attempts < policy.max_attempts:
+        while attempts < self.max_attempts:
             attempts += 1
             try:
                 result = attempt_fn()
@@ -216,9 +184,9 @@ class Supervisor:
                 return result
             except LiquidMetalError as exc:
                 last = exc
-                if not policy.is_retryable(exc):
+                if not is_retryable(exc):
                     break
-                if attempts >= policy.max_attempts:
+                if attempts >= self.max_attempts:
                     break
                 backoff = self._draw_backoff(task_id, attempts)
                 call_backoff_s += backoff

@@ -65,7 +65,10 @@ class AdmissionController:
         self.metrics = metrics
         self._lock = threading.Lock()
         self._tenants: dict = {}          # name -> TenantState
-        self._durations_s: list = []      # completed-job wall seconds
+        # Completed-job wall seconds, as a count and a running sum:
+        # the estimator's state stays O(1) for a long-lived service.
+        self._jobs_timed = 0
+        self._job_s_total = 0.0
         self.total_admitted = 0
         self.total_rejected = 0
 
@@ -104,24 +107,25 @@ class AdmissionController:
         """Feed one completed job's wall time into the retry-after
         estimator."""
         with self._lock:
-            self._durations_s.append(max(wall_s, 0.0))
+            self._jobs_timed += 1
+            self._job_s_total += max(wall_s, 0.0)
 
-    def _mean_job_s(self) -> float:
-        if not self._durations_s:
-            return _DEFAULT_JOB_S
-        return sum(self._durations_s) / len(self._durations_s)
+    def _retry_after_s(self) -> float:
+        """The pending backlog times the mean observed job duration.
+        Caller holds the lock."""
+        pending = sum(len(s.queue) for s in self._tenants.values())
+        mean = (
+            self._job_s_total / self._jobs_timed
+            if self._jobs_timed
+            else _DEFAULT_JOB_S
+        )
+        return max(pending, 1) * mean
 
-    def retry_after_hint_s(self, tenant: str) -> float:
+    def retry_after_hint_s(self) -> float:
         """How long a rejected client should back off: the pending
         backlog ahead of it times the mean observed job duration."""
         with self._lock:
-            pending = sum(len(s.queue) for s in self._tenants.values())
-            mean = (
-                sum(self._durations_s) / len(self._durations_s)
-                if self._durations_s
-                else _DEFAULT_JOB_S
-            )
-        return max(pending, 1) * mean
+            return self._retry_after_s()
 
     # -- submission --------------------------------------------------------
 
@@ -142,10 +146,7 @@ class AdmissionController:
             if depth >= self.max_queue_depth and not force:
                 state.rejected += 1
                 self.total_rejected += 1
-                pending = sum(
-                    len(s.queue) for s in self._tenants.values()
-                )
-                hint = max(pending, 1) * self._mean_job_s()
+                hint = self._retry_after_s()
                 raise AdmissionRejected(
                     f"tenant {tenant!r} queue is full "
                     f"({depth}/{self.max_queue_depth}); "

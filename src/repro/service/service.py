@@ -287,9 +287,7 @@ class CoExecutionService:
                     "service is draining; not admitting new jobs",
                     tenant=tenant,
                     queue_depth=self.admission.queue_depth(tenant),
-                    retry_after_s=self.admission.retry_after_hint_s(
-                        tenant
-                    ),
+                    retry_after_s=self.admission.retry_after_hint_s(),
                     reason="draining",
                 )
             if tenant not in (t.name for t in self.admission.tenants()):
@@ -1042,6 +1040,10 @@ DRIVER_APPS = (
     "convolution",
 )
 
+#: The drivers' threaded stage watchdog (the sequential scheduler never
+#: arms one).
+DRIVER_STAGE_TIMEOUT_S = 10.0
+
 
 def run_service_driver(
     tenants: int = 3,
@@ -1052,9 +1054,7 @@ def run_service_driver(
     max_queue_depth: int = 8,
     scheduler: str = "sequential",
     fault_plan=None,
-    stage_timeout_s: "float | None" = 10.0,
     verify: bool = False,
-    tracer=None,
 ) -> dict:
     """Drive a service deterministically: ``tenants`` tenants (weights
     cycling 1,2,3) each submit ``jobs_per_tenant`` jobs cycling over
@@ -1074,12 +1074,8 @@ def run_service_driver(
     runtime = RuntimeConfig(
         scheduler=scheduler,
         fault_plan=fault_plan,
-        stage_timeout_s=(
-            stage_timeout_s if scheduler == "threaded" else None
-        ),
+        stage_timeout_s=DRIVER_STAGE_TIMEOUT_S,
     )
-    if tracer is not None:
-        runtime = runtime.with_overrides(tracer=tracer)
     service = CoExecutionService(ServiceConfig(
         gpu_slots=gpu_slots,
         fpga_slots=fpga_slots,
@@ -1169,6 +1165,15 @@ def run_service_driver(
 # ---------------------------------------------------------------------------
 
 
+#: The recovery driver's marshaling batch. Small batches split each
+#: stream across several device decision points, so the seeded crash
+#: lands mid-stream and checkpoint frames exist to resume from. The
+#: uninterrupted baselines use the same size: batch size is visible to
+#: the injector's call stream, so it is part of the determinism
+#: contract.
+RECOVERY_BATCH_SIZE = 8
+
+
 def run_recovery_driver(
     journal_dir: str,
     jobs: int = 6,
@@ -1176,14 +1181,8 @@ def run_recovery_driver(
     seed: int = 1,
     crash_call: int = 3,
     checkpoint_interval: int = 2,
-    batch_size: int = 8,
     use_checkpoints: bool = True,
-    gpu_slots: int = 2,
-    fpga_slots: int = 1,
-    max_running: int = 2,
     max_restarts: int = 32,
-    stage_timeout_s: "float | None" = 10.0,
-    tracer=None,
 ) -> dict:
     """Submit ``jobs`` jobs against a journaled service under a seeded
     crash schedule (each job's injector fires a ``crash`` fault at its
@@ -1226,26 +1225,14 @@ def run_recovery_driver(
         })
 
     def build_service() -> CoExecutionService:
-        # Small marshaling batches split each stream across several
-        # device decision points, so the seeded crash lands mid-stream
-        # and checkpoint frames exist to resume from. The baselines
-        # below use the same sizes — batch size is visible to the
-        # injector's call stream, so it is part of the determinism
-        # contract.
         runtime = RuntimeConfig(
             scheduler=scheduler,
             fault_plan=plan,
-            batch_size=batch_size,
-            stage_timeout_s=(
-                stage_timeout_s if scheduler == "threaded" else None
-            ),
+            batch_size=RECOVERY_BATCH_SIZE,
+            stage_timeout_s=DRIVER_STAGE_TIMEOUT_S,
         )
-        if tracer is not None:
-            runtime = runtime.with_overrides(tracer=tracer)
         return CoExecutionService(ServiceConfig(
-            gpu_slots=gpu_slots,
-            fpga_slots=fpga_slots,
-            max_running=max_running,
+            max_running=2,
             max_queue_depth=max(jobs, 8),
             runtime=runtime,
             journal_dir=journal_dir,
@@ -1303,7 +1290,7 @@ def run_recovery_driver(
                 RuntimeConfig(
                     scheduler=scheduler,
                     fault_plan=injector,
-                    batch_size=batch_size,
+                    batch_size=RECOVERY_BATCH_SIZE,
                 ),
             ).run(slot["entry"], slot["args"])
             solo_digests[app] = outcome_digest(

@@ -24,7 +24,6 @@ from repro.obs import Tracer
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
@@ -87,7 +86,7 @@ def test_flaky_gpu_differential(name, batch_size, scheduler):
         batch_size,
         scheduler,
         fault_plan=load_fault_plan(FLAKY_GPU),
-        retry=RetryPolicy(max_attempts=2),
+        max_attempts=2,
         tracer=Tracer(),
     )
     # A fault that fires mid-batch must demote and replay the whole
@@ -146,7 +145,7 @@ def test_marshal_fault_log_identical_across_batch_sizes(name):
             batch_size,
             "sequential",
             fault_plan=_marshal_plan(),
-            retry=RetryPolicy(max_attempts=2),
+            max_attempts=2,
         )
         per_spec = {}
         for f in runtime.faults.log:

@@ -21,7 +21,6 @@ from repro.runtime import (
     CheckpointRecorder,
     Runtime,
     RuntimeConfig,
-    SpecializationPolicy,
     SubstitutionPolicy,
 )
 from repro.runtime.checkpoint import (
@@ -138,7 +137,7 @@ class TestCaptureAndPersist:
                 compiled,
                 RuntimeConfig(
                     scheduler="sequential",
-                    specialize=SpecializationPolicy(enabled=True),
+                    specialize_after=3,
                 ),
                 checkpointer=recorder,
             )
@@ -160,7 +159,7 @@ class TestCaptureAndPersist:
         plain = RuntimeConfig()
         assert capture_refusal(plain) is None
         specialized = plain.with_overrides(
-            specialize=SpecializationPolicy(enabled=True)
+            specialize_after=3
         )
         adaptive = plain.with_overrides(
             policy=SubstitutionPolicy(adaptive=True)
@@ -172,7 +171,7 @@ class TestCaptureAndPersist:
         "overrides, frames",
         [
             ({}, True),
-            ({"specialize": SpecializationPolicy(enabled=True)}, False),
+            ({"specialize_after": 3}, False),
             ({"policy": SubstitutionPolicy(adaptive=True)}, False),
         ],
         ids=["plain", "specialize", "adaptive"],

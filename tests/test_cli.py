@@ -137,11 +137,14 @@ class TestCommands:
     def test_build_repository(self, bitflip_file, tmp_path, capsys):
         out_dir = str(tmp_path / "repo")
         assert main(["build", bitflip_file, "-o", out_dir]) == 0
-        out = capsys.readouterr().out
-        assert "artifacts" in out
-        import os
-
-        assert os.path.exists(os.path.join(out_dir, "index.json"))
+        assert "artifact cache" in capsys.readouterr().out
+        # The cache layout (docs/CACHING.md): verified entries under
+        # objects/ and one program index entry; a second build is warm.
+        assert sorted(os.listdir(out_dir)) == ["objects", "programs"]
+        assert len(os.listdir(os.path.join(out_dir, "objects"))) == 3
+        assert len(os.listdir(os.path.join(out_dir, "programs"))) == 1
+        assert main(["build", bitflip_file, "-o", out_dir]) == 0
+        assert "(warm)" in capsys.readouterr().out
 
     def test_emit_testbench(self, bitflip_file, capsys):
         assert (
@@ -275,6 +278,71 @@ class TestBatchSizeFlag:
         )
         assert code != 0
         assert "batch_size must be positive" in capsys.readouterr().err
+
+
+#: A map whose broadcast operand (``taps``) is the same on every one of
+#: the entry's three dispatches: the guard stays stable, so
+#: specialization compiles a variant after the configured streak.
+STABLE_TAPS = """
+public class Taps {
+    local static float scale(int i, float[[]] taps) {
+        return taps[i % taps.length] * 2.0f;
+    }
+    static float thrice(int[[]] indices, float[[]] taps) {
+        float[[]] a = Taps @ scale(indices, taps);
+        float[[]] b = Taps @ scale(indices, taps);
+        float[[]] c = Taps @ scale(indices, taps);
+        return a[1] + b[2] + c[3];
+    }
+}
+"""
+
+
+def _counters(out: str) -> dict:
+    """The ``counters:`` block a ``trace``/``faults`` run prints."""
+    rows = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) == 2 and line.startswith("  "):
+            try:
+                rows[parts[1]] = float(parts[0])
+            except ValueError:
+                continue
+    return rows
+
+
+class TestRuntimeSettingFlags:
+    """The CLI flags that set the runtime's retry budget and kernel
+    specialization streak, end to end."""
+
+    def test_specialize_after_compiles_a_variant(self, tmp_path, capsys):
+        path = tmp_path / "taps.lime"
+        path.write_text(STABLE_TAPS)
+        argv = [
+            "trace", str(path),
+            "ints:" + ",".join(str(i) for i in range(64)),
+            "floats:1.5,2.5,3.5",
+            "--entry", "Taps.thrice",
+            "-o", str(tmp_path / "trace.json"),
+        ]
+        assert main(argv) == 0
+        plain = _counters(capsys.readouterr().out)
+        assert not any(name.startswith("specialize.") for name in plain)
+
+        assert main(argv + ["--specialize-after", "2"]) == 0
+        counters = _counters(capsys.readouterr().out)
+        assert counters["specialize.observe"] == 2
+        assert counters["specialize.compile"] == 1
+        assert counters["specialize.hit"] == 1
+
+    def test_max_attempts_one_demotes_without_retrying(self, capsys):
+        assert main(["faults", "mandelbrot", "--max-attempts", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "retries: 0;" in out
+        counters = _counters(out)
+        assert "retry.attempt" not in counters
+        assert counters["demotion.taken"] >= 1
+        assert "output matches the cpu-only reference" in out
 
 
 class TestProfileCommand:

@@ -21,7 +21,6 @@ from repro.compiler import CompileOptions
 from repro.ir.fusion import FusionOptions, FusionPlan
 from repro.obs import Tracer
 from repro.runtime import (
-    RetryPolicy,
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
@@ -54,7 +53,7 @@ def _run(compiled, name, scheduler, fusion="auto", fault_plan=None):
         tracer=tracer,
         fusion=fusion,
         fault_plan=fault_plan,
-        retry=RetryPolicy(max_attempts=2),
+        max_attempts=2,
     )
     runtime = Runtime(compiled, config)
     outcome = runtime.run(entry, args)

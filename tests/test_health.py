@@ -32,7 +32,6 @@ from repro.runtime import (
     FaultSpec,
     HealthPolicy,
     HealthRegistry,
-    RetryPolicy,
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
@@ -407,7 +406,7 @@ class TestBurstAndCorruptFaults:
 class TestSupervisorSatellites:
     def test_retry_recovered_signal(self):
         tracer = Tracer()
-        supervisor = Supervisor(RetryPolicy(max_attempts=3), tracer=tracer)
+        supervisor = Supervisor(3, tracer=tracer)
         calls = []
 
         def flaky():
@@ -427,12 +426,12 @@ class TestSupervisorSatellites:
 
     def test_first_try_success_is_not_recovered(self):
         tracer = Tracer()
-        supervisor = Supervisor(RetryPolicy(max_attempts=3), tracer=tracer)
+        supervisor = Supervisor(3, tracer=tracer)
         supervisor.run(lambda: "ok", task_id="t", device="gpu")
         assert tracer.counters.get("retry.recovered") == 0
 
     def test_demotion_record_carries_backoff(self):
-        supervisor = Supervisor(RetryPolicy(max_attempts=3))
+        supervisor = Supervisor(3)
         supervisor.run(
             lambda: (_ for _ in ()).throw(DeviceError("dead")),
             task_id="t",
@@ -452,7 +451,7 @@ class TestSupervisorSatellites:
         draw-and-accumulate)."""
 
         def run_once():
-            supervisor = Supervisor(RetryPolicy(max_attempts=4, seed=3))
+            supervisor = Supervisor(4)
             barrier = threading.Barrier(4)
 
             def worker(task_id):
@@ -479,7 +478,7 @@ class TestSupervisorSatellites:
         assert totals.pop() > 0.0
 
     def test_per_task_streams_differ(self):
-        supervisor = Supervisor(RetryPolicy(max_attempts=2, seed=3))
+        supervisor = Supervisor(2)
         a = supervisor._draw_backoff("t:a", 1)
         b = supervisor._draw_backoff("t:b", 1)
         assert a != b
@@ -502,7 +501,7 @@ class _StubEngine:
 
 def _exhausting_pipeline(tracer):
     """source -> DeviceTask (no bytecode fallback) -> sink."""
-    supervisor = Supervisor(RetryPolicy(max_attempts=2), tracer=tracer)
+    supervisor = Supervisor(2, tracer=tracer)
 
     def executor(items):
         def attempt():
@@ -572,7 +571,7 @@ def _recovery_run(scheduler, plan=TRANSIENT_PLAN, health=None):
         scheduler=scheduler,
         tracer=tracer,
         fault_plan=plan,
-        retry=RetryPolicy(max_attempts=1),
+        max_attempts=1,
         health=health
         or HealthPolicy(
             cooldown_s=1e-6, probe_batches=2, failure_threshold=1

@@ -363,8 +363,10 @@ class TestRuntimeConfigValidation:
             RuntimeConfig(batch_size=0)
         with pytest.raises(ConfigurationError, match="map_offload_min_items"):
             RuntimeConfig(map_offload_min_items=-1)
-        with pytest.raises(ConfigurationError, match="fpga_max_clock_hz"):
-            RuntimeConfig(fpga_max_clock_hz=0)
+        with pytest.raises(ConfigurationError, match="max_attempts"):
+            RuntimeConfig(max_attempts=0)
+        with pytest.raises(ConfigurationError, match="specialize_after"):
+            RuntimeConfig(specialize_after=0)
 
     def test_with_overrides_builder(self):
         base = RuntimeConfig()

@@ -36,13 +36,11 @@ from repro.runtime import (
     FaultPlan,
     FaultSpec,
     HealthPolicy,
-    RetryPolicy,
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
 )
 from repro.runtime.faults import fault_log_payload
-from repro.runtime.specialize import SpecializationPolicy
 from repro.values import ValueArray
 
 GOLDEN = os.path.join(
@@ -188,7 +186,7 @@ def _scenario(workload, scenario):
         scheduler="sequential",
         policy=SubstitutionPolicy(device_order=order),
         fault_plan=FaultPlan(specs, seed=7) if specs else None,
-        retry=RetryPolicy(max_attempts=attempts),
+        max_attempts=attempts,
         health=health,
         batch_size=16,
     )
@@ -204,9 +202,7 @@ def _extras():
         "map/specialized": _drive(
             "nbody", 64,
             sequential.with_overrides(
-                specialize=SpecializationPolicy(
-                    enabled=True, observe_batches=2
-                ),
+                specialize_after=2,
             ),
             3,
         ),

@@ -1,118 +1,102 @@
 """Tests for the on-disk artifact repository (Section 1's repository
-form of artifact distribution)."""
+form of artifact distribution).
+
+``repro build FILE -o DIR`` compiles into a readwrite artifact cache at
+DIR (docs/CACHING.md). Compiling the file again with DIR as a read-mode
+cache loads every backend's artifacts, exclusions and texts from the
+verified entries instead of running the backends.
+"""
 
 import os
 
-import pytest
-
 from tests.lime_sources import FIGURE1
-from repro.backends.repository import load_repository, save_repository
-from repro.compiler import compile_program
-from repro.errors import BackendError
+from repro.backends.artifacts import CacheOptions
+from repro.cli import main
+from repro.compiler import CompileOptions, CompilerSession, compile_program
 from repro.runtime import Runtime
 from repro.values import KIND_BIT, ValueArray, parse_bit_literal
+
+LOCAL_FLOAT = """
+class T {
+    local static float f(float x) { return x + 1.0f; }
+    static void m(float[[]] xs, float[] out) {
+        var t = xs.source(1) => ([ task f ]) => out.sink();
+        t.finish();
+    }
+}
+"""
+
+
+def _build(tmp_path, source=FIGURE1) -> str:
+    path = tmp_path / "prog.lime"
+    path.write_text(source)
+    out = str(tmp_path / "built")
+    assert main(["build", str(path), "-o", out]) == 0
+    return out
+
+
+def _reload(directory, source=FIGURE1, filename=None):
+    options = CompileOptions(
+        cache=CacheOptions(cache_dir=str(directory), mode="read")
+    )
+    return CompilerSession(options).compile(source, filename=filename)
 
 
 class TestRoundTrip:
     def test_save_creates_index_and_files(self, tmp_path):
-        compiled = compile_program(FIGURE1)
-        index_path = save_repository(compiled.store, str(tmp_path))
-        assert os.path.exists(index_path)
-        names = os.listdir(tmp_path)
+        out = _build(tmp_path)
+        assert len(os.listdir(os.path.join(out, "programs"))) == 1
+        names = [
+            name
+            for _, _, files in os.walk(os.path.join(out, "objects"))
+            for name in files
+        ]
         assert any(n.endswith(".cl") for n in names)
         assert any(n.endswith(".v") for n in names)
-        assert any(n.endswith(".payload") for n in names)
+        assert any(n.endswith(".pkl") for n in names)
 
     def test_reload_preserves_manifests(self, tmp_path):
         compiled = compile_program(FIGURE1)
-        save_repository(compiled.store, str(tmp_path))
-        reloaded = load_repository(str(tmp_path))
-        assert len(reloaded) == len(compiled.store)
+        reloaded = _reload(_build(tmp_path))
+        assert reloaded.warm
+        assert len(reloaded.store) == len(compiled.store)
         original_ids = {a.artifact_id for a in compiled.store.all()}
-        assert {a.artifact_id for a in reloaded.all()} == original_ids
+        assert {a.artifact_id for a in reloaded.store.all()} == original_ids
 
     def test_reload_preserves_exclusions(self, tmp_path):
-        source = """
-        class T {
-            local static float f(float x) { return x + 1.0f; }
-            static void m(float[[]] xs, float[] out) {
-                var t = xs.source(1) => ([ task f ]) => out.sink();
-                t.finish();
-            }
-        }
-        """
-        compiled = compile_program(source)
-        save_repository(compiled.store, str(tmp_path))
-        reloaded = load_repository(str(tmp_path))
-        assert len(reloaded.exclusions) == len(compiled.store.exclusions)
-        assert reloaded.exclusions[0].reason
+        compiled = compile_program(LOCAL_FLOAT)
+        reloaded = _reload(_build(tmp_path, LOCAL_FLOAT), LOCAL_FLOAT)
+        assert reloaded.warm
+        assert len(reloaded.store.exclusions) == len(
+            compiled.store.exclusions
+        )
+        assert reloaded.store.exclusions[0].reason
 
     def test_reloaded_store_executes(self, tmp_path):
-        compiled = compile_program(FIGURE1)
-        save_repository(compiled.store, str(tmp_path))
-        compiled.store = load_repository(str(tmp_path))
-        runtime = Runtime(compiled)
+        reloaded = _reload(_build(tmp_path))
+        runtime = Runtime(reloaded)
         stream = ValueArray(KIND_BIT, parse_bit_literal("110010111"))
         result = runtime.call("Bitflip.taskFlip", [stream])
         assert repr(result) == "001101000b"
         _, decisions = runtime.substitution_log[0]
         assert decisions  # substitution worked from reloaded artifacts
+        for decision in decisions:
+            assert reloaded.store.lookup(decision.artifact_id) is not None
 
     def test_text_files_match(self, tmp_path):
         compiled = compile_program(FIGURE1)
-        save_repository(compiled.store, str(tmp_path))
-        reloaded = load_repository(str(tmp_path))
+        reloaded = _reload(_build(tmp_path))
+        assert reloaded.warm
         for artifact in compiled.store.all():
             if artifact.text:
-                again = reloaded.lookup(artifact.artifact_id)
+                again = reloaded.store.lookup(artifact.artifact_id)
                 assert again.text == artifact.text
 
     def test_load_missing_directory(self, tmp_path):
-        with pytest.raises(BackendError):
-            load_repository(str(tmp_path / "nothing"))
-
-
-class TestSlugCollisions:
-    def test_distinct_ids_get_distinct_slugs(self):
-        # ``graph:a.b`` and ``graph_a.b`` both sanitize to the same
-        # characters; without the digest suffix they would silently
-        # overwrite each other's files on save.
-        from repro.backends.repository import _slug
-
-        assert _slug("graph:a.b") != _slug("graph_a.b")
-        assert _slug("graph:a.b") != _slug("graph/a.b")
-
-    def test_clean_ids_keep_plain_slugs(self):
-        from repro.backends.repository import _slug
-
-        assert _slug("graph_a.b-1") == "graph_a.b-1"
-
-    def test_colliding_artifacts_round_trip(self, tmp_path):
-        from repro.backends.common import Artifact, ArtifactStore, Manifest
-
-        store = ArtifactStore()
-        for artifact_id, payload in (
-            ("graph:a.b", {"which": "colon"}),
-            ("graph_a.b", {"which": "underscore"}),
-        ):
-            store.add(
-                Artifact(
-                    manifest=Manifest(
-                        artifact_id=artifact_id,
-                        device="gpu",
-                        task_ids=["t"],
-                        graph_id="g",
-                        source_language="opencl",
-                    ),
-                    payload=payload,
-                    text=f"// {artifact_id}",
-                )
-            )
-        save_repository(store, str(tmp_path))
-        reloaded = load_repository(str(tmp_path))
-        assert len(reloaded) == 2
-        assert reloaded.lookup("graph:a.b").payload == {"which": "colon"}
-        assert reloaded.lookup("graph_a.b").payload == {
-            "which": "underscore"
-        }
-        assert reloaded.lookup("graph:a.b").text == "// graph:a.b"
+        # A missing repository is an empty read-only cache: the compile
+        # is cold, and reading creates no directory.
+        missing = tmp_path / "nothing"
+        reloaded = _reload(missing)
+        assert not reloaded.warm
+        assert len(reloaded.store) == len(compile_program(FIGURE1).store)
+        assert not missing.exists()

@@ -15,7 +15,6 @@ from repro.obs import Tracer
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
@@ -54,7 +53,7 @@ def test_kill_all_devices_matches_cpu_only(name, scheduler):
         scheduler=scheduler,
         tracer=tracer,
         fault_plan=kill_all_devices_plan(),
-        retry=RetryPolicy(max_attempts=2),
+        max_attempts=2,
     )
     assert degraded.output == reference.output
     assert repr(degraded.value) == repr(reference.value)
@@ -73,7 +72,7 @@ def test_accelerated_apps_actually_get_faults():
         runtime, _ = run_app(
             name,
             fault_plan=kill_all_devices_plan(),
-            retry=RetryPolicy(max_attempts=1),
+            max_attempts=1,
         )
         assert runtime.faults.fired() >= 1, name
 
@@ -91,7 +90,7 @@ def test_fault_sequence_deterministic_under_seed():
                 )],
                 seed=1234,
             ),
-            retry=RetryPolicy(max_attempts=3),
+            max_attempts=3,
         )
         sequence = [
             (f.spec_index, f.site, f.error, f.target, f.call_index)
@@ -118,7 +117,7 @@ def test_transient_fault_recovers_without_demotion():
         "mandelbrot",
         tracer=tracer,
         fault_plan=FaultPlan([FaultSpec(on_calls=(1,))]),
-        retry=RetryPolicy(max_attempts=3),
+        max_attempts=3,
     )
     _, reference = run_app(
         "mandelbrot", policy=SubstitutionPolicy(use_accelerators=False)
@@ -141,7 +140,7 @@ def test_marshaling_fault_demotes_and_output_survives():
             [FaultSpec(site="marshal.from_device", error="marshaling",
                        target="gpu")]
         ),
-        retry=RetryPolicy(max_attempts=2),
+        max_attempts=2,
     )
     _, reference = run_app(
         "saxpy", policy=SubstitutionPolicy(use_accelerators=False)
@@ -157,7 +156,7 @@ def test_timeout_fault_demotes_immediately():
         "mandelbrot",
         tracer=tracer,
         fault_plan=FaultPlan([FaultSpec(error="timeout")]),
-        retry=RetryPolicy(max_attempts=5),
+        max_attempts=5,
     )
     # One injection, no retries (hangs are not retried), one demotion.
     assert runtime.faults.fired() == 1
@@ -174,7 +173,7 @@ def test_demotion_pins_later_runs_to_bytecode():
         RuntimeConfig(
             tracer=tracer,
             fault_plan=FaultPlan([FaultSpec(times=2)]),
-            retry=RetryPolicy(max_attempts=2),
+            max_attempts=2,
         ),
     )
     runtime.run(entry, values)
@@ -197,7 +196,7 @@ def test_exhaustion_without_fallback_surfaces_context():
     from repro.runtime.supervisor import Supervisor
     from repro.errors import DeviceError
 
-    supervisor = Supervisor(RetryPolicy(max_attempts=2))
+    supervisor = Supervisor(2)
     with pytest.raises(RetryExhaustedError) as err:
         supervisor.run(
             lambda: (_ for _ in ()).throw(DeviceError("boom")),

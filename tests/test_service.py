@@ -23,7 +23,6 @@ from repro.runtime import (
     FaultPlan,
     FaultSpec,
     HealthPolicy,
-    RetryPolicy,
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
@@ -487,7 +486,7 @@ def _faulty_service(cooldown_s, shared_injector=False):
     runtime = RuntimeConfig(
         scheduler="sequential",
         fault_plan=plan,
-        retry=RetryPolicy(max_attempts=1),
+        max_attempts=1,
         health=HealthPolicy(
             cooldown_s=cooldown_s,
             probe_batches=2,

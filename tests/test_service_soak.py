@@ -19,7 +19,6 @@ from repro import schema
 from repro.apps import SUITE, workloads
 from repro.errors import JobCancelledError, LiquidMetalError
 from repro.runtime import (
-    RetryPolicy,
     Runtime,
     RuntimeConfig,
     load_fault_plan,
@@ -60,7 +59,7 @@ def soak(request):
         runtime=RuntimeConfig(
             scheduler=scheduler,
             fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2),
+            max_attempts=2,
             stage_timeout_s=(
                 10.0 if scheduler == "threaded" else None
             ),

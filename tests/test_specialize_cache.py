@@ -19,7 +19,6 @@ from repro.backends.artifacts import ArtifactCache, CacheOptions
 from repro.compiler import CompileOptions, CompilerSession
 from repro.obs.tracer import Tracer
 from repro.runtime import Runtime, RuntimeConfig
-from repro.runtime.specialize import SpecializationPolicy
 
 APP = "nbody"
 SIZE = 64
@@ -44,7 +43,7 @@ def _drive(compiled):
     config = RuntimeConfig(
         scheduler="sequential",
         tracer=tracer,
-        specialize=SpecializationPolicy(enabled=True, observe_batches=2),
+        specialize_after=2,
     )
     runtime = Runtime(compiled, config)
     outcomes = []

@@ -1,4 +1,4 @@
-"""Unit tests for the retry policy, supervisor, and stage watchdog."""
+"""Unit tests for the retry schedule, supervisor, and stage watchdog."""
 
 import time
 
@@ -15,7 +15,17 @@ from repro.errors import (
 from repro.obs import Tracer
 from repro.runtime.graph import Pipeline
 from repro.runtime.scheduler import SequentialScheduler, ThreadedScheduler
-from repro.runtime.supervisor import RetryPolicy, Supervisor
+from repro.runtime.engine import RuntimeConfig
+from repro.runtime.supervisor import (
+    BACKOFF_MULTIPLIER,
+    BASE_BACKOFF_S,
+    JITTER_RATIO,
+    MAX_BACKOFF_S,
+    RETRY_SEED,
+    Supervisor,
+    backoff_s,
+    is_retryable,
+)
 from repro.runtime.tasks import (
     ExecutionContext,
     SinkTask,
@@ -43,49 +53,42 @@ def make_ctx():
     return ExecutionContext(engine, engine.ledger.new_graph_run("g"))
 
 
-class TestRetryPolicy:
+class TestRetrySchedule:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(jitter_ratio=2.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(base_backoff_s=-1.0)
+        with pytest.raises(ConfigurationError, match="max_attempts"):
+            RuntimeConfig(max_attempts=0)
+
+    def test_schedule_constants(self):
+        # The schedule the modeled goldens record backoff under.
+        assert (BASE_BACKOFF_S, BACKOFF_MULTIPLIER, MAX_BACKOFF_S) == (
+            100e-6, 2.0, 0.1
+        )
+        assert (JITTER_RATIO, RETRY_SEED) == (0.1, 0x5EED)
+        assert RuntimeConfig().max_attempts == 3
 
     def test_backoff_exponential_and_capped(self):
-        policy = RetryPolicy(
-            base_backoff_s=1e-3,
-            backoff_multiplier=2.0,
-            max_backoff_s=3e-3,
-            jitter_ratio=0.0,
-        )
-        assert policy.backoff_s(1, 0.5) == pytest.approx(1e-3)
-        assert policy.backoff_s(2, 0.5) == pytest.approx(2e-3)
-        assert policy.backoff_s(3, 0.5) == pytest.approx(3e-3)  # capped
-        assert policy.backoff_s(4, 0.5) == pytest.approx(3e-3)
+        assert backoff_s(1, 0.5) == pytest.approx(100e-6)
+        assert backoff_s(2, 0.5) == pytest.approx(200e-6)
+        assert backoff_s(10, 0.5) == pytest.approx(100e-6 * 2 ** 9)
+        assert backoff_s(11, 0.5) == pytest.approx(0.1)  # capped
+        assert backoff_s(12, 0.5) == pytest.approx(0.1)
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(base_backoff_s=1e-3, jitter_ratio=0.1)
-        low = policy.backoff_s(1, 0.0)
-        high = policy.backoff_s(1, 1.0)
-        assert low == pytest.approx(0.9e-3)
-        assert high == pytest.approx(1.1e-3)
+        low = backoff_s(1, 0.0)
+        high = backoff_s(1, 1.0)
+        assert low == pytest.approx(0.9 * 100e-6)
+        assert high == pytest.approx(1.1 * 100e-6)
 
     def test_retryability_per_error_class(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(DeviceError("x"))
-        assert policy.is_retryable(MarshalingError("x"))
-        assert not policy.is_retryable(DeviceTimeoutError("x"))
-        assert not policy.is_retryable(ValueError("x"))
-        strict = RetryPolicy(retry_device_errors=False)
-        assert not strict.is_retryable(DeviceError("x"))
+        assert is_retryable(DeviceError("x"))
+        assert is_retryable(MarshalingError("x"))
+        assert not is_retryable(DeviceTimeoutError("x"))
+        assert not is_retryable(ValueError("x"))
 
 
 class TestSupervisor:
     def test_success_needs_no_retry(self):
-        supervisor = Supervisor(RetryPolicy(max_attempts=3))
+        supervisor = Supervisor(3)
         assert supervisor.run(
             lambda: 42, task_id="t", device="gpu"
         ) == 42
@@ -93,7 +96,7 @@ class TestSupervisor:
 
     def test_transient_failure_retried_to_success(self):
         tracer = Tracer()
-        supervisor = Supervisor(RetryPolicy(max_attempts=3), tracer=tracer)
+        supervisor = Supervisor(3, tracer=tracer)
         calls = []
 
         def flaky():
@@ -108,7 +111,7 @@ class TestSupervisor:
         assert len(tracer.find("retry.attempt")) == 2
 
     def test_exhaustion_without_fallback_raises(self):
-        supervisor = Supervisor(RetryPolicy(max_attempts=2))
+        supervisor = Supervisor(2)
 
         def broken():
             raise DeviceError("permanent")
@@ -122,7 +125,7 @@ class TestSupervisor:
 
     def test_exhaustion_with_fallback_demotes(self):
         tracer = Tracer()
-        supervisor = Supervisor(RetryPolicy(max_attempts=2), tracer=tracer)
+        supervisor = Supervisor(2, tracer=tracer)
         demoted = []
 
         result = supervisor.run(
@@ -145,7 +148,7 @@ class TestSupervisor:
 
     def test_timeout_demotes_without_retry(self):
         tracer = Tracer()
-        supervisor = Supervisor(RetryPolicy(max_attempts=5), tracer=tracer)
+        supervisor = Supervisor(5, tracer=tracer)
         calls = []
 
         def stalled():
@@ -160,7 +163,7 @@ class TestSupervisor:
         assert tracer.counters.get("retry.attempt") == 0
 
     def test_non_lime_errors_propagate(self):
-        supervisor = Supervisor(RetryPolicy(max_attempts=3))
+        supervisor = Supervisor(3)
 
         def bug():
             raise ZeroDivisionError("a real bug, not a device fault")
@@ -169,20 +172,19 @@ class TestSupervisor:
             supervisor.run(bug, task_id="t", device="gpu")
 
     def test_backoff_deterministic_under_seed(self):
-        def total(seed):
-            supervisor = Supervisor(
-                RetryPolicy(max_attempts=4, seed=seed)
-            )
+        def total(task_id):
+            supervisor = Supervisor(4)
             with pytest.raises(RetryExhaustedError):
                 supervisor.run(
                     lambda: (_ for _ in ()).throw(DeviceError("x")),
-                    task_id="t",
+                    task_id=task_id,
                     device="gpu",
                 )
             return supervisor.total_backoff_s
 
-        assert total(1) == total(1)
-        assert total(1) != total(2)
+        assert total("t") == total("t")
+        # Each task id draws from its own stream off RETRY_SEED.
+        assert total("t") != total("u")
 
 
 class _StallingTask(Task):
