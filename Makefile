@@ -138,8 +138,9 @@ profile-smoke:
 # repro.health/1 schema (docs/RESILIENCE.md).
 health-smoke:
 	mkdir -p benchmarks/out
-	PYTHONPATH=src $(PYTHON) -m repro health gray_pipeline \
+	PYTHONPATH=src $(PYTHON) -m repro faults gray_pipeline \
 		--plan examples/fault_plans/transient_gpu_window.json \
+		--cooldown-us 1 --max-attempts 1 \
 		--scheduler sequential --batch-size 16 \
 		--require-repromotions 1 \
 		-o benchmarks/out/health_smoke.json > /dev/null

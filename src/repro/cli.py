@@ -497,15 +497,24 @@ def _list_fault_plans() -> int:
 def _cmd_faults(args) -> int:
     """Run an app under a fault plan and verify graceful degradation:
     the faulted run must produce output identical to a cpu-only run,
-    with the recovery visible in the counters."""
+    with the recovery visible in the counters and in the device-health
+    report (``repro.health/1``): per-span breaker states, every
+    transition stamped with simulated time, probe/re-promotion
+    tallies. Without ``--cooldown-us`` a demotion is permanent; with
+    it a demoted span is shadow-probed once its breaker cools down
+    (bytecode stays authoritative) and re-promoted after clean
+    probes."""
     from repro.errors import ProcessCrash
     from repro.obs import Tracer
     from repro.runtime import (
+        HEALTH_SPEC,
         FaultPlan,
+        HealthPolicy,
         Runtime,
         RuntimeConfig,
         kill_all_devices_plan,
         load_fault_plan,
+        render_health_report,
     )
 
     if args.list_plans:
@@ -539,6 +548,12 @@ def _cmd_faults(args) -> int:
             tracer=tracer,
             fault_plan=plan,
             max_attempts=args.max_attempts,
+            health=HealthPolicy(
+                cooldown_s=(
+                    None if args.cooldown_us is None
+                    else args.cooldown_us * 1e-6
+                ),
+            ),
             batch_size=args.batch_size,
         ),
     )
@@ -558,18 +573,23 @@ def _cmd_faults(args) -> int:
         )
         return 1
 
+    # --json consumers pipe stdout straight into a JSON parser; keep
+    # the summary off it.
+    status = sys.stderr if args.json else sys.stdout
     injected = runtime.faults.fired()
     demotions = len(runtime.demotion_log)
     counters = tracer.counters.snapshot()
-    print(f"app: {name}  entry: {entry}")
+    print(f"app: {name}  entry: {entry}", file=status)
     print(
         f"plan: {args.plan or '<kill-all-devices>'} "
-        f"(seed={plan.seed}, {len(plan)} spec(s))"
+        f"(seed={plan.seed}, {len(plan)} spec(s))",
+        file=status,
     )
     print(
         f"faults injected: {injected}; "
         f"retries: {counters.get('retry.attempt', 0):g}; "
-        f"demotions to bytecode: {demotions}"
+        f"demotions to bytecode: {demotions}",
+        file=status,
     )
     resilience = {
         k: v
@@ -577,18 +597,28 @@ def _cmd_faults(args) -> int:
         if k.startswith(("fault.", "retry.", "demotion."))
     }
     if resilience:
-        print("counters:")
+        print("counters:", file=status)
         for cname, value in resilience.items():
-            print(f"  {value:>12g}  {cname}")
+            print(f"  {value:>12g}  {cname}", file=status)
     for record in runtime.demotion_log:
         print(
             f"  demoted {record.task_id} ({record.device}) after "
-            f"{record.attempts} attempt(s): {record.error}"
+            f"{record.attempts} attempt(s): {record.error}",
+            file=status,
         )
+
+    report = runtime.health.to_report(
+        app=name, entry=entry, scheduler=args.scheduler
+    )
+    if not _emit_report(
+        args, "health report", report, HEALTH_SPEC, _json_text(report),
+        lambda: render_health_report(report),
+    ):
+        return 1
 
     ok = _same_answer(outcome, reference)
     if ok:
-        print("output matches the cpu-only reference")
+        print("output matches the cpu-only reference", file=status)
     else:
         print(
             "FAIL: degraded output differs from the cpu-only reference",
@@ -601,88 +631,6 @@ def _cmd_faults(args) -> int:
             file=sys.stderr,
         )
         ok = False
-    return 0 if ok else 1
-
-
-def _cmd_health(args) -> int:
-    """Run an app under a fault plan with circuit-breaker recovery
-    enabled and print the device-health report (``repro.health/1``):
-    per-span breaker states, every transition stamped with simulated
-    time, probe/re-promotion tallies. The degraded run must still
-    produce output identical to a cpu-only reference (shadow probes
-    keep bytecode authoritative), so the command fails when outputs
-    diverge — or when fewer re-promotions happened than
-    ``--require-repromotions`` demands."""
-    from repro.obs import Tracer
-    from repro.runtime import (
-        FaultPlan,
-        HealthPolicy,
-        Runtime,
-        RuntimeConfig,
-        load_fault_plan,
-        HEALTH_SPEC,
-        render_health_report,
-    )
-
-    resolved = _resolve_target(args)
-    if resolved is None:
-        return 2
-    source, filename, name, entry, values = resolved
-    plan = load_fault_plan(args.plan) if args.plan else None
-    if plan is not None and args.seed is not None:
-        plan = FaultPlan(plan.specs, seed=args.seed)
-
-    compiled = _session(args).compile(source, filename=filename)
-
-    # Shadow probes keep bytecode authoritative, so recovery must not
-    # show in the answer either.
-    reference = _cpu_reference(compiled, args, entry, values)
-
-    tracer = Tracer()
-    health = HealthPolicy(
-        window=args.window,
-        failure_threshold=args.failure_threshold,
-        cooldown_s=(
-            None if args.cooldown_us is None else args.cooldown_us * 1e-6
-        ),
-        probe_batches=args.probe_batches,
-        quarantine_multiplier=args.quarantine,
-        max_cooldown_s=args.max_cooldown_us * 1e-6,
-    )
-    runtime = Runtime(
-        compiled,
-        RuntimeConfig(
-            scheduler=args.scheduler,
-            tracer=tracer,
-            fault_plan=plan,
-            max_attempts=args.max_attempts,
-            health=health,
-            batch_size=args.batch_size,
-        ),
-    )
-    outcome = runtime.run(entry, values)
-    report = runtime.health.to_report(
-        app=name, entry=entry, scheduler=args.scheduler
-    )
-    if not _emit_report(
-        args, "health report", report, HEALTH_SPEC, _json_text(report),
-        lambda: render_health_report(report),
-    ):
-        return 1
-
-    ok = _same_answer(outcome, reference)
-    if ok:
-        # --json consumers pipe stdout straight into a JSON parser;
-        # keep the status line off it.
-        print(
-            "output matches the cpu-only reference",
-            file=sys.stderr if args.json else sys.stdout,
-        )
-    else:
-        print(
-            "FAIL: output differs from the cpu-only reference",
-            file=sys.stderr,
-        )
     repromotions = report["totals"]["repromotions"]
     if repromotions < args.require_repromotions:
         print(
@@ -1206,8 +1154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "faults",
-        help="run an app under a fault plan and verify graceful "
-        "degradation to bytecode",
+        help="run an app under a fault plan, verify graceful "
+        "degradation to bytecode and print the device-health report "
+        "(breaker transitions, shadow probes, re-promotions)",
     )
     target_arg(p, "mandelbrot", nargs="?")
     p.add_argument(
@@ -1233,68 +1182,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="fail unless at least this many demotions were recorded",
     )
-    cache_flags(p)
-    batch_size_option(p)
-    p.set_defaults(fn=_cmd_faults)
-
-    p = sub.add_parser(
-        "health",
-        help="run an app with circuit-breaker recovery enabled and "
-        "print the device-health report (breaker transitions, shadow "
-        "probes, re-promotions)",
-    )
-    target_arg(p, "gray_pipeline")
-    entry_args(p)
-    backend_flags(p)
-    fault_plan_flags(
-        p,
-        "fault plan JSON file (default: no faults — breakers "
-        "stay CLOSED)",
-    )
-    p.add_argument(
-        "--max-attempts",
-        type=int,
-        default=1,
-        help="retry attempts per device call before the failure is "
-        "reported to the breaker",
-    )
-    p.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        help="sliding outcome window per breaker",
-    )
-    p.add_argument(
-        "--failure-threshold",
-        type=int,
-        default=1,
-        help="failures within the window that open the breaker",
-    )
     p.add_argument(
         "--cooldown-us",
         type=float,
-        default=1.0,
-        help="simulated microseconds a breaker stays OPEN before "
-        "HALF_OPEN probing (omit recovery entirely with the plain "
-        "`faults` command)",
-    )
-    p.add_argument(
-        "--probe-batches",
-        type=int,
-        default=2,
-        help="consecutive clean shadow probes required to re-close",
-    )
-    p.add_argument(
-        "--quarantine",
-        type=float,
-        default=2.0,
-        help="cool-down multiplier per successive trip (hysteresis)",
-    )
-    p.add_argument(
-        "--max-cooldown-us",
-        type=float,
-        default=1e6,
-        help="cap on the escalated cool-down (simulated microseconds)",
+        default=None,
+        help="simulated microseconds a demoted span's breaker stays "
+        "OPEN before HALF_OPEN shadow probing (default: the demotion "
+        "is permanent)",
     )
     p.add_argument(
         "--require-repromotions",
@@ -1302,10 +1196,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="fail unless at least this many re-promotions happened",
     )
-    report_flags(p)
+    report_flags(
+        p,
+        json_help="print the repro.health/1 device-health report as "
+        "JSON (the summary goes to stderr)",
+        out_help="also write the health report to this path",
+    )
     cache_flags(p)
     batch_size_option(p)
-    p.set_defaults(fn=_cmd_health)
+    p.set_defaults(fn=_cmd_faults)
 
     p = sub.add_parser(
         "serve",

@@ -19,9 +19,10 @@ those interior crossings:
   planned ones (``plan``).
 
 The pass never fuses across stateful tasks, reduce barriers, or
-non-relocatable stages; health-demoted spans are excluded at dispatch
-time by :meth:`SubstitutionPolicy.allows` exactly as for any other
-substitution.
+non-relocatable stages; a span covering a task directed to bytecode is
+excluded at dispatch time by :meth:`SubstitutionPolicy.allows` exactly
+as for any other substitution, and a span whose breaker is OPEN runs
+its batches on bytecode (docs/RESILIENCE.md).
 
 Plans are first-class ``repro.fusion/1`` artifacts: saved to JSON,
 inspected with ``python -m repro fuse``, and replayed deterministically

@@ -398,9 +398,3 @@ class ClassDecl:
 class Program:
     classes: list
     source: str = ""
-
-    def find_class(self, name: str) -> Optional[ClassDecl]:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None

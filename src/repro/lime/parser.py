@@ -258,13 +258,6 @@ class Parser:
 
     # -- types -------------------------------------------------------------
 
-    def _at_type_start(self) -> bool:
-        kind = self._peek().kind
-        return kind in PRIMITIVE_TYPE_KINDS or kind in (
-            TokenKind.IDENT,
-            TokenKind.KW_STRING,
-        )
-
     def _parse_type(self) -> ast.TypeSyntax:
         token = self._peek()
         if token.kind in PRIMITIVE_TYPE_KINDS:

@@ -51,7 +51,6 @@ import threading
 
 from repro.errors import CheckpointReplayError, ConfigurationError
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.health import OPEN
 from repro.runtime.timing import OffloadRecord
 from repro.values import frame_record, pack_values, unpack_values
 
@@ -165,9 +164,10 @@ class CheckpointRecorder:
 
         Fresh capture refuses configurations whose decision points are
         not replayable (:func:`capture_refusal`). Resume restores
-        the frame's injector/supervisor/health snapshots wholesale and
-        re-pins OPEN breakers into the runtime's substitution policy —
-        exactly the state the crashed run had at its last frame.
+        the frame's injector/supervisor/health snapshots wholesale —
+        exactly the state the crashed run had at its last frame. A
+        restored OPEN breaker needs nothing more: the runtime reads
+        span health from its breakers alone.
         """
         refusal = capture_refusal(runtime.config)
         if refusal is not None:
@@ -196,9 +196,6 @@ class CheckpointRecorder:
         runtime.supervisor.restore_state(frame["supervisor"])
         restored = runtime.health.restore_state(frame["health"])
         self._restored_breakers = [(r.device, r.key) for r in restored]
-        for record in restored:
-            if record.state == OPEN:
-                runtime.policy.demote(record.covered_task_ids, health=True)
         self.tracer.counters.add("checkpoint.resume.attached")
 
     def invalidate(self, registry) -> None:

@@ -25,8 +25,8 @@ on either scheduler — and an idle span does not cool down, because its
 clock only advances while it processes batches.
 
 The registry renders a machine-readable report stamped
-``repro.health/1`` (``python -m repro health``), and every transition
-and probe is visible to the tracer as ``breaker.transition`` /
+``repro.health/1`` (``python -m repro faults --json``), and every
+transition and probe is visible to the tracer as ``breaker.transition`` /
 ``probe.shadow`` spans plus ``health.*`` counters and a per-breaker
 state gauge, feeding the profiler's recovery breakdown.
 """
@@ -379,11 +379,12 @@ class HealthRegistry:
     """All breakers for one runtime, plus their observability.
 
     The engine reports every offload outcome here; the registry owns
-    the breakers, emits ``breaker.transition`` spans, ``health.*``
-    counters, and the per-breaker state gauge, and invokes every
-    subscribed listener (each engine's policy-sync hook: install a
-    revocable bytecode directive on OPEN, lift it on HALF_OPEN/CLOSED)
-    for every transition.
+    the breakers and emits ``breaker.transition`` spans, ``health.*``
+    counters, and the per-breaker state gauge. A breaker is the only
+    record of its span's health: the substitution policy holds user
+    directives alone, so an OPEN span is still substituted and the
+    engine serves its batches from bytecode until the breaker lets the
+    device back in.
     """
 
     def __init__(self, policy: "HealthPolicy | None" = None,
@@ -391,31 +392,8 @@ class HealthRegistry:
         self.policy = policy or HealthPolicy()
         self.tracer = tracer
         self.metrics = getattr(tracer, "metrics", NULL_METRICS)
-        # A service-scoped registry is shared by many concurrent
-        # runtimes, each syncing its own substitution policy — so
-        # transitions fan out to a *list* of listeners.
-        self._listeners: list = []
         self._lock = threading.Lock()
         self._breakers: dict = {}   # (device, key) -> DeviceHealth
-
-    # -- listeners ---------------------------------------------------------
-
-    def add_listener(self, fn) -> None:
-        """Subscribe ``fn(record, transition)`` to breaker transitions
-        (idempotent). Runtimes sharing a service-scoped registry each
-        register their policy-sync hook here."""
-        with self._lock:
-            if fn not in self._listeners:
-                self._listeners.append(fn)
-
-    def remove_listener(self, fn) -> None:
-        """Unsubscribe a listener (no-op if absent) — called when a
-        runtime sharing this registry is closed."""
-        with self._lock:
-            try:
-                self._listeners.remove(fn)
-            except ValueError:
-                pass
 
     # -- breaker access ----------------------------------------------------
 
@@ -530,8 +508,6 @@ class HealthRegistry:
             cooldown_s=transition.cooldown_s,
         ):
             pass
-        for listener in list(self._listeners):
-            listener(record, transition)
 
     # -- checkpoint state (docs/RECOVERY.md) -------------------------------
 
@@ -548,7 +524,7 @@ class HealthRegistry:
     def restore_state(self, rows: list) -> list:
         """Restore breakers snapshotted by :meth:`export_state`,
         creating them as needed; returns the restored records so the
-        caller can re-pin OPEN spans into its substitution policy."""
+        caller can :meth:`discard` them if the resume is abandoned."""
         restored = []
         for row in rows:
             record = self.breaker(

@@ -55,11 +55,6 @@ class SubstitutionPolicy:
         # Defensive copy: two Runtimes sharing one policy must not
         # observe each other's directive mutations.
         self.directives = dict(self.directives)
-        # Health-scoped pins: the subset of bytecode directives installed
-        # by the health subsystem (circuit breaker) rather than by the
-        # user. Only these are revocable via promote(); user-authored
-        # directives survive promote() untouched.
-        self._health_pins = set()
         # Eager validation: a typo'd device name must fail loudly at
         # construction, not be silently ignored during substitution.
         for task_id, device in self.directives.items():
@@ -69,35 +64,6 @@ class SubstitutionPolicy:
                     f"{task_id!r}; expected one of "
                     f"{', '.join(DIRECTIVE_DEVICES)}"
                 )
-
-    def demote(self, task_ids: list, health: bool = False) -> None:
-        """Pin tasks to bytecode — the runtime re-substitution
-        directive added by the supervisor when a device span has
-        exhausted its retries.
-
-        With ``health=True`` the pin is recorded as health-scoped:
-        revocable later via :meth:`promote` when the device's circuit
-        breaker re-closes. A health pin never overwrites a pre-existing
-        user directive, so promote() cannot lift a manual pin.
-        """
-        for task_id in task_ids:
-            if health and task_id not in self.directives:
-                self._health_pins.add(task_id)
-            self.directives[task_id] = BYTECODE
-
-    def promote(self, task_ids: list) -> list:
-        """Inverse of health-scoped :meth:`demote`: lift bytecode pins
-        the health subsystem installed so the span is eligible for
-        re-substitution. User-authored directives are left untouched.
-        Returns the task ids actually un-pinned."""
-        lifted = []
-        for task_id in task_ids:
-            if task_id in self._health_pins:
-                self._health_pins.discard(task_id)
-                if self.directives.get(task_id) == BYTECODE:
-                    del self.directives[task_id]
-                lifted.append(task_id)
-        return lifted
 
     def allows(self, artifact, covered_ids: list) -> bool:
         for task_id in covered_ids:

@@ -97,10 +97,6 @@ class AdmissionController:
             state = self._tenants.get(tenant)
             return len(state.queue) if state is not None else 0
 
-    def total_pending(self) -> int:
-        with self._lock:
-            return sum(len(s.queue) for s in self._tenants.values())
-
     # -- duration feedback -------------------------------------------------
 
     def observe_duration(self, wall_s: float) -> None:

@@ -279,8 +279,8 @@ class CoExecutionService:
         :class:`~repro.errors.AdmissionRejected` when the tenant's
         queue is at its bound (or the service is draining)."""
         counters = self.tracer.counters
-        self._check_crashed()
         with self._lock:
+            self._check_crashed()
             if self._draining:
                 counters.add("service.reject")
                 raise AdmissionRejected(
@@ -548,14 +548,19 @@ class CoExecutionService:
         lost — checkpoint frames included, so a zombie runtime thread
         cannot race the restarted service with stale frames — every
         running job's token trips so its thread unwinds, and the
-        public API raises the crash."""
-        self.journal.mark_dead()
+        public API raises the crash.
+
+        The crash is set under ``_lock`` before the journal dies, and
+        :meth:`submit` journals under the same lock after checking it:
+        an id ``submit`` returns is journaled, so a restarted service
+        never hands it to another job."""
         with self._lock:
             self._crashed = crash
             running = [
                 j for j in self._jobs.values()
                 if j.state == RUNNING and j.error is None
             ]
+        self.journal.mark_dead()
         for other in running:
             other.token.cancel("process crash")
 
@@ -584,12 +589,8 @@ class CoExecutionService:
                             self._runtime_config(job),
                             health_registry=self.health,
                             cancel_token=job.token,
+                            checkpointer=recorder,
                         )
-                        if recorder is not None:
-                            # Attach outside the ctor so a rejected
-                            # resume leaves a closeable runtime.
-                            runtime.checkpointer = recorder
-                            recorder.attach(runtime)
                         self._prepare_faults(runtime, job)
                         outcome = runtime.run(job.entry, job.args)
                     except CheckpointReplayError:
@@ -602,7 +603,6 @@ class CoExecutionService:
                             recorder.invalidate(self.health)
                         if runtime is not None:
                             runtime.shutdown_active()
-                            runtime.close()
                             runtime = None
                         job.recovery_mode = "scratch"
                         self.journal.record_recovered(
@@ -654,11 +654,8 @@ class CoExecutionService:
             counters.add("service.job.failed")
         finally:
             if runtime is not None:
-                # Drain any wreckage a cancellation left behind, then
-                # detach the runtime's listener from the shared
-                # registry.
+                # Drain any wreckage a cancellation left behind.
                 runtime.shutdown_active()
-                runtime.close()
             self.pool.release(job.lease)
             job.wall_s = time.perf_counter() - start_wall
             self.admission.observe_duration(job.wall_s)

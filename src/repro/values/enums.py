@@ -93,12 +93,5 @@ class EnumDescriptor:
     def value_at(self, ordinal: int) -> EnumValue:
         return EnumValue(self.name, ordinal, self.size)
 
-    def name_of(self, value: EnumValue) -> str:
-        if value.enum_name != self.name:
-            raise ValueSemanticsError(
-                f"{value!r} does not belong to enum {self.name}"
-            )
-        return self.constants[value.ordinal]
-
     def __repr__(self) -> str:
         return f"EnumDescriptor({self.name}, {self.constants})"

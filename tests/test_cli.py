@@ -344,6 +344,29 @@ class TestRuntimeSettingFlags:
         assert counters["demotion.taken"] >= 1
         assert "output matches the cpu-only reference" in out
 
+    def test_transient_window_recovers_with_a_valid_health_report(
+        self, capsys
+    ):
+        """The `make health-smoke` run: the first device call fails,
+        the span is demoted, probed and re-promoted in one run."""
+        import json
+
+        from repro.runtime import HEALTH_SPEC
+
+        code = main([
+            "faults", "gray_pipeline",
+            "--plan", "examples/fault_plans/transient_gpu_window.json",
+            "--cooldown-us", "1", "--max-attempts", "1",
+            "--scheduler", "sequential", "--batch-size", "16",
+            "--require-repromotions", "1", "--json",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        report = json.loads(captured.out)
+        assert schema.problems(report, HEALTH_SPEC) == []
+        assert report["totals"]["repromotions"] == 1
+        assert "output matches the cpu-only reference" in captured.err
+
 
 class TestProfileCommand:
     def test_text_report(self, capsys):

@@ -189,19 +189,18 @@ def test_stateful_stage_splits_graph_groups(seed):
 
 
 def test_health_demoted_span_not_substituted_fused():
-    """A health-scoped bytecode pin on one pipeline stage must keep
-    the fused whole-span artifact off the device: the demoted task
-    rides in every covering span, so the span is rejected and the run
-    still computes the cpu answer."""
-    from repro.apps import SUITE
+    """A bytecode directive on one pipeline stage must keep the fused
+    whole-span artifact off the device: the demoted task rides in
+    every covering span, so the span is rejected and the run still
+    computes the cpu answer."""
+    from repro.backends.common import BYTECODE
     from tests.test_suite_equivalence import SMALL_ARGS
 
     entry, args = SMALL_ARGS["gray_pipeline"]()
     compiled = compile_app("gray_pipeline", AUTO)
     # Pin the first kernel stage of the fused span (not the source).
     demoted_task = compiled.fusion_plan.graph_groups[0].task_ids[0]
-    policy = SubstitutionPolicy()
-    policy.demote([demoted_task], health=True)
+    policy = SubstitutionPolicy(directives={demoted_task: BYTECODE})
     tracer = Tracer()
     outcome = Runtime(
         compiled,

@@ -1,13 +1,13 @@
 """Device health subsystem: circuit breakers, shadow probes, and
 probationary re-promotion (docs/RESILIENCE.md).
 
-Covers the breaker state machine and registry in isolation, the
-health-scoped (revocable) substitution directives, burst/corrupt fault
-specs, and the end-to-end acceptance property: under a seeded
-transient-fault-window plan a GPU span is demoted, probed, and
-re-promoted within one run, with output bit-identical to the fault-free
-reference on both schedulers and a transition sequence that is
-deterministic in simulated time.
+Covers the breaker state machine and registry in isolation,
+burst/corrupt fault specs, and the end-to-end acceptance property:
+under a seeded transient-fault-window plan a GPU span is demoted,
+probed, and re-promoted within one run, with output bit-identical to
+the fault-free reference on both schedulers and a transition sequence
+that is deterministic in simulated time. A span that ends a run OPEN
+keeps being substituted, so its breaker recovers across later runs.
 """
 
 import json
@@ -17,7 +17,6 @@ import pytest
 
 from repro import schema
 from repro.apps import SUITE
-from repro.backends.common import BYTECODE
 from repro.compiler import CompileOptions, compile_program
 from repro.errors import (
     ConfigurationError,
@@ -258,25 +257,6 @@ class TestHealthRegistry:
         assert gauges["breaker.state[gpu:a]"]["value"] == 2  # HALF_OPEN
         assert len(tracer.find("breaker.transition")) == 2
 
-    def test_listener_sees_every_transition(self):
-        seen = []
-        registry = HealthRegistry(
-            HealthPolicy(cooldown_s=1e-6, failure_threshold=1,
-                         probe_batches=1),
-        )
-        registry.add_listener(
-            lambda record, t: seen.append((t.from_state, t.to_state))
-        )
-        registry.on_failure("gpu", "a", 0.0, covered_task_ids=["t:f0"])
-        registry.on_fallback("gpu", "a", 2e-6)
-        registry.decide("gpu", "a")
-        registry.on_probe("gpu", "a", True, 1e-7)
-        assert seen == [
-            (CLOSED, OPEN),
-            (OPEN, HALF_OPEN),
-            (HALF_OPEN, CLOSED),
-        ]
-
     def test_report_validates_and_renders(self):
         registry = HealthRegistry(
             HealthPolicy(cooldown_s=1e-6, failure_threshold=1)
@@ -317,34 +297,6 @@ class TestHealthRegistry:
         assert any(
             "backwards" in p for p in schema.problems(bad, HEALTH_SPEC)
         )
-
-
-# ----------------------------------------------------------------------
-# Health-scoped substitution directives
-# ----------------------------------------------------------------------
-
-
-class TestHealthDirectives:
-    def test_health_demote_is_revocable(self):
-        policy = SubstitutionPolicy()
-        policy.demote(["t:f0", "t:f1"], health=True)
-        assert policy.directives == {"t:f0": BYTECODE, "t:f1": BYTECODE}
-        lifted = policy.promote(["t:f0", "t:f1"])
-        assert sorted(lifted) == ["t:f0", "t:f1"]
-        assert policy.directives == {}
-
-    def test_user_directives_survive_promote(self):
-        policy = SubstitutionPolicy(directives={"t:f0": BYTECODE})
-        policy.demote(["t:f0", "t:f1"], health=True)
-        assert policy.promote(["t:f0", "t:f1"]) == ["t:f1"]
-        # The user's pin was never health-scoped, so it stays.
-        assert policy.directives == {"t:f0": BYTECODE}
-
-    def test_plain_demote_is_not_revocable(self):
-        policy = SubstitutionPolicy()
-        policy.demote(["t:f0"])
-        assert policy.promote(["t:f0"]) == []
-        assert policy.directives == {"t:f0": BYTECODE}
 
 
 # ----------------------------------------------------------------------
@@ -622,7 +574,7 @@ class TestRecoveryEndToEnd:
         counters = tracer.counters.snapshot()
         assert counters["health.repromotion[gpu]"] == 1
         assert counters["demotion.taken"] == 1
-        # The health pin was lifted: no bytecode directives remain.
+        # The breaker alone held the demotion: no directive was written.
         assert runtime.policy.directives == {}
 
     def test_transitions_deterministic_across_runs_and_schedulers(self):
@@ -699,8 +651,6 @@ class TestRecoveryEndToEnd:
         assert breaker.state == OPEN
         assert breaker.probes == 0
         assert breaker.repromotions == 0
-        # Permanent pin: the span's tasks stay directed to bytecode.
-        assert BYTECODE in runtime.policy.directives.values()
 
     def test_health_report_from_live_run(self):
         runtime, _, _, _ = _recovery_run("sequential")
@@ -711,3 +661,66 @@ class TestRecoveryEndToEnd:
         assert schema.problems(report, HEALTH_SPEC) == []
         assert report["totals"]["repromotions"] == 1
         assert report["totals"]["trips"] == 1
+
+
+def _repeated_runs(scheduler, health, runs=4):
+    """``runs`` runs of gray_pipeline on one runtime under the
+    transient plan, with one batch per run, so run 1 ends with its
+    span's breaker OPEN. Returns the runtime and ``faults.fired()``
+    after each run; every run's answer is checked against cpu-only."""
+    spec = SUITE["gray_pipeline"]
+    entry, values = spec.default_args()
+    compiled = compile_program(
+        spec.source, filename="<gray_pipeline.lime>"
+    )
+    runtime = Runtime(
+        compiled,
+        RuntimeConfig(
+            scheduler=scheduler,
+            fault_plan=TRANSIENT_PLAN,
+            max_attempts=1,
+            health=health,
+            batch_size=len(values[0]),
+        ),
+    )
+    reference = Runtime(
+        compiled,
+        RuntimeConfig(
+            policy=SubstitutionPolicy(use_accelerators=False),
+            scheduler=scheduler,
+        ),
+    ).run(entry, list(values))
+    fired = []
+    for _ in range(runs):
+        outcome = runtime.run(entry, list(values))
+        assert outcome.output == reference.output
+        assert outcome.value == reference.value
+        fired.append(runtime.faults.fired())
+    return runtime, fired
+
+
+@pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
+class TestBreakerAcrossRuns:
+    """A span whose breaker ends a run OPEN is still substituted in
+    the runtime's later runs, so the breaker keeps seeing batches."""
+
+    def test_open_span_cools_down_probes_and_repromotes(self, scheduler):
+        runtime, _ = _repeated_runs(
+            scheduler, HealthPolicy(cooldown_s=1e-6)
+        )
+        (breaker,) = runtime.health.breakers()
+        assert breaker.state == CLOSED
+        assert breaker.repromotions == 1
+        assert breaker.probes == 2
+
+    def test_permanent_demotion_serves_later_runs_from_bytecode(
+        self, scheduler
+    ):
+        runtime, fired = _repeated_runs(scheduler, HealthPolicy())
+        (breaker,) = runtime.health.breakers()
+        assert breaker.state == OPEN
+        assert len(runtime.substitution_log) == 4
+        for _, decisions in runtime.substitution_log:
+            assert [d.device for d in decisions] == ["gpu"]
+        # OPEN serves from bytecode without consulting the device.
+        assert fired == [1, 1, 1, 1]

@@ -12,7 +12,6 @@ clock was meant to move::
 """
 
 import dataclasses
-import gc
 import json
 import math
 import os
@@ -48,20 +47,12 @@ COUNTER_PREFIXES = (
 def _profile_app(app: str) -> dict:
     """One profiled run of a suite app on the sequential scheduler:
     simulated times, the decision counters and the critical-path shape
-    (names only: segment durations are host-clock readings)."""
+    (names only: segment durations are host-clock readings, and so is
+    which segment is the bottleneck)."""
     tracer = Tracer()
     entry, values = SUITE[app].default_args()
     config = RuntimeConfig(scheduler="sequential", tracer=tracer)
-    program = compile_app(app)
-    # The bottleneck is the longest segment on the host clock; a cyclic
-    # collection inside a short segment (likely late in a full run, with
-    # a large heap) could make it the longest, so none runs here.
-    gc.collect()
-    gc.disable()
-    try:
-        outcome = Runtime(program, config).run(entry, values)
-    finally:
-        gc.enable()
+    outcome = Runtime(compile_app(app), config).run(entry, values)
     report = build_profile(
         tracer,
         ledger=outcome.ledger,
@@ -70,12 +61,9 @@ def _profile_app(app: str) -> dict:
         scheduler="sequential",
     ).to_json()
     critical = report["critical_path"]
-    flat = {
-        f"{app}.critical_path.bottleneck": critical["bottleneck"]["name"],
-        f"{app}.critical_path.segment_names": sorted(
-            {seg["name"] for seg in critical["segments"]}
-        ),
-    }
+    segment_names = sorted({seg["name"] for seg in critical["segments"]})
+    assert critical["bottleneck"]["name"] in segment_names
+    flat = {f"{app}.critical_path.segment_names": segment_names}
     for key, value in report["simulated"].items():
         if isinstance(value, (int, float)):
             flat[f"{app}.simulated.{key}"] = value

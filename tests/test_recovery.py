@@ -473,6 +473,47 @@ class TestJournalEdgeCases:
         assert int(second.split("-")[1]) > int(first.split("-")[1])
         reborn.drain()
 
+    def test_an_id_submit_returned_is_never_reused(self, tmp_path):
+        """Another thread crashes the process while submit journals:
+        the id submit hands back was journaled, so the restarted
+        service neither loses the job nor gives its id to another."""
+        import threading
+
+        journal_dir = tmp_path / "journal"
+        service = _service(journal_dir, None, "sequential")
+        write = service.journal.record_submitted
+        crashers = []
+
+        def crash_elsewhere_then_write(job, wire):
+            crasher = threading.Thread(
+                target=service._die, args=(ProcessCrash("elsewhere"),)
+            )
+            crashers.append(crasher)
+            crasher.start()
+            crasher.join(timeout=0.05)
+            write(job, wire)
+
+        service.journal.record_submitted = crash_elsewhere_then_write
+        entry, args = workloads.small_args("bitflip")
+        first = service.submit(
+            SUITE["bitflip"].source, entry, args, tenant="t0",
+            app="bitflip",
+        )
+        (crasher,) = crashers
+        crasher.join(timeout=5.0)
+        assert not crasher.is_alive()
+
+        reborn = _service(journal_dir, None, "sequential")
+        reborn.recover()
+        assert reborn.status(first)["app"] == "bitflip"
+        entry, args = workloads.small_args("gray_pipeline")
+        second = reborn.submit(
+            SUITE["gray_pipeline"].source, entry, args, tenant="t0",
+            app="gray_pipeline",
+        )
+        assert second != first
+        reborn.drain()
+
 
 def test_crash_poisons_service_api(tmp_path):
     """After a simulated crash the incarnation is dead: every later

@@ -20,6 +20,7 @@ from repro.runtime import (
     SubstitutionPolicy,
     kill_all_devices_plan,
 )
+from repro.runtime.health import OPEN
 
 #: Apps whose default workload actually exercises an accelerator.
 ACCELERATED = [
@@ -178,10 +179,10 @@ def test_demotion_pins_later_runs_to_bytecode():
     )
     runtime.run(entry, values)
     assert len(runtime.demotion_log) == 1
-    demoted = dict(runtime.policy.directives)
-    assert demoted and all(d == "bytecode" for d in demoted.values())
-    # Second run: the directive keeps the span off the device — no new
-    # faults are even consulted at the device site.
+    (breaker,) = runtime.health.breakers()
+    assert breaker.state == OPEN
+    # Second run: the OPEN breaker keeps the span off the device — no
+    # new faults are even consulted at the device site.
     before = runtime.faults.fired()
     runtime.run(entry, values)
     assert runtime.faults.fired() == before

@@ -76,6 +76,33 @@ class TestTaskFlipEndToEnd:
         _, decisions = runtime.substitution_log[0]
         assert decisions == []
 
+    def test_manual_direction_of_a_map_to_bytecode(self):
+        # A directive is part of an operator's eligibility, as for a
+        # graph span: the map runs on the CPU and no breaker is asked.
+        from repro.apps import SUITE, compile_app
+        from repro.obs import Tracer
+
+        compiled = compile_app("mandelbrot")
+        entry, values = SUITE["mandelbrot"].default_args()
+        tracer = Tracer()
+        policy = SubstitutionPolicy(
+            directives={"map:Mandelbrot.escape": BYTECODE}
+        )
+        runtime = Runtime(
+            compiled, RuntimeConfig(policy=policy, tracer=tracer)
+        )
+        outcome = runtime.run(entry, values)
+        reference = Runtime(
+            compiled,
+            RuntimeConfig(policy=SubstitutionPolicy(use_accelerators=False)),
+        ).run(entry, values)
+        assert repr(outcome.value) == repr(reference.value)
+        counters = tracer.counters.snapshot()
+        assert counters["offload.map.cpu"] >= 1
+        assert "offload.map.taken" not in counters
+        assert outcome.ledger.offloads == []
+        assert runtime.health.breakers() == []
+
     def test_graph_timing_recorded(self):
         runtime = make_runtime()
         outcome = runtime.run("Bitflip.taskFlip", [bits("110010111")])

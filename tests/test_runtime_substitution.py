@@ -186,16 +186,6 @@ class TestPolicyValidation:
         )
         assert policy.directives["t:f1"] == GPU
 
-    def test_demote_pins_tasks_to_bytecode(self):
-        policy = SubstitutionPolicy(directives={"t:f0": GPU})
-        policy.demote(["t:f0", "t:f1"])
-        assert policy.directives == {"t:f0": BYTECODE, "t:f1": BYTECODE}
-        # Demoted tasks no longer plan onto a device.
-        store = ArtifactStore()
-        store.add(artifact(GPU, ["t:f0", "t:f1"]))
-        decisions = plan_substitutions(make_pipeline(2), store, policy)
-        assert decisions == []
-
 
 class TestApplySubstitutions:
     def test_rebuilds_pipeline(self):
