@@ -5,7 +5,10 @@ apps of ``BENCH_marshal.json``: fusing the two-stage gray_pipeline
 stream collapses four boundary crossings per batch into two (one in,
 one out for the whole span), halving the modeled graph time; fusing
 the photo_pipeline map chain collapses two kernel launches (each with
-its own round trip) into one composite kernel.
+its own round trip) into one composite kernel. The unfused runs use
+no compile-time fusion and the substitution policy's
+``prefer_larger=False`` (ablation E6), so each gray_pipeline stage
+substitutes, and crosses the boundary, on its own.
 
 Results land in ``benchmarks/out/BENCH_fusion.json`` — per app: the
 crossing counts, the modeled seconds, and the speedup on the device
@@ -18,7 +21,7 @@ from repro.apps import compile_app, workloads
 from repro.compiler import CompileOptions
 from repro.ir.fusion import FusionOptions
 from repro.obs import Tracer
-from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 
 from harness import bench_metric, format_table, write_bench_report
 
@@ -46,7 +49,8 @@ def _measure(name, fused):
         RuntimeConfig(
             scheduler="sequential",
             tracer=tracer,
-            fusion="auto" if fused else "off",
+            # Unfused: every stage substitutes on its own (E6).
+            policy=SubstitutionPolicy(prefer_larger=fused),
         ),
     ).run(entry, args)
     counters = tracer.counters.snapshot()

@@ -30,11 +30,12 @@ disables cache I/O even when a directory is given, and
 {stats,purge,verify}`` inspect and maintain one.
 
 ``run``, ``trace``, and ``profile`` accept ``--fusion
-{off,auto,plan=FILE}`` (docs/FUSION.md): ``off`` forces the honest
-unfused baseline (every stage crosses the marshaling boundary on its
-own), ``auto`` fuses every legal group at compile time and lets the
-runtime substitute whole-span artifacts, and ``plan=FILE`` replays a
-saved ``repro.fusion/1`` plan deterministically. ``fuse`` plans fusion
+{off,auto,plan=FILE}`` (docs/FUSION.md), which sets compile-time map
+fusion only: ``off`` (the default) leaves map chains alone, ``auto``
+fuses every legal chain, and ``plan=FILE`` replays a saved
+``repro.fusion/1`` plan deterministically. How large a task-graph span
+the runtime substitutes is the substitution policy's prefer-larger
+rule, not a fusion setting. ``fuse`` plans fusion
 for an app (optionally gated by a ``profile`` report) and saves the
 plan. ``--specialize-after N`` opts into runtime kernel
 specialization after N stable batches.
@@ -139,21 +140,6 @@ def _options(args, tracer=None) -> CompileOptions:
     return options
 
 
-def _runtime_fusion_kwargs(args) -> dict:
-    """RuntimeConfig keyword arguments the fusion/specialization flags
-    describe. With no ``--fusion`` the runtime keeps its historical
-    default (``auto``: substitute any multi-stage artifact); ``off``
-    makes the runtime reject fused spans too, so the baseline is
-    honestly unfused; ``plan=FILE`` restricts fused substitutions to
-    the spans the replayed plan sanctions (the plan object itself rides
-    in on ``CompileResult.fusion_plan``)."""
-    kwargs = {"specialize_after": getattr(args, "specialize_after", None)}
-    flag = getattr(args, "fusion", None)
-    if flag is not None:
-        kwargs["fusion"] = FusionOptions.from_flag(flag).mode
-    return kwargs
-
-
 def _session(args, tracer=None) -> CompilerSession:
     return CompilerSession(_options(args, tracer=tracer))
 
@@ -179,7 +165,7 @@ def _cmd_run(args) -> int:
         RuntimeConfig(
             policy=policy,
             batch_size=args.batch_size,
-            **_runtime_fusion_kwargs(args),
+            specialize_after=args.specialize_after,
         ),
     )
     values = [_parse_value(a) for a in args.args]
@@ -340,7 +326,7 @@ def _traced_run(args):
         scheduler=args.scheduler,
         tracer=tracer,
         batch_size=args.batch_size,
-        **_runtime_fusion_kwargs(args),
+        specialize_after=args.specialize_after,
     )
     return tracer, name, entry, Runtime(compiled, config).run(entry, values)
 
@@ -1069,10 +1055,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--fusion",
             default=None,
             metavar="{off,auto,plan=FILE}",
-            help="task fusion: off = honest unfused baseline (every "
-            "stage crosses the boundary alone), auto = fuse every "
-            "legal group, plan=FILE = replay a saved repro.fusion/1 "
-            "plan (docs/FUSION.md); default keeps historical behavior",
+            help="compile-time map fusion: off = leave map chains "
+            "alone (default), auto = fuse every legal g(f(x)) chain, "
+            "plan=FILE = replay a saved repro.fusion/1 plan "
+            "(docs/FUSION.md); graph-span size is the runtime's "
+            "prefer-larger rule",
         )
         p.add_argument(
             "--specialize-after",

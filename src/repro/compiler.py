@@ -398,15 +398,12 @@ class CompilerSession:
                 "compile.fusion", mode=options.fusion.mode
             ) as fusion_span:
                 fusion_plan = fuse_module(module, options.fusion)
-                map_groups = len(fusion_plan.map_groups)
-                graph_groups = len(fusion_plan.graph_groups)
+                map_groups = len(fusion_plan.groups)
                 fusion_span.set(
                     map_groups=map_groups,
-                    graph_groups=graph_groups,
                     rejected=len(fusion_plan.rejected),
                 )
                 counters.add("fusion.map.fused", map_groups)
-                counters.add("fusion.graph.planned", graph_groups)
                 counters.add(
                     "fusion.plan.rejected", len(fusion_plan.rejected)
                 )

@@ -1,28 +1,19 @@
-"""Profile-guided task fusion (docs/FUSION.md).
+"""Profile-guided map fusion (docs/FUSION.md).
 
 Adjacent data-parallel operators pay the marshaling boundary once per
 stage: a ``g(f(x))`` map chain serializes the intermediate array out of
-the device and straight back in, and a two-filter pipeline crosses the
-0x09 batch boundary once per stage per batch. The fusion pass removes
-those interior crossings:
+the device and straight back in. The fusion pass removes that interior
+crossing: an :class:`~repro.ir.nodes.EMap` whose mapped argument is
+another EMap (directly, or through a single-use local) is rewritten to
+one EMap over a synthesized composite function whose body is
+``return g(f(x))``. One kernel, one launch, one crossing per direction;
+the intermediate array is never serialized. The pass never fuses
+across impure or instance functions or through a reduce barrier.
 
-* **map chains** — an :class:`~repro.ir.nodes.EMap` whose mapped
-  argument is another EMap (directly, or through a single-use local)
-  is rewritten to one EMap over a synthesized composite function whose
-  body is ``return g(f(x))``. One kernel, one launch, one crossing per
-  direction; the intermediate array is never serialized.
-* **graph spans** — contiguous relocatable, stateless, arity-1 filter
-  runs are recorded as fusion groups. The backends already emit
-  multi-stage artifacts for these spans; the runtime's fusion mode
-  (``RuntimeConfig.fusion``) decides whether substitution may take
-  them (``auto``), must ignore them (``off``), or may take exactly the
-  planned ones (``plan``).
-
-The pass never fuses across stateful tasks, reduce barriers, or
-non-relocatable stages; a span covering a task directed to bytecode is
-excluded at dispatch time by :meth:`SubstitutionPolicy.allows` exactly
-as for any other substitution, and a span whose breaker is OPEN runs
-its batches on bytecode (docs/RESILIENCE.md).
+Task-graph spans are not planned here. The backends emit multi-stage
+artifacts for every contiguous stateless relocatable run, and how large
+a span the runtime substitutes is the substitution policy's
+prefer-larger rule (:mod:`repro.runtime.substitution`).
 
 Plans are first-class ``repro.fusion/1`` artifacts: saved to JSON,
 inspected with ``python -m repro fuse``, and replayed deterministically
@@ -39,11 +30,13 @@ from repro import schema
 from repro.errors import ConfigurationError, LoweringError
 from repro.ir import nodes as ir
 from repro.ir.fingerprint import ir_fingerprint
-from repro.ir.taskgraph import FUSION_MODES
 from repro.ir.verifier import verify_module
 
 #: Schema tag stamped on every serialized plan.
 FUSION_SCHEMA = "repro.fusion/1"
+
+#: Accepted compile-time fusion modes (``FusionOptions.mode``).
+FUSION_MODES = ("off", "auto", "plan")
 
 
 @dataclass(frozen=True)
@@ -102,17 +95,16 @@ class FusionOptions:
 
 @dataclass
 class FusionGroup:
-    """One fusable unit: a map chain or a task-graph span."""
+    """One fusable map chain."""
 
-    kind: str                 # 'map' | 'graph'
-    task_ids: list            # map: [inner, outer] task ids; graph: span
-    fused: str = ""           # synthesized function name (map groups)
-    site: str = ""            # host function holding the chain (map)
-    graph_id: str = ""        # owning graph (graph groups)
+    kind: str                 # always 'map'
+    task_ids: list            # [inner, outer] task ids
+    fused: str = ""           # synthesized function name
+    site: str = ""            # host function holding the chain
     reason: str = "static"    # why the planner kept (or dropped) it
 
     def key(self) -> tuple:
-        return (self.kind, tuple(self.task_ids), self.site, self.graph_id)
+        return (self.kind, tuple(self.task_ids), self.site)
 
     def to_dict(self) -> dict:
         data = {"kind": self.kind, "task_ids": list(self.task_ids)}
@@ -120,8 +112,6 @@ class FusionGroup:
             data["fused"] = self.fused
         if self.site:
             data["site"] = self.site
-        if self.graph_id:
-            data["graph_id"] = self.graph_id
         data["reason"] = self.reason
         return data
 
@@ -132,23 +122,15 @@ class FusionGroup:
             task_ids=list(data["task_ids"]),
             fused=data.get("fused", ""),
             site=data.get("site", ""),
-            graph_id=data.get("graph_id", ""),
             reason=data.get("reason", "static"),
         )
 
 
-def _graph_group_names_graph(group: dict) -> list:
-    if group["kind"] == "graph" and not group.get("graph_id"):
-        return ["(graph) must name its graph_id"]
-    return []
-
-
 _GROUP_SPEC = schema.obj(
     {
-        "kind": schema.one_of("map", "graph", noun="kind"),
+        "kind": schema.one_of("map", noun="kind"),
         "task_ids": schema.array(schema.STRING, min=2),
     },
-    checks=(_graph_group_names_graph,),
 )
 
 #: The ``repro.fusion/1`` document (:mod:`repro.schema`).
@@ -169,22 +151,6 @@ class FusionPlan:
     groups: list = field(default_factory=list)
     rejected: list = field(default_factory=list)
     profile: str = ""              # where the evidence came from
-
-    @property
-    def map_groups(self) -> list:
-        return [g for g in self.groups if g.kind == "map"]
-
-    @property
-    def graph_groups(self) -> list:
-        return [g for g in self.groups if g.kind == "graph"]
-
-    def allows_span(self, task_ids) -> bool:
-        """True when a multi-stage artifact covering exactly
-        ``task_ids`` is sanctioned by this plan (runtime 'plan' mode)."""
-        covered = list(task_ids)
-        return any(
-            group.task_ids == covered for group in self.graph_groups
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -234,9 +200,8 @@ class FusionPlan:
         lines.append(f"groups: {len(self.groups)}")
         for group in self.groups:
             arrow = " -> ".join(group.task_ids)
-            where = group.site or group.graph_id
             lines.append(f"  [{group.kind:5s}] {arrow}")
-            lines.append(f"          at {where}: {group.reason}")
+            lines.append(f"          at {group.site}: {group.reason}")
         if self.rejected:
             lines.append(f"rejected: {len(self.rejected)}")
             for group in self.rejected:
@@ -429,46 +394,6 @@ def find_map_sites(module: ir.IRModule) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Graph-span discovery
-# ---------------------------------------------------------------------------
-
-
-def find_graph_groups(module: ir.IRModule) -> list:
-    """Fusable task-graph spans: maximal stateless runs inside each
-    relocation region with at least two arity-1 filter stages. A
-    stateful stage is a barrier that splits the run — fusion never
-    crosses it."""
-    groups: list = []
-    for graph in module.task_graphs:
-        for start, end in graph.relocation_regions():
-            run: list = []
-            for stage in graph.stages[start:end + 1]:
-                barrier = (
-                    stage.kind != "filter"
-                    or stage.stateful
-                    or stage.arity != 1
-                )
-                if barrier:
-                    if len(run) >= 2:
-                        groups.append(_graph_group(graph, run))
-                    run = []
-                else:
-                    run.append(stage)
-            if len(run) >= 2:
-                groups.append(_graph_group(graph, run))
-    return groups
-
-
-def _graph_group(graph, stages) -> FusionGroup:
-    return FusionGroup(
-        kind="graph",
-        task_ids=[s.task_id for s in stages],
-        graph_id=graph.graph_id,
-        reason="static: contiguous stateless relocatable span",
-    )
-
-
-# ---------------------------------------------------------------------------
 # Profile-guided gating
 # ---------------------------------------------------------------------------
 
@@ -491,13 +416,6 @@ def _offload_rows(payload: dict) -> dict:
         if row.get("kind") == "offload"
     }
 
-def _stage_rows(payload: dict) -> dict:
-    return {
-        row.get("name"): row
-        for row in payload.get("stages", [])
-        if row.get("kind") == "stage"
-    }
-
 
 def _gate_map_group(group: FusionGroup, payload: dict) -> "str | None":
     """Profile evidence that a map chain is worth fusing: one of its
@@ -511,26 +429,6 @@ def _gate_map_group(group: FusionGroup, payload: dict) -> "str | None":
             return (
                 f"profile: gpu:{task_id} offloaded {row['calls']}x "
                 f"({row.get('span_us', 0.0):.0f}us on critical path)"
-            )
-    return None
-
-
-def _gate_graph_group(group: FusionGroup, payload: dict) -> "str | None":
-    """Profile evidence for a graph span: its stages ran on a device
-    (each batch paid a `marshal.batch` crossing per stage), or the
-    fused artifact itself already shows up as an offload target."""
-    offloads = _offload_rows(payload)
-    stages = _stage_rows(payload)
-    for device in ("gpu", "fpga"):
-        fused_target = f"{device}:" + "+".join(group.task_ids)
-        if fused_target in offloads:
-            return f"profile: fused span already offloaded ({fused_target})"
-    for task_id in group.task_ids:
-        row = stages.get(task_id)
-        if row is not None and row.get("device") not in (None, "bytecode"):
-            return (
-                f"profile: stage {task_id} ran on {row['device']} "
-                f"({row.get('calls', 0)} firings)"
             )
     return None
 
@@ -584,17 +482,8 @@ def plan_fusion(module: ir.IRModule, profile=None) -> FusionPlan:
             break  # re-discover against the rewritten IR
         if not progressed:
             break
-    if plan.map_groups:
+    if plan.groups:
         verify_module(module)
-    for group in find_graph_groups(module):
-        if payload:
-            evidence = _gate_graph_group(group, payload)
-            if evidence is None:
-                group.reason = "profile: span never ran on a device"
-                plan.rejected.append(group)
-                continue
-            group.reason = evidence
-        plan.groups.append(group)
     return plan
 
 
@@ -671,8 +560,8 @@ def _synthesize(module: ir.IRModule, site: _MapSite, name: str):
     return function, fused_args, fused_broadcast
 
 
-def _apply_site(module: ir.IRModule, site: _MapSite) -> str:
-    """Fuse one map pair in place; returns the fused function name."""
+def _apply_site(module: ir.IRModule, site: _MapSite) -> None:
+    """Fuse one map pair in place."""
     name = _fused_name(module, site)
     function, fused_args, fused_broadcast = _synthesize(module, site, name)
     existing = module.functions.get(name)
@@ -685,14 +574,12 @@ def _apply_site(module: ir.IRModule, site: _MapSite) -> str:
     site.outer.broadcast = fused_broadcast
     if site.let_stmt is not None and site.block is not None:
         site.block.remove(site.let_stmt)
-    return name
 
 
 def apply_fusion(
     module: ir.IRModule, plan: FusionPlan, check_program: bool = True
-) -> dict:
-    """Apply a plan's map groups to the module (in place) and validate
-    its graph groups against the discovered task graphs. Deterministic
+) -> None:
+    """Apply a plan's map groups to the module (in place). Deterministic
     replay: the same plan against the same program always produces the
     same rewritten IR; a plan recorded against a *different* program is
     rejected up front."""
@@ -704,8 +591,7 @@ def apply_fusion(
                 f"(plan {plan.program[:12]}…, module {actual[:12]}…); "
                 "regenerate it with `python -m repro fuse`"
             )
-    fused: list = []
-    for group in plan.map_groups:
+    for group in plan.groups:
         site = _match_site(module, group)
         if site is None:
             raise LoweringError(
@@ -713,15 +599,9 @@ def apply_fusion(
                 f"chain {' -> '.join(group.task_ids)} in "
                 f"{group.site or '<any function>'}"
             )
-        fused.append(_apply_site(module, site))
-    for group in plan.graph_groups:
-        _check_graph_group(module, group)
-    if fused:
+        _apply_site(module, site)
+    if plan.groups:
         verify_module(module)
-    return {
-        "map_fused": fused,
-        "graph_groups": len(plan.graph_groups),
-    }
 
 
 def _match_site(module: ir.IRModule, group: FusionGroup):
@@ -736,54 +616,6 @@ def _match_site(module: ir.IRModule, group: FusionGroup):
         ):
             return site
     return None
-
-
-def _check_graph_group(module: ir.IRModule, group: FusionGroup) -> None:
-    """A graph group must still describe a legal span: the fusion-pass
-    verifier rules. Raises LoweringError on any violation."""
-    graph = next(
-        (
-            g
-            for g in module.task_graphs
-            if g.graph_id == group.graph_id
-        ),
-        None,
-    )
-    if graph is None:
-        raise LoweringError(
-            f"fusion plan names unknown task graph {group.graph_id!r}"
-        )
-    by_id = {s.task_id: s for s in graph.stages}
-    stages = []
-    for task_id in group.task_ids:
-        stage = by_id.get(task_id)
-        if stage is None:
-            raise LoweringError(
-                f"fusion plan names unknown stage {task_id!r} in "
-                f"graph {group.graph_id!r}"
-            )
-        stages.append(stage)
-    indices = [s.index for s in stages]
-    if indices != list(range(indices[0], indices[0] + len(indices))):
-        raise LoweringError(
-            f"fusion group {group.task_ids} is not contiguous in "
-            f"graph {group.graph_id!r}"
-        )
-    for stage in stages:
-        if stage.stateful:
-            raise LoweringError(
-                f"fusion group crosses stateful stage {stage.task_id!r}"
-            )
-        if not stage.relocatable:
-            raise LoweringError(
-                f"fusion group includes non-relocatable stage "
-                f"{stage.task_id!r}"
-            )
-        if stage.arity != 1:
-            raise LoweringError(
-                f"fusion group includes arity-{stage.arity} stage "
-                f"{stage.task_id!r}"
-            )
 
 
 def fuse_module(module: ir.IRModule,
@@ -842,11 +674,10 @@ def _render_expr(expr) -> str:
 
 def render_fused_ir(module: ir.IRModule, plan: FusionPlan) -> str:
     """Canonical printer output for the plan's fusion groups: the
-    synthesized composite functions plus the sanctioned graph spans.
-    Locked by tests/golden/fusion/ so any fusion-pass drift shows up
-    as an explicit golden diff."""
+    synthesized composite functions. Locked by tests/golden/fusion/ so
+    any fusion-pass drift shows up as an explicit golden diff."""
     lines = [f"fused-ir {FUSION_SCHEMA}"]
-    for group in plan.map_groups:
+    for group in plan.groups:
         lines.append("")
         lines.append(f"map-chain {' -> '.join(group.task_ids)}")
         lines.append(f"  site {group.site}")
@@ -866,8 +697,4 @@ def render_fused_ir(module: ir.IRModule, plan: FusionPlan) -> str:
                 lines.append(f"    return {_render_expr(stmt.value)}")
             else:
                 lines.append(f"    <{type(stmt).__name__}>")
-    for group in plan.graph_groups:
-        lines.append("")
-        lines.append(f"graph-span {group.graph_id}")
-        lines.append(f"  stages {' => '.join(group.task_ids)}")
     return "\n".join(lines) + "\n"

@@ -18,12 +18,6 @@ from typing import Optional
 
 from repro.lime import types as ty
 
-#: Accepted task-fusion modes, at compile time (``FusionOptions``) and
-#: at dispatch time (``RuntimeConfig.fusion``): fusion merges adjacent
-#: stages of a task graph.
-FUSION_MODES = ("off", "auto", "plan")
-
-
 @dataclass
 class StageIR:
     """One computational node in a task graph."""

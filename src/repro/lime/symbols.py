@@ -159,9 +159,6 @@ class CheckedProgram:
         self.classes: dict[str, ClassInfo] = {}
         self.method_facts: dict[str, MethodFacts] = {}
 
-    def class_info(self, name: str) -> Optional[ClassInfo]:
-        return self.classes.get(name)
-
     def method(self, qualified: str) -> Optional[MethodInfo]:
         class_name, _, method_name = qualified.partition(".")
         info = self.classes.get(class_name)

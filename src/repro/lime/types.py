@@ -71,10 +71,6 @@ class PrimType(Type):
     def is_numeric(self) -> bool:
         return self.name in ("int", "long", "float", "double")
 
-    @property
-    def is_integral(self) -> bool:
-        return self.name in ("int", "long")
-
     def kind(self) -> Kind:
         if self.name == "void":
             raise ValueError("void has no runtime kind")

@@ -92,8 +92,6 @@ def plan_substitutions(
     policy: SubstitutionPolicy,
     cost_estimator=None,
     counters=None,
-    fusion_mode: str = "auto",
-    fusion_plan=None,
 ) -> list:
     """Choose non-overlapping artifact substitutions for a pipeline.
 
@@ -101,11 +99,11 @@ def plan_substitutions(
     index. ``cost_estimator(artifact, covered_ids) -> (transfer_s,
     cpu_s)`` enables the communication-aware mode. ``counters`` (a
     :class:`repro.obs.Counters`) accumulates which policy rule decided
-    each candidate's fate. ``fusion_mode`` gates multi-stage (fused)
-    candidates: ``'auto'`` takes any, ``'off'`` takes none (each stage
-    substitutes — and crosses the marshaling boundary — on its own),
-    ``'plan'`` takes exactly the spans ``fusion_plan`` sanctions
-    (docs/FUSION.md).
+    each candidate's fate. Span size is ``policy.prefer_larger`` alone:
+    a multi-stage (fused) artifact wins over its single-stage parts
+    under the default, and ``prefer_larger=False`` is the unfused
+    baseline in which each stage substitutes, and crosses the
+    marshaling boundary, on its own (docs/FUSION.md).
     """
     counters = NULL_TRACER.counters if counters is None else counters
     if not policy.use_accelerators:
@@ -116,15 +114,6 @@ def plan_substitutions(
     for rank, device in enumerate(policy.device_order):
         for start, artifact in store.spans(task_ids, device):
             covered = artifact.manifest.task_ids
-            if len(covered) > 1 and fusion_mode != "auto":
-                if fusion_mode == "off":
-                    counters.add("substitution.rejected[fusion-off]")
-                    continue
-                if fusion_plan is None or not fusion_plan.allows_span(
-                    covered
-                ):
-                    counters.add("substitution.rejected[fusion-plan]")
-                    continue
             if not policy.allows(artifact, covered):
                 counters.add("substitution.rejected[directive]")
                 continue

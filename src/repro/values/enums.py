@@ -90,8 +90,5 @@ class EnumDescriptor:
             ) from None
         return EnumValue(self.name, ordinal, self.size)
 
-    def value_at(self, ordinal: int) -> EnumValue:
-        return EnumValue(self.name, ordinal, self.size)
-
     def __repr__(self) -> str:
         return f"EnumDescriptor({self.name}, {self.constants})"

@@ -28,10 +28,6 @@ class StructValue:
         self._is_value_class = is_value_class
 
     @property
-    def is_frozen(self) -> bool:
-        return self._frozen
-
-    @property
     def is_value_class(self) -> bool:
         return self._is_value_class
 

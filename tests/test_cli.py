@@ -555,6 +555,10 @@ class TestMalformedInputFiles:
          "rejected: expected list"),
         ({"schema": "repro.fusion/1", "groups": ["x"]},
          "groups[0]: expected object"),
+        # A plan groups map chains only: span size is the runtime's.
+        ({"schema": "repro.fusion/1",
+          "groups": [{"kind": "graph", "task_ids": ["a", "b"]}]},
+         "groups[0].kind: unknown kind 'graph'"),
     ])
     def test_fusion_plan(self, tmp_path, capsys, document, where):
         self._refused(

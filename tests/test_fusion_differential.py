@@ -2,11 +2,14 @@
 
 Fusion only changes *how many times the boundary is crossed* — never
 what any app computes. For every app in the suite, on both schedulers,
-the three fusion modes (``off``, ``auto``, a replayed ``plan``) must
-produce bit-identical printed output and return values; the replayed
-plan must additionally reproduce the ``auto`` run exactly — same
-simulated seconds, same counters — because a saved ``repro.fusion/1``
-plan is a deterministic record of what ``auto`` decided (mirrors
+three runs must produce bit-identical printed output and return
+values: the unfused baseline (no compile-time fusion, and the
+substitution policy's ``prefer_larger=False``, so every stage
+substitutes on its own), ``auto`` map fusion under the default
+prefer-larger policy, and a replayed ``plan``. The replayed plan must
+additionally reproduce the ``auto`` run exactly — same simulated
+seconds, same counters — because a saved ``repro.fusion/1`` plan is a
+deterministic record of what ``auto`` decided (mirrors
 ``test_cache_differential.py``).
 
 The fault half proves resilience is equally mode-blind: under a
@@ -26,7 +29,7 @@ from repro.runtime import (
     SubstitutionPolicy,
     kill_all_devices_plan,
 )
-from tests.test_suite_equivalence import FUSABLE, SMALL_ARGS
+from tests.test_suite_equivalence import SMALL_ARGS, UNFUSED
 
 AUTO = CompileOptions(fusion=FusionOptions(mode="auto"))
 
@@ -35,7 +38,7 @@ AUTO = CompileOptions(fusion=FusionOptions(mode="auto"))
 def plan_paths(tmp_path_factory):
     """One ``auto`` compile per app, its plan saved to disk — every
     replay test reloads from these files, round-tripping the JSON."""
-    root = tmp_path_factory.mktemp("fusion-plans")
+    root = tmp_path_factory.mktemp("plans")
     paths = {}
     for name in sorted(SUITE):
         compiled = compile_app(name, AUTO)
@@ -45,13 +48,13 @@ def plan_paths(tmp_path_factory):
     return paths
 
 
-def _run(compiled, name, scheduler, fusion="auto", fault_plan=None):
+def _run(compiled, name, scheduler, policy=None, fault_plan=None):
     entry, args = SMALL_ARGS[name]()
     tracer = Tracer()
     config = RuntimeConfig(
         scheduler=scheduler,
         tracer=tracer,
-        fusion=fusion,
+        policy=policy or SubstitutionPolicy(),
         fault_plan=fault_plan,
         max_attempts=2,
     )
@@ -76,9 +79,9 @@ def test_fusion_modes_bit_identical(name, scheduler, plan_paths):
         g.key() for g in fused.fusion_plan.groups
     ], name
 
-    off, _, _ = _run(generic, name, scheduler, fusion="off")
-    auto, auto_tracer, _ = _run(fused, name, scheduler, fusion="auto")
-    plan, plan_tracer, _ = _run(replayed, name, scheduler, fusion="plan")
+    off, _, _ = _run(generic, name, scheduler, policy=UNFUSED)
+    auto, auto_tracer, _ = _run(fused, name, scheduler)
+    plan, plan_tracer, _ = _run(replayed, name, scheduler)
 
     # Values and output are mode-invariant, bit for bit.
     assert off.output == auto.output == plan.output, name
@@ -125,7 +128,6 @@ def test_fault_logs_mode_invariant(name, plan_paths):
         replayed,
         name,
         "sequential",
-        fusion="plan",
         fault_plan=kill_all_devices_plan(),
     )
 

@@ -1,8 +1,9 @@
 """Golden-file regression tests for the fusion pass (docs/FUSION.md).
 
 These freeze the canonical fused-IR printer output and the
-``repro.fusion/1`` plan JSON for the two fusable suite apps — the
-task-graph span (gray_pipeline) and the IR map chain (photo_pipeline).
+``repro.fusion/1`` plan JSON for two suite apps: the IR map chain
+(photo_pipeline) and a stream pipeline with no map chain, whose plan
+is empty (gray_pipeline).
 A diff here means the fusion planner, the composite-kernel
 synthesizer, or the plan schema changed; if the change is intentional,
 regenerate with::
@@ -77,11 +78,10 @@ class TestGoldenContent:
         assert "Photo.fused_Photo_brighten__Photo_clamp8" in text
 
     def test_graph_span_anchors(self):
+        """A task-graph span is the runtime's substitution decision,
+        never a plan group: the stream pipeline's golden is empty."""
         with open(_golden_path("gray_pipeline", "fused-ir.txt")) as fh:
-            text = fh.read()
-        assert text.startswith("fused-ir repro.fusion/1")
-        assert "graph-span" in text
-        assert "GrayCoder.encode" in text and "GrayCoder.scale" in text
+            assert fh.read() == "fused-ir repro.fusion/1\n"
 
     @pytest.mark.parametrize("name", CASES)
     def test_plan_files_validate(self, name):
@@ -91,4 +91,4 @@ class TestGoldenContent:
             data = json.load(fh)
         assert schema.problems(data, FUSION_PLAN_SPEC) == []
         assert data["schema"] == "repro.fusion/1"
-        assert data["groups"], name
+        assert bool(data["groups"]) == (name == "photo_pipeline"), name

@@ -129,14 +129,14 @@ def test_accelerated_suite_exercises_the_gpu_path():
 
 # Every map and reduce offloads (map_offload_min_items=1), so the small
 # inputs reach the GPU too; filter batches of 1, 7 and 64 items. The
-# b7 runs are unfused, so the single-stage artifacts of a fusable chain
-# run as well as the fused one.
+# b7 runs prefer the smallest spans (unfused), so the single-stage
+# artifacts of a fusable chain run as well as the fused one.
 LAUNCH_CONFIGS = {
     f"{scheduler}-b{batch}": RuntimeConfig(
         scheduler=scheduler,
         batch_size=batch,
         map_offload_min_items=1,
-        fusion="off" if batch == 7 else "auto",
+        policy=SubstitutionPolicy(prefer_larger=batch != 7),
     )
     for scheduler in ("sequential", "threaded")
     for batch in (1, 7, 64)

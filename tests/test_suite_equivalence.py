@@ -9,7 +9,9 @@ The metrics-registry sweep rides along: the ``marshal.crossings``
 counter must be identical between the two scheduler variants (the
 schedulers reorder work, never the boundary traffic), and fusion must
 strictly reduce it on the fusable apps while leaving every other app's
-count untouched (docs/FUSION.md)."""
+count untouched (docs/FUSION.md). The unfused baseline is the
+substitution policy's ``prefer_larger=False`` (ablation E6): every
+decision it takes covers exactly one task."""
 
 import pytest
 
@@ -40,10 +42,13 @@ SMALL_ARGS = {
     "photo_pipeline": lambda: workloads.photo_pipeline_args(128),
 }
 
-# Apps where the fusion pass finds a legal multi-stage group at these
-# workload sizes (docs/FUSION.md): the stream pipeline fuses at the
-# task-graph level, the chained map pair at the IR level.
+# Apps with a multi-stage group at these workload sizes
+# (docs/FUSION.md): the stream pipeline's span is substituted whole
+# under prefer-larger, the chained map pair fuses at the IR level.
 FUSABLE = {"gray_pipeline", "photo_pipeline"}
+
+#: The unfused baseline: substitution prefers the smallest spans.
+UNFUSED = SubstitutionPolicy(prefer_larger=False)
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
@@ -73,15 +78,22 @@ def test_adaptive_policy_equals_bytecode(name):
     assert adaptive.value == plain.value, name
 
 
-def _crossings(compiled, entry, args, scheduler, fusion="auto"):
+def _crossings(compiled, entry, args, scheduler, policy=None):
     """Run once under a fresh tracer; return the uniform boundary
-    crossing count (every marshaling path funnels through it)."""
+    crossing count (every marshaling path funnels through it) and the
+    runtime's substitution log."""
     tracer = Tracer()
-    Runtime(
+    runtime = Runtime(
         compiled,
-        RuntimeConfig(scheduler=scheduler, tracer=tracer, fusion=fusion),
-    ).run(entry, args)
-    return tracer.counters.snapshot().get("marshal.crossings", 0)
+        RuntimeConfig(
+            scheduler=scheduler,
+            tracer=tracer,
+            policy=policy or SubstitutionPolicy(),
+        ),
+    )
+    runtime.run(entry, args)
+    crossings = tracer.counters.snapshot().get("marshal.crossings", 0)
+    return crossings, runtime.substitution_log
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
@@ -90,20 +102,26 @@ def test_crossing_count_scheduler_invariant(name):
     must cross the marshaling boundary exactly as often."""
     entry, args = SMALL_ARGS[name]()
     compiled = compile_app(name)
-    sequential = _crossings(compiled, entry, args, "sequential")
-    threaded = _crossings(compiled, entry, args, "threaded")
+    sequential, _ = _crossings(compiled, entry, args, "sequential")
+    threaded, _ = _crossings(compiled, entry, args, "threaded")
     assert sequential == threaded, name
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
 def test_fusion_strictly_reduces_crossings(name):
     """Fused runs cross the boundary strictly less often on the
-    fusable apps; everywhere else fusion must not change traffic."""
+    fusable apps; everywhere else fusion must not change traffic. The
+    unfused run substitutes no multi-stage span at all."""
     entry, args = SMALL_ARGS[name]()
-    unfused = _crossings(
-        compile_app(name), entry, args, "sequential", fusion="off"
+    unfused, log = _crossings(
+        compile_app(name), entry, args, "sequential", policy=UNFUSED
     )
-    fused = _crossings(
+    assert all(
+        len(decision.covered_task_ids) == 1
+        for _, decisions in log
+        for decision in decisions
+    ), name
+    fused, _ = _crossings(
         compile_app(
             name, CompileOptions(fusion=FusionOptions(mode="auto"))
         ),
