@@ -12,6 +12,7 @@ generates the II=1 variant used by the pipelining ablation bench.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -182,13 +183,15 @@ def _python_const(expr: ir.EConst) -> str:
     raise BackendError(f"constant {value!r} has no hardware encoding")
 
 
-#: id(bundle) -> its compiled datapath, and id(bundle) -> its netlist.
-#: Kept beside the bundle, not on it (like the stager's memo): the
-#: runtime elaborates per run, so each compile happens once per bundle
-#: object, and a pickled, cached or copied bundle carries no callable --
-#: ``payload_bytes`` is unchanged.
+#: id(bundle) -> its compiled datapath, id(bundle) -> its netlist, and
+#: id(bundle) -> its value converters. Kept beside the bundle, not on it
+#: (like the stager's memo): the runtime elaborates and converts per
+#: run, so each is made once per bundle object, and a pickled, cached
+#: or copied bundle carries no callable -- ``payload_bytes`` is
+#: unchanged.
 _COMPILED: dict = {}
 _NETLISTS: dict = {}
+_CONVERTERS: dict = {}
 
 
 def _beside(memo: dict, bundle, make):
@@ -200,6 +203,34 @@ def _beside(memo: dict, bundle, make):
         value = memo[key] = make()
         weakref.finalize(bundle, memo.pop, key, None)
     return value
+
+
+def _is_enum(type_) -> bool:
+    return isinstance(type_, ty.ClassType) and type_.is_enum
+
+
+def _encoder(in_type):
+    """Value -> input word: a bit, boolean or integer as an int; an
+    enum constant as its ordinal (an int stimulus, as the CLI's
+    testbench takes, passes through)."""
+    if _is_enum(in_type):
+        return lambda value: (
+            value.ordinal if isinstance(value, EnumValue) else int(value)
+        )
+    return int
+
+
+def _decoder(out_type):
+    """Output word -> value of ``out_type``."""
+    if out_type == ty.BIT:
+        return lambda raw: Bit(raw & 1)
+    if out_type == ty.BOOLEAN:
+        return lambda raw: bool(raw & 1)
+    if _is_enum(out_type):
+        name, size = out_type.name, out_type.enum_size
+        return lambda raw: EnumValue(name, raw, size)
+    # The word as a signed int of the type.
+    return functools.partial(ops.apply_cast, typename=out_type.name)
 
 
 # ---------------------------------------------------------------------------
@@ -236,24 +267,14 @@ class FPGAModuleBundle:
 
     # -- value <-> wire conversions (the device boundary) ---------------
 
-    def encode(self, value) -> int:
-        if isinstance(value, Bit):
-            return int(value)
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, EnumValue):
-            return value.ordinal
-        return int(value)
-
-    def decode(self, raw: int):
-        out = self.out_type
-        if out == ty.BIT:
-            return Bit(raw & 1)
-        if out == ty.BOOLEAN:
-            return bool(raw & 1)
-        if isinstance(out, ty.ClassType) and out.is_enum:
-            return EnumValue(out.name, raw, out.enum_size)
-        return ops.apply_cast(raw, out.name)  # the word as a signed int
+    def converters(self) -> tuple:
+        """``(encode, decode)``: a value of ``in_type`` to its input
+        word, and an output word to a value of ``out_type``. Chosen
+        from the two types once per bundle, not per item."""
+        return _beside(
+            _CONVERTERS, self,
+            lambda: (_encoder(self.in_type), _decoder(self.out_type)),
+        )
 
     def compiled_datapath(self):
         """The datapath as a Python function of the input word."""

@@ -817,7 +817,8 @@ def _cmd_testbench(args) -> int:
     stimulus = _parse_value(args.inputs)
     for artifact in artifacts:
         bundle = artifact.payload
-        raw = [bundle.encode(v) for v in stimulus]
+        encode, _ = bundle.converters()
+        raw = list(map(encode, stimulus))
         print(f"// ===== testbench for {artifact.artifact_id} =====")
         print(generate_testbench(bundle, raw))
     return 0

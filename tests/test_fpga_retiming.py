@@ -48,10 +48,11 @@ class TestRetiming:
     def test_retimed_module_still_correct(self):
         bundle = crc_bundle(fpga_max_stage_depth=6)
         items = [0, 1, 0x55, 0xAA, 0xFF, 42, 200]
+        encode, decode = bundle.converters()
         result = FPGASimulator().run_stream(
-            bundle.elaborate(), [bundle.encode(x) for x in items]
+            bundle.elaborate(), [encode(x) for x in items]
         )
-        assert [bundle.decode(r) for r in result.outputs] == [
+        assert [decode(r) for r in result.outputs] == [
             crc8_ref(x) for x in items
         ]
 
@@ -60,10 +61,10 @@ class TestRetiming:
         retimed = crc_bundle(fpga_max_stage_depth=6)
         sim = FPGASimulator()
         plain_run = sim.run_stream(
-            plain.elaborate(), [plain.encode(1)], return_to_zero=True
+            plain.elaborate(), [1], return_to_zero=True
         )
         retimed_run = FPGASimulator().run_stream(
-            retimed.elaborate(), [retimed.encode(1)], return_to_zero=True
+            retimed.elaborate(), [1], return_to_zero=True
         )
         extra = retimed.compute_stages - 1
         assert retimed_run.cycles == plain_run.cycles + extra
@@ -92,10 +93,11 @@ class TestRetiming:
         (artifact,) = compiled.store.for_device("fpga")
         bundle = artifact.payload
         items = [i % 256 for i in range(64)]
+        encode, decode = bundle.converters()
         result = FPGASimulator().run_stream(
-            bundle.elaborate(), [bundle.encode(x) for x in items]
+            bundle.elaborate(), [encode(x) for x in items]
         )
-        assert [bundle.decode(r) for r in result.outputs] == [
+        assert [decode(r) for r in result.outputs] == [
             crc8_ref(x) for x in items
         ]
         assert result.throughput_items_per_cycle > 0.8

@@ -6,6 +6,8 @@ change is intentional, regenerate the golden files (see the module
 docstring of tests/golden/README)."""
 
 import functools
+import hashlib
+import json
 import os
 
 import pytest
@@ -125,3 +127,49 @@ def fpga_variant_goldens() -> dict:
 def test_fpga_variant_golden(filename):
     with open(os.path.join(GOLDEN_DIR, filename), "rb") as f:
         assert fpga_variant_goldens()[filename].encode() == f.read()
+
+
+# ---------------------------------------------------------------------------
+# Waveforms: every FPGA artifact of the suite, both input drivers
+# ---------------------------------------------------------------------------
+
+#: Raw input words per module input width: the Figure 4 stimulus for
+#: one-bit modules; zero, one, negative (unmasked on ``inWord``, masked
+#: into ``inData``), alternating-bit and extreme words for 32-bit ones.
+WAVEFORM_WORDS = {
+    1: [1, 1, 0, 0, 1, 0, 1, 1, 1],
+    32: [0, 1, -1, 0x55, 0xAA, 0x7FFFFFFF, -42, 123456789],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def fpga_waveform_goldens() -> dict:
+    """``"<app> <artifact id> return_to_zero=<bool>"`` -> the sha256 of
+    the rendered VCD, ``cycles`` and ``enqueue_times`` of one
+    run_stream over :data:`WAVEFORM_WORDS` (the tests/golden/README
+    recipe writes these as fpga_waveforms.json)."""
+    runs = {}
+    for app in sorted(SUITE):
+        for artifact in compile_app(app).store.for_device("fpga"):
+            bundle = artifact.payload
+            words = WAVEFORM_WORDS[bundle.in_width]
+            for return_to_zero in (False, True):
+                result = FPGASimulator().run_stream(
+                    bundle.elaborate(), list(words),
+                    return_to_zero=return_to_zero,
+                )
+                vcd = result.vcd.render().encode()
+                runs[
+                    f"{app} {artifact.artifact_id} "
+                    f"return_to_zero={return_to_zero}"
+                ] = {
+                    "vcd_sha256": hashlib.sha256(vcd).hexdigest(),
+                    "cycles": result.cycles,
+                    "enqueue_times": result.details["enqueue_times"],
+                }
+    return runs
+
+
+def test_fpga_waveform_golden():
+    with open(os.path.join(GOLDEN_DIR, "fpga_waveforms.json")) as f:
+        assert fpga_waveform_goldens() == json.load(f)

@@ -209,10 +209,11 @@ class TestDatapathEquivalence:
         interp = Interpreter(compile_module(module))
         expected = [interp.call("T.f", [x]) for x in items]
         bundle = compile_fpga(module).artifacts[0].payload
+        encode, decode = bundle.converters()
         result = FPGASimulator().run_stream(
-            bundle.elaborate(), [bundle.encode(x) for x in items]
+            bundle.elaborate(), [encode(x) for x in items]
         )
-        assert [bundle.decode(r) for r in result.outputs] == expected
+        assert [decode(r) for r in result.outputs] == expected
 
 
 class TestDeviceEquivalence:

@@ -917,7 +917,8 @@ def test_compiled_datapath_does_not_travel_with_a_pickled_bundle(tmp_path):
     (artifact,) = compiled.store.for_device("fpga")
     bundle = artifact.payload
     fresh = pickle.dumps(bundle, protocol=4)
-    words = [bundle.encode(x) for x in (0x55, 0xAA, 7)]
+    encode, _ = bundle.converters()
+    words = [encode(x) for x in (0x55, 0xAA, 7)]
     cold = FPGASimulator().run_stream(bundle.elaborate(), words)
     assert pickle.dumps(bundle, protocol=4) == fresh
     # Compiled once per bundle, not once per elaborate().

@@ -271,10 +271,11 @@ class TestRTLSimulation:
         backend = compile_fpga(module_for(source))
         bundle = backend.artifacts[0].payload
         netlist = bundle.elaborate()
+        encode, decode = bundle.converters()
         result = FPGASimulator().run_stream(
-            netlist, [bundle.encode(v) for v in [0, 5, -4]]
+            netlist, [encode(v) for v in [0, 5, -4]]
         )
-        decoded = [bundle.decode(raw) for raw in result.outputs]
+        decoded = [decode(raw) for raw in result.outputs]
         assert decoded == [-1, 14, -13]
 
     def test_simulation_timeout(self):
@@ -310,10 +311,9 @@ class TestFusedModules:
             a for a in backend.artifacts if len(a.manifest.task_ids) == 2
         ][0]
         bundle = fused.payload
-        result = FPGASimulator().run_stream(
-            bundle.elaborate(), [bundle.encode(3)]
-        )
-        assert bundle.decode(result.outputs[0]) == 8  # (3+1)*2
+        encode, decode = bundle.converters()
+        result = FPGASimulator().run_stream(bundle.elaborate(), [encode(3)])
+        assert decode(result.outputs[0]) == 8  # (3+1)*2
 
 
 class TestOneDescription:
