@@ -179,9 +179,7 @@ def _assert_equal(a, b, name):
 # ---------------------------------------------------------------------------
 
 
-def marshal_stream_seconds(
-    n_items: int, batch_size: int, boundary: MarshalingBoundary = None
-) -> float:
+def marshal_stream_seconds(n_items: int, batch_size: int) -> float:
     """Modeled time to stream ``n_items`` int values across a boundary
     and back, crossing in ``batch_size`` chunks.
 
@@ -191,15 +189,16 @@ def marshal_stream_seconds(
     header and one set of fixed serialize/JNI/convert costs. This is
     the microbenchmark behind BENCH_marshal.json
     (docs/PERFORMANCE.md)."""
-    boundary = boundary if boundary is not None else MarshalingBoundary()
+    boundary = MarshalingBoundary()
     values = list(range(n_items))
     if batch_size <= 1:
-        for value in values:
-            boundary.round_trip(value)
+        crossings = [boundary.round_trip(value) for value in values]
     else:
-        for start in range(0, n_items, batch_size):
+        crossings = [
             boundary.transfer_batch(values[start : start + batch_size])
-    return boundary.total_seconds
+            for start in range(0, n_items, batch_size)
+        ]
+    return sum(r.total_s for _, records in crossings for r in records)
 
 
 def marshal_throughput(n_items: int, batch_size: int) -> float:

@@ -25,10 +25,8 @@ from repro.values import (
     batch_count,
     deserialize,
     deserialize_batch,
-    kind_of,
     serialize,
     serialize_batch,
-    serializer_for,
 )
 
 
@@ -67,7 +65,6 @@ class MarshalingBoundary:
         # specs target the boundary by name ('gpu'/'fpga') or link.
         self.injector = injector or NULL_INJECTOR
         self.name = name or link.name
-        self.log: list[TransferRecord] = []
 
     # ------------------------------------------------------------------
 
@@ -82,7 +79,6 @@ class MarshalingBoundary:
             link_s=self.link.transfer_time(num_bytes),
             link_name=self.link.name,
         )
-        self.log.append(record)
         # Latency/size distributions come for free at this seam: one
         # observation per crossing, in deterministic simulated time.
         # The uniform crossing counter (every path funnels through
@@ -99,16 +95,15 @@ class MarshalingBoundary:
 
     def to_device(self, value) -> "tuple[bytes, TransferRecord]":
         """Serialize a Lime value for the device; returns the wire
-        bytes and the timing record. The runtime finds the custom
-        serializer based on the value's data type (Section 4.3)."""
+        bytes and the timing record. The encoding follows the value's
+        data type (Section 4.3)."""
         self.injector.check(
             "marshal.to_device", [self.name, self.link.name]
         )
         with self.tracer.span(
             "run.marshal.to_device", link=self.link.name
         ) as span:
-            serializer = serializer_for(kind_of(value))
-            data = serializer.serialize(value)
+            data = serialize(value)
             record = self._record("to-device", len(data))
             span.set(
                 bytes=record.num_bytes,
@@ -212,11 +207,3 @@ class MarshalingBoundary:
         counters.add("marshal.batch.crossings")
         counters.add("marshal.batch.values", n_values)
         self.metrics.histogram("marshal.batch.size").observe(n_values)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(r.total_s for r in self.log)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.num_bytes for r in self.log)

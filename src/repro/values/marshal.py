@@ -8,8 +8,9 @@ packed C-style value on the native side; the return path is the mirror
 image.
 
 This module implements step (1)/(3)'s data formats. During task
-substitution the runtime looks up a *custom serializer based on the task
-I/O data type* — :func:`serializer_for` is exactly that lookup.
+substitution the runtime picks the encoding *based on the task I/O data
+type*: :func:`serialize` infers the value's kind and writes that kind's
+header and dense payload.
 
 Wire layout (little endian throughout):
 
@@ -33,11 +34,16 @@ tag byte  payload
           the native unpack path is shared (docs/PERFORMANCE.md)
 ========  =====================================================
 
-The batch frame (0x09) is the **batched fast path**: N homogeneous
-values cross the boundary under a single header, amortizing the
-per-value tag byte and every fixed per-crossing cost. Use
-:func:`serialize_batch` / :func:`deserialize_batch`; the scalar
-functions remain the one-value-at-a-time slow path.
+Every frame is built from two codecs: the kind header
+(:func:`_encode_element_kind`, the tag byte plus any enum or element
+header) and the dense payload (:func:`_encode_dense`). A single value's
+frame (0x01-0x08) is its kind header followed by the dense payload of
+the one-value list ``[value]``; an array's dense payload is its u32
+length and its packed elements, which is why 0x08 reads as above. The
+batch frame (0x09) is the **batched fast path**: a tag byte, one kind
+header, a u32 count and the dense payload of all N values, amortizing
+the per-value header and every fixed per-crossing cost. Both frame
+kinds check each value with :func:`_check_element`.
 """
 
 from __future__ import annotations
@@ -94,136 +100,13 @@ def _check_int_range(value: int, kind: Kind) -> int:
     return value
 
 
-class Serializer:
-    """Serializer for one kind. Subclasses implement the scalar codecs."""
-
-    def __init__(self, kind: Kind):
-        self.kind = kind
-
-    def serialize(self, value: object) -> bytes:
-        """Encode ``value`` (of this serializer's kind) to wire bytes."""
-        raise NotImplementedError
-
-    def deserialize(self, data: bytes, offset: int = 0) -> "tuple[object, int]":
-        """Decode one value; returns (value, next offset)."""
-        raise NotImplementedError
-
-
-class ScalarSerializer(Serializer):
-    """int/long/float/double/boolean/bit with a tag byte prefix."""
-
-    def serialize(self, value: object) -> bytes:
-        tag = _SCALAR_TAGS[self.kind.name]
-        return bytes([tag]) + _encode_scalar(self.kind, value)
-
-    def deserialize(self, data: bytes, offset: int = 0):
-        tag = data[offset]
-        if tag != _SCALAR_TAGS[self.kind.name]:
-            raise MarshalingError(
-                f"expected {self.kind} tag, found 0x{tag:02x}"
-            )
-        return _decode_scalar(self.kind, data, offset + 1)
-
-
-class EnumSerializer(Serializer):
-    def serialize(self, value: object) -> bytes:
-        if not isinstance(value, EnumValue) or value.enum_name != self.kind.enum_name:
-            raise MarshalingError(f"expected {self.kind}, got {value!r}")
-        name = value.enum_name.encode("utf-8")
-        if len(name) > 255:
-            raise MarshalingError("enum name too long for wire format")
-        return bytes([TAG_ENUM, len(name)]) + name + bytes(
-            [value.enum_size, value.ordinal]
-        )
-
-    def deserialize(self, data: bytes, offset: int = 0):
-        if data[offset] != TAG_ENUM:
-            raise MarshalingError("expected enum tag")
-        return _decode_enum(data, offset + 1)
-
-
-class ArraySerializer(Serializer):
-    """Dense array codec — the payload format native code consumes.
-
-    Marshaling on the native side "is similar but more specialized
-    because the data is generally densely packed" (Section 4.3); the
-    dense element block here is byte-identical to the native layout, so
-    the native conversion step is a straight memcpy in concept.
-    """
-
-    def serialize(self, value: object) -> bytes:
-        if not isinstance(value, ValueArray):
-            raise MarshalingError(
-                f"only value arrays cross the boundary, got {value!r}"
-            )
-        if value.element_kind != self.kind.element:
-            raise MarshalingError(
-                f"expected {self.kind}, got array of {value.element_kind}"
-            )
-        elem = self.kind.element
-        assert elem is not None
-        header = bytes([TAG_ARRAY]) + _encode_element_kind(elem)
-        header += struct.pack("<I", len(value))
-        return header + _encode_dense(elem, value)
-
-    def deserialize(self, data: bytes, offset: int = 0):
-        if data[offset] != TAG_ARRAY:
-            raise MarshalingError("expected array tag")
-        offset += 1
-        elem, offset = _decode_element_kind(data, offset)
-        (count,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        items, offset = _decode_dense(elem, data, offset, count)
-        return ValueArray(elem, items), offset
-
-
-def _encode_scalar(kind: Kind, value: object) -> bytes:
-    if kind.name in ("int", "long"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MarshalingError(f"expected {kind}, got {value!r}")
-        return struct.pack(_STRUCT_FMT[kind.name], _check_int_range(value, kind))
-    if kind.name in ("float", "double"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MarshalingError(f"expected {kind}, got {value!r}")
-        return struct.pack(_STRUCT_FMT[kind.name], float(value))
-    if kind.name == "boolean":
-        if not isinstance(value, bool):
-            raise MarshalingError(f"expected boolean, got {value!r}")
-        return bytes([1 if value else 0])
-    if kind.name == "bit":
-        if not isinstance(value, Bit):
-            raise MarshalingError(f"expected bit, got {value!r}")
-        return bytes([int(value)])
-    raise MarshalingError(f"not a scalar kind: {kind}")
-
-
-def _decode_scalar(kind: Kind, data: bytes, offset: int):
-    if kind.name in _STRUCT_FMT:
-        fmt = _STRUCT_FMT[kind.name]
-        (value,) = struct.unpack_from(fmt, data, offset)
-        return value, offset + struct.calcsize(fmt)
-    if kind.name == "boolean":
-        return bool(data[offset]), offset + 1
-    if kind.name == "bit":
-        return Bit(data[offset]), offset + 1
-    raise MarshalingError(f"not a scalar kind: {kind}")
-
-
-def _decode_enum(data: bytes, offset: int):
-    name_len = data[offset]
-    offset += 1
-    name = data[offset : offset + name_len].decode("utf-8")
-    offset += name_len
-    size = data[offset]
-    ordinal = data[offset + 1]
-    return EnumValue(name, ordinal, size), offset + 2
-
-
 def _encode_element_kind(elem: Kind) -> bytes:
     if elem.is_scalar:
         return bytes([_SCALAR_TAGS[elem.name]])
     if elem.is_enum:
         name = (elem.enum_name or "").encode("utf-8")
+        if len(name) > 255:
+            raise MarshalingError("enum name too long for wire format")
         return bytes([TAG_ENUM, len(name)]) + name + bytes([elem.enum_size])
     if elem.is_array:
         assert elem.element is not None
@@ -250,6 +133,9 @@ def _decode_element_kind(data: bytes, offset: int) -> "tuple[Kind, int]":
 
 
 def _encode_dense(elem: Kind, items) -> bytes:
+    """``items``, all of kind ``elem``, with no per-value header: the
+    densely packed layout native code consumes (Section 4.3), so the
+    native conversion step is a straight copy in concept."""
     if elem.name == "bit":
         return pack_bits(items)
     if elem.name in _STRUCT_FMT:
@@ -315,20 +201,38 @@ def _decode_dense(elem: Kind, data: bytes, offset: int, count: int):
     raise MarshalingError(f"cannot densely decode {elem}")
 
 
-def serializer_for(kind: Kind) -> Serializer:
-    """Find the custom serializer for a task I/O data type (Section 4.3)."""
-    if kind.is_scalar:
-        return ScalarSerializer(kind)
-    if kind.is_enum:
-        return EnumSerializer(kind)
-    if kind.is_array:
-        return ArraySerializer(kind)
-    raise MarshalingError(f"no serializer for kind {kind}")
+def _check_element(kind: Kind, value: object) -> None:
+    """Reject a value that is not of ``kind``: the one element check of
+    single-value and batch frames (bool is never an int/float; enum
+    names and sizes and array element kinds must match exactly)."""
+    if kind.name in ("int", "long"):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind.name in ("float", "double"):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind.name == "boolean":
+        ok = isinstance(value, bool)
+    elif kind.name == "bit":
+        ok = isinstance(value, Bit)
+    elif kind.is_enum:
+        ok = (
+            isinstance(value, EnumValue)
+            and value.enum_name == kind.enum_name
+            and value.enum_size == kind.enum_size
+        )
+    elif kind.is_array:
+        ok = isinstance(value, ValueArray) and value.element_kind == kind.element
+    else:
+        raise MarshalingError(f"cannot marshal values of kind {kind}")
+    if not ok:
+        raise MarshalingError(f"expected {kind}, got {value!r}")
 
 
 def serialize(value: object) -> bytes:
-    """Serialize any Lime value using its inferred kind."""
-    return serializer_for(kind_of(value)).serialize(value)
+    """Serialize any Lime value using its inferred kind: the kind
+    header, then the value's dense payload."""
+    kind = kind_of(value)
+    _check_element(kind, value)
+    return _encode_element_kind(kind) + _encode_dense(kind, [value])
 
 
 def deserialize(data: bytes) -> object:
@@ -336,71 +240,22 @@ def deserialize(data: bytes) -> object:
     if not data:
         raise MarshalingError("empty wire payload")
     tag = data[0]
-    if tag in _TAG_NAMES:
-        kind = Kind(_TAG_NAMES[tag])
-    elif tag == TAG_ENUM:
-        value, end = _decode_enum(data, 1)
-        if end != len(data):
-            raise MarshalingError("trailing bytes after enum payload")
-        return value
-    elif tag == TAG_ARRAY:
-        elem, _ = _decode_element_kind(data, 1)
-        kind = array_kind(elem)
-    elif tag == TAG_BATCH:
+    if tag == TAG_BATCH:
         raise MarshalingError(
             "payload is a batch frame; use deserialize_batch"
         )
-    else:
+    if tag not in _TAG_NAMES and tag not in (TAG_ENUM, TAG_ARRAY):
         raise MarshalingError(f"unknown wire tag 0x{tag:02x}")
-    value, end = serializer_for(kind).deserialize(data, 0)
+    kind, offset = _decode_element_kind(data, 0)
+    items, end = _decode_dense(kind, data, offset, 1)
     if end != len(data):
         raise MarshalingError("trailing bytes after payload")
-    return value
+    return items[0]
 
 
 # ---------------------------------------------------------------------------
 # Batched fast path (0x09 frames)
 # ---------------------------------------------------------------------------
-
-
-def _check_batch_element(kind: Kind, value: object) -> None:
-    """Reject a value that does not belong in a ``kind`` batch, with
-    the same strictness as the scalar serializers (bool is never an
-    int/float; enum names and sizes must match exactly)."""
-    if kind.name in ("int", "long"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MarshalingError(f"expected {kind} in batch, got {value!r}")
-        return
-    if kind.name in ("float", "double"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MarshalingError(f"expected {kind} in batch, got {value!r}")
-        return
-    if kind.name == "boolean":
-        if not isinstance(value, bool):
-            raise MarshalingError(
-                f"expected boolean in batch, got {value!r}"
-            )
-        return
-    if kind.name == "bit":
-        if not isinstance(value, Bit):
-            raise MarshalingError(f"expected bit in batch, got {value!r}")
-        return
-    if kind.is_enum:
-        if (
-            not isinstance(value, EnumValue)
-            or value.enum_name != kind.enum_name
-            or value.enum_size != kind.enum_size
-        ):
-            raise MarshalingError(f"expected {kind} in batch, got {value!r}")
-        return
-    if kind.is_array:
-        if (
-            not isinstance(value, ValueArray)
-            or value.element_kind != kind.element
-        ):
-            raise MarshalingError(f"expected {kind} in batch, got {value!r}")
-        return
-    raise MarshalingError(f"cannot batch values of kind {kind}")
 
 
 def infer_batch_kind(values) -> Kind:
@@ -449,7 +304,7 @@ def serialize_batch(values, kind: "Kind | None" = None) -> bytes:
     if not (kind.is_scalar or kind.is_enum or kind.is_array):
         raise MarshalingError(f"cannot batch values of kind {kind}")
     for value in values:
-        _check_batch_element(kind, value)
+        _check_element(kind, value)
     return b"".join((
         bytes((TAG_BATCH,)),
         _encode_element_kind(kind),
@@ -478,11 +333,6 @@ def batch_count(data: bytes) -> int:
     (the marshaling boundary uses this to keep fault-injection call
     indices element-accurate before deserializing)."""
     return _decode_batch_header(data)[1]
-
-
-def batch_kind(data: bytes) -> Kind:
-    """The element kind of a batch frame, header-only."""
-    return _decode_batch_header(data)[0]
 
 
 def deserialize_batch(data: bytes) -> list:

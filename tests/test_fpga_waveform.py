@@ -6,9 +6,12 @@ replays the run with a ``VCDWriter`` attached on first read. The bytes
 of that replay are pinned by ``tests/golden/fpga_waveforms.json``
 (``test_golden_artifacts.py``); this module pins that the offload path
 never records, that the replay is memoised and private to the result,
+that a negative word renders as its two's complement bits,
 and that the value converters of a bundle equal the per-item type
 ladder they replaced.
 """
+
+import re
 
 import pytest
 
@@ -87,6 +90,22 @@ def test_replay_does_not_see_the_callers_list():
 def test_overrun_raises_from_run_stream():
     with pytest.raises(SimulationError, match="did not finish"):
         _crc8_run([1], expected_outputs=5, max_cycles=50)
+
+
+def test_negative_words_render_as_their_bits():
+    # A multi-bit change is a VCD binary vector: a negative word is
+    # printed as its two's complement at the signal's width.
+    text = _crc8_run([-1, 5]).vcd.render()
+    ids = {
+        parts[4]: parts[3]
+        for parts in (line.split() for line in text.splitlines())
+        if parts[0] == "$var"
+    }
+    vectors = [line for line in text.splitlines() if line.startswith("b")]
+    assert vectors
+    for line in vectors:
+        assert re.fullmatch(r"b[01]+ \S+", line), line
+    assert f"b{'1' * 32} {ids['inWord']}" in vectors
 
 
 # ---------------------------------------------------------------------------

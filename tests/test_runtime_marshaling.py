@@ -83,14 +83,6 @@ class TestBoundary:
             rec.serialize_s + rec.crossing_s + rec.convert_s + rec.link_s
         )
 
-    def test_log_accumulates(self):
-        boundary = MarshalingBoundary()
-        boundary.to_device(ValueArray(KIND_INT, [1]))
-        boundary.to_device(ValueArray(KIND_INT, [2]))
-        assert len(boundary.log) == 2
-        assert boundary.total_bytes > 0
-        assert boundary.total_seconds > 0
-
     def test_custom_costs(self):
         slow = BoundaryCosts(serialize_per_byte_s=1e-6)
         boundary = MarshalingBoundary(costs=slow)
@@ -172,16 +164,18 @@ class TestBatchedBoundary:
         # batched round trip pays exactly one — that amortization IS
         # the fast path (docs/PERFORMANCE.md).
         n = 64
-        per_element = MarshalingBoundary()
-        for v in range(n):
-            per_element.round_trip(v)
-        batched = MarshalingBoundary()
-        batched.transfer_batch(list(range(n)))
-        assert len(per_element.log) == 2 * n
-        assert len(batched.log) == 2
-        fixed = batched.costs.crossing_fixed_s
-        scalar_fixed_total = sum(r.crossing_s for r in per_element.log)
-        batch_fixed_total = sum(r.crossing_s for r in batched.log)
+        boundary = MarshalingBoundary()
+        per_element = [
+            record
+            for v in range(n)
+            for record in boundary.round_trip(v)[1]
+        ]
+        _, batched = boundary.transfer_batch(list(range(n)))
+        assert len(per_element) == 2 * n
+        assert len(batched) == 2
+        fixed = boundary.costs.crossing_fixed_s
+        scalar_fixed_total = sum(r.crossing_s for r in per_element)
+        batch_fixed_total = sum(r.crossing_s for r in batched)
         assert scalar_fixed_total >= 2 * n * fixed
         assert batch_fixed_total < 2 * 2 * fixed + scalar_fixed_total / n
 

@@ -1,8 +1,10 @@
 """Golden wire-format vectors (Section 4.3).
 
 Every tag byte the universal wire format can emit (0x01-0x08, plus the
-0x09 batch frame) is locked to an on-disk hex vector in
-``tests/golden/wire/``. The vectors are the regression fence for the
+0x09 batch frame) is locked: to an on-disk hex vector in
+``tests/golden/wire/``, or, for the single 0x03 float frame that
+``serialize`` never writes (a Python float is a double), to the
+hand-computed decode anchor below. The vectors are the regression fence for the
 batched fast path: any byte-level drift — a header reshuffle, an
 endianness slip, a bit-packing change — fails here before it can break
 a real device boundary. See that directory's README to regenerate
@@ -38,8 +40,9 @@ def _enum(ordinal):
     return EnumValue("Color", ordinal, 5)
 
 
-#: name -> value serialized with the scalar path. Every wire tag
-#: (0x01-0x08) appears at least once, negatives and extremes included.
+#: name -> value serialized as a single-value frame. Every wire tag
+#: but the 0x03 float frame appears at least once, negatives and
+#: extremes included; "float_one_and_half" is a 0x04 double frame.
 SCALAR_CASES = {
     "int_zero": 0,
     "int_positive": 0x12345678,
@@ -127,6 +130,11 @@ def test_int_layout_by_hand():
     # 0x01 tag, then 4-byte little-endian two's complement.
     assert serialize(0x12345678) == bytes.fromhex("0178563412")
     assert serialize(-2) == bytes.fromhex("01feffffff")
+
+
+def test_float_frame_by_hand():
+    # 0x03 tag, then IEEE-754 binary32 little endian: 1.5 = 0x3fc00000.
+    assert deserialize(bytes.fromhex("030000c03f")) == 1.5
 
 
 def test_boolean_and_bit_layout_by_hand():
