@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: test tree-before bench bench-smoke examples trace-smoke \
 	fault-smoke profile-smoke health-smoke harvest-smoke serve-smoke \
-	recover-smoke perf-smoke perf-compare perf-pairs all clean
+	recover-smoke perf-smoke perf-compare perf-pairs work-counts all clean
 
 # A green run leaves the tree as it found it: `git status` is recorded
 # before the first smoke target runs and compared after pytest, so a
@@ -76,6 +76,12 @@ perf-pairs:
 		{ echo "usage: make perf-pairs BASE=<tree> NEW=<tree> WORKLOAD=<w> SEEDS=<a>-<b>"; exit 2; }
 	$(PYTHON) tools/perf_pairs.py --base $(BASE) --new $(NEW) \
 		--workload $(WORKLOAD) --seeds $(SEEDS)
+
+# Python calls and C calls per op kind of cpu_map and gpu_map, counted
+# twice in fresh processes: they repeat exactly, so a change in them is
+# a change in work, not noise (fails if the two counts differ).
+work-counts:
+	$(PYTHON) tools/work_counts.py
 
 # AOT-harvest the whole app suite into a scratch cache, prove every
 # backend warm-starts (the harvest command exits non-zero otherwise),

@@ -171,7 +171,8 @@ class Interpreter:
         raises every error that does not depend on the item (unknown
         function, staging failure, arity, call depth) exactly where N
         calls raise it. The rest run in the loop :func:`stage_launch`
-        generated for this program object and launch shape."""
+        generated for this program object and launch shape, with the
+        methods' bodies inlined: no call into staged code per item."""
         rest = iter(items)
         if kind == "reduce":
             (method,) = methods
@@ -204,10 +205,8 @@ class Interpreter:
         key = (kind, tuple(methods))
         staged = self._launches.get(key)
         if staged is None:
-            functions = [self._staged[method][0] for method in methods]
-            staged = self._launches[key] = stage_launch(
-                kind, methods, functions
-            )
+            functions = [self.program.functions[m] for m in methods]
+            staged = self._launches[key] = stage_launch(kind, functions)
         self._depth += 1
         try:
             return staged(self, *args)

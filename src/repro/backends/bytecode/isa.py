@@ -186,7 +186,7 @@ class BytecodeProgram:
         each function's :meth:`CompiledFunction.staged_source`."""
         from repro.backends.bytecode.staging import launch_source
 
-        return launch_source(kind, methods)
+        return launch_source(kind, [self.functions[m] for m in methods])
 
     def disassemble(self) -> str:
         return "\n\n".join(

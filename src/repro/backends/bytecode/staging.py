@@ -22,8 +22,12 @@ Shape of the generated function (``CompiledFunction.staged_source()``
 prints it)::
 
     def _staged(interp, args, k0=...):       # k*: non-literal constants
-        l0, l1 = args                        # l*: local slots
         _f = float32_cell()                  # if it rounds to binary32
+        l0, l1, = args                       # l*: local slots
+        try:                                 # a*: array storage of a
+            a1 = l1._items                   # parameter never stored
+        except AttributeError:
+            a1 = l1
         c = 0                                # unflushed cycles
         pc = 0
         while True:                          # one arm per block
@@ -31,15 +35,23 @@ prints it)::
 
 A ``float`` result is rounded where it is computed, by the statements
 ``_f[0] = <double value>`` and ``tN = _f[0]`` (the rule and why the
-cell is per call: :data:`repro.ir.ops.FLOAT32_CELL`). ``ALOAD`` indexes
-the storage of a ``ValueArray``/``MutableArray`` (``_items``) directly;
-anything else is indexed as it is, so a non-array fails as before.
+cell is private to a call or a launch: :data:`repro.ir.ops.FLOAT32_CELL`).
+``ALOAD`` and ``LEN`` read the storage (``_items``) of a
+``ValueArray``/``MutableArray`` directly: through ``aN``, resolved once
+per call, when the array is parameter N and N is never ``STORE``d (only
+those two classes have ``_items``, and neither rebinds it); otherwise
+``ALOAD`` resolves it in place. Anything else is indexed or measured as
+it is, so a non-array fails as before.
 
 A *launch* — every work-item of a map or filter batch through a method
-chain, or a reduce's fold — is staged too (:func:`stage_launch`): one
-generated loop per launch shape that calls the staged functions
-directly and does the bookkeeping of its N calls once (see
-``Interpreter.launch``).
+chain, or a reduce's fold — is one generated loop per launch shape
+(:func:`stage_launch`) with each method's body inlined in it: the
+method's names get the prefix ``m0_``, ``m1_``, ..., and its ``return
+X`` becomes ``v = X`` (a reduce: ``acc = X``) plus a ``break`` out of
+its ``pc`` loop. A work-item makes no Python call into staged code and
+copies no binary32 cell (one per launch: a launch runs on one thread);
+the bookkeeping of its N calls is done once (see ``Interpreter.launch``
+and :func:`launch_source`).
 
 A *block* starts at pc 0 and at every jump target and runs until a
 ``JMP``/``RET``/``RETV`` or the next block; a conditional jump inside it
@@ -66,7 +78,8 @@ holds them against the instruction-at-a-time loop kept in
 * The staged function is memoised per program *object*, off to the side
   (:func:`staged_functions`; launches: :func:`staged_launches`): it is
   never pickled, never part of an artifact payload or cache key, and
-  costs one translation per process per function actually called.
+  costs one translation per process per function actually called (a
+  launch translates its methods once more, under their prefixes).
 """
 
 from __future__ import annotations
@@ -177,17 +190,26 @@ def _literal(value):
 
 
 class _Stager:
-    """Translates one function; ``source()`` is the generated text and
-    ``consts`` the values its ``k*`` default arguments bind."""
+    """Translates one function. Its names (``l*``, ``t*``, ``s*``,
+    ``a*``, ``k*``, ``c``, ``pc``) carry ``prefix``, so a launch can
+    inline several methods into one Python function; ``consts`` are the
+    values the ``k*`` names bind."""
 
-    def __init__(self, function: isa.CompiledFunction):
+    def __init__(self, function: isa.CompiledFunction, prefix: str = ""):
         self.function = function
         self.code = function.code
+        self.p = prefix
         self.leaders = {0} | {
             operand for op, operand in self.code if op in _JUMPS
         }
+        stored = {operand for op, operand in self.code if op == isa.STORE}
+        # Parameter slots never stored: their array storage can be
+        # resolved once per call (``a*``); ``resolved`` are those an
+        # ALOAD or LEN reads.
+        self.fixed = set(range(function.num_params)) - stored
+        self.resolved: set = set()
         self.consts: list = []
-        self.blocks: dict = {}      # leader -> [(indent, text | goto)]
+        self.blocks: dict = {}      # leader -> [(indent, text | marker)]
         self.entry_depth = {0: 0}
         self.temps = 0
         self.binds_call = False
@@ -196,6 +218,19 @@ class _Stager:
         self.lines: list = []
         self.stack: list = []
         self.pending = 0            # static cycles not yet added to ``c``
+        work = [0]
+        while work:
+            leader = work.pop()
+            if leader in self.blocks:
+                continue
+            known = set(self.entry_depth)
+            self.translate_block(leader)
+            work.extend(set(self.entry_depth) - known)
+        self.loops = any(
+            text[0] == "goto"
+            for lines in self.blocks.values() for _, text in lines
+            if isinstance(text, tuple)
+        )
 
     # -- emission helpers ---------------------------------------------------
 
@@ -205,13 +240,13 @@ class _Stager:
     def const(self, value) -> str:
         text = _literal(value)
         if text is None:
-            text = f"k{len(self.consts)}"
+            text = f"{self.p}k{len(self.consts)}"
             self.consts.append(value)
         return text
 
     def temp(self, text: str) -> _Value:
         """Evaluate ``text`` here, into a fresh single-assignment name."""
-        name = f"t{self.temps}"
+        name = f"{self.p}t{self.temps}"
         self.temps += 1
         self.emit(f"{name} = {text}")
         return _Value(name)
@@ -263,13 +298,23 @@ class _Stager:
         del self.stack[-count:]
         return "[" + ", ".join(v.text for v in values) + "]"
 
+    def storage(self, value: _Value):
+        """``aN`` if ``value`` is parameter N and N is never stored (its
+        array storage is resolved once per call), else None."""
+        if value.atom and value.reads:     # a LOAD
+            (slot,) = value.reads
+            if slot in self.fixed:
+                self.resolved.add(slot)
+                return f"{self.p}a{slot}"
+        return None
+
     def flush(self, returning=False):
         """Hand the unflushed cycles to ``interp.cycles``."""
         extra = f" + {self.pending}" if self.pending else ""
-        self.emit(f"interp.cycles += c{extra}")
+        self.emit(f"interp.cycles += {self.p}c{extra}")
         self.pending = 0
         if not returning:
-            self.emit("c = 0")
+            self.emit(f"{self.p}c = 0")
 
     def transfer(self, target: int, indent=0):
         """Leave the block for ``target``: operand stack into ``s*``,
@@ -282,9 +327,9 @@ class _Stager:
                 f"{depth} != {known} at pc {target}"
             )
         moves = [
-            (f"s{i}", value.text)
+            (f"{self.p}s{i}", value.text)
             for i, value in enumerate(self.stack)
-            if value.text != f"s{i}"
+            if value.text != f"{self.p}s{i}"
         ]
         if moves:
             self.emit(
@@ -294,14 +339,16 @@ class _Stager:
                 indent,
             )
         if self.pending:
-            self.emit(f"c += {self.pending}", indent)
+            self.emit(f"{self.p}c += {self.pending}", indent)
         self.lines.append((indent, ("goto", target)))
 
     # -- one block ----------------------------------------------------------
 
     def translate_block(self, leader: int):
         self.lines = []
-        self.stack = [_Value(f"s{i}") for i in range(self.entry_depth[leader])]
+        self.stack = [
+            _Value(f"{self.p}s{i}") for i in range(self.entry_depth[leader])
+        ]
         self.pending = 0
         pc = leader
         n = len(self.code)
@@ -309,7 +356,7 @@ class _Stager:
             if pc >= n:
                 # Fell off the end of a void function body.
                 self.flush(returning=True)
-                self.emit("return None")
+                self.lines.append((0, ("return", "None")))
                 break
             op, operand = self.code[pc]
             pc += 1
@@ -320,7 +367,7 @@ class _Stager:
             if op in _RETURNS:
                 value = self.pop().text if op == isa.RETV else "None"
                 self.flush(returning=True)
-                self.emit(f"return {value}")
+                self.lines.append((0, ("return", value)))
                 break
             self.instruction(op, operand)
             if pc in self.leaders:
@@ -333,13 +380,13 @@ class _Stager:
         if op in _EFFECTS:
             self.spill()
         if op == isa.LOAD:
-            push(_Value(f"l{operand}", True, frozenset((operand,))))
+            push(_Value(f"{self.p}l{operand}", True, frozenset((operand,))))
         elif op == isa.CONST:
             push(_Value(self.const(operand)))
         elif op == isa.STORE:
             value = pop()
             self.spill(reading=operand)
-            emit(f"l{operand} = {value.text}")
+            emit(f"{self.p}l{operand} = {value.text}")
         elif op == isa.BINOP:
             right = pop()
             left = pop()
@@ -363,14 +410,17 @@ class _Stager:
             self.transfer(operand, indent=1)
         elif op == isa.ALOAD:
             index = self.pop_atom()
+            storage = self.storage(self.stack[-1])
             array = self.pop_atom()
-            emit("try:")
-            emit(f"_a = {array}._items", 1)
-            emit("except AttributeError:")
-            emit(f"_a = {array}", 1)
-            emit(f"if not 0 <= {index} < len(_a):")
+            if storage is None:
+                storage = "_a"
+                emit("try:")
+                emit(f"_a = {array}._items", 1)
+                emit("except AttributeError:")
+                emit(f"_a = {array}", 1)
+            emit(f"if not 0 <= {index} < len({storage}):")
             emit(f"_out_of_bounds({index}, {array})", 1)
-            push(self.temp(f"_a[{index}]"))
+            push(self.temp(f"{storage}[{index}]"))
         elif op == isa.ASTORE:
             value = pop().text
             index = self.pop_atom()
@@ -379,18 +429,19 @@ class _Stager:
             emit(f"_out_of_bounds({index}, {array})", 1)
             emit(f"{array}[{index}] = {value}")
         elif op == isa.LEN:
+            # A statement: len() of a non-array raises.
             value = pop()
-            self.push_pure(f"len({value.text})", value)
+            push(self.temp(f"len({self.storage(value) or value.text})"))
         elif op == isa.NEWARRAY:
             length = self.pop_atom()
             emit(f"if {length} > 0:")
-            emit(f"c += {length}", 1)
+            emit(f"{self.p}c += {length}", 1)
             push(self.temp(
                 f"MutableArray.allocate({self.const(operand)}, {length})"
             ))
         elif op == isa.FREEZE:
             array = self.pop_atom()
-            emit(f"c += len({array})")
+            emit(f"{self.p}c += len({array})")
             push(self.temp(f"{array}.freeze()"))
         elif op == isa.POP:
             pop()
@@ -499,74 +550,105 @@ class _Stager:
             if returns:
                 self.push(_Value("None"))
 
-    # -- the whole function -------------------------------------------------
+    # -- rendering ----------------------------------------------------------
 
-    def source(self) -> str:
-        work = [0]
-        while work:
-            leader = work.pop()
-            if leader in self.blocks:
-                continue
-            known = set(self.entry_depth)
-            self.translate_block(leader)
-            work.extend(set(self.entry_depth) - known)
+    def body(self, params, indent: int, result=None) -> list:
+        """The function's statements, at ``indent``.
+
+        ``params`` binds the parameter slots: the text of an argument
+        sequence to unpack, or a list of one text per parameter. With
+        ``result`` a return assigns its value to that name (and leaves
+        the ``pc`` loop) instead of returning it: the body inlined into
+        a launch."""
+        p, pad = self.p, "    " * indent
         function = self.function
-        consts = "".join(
-            f", k{i}=_k[{i}]" for i in range(len(self.consts))
-        )
-        out = [f"def _staged(interp, args{consts}):"]
-        params = function.num_params
-        if params:
-            names = "".join(f"l{i}, " for i in range(params))
-            out.append(f"    {names}= args")
-        if function.num_locals > params:
-            names = " = ".join(
-                f"l{i}" for i in range(params, function.num_locals)
-            )
-            out.append(f"    {names} = None")
-        if self.binds_call:
-            out.append("    call = interp.call")
-        if self.rounds:
-            out.append("    _f = float32_cell()")
-        out.append("    c = 0")
-        jumps = any(
-            isinstance(text, tuple)
-            for lines in self.blocks.values() for _, text in lines
-        )
-        if not jumps:
-            self.render_block(0, 1, out)
+        slots = [f"{p}l{i}" for i in range(function.num_params)]
+        out = []
+        if isinstance(params, str):
+            if slots:
+                out.append(f"{pad}{''.join(s + ', ' for s in slots)}= {params}")
         else:
-            out.append("    pc = 0")
-            out.append("    while True:")
-            self.render_tree(sorted(self.blocks), 2, out)
-        return "\n".join(out) + "\n"
+            out.append(f"{pad}{', '.join(slots)} = {', '.join(params)}")
+        if function.num_locals > function.num_params:
+            names = " = ".join(
+                f"{p}l{i}"
+                for i in range(function.num_params, function.num_locals)
+            )
+            out.append(f"{pad}{names} = None")
+        for slot in sorted(self.resolved):
+            out += [
+                f"{pad}try:",
+                f"{pad}    {p}a{slot} = {p}l{slot}._items",
+                f"{pad}except AttributeError:",
+                f"{pad}    {p}a{slot} = {p}l{slot}",
+            ]
+        out.append(f"{pad}{p}c = 0")
+        if not self.loops:
+            self.render_block(0, indent, out, result)
+        else:
+            out.append(f"{pad}{p}pc = 0")
+            out.append(f"{pad}while True:")
+            self.render_tree(sorted(self.blocks), indent + 1, out, result)
+        return out
 
-    def render_tree(self, leaders: list, indent: int, out: list):
+    def render_tree(self, leaders: list, indent: int, out: list, result):
         """Binary search on ``pc`` down to one block per leaf."""
         if len(leaders) == 1:
-            self.render_block(leaders[0], indent, out)
+            self.render_block(leaders[0], indent, out, result)
             return
         middle = len(leaders) // 2
         pad = "    " * indent
-        out.append(f"{pad}if pc < {leaders[middle]}:")
-        self.render_tree(leaders[:middle], indent + 1, out)
+        out.append(f"{pad}if {self.p}pc < {leaders[middle]}:")
+        self.render_tree(leaders[:middle], indent + 1, out, result)
         out.append(f"{pad}else:")
-        self.render_tree(leaders[middle:], indent + 1, out)
+        self.render_tree(leaders[middle:], indent + 1, out, result)
 
-    def render_block(self, leader: int, indent: int, out: list):
+    def render_block(self, leader: int, indent: int, out: list, result):
         out.append(f"{'    ' * indent}# pc {leader}")
         for extra, text in self.blocks[leader]:
             pad = "    " * (indent + extra)
-            if isinstance(text, tuple):  # ("goto", target)
-                out.append(f"{pad}pc = {text[1]}")
-                out.append(f"{pad}continue")
-            else:
+            if not isinstance(text, tuple):
                 out.append(pad + text)
+            elif text[0] == "goto":
+                out.append(f"{pad}{self.p}pc = {text[1]}")
+                out.append(f"{pad}continue")
+            elif result is None:
+                out.append(f"{pad}return {text[1]}")
+            else:
+                out.append(f"{pad}{result} = {text[1]}")
+                if self.loops:
+                    out.append(f"{pad}break")
+
+
+def _head(stagers) -> tuple:
+    """``(defaults, consts, shared)`` of a generated function over
+    ``stagers``: the ``k*`` default arguments binding ``_k``, the list
+    they index, and the statements binding what every body shares —
+    ``call`` and the binary32 cell ``_f``."""
+    defaults, consts = [], []
+    for stager in stagers:
+        for i, value in enumerate(stager.consts):
+            defaults.append(f", {stager.p}k{i}=_k[{len(consts)}]")
+            consts.append(value)
+    shared = []
+    if any(stager.binds_call for stager in stagers):
+        shared.append("    call = interp.call")
+    if any(stager.rounds for stager in stagers):
+        shared.append("    _f = float32_cell()")
+    return "".join(defaults), consts, shared
+
+
+def _function_text(function: isa.CompiledFunction) -> tuple:
+    stager = _Stager(function)
+    defaults, consts, shared = _head([stager])
+    out = [f"def _staged(interp, args{defaults}):", *shared]
+    out += stager.body("args", 1)
+    return "\n".join(out) + "\n", consts
 
 
 def staged_source(function: isa.CompiledFunction) -> str:
     """The Python text :func:`stage` compiles for ``function``."""
-    return _Stager(function).source()
+    return _function_text(function)[0]
 
 
 def stage(function: isa.CompiledFunction):
@@ -576,9 +658,9 @@ def stage(function: isa.CompiledFunction):
     ``<staged Qualified.name>`` so a traceback through staged code
     shows the generated line (the most recently staged function of a
     name wins); nothing else keeps the text."""
-    stager = _Stager(function)
+    source, consts = _function_text(function)
     filename = f"<staged {function.qualified_name}>"
-    return _compile(stager.source(), filename, stager.consts)["_staged"]
+    return _compile(source, filename, consts)["_staged"]
 
 
 def _compile(source: str, filename: str, consts: list) -> dict:
@@ -603,45 +685,32 @@ def _launch_filename(kind: str, methods) -> str:
     return f"<staged launch {'|'.join(methods)}>"
 
 
-def launch_source(kind: str, methods) -> str:
-    """The Python text :func:`stage_launch` compiles for a launch.
-
-    ``kind`` ``"map"`` or ``"filter"``: ``_launch(interp, items, out,
-    record)`` runs each argument tuple of ``items`` through the chain
-    ``methods`` (``f0``, ``f1``, ...: their staged functions), appends
-    the last value to ``out`` and, unless ``record`` is None, records
-    the work-item's cycles. ``"reduce"``: ``_launch(interp, acc,
-    items)`` folds ``items`` into ``acc`` with ``methods[0]``.
-
-    Each call is charged its frame (``FRAME_CYCLES``) as
-    ``Interpreter.call`` charges it; the ``method_stats`` entries are
-    settled once, in a ``finally``, from counts and cycle sums kept in
-    locals. Of a chain, only the methods before the last keep their own
-    sums ``s*`` (the last one's is what remains of the total) and only
-    they need ``j``, the method in flight, to settle a raise in their
-    body: each method up to ``j`` was called ``k`` times, each after it
-    ``k - 1``. The caller holds ``interp._depth`` one deeper for the
-    whole loop."""
+def _launch_text(kind: str, functions) -> tuple:
     frame = FRAME_CYCLES
-    last = len(methods) - 1
-    defaults = "".join(f", f{m}=_k[{m}]" for m in range(last + 1))
+    stagers = [_Stager(f, f"m{m}_") for m, f in enumerate(functions)]
+    methods = [function.qualified_name for function in functions]
+    defaults, consts, shared = _head(stagers)
     if kind == "reduce":
-        return "\n".join((
+        out = [
             f"def _launch(interp, acc, items{defaults}):",
             "    stats = interp.method_stats",
             "    start = interp.cycles",
             "    k = 0",
+            *shared,
             "    try:",
             "        for item in items:",
             "            k += 1",
             f"            interp.cycles += {frame}",
-            "            acc = f0(interp, (acc, item))",
+            f"            # {methods[0]}",
+            *stagers[0].body(["acc", "item"], 3, "acc"),
             "    finally:",
             f"        st = stats[{methods[0]!r}]",
             "        st[0] += k",
             f"        st[1] += interp.cycles - start - {frame} * k",
             "    return acc",
-        )) + "\n"
+        ]
+        return "\n".join(out) + "\n", consts
+    last = len(methods) - 1
     sums = [f"s{m}" for m in range(last)]
     out = [
         f"def _launch(interp, items, out, record{defaults}):",
@@ -653,20 +722,22 @@ def launch_source(kind: str, methods) -> str:
     if last:
         out.append(f"    j = {last}")
         out.append(f"    {' = '.join(sums)} = 0")
+    out += shared
     out += [
         "    try:",
         "        for args in items:",
         "            k += 1",
         "            i = interp.cycles",
     ]
-    for m in range(last + 1):
-        since, args = ("i", "args") if m == 0 else ("e", "(v,)")
+    for m, stager in enumerate(stagers):
+        since, params = ("i", "args") if m == 0 else ("e", ["v"])
         if last:
             out.append(f"            interp.cycles = b = {since} + {frame}")
             out.append(f"            j = {m}")
         else:
             out.append(f"            interp.cycles = i + {frame}")
-        out.append(f"            v = f{m}(interp, {args})")
+        out.append(f"            # {methods[m]}")
+        out += stager.body(params, 3, "v")
         if m < last:
             out.append("            e = interp.cycles")
             out.append(f"            s{m} += e - b")
@@ -696,15 +767,41 @@ def launch_source(kind: str, methods) -> str:
     out.append(
         f"        st[1] += interp.cycles - start - {frame} * {frames}{rest}"
     )
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n", consts
 
 
-def stage_launch(kind: str, methods, functions: list):
-    """Compile :func:`launch_source` over ``functions``, the staged
-    functions of ``methods`` (registered with :mod:`linecache` as
-    ``<staged launch Q1|Q2>`` or ``<staged launch reduce Q>``)."""
-    source = launch_source(kind, methods)
-    return _compile(source, _launch_filename(kind, methods), functions)[
+def launch_source(kind: str, functions) -> str:
+    """The Python text :func:`stage_launch` compiles for a launch.
+
+    ``kind`` ``"map"`` or ``"filter"``: ``_launch(interp, items, out,
+    record)`` runs each argument tuple of ``items`` through the chain
+    ``functions`` (``CompiledFunction``s, each later one given the
+    previous one's value), appends the last value to ``out`` and,
+    unless ``record`` is None, records the work-item's cycles.
+    ``"reduce"``: ``_launch(interp, acc, items)`` folds ``items`` into
+    ``acc`` with ``functions[0]``.
+
+    Each method's body is inlined in the work-item loop under the name
+    prefix ``m0_``, ``m1_``, ...; its ``return X`` becomes ``v = X``
+    (a reduce: ``acc = X``) plus a ``break`` out of its ``pc`` loop.
+    Each work-item is charged its frames (``FRAME_CYCLES``) as
+    ``Interpreter.call`` charges them; the ``method_stats`` entries are
+    settled once, in a ``finally``, from counts and cycle sums kept in
+    locals. Of a chain, only the methods before the last keep their own
+    sums ``s*`` (the last one's is what remains of the total) and only
+    they need ``j``, the method in flight, to settle a raise in their
+    body: each method up to ``j`` ran ``k`` times, each after it
+    ``k - 1``. The caller holds ``interp._depth`` one deeper for the
+    whole loop."""
+    return _launch_text(kind, functions)[0]
+
+
+def stage_launch(kind: str, functions):
+    """Compile :func:`launch_source` (registered with :mod:`linecache`
+    as ``<staged launch Q1|Q2>`` or ``<staged launch reduce Q>``)."""
+    source, consts = _launch_text(kind, functions)
+    methods = [function.qualified_name for function in functions]
+    return _compile(source, _launch_filename(kind, methods), consts)[
         "_launch"
     ]
 

@@ -77,12 +77,12 @@ def to_float32(value: float) -> float:
 #: cost of the pack/unpack round-trip. Staged code rounds a ``float``
 #: result as the statement ``_f[0] = <value>`` followed by a read of
 #: ``_f[0]``, where ``_f`` is a copy of this prototype made by
-#: :func:`float32_cell` *per call*: a cell shared by two threads (a
-#: module-level or per-interpreter one; GPU simulators and service jobs
-#: run staged code concurrently) could be overwritten between the store
-#: and the read. The constant folder, the FPGA datapath and the test
-#: oracle keep :func:`to_float32`, so the two are checked against each
-#: other.
+#: :func:`float32_cell` *per call*, or per launch (a launch runs on one
+#: thread): a cell shared by two threads (a module-level or
+#: per-interpreter one; GPU simulators and service jobs run staged code
+#: concurrently) could be overwritten between the store and the read.
+#: The constant folder, the FPGA datapath and the test oracle keep
+#: :func:`to_float32`, so the two are checked against each other.
 FLOAT32_CELL = array("f", (0.0,))
 float32_cell = FLOAT32_CELL.__copy__
 

@@ -44,6 +44,14 @@ batch frame (0x09) is the **batched fast path**: a tag byte, one kind
 header, a u32 count and the dense payload of all N values, amortizing
 the per-value header and every fixed per-crossing cost. Both frame
 kinds check each value with :func:`_check_element`.
+
+Decoding trusts no count: every element count, array length and enum
+name length is checked against the bytes left (:func:`_need`) before a
+format string, a bit slice, a list or a nested loop is built from it,
+and array kinds nest at most :data:`MAX_NESTING` deep. So a short,
+corrupted or hostile frame costs memory in proportion to its own
+length, and every malformed frame raises one :class:`MarshalingError`
+naming the offset and what was short, trailing or unknown.
 """
 
 from __future__ import annotations
@@ -85,6 +93,10 @@ _SCALAR_TAGS = {
 }
 _TAG_NAMES = {v: k for k, v in _SCALAR_TAGS.items()}
 
+#: The deepest array kind a frame may carry (``int[[]][[]]`` is 2); a
+#: deeper header is refused, by the encoder and the decoder alike.
+MAX_NESTING = 32
+
 _STRUCT_FMT = {
     "int": "<i",
     "long": "<q",
@@ -109,27 +121,69 @@ def _encode_element_kind(elem: Kind) -> bytes:
             raise MarshalingError("enum name too long for wire format")
         return bytes([TAG_ENUM, len(name)]) + name + bytes([elem.enum_size])
     if elem.is_array:
-        assert elem.element is not None
-        return bytes([TAG_ARRAY]) + _encode_element_kind(elem.element)
+        depth = 0
+        while elem.is_array:
+            depth += 1
+            elem = elem.element
+        if depth > MAX_NESTING:
+            raise MarshalingError(
+                f"array kind nested deeper than {MAX_NESTING}"
+            )
+        return bytes([TAG_ARRAY] * depth) + _encode_element_kind(elem)
     raise MarshalingError(f"cannot encode element kind {elem}")
 
 
+def _need(data: bytes, offset: int, size: int, what: str) -> None:
+    """Refuse the frame unless ``size`` bytes are left at ``offset``:
+    every count is checked here before anything is built from it."""
+    left = len(data) - offset
+    if size > left:
+        raise MarshalingError(
+            f"truncated frame: {what} needs {size} bytes at offset "
+            f"{offset}, {left} left"
+        )
+
+
 def _decode_element_kind(data: bytes, offset: int) -> "tuple[Kind, int]":
-    tag = data[offset]
-    offset += 1
-    if tag in _TAG_NAMES:
-        return Kind(_TAG_NAMES[tag]), offset
-    if tag == TAG_ENUM:
-        name_len = data[offset]
+    depth = 0
+    while True:
+        _need(data, offset, 1, "element kind tag")
+        tag = data[offset]
+        if tag != TAG_ARRAY:
+            break
+        depth += 1
+        if depth > MAX_NESTING:
+            raise MarshalingError(
+                f"array kind nested deeper than {MAX_NESTING} at offset "
+                f"{offset}"
+            )
         offset += 1
-        name = data[offset : offset + name_len].decode("utf-8")
+    if tag in _TAG_NAMES:
+        kind = Kind(_TAG_NAMES[tag])
+        offset += 1
+    elif tag == TAG_ENUM:
+        _need(data, offset + 1, 1, "enum name length")
+        name_len = data[offset + 1]
+        if not name_len:
+            raise MarshalingError(f"empty enum name at offset {offset + 1}")
+        offset += 2
+        _need(data, offset, name_len + 1, "enum name and size")
+        try:
+            name = data[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise MarshalingError(
+                f"enum name at offset {offset} is not UTF-8"
+            ) from None
         offset += name_len
-        size = data[offset]
-        return enum_kind(name, size), offset + 1
-    if tag == TAG_ARRAY:
-        inner, offset = _decode_element_kind(data, offset)
-        return array_kind(inner), offset
-    raise MarshalingError(f"unknown element kind tag 0x{tag:02x}")
+        kind = enum_kind(name, data[offset])
+        offset += 1
+    else:
+        raise MarshalingError(
+            f"unknown element kind tag 0x{tag:02x} at offset {offset}"
+        )
+    for _ in range(depth):
+        kind = array_kind(kind)
+    return kind, offset
 
 
 def _encode_dense(elem: Kind, items) -> bytes:
@@ -170,29 +224,45 @@ def _encode_dense(elem: Kind, items) -> bytes:
 
 
 def _decode_dense(elem: Kind, data: bytes, offset: int, count: int):
+    """``count`` values of kind ``elem`` from ``offset``; each count is
+    checked against the bytes left before anything is built from it."""
     if elem.name == "bit":
         nbytes = (count + 7) // 8
+        _need(data, offset, nbytes, f"{count} bits")
         items = unpack_bits(data[offset : offset + nbytes], count)
         return items, offset + nbytes
     if elem.name in _STRUCT_FMT:
-        fmt = "<" + _STRUCT_FMT[elem.name][1] * count
-        size = struct.calcsize(fmt)
-        items = struct.unpack_from(fmt, data, offset)
+        code = _STRUCT_FMT[elem.name][1]
+        size = struct.calcsize(code) * count
+        _need(data, offset, size, f"{count} {elem.name} values")
+        items = struct.unpack_from(f"<{count}{code}", data, offset)
         return list(items), offset + size
     if elem.name == "boolean":
+        _need(data, offset, count, f"{count} boolean values")
         items = [bool(b) for b in data[offset : offset + count]]
         return items, offset + count
     if elem.is_enum:
+        _need(data, offset, count, f"{count} enum ordinals")
+        ordinals = data[offset : offset + count]
+        for i, ordinal in enumerate(ordinals):
+            if ordinal >= elem.enum_size:
+                raise MarshalingError(
+                    f"enum ordinal {ordinal} at offset {offset + i} out "
+                    f"of range for {elem}"
+                )
         items = [
-            EnumValue(elem.enum_name, data[offset + i], elem.enum_size)
-            for i in range(count)
+            EnumValue(elem.enum_name, ordinal, elem.enum_size)
+            for ordinal in ordinals
         ]
         return items, offset + count
     if elem.is_array:
         inner = elem.element
         assert inner is not None
+        # Each element is at least its u32 length.
+        _need(data, offset, 4 * count, f"{count} array lengths")
         items = []
         for _ in range(count):
+            _need(data, offset, 4, "array length")
             (sub_count,) = struct.unpack_from("<I", data, offset)
             offset += 4
             sub_items, offset = _decode_dense(inner, data, offset, sub_count)
@@ -245,11 +315,13 @@ def deserialize(data: bytes) -> object:
             "payload is a batch frame; use deserialize_batch"
         )
     if tag not in _TAG_NAMES and tag not in (TAG_ENUM, TAG_ARRAY):
-        raise MarshalingError(f"unknown wire tag 0x{tag:02x}")
+        raise MarshalingError(f"unknown wire tag 0x{tag:02x} at offset 0")
     kind, offset = _decode_element_kind(data, 0)
     items, end = _decode_dense(kind, data, offset, 1)
     if end != len(data):
-        raise MarshalingError("trailing bytes after payload")
+        raise MarshalingError(
+            f"trailing bytes after payload: {len(data) - end} at offset {end}"
+        )
     return items[0]
 
 
@@ -322,8 +394,7 @@ def _decode_batch_header(data: bytes) -> "tuple[Kind, int, int]":
             f"expected batch tag 0x{TAG_BATCH:02x}, found 0x{data[0]:02x}"
         )
     kind, offset = _decode_element_kind(data, 1)
-    if len(data) < offset + 4:
-        raise MarshalingError("truncated batch header")
+    _need(data, offset, 4, "batch count")
     (count,) = struct.unpack_from("<I", data, offset)
     return kind, count, offset + 4
 
@@ -341,7 +412,10 @@ def deserialize_batch(data: bytes) -> list:
     kind, count, offset = _decode_batch_header(data)
     items, end = _decode_dense(kind, data, offset, count)
     if end != len(data):
-        raise MarshalingError("trailing bytes after batch payload")
+        raise MarshalingError(
+            f"trailing bytes after batch payload: {len(data) - end} at "
+            f"offset {end}"
+        )
     return list(items)
 
 

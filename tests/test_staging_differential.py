@@ -13,6 +13,7 @@ type, its message and the cycles already flushed.
 import linecache
 import math
 import pickle
+import re
 import struct
 import sys
 import threading
@@ -333,6 +334,33 @@ class L {
     local static int deep(int n) { return n == 0 ? 0 : 1 + L.deep(n - 1); }
     static int[[]] deepMap(int[[]] ns) { return L @ deep(ns); }
     static int deepSum(int[[]] ns) { return L ! pair(ns); }
+    local static int mix(int x) { int y = x * 3; int z = y - x; return z - 8; }
+    local static int mux(int x) { int y = x + 8; int z = y / x; return z * 3 - 8; }
+    local static float cap(float x) {
+        float big = 1.0f / 0.0f;
+        float y = x * 2.0f;
+        return y < big ? y : -big;
+    }
+    local static float cup(float x) {
+        float big = 1.0f / 0.0f;
+        float y = x + 1.0f;
+        return y > -big ? y : big;
+    }
+    local static int root(int x) {
+        for (int i = 0; i < 100; i += 1) {
+            if (i * i > x) { return i; }
+        }
+        return -1;
+    }
+    local static int gcd(int a, int b) {
+        for (int i = 0; i < 64; i += 1) {
+            if (b == 0) { return a; }
+            int t = a % b;
+            a = b;
+            b = t;
+        }
+        return -1;
+    }
 }
 """
 
@@ -385,6 +413,21 @@ def _launched(cls, kind, methods, items, depth=400):
          "stack overflow (recursion too deep)"),
         ("map", ["L.deep"], [(3,), (5,)], 0,
          "stack overflow (recursion too deep)"),
+        # Inlined bodies: two methods on the same local slots (l1, l2)
+        # and the same constant, literal (8) or bound (k0, +Infinity).
+        ("filter", ["L.mix", "L.mux"], [1, 2, 5, 3], 400, None),
+        ("filter", ["L.cap", "L.cup"], [1.5, -2.25, 3e38, 0.1], 400, None),
+        ("filter", ["L.cup", "L.cap", "L.cup"], [-1.0, 2e38, 0.5], 400, None),
+        # ... raising in method 1 of the chain at work-item 2.
+        ("filter", ["L.mix", "L.mux"], [1, 2, 4, 5], 400,
+         "integer division by zero"),
+        # A pc dispatch loop a return leaves from inside; two of them.
+        ("map", ["L.root"], [(5,), (0,), (50,), (20000,)], 400, None),
+        ("filter", ["L.root", "L.root"], [5, 99, 10001, 3], 400, None),
+        ("filter", ["L.root", "L.mux"], [5, 1, -3, 2], 400,
+         "integer division by zero"),
+        ("reduce", ["L.gcd"], [84, 36, 120, 18, 0, 7], 400, None),
+        ("reduce", ["L.gcd"], [2**31 - 1, 2**30, 3], 400, None),
     ],
 )
 def test_launch_matches_oracle(kind, methods, items, depth, message):
@@ -669,15 +712,124 @@ def test_aload_reads_array_storage_and_anything_else_as_before():
         (_ints(4, 5, 6), 2), (mutable, 1), (mutable, 3), (_ints(4), -1),
         ((4, 5), 1), ("ab", 1), (None, 0), (7, 0),
     ]
+    length = _function(
+        [(isa.LOAD, 0), (isa.LEN, None), (isa.RETV, None)], params=1
+    )
+    # Both parameters are never stored: each resolves its storage once.
+    assert "a0 = l0._items" in program.functions["H.f"].staged_source()
+    assert "len(a0)" in length.functions["H.f"].staged_source()
+    assert "len(m0_a0)" in length.staged_launch_source("map", ["H.f"])
     for array, index in cases:
+        for code, args in ((program, (array, index)), (length, (array,))):
+            outcomes = []
+            for interp in _both(code):
+                try:
+                    result = interp.call("H.f", list(args))
+                except Exception as exc:
+                    result = (type(exc), str(exc))
+                outcomes.append((result, _state(interp)))
+            assert outcomes[0] == outcomes[1], (array, index)
+            # The same operand as work-item 1 of a launch, in its loop.
+            first = (_ints(4, 5, 6), 0)[:len(args)]
+            outcomes = []
+            for interp in _both(code):
+                per_item = []
+                try:
+                    result = interp.launch("map", ["H.f"], [first, args],
+                                           per_item)
+                except Exception as exc:
+                    result = (type(exc), str(exc))
+                outcomes.append(
+                    (result, per_item, _state(interp), interp._depth)
+                )
+            assert outcomes[0] == outcomes[1], (array, index)
+
+
+def test_astore_into_a_mutable_parameter_reads_back_through_its_storage():
+    # f(xs, i): xs[i] = i * 10; return xs[i] + xs.length. The slot xs is
+    # never STOREd, so ALOAD and LEN go through its storage resolved
+    # once per work-item, which ASTORE's writes reach.
+    program = _function(
+        [
+            (isa.LOAD, 0), (isa.LOAD, 1), (isa.LOAD, 1), (isa.CONST, 10),
+            (isa.BINOP, ("*", "int")), (isa.ASTORE, None),
+            (isa.LOAD, 0), (isa.LOAD, 1), (isa.ALOAD, None),
+            (isa.LOAD, 0), (isa.LEN, None), (isa.BINOP, ("+", "int")),
+            (isa.RETV, None),
+        ],
+        params=2,
+    )
+    text = program.staged_launch_source("map", ["H.f"])
+    assert "m0_t1 = m0_a0[m0_l1]" in text and "len(m0_a0)" in text
+    assert "m0_l0[m0_l1] = " in text        # the store keeps its coercion
+    for indices, message in (
+        ((0, 2, 1), None),
+        ((1, 0, 3, 2), "array index 3 out of bounds (length 3)"),
+    ):
         outcomes = []
-        for interp in _both(program):
+        for cls in (Interpreter, OracleInterpreter):
+            interp, array, per_item = cls(program), MutableArray(
+                KIND_INT, [7, 7, 7]
+            ), []
             try:
-                result = interp.call("H.f", [array, index])
-            except Exception as exc:
-                result = (type(exc), str(exc))
-            outcomes.append((result, _state(interp)))
-        assert outcomes[0] == outcomes[1], (array, index)
+                result = interp.launch(
+                    "map", ["H.f"], [(array, i) for i in indices], per_item
+                )
+            except DeviceError as exc:
+                result = str(exc)
+            outcomes.append((result, list(array), per_item, _state(interp),
+                             interp._depth))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] if message else None) == message
+
+
+def test_a_stored_parameter_is_indexed_as_it_is_now():
+    # f(xs, ys): xs = ys; return xs[0] + xs.length. Slot 0 is STOREd, so
+    # its storage is not resolved at entry: it must read ys.
+    program = _function(
+        [
+            (isa.LOAD, 1), (isa.STORE, 0), (isa.LOAD, 0), (isa.CONST, 0),
+            (isa.ALOAD, None), (isa.LOAD, 0), (isa.LEN, None),
+            (isa.BINOP, ("+", "int")), (isa.RETV, None),
+        ],
+        params=2,
+    )
+    assert "a0 = " not in program.functions["H.f"].staged_source()
+    items = [(_ints(1, 2, 3), _ints(40, 50)), (_ints(7), _ints(60, 1, 1))]
+    outcomes = []
+    for interp in _both(program):
+        per_item = []
+        result = interp.launch("map", ["H.f"], items, per_item)
+        outcomes.append((result, per_item, _state(interp), interp._depth))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == [42, 63]
+
+
+def test_launch_text_has_no_per_item_call_cell_or_len_of_a_parameter():
+    # Every launch shape the suite runs, host and device: the kernels'
+    # bodies are inlined, so the only calls left are their own CALLs.
+    shapes = 0
+    for name in sorted(SUITE):
+        compiled = compile_app(name)
+        program = compiled.bytecode_program
+        entry, args = SMALL_ARGS[name]()
+        for config in (CPU_ONLY, LAUNCH_CONFIGS["sequential-b7"]):
+            Runtime(compiled, config).run(entry, args)
+        for kind, methods in staged_launches(program):
+            shapes += 1
+            text = program.staged_launch_source(kind, methods)
+            calls = sum(
+                op == isa.CALL
+                for method in methods
+                for op, _ in program.functions[method].code
+            )
+            assert len(re.findall(r"\bcall\(", text)) == calls, methods
+            loop = text[text.index("        for "):]
+            assert "(interp, " not in loop, methods    # f(interp, args)
+            assert "_k[" not in loop and "float32_cell()" not in loop
+            for slot in re.findall(r"(m\d+_)a(\d+) = ", text):
+                assert f"len({slot[0]}l{slot[1]})" not in text
+    assert shapes >= 17
 
 
 # ---------------------------------------------------------------------------
@@ -888,21 +1040,23 @@ def test_traceback_through_a_launch_shows_the_generated_line():
     program = _compile(LAUNCHING)
     with pytest.raises(DeviceError) as raised:
         Interpreter(program).launch("filter", ["L.twice", "L.inv"], [9, 5, 1])
+    # L.inv's body is inlined: the raising line is in the launch itself.
     frames = traceback.extract_tb(raised.value.__traceback__)
     name = "<staged launch L.twice|L.inv>"
     launch = [f for f in frames if f.filename == name]
-    assert [f.line for f in launch] == ["v = f1(interp, (v,))"]
+    assert len(launch) == 1
+    assert launch[0].line.startswith("m1_t0 = ")
+    assert "java_idiv(100, m1_l0)" in launch[0].line
     assert linecache.getline(name, launch[0].lineno).strip() == launch[0].line
-    names = [f.filename for f in frames]
-    assert names.index("<staged L.inv>") > names.index(name)
+    assert "<staged L.inv>" not in [f.filename for f in frames]
 
 
 def test_staged_launch_source_sits_next_to_staged_source():
     program = _compile(LAUNCHING)
     for kind, methods, head in [
-        ("map", ["L.pick"], "def _launch(interp, items, out, record, f0="),
+        ("map", ["L.pick"], "def _launch(interp, items, out, record):"),
         ("filter", ["L.twice", "L.inv"], "def _launch(interp, items, out"),
-        ("reduce", ["L.add"], "def _launch(interp, acc, items, f0="),
+        ("reduce", ["L.add"], "def _launch(interp, acc, items):"),
     ]:
         text = program.staged_launch_source(kind, methods)
         assert text.startswith(head)

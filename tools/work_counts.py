@@ -1,0 +1,137 @@
+"""Deterministic work counts: the Python calls one op of a perf workload makes.
+
+    python3 tools/work_counts.py
+
+Paired wall-clock runs cannot tell a drift of a few percent from the
+noise of the machine; the number of calls an op makes can, because it
+repeats exactly. For each workload this builds it as ``perf/worker.py``
+does at seed 1 (``setup()``, then one untimed round, so compiles,
+staging and first-use caches are done), then counts the
+``sys.setprofile`` events of ``execute(kind)`` over three rounds, per
+op kind of ``cpu_map`` and ``gpu_map``:
+
+* ``call``: a Python function entered (generated code included);
+* ``c_call``: a builtin or C method called from Python.
+
+Only the calling thread is counted, and the cyclic garbage collector is
+paused while counting so that no collection's callbacks count. Every
+count is made twice, each time in a fresh process; the report gives
+the counts per op and whether the two processes agree (exit status 1
+if they do not). ``perf/`` is imported, never written.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+EVENTS = ("call", "c_call")
+WORKLOADS = ("cpu_map", "gpu_map")
+SEED = 1
+ROUNDS = 3
+
+
+def load_workloads():
+    """``perf/workloads.py``, imported the way ``perf/worker.py`` does
+    (``perf/`` leaves ``sys.path`` again once it and ``refs`` are in)."""
+    src = os.path.join(ROOT, "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    sys.path.insert(0, os.path.join(ROOT, "perf"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    return workloads
+
+
+def build(name: str):
+    """A workload set up and warmed by one untimed round."""
+    workload = load_workloads().WORKLOADS[name](SEED)
+    workload.setup()
+    for kind in workload.kinds:
+        _, error = workload.check(kind, workload.execute(kind))
+        if error:
+            raise RuntimeError(f"warm-up: {error}")
+    return workload
+
+
+def count_events(workload, kinds, rounds: int) -> dict:
+    """{kind: {event: count}} over ``rounds`` runs of each kind."""
+    counts = {}
+    for kind in kinds:
+        tally = dict.fromkeys(EVENTS, 0)
+
+        def profile(frame, event, arg):
+            if event in tally:
+                tally[event] += 1
+
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(rounds):
+                sys.setprofile(profile)
+                try:
+                    workload.execute(kind)
+                finally:
+                    sys.setprofile(None)
+        finally:
+            gc.enable()
+        counts[kind] = tally
+    return counts
+
+
+def measure() -> dict:
+    """{workload: {kind: {event: count}}} in this process."""
+    result = {}
+    for name in WORKLOADS:
+        workload = build(name)
+        try:
+            result[name] = count_events(workload, workload.kinds, ROUNDS)
+        finally:
+            workload.close()
+    return result
+
+
+def _child() -> dict:
+    output = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(output)
+
+
+def report(first: dict, second: dict, rounds: int) -> list:
+    lines = [f"{'workload':<12} {'kind':<14} {'calls/op':>12} "
+             f"{'c_calls/op':>12}  repeats"]
+    for name, kinds in first.items():
+        for kind, tally in kinds.items():
+            same = second.get(name, {}).get(kind) == tally
+            lines.append(
+                f"{name:<12} {kind:<14} {tally['call'] / rounds:>12.1f} "
+                f"{tally['c_call'] / rounds:>12.1f}  "
+                f"{'yes' if same else 'NO'}"
+            )
+    return lines
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--child"]:
+        print(json.dumps(measure()))
+        return 0
+    if argv:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    first, second = _child(), _child()
+    print("\n".join(report(first, second, ROUNDS)))
+    return 0 if first == second else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
