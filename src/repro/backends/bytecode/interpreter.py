@@ -19,10 +19,10 @@ from typing import Optional
 from repro.backends.bytecode import isa
 from repro.backends.bytecode.staging import (
     FRAME_CYCLES,
+    Translation,
     stage,
     stage_launch,
-    staged_functions,
-    staged_launches,
+    staging_memo,
 )
 from repro.errors import DeviceError, RuntimeGraphError
 
@@ -95,10 +95,8 @@ class Interpreter:
         # Cheap enough to keep always-on; the CLI's --profile and the
         # runtime introspection hooks (Section 7 future work) read it.
         self.method_stats: dict = {}
-        # qualified -> (staged function, num_params), shared with every
-        # other interpreter of this program object; likewise launches.
-        self._staged = staged_functions(program)
-        self._launches = staged_launches(program)
+        # Shared with every other interpreter of this program object.
+        self._staged, self._launches = staging_memo(program)
 
     # ------------------------------------------------------------------
 
@@ -125,7 +123,7 @@ class Interpreter:
         entry = self._staged.get(qualified)
         if entry is None:
             entry = self._stage(qualified)
-        staged, num_params = entry
+        staged, num_params, _ = entry
         if len(args) != num_params:
             raise DeviceError(
                 f"{qualified} expects {num_params} arguments, "
@@ -171,8 +169,9 @@ class Interpreter:
         raises every error that does not depend on the item (unknown
         function, staging failure, arity, call depth) exactly where N
         calls raise it. The rest run in the loop :func:`stage_launch`
-        generated for this program object and launch shape, with the
-        methods' bodies inlined: no call into staged code per item."""
+        generated for this program object and launch shape from the
+        translations those calls made, with the methods' bodies
+        inlined: no call into staged code per item."""
         rest = iter(items)
         if kind == "reduce":
             (method,) = methods
@@ -205,8 +204,9 @@ class Interpreter:
         key = (kind, tuple(methods))
         staged = self._launches.get(key)
         if staged is None:
-            functions = [self.program.functions[m] for m in methods]
-            staged = self._launches[key] = stage_launch(kind, functions)
+            # Work-item 0's calls translated every method.
+            translations = [self._staged[m][2] for m in methods]
+            staged = self._launches[key] = stage_launch(kind, translations)
         self._depth += 1
         try:
             return staged(self, *args)
@@ -217,8 +217,9 @@ class Interpreter:
         function = self.program.functions.get(qualified)
         if function is None:
             raise DeviceError(f"no such function {qualified!r}")
+        translation = Translation(function)
         entry = self._staged[qualified] = (
-            stage(function), function.num_params,
+            stage(translation), function.num_params, translation,
         )
         return entry
 

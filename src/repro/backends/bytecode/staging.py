@@ -43,15 +43,18 @@ those two classes have ``_items``, and neither rebinds it); otherwise
 ``ALOAD`` resolves it in place. Anything else is indexed or measured as
 it is, so a non-array fails as before.
 
-A *launch* — every work-item of a map or filter batch through a method
-chain, or a reduce's fold — is one generated loop per launch shape
-(:func:`stage_launch`) with each method's body inlined in it: the
-method's names get the prefix ``m0_``, ``m1_``, ..., and its ``return
-X`` becomes ``v = X`` (a reduce: ``acc = X``) plus a ``break`` out of
-its ``pc`` loop. A work-item makes no Python call into staged code and
-copies no binary32 cell (one per launch: a launch runs on one thread);
-the bookkeeping of its N calls is done once (see ``Interpreter.launch``
-and :func:`launch_source`).
+A function is translated once (:class:`Translation`) and rendered as
+often as it is printed: the translation marks every name it invents
+with a NUL, and rendering replaces the mark with a prefix — none for
+:func:`stage`, ``m0_``, ``m1_``, ... in a *launch*. A launch — every
+work-item of a map or filter batch through a method chain, or a
+reduce's fold — is one generated loop per launch shape
+(:func:`stage_launch`) with each method's body inlined in it, its
+``return X`` turned into ``v = X`` (a reduce: ``acc = X``) plus a
+``break`` out of its ``pc`` loop. A work-item makes no Python call into
+staged code and copies no binary32 cell (one per launch: a launch runs
+on one thread); the bookkeeping of its N calls is done once (see
+``Interpreter.launch`` and :func:`launch_source`).
 
 A *block* starts at pc 0 and at every jump target and runs until a
 ``JMP``/``RET``/``RETV`` or the next block; a conditional jump inside it
@@ -75,11 +78,11 @@ holds them against the instruction-at-a-time loop kept in
   statement where the program put it. Only pure, total expressions over
   locals, temporaries and constants are deferred to their use, and one
   that reads local ``k`` is evaluated before a ``STORE k``.
-* The staged function is memoised per program *object*, off to the side
-  (:func:`staged_functions`; launches: :func:`staged_launches`): it is
-  never pickled, never part of an artifact payload or cache key, and
-  costs one translation per process per function actually called (a
-  launch translates its methods once more, under their prefixes).
+* A function's translation, its staged function and the launches that
+  inline it are memoised per program *object*, off to the side
+  (:func:`staging_memo`): never pickled, never part of an artifact
+  payload or cache key, one translation per process per function
+  actually called, which every launch of it renders again.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from __future__ import annotations
 import linecache
 import math
 import weakref
+from typing import NamedTuple
 
 from repro.backends.bytecode import isa
 from repro.errors import DeviceError
@@ -189,16 +193,16 @@ def _literal(value):
     return None
 
 
-class _Stager:
-    """Translates one function. Its names (``l*``, ``t*``, ``s*``,
-    ``a*``, ``k*``, ``c``, ``pc``) carry ``prefix``, so a launch can
-    inline several methods into one Python function; ``consts`` are the
-    values the ``k*`` names bind."""
+class Translation:
+    """One function translated, once per program object: its blocks,
+    ``consts`` (what the ``k*`` names bind) and what its prologue needs.
+    Each name it invents (``l*``, ``t*``, ``s*``, ``a*``, ``k*``, ``c``,
+    ``pc``) carries a NUL mark, which no ``repr()`` emits; :meth:`body`
+    renders it under a name prefix. Nothing writes it after this."""
 
-    def __init__(self, function: isa.CompiledFunction, prefix: str = ""):
+    def __init__(self, function: isa.CompiledFunction):
         self.function = function
         self.code = function.code
-        self.p = prefix
         self.leaders = {0} | {
             operand for op, operand in self.code if op in _JUMPS
         }
@@ -240,13 +244,13 @@ class _Stager:
     def const(self, value) -> str:
         text = _literal(value)
         if text is None:
-            text = f"{self.p}k{len(self.consts)}"
+            text = f"\0k{len(self.consts)}"
             self.consts.append(value)
         return text
 
     def temp(self, text: str) -> _Value:
         """Evaluate ``text`` here, into a fresh single-assignment name."""
-        name = f"{self.p}t{self.temps}"
+        name = f"\0t{self.temps}"
         self.temps += 1
         self.emit(f"{name} = {text}")
         return _Value(name)
@@ -305,16 +309,16 @@ class _Stager:
             (slot,) = value.reads
             if slot in self.fixed:
                 self.resolved.add(slot)
-                return f"{self.p}a{slot}"
+                return f"\0a{slot}"
         return None
 
     def flush(self, returning=False):
         """Hand the unflushed cycles to ``interp.cycles``."""
         extra = f" + {self.pending}" if self.pending else ""
-        self.emit(f"interp.cycles += {self.p}c{extra}")
+        self.emit(f"interp.cycles += \0c{extra}")
         self.pending = 0
         if not returning:
-            self.emit(f"{self.p}c = 0")
+            self.emit("\0c = 0")
 
     def transfer(self, target: int, indent=0):
         """Leave the block for ``target``: operand stack into ``s*``,
@@ -327,9 +331,9 @@ class _Stager:
                 f"{depth} != {known} at pc {target}"
             )
         moves = [
-            (f"{self.p}s{i}", value.text)
+            (f"\0s{i}", value.text)
             for i, value in enumerate(self.stack)
-            if value.text != f"{self.p}s{i}"
+            if value.text != f"\0s{i}"
         ]
         if moves:
             self.emit(
@@ -339,7 +343,7 @@ class _Stager:
                 indent,
             )
         if self.pending:
-            self.emit(f"{self.p}c += {self.pending}", indent)
+            self.emit(f"\0c += {self.pending}", indent)
         self.lines.append((indent, ("goto", target)))
 
     # -- one block ----------------------------------------------------------
@@ -347,7 +351,7 @@ class _Stager:
     def translate_block(self, leader: int):
         self.lines = []
         self.stack = [
-            _Value(f"{self.p}s{i}") for i in range(self.entry_depth[leader])
+            _Value(f"\0s{i}") for i in range(self.entry_depth[leader])
         ]
         self.pending = 0
         pc = leader
@@ -380,13 +384,13 @@ class _Stager:
         if op in _EFFECTS:
             self.spill()
         if op == isa.LOAD:
-            push(_Value(f"{self.p}l{operand}", True, frozenset((operand,))))
+            push(_Value(f"\0l{operand}", True, frozenset((operand,))))
         elif op == isa.CONST:
             push(_Value(self.const(operand)))
         elif op == isa.STORE:
             value = pop()
             self.spill(reading=operand)
-            emit(f"{self.p}l{operand} = {value.text}")
+            emit(f"\0l{operand} = {value.text}")
         elif op == isa.BINOP:
             right = pop()
             left = pop()
@@ -435,13 +439,13 @@ class _Stager:
         elif op == isa.NEWARRAY:
             length = self.pop_atom()
             emit(f"if {length} > 0:")
-            emit(f"{self.p}c += {length}", 1)
+            emit(f"\0c += {length}", 1)
             push(self.temp(
                 f"MutableArray.allocate({self.const(operand)}, {length})"
             ))
         elif op == isa.FREEZE:
             array = self.pop_atom()
-            emit(f"{self.p}c += len({array})")
+            emit(f"\0c += len({array})")
             push(self.temp(f"{array}.freeze()"))
         elif op == isa.POP:
             pop()
@@ -552,15 +556,16 @@ class _Stager:
 
     # -- rendering ----------------------------------------------------------
 
-    def body(self, params, indent: int, result=None) -> list:
-        """The function's statements, at ``indent``.
+    def body(self, prefix: str, params, indent: int, result=None) -> list:
+        """The function's statements, at ``indent``, with ``prefix`` on
+        every name it invented.
 
         ``params`` binds the parameter slots: the text of an argument
         sequence to unpack, or a list of one text per parameter. With
         ``result`` a return assigns its value to that name (and leaves
         the ``pc`` loop) instead of returning it: the body inlined into
         a launch."""
-        p, pad = self.p, "    " * indent
+        p, pad = prefix, "    " * indent
         function = self.function
         slots = [f"{p}l{i}" for i in range(function.num_params)]
         out = []
@@ -584,82 +589,82 @@ class _Stager:
             ]
         out.append(f"{pad}{p}c = 0")
         if not self.loops:
-            self.render_block(0, indent, out, result)
+            self.render_block(p, 0, indent, out, result)
         else:
             out.append(f"{pad}{p}pc = 0")
             out.append(f"{pad}while True:")
-            self.render_tree(sorted(self.blocks), indent + 1, out, result)
+            self.render_tree(p, sorted(self.blocks), indent + 1, out, result)
         return out
 
-    def render_tree(self, leaders: list, indent: int, out: list, result):
+    def render_tree(self, p: str, leaders: list, indent: int, out, result):
         """Binary search on ``pc`` down to one block per leaf."""
         if len(leaders) == 1:
-            self.render_block(leaders[0], indent, out, result)
+            self.render_block(p, leaders[0], indent, out, result)
             return
         middle = len(leaders) // 2
         pad = "    " * indent
-        out.append(f"{pad}if {self.p}pc < {leaders[middle]}:")
-        self.render_tree(leaders[:middle], indent + 1, out, result)
+        out.append(f"{pad}if {p}pc < {leaders[middle]}:")
+        self.render_tree(p, leaders[:middle], indent + 1, out, result)
         out.append(f"{pad}else:")
-        self.render_tree(leaders[middle:], indent + 1, out, result)
+        self.render_tree(p, leaders[middle:], indent + 1, out, result)
 
-    def render_block(self, leader: int, indent: int, out: list, result):
+    def render_block(self, p: str, leader: int, indent: int, out, result):
         out.append(f"{'    ' * indent}# pc {leader}")
         for extra, text in self.blocks[leader]:
             pad = "    " * (indent + extra)
             if not isinstance(text, tuple):
-                out.append(pad + text)
+                out.append(pad + text.replace("\0", p))
             elif text[0] == "goto":
-                out.append(f"{pad}{self.p}pc = {text[1]}")
+                out.append(f"{pad}{p}pc = {text[1]}")
                 out.append(f"{pad}continue")
             elif result is None:
-                out.append(f"{pad}return {text[1]}")
+                out.append(f"{pad}return " + text[1].replace("\0", p))
             else:
-                out.append(f"{pad}{result} = {text[1]}")
+                out.append(f"{pad}{result} = " + text[1].replace("\0", p))
                 if self.loops:
                     out.append(f"{pad}break")
 
 
-def _head(stagers) -> tuple:
-    """``(defaults, consts, shared)`` of a generated function over
-    ``stagers``: the ``k*`` default arguments binding ``_k``, the list
-    they index, and the statements binding what every body shares —
-    ``call`` and the binary32 cell ``_f``."""
+def _head(named) -> tuple:
+    """``(defaults, consts, shared)`` of a generated function over the
+    ``(prefix, translation)`` pairs ``named``: the ``k*`` default
+    arguments binding ``_k``, the list they index, and the statements
+    binding what every body shares — ``call`` and the binary32 cell
+    ``_f``."""
     defaults, consts = [], []
-    for stager in stagers:
-        for i, value in enumerate(stager.consts):
-            defaults.append(f", {stager.p}k{i}=_k[{len(consts)}]")
+    for prefix, translation in named:
+        for i, value in enumerate(translation.consts):
+            defaults.append(f", {prefix}k{i}=_k[{len(consts)}]")
             consts.append(value)
     shared = []
-    if any(stager.binds_call for stager in stagers):
+    if any(translation.binds_call for _, translation in named):
         shared.append("    call = interp.call")
-    if any(stager.rounds for stager in stagers):
+    if any(translation.rounds for _, translation in named):
         shared.append("    _f = float32_cell()")
     return "".join(defaults), consts, shared
 
 
-def _function_text(function: isa.CompiledFunction) -> tuple:
-    stager = _Stager(function)
-    defaults, consts, shared = _head([stager])
+def _function_text(translation: Translation) -> tuple:
+    defaults, consts, shared = _head([("", translation)])
     out = [f"def _staged(interp, args{defaults}):", *shared]
-    out += stager.body("args", 1)
+    out += translation.body("", "args", 1)
     return "\n".join(out) + "\n", consts
 
 
 def staged_source(function: isa.CompiledFunction) -> str:
     """The Python text :func:`stage` compiles for ``function``."""
-    return _function_text(function)[0]
+    return _function_text(Translation(function))[0]
 
 
-def stage(function: isa.CompiledFunction):
-    """Translate ``function`` into ``staged(interp, args) -> value``.
+def stage(translation: Translation):
+    """The translated function as ``staged(interp, args) -> value``.
 
     The source is registered with :mod:`linecache` under
     ``<staged Qualified.name>`` so a traceback through staged code
     shows the generated line (the most recently staged function of a
     name wins); nothing else keeps the text."""
-    source, consts = _function_text(function)
-    filename = f"<staged {function.qualified_name}>"
+    source, consts = _function_text(translation)
+    filename = f"<staged {translation.function.qualified_name}>"
     return _compile(source, filename, consts)["_staged"]
 
 
@@ -679,17 +684,11 @@ def _compile(source: str, filename: str, consts: list) -> dict:
 FRAME_CYCLES = 12
 
 
-def _launch_filename(kind: str, methods) -> str:
-    if kind == "reduce":
-        return f"<staged launch reduce {methods[0]}>"
-    return f"<staged launch {'|'.join(methods)}>"
-
-
-def _launch_text(kind: str, functions) -> tuple:
+def _launch_text(kind: str, translations) -> tuple:
     frame = FRAME_CYCLES
-    stagers = [_Stager(f, f"m{m}_") for m, f in enumerate(functions)]
-    methods = [function.qualified_name for function in functions]
-    defaults, consts, shared = _head(stagers)
+    named = [(f"m{m}_", t) for m, t in enumerate(translations)]
+    methods = [t.function.qualified_name for t in translations]
+    defaults, consts, shared = _head(named)
     if kind == "reduce":
         out = [
             f"def _launch(interp, acc, items{defaults}):",
@@ -702,7 +701,7 @@ def _launch_text(kind: str, functions) -> tuple:
             "            k += 1",
             f"            interp.cycles += {frame}",
             f"            # {methods[0]}",
-            *stagers[0].body(["acc", "item"], 3, "acc"),
+            *translations[0].body("m0_", ["acc", "item"], 3, "acc"),
             "    finally:",
             f"        st = stats[{methods[0]!r}]",
             "        st[0] += k",
@@ -729,7 +728,7 @@ def _launch_text(kind: str, functions) -> tuple:
         "            k += 1",
         "            i = interp.cycles",
     ]
-    for m, stager in enumerate(stagers):
+    for m, (prefix, translation) in enumerate(named):
         since, params = ("i", "args") if m == 0 else ("e", ["v"])
         if last:
             out.append(f"            interp.cycles = b = {since} + {frame}")
@@ -737,7 +736,7 @@ def _launch_text(kind: str, functions) -> tuple:
         else:
             out.append(f"            interp.cycles = i + {frame}")
         out.append(f"            # {methods[m]}")
-        out += stager.body(params, 3, "v")
+        out += translation.body(prefix, params, 3, "v")
         if m < last:
             out.append("            e = interp.cycles")
             out.append(f"            s{m} += e - b")
@@ -771,20 +770,20 @@ def _launch_text(kind: str, functions) -> tuple:
 
 
 def launch_source(kind: str, functions) -> str:
-    """The Python text :func:`stage_launch` compiles for a launch.
+    """The Python text :func:`stage_launch` compiles for a launch of
+    ``functions`` (``CompiledFunction``s, translated afresh).
 
     ``kind`` ``"map"`` or ``"filter"``: ``_launch(interp, items, out,
     record)`` runs each argument tuple of ``items`` through the chain
-    ``functions`` (``CompiledFunction``s, each later one given the
-    previous one's value), appends the last value to ``out`` and,
-    unless ``record`` is None, records the work-item's cycles.
-    ``"reduce"``: ``_launch(interp, acc, items)`` folds ``items`` into
-    ``acc`` with ``functions[0]``.
+    ``functions`` (each later one given the previous one's value),
+    appends the last value to ``out`` and, unless ``record`` is None,
+    records the work-item's cycles. ``"reduce"``: ``_launch(interp,
+    acc, items)`` folds ``items`` into ``acc`` with ``functions[0]``.
 
-    Each method's body is inlined in the work-item loop under the name
-    prefix ``m0_``, ``m1_``, ...; its ``return X`` becomes ``v = X``
-    (a reduce: ``acc = X``) plus a ``break`` out of its ``pc`` loop.
-    Each work-item is charged its frames (``FRAME_CYCLES``) as
+    Each method's body is inlined in the work-item loop, rendered under
+    the name prefix ``m0_``, ``m1_``, ...; its ``return X`` becomes
+    ``v = X`` (a reduce: ``acc = X``) plus a ``break`` out of its ``pc``
+    loop. Each work-item is charged its frames (``FRAME_CYCLES``) as
     ``Interpreter.call`` charges them; the ``method_stats`` entries are
     settled once, in a ``finally``, from counts and cycle sums kept in
     locals. Of a chain, only the methods before the last keep their own
@@ -793,46 +792,41 @@ def launch_source(kind: str, functions) -> str:
     body: each method up to ``j`` ran ``k`` times, each after it
     ``k - 1``. The caller holds ``interp._depth`` one deeper for the
     whole loop."""
-    return _launch_text(kind, functions)[0]
+    return _launch_text(kind, [Translation(f) for f in functions])[0]
 
 
-def stage_launch(kind: str, functions):
-    """Compile :func:`launch_source` (registered with :mod:`linecache`
-    as ``<staged launch Q1|Q2>`` or ``<staged launch reduce Q>``)."""
-    source, consts = _launch_text(kind, functions)
-    methods = [function.qualified_name for function in functions]
-    return _compile(source, _launch_filename(kind, methods), consts)[
-        "_launch"
-    ]
+def stage_launch(kind: str, translations):
+    """Compile the launch of the methods ``translations`` (the text
+    :func:`launch_source` prints), registered with :mod:`linecache` as
+    ``<staged launch Q1|Q2>`` or ``<staged launch reduce Q>``."""
+    source, consts = _launch_text(kind, translations)
+    methods = "|".join(t.function.qualified_name for t in translations)
+    name = f"reduce {methods}" if kind == "reduce" else methods
+    return _compile(source, f"<staged launch {name}>", consts)["_launch"]
 
 
-# id(program) -> {qualified name: (staged function, num_params)}
-_STAGED: dict = {}
-# id(program) -> {(kind, methods): staged launch}
-_LAUNCHES: dict = {}
+class StagingMemo(NamedTuple):
+    functions: dict     # qualified -> (staged, num_params, translation)
+    launches: dict      # (kind, methods) -> staged launch
 
 
-def _memo(table: dict, program: isa.BytecodeProgram) -> dict:
-    key = id(program)
-    memo = table.get(key)
-    if memo is None:
-        memo = table[key] = {}
-        weakref.finalize(program, table.pop, key, None)
-    return memo
+_MEMOS: dict = {}       # id(program) -> StagingMemo
 
 
-def staged_functions(program: isa.BytecodeProgram) -> dict:
-    """The memo of staged functions for this program *object*.
+def staging_memo(program: isa.BytecodeProgram) -> StagingMemo:
+    """What is staged for this program *object*, made on first use.
 
     Kept beside the program, not on it: a pickled, cached or copied
     program carries no staged code and restages on first call. The
-    entry dies with the program. (Two threads racing here, or to stage
-    one function, each do the work and one result is kept: staging is
-    deterministic, so either is right.)"""
-    return _memo(_STAGED, program)
-
-
-def staged_launches(program: isa.BytecodeProgram) -> dict:
-    """The memo of staged launches for this program object, kept like
-    :func:`staged_functions` and staged on a launch shape's first run."""
-    return _memo(_LAUNCHES, program)
+    entry dies with the program. It is made with ``setdefault``, so two
+    interpreters created at once share it. (Two threads racing to stage
+    one function or launch shape each do the work and one result is
+    kept: staging is deterministic, so either is right.)"""
+    key = id(program)
+    memo = _MEMOS.get(key)
+    if memo is None:
+        fresh = StagingMemo({}, {})
+        memo = _MEMOS.setdefault(key, fresh)
+        if memo is fresh:
+            weakref.finalize(program, _MEMOS.pop, key, None)
+    return memo

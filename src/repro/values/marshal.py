@@ -51,7 +51,9 @@ format string, a bit slice, a list or a nested loop is built from it,
 and array kinds nest at most :data:`MAX_NESTING` deep. So a short,
 corrupted or hostile frame costs memory in proportion to its own
 length, and every malformed frame raises one :class:`MarshalingError`
-naming the offset and what was short, trailing or unknown.
+naming the offset and what was short, trailing or unknown. A value has
+one frame: a boolean byte other than 0 or 1, or a nonzero padding bit
+after a bit array's last bit, is refused too.
 """
 
 from __future__ import annotations
@@ -225,10 +227,16 @@ def _encode_dense(elem: Kind, items) -> bytes:
 
 def _decode_dense(elem: Kind, data: bytes, offset: int, count: int):
     """``count`` values of kind ``elem`` from ``offset``; each count is
-    checked against the bytes left before anything is built from it."""
+    checked against the bytes left before anything is built from it.
+    Each value has one frame: a boolean byte is 0 or 1, and the padding
+    bits of a bit array's last byte are zero."""
     if elem.name == "bit":
         nbytes = (count + 7) // 8
         _need(data, offset, nbytes, f"{count} bits")
+        if count % 8 and data[offset + nbytes - 1] >> count % 8:
+            raise MarshalingError(
+                f"nonzero padding bits at offset {offset + nbytes - 1}"
+            )
         items = unpack_bits(data[offset : offset + nbytes], count)
         return items, offset + nbytes
     if elem.name in _STRUCT_FMT:
@@ -239,7 +247,14 @@ def _decode_dense(elem: Kind, data: bytes, offset: int, count: int):
         return list(items), offset + size
     if elem.name == "boolean":
         _need(data, offset, count, f"{count} boolean values")
-        items = [bool(b) for b in data[offset : offset + count]]
+        chunk = data[offset : offset + count]
+        if count and max(chunk) > 1:
+            bad = chunk.translate(None, b"\x00\x01")[0]
+            raise MarshalingError(
+                f"boolean byte {bad} at offset {offset + chunk.index(bad)} "
+                "is not 0 or 1"
+            )
+        items = [bool(b) for b in chunk]
         return items, offset + count
     if elem.is_enum:
         _need(data, offset, count, f"{count} enum ordinals")

@@ -28,10 +28,10 @@ import repro.devices.gpu.simulator as gpu_simulator
 import repro.runtime.engine as engine
 from repro.apps import SUITE, compile_app
 from repro.backends.artifacts import ArtifactCache, CacheOptions, cache_key
-from repro.backends.bytecode import isa
+from repro.backends.bytecode import isa, staging
 from repro.backends.bytecode.compiler import compile_module
 from repro.backends.bytecode.interpreter import Interpreter, Services
-from repro.backends.bytecode.staging import staged_functions, staged_launches
+from repro.backends.bytecode.staging import staging_memo
 from repro.compiler import CompileOptions, CompilerSession
 from repro.devices.fpga import FPGASimulator
 from repro.errors import DeviceError
@@ -361,6 +361,12 @@ class L {
         }
         return -1;
     }
+    local static int spread(int x) {
+        int[] t = new int[3];
+        t[x % 3] = x;
+        return t[0] - t[2];
+    }
+    local static bit odd(int x) { return x % 2 == 1 ? bit.one : bit.zero; }
 }
 """
 
@@ -428,6 +434,15 @@ def _launched(cls, kind, methods, items, depth=400):
          "integer division by zero"),
         ("reduce", ["L.gcd"], [84, 36, 120, 18, 0, 7], 400, None),
         ("reduce", ["L.gcd"], [2**31 - 1, 2**30, 3], 400, None),
+        # One translation rendered twice in a chain, constants included;
+        # a raise in its second rendering.
+        ("filter", ["L.mix", "L.mix"], [1, 2, 5, 3], 400, None),
+        ("filter", ["L.cap", "L.cap"], [1.5, -2.25, 3e38, 0.1], 400, None),
+        ("filter", ["L.halfInv", "L.halfInv"], [50, 8, 300, 4], 400,
+         "integer division by zero"),
+        # Two bound constants at the same index: m0_k0 a Kind (the new
+        # array's), m1_k0 a Bit.
+        ("filter", ["L.spread", "L.odd"], [3, 1, 6, 5, 4], 400, None),
     ],
 )
 def test_launch_matches_oracle(kind, methods, items, depth, message):
@@ -815,7 +830,7 @@ def test_launch_text_has_no_per_item_call_cell_or_len_of_a_parameter():
         entry, args = SMALL_ARGS[name]()
         for config in (CPU_ONLY, LAUNCH_CONFIGS["sequential-b7"]):
             Runtime(compiled, config).run(entry, args)
-        for kind, methods in staged_launches(program):
+        for kind, methods in staging_memo(program).launches:
             shapes += 1
             text = program.staged_launch_source(kind, methods)
             calls = sum(
@@ -830,6 +845,51 @@ def test_launch_text_has_no_per_item_call_cell_or_len_of_a_parameter():
             for slot in re.findall(r"(m\d+_)a(\d+) = ", text):
                 assert f"len({slot[0]}l{slot[1]})" not in text
     assert shapes >= 17
+
+
+def test_one_translation_per_function_per_program_object(monkeypatch):
+    # Every launch shape of the suite, host and device, on fresh program
+    # objects: work-item 0's calls translate each method once, and the
+    # launches inline those translations instead of making their own.
+    translated = []
+    original = staging.Translation.__init__
+
+    def counting(self, function):
+        translated.append(function.qualified_name)
+        original(self, function)
+
+    monkeypatch.setattr(staging.Translation, "__init__", counting)
+    launches = 0
+    for name in sorted(SUITE):
+        compiled = CompilerSession().compile(SUITE[name].source)
+        entry, args = SMALL_ARGS[name]()
+        del translated[:]
+        for config in (CPU_ONLY, LAUNCH_CONFIGS["sequential-b7"]):
+            Runtime(compiled, config).run(entry, args)
+        memo = staging_memo(compiled.bytecode_program)
+        launches += len(memo.launches)
+        assert sorted(translated) == sorted(memo.functions), name
+    assert launches >= 17
+
+
+def test_rendering_a_translation_is_pure():
+    program = _compile(LAUNCHING)
+    for method in ("L.cap", "L.root", "L.spread"):
+        translation = staging.Translation(program.functions[method])
+        alone = translation.body("", "args", 1)
+        inlined = translation.body("m1_", ["v"], 3, "v")
+        assert translation.body("", "args", 1) == alone
+        assert translation.body("m1_", ["v"], 3, "v") == inlined
+        assert "\0" not in "".join(alone + inlined)
+        # The memo's translation, after a launch rendered it twice,
+        # stages the text a fresh translation prints.
+        interp = Interpreter(program)
+        interp.launch("filter", [method, method], [3, 4])
+        memo = staging_memo(program).functions[method][2]
+        staging.stage(memo)
+        staged = "".join(linecache.cache[f"<staged {method}>"][2])
+        assert staged == program.functions[method].staged_source()
+        assert memo.body("", "args", 1) == alone
 
 
 # ---------------------------------------------------------------------------
@@ -949,14 +1009,42 @@ def test_float_kernels_on_two_threads_are_bit_identical():
 
 def test_staging_is_lazy_and_shared_per_program_object():
     program = _compile(BLOCKS)
-    assert staged_functions(program) == {}
+    assert staging_memo(program).functions == {}
     first = Interpreter(program)
     first.call("B.nested", [1, 2])
-    assert set(staged_functions(program)) == {"B.nested"}
-    staged = staged_functions(program)["B.nested"]
+    assert set(staging_memo(program).functions) == {"B.nested"}
+    staged = staging_memo(program).functions["B.nested"]
     second = Interpreter(program)
     second.call("B.nested", [1, 2])
-    assert staged_functions(program)["B.nested"] is staged
+    assert staging_memo(program).functions["B.nested"] is staged
+
+
+def test_interpreters_built_at_once_share_one_memo(monkeypatch):
+    # Two threads both find no memo for a fresh program object and both
+    # make one: setdefault keeps the first, and both interpreters use it.
+    program = _compile(BLOCKS)
+    barrier = threading.Barrier(2)
+    make = staging.StagingMemo
+
+    def both_at_once(*fields):
+        barrier.wait(timeout=10)
+        return make(*fields)
+
+    monkeypatch.setattr(staging, "StagingMemo", both_at_once)
+    built = []
+    threads = [
+        threading.Thread(target=lambda: built.append(Interpreter(program)))
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    memo = staging_memo(program)
+    assert len(built) == 2
+    assert all(interp._staged is memo.functions for interp in built)
+    assert all(interp._launches is memo.launches for interp in built)
 
 
 def test_memo_does_not_travel_with_a_pickled_program():
@@ -966,7 +1054,7 @@ def test_memo_does_not_travel_with_a_pickled_program():
     assert pickle.dumps(program, protocol=4) == fresh
     assert "_staged" not in vars(program)
     clone = pickle.loads(fresh)
-    assert staged_functions(clone) == {}
+    assert staging_memo(clone).functions == {}
     assert Interpreter(clone).call("B.loops", [9]) == (
         Interpreter(program).call("B.loops", [9])
     )
@@ -983,29 +1071,29 @@ def test_program_stored_in_the_artifact_cache_after_it_ran(tmp_path):
         "bytecode", key, [compiled.bytecode_artifact], []
     ).payload_bytes
     Runtime(compiled, CPU_ONLY).run(entry, args)
-    assert staged_functions(compiled.bytecode_program)
+    assert staging_memo(compiled.bytecode_program).functions
     assert cache_key(compiled.module, "bytecode", CompileOptions()) == key
     after = cache.store("bytecode", key, [compiled.bytecode_artifact], [])
     assert after.payload_bytes == before
     loaded = cache.load("bytecode", key).artifacts[0].payload
-    assert staged_functions(loaded) == {}
+    assert staging_memo(loaded).functions == {}
     assert loaded == compiled.bytecode_program
 
 
 def test_launches_are_staged_on_first_run_and_shared_per_program_object():
     compiled = CompilerSession().compile(SUITE["saxpy"].source)
     program = compiled.bytecode_program
-    assert staged_launches(program) == {}       # nothing at compile time
+    assert staging_memo(program).launches == {}   # nothing at compile time
     fresh = pickle.dumps(program, protocol=4)
     entry, args = SMALL_ARGS["saxpy"]()
     Runtime(compiled, CPU_ONLY).run(entry, args)
-    (key,) = staged_launches(program)
+    (key,) = staging_memo(program).launches
     assert key == ("map", ("Saxpy.axpy",))
-    launch = staged_launches(program)[key]
+    launch = staging_memo(program).launches[key]
     Runtime(compiled, CPU_ONLY).run(entry, args)
-    assert staged_launches(program)[key] is launch
+    assert staging_memo(program).launches[key] is launch
     assert pickle.dumps(program, protocol=4) == fresh
-    assert staged_launches(pickle.loads(fresh)) == {}
+    assert staging_memo(pickle.loads(fresh)).launches == {}
 
 
 # ---------------------------------------------------------------------------

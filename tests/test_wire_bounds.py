@@ -7,7 +7,8 @@ enum header's name length. Each is checked against the bytes left
 before a format string, a bit slice, a list or a nested loop is built
 from it, so a short, corrupted or hostile frame raises
 ``MarshalingError`` (naming the offset and what was short, trailing or
-unknown) and allocates nothing in proportion to what it claims.
+unknown) and allocates nothing in proportion to what it claims. A frame
+is also canonical: no two byte strings decode to one value.
 """
 
 import os
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MarshalingError
-from repro.values import deserialize, deserialize_batch
+from repro.values import KIND_BIT, Bit, ValueArray, deserialize
+from repro.values import deserialize_batch, serialize
 from repro.values.marshal import (
     MAX_NESTING,
     TAG_BATCH,
@@ -135,6 +137,24 @@ def test_a_refusal_names_the_offset_and_what_was_wrong(data, message):
     with pytest.raises(MarshalingError) as raised:
         deserialize(data)
     assert str(raised.value).startswith(message)
+
+
+def test_a_value_has_one_frame():
+    # One 1 bit: its padding bits must be zero.
+    one = ValueArray(KIND_BIT, [Bit(1)])
+    assert serialize(one) == bytes.fromhex("08060100000001")
+    assert deserialize(bytes.fromhex("08060100000001")) == one
+    for frame, message in [
+        ("080601000000ff", "nonzero padding bits at offset 6"),
+        ("0906030000000d", "nonzero padding bits at offset 6"),
+        ("06ff", "nonzero padding bits at offset 1"),
+        ("0502", "boolean byte 2 at offset 1 is not 0 or 1"),
+        ("0805030000000001ff", "boolean byte 255 at offset 8 is not 0 or 1"),
+    ]:
+        decode = deserialize_batch if frame[:2] == "09" else deserialize
+        with pytest.raises(MarshalingError) as raised:
+            decode(bytes.fromhex(frame))
+        assert str(raised.value) == message
 
 
 def test_a_batch_refusal_names_the_offset():

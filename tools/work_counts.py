@@ -8,16 +8,21 @@ repeats exactly. For each workload this builds it as ``perf/worker.py``
 does at seed 1 (``setup()``, then one untimed round, so compiles,
 staging and first-use caches are done), then counts the
 ``sys.setprofile`` events of ``execute(kind)`` over three rounds, per
-op kind of ``cpu_map`` and ``gpu_map``:
+op kind of ``compile_cold``, ``compile_warm``, ``cpu_map`` and
+``gpu_map``:
 
 * ``call``: a Python function entered (generated code included);
 * ``c_call``: a builtin or C method called from Python.
 
-Only the calling thread is counted, and the cyclic garbage collector is
-paused while counting so that no collection's callbacks count. Every
-count is made twice, each time in a fresh process; the report gives
-the counts per op and whether the two processes agree (exit status 1
-if they do not). ``perf/`` is imported, never written.
+Only the calling thread is counted, so ``fpga_stream`` and
+``service_jobs`` stay out: their ops run on pooled worker threads
+(``repro.runtime.workers``), started before the count and never seen
+by ``sys.setprofile``. The cyclic garbage collector is paused while
+counting so that no collection's callbacks count. Every count is made
+twice, each time in a fresh process; the report gives the counts per
+op, the ``(round)`` row per round (the sum of a workload's kinds), and
+whether the two processes agree (exit status 1 if they do not).
+``perf/`` is imported, never written.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 EVENTS = ("call", "c_call")
-WORKLOADS = ("cpu_map", "gpu_map")
+WORKLOADS = ("compile_cold", "compile_warm", "cpu_map", "gpu_map")
 SEED = 1
 ROUNDS = 3
 
@@ -106,12 +111,19 @@ def _child() -> dict:
     return json.loads(output)
 
 
+def _with_round(kinds: dict) -> dict:
+    """``kinds`` and their sum, as the kind ``(round)``: one of each."""
+    total = {e: sum(tally[e] for tally in kinds.values()) for e in EVENTS}
+    return {**kinds, "(round)": total}
+
+
 def report(first: dict, second: dict, rounds: int) -> list:
     lines = [f"{'workload':<12} {'kind':<14} {'calls/op':>12} "
              f"{'c_calls/op':>12}  repeats"]
     for name, kinds in first.items():
-        for kind, tally in kinds.items():
-            same = second.get(name, {}).get(kind) == tally
+        other = _with_round(second.get(name, {}))
+        for kind, tally in _with_round(kinds).items():
+            same = other.get(kind) == tally
             lines.append(
                 f"{name:<12} {kind:<14} {tally['call'] / rounds:>12.1f} "
                 f"{tally['c_call'] / rounds:>12.1f}  "
