@@ -26,6 +26,11 @@ from repro.lime import types as ty
 
 _SCALAR_OK = ("bit", "boolean", "int", "long")
 
+#: Most iterations a loop may fully unroll into.
+UNROLL_BUDGET = 256
+#: Deepest call chain inlined into one datapath.
+INLINE_DEPTH = 16
+
 
 def _check_type(type_) -> None:
     if isinstance(type_, ty.PrimType) and type_.name in _SCALAR_OK:
@@ -61,11 +66,8 @@ def _mk_mux(type_, cond, then, other) -> ir.IRExpr:
 class DatapathBuilder:
     """Symbolically evaluates a method body into an expression DAG."""
 
-    def __init__(self, module: ir.IRModule, unroll_budget: int = 256,
-                 inline_depth: int = 16):
+    def __init__(self, module: ir.IRModule):
         self.module = module
-        self.unroll_budget = unroll_budget
-        self.inline_depth = inline_depth
 
     def build(self, method: str) -> ir.IRExpr:
         """The datapath of ``method`` as a function of its parameters
@@ -75,7 +77,7 @@ class DatapathBuilder:
     # ------------------------------------------------------------------
 
     def _inline(self, method: str, args, depth: int) -> ir.IRExpr:
-        if depth > self.inline_depth:
+        if depth > INLINE_DEPTH:
             raise ExclusionNotice(
                 f"call inlining too deep at {method} (recursion?)"
             )
@@ -200,10 +202,10 @@ class DatapathBuilder:
         trip_count = max(
             0, -(-(limit.value - start.value) // step.value)
         )
-        if trip_count > self.unroll_budget:
+        if trip_count > UNROLL_BUDGET:
             raise ExclusionNotice(
                 f"loop trip count {trip_count} exceeds the unroll "
-                f"budget ({self.unroll_budget})"
+                f"budget ({UNROLL_BUDGET})"
             )
         value = start.value
         for _ in range(trip_count):

@@ -495,7 +495,6 @@ def _cmd_faults(args) -> int:
     from repro.runtime import (
         HEALTH_SPEC,
         FaultPlan,
-        HealthPolicy,
         Runtime,
         RuntimeConfig,
         kill_all_devices_plan,
@@ -534,11 +533,9 @@ def _cmd_faults(args) -> int:
             tracer=tracer,
             fault_plan=plan,
             max_attempts=args.max_attempts,
-            health=HealthPolicy(
-                cooldown_s=(
-                    None if args.cooldown_us is None
-                    else args.cooldown_us * 1e-6
-                ),
+            cooldown_s=(
+                None if args.cooldown_us is None
+                else args.cooldown_us * 1e-6
             ),
             batch_size=args.batch_size,
         ),

@@ -117,7 +117,8 @@ def estimate(module_name: str, datapath: ir.IRExpr,
         cost, depth = _node_cost(expr)
         luts += cost
         child_depth = 0
-        for child in _children(expr):
+        # Depth is a max and LUTs a sum: child order cannot matter.
+        for child in ir.children(expr):
             child_depth = max(child_depth, walk(child))
         total_depth = depth + child_depth
         memo[id(expr)] = total_depth
@@ -144,15 +145,3 @@ def estimate(module_name: str, datapath: ir.IRExpr,
         logic_depth=max(depth, 1),
         fmax_hz=fmax,
     )
-
-
-def _children(expr: ir.IRExpr) -> list:
-    if isinstance(expr, (ir.EUnary, ir.ECast)):
-        return [expr.operand]
-    if isinstance(expr, ir.EBinary):
-        return [expr.left, expr.right]
-    if isinstance(expr, ir.ETernary):
-        return [expr.cond, expr.then, expr.other]
-    if isinstance(expr, ir.EIntrinsic):
-        return list(expr.args)
-    return []

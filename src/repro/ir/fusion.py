@@ -576,14 +576,12 @@ def _apply_site(module: ir.IRModule, site: _MapSite) -> None:
         site.block.remove(site.let_stmt)
 
 
-def apply_fusion(
-    module: ir.IRModule, plan: FusionPlan, check_program: bool = True
-) -> None:
+def apply_fusion(module: ir.IRModule, plan: FusionPlan) -> None:
     """Apply a plan's map groups to the module (in place). Deterministic
     replay: the same plan against the same program always produces the
     same rewritten IR; a plan recorded against a *different* program is
     rejected up front."""
-    if check_program and plan.program:
+    if plan.program:
         actual = ir_fingerprint(module)
         if actual != plan.program:
             raise ConfigurationError(

@@ -401,6 +401,13 @@ _CHILDREN_REVERSED = {
 }
 
 
+def children(expr: IRExpr) -> tuple:
+    """The direct sub-expressions of ``expr``, last first; none for a
+    leaf."""
+    reversed_children = _CHILDREN_REVERSED.get(expr.__class__)
+    return () if reversed_children is None else reversed_children(expr)
+
+
 def walk_expr(expr: IRExpr):
     """Yield ``expr`` and all sub-expressions, preorder.
 

@@ -34,7 +34,7 @@ def _jsonable(value):
     return repr(value)
 
 
-def span_to_event(span, pid: int = 1) -> dict:
+def span_to_event(span) -> dict:
     """One finished span as a Chrome 'X' (complete) event. Attribute
     args are sorted by name so exported traces are byte-stable across
     runs (insertion order varies with scheduling)."""
@@ -48,7 +48,7 @@ def span_to_event(span, pid: int = 1) -> dict:
         "ph": "X",
         "ts": round(span.start_us, 3),
         "dur": round(span.duration_us, 3),
-        "pid": pid,
+        "pid": 1,
         "tid": span.thread_id or 0,
         "args": args,
     }

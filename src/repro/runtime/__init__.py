@@ -23,7 +23,6 @@ from repro.runtime.graph import Pipeline
 from repro.runtime.health import (
     HEALTH_SPEC,
     DeviceHealth,
-    HealthPolicy,
     HealthRegistry,
     TransitionRecord,
     render_health_report,
@@ -65,7 +64,6 @@ __all__ = [
     "FaultSpec",
     "FilterTask",
     "HEALTH_SPEC",
-    "HealthPolicy",
     "HealthRegistry",
     "InjectedFault",
     "InlineEdge",

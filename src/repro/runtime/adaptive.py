@@ -24,6 +24,9 @@ from repro.runtime.tasks import (
     run_batches,
 )
 
+#: Items in an adaptive span's first probe batches (``_batch_limit``).
+PROBE_SIZE = 32
+
 
 @dataclass
 class AdaptationRecord:
@@ -50,7 +53,7 @@ class AdaptiveTask(Task):
     kind = "adaptive"
     device = "adaptive"
 
-    def __init__(self, device_task, cpu_methods: list, probe_size: int = 32):
+    def __init__(self, device_task, cpu_methods: list):
         super().__init__(f"adaptive:{device_task.artifact_id}")
         self.artifact_id = device_task.artifact_id
         self.device_kind = device_task.device
@@ -59,7 +62,6 @@ class AdaptiveTask(Task):
         self.batch_size = device_task.batch_size
         # Adaptable spans are single-input, stateless filters.
         self.cpu_filters = [FilterTask(method) for method in cpu_methods]
-        self.probe_size = max(probe_size, 1)
         self.chosen: str | None = None
         self._cpu_per_item: float | None = None
         self._device_probes: list = []  # [(items, seconds), ...]
@@ -126,8 +128,8 @@ class AdaptiveTask(Task):
         # CPU probe, then device probes at 1x and 4x the probe size:
         # two points separate fixed from marginal device cost.
         if self._cpu_per_item is None or not self._device_probes:
-            return self.probe_size
-        return self.probe_size * 4
+            return PROBE_SIZE
+        return PROBE_SIZE * 4
 
     def run(self, ctx):
         run_batches(

@@ -5,9 +5,9 @@ to the always-available bytecode artifact (Section 4.1). This module
 makes the fallback reversible: every offload is mediated by a
 per-(device, span) :class:`DeviceHealth` circuit breaker,
 
-    CLOSED ──failures──► OPEN ──cool-down──► HALF_OPEN ──clean probes──► CLOSED
-                           ▲                      │
-                           └─────failed probe─────┘
+    CLOSED ──failure──► OPEN ──cool-down──► HALF_OPEN ──clean probes──► CLOSED
+                          ▲                      │
+                          └─────failed probe─────┘
 
 so a span demoted during a transient device outage is *probed* once
 the breaker has cooled down — a bounded number of batches run on both
@@ -34,11 +34,9 @@ state gauge, feeding the profiler's recovery breakdown.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import schema
-from repro.errors import ConfigurationError
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 
@@ -60,79 +58,27 @@ RUN_PROBE = "probe"        # HALF_OPEN: shadow-probe this batch
 HEALTH_SCHEMA = "repro.health/1"
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Knobs for the per-span circuit breakers.
+#: Consecutive clean shadow probes required to close the breaker.
+PROBE_BATCHES = 2
+#: Hysteresis: each successive trip multiplies the cool-down.
+QUARANTINE_MULTIPLIER = 2.0
+#: Cap on the escalated cool-down, in simulated seconds.
+MAX_COOLDOWN_S = 1.0
 
-    ``cooldown_s=None`` (the default) disables re-promotion entirely: a
-    tripped breaker stays OPEN for the life of the process, which is
-    exactly the permanent demotion of PR 2. Setting a finite cool-down
-    (in *simulated* seconds) turns demotion into a quarantine.
-    """
 
-    #: Sliding outcome window length (most recent device outcomes).
-    window: int = 8
-    #: Optional simulated-time horizon: outcomes older than this fall
-    #: out of the window even if fewer than ``window`` arrived.
-    window_s: "float | None" = None
-    #: Failures within the window that trip the breaker OPEN.
-    failure_threshold: int = 1
-    #: Simulated seconds OPEN before the first HALF_OPEN probe window
-    #: (None = never; permanent demotion).
-    cooldown_s: "float | None" = None
-    #: Consecutive clean shadow probes required to close the breaker.
-    probe_batches: int = 2
-    #: Hysteresis: each successive trip multiplies the cool-down.
-    quarantine_multiplier: float = 2.0
-    #: Cap on the escalated cool-down.
-    max_cooldown_s: float = 1.0
+def cooldown_for_trip(cooldown_s: "float | None",
+                      trips: int) -> "float | None":
+    """Escalated cool-down before probe window #``trips`` (1-based).
 
-    def __post_init__(self):
-        if self.window < 1:
-            raise ConfigurationError(
-                f"health window must be >= 1, got {self.window}"
-            )
-        if self.window_s is not None and self.window_s <= 0:
-            raise ConfigurationError(
-                f"health window_s must be positive (or None), "
-                f"got {self.window_s}"
-            )
-        if self.failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, "
-                f"got {self.failure_threshold}"
-            )
-        if self.cooldown_s is not None and self.cooldown_s < 0:
-            raise ConfigurationError(
-                f"cooldown_s must be >= 0 (or None), got {self.cooldown_s}"
-            )
-        if self.probe_batches < 1:
-            raise ConfigurationError(
-                f"probe_batches must be >= 1, got {self.probe_batches}"
-            )
-        if self.quarantine_multiplier < 1.0:
-            raise ConfigurationError(
-                f"quarantine_multiplier must be >= 1, "
-                f"got {self.quarantine_multiplier}"
-            )
-        if self.max_cooldown_s <= 0:
-            raise ConfigurationError(
-                f"max_cooldown_s must be positive, "
-                f"got {self.max_cooldown_s}"
-            )
-
-    @property
-    def recovery_enabled(self) -> bool:
-        return self.cooldown_s is not None
-
-    def cooldown_for_trip(self, trips: int) -> "float | None":
-        """Escalated cool-down before probe window #``trips`` (1-based)."""
-        if self.cooldown_s is None:
-            return None
-        return min(
-            self.cooldown_s * self.quarantine_multiplier ** (trips - 1),
-            self.max_cooldown_s,
-        )
+    ``cooldown_s=None`` disables re-promotion entirely: a tripped
+    breaker stays OPEN for the life of the process, a permanent
+    demotion. A finite cool-down (in *simulated* seconds,
+    ``RuntimeConfig.cooldown_s``) turns demotion into a quarantine."""
+    if cooldown_s is None:
+        return None
+    return min(
+        cooldown_s * QUARANTINE_MULTIPLIER ** (trips - 1), MAX_COOLDOWN_S
+    )
 
 
 @dataclass(frozen=True)
@@ -185,11 +131,11 @@ class DeviceHealth:
     state is deterministic even under the threaded scheduler.
     """
 
-    def __init__(self, device: str, key: str, policy: HealthPolicy,
+    def __init__(self, device: str, key: str, cooldown_s: "float | None",
                  covered_task_ids=()):
         self.device = device
         self.key = key
-        self.policy = policy
+        self.cooldown_s = cooldown_s   # first trip's quarantine
         self.covered_task_ids = list(covered_task_ids)
         self.state = CLOSED
         self.now_s = 0.0           # span-local simulated clock
@@ -197,7 +143,6 @@ class DeviceHealth:
         self.opened_at_s: "float | None" = None
         self.clean_probes = 0      # consecutive clean probes this window
         self.transitions: list[TransitionRecord] = []
-        self._window: deque = deque()   # (at_s, ok)
         # Lifetime tallies for the health report.
         self.successes = 0
         self.failures = 0
@@ -206,30 +151,10 @@ class DeviceHealth:
         self.probe_failures = 0
         self.repromotions = 0
 
-    # -- clock and window --------------------------------------------------
+    # -- clock -------------------------------------------------------------
 
     def advance(self, sim_s: float) -> None:
         self.now_s += max(sim_s, 0.0)
-
-    def _prune_window(self) -> None:
-        while len(self._window) > self.policy.window:
-            self._window.popleft()
-        horizon = self.policy.window_s
-        if horizon is not None:
-            while self._window and self._window[0][0] < self.now_s - horizon:
-                self._window.popleft()
-
-    def _window_failures(self) -> int:
-        self._prune_window()
-        return sum(1 for _, ok in self._window if not ok)
-
-    @property
-    def cooldown_s(self) -> "float | None":
-        """The quarantine currently in force (None when recovery is
-        disabled or the breaker has never tripped)."""
-        if not self.trips:
-            return self.policy.cooldown_s
-        return self.policy.cooldown_for_trip(self.trips)
 
     # -- state machine -----------------------------------------------------
 
@@ -251,10 +176,9 @@ class DeviceHealth:
 
     def _open(self, reason: str) -> TransitionRecord:
         self.trips += 1
-        cooldown = self.policy.cooldown_for_trip(self.trips)
+        cooldown = cooldown_for_trip(self.cooldown_s, self.trips)
         self.opened_at_s = self.now_s
         self.clean_probes = 0
-        self._window.clear()
         return self._transition(OPEN, reason, cooldown=cooldown)
 
     def decide(self):
@@ -266,7 +190,7 @@ class DeviceHealth:
             return RUN_DEVICE, None
         if self.state == HALF_OPEN:
             return RUN_PROBE, None
-        cooldown = self.policy.cooldown_for_trip(self.trips or 1)
+        cooldown = cooldown_for_trip(self.cooldown_s, self.trips or 1)
         if cooldown is None:
             return RUN_BYTECODE, None  # permanent demotion
         if self.now_s - (self.opened_at_s or 0.0) >= cooldown:
@@ -274,25 +198,20 @@ class DeviceHealth:
             return RUN_PROBE, record
         return RUN_BYTECODE, None
 
-    def record_success(self, sim_s: float):
+    def record_success(self, sim_s: float) -> None:
         self.advance(sim_s)
         self.successes += 1
-        self._window.append((self.now_s, True))
-        self._prune_window()
-        return None
 
     def record_failure(self, sim_s: float, error: str = ""):
-        """A device failure that exhausted its retries. Returns the
-        OPEN transition when the failure trips the breaker."""
+        """A device failure that exhausted its retries. The first one
+        while CLOSED trips the breaker; returns that OPEN transition."""
         self.advance(sim_s)
         self.failures += 1
-        self._window.append((self.now_s, False))
-        if (
-            self.state == CLOSED
-            and self._window_failures() >= self.policy.failure_threshold
-        ):
-            return self._open(f"failures >= {self.policy.failure_threshold}"
-                              + (f" ({error})" if error else ""))
+        if self.state == CLOSED:
+            # Reports and journaled transitions pin this reason text.
+            return self._open(
+                "failures >= 1" + (f" ({error})" if error else "")
+            )
         return None
 
     def record_fallback(self, sim_s: float) -> None:
@@ -311,9 +230,8 @@ class DeviceHealth:
             self.probe_failures += 1
             return self._open(reason or "probe-failed")
         self.clean_probes += 1
-        if self.clean_probes >= self.policy.probe_batches:
+        if self.clean_probes >= PROBE_BATCHES:
             self.repromotions += 1
-            self._window.clear()
             self.clean_probes = 0
             return self._transition(CLOSED, "probes-clean")
         return None
@@ -339,16 +257,17 @@ class DeviceHealth:
 
     def export_state(self) -> dict:
         """Full breaker snapshot for a checkpoint frame — everything
-        :meth:`to_dict` reports plus the private machinery (sliding
-        window, quarantine anchor, probe streak)."""
+        :meth:`to_dict` reports plus the private machinery (quarantine
+        anchor, probe streak)."""
         payload = self.to_dict()
         payload["opened_at_s"] = self.opened_at_s
         payload["clean_probes"] = self.clean_probes
-        payload["window"] = [[at_s, ok] for at_s, ok in self._window]
         return payload
 
     def restore_state(self, payload: dict) -> None:
-        """Restore a snapshot taken by :meth:`export_state`."""
+        """Restore a snapshot taken by :meth:`export_state`. A row
+        journaled before the sliding window went still carries a
+        ``window`` key; nothing reads it."""
         self.state = payload["state"]
         self.now_s = float(payload["now_s"])
         self.trips = int(payload["trips"])
@@ -364,9 +283,6 @@ class DeviceHealth:
         self.transitions = [
             TransitionRecord.from_dict(t) for t in payload["transitions"]
         ]
-        self._window = deque(
-            (float(at_s), bool(ok)) for at_s, ok in payload["window"]
-        )
 
     def __repr__(self) -> str:
         return (
@@ -387,9 +303,9 @@ class HealthRegistry:
     device back in.
     """
 
-    def __init__(self, policy: "HealthPolicy | None" = None,
+    def __init__(self, cooldown_s: "float | None" = None,
                  tracer=NULL_TRACER):
-        self.policy = policy or HealthPolicy()
+        self.cooldown_s = cooldown_s
         self.tracer = tracer
         self.metrics = getattr(tracer, "metrics", NULL_METRICS)
         self._lock = threading.Lock()
@@ -404,7 +320,7 @@ class HealthRegistry:
             record = self._breakers.get(handle)
             if record is None:
                 record = DeviceHealth(
-                    device, key, self.policy,
+                    device, key, self.cooldown_s,
                     covered_task_ids=covered_task_ids,
                 )
                 self._breakers[handle] = record
@@ -448,9 +364,8 @@ class HealthRegistry:
     def on_success(self, device: str, key: str, sim_s: float) -> None:
         record = self.breaker(device, key)
         with self._lock:
-            transition = record.record_success(sim_s)
+            record.record_success(sim_s)
         self.metrics.counters.add("health.success")
-        self._observe(record, transition)
 
     def on_failure(self, device: str, key: str, sim_s: float,
                    error: str = "", covered_task_ids=()) -> None:
@@ -560,7 +475,6 @@ class HealthRegistry:
             (record.to_dict() for record in self.breakers()),
             key=lambda r: (r["device"], r["key"]),
         )
-        policy = self.policy
         totals = {
             "breakers": len(rows),
             "open": sum(1 for r in rows if r["state"] == OPEN),
@@ -577,13 +491,10 @@ class HealthRegistry:
             "entry": entry,
             "scheduler": scheduler,
             "policy": {
-                "window": policy.window,
-                "window_s": policy.window_s,
-                "failure_threshold": policy.failure_threshold,
-                "cooldown_s": policy.cooldown_s,
-                "probe_batches": policy.probe_batches,
-                "quarantine_multiplier": policy.quarantine_multiplier,
-                "max_cooldown_s": policy.max_cooldown_s,
+                "cooldown_s": self.cooldown_s,
+                "probe_batches": PROBE_BATCHES,
+                "quarantine_multiplier": QUARANTINE_MULTIPLIER,
+                "max_cooldown_s": MAX_COOLDOWN_S,
             },
             "breakers": rows,
             "totals": totals,
@@ -643,10 +554,8 @@ def render_health_report(report: dict) -> str:
     policy = report.get("policy", {})
     cooldown = policy.get("cooldown_s")
     lines.append(
-        "policy: window={w} failure_threshold={f} cooldown={c} "
-        "probe_batches={p} quarantine x{q} (cap {m})".format(
-            w=policy.get("window"),
-            f=policy.get("failure_threshold"),
+        "policy: cooldown={c} probe_batches={p} quarantine x{q} "
+        "(cap {m})".format(
             c="off" if cooldown is None else f"{cooldown * 1e6:.6g}us",
             p=policy.get("probe_batches"),
             q=policy.get("quarantine_multiplier"),

@@ -109,7 +109,7 @@ class ServiceConfig:
     #: Per-tenant queued-job bound; over it, submit() rejects.
     max_queue_depth: int = 8
     #: Base runtime config every job derives from (scheduler, retry,
-    #: health policy, fault plan, tracer...). Per-job fields
+    #: breaker cool-down, fault plan, tracer...). Per-job fields
     #: (job_id/tenant/policy) are overridden at dispatch.
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     #: Compiler options for the service's shared CompilerSession
@@ -162,7 +162,7 @@ class CoExecutionService:
         self.session = CompilerSession(self.config.compile_options)
         # Service-scoped health: one registry for every job's runtime.
         self.health = HealthRegistry(
-            self.config.runtime.health, tracer=self.tracer
+            self.config.runtime.cooldown_s, tracer=self.tracer
         )
         self.pool = DevicePool(
             {GPU: self.config.gpu_slots, FPGA: self.config.fpga_slots},

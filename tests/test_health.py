@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro import schema
-from repro.apps import SUITE
+from repro.apps import SUITE, compile_app
 from repro.compiler import CompileOptions, compile_program
 from repro.errors import (
     ConfigurationError,
@@ -29,7 +29,6 @@ from repro.runtime import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    HealthPolicy,
     HealthRegistry,
     Runtime,
     RuntimeConfig,
@@ -41,11 +40,15 @@ from repro.runtime.graph import Pipeline
 from repro.runtime.health import (
     CLOSED,
     HALF_OPEN,
+    MAX_COOLDOWN_S,
     OPEN,
+    PROBE_BATCHES,
+    QUARANTINE_MULTIPLIER,
     RUN_BYTECODE,
     RUN_DEVICE,
     RUN_PROBE,
     DeviceHealth,
+    cooldown_for_trip,
 )
 from repro.runtime.scheduler import SequentialScheduler, ThreadedScheduler
 from repro.runtime.tasks import (
@@ -54,46 +57,37 @@ from repro.runtime.tasks import (
     SinkTask,
     SourceTask,
 )
-from repro.runtime.timing import TimingLedger
+from repro.runtime.timing import OffloadRecord, TimingLedger
 from repro.values import KIND_INT, MutableArray, ValueArray
 
 
 # ----------------------------------------------------------------------
-# HealthPolicy
+# The breaker's policy: one setting and three constants
 # ----------------------------------------------------------------------
 
 
 class TestHealthPolicy:
+    """What the report's ``policy`` object lists: the cool-down
+    (``RuntimeConfig.cooldown_s``) and its escalation constants."""
+
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(window=0)
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(window_s=0.0)
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(cooldown_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(probe_batches=0)
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(quarantine_multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            HealthPolicy(max_cooldown_s=0.0)
+        with pytest.raises(ConfigurationError, match="cooldown_s"):
+            RuntimeConfig(cooldown_s=-1.0)
+        assert RuntimeConfig(cooldown_s=0.0).cooldown_s == 0.0
 
     def test_recovery_disabled_by_default(self):
-        policy = HealthPolicy()
-        assert not policy.recovery_enabled
-        assert policy.cooldown_for_trip(1) is None
+        assert RuntimeConfig().cooldown_s is None
+        assert cooldown_for_trip(None, 1) is None
 
     def test_quarantine_escalates_and_caps(self):
-        policy = HealthPolicy(
-            cooldown_s=1e-6, quarantine_multiplier=2.0, max_cooldown_s=3e-6
+        assert (PROBE_BATCHES, QUARANTINE_MULTIPLIER, MAX_COOLDOWN_S) == (
+            2, 2.0, 1.0
         )
-        assert policy.recovery_enabled
-        assert policy.cooldown_for_trip(1) == pytest.approx(1e-6)
-        assert policy.cooldown_for_trip(2) == pytest.approx(2e-6)
-        assert policy.cooldown_for_trip(3) == pytest.approx(3e-6)  # capped
-        assert policy.cooldown_for_trip(9) == pytest.approx(3e-6)
+        assert cooldown_for_trip(0.3, 1) == pytest.approx(0.3)
+        assert cooldown_for_trip(0.3, 2) == pytest.approx(0.6)
+        assert cooldown_for_trip(0.3, 3) == pytest.approx(1.0)  # capped
+        assert cooldown_for_trip(0.3, 9) == pytest.approx(1.0)
+        assert cooldown_for_trip(1e-6, 3) == pytest.approx(4e-6)
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +95,8 @@ class TestHealthPolicy:
 # ----------------------------------------------------------------------
 
 
-def make_breaker(**overrides) -> DeviceHealth:
-    defaults = dict(
-        cooldown_s=1e-6, probe_batches=2, failure_threshold=2, window=4
-    )
-    defaults.update(overrides)
-    return DeviceHealth("gpu", "art:span", HealthPolicy(**defaults))
+def make_breaker(cooldown_s=1e-6) -> DeviceHealth:
+    return DeviceHealth("gpu", "art:span", cooldown_s)
 
 
 class TestDeviceHealth:
@@ -116,36 +106,24 @@ class TestDeviceHealth:
         assert breaker.decide() == (RUN_DEVICE, None)
 
     def test_opens_at_failure_threshold(self):
-        breaker = make_breaker(failure_threshold=2)
-        assert breaker.record_failure(1e-7, "DeviceError") is None
+        """The threshold is one failure while CLOSED."""
+        breaker = make_breaker()
+        breaker.record_success(1e-7)
+        breaker.record_success(1e-7)
         assert breaker.state == CLOSED
         transition = breaker.record_failure(1e-7, "DeviceError")
         assert transition is not None
         assert (transition.from_state, transition.to_state) == (CLOSED, OPEN)
+        assert transition.reason == "failures >= 1 (DeviceError)"
         assert breaker.state == OPEN
         assert breaker.trips == 1
         assert breaker.decide()[0] == RUN_BYTECODE
-
-    def test_successes_slide_failures_out_of_window(self):
-        breaker = make_breaker(failure_threshold=2, window=2)
-        breaker.record_failure(1e-7)
-        breaker.record_success(1e-7)
-        breaker.record_success(1e-7)
-        # The failure fell out of the 2-outcome window.
-        assert breaker.record_failure(1e-7) is None
-        assert breaker.state == CLOSED
-
-    def test_window_s_horizon_prunes_old_outcomes(self):
-        breaker = make_breaker(
-            failure_threshold=2, window=100, window_s=1e-6
-        )
-        breaker.record_failure(1e-7)
-        breaker.record_success(5e-6)  # pushes the clock past the horizon
-        assert breaker.record_failure(1e-7) is None
-        assert breaker.state == CLOSED
+        # A failure while OPEN does not trip again.
+        assert breaker.record_failure(1e-7, "DeviceError") is None
+        assert breaker.trips == 1
 
     def test_cooldown_expiry_goes_half_open_then_probes(self):
-        breaker = make_breaker(failure_threshold=1, cooldown_s=1e-6)
+        breaker = make_breaker()
         breaker.record_failure(0.0)
         assert breaker.state == OPEN
         action, transition = breaker.decide()
@@ -161,9 +139,7 @@ class TestDeviceHealth:
         assert breaker.decide() == (RUN_PROBE, None)
 
     def test_clean_probes_close_and_repromote(self):
-        breaker = make_breaker(
-            failure_threshold=1, cooldown_s=1e-6, probe_batches=2
-        )
+        breaker = make_breaker()
         breaker.record_failure(0.0)
         breaker.record_fallback(2e-6)
         breaker.decide()
@@ -178,12 +154,7 @@ class TestDeviceHealth:
         assert breaker.decide()[0] == RUN_DEVICE
 
     def test_failed_probe_reopens_with_escalated_quarantine(self):
-        breaker = make_breaker(
-            failure_threshold=1,
-            cooldown_s=1e-6,
-            quarantine_multiplier=2.0,
-            max_cooldown_s=1.0,
-        )
+        breaker = make_breaker()
         breaker.record_failure(0.0)
         breaker.record_fallback(2e-6)
         breaker.decide()
@@ -201,14 +172,14 @@ class TestDeviceHealth:
         assert breaker.decide()[0] == RUN_PROBE
 
     def test_permanent_demotion_without_cooldown(self):
-        breaker = make_breaker(failure_threshold=1, cooldown_s=None)
+        breaker = make_breaker(cooldown_s=None)
         breaker.record_failure(0.0)
         breaker.record_fallback(10.0)  # any amount of traffic
         assert breaker.decide() == (RUN_BYTECODE, None)
         assert breaker.state == OPEN
 
     def test_transitions_are_monotonic_in_simulated_time(self):
-        breaker = make_breaker(failure_threshold=1, cooldown_s=1e-6)
+        breaker = make_breaker()
         breaker.record_failure(1e-7)
         breaker.record_fallback(2e-6)
         breaker.decide()
@@ -225,7 +196,7 @@ class TestDeviceHealth:
 
 class TestHealthRegistry:
     def test_breaker_identity_and_state(self):
-        registry = HealthRegistry(HealthPolicy(cooldown_s=1e-6))
+        registry = HealthRegistry(cooldown_s=1e-6)
         breaker = registry.breaker("gpu", "a", covered_task_ids=["t:f0"])
         assert registry.breaker("gpu", "a") is breaker
         assert registry.breaker("fpga", "a") is not breaker
@@ -235,10 +206,7 @@ class TestHealthRegistry:
 
     def test_outcomes_counters_and_gauge(self):
         tracer = Tracer()
-        registry = HealthRegistry(
-            HealthPolicy(cooldown_s=1e-6, failure_threshold=1),
-            tracer=tracer,
-        )
+        registry = HealthRegistry(cooldown_s=1e-6, tracer=tracer)
         assert registry.decide("gpu", "a", ["t:f0"]) == RUN_DEVICE
         registry.on_success("gpu", "a", 1e-7)
         registry.on_failure("gpu", "a", 1e-7, error="DeviceError")
@@ -258,9 +226,7 @@ class TestHealthRegistry:
         assert len(tracer.find("breaker.transition")) == 2
 
     def test_report_validates_and_renders(self):
-        registry = HealthRegistry(
-            HealthPolicy(cooldown_s=1e-6, failure_threshold=1)
-        )
+        registry = HealthRegistry(cooldown_s=1e-6)
         registry.on_failure("gpu", "a", 0.0, covered_task_ids=["t:f0"])
         report = registry.to_report(
             app="x", entry="X.main", scheduler="sequential"
@@ -277,9 +243,7 @@ class TestHealthRegistry:
     def test_validation_catches_broken_reports(self):
         assert schema.problems([], HEALTH_SPEC) != []
         assert schema.problems({"schema": "nope"}, HEALTH_SPEC) != []
-        registry = HealthRegistry(
-            HealthPolicy(cooldown_s=1e-6, failure_threshold=1)
-        )
+        registry = HealthRegistry(cooldown_s=1e-6)
         registry.on_failure("gpu", "a", 0.0)
         report = registry.to_report()
         bad = json.loads(json.dumps(report))
@@ -297,6 +261,30 @@ class TestHealthRegistry:
         assert any(
             "backwards" in p for p in schema.problems(bad, HEALTH_SPEC)
         )
+
+
+    def test_parent_era_row_with_a_window_restores(self):
+        """A checkpoint frame journaled while breakers still kept a
+        sliding outcome window carries a ``window`` key per row; it
+        restores to the same breaker state, and nothing reads it."""
+        registry = HealthRegistry(cooldown_s=1e-6)
+        registry.on_success("gpu", "a", 1e-7)
+        registry.on_failure("gpu", "a", 1e-7, error="DeviceError",
+                            covered_task_ids=["t:f0"])
+        registry.on_fallback("gpu", "a", 2e-6)
+        registry.decide("gpu", "a")
+        registry.on_probe("gpu", "a", True, 1e-7)
+        registry.on_success("fpga", "b", 3e-7)
+        rows = registry.export_state()
+        assert all("window" not in row for row in rows)
+        old_rows = json.loads(json.dumps(rows))
+        old_rows[0]["window"] = []
+        old_rows[1]["window"] = [[1e-7, True], [2e-7, False]]
+        resumed = HealthRegistry(cooldown_s=1e-6)
+        resumed.restore_state(old_rows)
+        assert resumed.export_state() == rows
+        assert resumed.state_of("gpu", "a") == HALF_OPEN
+        assert resumed.breaker("gpu", "a").clean_probes == 1
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +498,7 @@ TRANSIENT_PLAN = FaultPlan(
 )
 
 
-def _recovery_run(scheduler, plan=TRANSIENT_PLAN, health=None):
+def _recovery_run(scheduler, plan=TRANSIENT_PLAN, cooldown_s=1e-6):
     spec = SUITE["gray_pipeline"]
     entry, values = spec.default_args()
     tracer = Tracer()
@@ -524,10 +512,7 @@ def _recovery_run(scheduler, plan=TRANSIENT_PLAN, health=None):
         tracer=tracer,
         fault_plan=plan,
         max_attempts=1,
-        health=health
-        or HealthPolicy(
-            cooldown_s=1e-6, probe_batches=2, failure_threshold=1
-        ),
+        cooldown_s=cooldown_s,
         batch_size=16,
     )
     runtime = Runtime(compiled, config)
@@ -644,7 +629,7 @@ class TestRecoveryEndToEnd:
 
     def test_default_policy_keeps_demotion_permanent(self):
         runtime, outcome, reference, _ = _recovery_run(
-            "sequential", health=HealthPolicy()
+            "sequential", cooldown_s=None
         )
         assert outcome.output == reference.output
         (breaker,) = runtime.health.breakers()
@@ -663,7 +648,7 @@ class TestRecoveryEndToEnd:
         assert report["totals"]["trips"] == 1
 
 
-def _repeated_runs(scheduler, health, runs=4):
+def _repeated_runs(scheduler, cooldown_s, runs=4):
     """``runs`` runs of gray_pipeline on one runtime under the
     transient plan, with one batch per run, so run 1 ends with its
     span's breaker OPEN. Returns the runtime and ``faults.fired()``
@@ -679,7 +664,7 @@ def _repeated_runs(scheduler, health, runs=4):
             scheduler=scheduler,
             fault_plan=TRANSIENT_PLAN,
             max_attempts=1,
-            health=health,
+            cooldown_s=cooldown_s,
             batch_size=len(values[0]),
         ),
     )
@@ -705,9 +690,7 @@ class TestBreakerAcrossRuns:
     the runtime's later runs, so the breaker keeps seeing batches."""
 
     def test_open_span_cools_down_probes_and_repromotes(self, scheduler):
-        runtime, _ = _repeated_runs(
-            scheduler, HealthPolicy(cooldown_s=1e-6)
-        )
+        runtime, _ = _repeated_runs(scheduler, 1e-6)
         (breaker,) = runtime.health.breakers()
         assert breaker.state == CLOSED
         assert breaker.repromotions == 1
@@ -716,7 +699,7 @@ class TestBreakerAcrossRuns:
     def test_permanent_demotion_serves_later_runs_from_bytecode(
         self, scheduler
     ):
-        runtime, fired = _repeated_runs(scheduler, HealthPolicy())
+        runtime, fired = _repeated_runs(scheduler, None)
         (breaker,) = runtime.health.breakers()
         assert breaker.state == OPEN
         assert len(runtime.substitution_log) == 4
@@ -724,3 +707,54 @@ class TestBreakerAcrossRuns:
             assert [d.device for d in decisions] == ["gpu"]
         # OPEN serves from bytecode without consulting the device.
         assert fired == [1, 1, 1, 1]
+
+
+class TestOperatorChargedItsOwnOffload:
+    """A map's breaker clock and its shadow probe's ``device_s`` are
+    the seconds its own device call returned, however many records
+    other stages append to the shared ledger meanwhile."""
+
+    def test_foreign_offload_records_are_not_charged(self):
+        spec = SUITE["saxpy"]
+        tracer = Tracer()
+        runtime = Runtime(
+            compile_app("saxpy"),
+            RuntimeConfig(
+                scheduler="sequential", tracer=tracer, cooldown_s=1e-6
+            ),
+        )
+        own = []
+        offload = runtime._offload
+
+        def offload_then_intrude(*args, **kwargs):
+            outputs, seconds = offload(*args, **kwargs)
+            own.append(seconds)
+            # Another stage's batch lands while this call returns.
+            runtime.ledger.add_offload(OffloadRecord(
+                kind="filter-batch", target="other", device="fpga",
+                items=1, kernel_s=1.0, in_graph=True,
+            ))
+            return outputs, seconds
+
+        runtime._offload = offload_then_intrude
+        entry, args = spec.default_args(128)
+        runtime.run(entry, args)
+        (breaker,) = runtime.health.breakers()
+        assert len(own) == 1 and own[0] > 0.0
+        assert breaker.successes == 1
+        assert breaker.now_s == own[0]
+
+        # Trip it, let the quarantine pass, and shadow-probe the next call.
+        health = runtime.health
+        health.on_failure(breaker.device, breaker.key, 0.0)
+        health.on_fallback(breaker.device, breaker.key, 1e-5)
+        before_s = breaker.now_s
+        entry, args = spec.default_args(128)
+        runtime.run(entry, args)
+        (probe,) = tracer.find("probe.shadow")
+        assert probe.attributes["ok"] is True
+        assert len(own) == 2
+        assert probe.attributes["device_s"] == own[1]
+        assert breaker.now_s == pytest.approx(
+            before_s + probe.attributes["bytecode_s"] + own[1], rel=1e-12
+        )

@@ -35,7 +35,6 @@ from repro.obs import Tracer
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
-    HealthPolicy,
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
@@ -69,19 +68,17 @@ def _device_fault(**window):
     return FaultSpec(site="device", error="device", target="*", **window)
 
 
-_QUARANTINE = HealthPolicy(
-    cooldown_s=2e-7, probe_batches=2, failure_threshold=1
-)
+_QUARANTINE = 2e-7
 
-#: label -> (fault specs, retry attempts, health policy, entry calls).
+#: label -> (fault specs, retry attempts, breaker cool-down, entry calls).
 #: A stream app reaches every breaker state inside one graph (one
 #: decision per batch); a map/reduce makes one decision per entry call,
 #: so the same runtime is driven ``calls`` times.
 SCENARIOS = {
-    "clean": ([], 3, HealthPolicy(), 1),
-    "retry-recovered": ([_device_fault(on_calls=(1,))], 3, HealthPolicy(), 1),
-    "exhausted": ([_device_fault(until_call=2)], 2, HealthPolicy(), 1),
-    "open": ([_device_fault(until_call=2)], 2, HealthPolicy(), 2),
+    "clean": ([], 3, None, 1),
+    "retry-recovered": ([_device_fault(on_calls=(1,))], 3, None, 1),
+    "exhausted": ([_device_fault(until_call=2)], 2, None, 1),
+    "open": ([_device_fault(until_call=2)], 2, None, 2),
     "probe-clean": ([_device_fault(until_call=1)], 1, _QUARANTINE, 6),
     "probe-error": ([_device_fault(until_call=2)], 1, _QUARANTINE, 6),
     "probe-mismatch": (
@@ -180,14 +177,14 @@ def _drive(app, size, config, calls):
 
 def _scenario(workload, scenario):
     _, app, size, order = next(w for w in WORKLOADS if w[0] == workload)
-    specs, attempts, health, calls = SCENARIOS[scenario]
+    specs, attempts, cooldown_s, calls = SCENARIOS[scenario]
     stream = SUITE[app].flavor == "stream"
     config = RuntimeConfig(
         scheduler="sequential",
         policy=SubstitutionPolicy(device_order=order),
         fault_plan=FaultPlan(specs, seed=7) if specs else None,
         max_attempts=attempts,
-        health=health,
+        cooldown_s=cooldown_s,
         batch_size=16,
     )
     return _drive(app, size, config, 1 if stream else calls)

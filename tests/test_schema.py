@@ -21,7 +21,6 @@ from repro.obs.profile import PROFILE_SPEC, build_profile
 from repro.runtime import (
     FAULT_PLAN_SPEC,
     HEALTH_SPEC,
-    HealthPolicy,
     HealthRegistry,
     Runtime,
     RuntimeConfig,
@@ -73,9 +72,7 @@ def _documents(tmp_path):
         tracer, ledger=outcome.ledger, app="bitflip", entry=entry,
         scheduler="threaded",
     ).to_json()))
-    registry = HealthRegistry(
-        HealthPolicy(cooldown_s=1e-6, failure_threshold=1)
-    )
+    registry = HealthRegistry(cooldown_s=1e-6)
     registry.on_failure("gpu", "a", 0.0, covered_task_ids=["t:f0"])
     registry.on_failure("gpu", "a", 1.0, covered_task_ids=["t:f0"])
     docs.append(("health", registry.to_report(app="x", entry="X.main")))

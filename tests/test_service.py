@@ -22,7 +22,6 @@ from repro.errors import (
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
-    HealthPolicy,
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
@@ -487,11 +486,7 @@ def _faulty_service(cooldown_s, shared_injector=False):
         scheduler="sequential",
         fault_plan=plan,
         max_attempts=1,
-        health=HealthPolicy(
-            cooldown_s=cooldown_s,
-            probe_batches=2,
-            failure_threshold=1,
-        ),
+        cooldown_s=cooldown_s,
         batch_size=16,
     )
     return CoExecutionService(ServiceConfig(
