@@ -206,12 +206,27 @@ class Interpreter:
         if staged is None:
             # Work-item 0's calls translated every method.
             translations = [self._staged[m][2] for m in methods]
-            staged = self._launches[key] = stage_launch(kind, translations)
+            staged = self._launches[key] = stage_launch(
+                kind, translations, self._callee
+            )
         self._depth += 1
         try:
             return staged(self, *args)
         finally:
             self._depth -= 1
+
+    def _callee(self, qualified: str):
+        """The translation a launch inlines for a ``CALL`` of
+        ``qualified``, staged now if no call has been made yet; None if
+        there is no such function or it does not stage (the call then
+        stays a call and raises where it always did)."""
+        entry = self._staged.get(qualified)
+        if entry is None:
+            try:
+                entry = self._stage(qualified)
+            except DeviceError:
+                return None
+        return entry[2]
 
     def _stage(self, qualified: str):
         function = self.program.functions.get(qualified)

@@ -186,7 +186,9 @@ class BytecodeProgram:
         each function's :meth:`CompiledFunction.staged_source`."""
         from repro.backends.bytecode.staging import launch_source
 
-        return launch_source(kind, [self.functions[m] for m in methods])
+        return launch_source(
+            kind, [self.functions[m] for m in methods], self
+        )
 
     def disassemble(self) -> str:
         return "\n\n".join(

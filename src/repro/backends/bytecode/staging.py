@@ -25,23 +25,41 @@ prints it)::
         _f = float32_cell()                  # if it rounds to binary32
         l0, l1, = args                       # l*: local slots
         try:                                 # a*: array storage of a
-            a1 = l1._items                   # parameter never stored
-        except AttributeError:
+            a1 = l1._items                   # parameter never stored,
+        except AttributeError:               # n*: its length
             a1 = l1
+        n1 = len(a1)
         c = 0                                # unflushed cycles
-        pc = 0
-        while True:                          # one arm per block
-            if pc < 9: ...
+        # pc 0
+        ...
+        while True:                          # one per natural loop
+            # pc 4
+            if not (l2 < n1):
+                c += 5
+                break
+            ...
+
+The blocks are written as structured code (:mod:`.structure`): a
+natural loop is a ``while True:``, a branch an ``if``/``else``, a jump
+out of a loop ``break`` and back to its header ``continue``; there is
+no ``pc`` variable and no dispatch on one, and a graph that is not
+reducible is refused at staging (:class:`~repro.errors.DeviceError`).
 
 A ``float`` result is rounded where it is computed, by the statements
 ``_f[0] = <double value>`` and ``tN = _f[0]`` (the rule and why the
 cell is private to a call or a launch: :data:`repro.ir.ops.FLOAT32_CELL`).
 ``ALOAD`` and ``LEN`` read the storage (``_items``) of a
-``ValueArray``/``MutableArray`` directly: through ``aN``, resolved once
-per call, when the array is parameter N and N is never ``STORE``d (only
-those two classes have ``_items``, and neither rebinds it); otherwise
-``ALOAD`` resolves it in place. Anything else is indexed or measured as
-it is, so a non-array fails as before.
+``ValueArray``/``MutableArray`` directly: through ``aN`` when the array
+is parameter N and N is never ``STORE``d (only those two classes have
+``_items``, and neither rebinds it, nor changes its length), where its
+length ``nN`` is read once too — per call, or in a launch once for all
+the work-items that pass the same array. ``LEN`` of it is ``nN``, and
+every bounds check on it compares with ``nN``. A parameter that is not
+a sized value fails there, with the ``TypeError`` ``len()`` raises.
+Any other array operand is resolved and measured at its ``ALOAD``.
+Integer ``/`` and ``%`` by a nonzero constant are expressions from
+:mod:`repro.ir.ops` (they cannot raise), not calls of
+``java_idiv``/``java_irem``.
 
 A function is translated once (:class:`Translation`) and rendered as
 often as it is printed: the translation marks every name it invents
@@ -50,11 +68,13 @@ with a NUL, and rendering replaces the mark with a prefix — none for
 work-item of a map or filter batch through a method chain, or a
 reduce's fold — is one generated loop per launch shape
 (:func:`stage_launch`) with each method's body inlined in it, its
-``return X`` turned into ``v = X`` (a reduce: ``acc = X``) plus a
-``break`` out of its ``pc`` loop. A work-item makes no Python call into
-staged code and copies no binary32 cell (one per launch: a launch runs
-on one thread); the bookkeeping of its N calls is done once (see
-``Interpreter.launch`` and :func:`launch_source`).
+``return X`` turned into ``v = X`` (a reduce: ``acc = X``), and with
+each callee inlined in turn (prefix ``m0_i0_``, ...) unless it is
+recursive or hands control to code the launch does not hold. A
+work-item makes no Python call into staged code and copies no binary32
+cell (one per launch: a launch runs on one thread); the bookkeeping of
+its N calls is done once, and the cycle count is the launch's local
+``cy`` (see ``Interpreter.launch`` and :func:`launch_source`).
 
 A *block* starts at pc 0 and at every jump target and runs until a
 ``JMP``/``RET``/``RETV`` or the next block; a conditional jump inside it
@@ -66,10 +86,11 @@ Invariants (the differential suite ``tests/test_staging_differential.py``
 holds them against the instruction-at-a-time loop kept in
 ``tests/oracle_interpreter.py``):
 
-* **Flush points.** ``c`` reaches ``interp.cycles`` exactly where the
+* **Flush points.** ``c`` reaches the cycle count exactly where the
   loop flushed its local count: before ``CALL``, ``MAP``, ``REDUCE``
   and ``GRAPH_START`` hand control to other code (each including its
-  own cost) and at ``RET``/``RETV``/falling off the end. Hence
+  own cost) and at ``RET``/``RETV``/falling off the end. Each block
+  keeps its pre-summed charge on the same edges. Hence
   ``interp.cycles``, ``method_stats`` and per-work-item cycle counts
   are bit-exact, and an operation that raises loses precisely the
   cycles accumulated since the last flush.
@@ -93,6 +114,7 @@ import weakref
 from typing import NamedTuple
 
 from repro.backends.bytecode import isa
+from repro.backends.bytecode.structure import Graph, Node, structured
 from repro.errors import DeviceError
 from repro.ir import ops
 from repro.values import MutableArray, ValueArray
@@ -120,6 +142,24 @@ def _check_map_lengths(map_args, broadcast):
         )
 
 
+def _overflow():
+    raise DeviceError("stack overflow (recursion too deep)")
+
+
+def _settle(stats, name, calls, cycles):
+    """Add a launch's tally of an inlined callee to ``method_stats``."""
+    entry = stats.get(name)
+    if entry is None:
+        stats[name] = [calls, cycles]
+    else:
+        entry[0] += calls
+        entry[1] += cycles
+
+
+#: What a launch's cached argument ``pN`` holds before its first item.
+_UNSET = object()
+
+
 def _unknown_intrinsic(name):
     kind = "math intrinsic" if name.startswith("Math.") else "intrinsic"
     raise DeviceError(f"unknown {kind} {name!r}")
@@ -141,6 +181,9 @@ _GLOBALS = {
     "float32_cell": ops.float32_cell,
     "_check_map_lengths": _check_map_lengths,
     "_out_of_bounds": _out_of_bounds,
+    "_overflow": _overflow,
+    "_settle": _settle,
+    "_UNSET": _UNSET,
     "_unknown_intrinsic": _unknown_intrinsic,
 }
 
@@ -166,15 +209,18 @@ class _Value:
     ``atom`` entries are a bare name or literal and may be used any
     number of times; the others are pure, total expressions evaluated
     exactly once, at their use. ``reads`` holds the local slots the
-    text reads, ``nesting`` how many templates deep it is."""
+    text reads, ``nesting`` how many templates deep it is; ``value`` is
+    the constant an ``int`` literal stands for."""
 
-    __slots__ = ("text", "atom", "reads", "nesting")
+    __slots__ = ("text", "atom", "reads", "nesting", "value")
 
-    def __init__(self, text, atom=True, reads=frozenset(), nesting=0):
+    def __init__(self, text, atom=True, reads=frozenset(), nesting=0,
+                 value=None):
         self.text = text
         self.atom = atom
         self.reads = reads
         self.nesting = nesting
+        self.value = value
 
 
 def _literal(value):
@@ -194,11 +240,14 @@ def _literal(value):
 
 
 class Translation:
-    """One function translated, once per program object: its blocks,
-    ``consts`` (what the ``k*`` names bind) and what its prologue needs.
-    Each name it invents (``l*``, ``t*``, ``s*``, ``a*``, ``k*``, ``c``,
-    ``pc``) carries a NUL mark, which no ``repr()`` emits; :meth:`body`
-    renders it under a name prefix. Nothing writes it after this."""
+    """One function translated, once per program object: its nodes (the
+    block graph, split at each side exit), ``consts`` (what the ``k*``
+    names bind) and what its prologue needs. Each name it invents
+    (``l*``, ``t*``, ``s*``, ``a*``, ``n*``, ``p*``, ``x*``, ``k*``,
+    ``c``) carries a NUL mark, which no ``repr()`` emits; rendering
+    (:meth:`body`) puts a name prefix there. The structured form of each
+    of its two renderings — a function of its own, or a body inlined
+    into a launch — is made on first use and kept."""
 
     def __init__(self, function: isa.CompiledFunction):
         self.function = function
@@ -207,39 +256,43 @@ class Translation:
             operand for op, operand in self.code if op in _JUMPS
         }
         stored = {operand for op, operand in self.code if op == isa.STORE}
-        # Parameter slots never stored: their array storage can be
-        # resolved once per call (``a*``); ``resolved`` are those an
-        # ALOAD or LEN reads.
+        # Parameter slots never stored: their array storage and length
+        # can be resolved once (``a*``, ``n*``); ``resolved`` are those
+        # an ALOAD, ASTORE or LEN reads.
         self.fixed = set(range(function.num_params)) - stored
         self.resolved: set = set()
         self.consts: list = []
-        self.blocks: dict = {}      # leader -> [(indent, text | marker)]
+        self.nodes: dict = {}       # pc -> Node
         self.entry_depth = {0: 0}
         self.temps = 0
-        self.binds_call = False
+        self.sites = 0              # CALL instructions translated
+        self.calls: list = []       # (callee, nargs) per CALL
+        self.leaves = False         # a MAP, REDUCE or GRAPH_START
+        self.counts = False         # some run adds to ``c``
         self.rounds = False         # uses the binary32 cell ``_f``
-        # Per-block state.
+        # Per-node state.
         self.lines: list = []
         self.stack: list = []
         self.pending = 0            # static cycles not yet added to ``c``
         work = [0]
         while work:
             leader = work.pop()
-            if leader in self.blocks:
+            if leader in self.nodes:
                 continue
             known = set(self.entry_depth)
             self.translate_block(leader)
             work.extend(set(self.entry_depth) - known)
-        self.loops = any(
-            text[0] == "goto"
-            for lines in self.blocks.values() for _, text in lines
-            if isinstance(text, tuple)
-        )
+        self.graph = Graph(self.nodes, function.qualified_name)
+        self.shapes: dict = {}
 
     # -- emission helpers ---------------------------------------------------
 
     def emit(self, text, indent=0):
         self.lines.append((indent, text))
+
+    def add_cycles(self, amount, indent=0):
+        self.counts = True
+        self.emit(f"\0c += {amount}", indent)
 
     def const(self, value) -> str:
         text = _literal(value)
@@ -248,10 +301,14 @@ class Translation:
             self.consts.append(value)
         return text
 
-    def temp(self, text: str) -> _Value:
-        """Evaluate ``text`` here, into a fresh single-assignment name."""
+    def temp_name(self) -> str:
         name = f"\0t{self.temps}"
         self.temps += 1
+        return name
+
+    def temp(self, text: str) -> _Value:
+        """Evaluate ``text`` here, into a fresh single-assignment name."""
+        name = self.temp_name()
         self.emit(f"{name} = {text}")
         return _Value(name)
 
@@ -295,34 +352,31 @@ class Translation:
         value = self.stack.pop()
         return value.text if value.atom else self.temp(value.text).text
 
-    def pop_args(self, count: int) -> str:
-        if not count:
-            return "[]"
-        values = self.stack[-count:]
-        del self.stack[-count:]
-        return "[" + ", ".join(v.text for v in values) + "]"
+    def pop_values(self, count: int) -> list:
+        values = self.stack[len(self.stack) - count:]
+        del self.stack[len(self.stack) - count:]
+        return [v.text for v in values]
 
     def storage(self, value: _Value):
-        """``aN`` if ``value`` is parameter N and N is never stored (its
-        array storage is resolved once per call), else None."""
+        """Parameter N if ``value`` is it and N is never stored (its
+        array storage ``aN`` and length ``nN`` are resolved once), else
+        None."""
         if value.atom and value.reads:     # a LOAD
             (slot,) = value.reads
             if slot in self.fixed:
                 self.resolved.add(slot)
-                return f"\0a{slot}"
+                return slot
         return None
 
     def flush(self, returning=False):
-        """Hand the unflushed cycles to ``interp.cycles``."""
-        extra = f" + {self.pending}" if self.pending else ""
-        self.emit(f"interp.cycles += \0c{extra}")
+        """Hand the unflushed cycles to the cycle count (a marker: the
+        count is ``interp.cycles`` in a function, a local in a launch)."""
+        self.emit(("flush", self.pending, returning))
         self.pending = 0
-        if not returning:
-            self.emit("\0c = 0")
 
-    def transfer(self, target: int, indent=0):
-        """Leave the block for ``target``: operand stack into ``s*``,
-        pending cycles into ``c``, then jump."""
+    def transfer(self, target: int) -> tuple:
+        """The edge leaving for ``target``: operand stack into ``s*``,
+        pending cycles into ``c``."""
         depth = len(self.stack)
         known = self.entry_depth.setdefault(target, depth)
         if known != depth:
@@ -335,18 +389,20 @@ class Translation:
             for i, value in enumerate(self.stack)
             if value.text != f"\0s{i}"
         ]
+        lines = []
         if moves:
-            self.emit(
-                ", ".join(name for name, _ in moves)
-                + " = "
-                + ", ".join(text for _, text in moves),
-                indent,
-            )
+            lines.append((0, ", ".join(name for name, _ in moves)
+                          + " = " + ", ".join(text for _, text in moves)))
         if self.pending:
-            self.emit(f"\0c += {self.pending}", indent)
-        self.lines.append((indent, ("goto", target)))
+            self.counts = True
+            lines.append((0, f"\0c += {self.pending}"))
+        return lines, target
 
     # -- one block ----------------------------------------------------------
+
+    def close(self, start: int, term):
+        self.nodes[start] = Node(self.lines, term, start in self.leaders)
+        self.lines = []
 
     def translate_block(self, leader: int):
         self.lines = []
@@ -354,30 +410,43 @@ class Translation:
             _Value(f"\0s{i}") for i in range(self.entry_depth[leader])
         ]
         self.pending = 0
-        pc = leader
+        start = pc = leader
         n = len(self.code)
         while True:
             if pc >= n:
                 # Fell off the end of a void function body.
                 self.flush(returning=True)
-                self.lines.append((0, ("return", "None")))
-                break
+                self.close(start, ("return", "None"))
+                return
             op, operand = self.code[pc]
             pc += 1
             self.pending += isa.CYCLE_COST.get(op, 0)
             if op == isa.JMP:
-                self.transfer(operand)
-                break
+                self.close(start, ("goto", self.transfer(operand)))
+                return
             if op in _RETURNS:
                 value = self.pop().text if op == isa.RETV else "None"
                 self.flush(returning=True)
-                self.lines.append((0, ("return", value)))
-                break
+                self.close(start, ("return", value))
+                return
+            if op in (isa.JZ, isa.JNZ):
+                # A side exit: the rest of the block is a node of its own
+                # (its pc is no jump target), reached only from here.
+                cond = self.pop().text
+                taken = self.transfer(operand)
+                rest = self.transfer(pc) if pc in self.leaders else ([], pc)
+                self.close(start, (
+                    "if", cond, *((rest, taken) if op == isa.JZ
+                                  else (taken, rest))
+                ))
+                if pc in self.leaders:
+                    return
+                start = pc
+                continue
             self.instruction(op, operand)
             if pc in self.leaders:
-                self.transfer(pc)
-                break
-        self.blocks[leader] = self.lines
+                self.close(start, ("goto", self.transfer(pc)))
+                return
 
     def instruction(self, op, operand):
         emit, push, pop = self.emit, self.push, self.pop
@@ -386,7 +455,8 @@ class Translation:
         if op == isa.LOAD:
             push(_Value(f"\0l{operand}", True, frozenset((operand,))))
         elif op == isa.CONST:
-            push(_Value(self.const(operand)))
+            number = operand if operand.__class__ is int else None
+            push(_Value(self.const(operand), value=number))
         elif op == isa.STORE:
             value = pop()
             self.spill(reading=operand)
@@ -396,6 +466,14 @@ class Translation:
             left = pop()
             bop, typename = operand
             self.pending += isa.BINOP_EXTRA.get(operand, 0)
+            if right.value and bop in ("/", "%") and typename in (
+                "int", "long"
+            ):
+                # A nonzero constant divisor: the quotient is total.
+                self.push_parts(ops.constant_division_parts(
+                    bop, typename, left.text, right.value
+                ), left)
+                return
             parts = ops.binary_parts(bop, typename, left.text, right.text)
             if ops.binary_can_raise(bop, typename):
                 push(self.temp(parts[0]))
@@ -408,44 +486,48 @@ class Translation:
         elif op == isa.CAST:
             value = pop()
             self.push_parts(ops.cast_parts(operand, value.text), value)
-        elif op in (isa.JZ, isa.JNZ):
-            cond = pop().text
-            emit(f"if not {cond}:" if op == isa.JZ else f"if {cond}:")
-            self.transfer(operand, indent=1)
         elif op == isa.ALOAD:
             index = self.pop_atom()
-            storage = self.storage(self.stack[-1])
+            slot = self.storage(self.stack[-1])
             array = self.pop_atom()
-            if storage is None:
-                storage = "_a"
+            if slot is None:
+                storage, length = "_a", "len(_a)"
                 emit("try:")
                 emit(f"_a = {array}._items", 1)
                 emit("except AttributeError:")
                 emit(f"_a = {array}", 1)
-            emit(f"if not 0 <= {index} < len({storage}):")
+            else:
+                storage, length = f"\0a{slot}", f"\0n{slot}"
+            emit(f"if not 0 <= {index} < {length}:")
             emit(f"_out_of_bounds({index}, {array})", 1)
             push(self.temp(f"{storage}[{index}]"))
         elif op == isa.ASTORE:
             value = pop().text
             index = self.pop_atom()
+            slot = self.storage(self.stack[-1])
             array = self.pop_atom()
-            emit(f"if not 0 <= {index} < len({array}):")
+            length = f"len({array})" if slot is None else f"\0n{slot}"
+            emit(f"if not 0 <= {index} < {length}:")
             emit(f"_out_of_bounds({index}, {array})", 1)
             emit(f"{array}[{index}] = {value}")
         elif op == isa.LEN:
-            # A statement: len() of a non-array raises.
             value = pop()
-            push(self.temp(f"len({self.storage(value) or value.text})"))
+            slot = self.storage(value)
+            if slot is None:
+                # A statement: len() of a non-array raises.
+                push(self.temp(f"len({value.text})"))
+            else:
+                push(_Value(f"\0n{slot}"))
         elif op == isa.NEWARRAY:
             length = self.pop_atom()
             emit(f"if {length} > 0:")
-            emit(f"\0c += {length}", 1)
+            self.add_cycles(length, 1)
             push(self.temp(
                 f"MutableArray.allocate({self.const(operand)}, {length})"
             ))
         elif op == isa.FREEZE:
             array = self.pop_atom()
-            emit(f"\0c += len({array})")
+            self.add_cycles(f"len({array})")
             push(self.temp(f"{array}.freeze()"))
         elif op == isa.POP:
             pop()
@@ -456,14 +538,14 @@ class Translation:
             push(top)
         elif op == isa.CALL:
             callee, nargs, returns = operand
-            call_args = self.pop_args(nargs)
+            args = self.pop_values(nargs)
             self.flush()
-            self.binds_call = True
-            text = f"call({callee!r}, {call_args})"
+            target = self.temp_name() if returns else None
+            emit(("call", self.sites, callee, args, target))
+            self.sites += 1
+            self.calls.append((callee, nargs))
             if returns:
-                push(self.temp(text))
-            else:
-                emit(text)
+                push(_Value(target))
         elif op == isa.INTRINSIC:
             self.intrinsic(*operand)
         elif op == isa.GETFIELD:
@@ -484,11 +566,13 @@ class Translation:
             push(self.temp(f"{pop().text}.freeze()"))
         elif op == isa.MAP:
             method, nargs, elem_kind, broadcast = operand
-            map_args = self.temp(self.pop_args(nargs)).text
+            map_args = self.temp(
+                "[" + ", ".join(self.pop_values(nargs)) + "]"
+            ).text
             broadcast = self.const(tuple(broadcast))
             emit(f"_check_map_lengths({map_args}, {broadcast})")
             self.flush()
-            push(self.temp(
+            self.leave(push, (
                 f"ValueArray({self.const(elem_kind)}, "
                 f"interp.services.execute_map("
                 f"{method!r}, {map_args}, {broadcast}, interp))"
@@ -496,8 +580,9 @@ class Translation:
         elif op == isa.REDUCE:
             array = pop().text
             self.flush()
-            push(self.temp(
-                f"interp.services.execute_reduce({operand!r}, {array}, interp)"
+            self.leave(push, (
+                f"interp.services.execute_reduce({operand!r}, {array}, "
+                f"interp)"
             ))
         elif op == isa.MKSOURCE:
             rate, task_id = operand
@@ -526,12 +611,23 @@ class Translation:
             blocking, graph_id = operand
             graph = pop().text
             self.flush()
-            emit(
+            self.leave(None, (
                 f"interp.services.graph_start({graph}, {blocking!r}, "
                 f"{self.const(graph_id)}, interp)"
-            )
+            ))
         else:
             raise DeviceError(f"unknown opcode {op!r}")
+
+    def leave(self, push, text: str):
+        """A statement that hands control to other code (a marker: a
+        launch syncs its cycle count around it); ``push`` its value."""
+        self.leaves = True
+        if push is None:
+            self.emit(("leave", text))
+            return
+        name = self.temp_name()
+        self.emit(("leave", f"{name} = {text}"))
+        push(_Value(name))
 
     def intrinsic(self, name: str, nargs: int, returns: bool):
         self.pending += isa.INTRINSIC_COST.get(name, 5)
@@ -554,25 +650,72 @@ class Translation:
             if returns:
                 self.push(_Value("None"))
 
+    # -- the structured form ------------------------------------------------
+
+    def shape(self, inline: bool) -> list:
+        """The function as ``[(indent, text | marker)]``: ``while True:``
+        per natural loop, ``if``/``else`` per branch. ``inline``: a
+        return assigns the body's result (a ``("result", X)`` marker)
+        and leaves for the end of the body."""
+        shape = self.shapes.get(inline)
+        if shape is None:
+            shape = self.shapes[inline] = structured(self.graph, inline)
+        return shape
+
     # -- rendering ----------------------------------------------------------
 
-    def body(self, prefix: str, params, indent: int, result=None) -> list:
+    def body(self, prefix: str, params, indent: int, result=None,
+             render=None) -> list:
         """The function's statements, at ``indent``, with ``prefix`` on
         every name it invented.
 
         ``params`` binds the parameter slots: the text of an argument
         sequence to unpack, or a list of one text per parameter. With
-        ``result`` a return assigns its value to that name (and leaves
-        the ``pc`` loop) instead of returning it: the body inlined into
-        a launch."""
+        ``result`` a return assigns its value to that name instead of
+        returning it: the body inlined into a launch, whose
+        :class:`_Render` (``render``) it reports its needs to and which
+        may inline its callees."""
+        if render is None:
+            render = _Render(launch=result is not None)
+        return render.body(self, prefix, params, indent, result)
+
+
+# --- rendering ----------------------------------------------------------------
+
+
+class _Render:
+    """One generated function being written: the bodies it holds, under
+    their prefixes, and what its head must bind for them.
+
+    ``launch``: the cycle count is the launch's local ``cy``; a statement
+    that hands control to other code writes it to ``interp.cycles``
+    first and reads it back after. With a ``lookup`` (qualified name ->
+    ``Translation`` or None) a ``CALL`` of a callee that is not
+    recursive and never hands control on is inlined too."""
+
+    def __init__(self, launch=False, lookup=None):
+        self.launch = launch
+        self.lookup = lookup
+        self.named: list = []       # (prefix, translation): its k* names
+        self.binds_call = False
+        self.rounds = False
+        self.prologue: list = []    # launch-level statements
+        self.callees: dict = {}     # qualified -> accumulator name
+        self.levels: set = set()    # inline depths below a kernel
+        self.stack: list = []       # qualified names being rendered
+        self.closed: dict = {}      # qualified -> may be inlined
+
+    def body(self, translation, prefix, params, indent, result):
         p, pad = prefix, "    " * indent
-        function = self.function
+        function = translation.function
+        self.named.append((p, translation))
+        self.rounds = self.rounds or translation.rounds
         slots = [f"{p}l{i}" for i in range(function.num_params)]
         out = []
         if isinstance(params, str):
             if slots:
                 out.append(f"{pad}{''.join(s + ', ' for s in slots)}= {params}")
-        else:
+        elif slots:
             out.append(f"{pad}{', '.join(slots)} = {', '.join(params)}")
         if function.num_locals > function.num_params:
             names = " = ".join(
@@ -580,74 +723,185 @@ class Translation:
                 for i in range(function.num_params, function.num_locals)
             )
             out.append(f"{pad}{names} = None")
-        for slot in sorted(self.resolved):
-            out += [
-                f"{pad}try:",
-                f"{pad}    {p}a{slot} = {p}l{slot}._items",
-                f"{pad}except AttributeError:",
-                f"{pad}    {p}a{slot} = {p}l{slot}",
+        for slot in sorted(translation.resolved):
+            resolve = [
+                "try:",
+                f"    {p}a{slot} = {p}l{slot}._items",
+                "except AttributeError:",
+                f"    {p}a{slot} = {p}l{slot}",
+                f"{p}n{slot} = len({p}a{slot})",
             ]
-        out.append(f"{pad}{p}c = 0")
-        if not self.loops:
-            self.render_block(p, 0, indent, out, result)
-        else:
-            out.append(f"{pad}{p}pc = 0")
-            out.append(f"{pad}while True:")
-            self.render_tree(p, sorted(self.blocks), indent + 1, out, result)
+            if self.launch:
+                # Once per launch for an argument every item shares.
+                self.prologue.append(f"{p}p{slot} = _UNSET")
+                resolve = [
+                    f"if {p}l{slot} is not {p}p{slot}:",
+                    *("    " + line for line in resolve),
+                    f"    {p}p{slot} = {p}l{slot}",
+                ]
+            out += [pad + line for line in resolve]
+        if translation.counts:
+            out.append(f"{pad}{p}c = 0")
+        self.stack.append(function.qualified_name)
+        for extra, item in translation.shape(result is not None):
+            self.item(translation, p, indent + extra, item, result, out)
+        self.stack.pop()
         return out
 
-    def render_tree(self, p: str, leaders: list, indent: int, out, result):
-        """Binary search on ``pc`` down to one block per leaf."""
-        if len(leaders) == 1:
-            self.render_block(p, leaders[0], indent, out, result)
-            return
-        middle = len(leaders) // 2
+    def item(self, translation, p, indent, item, result, out):
         pad = "    " * indent
-        out.append(f"{pad}if {p}pc < {leaders[middle]}:")
-        self.render_tree(p, leaders[:middle], indent + 1, out, result)
-        out.append(f"{pad}else:")
-        self.render_tree(p, leaders[middle:], indent + 1, out, result)
+        if isinstance(item, str):
+            out.append(pad + item.replace("\0", p))
+            return
+        kind = item[0]
+        if kind == "result":
+            out.append(f"{pad}{result} = " + item[1].replace("\0", p))
+        elif kind == "flush":
+            _, pending, returning = item
+            count = "cy" if self.launch else "interp.cycles"
+            if translation.counts:
+                extra = f" + {pending}" if pending else ""
+                out.append(f"{pad}{count} += {p}c{extra}")
+                if not returning:
+                    out.append(f"{pad}{p}c = 0")
+            elif pending:
+                out.append(f"{pad}{count} += {pending}")
+        elif kind == "leave":
+            self.leave(item[1].replace("\0", p), pad, out)
+        else:
+            _, site, callee, args, target = item
+            args = [arg.replace("\0", p) for arg in args]
+            target = target and target.replace("\0", p)
+            callee_translation = self.inlinable(callee, len(args))
+            if callee_translation is not None:
+                self.inline(callee_translation, f"{p}i{site}_", args,
+                            target or "_", indent, out)
+                return
+            self.binds_call = True
+            text = f"call({callee!r}, [{', '.join(args)}])"
+            self.leave(text if target is None else f"{target} = {text}",
+                       pad, out)
 
-    def render_block(self, p: str, leader: int, indent: int, out, result):
-        out.append(f"{'    ' * indent}# pc {leader}")
-        for extra, text in self.blocks[leader]:
-            pad = "    " * (indent + extra)
-            if not isinstance(text, tuple):
-                out.append(pad + text.replace("\0", p))
-            elif text[0] == "goto":
-                out.append(f"{pad}{p}pc = {text[1]}")
-                out.append(f"{pad}continue")
-            elif result is None:
-                out.append(f"{pad}return " + text[1].replace("\0", p))
-            else:
-                out.append(f"{pad}{result} = " + text[1].replace("\0", p))
-                if self.loops:
-                    out.append(f"{pad}break")
+    def leave(self, text, pad, out):
+        if not self.launch:
+            out.append(pad + text)
+            return
+        out += [
+            f"{pad}interp.cycles = cy",
+            f"{pad}try:",
+            f"{pad}    {text}",
+            f"{pad}finally:",
+            f"{pad}    cy = interp.cycles",
+        ]
 
+    # -- inlined callees ----------------------------------------------------
 
-def _head(named) -> tuple:
-    """``(defaults, consts, shared)`` of a generated function over the
-    ``(prefix, translation)`` pairs ``named``: the ``k*`` default
-    arguments binding ``_k``, the list they index, and the statements
-    binding what every body shares — ``call`` and the binary32 cell
-    ``_f``."""
-    defaults, consts = [], []
-    for prefix, translation in named:
-        for i, value in enumerate(translation.consts):
-            defaults.append(f", {prefix}k{i}=_k[{len(consts)}]")
-            consts.append(value)
-    shared = []
-    if any(translation.binds_call for _, translation in named):
-        shared.append("    call = interp.call")
-    if any(translation.rounds for _, translation in named):
-        shared.append("    _f = float32_cell()")
-    return "".join(defaults), consts, shared
+    def callee(self, qualified, nargs):
+        """The translation of ``qualified`` if it takes ``nargs``
+        arguments, else None."""
+        translation = self.lookup(qualified)
+        if translation is None or translation.function.num_params != nargs:
+            return None
+        return translation
+
+    def inlinable(self, qualified, nargs):
+        """The callee's translation if a launch inlines this call."""
+        if self.lookup is None:
+            return None
+        translation = self.callee(qualified, nargs)
+        if translation is None or not self.is_closed(translation, set()):
+            return None
+        return translation
+
+    def is_closed(self, translation, visiting) -> bool:
+        """Not recursive, and nothing in it hands control to code the
+        launch does not hold (a call left a call, MAP, REDUCE or
+        GRAPH_START): it runs at one depth, on the launch's count."""
+        qualified = translation.function.qualified_name
+        known = self.closed.get(qualified)
+        if known is not None:
+            return known
+        if qualified in visiting:
+            return False
+        visiting.add(qualified)
+        closed = not translation.leaves and all(
+            (callee := self.callee(name, nargs)) is not None
+            and self.is_closed(callee, visiting)
+            for name, nargs in translation.calls
+        )
+        visiting.discard(qualified)
+        self.closed[qualified] = closed
+        return closed
+
+    def inline(self, translation, prefix, args, target, indent, out):
+        """A callee's body in place of ``Interpreter.call``: its depth
+        test (made once per launch: ``oN``), frame and ``method_stats``
+        entry, kept in the launch's locals ``qN*``."""
+        pad = "    " * indent
+        level = len(self.stack)
+        self.levels.add(level)
+        name = translation.function.qualified_name
+        q = self.callees.get(name)
+        if q is None:
+            q = self.callees[name] = f"q{len(self.callees)}"
+            self.prologue.append(f"{q}_n = {q}_s = 0")
+            self.prologue.append(f"{q}_b = None")
+        out += [
+            f"{pad}if o{level}:",
+            f"{pad}    _overflow()",
+            f"{pad}cy += {FRAME_CYCLES}",
+            f"{pad}{q}_n += 1",
+            f"{pad}{q}_b = cy",
+            f"{pad}# {name}",
+        ]
+        out += self.body(translation, prefix, args, indent, target)
+        out += [
+            f"{pad}{q}_s += cy - {q}_b",
+            f"{pad}{q}_b = None",
+        ]
+
+    # -- the generated function's head and tail -----------------------------
+
+    def head(self) -> tuple:
+        """``(defaults, consts, shared)``: the ``k*`` default arguments
+        binding ``_k``, the list they index, and the statements binding
+        what the bodies share — ``call``, the binary32 cell ``_f`` and,
+        in a launch, the depth flags, callee tallies and resolved
+        arguments."""
+        defaults, consts = [], []
+        for prefix, translation in self.named:
+            for i, value in enumerate(translation.consts):
+                defaults.append(f", {prefix}k{i}=_k[{len(consts)}]")
+                consts.append(value)
+        shared = []
+        if self.binds_call:
+            shared.append("    call = interp.call")
+        if self.rounds:
+            shared.append("    _f = float32_cell()")
+        if self.levels:
+            shared.append("    deep = interp.max_call_depth - interp._depth")
+            shared += [f"    o{n} = {n} > deep" for n in sorted(self.levels)]
+        shared += ["    " + line for line in self.prologue]
+        return "".join(defaults), consts, shared
+
+    def settle(self) -> list:
+        """The ``finally`` lines that add each inlined callee's tally."""
+        out = []
+        for name, q in self.callees.items():
+            out += [
+                f"        if {q}_b is not None:",
+                f"            {q}_s += cy - {q}_b",
+                f"        if {q}_n:",
+                f"            _settle(stats, {name!r}, {q}_n, {q}_s)",
+            ]
+        return out
 
 
 def _function_text(translation: Translation) -> tuple:
-    defaults, consts, shared = _head([("", translation)])
-    out = [f"def _staged(interp, args{defaults}):", *shared]
-    out += translation.body("", "args", 1)
+    render = _Render()
+    body = render.body(translation, "", "args", 1, None)
+    defaults, consts, shared = render.head()
+    out = [f"def _staged(interp, args{defaults}):", *shared, *body]
     return "\n".join(out) + "\n", consts
 
 
@@ -680,78 +934,84 @@ def _compile(source: str, filename: str, consts: list) -> dict:
 # --- launches ---------------------------------------------------------------
 
 #: Per-invocation frame cost, charged by ``Interpreter.call`` and, for
-#: every work-item it runs, by a staged launch.
+#: every work-item it runs and every callee it inlines, by a launch.
 FRAME_CYCLES = 12
 
 
-def _launch_text(kind: str, translations) -> tuple:
+def _launch_text(kind: str, translations, lookup=None) -> tuple:
     frame = FRAME_CYCLES
-    named = [(f"m{m}_", t) for m, t in enumerate(translations)]
+    render = _Render(launch=True, lookup=lookup)
     methods = [t.function.qualified_name for t in translations]
-    defaults, consts, shared = _head(named)
     if kind == "reduce":
+        loop = [
+            "        for item in items:",
+            "            k += 1",
+            f"            cy += {frame}",
+            f"            # {methods[0]}",
+            *render.body(translations[0], "m0_", ["acc", "item"], 3, "acc"),
+        ]
+        defaults, consts, shared = render.head()
         out = [
             f"def _launch(interp, acc, items{defaults}):",
             "    stats = interp.method_stats",
-            "    start = interp.cycles",
+            "    cy = start = interp.cycles",
             "    k = 0",
             *shared,
             "    try:",
-            "        for item in items:",
-            "            k += 1",
-            f"            interp.cycles += {frame}",
-            f"            # {methods[0]}",
-            *translations[0].body("m0_", ["acc", "item"], 3, "acc"),
+            *loop,
             "    finally:",
+            "        interp.cycles = cy",
             f"        st = stats[{methods[0]!r}]",
             "        st[0] += k",
-            f"        st[1] += interp.cycles - start - {frame} * k",
+            f"        st[1] += cy - start - {frame} * k",
+            *render.settle(),
             "    return acc",
         ]
         return "\n".join(out) + "\n", consts
     last = len(methods) - 1
     sums = [f"s{m}" for m in range(last)]
+    loop = [
+        "        for args in items:",
+        "            k += 1",
+        "            i = cy",
+    ]
+    for m, translation in enumerate(translations):
+        since, params = ("i", "args") if m == 0 else ("e", ["v"])
+        if last:
+            loop.append(f"            cy = b = {since} + {frame}")
+            loop.append(f"            j = {m}")
+        else:
+            loop.append(f"            cy += {frame}")
+        loop.append(f"            # {methods[m]}")
+        loop += render.body(translation, f"m{m}_", params, 3, "v")
+        if m < last:
+            loop.append("            e = cy")
+            loop.append(f"            s{m} += e - b")
+    loop += [
+        "            append(v)",
+        "            if record is not None:",
+        "                record(cy - i)",
+    ]
+    defaults, consts, shared = render.head()
     out = [
         f"def _launch(interp, items, out, record{defaults}):",
         "    stats = interp.method_stats",
         "    append = out.append",
-        "    start = interp.cycles",
+        "    cy = start = interp.cycles",
         "    k = 0",
     ]
     if last:
         out.append(f"    j = {last}")
         out.append(f"    {' = '.join(sums)} = 0")
     out += shared
-    out += [
-        "    try:",
-        "        for args in items:",
-        "            k += 1",
-        "            i = interp.cycles",
-    ]
-    for m, (prefix, translation) in enumerate(named):
-        since, params = ("i", "args") if m == 0 else ("e", ["v"])
-        if last:
-            out.append(f"            interp.cycles = b = {since} + {frame}")
-            out.append(f"            j = {m}")
-        else:
-            out.append(f"            interp.cycles = i + {frame}")
-        out.append(f"            # {methods[m]}")
-        out += translation.body(prefix, params, 3, "v")
-        if m < last:
-            out.append("            e = interp.cycles")
-            out.append(f"            s{m} += e - b")
-    out += [
-        "            append(v)",
-        "            if record is not None:",
-        "                record(interp.cycles - i)",
-    ]
+    out += ["    try:", *loop]
     if last:
         out.append("    except BaseException:")
         for m in range(last):
             out.append(f"        {'el' if m else ''}if j == {m}:")
-            out.append(f"            s{m} += interp.cycles - b")
+            out.append(f"            s{m} += cy - b")
         out.append("        raise")
-    out.append("    finally:")
+    out += ["    finally:", "        interp.cycles = cy"]
     calls = ["k"] + [f"n{m}" for m in range(1, last + 1)]
     for m in range(1, last + 1):
         out.append(f"        n{m} = k - (j < {m})")
@@ -763,15 +1023,15 @@ def _launch_text(kind: str, translations) -> tuple:
     frames = " + ".join(calls)
     frames = f"({frames})" if last else frames
     rest = "".join(f" - {s}" for s in sums)
-    out.append(
-        f"        st[1] += interp.cycles - start - {frame} * {frames}{rest}"
-    )
+    out.append(f"        st[1] += cy - start - {frame} * {frames}{rest}")
+    out += render.settle()
     return "\n".join(out) + "\n", consts
 
 
-def launch_source(kind: str, functions) -> str:
+def launch_source(kind: str, functions, program=None) -> str:
     """The Python text :func:`stage_launch` compiles for a launch of
-    ``functions`` (``CompiledFunction``s, translated afresh).
+    ``functions`` (``CompiledFunction``s, translated afresh; their
+    callees looked up in ``program``, if given).
 
     ``kind`` ``"map"`` or ``"filter"``: ``_launch(interp, items, out,
     record)`` runs each argument tuple of ``items`` through the chain
@@ -782,24 +1042,48 @@ def launch_source(kind: str, functions) -> str:
 
     Each method's body is inlined in the work-item loop, rendered under
     the name prefix ``m0_``, ``m1_``, ...; its ``return X`` becomes
-    ``v = X`` (a reduce: ``acc = X``) plus a ``break`` out of its ``pc``
-    loop. Each work-item is charged its frames (``FRAME_CYCLES``) as
+    ``v = X`` (a reduce: ``acc = X``). A callee that is not recursive
+    and hands control to no other code is inlined in turn, under its
+    caller's prefix plus ``i<site>_``. The cycle count is the local
+    ``cy``: it is written to ``interp.cycles`` before a statement that
+    hands control on (and read back after) and in the ``finally``. Each
+    work-item is charged its frames (``FRAME_CYCLES``) as
     ``Interpreter.call`` charges them; the ``method_stats`` entries are
-    settled once, in a ``finally``, from counts and cycle sums kept in
+    settled once, in the ``finally``, from counts and cycle sums kept in
     locals. Of a chain, only the methods before the last keep their own
     sums ``s*`` (the last one's is what remains of the total) and only
     they need ``j``, the method in flight, to settle a raise in their
     body: each method up to ``j`` ran ``k`` times, each after it
-    ``k - 1``. The caller holds ``interp._depth`` one deeper for the
-    whole loop."""
-    return _launch_text(kind, [Translation(f) for f in functions])[0]
+    ``k - 1``. An inlined callee's calls and cycles are ``qN_n`` and
+    ``qN_s``; ``qN_b``, the count when it was entered, is None unless
+    it is in flight. The
+    caller holds ``interp._depth`` one deeper for the whole loop."""
+    lookup = None
+    if program is not None:
+        translations: dict = {}
+
+        def lookup(qualified):
+            if qualified not in translations:
+                function = program.functions.get(qualified)
+                try:
+                    translations[qualified] = (
+                        None if function is None else Translation(function)
+                    )
+                except DeviceError:
+                    translations[qualified] = None
+            return translations[qualified]
+
+    return _launch_text(
+        kind, [Translation(f) for f in functions], lookup
+    )[0]
 
 
-def stage_launch(kind: str, translations):
+def stage_launch(kind: str, translations, lookup=None):
     """Compile the launch of the methods ``translations`` (the text
     :func:`launch_source` prints), registered with :mod:`linecache` as
-    ``<staged launch Q1|Q2>`` or ``<staged launch reduce Q>``."""
-    source, consts = _launch_text(kind, translations)
+    ``<staged launch Q1|Q2>`` or ``<staged launch reduce Q>``;
+    ``lookup`` gives a callee's translation (or None)."""
+    source, consts = _launch_text(kind, translations, lookup)
     methods = "|".join(t.function.qualified_name for t in translations)
     name = f"reduce {methods}" if kind == "reduce" else methods
     return _compile(source, f"<staged launch {name}>", consts)["_launch"]

@@ -196,6 +196,19 @@ def _itself(x) -> float:
     return float(x)  # floor/ceil of NaN or an infinity
 
 
+def _integral(fn):
+    """``Math.floor``/``Math.ceil``: a zero result keeps the sign of its
+    argument, as in Java (``Math.ceil(-0.5)`` is ``-0.0``)."""
+
+    def call(x):
+        try:
+            return math.copysign(fn(x), x)
+        except (ValueError, OverflowError):
+            return _itself(x)
+
+    return call
+
+
 # Double-valued Math.* functions, total over float-convertible input.
 _MATH_FUNCTIONS = {
     "Math.sqrt": _total(math.sqrt, _nan),
@@ -205,8 +218,8 @@ _MATH_FUNCTIONS = {
     "Math.cos": _total(math.cos, _nan),
     "Math.tan": _total(math.tan, _nan),
     "Math.pow": _total(math.pow, _pow_domain, _pow_overflow),
-    "Math.floor": _total(math.floor, _itself),
-    "Math.ceil": _total(math.ceil, _itself),
+    "Math.floor": _integral(math.floor),
+    "Math.ceil": _integral(math.ceil),
 }
 
 
@@ -340,6 +353,12 @@ _UNWRAPPED = {
     "&&": "(bool({a}) and bool({b}))",
     "||": "(bool({a}) or bool({b}))",
 }
+# Integer ``/`` and ``%`` by a nonzero constant ``m`` (its magnitude;
+# a negative divisor negates the quotient): total, so deferrable.
+_BY_CONSTANT = {
+    "/": "(_t // {m} if (_t := {a}) >= 0 else -(-_t // {m}))",
+    "%": "(_t % {m} if (_t := {a}) >= 0 else -(-_t % {m}))",
+}
 _UNARY = {"-": "(-{a})", "~": "(~{a})"}
 _CAST = {
     "int": "cast_int({a})",
@@ -392,6 +411,19 @@ def binary_parts(op: str, typename: str, a: str, b: str) -> "tuple[str, bool]":
     if template is None:
         raise DeviceError(f"unknown binary operator {op!r}")
     return template.format(a=a, b=b), False
+
+
+def constant_division_parts(
+    op: str, typename: str, a: str, divisor: int
+) -> "tuple[str, bool]":
+    """:func:`binary_parts` of an ``int``/``long`` ``a / divisor`` or
+    ``a % divisor`` whose divisor is a nonzero constant: the quotient
+    truncates toward zero and the remainder takes the dividend's sign,
+    as ``java_idiv``/``java_irem`` compute them, and nothing raises."""
+    text = _BY_CONSTANT[op].format(a=a, m=abs(divisor))
+    if op == "/" and divisor < 0:
+        text = f"(-{text})"
+    return _wrapped(text, typename)
 
 
 def unary_parts(op: str, typename: str, a: str) -> "tuple[str, bool]":

@@ -9,16 +9,22 @@ bit for bit.
 
 import itertools
 import math
+import struct
 
 import pytest
 
 from repro.ir.ops import INTRINSICS, apply_binary, apply_cast, apply_math
+from repro.backends.bytecode.compiler import compile_module
+from repro.backends.bytecode.interpreter import Interpreter
 from repro.compiler import CompileOptions, CompilerSession
 from repro.errors import DeviceError
 from repro.ir import optimizations
+from repro.ir.builder import build_ir
+from repro.lime.typecheck import analyze
 from repro.lime import types as ty
 from repro.runtime import Runtime, RuntimeConfig, SubstitutionPolicy
 from repro.values import KIND_FLOAT, ValueArray
+from tests.oracle_interpreter import OracleInterpreter
 
 SOURCE = """
 class F {
@@ -193,3 +199,58 @@ def test_integer_division_by_zero_still_raises_typed():
         apply_binary("/", 1, 0, "int")
     with pytest.raises(DeviceError, match="integer remainder by zero"):
         apply_binary("%", 1, 0, "long")
+
+
+# Math.floor/Math.ceil give a zero the sign of their argument, as Java
+# does: floor(-0.0), ceil(-0.0), ceil(-0.5) and ceil(-2.5e-300) are -0.0.
+ROUNDING = """
+class R {
+    static double fl(double x) { return Math.floor(x); }
+    static double ce(double x) { return Math.ceil(x); }
+    static double flNegZero() { return Math.floor(-0.0); }
+    static double ceNegZero() { return Math.ceil(-0.0); }
+    static double ceNegHalf() { return Math.ceil(-0.5); }
+    static double ceNegTiny() { return Math.ceil(-2.5e-300); }
+    static double flNegHalf() { return Math.floor(-0.5); }
+    static double flHalf() { return Math.floor(0.5); }
+}
+"""
+
+JAVA_ROUNDING = [
+    ("Math.floor", -0.0, -0.0),
+    ("Math.ceil", -0.0, -0.0),
+    ("Math.ceil", -0.5, -0.0),
+    ("Math.ceil", -2.5e-300, -0.0),
+    ("Math.floor", -0.5, -1.0),
+    ("Math.floor", 0.5, 0.0),
+    ("Math.ceil", 0.5, 1.0),
+    ("Math.floor", 0.0, 0.0),
+    ("Math.ceil", -7.25, -7.0),
+    ("Math.floor", -INF, -INF),
+]
+FOLDED = {
+    "R.flNegZero": -0.0, "R.ceNegZero": -0.0, "R.ceNegHalf": -0.0,
+    "R.ceNegTiny": -0.0, "R.flNegHalf": -1.0, "R.flHalf": 0.0,
+}
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("optimize", [True, False], ids=["opt", "noopt"])
+def test_floor_and_ceil_keep_the_sign_of_zero(optimize):
+    program = compile_module(
+        build_ir(analyze(ROUNDING), run_optimizations=optimize)
+    )
+    for name, x, want in JAVA_ROUNDING:
+        # The table: what the folder and the oracle evaluate through.
+        assert _bits(apply_math(name, [x])) == _bits(want), (name, x)
+        entry = "R.fl" if name == "Math.floor" else "R.ce"
+        for cls in (Interpreter, OracleInterpreter):
+            got = cls(program).call(entry, [x])
+            assert _bits(got) == _bits(want), (cls.__name__, name, x)
+    for entry, want in FOLDED.items():
+        for cls in (Interpreter, OracleInterpreter):
+            got = cls(program).call(entry, [])
+            assert _bits(got) == _bits(want), (cls.__name__, entry)

@@ -367,6 +367,27 @@ class L {
         return t[0] - t[2];
     }
     local static bit odd(int x) { return x % 2 == 1 ? bit.one : bit.zero; }
+    local static int viaInv(int x) { return L.inv(x) + 1; }
+    local static int late(int x) { return x > 2 ? L.half(x) : x; }
+    local static int quad(int x) { return L.twice(x) + 1; }
+    local static int lateQuad(int x) { return x > 2 ? L.twice(x) : x; }
+    local static int viaDeep(int n) { return L.deep(n) + 1; }
+    local static int seek(int x) {
+        int found = -1;
+        for (int i = 0; i < 50; i += 1) {
+            if (i * i == x) { return i; }
+            if (i * i > x) { found = i; break; }
+        }
+        return found * 100;
+    }
+    local static int pairAt(int x) {
+        for (int i = 0; i < 20; i += 1) {
+            for (int j = 0; j < 20; j += 1) {
+                if (i * j == x) { return i * 100 + j; }
+            }
+        }
+        return -1;
+    }
 }
 """
 
@@ -443,6 +464,29 @@ def _launched(cls, kind, methods, items, depth=400):
         # Two bound constants at the same index: m0_k0 a Kind (the new
         # array's), m1_k0 a Bit.
         ("filter", ["L.spread", "L.odd"], [3, 1, 6, 5, 4], 400, None),
+        # Inlined callees: one that raises (both methods' method_stats
+        # and the cycles lost), one only a later item reaches, under a
+        # depth that overflows there, one level and two levels deep, and
+        # a recursive one, which stays a call.
+        ("map", ["L.viaInv"], [(5,), (3,), (0,), (2,)], 400,
+         "integer division by zero"),
+        ("filter", ["L.viaInv", "L.viaInv"], [4, 1, -97, 2], 400,
+         "integer division by zero"),
+        ("map", ["L.late"], [(1,), (2,), (5,), (6,)], 400, None),
+        ("map", ["L.late"], [(1,), (2,), (5,), (6,)], 1,
+         "stack overflow (recursion too deep)"),
+        ("map", ["L.quad"], [(3,), (8,), (-11,)], 400, None),
+        ("map", ["L.lateQuad"], [(1,), (2,), (5,), (6,)], 2,
+         "stack overflow (recursion too deep)"),
+        ("map", ["L.lateQuad"], [(1,), (2,), (5,), (6,)], 3, None),
+        ("map", ["L.viaDeep"], [(3,), (5,), (0,)], 400, None),
+        ("map", ["L.viaDeep"], [(3,), (5,), (30,)], 20,
+         "stack overflow (recursion too deep)"),
+        # A loop left by a break and by a return; a return from a nested
+        # loop; both inlined in a launch and chained.
+        ("map", ["L.seek"], [(16,), (17,), (0,), (5000,)], 400, None),
+        ("map", ["L.pairAt"], [(0,), (12,), (361,), (1000,)], 400, None),
+        ("filter", ["L.pairAt", "L.seek"], [12, 7, 1000, 0], 400, None),
     ],
 )
 def test_launch_matches_oracle(kind, methods, items, depth, message):
@@ -700,6 +744,50 @@ def test_loop_back_to_pc_zero():
     assert _agree(program, [5]) == (0, 0)
 
 
+def test_a_loop_nothing_leaves_on_a_path_not_taken():
+    # if (l0 == 0) return 7; else loop forever: the loop has no exit.
+    program = _function(
+        [(isa.LOAD, 0), (isa.JZ, 3), (isa.JMP, 2), (isa.CONST, 7),
+         (isa.RETV, None)],
+        params=1,
+    )
+    assert _agree(program, [0]) == (7, 7)
+    outcomes = []
+    for interp in _both(program):
+        per_item = []
+        result = interp.launch("map", ["H.f"], [(0,), (0,)], per_item)
+        outcomes.append((result, per_item, _state(interp), interp._depth))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == [7, 7]
+
+
+def test_a_long_else_if_chain_stays_at_one_indentation():
+    # 150 arms: as nested else: blocks this passes Python's 100 levels.
+    arms = "".join(
+        f"{'else ' if i else ''}if (x == {i}) {{ r = {3 * i}; }}\n"
+        for i in range(150)
+    )
+    source = (
+        "class C { local static int f(int x) { int r = -1;\n"
+        + arms + "return r; } }"
+    )
+    for optimized in (True, False):
+        program = _compile(source, optimized)
+        text = program.staged_launch_source("map", ["C.f"])
+        assert text.count("elif ") == 149
+        staged, oracle = _both(program)
+        for x in (0, 1, 77, 149, 150, -4):
+            assert staged.call("C.f", [x]) == oracle.call("C.f", [x])
+        assert _state(staged) == _state(oracle)
+        items = [(x,) for x in (0, 77, 149, 150)]
+        outcomes = []
+        for interp in _both(program):
+            per_item = []
+            result = interp.launch("map", ["C.f"], items, per_item)
+            outcomes.append((result, per_item, _state(interp)))
+        assert outcomes[0] == outcomes[1]
+
+
 def test_unknown_opcode_is_a_device_error():
     program = _function([("FROB", None), (isa.RET, None)], params=0)
     with pytest.raises(DeviceError, match="unknown opcode 'FROB'"):
@@ -820,31 +908,120 @@ def test_a_stored_parameter_is_indexed_as_it_is_now():
     assert outcomes[0][0] == [42, 63]
 
 
+def _recursive(program) -> set:
+    """The functions that reach themselves through CALLs."""
+    callees = {
+        name: {op[1][0] for op in function.code if op[0] == isa.CALL}
+        for name, function in program.functions.items()
+    }
+    found = set()
+    for name in callees:
+        seen, work = set(), list(callees[name])
+        while work:
+            callee = work.pop()
+            if callee not in seen:
+                seen.add(callee)
+                work.extend(callees.get(callee, ()))
+        if name in seen:
+            found.add(name)
+    return found
+
+
+def _code_lines(text):
+    """The lines of a generated text that are not comments."""
+    return [
+        line for line in text.splitlines()
+        if line.strip() and not line.strip().startswith("#")
+    ]
+
+
 def test_launch_text_has_no_per_item_call_cell_or_len_of_a_parameter():
-    # Every launch shape the suite runs, host and device: the kernels'
-    # bodies are inlined, so the only calls left are their own CALLs.
+    # Every launch shape the suite runs, host and device, and every
+    # function it stages: structured loops (no pc variable), callees
+    # inlined unless recursive, no len() of a resolved parameter in a
+    # loop, and interp.cycles touched in the work-item loop only where
+    # control leaves the generated code.
     shapes = 0
     for name in sorted(SUITE):
         compiled = compile_app(name)
         program = compiled.bytecode_program
+        recursive = _recursive(program)
         entry, args = SMALL_ARGS[name]()
         for config in (CPU_ONLY, LAUNCH_CONFIGS["sequential-b7"]):
             Runtime(compiled, config).run(entry, args)
-        for kind, methods in staging_memo(program).launches:
+        memo = staging_memo(program)
+        for method in memo.functions:
+            text = program.functions[method].staged_source()
+            assert not re.search(r"\bpc\b", "\n".join(_code_lines(text)))
+            # Each block is written once: no node was duplicated.
+            blocks = re.findall(r"# pc (\d+)\n", text)
+            assert "0" in blocks and len(blocks) == len(set(blocks)), method
+        for kind, methods in memo.launches:
             shapes += 1
             text = program.staged_launch_source(kind, methods)
-            calls = sum(
-                op == isa.CALL
-                for method in methods
-                for op, _ in program.functions[method].code
-            )
-            assert len(re.findall(r"\bcall\(", text)) == calls, methods
-            loop = text[text.index("        for "):]
+            code = _code_lines(text)
+            assert not any(re.search(r"\bm\d+_(\w+_)?pc\b", line)
+                           for line in code), methods
+            called = re.findall(r"\bcall\('([\w.<>]+)'", text)
+            assert set(called) <= recursive, (methods, called)
+            loop = text[text.index("        for "):text.index("    finally:")]
             assert "(interp, " not in loop, methods    # f(interp, args)
             assert "_k[" not in loop and "float32_cell()" not in loop
-            for slot in re.findall(r"(m\d+_)a(\d+) = ", text):
-                assert f"len({slot[0]}l{slot[1]})" not in text
+            for prefix, slot in re.findall(r"(m\w*?_)a(\d+) = ", text):
+                assert f"len({prefix}l{slot})" not in text
+                assert f"len({prefix}a{slot})" not in loop.replace(
+                    f"{prefix}n{slot} = len({prefix}a{slot})", ""
+                )
+            lines = loop.splitlines()
+            for i, line in enumerate(lines):
+                if "interp.cycles" not in line:
+                    continue
+                assert line.strip() in (
+                    "interp.cycles = cy", "cy = interp.cycles"
+                ), (methods, line)
+                if line.strip() == "interp.cycles = cy":
+                    assert lines[i + 1].strip() == "try:"
+                    assert re.search(
+                        r"\bcall\(|execute_map|execute_reduce|graph_start",
+                        lines[i + 2],
+                    ), (methods, lines[i + 2])
+            if name == "black_scholes":
+                assert "call('BlackScholes.cnd'" not in text
+                assert "# BlackScholes.cnd" in text
     assert shapes >= 17
+
+
+def test_launch_inlines_callees_unless_recursive():
+    program = _compile(LAUNCHING)
+    quad = program.staged_launch_source("map", ["L.quad"])
+    assert "call(" not in quad
+    assert "# L.twice" in quad and "# L.half" in quad
+    assert "m0_i0_i0_l0 = " in quad            # half inside twice
+    assert "o1 = 1 > deep" in quad and "o2 = 2 > deep" in quad
+    deep = program.staged_launch_source("map", ["L.viaDeep"])
+    assert "call('L.deep'" in deep and "# L.deep" not in deep
+    assert "interp.cycles = cy" in deep and "cy = interp.cycles" in deep
+    # The function staged on its own keeps its calls.
+    assert "call('L.twice'" in program.functions["L.quad"].staged_source()
+
+
+def test_an_irreducible_block_graph_is_refused_at_staging():
+    # pc 0 enters the cycle pc 2 <-> pc 5 at both of its blocks: no
+    # while loop has one header for it.
+    program = _function(
+        [
+            (isa.LOAD, 0), (isa.JZ, 5),
+            (isa.LOAD, 0), (isa.JNZ, 5), (isa.RET, None),
+            (isa.LOAD, 0), (isa.JNZ, 2), (isa.RET, None),
+        ],
+        params=1, returns=False,
+    )
+    with pytest.raises(DeviceError, match="irreducible control flow"):
+        staging.Translation(program.functions["H.f"])
+    interp = Interpreter(program)
+    with pytest.raises(DeviceError, match="irreducible control flow"):
+        interp.call("H.f", [0])
+    assert interp._depth == 0 and staging_memo(program).functions == {}
 
 
 def test_one_translation_per_function_per_program_object(monkeypatch):
@@ -890,6 +1067,45 @@ def test_rendering_a_translation_is_pure():
         staged = "".join(linecache.cache[f"<staged {method}>"][2])
         assert staged == program.functions[method].staged_source()
         assert memo.body("", "args", 1) == alone
+
+
+DIVIDENDS = [0, 1, -1, 7, -7, 2**31 - 1, -(2**31), 2**63 - 1, -(2**63), 12, -13]
+DIVISORS = [1, -1, 2, -2, 3, -7, 2**31 - 1, -(2**31), 2**63 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize("typename", ["int", "long"])
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_division_by_a_constant_is_the_helper_inline(op, typename):
+    # The template ops.py gives a nonzero constant divisor computes what
+    # java_idiv/java_irem compute, MIN / -1 and its wrap included.
+    for divisor in DIVISORS:
+        text, _ = ops.constant_division_parts(op, typename, "a", divisor)
+        inline = eval(f"lambda a: {text}", dict(ops.NAMESPACE))
+        for a in DIVIDENDS:
+            if typename == "int" and not -(2**31) <= a < 2**31:
+                continue
+            assert inline(a) == ops.apply_binary(op, a, divisor, typename), (
+                a, divisor
+            )
+    program = _function(
+        [(isa.LOAD, 0), (isa.CONST, -3), (isa.BINOP, (op, typename)),
+         (isa.LOAD, 0), (isa.CONST, 0), (isa.BINOP, (op, typename)),
+         (isa.BINOP, ("+", typename)), (isa.RETV, None)],
+        params=1,
+    )
+    source = program.functions["H.f"].staged_source()
+    helper = "java_idiv" if op == "/" else "java_irem"
+    assert source.count(helper) == 1            # only the zero divisor
+    for a in (7, -7, 0):
+        staged, oracle = _both(program)
+        outcomes = []
+        for interp in (staged, oracle):
+            try:
+                outcomes.append(interp.call("H.f", [a]))
+            except DeviceError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert _state(staged) == _state(oracle)
 
 
 # ---------------------------------------------------------------------------

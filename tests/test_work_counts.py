@@ -30,13 +30,42 @@ def test_a_cpu_map_kind_makes_the_same_calls_every_time():
 
 def test_the_report_says_whether_two_processes_agree():
     work_counts = _work_counts()
-    counts = {"cpu_map": {"saxpy": {"call": 8, "c_call": 12}}}
-    other = {"cpu_map": {"saxpy": {"call": 9, "c_call": 12}}}
+    names = {"call": {"f": 6, "g": 2}, "c_call": {"len": 12}}
+    counts = {"cpu_map": {"saxpy": {"call": 8, "c_call": 12, "names": names}}}
+    other = {"cpu_map": {"saxpy": {"call": 9, "c_call": 12, "names": names}}}
     same = work_counts.report(counts, counts, 2)
     assert same[1].split() == ["cpu_map", "saxpy", "4.0", "6.0", "yes"]
     assert same[2].split() == ["cpu_map", "(round)", "4.0", "6.0", "yes"]
+    assert same[3].split() == ["cpu_map", "top", "call", "f", "3.0,", "g",
+                               "1.0", "yes"]
+    assert same[4].split() == ["cpu_map", "top", "c_call", "len", "6.0",
+                               "yes"]
     differ = work_counts.report(counts, other, 2)
     assert differ[1].endswith("NO") and differ[2].endswith("NO")
+    assert differ[3].endswith("yes")
+    # The same totals made by other callees: the tally rows disagree.
+    moved = {"call": {"f": 7, "g": 1}, "c_call": {"len": 12}}
+    other = {"cpu_map": {"saxpy": {"call": 8, "c_call": 12, "names": moved}}}
+    differ = work_counts.report(counts, other, 2)
+    assert differ[2].endswith("yes") and differ[3].endswith("NO")
+    assert differ[4].endswith("yes")
+
+
+def test_the_callee_tally_repeats_and_sums_to_the_counts():
+    work_counts = _work_counts()
+    workload = work_counts.build("cpu_map")
+    try:
+        first = work_counts.count_events(workload, ["black_scholes"], 1)
+        second = work_counts.count_events(workload, ["black_scholes"], 1)
+    finally:
+        workload.close()
+    assert first == second
+    tally = first["black_scholes"]
+    for event in work_counts.EVENTS:
+        assert sum(tally["names"][event].values()) == tally[event]
+    # The launch inlines BlackScholes.cnd: the entry, work-item 0 and
+    # its two cnd calls are the only interpreter calls.
+    assert tally["names"]["call"]["Interpreter.call"] == 4
 
 
 def test_a_cold_compile_makes_the_same_calls_every_time():
@@ -49,4 +78,8 @@ def test_a_cold_compile_makes_the_same_calls_every_time():
         second = work_counts.count_events(workload, ["crc8"], 2)
     finally:
         workload.close()
-    assert {e: 2 * n for e, n in first["crc8"].items()} == second["crc8"]
+    for event in work_counts.EVENTS:
+        assert 2 * first["crc8"][event] == second["crc8"][event]
+        assert {
+            callee: 2 * n for callee, n in first["crc8"]["names"][event].items()
+        } == second["crc8"]["names"][event]

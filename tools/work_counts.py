@@ -14,6 +14,11 @@ op kind of ``compile_cold``, ``compile_warm``, ``cpu_map`` and
 * ``call``: a Python function entered (generated code included);
 * ``c_call``: a builtin or C method called from Python.
 
+Each event is also tallied by the callee's name (``co_qualname`` of a
+Python function, ``__qualname__`` of a builtin), and under each
+workload's ``(round)`` row the report lists the most frequent callees
+of a round for both events, e.g. ``len`` or ``java_idiv``.
+
 Only the calling thread is counted, so ``fpga_stream`` and
 ``service_jobs`` stay out: their ops run on pooled worker threads
 (``repro.runtime.workers``), started before the count and never seen
@@ -39,6 +44,7 @@ EVENTS = ("call", "c_call")
 WORKLOADS = ("compile_cold", "compile_warm", "cpu_map", "gpu_map")
 SEED = 1
 ROUNDS = 3
+TOP = 6
 
 
 def load_workloads():
@@ -66,15 +72,26 @@ def build(name: str):
     return workload
 
 
+def _callee(frame, event, arg) -> str:
+    if event == "call":
+        return frame.f_code.co_qualname
+    return getattr(arg, "__qualname__", None) or repr(arg)
+
+
 def count_events(workload, kinds, rounds: int) -> dict:
-    """{kind: {event: count}} over ``rounds`` runs of each kind."""
+    """{kind: {event: count, "names": {event: {callee: count}}}} over
+    ``rounds`` runs of each kind."""
     counts = {}
     for kind in kinds:
         tally = dict.fromkeys(EVENTS, 0)
+        names = {event: {} for event in EVENTS}
 
         def profile(frame, event, arg):
             if event in tally:
                 tally[event] += 1
+                by_name = names[event]
+                name = _callee(frame, event, arg)
+                by_name[name] = by_name.get(name, 0) + 1
 
         gc.collect()
         gc.disable()
@@ -87,7 +104,7 @@ def count_events(workload, kinds, rounds: int) -> dict:
                     sys.setprofile(None)
         finally:
             gc.enable()
-        counts[kind] = tally
+        counts[kind] = {**tally, "names": names}
     return counts
 
 
@@ -114,7 +131,18 @@ def _child() -> dict:
 def _with_round(kinds: dict) -> dict:
     """``kinds`` and their sum, as the kind ``(round)``: one of each."""
     total = {e: sum(tally[e] for tally in kinds.values()) for e in EVENTS}
-    return {**kinds, "(round)": total}
+    names = {}
+    for event in EVENTS:
+        summed = names[event] = {}
+        for tally in kinds.values():
+            for callee, n in tally.get("names", {}).get(event, {}).items():
+                summed[callee] = summed.get(callee, 0) + n
+    return {**kinds, "(round)": {**total, "names": names}}
+
+
+def _top(names: dict, rounds: int) -> str:
+    ranked = sorted(names.items(), key=lambda item: (-item[1], item[0]))
+    return ", ".join(f"{callee} {n / rounds:.1f}" for callee, n in ranked[:TOP])
 
 
 def report(first: dict, second: dict, rounds: int) -> list:
@@ -123,11 +151,21 @@ def report(first: dict, second: dict, rounds: int) -> list:
     for name, kinds in first.items():
         other = _with_round(second.get(name, {}))
         for kind, tally in _with_round(kinds).items():
-            same = other.get(kind) == tally
+            counts = {e: tally[e] for e in EVENTS}
+            same = {e: other.get(kind, {}).get(e) for e in EVENTS} == counts
             lines.append(
                 f"{name:<12} {kind:<14} {tally['call'] / rounds:>12.1f} "
                 f"{tally['c_call'] / rounds:>12.1f}  "
                 f"{'yes' if same else 'NO'}"
+            )
+        # The callees of a round, by name, most frequent first.
+        mine = _with_round(kinds)["(round)"]["names"]
+        theirs = other.get("(round)", {}).get("names", {})
+        for event in EVENTS:
+            same = mine[event] == theirs.get(event)
+            lines.append(
+                f"{name:<12} {'top ' + event:<14} {_top(mine[event], rounds)}"
+                f"  {'yes' if same else 'NO'}"
             )
     return lines
 
