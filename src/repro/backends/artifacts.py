@@ -55,9 +55,13 @@ from repro.errors import ConfigurationError
 from repro.ir.fingerprint import ir_fingerprint
 from repro.obs.tracer import NULL_TRACER
 
-#: Manifest schema tag; bump when the on-disk layout changes. Entries
-#: with any other tag are treated as misses (forward/backward safe).
-ARTIFACT_SCHEMA = "repro.artifact/1"
+#: Manifest schema tag; bump when the on-disk layout changes, a pickled
+#: payload's format included (it is part of every cache key, so an entry
+#: another format wrote is never looked up). Entries with any other tag
+#: are treated as misses (forward/backward safe). /2: a bytecode
+#: ``CompiledFunction`` carries a ``signature`` and each ``INTRINSIC``
+#: its result type name.
+ARTIFACT_SCHEMA = "repro.artifact/2"
 
 #: Schema tag of a program index file (``programs/<digest>.json``).
 PROGRAM_SCHEMA = "repro.program/1"

@@ -30,7 +30,6 @@ class FunctionCompiler:
         self.slots: dict[str, int] = {}
         for param in function.params:
             self.slots[param.name] = len(self.slots)
-        self.num_params = len(self.slots)
         # (break_patches, continue_target_or_patches) per enclosing loop
         self._loops: list = []
 
@@ -63,16 +62,17 @@ class FunctionCompiler:
         # Implicit return for void functions / constructors.
         if not self.code or self.code[-1][0] not in (isa.RET, isa.RETV):
             self.emit(isa.RET)
-        returns_value = (
-            self.function.return_type != ty.VOID
-            and not self.function.is_constructor
+        result = (
+            "void" if self.function.is_constructor
+            else str(self.function.return_type)
         )
         return isa.CompiledFunction(
             qualified_name=self.function.qualified_name,
             code=self.code,
-            num_params=self.num_params,
+            signature=tuple(
+                str(param.type) for param in self.function.params
+            ) + (result,),
             num_locals=len(self.slots),
-            returns_value=returns_value,
             is_constructor=self.function.is_constructor,
             class_name=self.function.class_name,
         )
@@ -229,7 +229,7 @@ class FunctionCompiler:
                 self._expr(arg)
             self.emit(
                 isa.INTRINSIC,
-                (expr.name, len(expr.args), expr.type != ty.VOID),
+                (expr.name, len(expr.args), _typename(expr.type)),
             )
         elif isinstance(expr, ir.ENewArray):
             self._expr(expr.length)
@@ -372,9 +372,8 @@ def _compile_clinit(
     return isa.CompiledFunction(
         qualified_name=synthetic.qualified_name,
         code=compiler.code,
-        num_params=0,
+        signature=("void",),
         num_locals=len(compiler.slots),
-        returns_value=False,
         class_name=class_name,
     )
 

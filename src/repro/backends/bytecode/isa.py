@@ -37,7 +37,7 @@ NEWOBJ = "NEWOBJ"        # operand: class name; push unfrozen struct
 FREEZEOBJ = "FREEZEOBJ"  # pop struct; push frozen struct
 
 CALL = "CALL"            # operand: (qualified, nargs, returns_value)
-INTRINSIC = "INTRINSIC"  # operand: (name, nargs, returns_value)
+INTRINSIC = "INTRINSIC"  # operand: (name, nargs, result typename)
 RET = "RET"              # return void
 RETV = "RETV"            # pop return value
 
@@ -129,15 +129,24 @@ INTRINSIC_COST = {
 
 @dataclass
 class CompiledFunction:
-    """One function compiled to bytecode."""
+    """One function compiled to bytecode.
+
+    ``signature`` is the type checker's verdict, as the JVM's method
+    descriptor is: the parameter type names, then the result type name
+    (``"void"`` when no value is returned), e.g. ``("float[[]]",
+    "int", "float")``. Plain strings, so a loaded artifact unpickles no
+    class per function."""
 
     qualified_name: str
     code: list                    # [(opcode, operand), ...]
-    num_params: int
+    signature: tuple              # (*parameter typenames, result typename)
     num_locals: int               # includes params
-    returns_value: bool
     is_constructor: bool = False
     class_name: str = ""
+
+    @property
+    def num_params(self) -> int:
+        return len(self.signature) - 1
 
     def disassemble(self) -> str:
         lines = [f".method {self.qualified_name} "

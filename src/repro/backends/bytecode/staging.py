@@ -165,16 +165,9 @@ def _unknown_intrinsic(name):
     raise DeviceError(f"unknown {kind} {name!r}")
 
 
-# Pure intrinsic -> the global name staged code calls it by.
-_INTRINSIC_NAMES = {
-    name: "_" + "".join(ch if ch.isalnum() else "_" for ch in name)
-    for name in ops.INTRINSICS
-}
-
 #: The one globals dict every staged function runs in.
 _GLOBALS = {
     **ops.NAMESPACE,
-    **{_INTRINSIC_NAMES[name]: fn for name, fn in ops.INTRINSICS.items()},
     "MutableArray": MutableArray,
     "StructValue": StructValue,
     "ValueArray": ValueArray,
@@ -629,10 +622,11 @@ class Translation:
         self.emit(("leave", f"{name} = {text}"))
         push(_Value(name))
 
-    def intrinsic(self, name: str, nargs: int, returns: bool):
+    def intrinsic(self, name: str, nargs: int, typename: str):
         self.pending += isa.INTRINSIC_COST.get(name, 5)
         values = self.stack[len(self.stack) - nargs:]
         del self.stack[len(self.stack) - nargs:]
+        returns = typename != "void"
         if name in ("println", "print"):
             end = ' + "\\n"' if name == "println" else ""
             self.emit(
@@ -640,15 +634,15 @@ class Translation:
             )
             if returns:
                 self.push(_Value("None"))
-        elif name in _INTRINSIC_NAMES:
-            # Pure and total: evaluated only if, and where, it is used.
-            if returns:
-                call = ", ".join(v.text for v in values)
-                self.push_pure(f"{_INTRINSIC_NAMES[name]}({call})", *values)
-        else:
+            return
+        parts = ops.intrinsic_parts(name, typename, [v.text for v in values])
+        if parts is None:
             self.emit(f"_unknown_intrinsic({name!r})")
             if returns:
                 self.push(_Value("None"))
+        elif returns:
+            # Pure and total: evaluated only if, and where, it is used.
+            self.push_parts(parts, *values)
 
     # -- the structured form ------------------------------------------------
 

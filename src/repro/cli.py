@@ -293,17 +293,10 @@ def _cpu_reference(compiled, args, entry, values):
     ).run(entry, values)
 
 
-def _values_equal(left, right) -> bool:
-    if left is None and right is None:
-        return True
-    try:
-        return bool(left == right)
-    except Exception:
-        return repr(left) == repr(right)
-
-
 def _same_answer(outcome, reference) -> bool:
-    return outcome.output == reference.output and _values_equal(
+    from repro.values import same_value
+
+    return outcome.output == reference.output and same_value(
         outcome.value, reference.value
     )
 

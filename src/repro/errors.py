@@ -110,6 +110,21 @@ class MarshalingError(LiquidMetalError):
     """Error serializing or deserializing a value across the boundary."""
 
 
+class ArgumentTypeError(LiquidMetalError):
+    """An entry point was handed an argument its parameter's type does
+    not admit. Raised by ``Runtime.run`` and
+    ``CoExecutionService.submit`` before anything runs or is journaled;
+    not a :class:`DeviceError`, so no retry, breaker or demotion ever
+    sees it. Carries the entry, the parameter's name and its type."""
+
+    def __init__(self, message: str, entry: str = "",
+                 parameter: str = "", expected: str = ""):
+        self.entry = entry
+        self.parameter = parameter
+        self.expected = expected
+        super().__init__(message)
+
+
 class DeviceError(LiquidMetalError):
     """Error inside a device simulator (GPU, FPGA, interconnect)."""
 

@@ -231,11 +231,13 @@ class Lowerer:
         self._store(target, updated, out)
 
     def _lower_assign(self, expr: ast.Assign, out: list) -> None:
+        # 'E1 op= E2' is '(T)(E1 op E2)', the operation in the type the
+        # checker promoted to (JLS §15.26.2).
         value = self._expr(expr.value)
         if expr.op != "=":
             op = expr.op[0]  # '+=' -> '+'
             current = self._expr(expr.target)
-            value = ir.EBinary(expr.target.type, op, current, value)
+            value = ir.EBinary(expr.op_type, op, current, value)
         if value.type != expr.target.type and isinstance(
             expr.target.type, ty.PrimType
         ):
@@ -347,6 +349,7 @@ class Lowerer:
         elif (
             isinstance(update, ast.Assign)
             and update.op == "+="
+            and update.op_type in (ty.INT, ty.LONG)
             and isinstance(update.target, ast.Name)
             and update.target.ident == var
         ):

@@ -1,8 +1,12 @@
 """Operator semantics of Lime: one table, four consumers.
 
-Every ``EBinary``/``EUnary``/``ECast``/``Math.*`` is defined exactly
-once here, as a Python *expression template* per ``(operator,
-typename)``. The stager (:mod:`repro.backends.bytecode.staging`)
+Every ``EBinary``/``EUnary``/``ECast`` and every pure intrinsic
+(``Math.*``, ``bit.~``) is defined exactly once here, as a Python
+*expression template* per ``(operator or intrinsic name, typename)``.
+The typename is the result type the type checker decided; it reaches
+the stager through the ``BINOP``/``UNOP``/``CAST``/``INTRINSIC``
+operand, so no template re-tests the class of a value at run time. The
+stager (:mod:`repro.backends.bytecode.staging`)
 splices the templates into the Python function it generates per
 ``CompiledFunction``; the FPGA datapath
 (:func:`repro.backends.verilog.codegen.compile_datapath`) splices them
@@ -10,7 +14,8 @@ into the function it generates per module; :func:`apply_binary`,
 :func:`apply_unary`, :func:`apply_cast` and :func:`apply_math` evaluate
 them one operation at a time for the constant folder
 (:mod:`repro.ir.optimizations`, the datapath builder) and the test
-oracle. All of them see the helper functions through
+oracle (:func:`apply_math` for the intrinsics). All of them see the
+helper functions through
 :data:`NAMESPACE`, so they cannot disagree. The module sits beside the
 IR nodes it gives meaning to, so every layer above can import it.
 
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from array import array
 
@@ -243,86 +247,23 @@ def java_max(a, b):
     return a if a >= b else b
 
 
-# Math.* functions whose result type follows their arguments.
-_MATH_SELECT = {"Math.abs": abs, "Math.min": java_min, "Math.max": java_max}
-
-
-def apply_math(name: str, args: list, result_typename: str = "double"):
-    """Evaluate a Math.* intrinsic; abs/min/max follow the result type."""
-    fn = _MATH_FUNCTIONS.get(name) or _MATH_SELECT.get(name)
-    if fn is None:
-        raise DeviceError(f"unknown math intrinsic {name!r}")
-    result = fn(*args)
-    if result_typename in ("int", "long"):
-        return apply_cast(int(result), result_typename)
-    if name in ("Math.floor", "Math.ceil"):
-        return result
-    return apply_cast(result, result_typename)
-
-
-def _selecting(name: str):
-    """``name`` as an intrinsic: ``int`` when every argument is an int
-    and ``double`` otherwise. Operands of one exact class — what well-
-    typed code passes — skip :func:`apply_math` and return the same
-    values: an ``int`` result wraps, and ``float()`` of a float is the
-    float itself."""
-    select = _MATH_SELECT[name]
-
-    def general(*args):
-        integral = all(
-            isinstance(a, int) and not isinstance(a, bool) for a in args
-        )
-        return apply_math(name, args, "int" if integral else "double")
-
-    def unary(a):
-        cls = a.__class__
-        if cls is float:
-            return select(a)
-        if cls is int:
-            r = select(a)
-            return r if -0x80000000 <= r <= 0x7FFFFFFF else wrap_int(r)
-        return general(a)
-
-    def binary(a, b):
-        cls = a.__class__
-        if cls is b.__class__:
-            if cls is float:
-                return select(a, b)
-            if cls is int:
-                r = select(a, b)
-                return r if -0x80000000 <= r <= 0x7FFFFFFF else wrap_int(r)
-        return general(a, b)
-
-    return unary if name == "Math.abs" else binary
-
-
-#: The callable behind each pure ``INTRINSIC``: abs/min/max are ``int``
-#: when every argument is an int and ``double`` otherwise, the other
-#: Math.* functions are always ``double``. (``println``/``print`` write
-#: to the interpreter and are not in here.)
-INTRINSICS = {
-    **_MATH_FUNCTIONS,
-    **{name: _selecting(name) for name in _MATH_SELECT},
-    "bit.~": operator.invert,
-}
-
-
 # --- the expression templates ---------------------------------------------
 
 # Result wrapping per result typename; anything else passes through
 # (a ``float`` result is rounded separately: ``_wrapped``, ``_rounded``).
-# An ``int``/``long`` result can be a float (``x += 2.5`` on an int x is
-# ``x = (int)(x + 2.5)``), hence the class test and the cast.
+# An ``int``/``long`` operation only ever sees integral operands (the
+# IR verifier refuses anything else: ``x += 2.5`` on an int x is
+# ``x = (int)(x + 2.5)``), so its result is an ``int`` and is wrapped
+# only when it left the range.
 # ``_t`` is a scratch local of whatever function the text lands in: a
 # nested template finishes with it before the enclosing one assigns it.
 _WRAP = {
     "int": (
-        "(_t if -0x80000000 <= (_t := {}) <= 0x7FFFFFFF"
-        " and _t.__class__ is int else cast_int(_t))"
+        "(_t if -0x80000000 <= (_t := {}) <= 0x7FFFFFFF else wrap_int(_t))"
     ),
     "long": (
         "(_t if -0x8000000000000000 <= (_t := {}) <= 0x7FFFFFFFFFFFFFFF"
-        " and _t.__class__ is int else cast_long(_t))"
+        " else wrap_long(_t))"
     ),
     "double": "float({})",
 }
@@ -360,6 +301,18 @@ _BY_CONSTANT = {
     "%": "(_t % {m} if (_t := {a}) >= 0 else -(-_t % {m}))",
 }
 _UNARY = {"-": "(-{a})", "~": "(~{a})"}
+# Math.* whose result type follows the promoted argument type, per
+# (name, integral result). Integers have no NaN and no signed zero, so
+# Python's own abs/min/max are Java's there.
+_FOLLOWING = {
+    ("Math.abs", True): "abs({a})",
+    ("Math.min", True): "min({a}, {b})",
+    ("Math.max", True): "max({a}, {b})",
+    ("Math.abs", False): "abs({a})",
+    ("Math.min", False): "java_min({a}, {b})",
+    ("Math.max", False): "java_max({a}, {b})",
+}
+_TWO_ARGUMENTS = frozenset(("Math.pow", "Math.min", "Math.max"))
 _CAST = {
     "int": "cast_int({a})",
     "long": "cast_long({a})",
@@ -436,6 +389,23 @@ def unary_parts(op: str, typename: str, a: str) -> "tuple[str, bool]":
     return _wrapped(template.format(a=a), typename)
 
 
+def intrinsic_parts(name: str, typename: str, args: list):
+    """Python source for the pure intrinsic ``name`` (``Math.*``,
+    ``bit.~``) of result type ``typename`` over the texts ``args``,
+    before its binary32 rounding; None when ``name`` is no pure
+    intrinsic (``println``/``print`` write to the interpreter). A double
+    ``Math.*`` helper already returns a double and is not wrapped
+    again."""
+    if name == "bit.~":
+        return f"(~{args[0]})", False
+    if name in _MATH_FUNCTIONS:
+        return f"{name.replace('.', '_')}({', '.join(args)})", False
+    template = _FOLLOWING.get((name, typename in ("int", "long")))
+    if template is None:
+        return None
+    return _wrapped(template.format(a=args[0], b=args[-1]), typename)
+
+
 def cast_parts(typename: str, a: str) -> "tuple[str, bool]":
     """:func:`cast_expr` before its binary32 rounding."""
     template = _CAST.get(typename)
@@ -470,10 +440,13 @@ NAMESPACE = {
     "java_frem": java_frem,
     "java_idiv": java_idiv,
     "java_irem": java_irem,
+    "java_max": java_max,
+    "java_min": java_min,
     "to_display": to_display,
     "to_float32": to_float32,
     "wrap_int": wrap_int,
     "wrap_long": wrap_long,
+    **{name.replace(".", "_"): fn for name, fn in _MATH_FUNCTIONS.items()},
 }
 
 
@@ -485,6 +458,12 @@ def _compiled(kind: str, op: str, typename: str):
         text = "lambda a, b: " + binary_expr(op, typename, "a", "b")
     elif kind == "unary":
         text = "lambda a: " + unary_expr(op, typename, "a")
+    elif kind == "intrinsic":
+        args = ["a", "b"] if op in _TWO_ARGUMENTS else ["a"]
+        parts = intrinsic_parts(op, typename, args)
+        if parts is None:
+            raise DeviceError(f"unknown math intrinsic {op!r}")
+        text = f"lambda {', '.join(args)}: " + _rounded(parts)
     else:
         text = "lambda a: " + cast_expr(typename, "a")
     return eval(text, NAMESPACE)  # text is built from the tables above
@@ -501,4 +480,10 @@ def apply_unary(op: str, operand, typename: str):
 
 def apply_cast(value, typename: str):
     return _compiled("cast", "", typename)(value)
+
+
+def apply_math(name: str, args: list, result_typename: str = "double"):
+    """Evaluate one ``Math.*`` intrinsic (or ``bit.~``) whose result is
+    a ``result_typename``."""
+    return _compiled("intrinsic", name, result_typename)(*args)
 

@@ -12,7 +12,11 @@ satisfies these invariants:
 * non-void functions end every path with a return (mirrors the
   checker; the optimizer must not have broken it);
 * task-graph expressions appear only in global (non-local) functions;
-* every ECall target exists in the module.
+* every ECall target exists in the module;
+* an ``int``/``long`` EBinary or EUnary has only ``int``/``long``
+  operands: the checker decided the type an operation computes in
+  (``x += 2.5`` on an int x is ``(int)(x + 2.5)``, a double addition
+  and a cast), so no backend may see a float in integer arithmetic.
 
 Violations raise :class:`~repro.errors.LoweringError` — they indicate a
 compiler bug, not a user error.
@@ -23,6 +27,8 @@ from __future__ import annotations
 from repro.errors import LoweringError
 from repro.ir import nodes as ir
 from repro.lime import types as ty
+
+_INTEGRAL = (ty.INT, ty.LONG)
 
 
 class _FunctionVerifier:
@@ -146,6 +152,19 @@ class _FunctionVerifier:
             elif isinstance(node, ir.ECall):
                 if node.callee not in self.module.functions:
                     self.fail(f"call to unknown function {node.callee!r}")
+            elif isinstance(node, (ir.EBinary, ir.EUnary)):
+                if node.type in _INTEGRAL:
+                    operands = (
+                        (node.left, node.right)
+                        if isinstance(node, ir.EBinary)
+                        else (node.operand,)
+                    )
+                    for operand in operands:
+                        if operand.type not in _INTEGRAL:
+                            self.fail(
+                                f"{node.type} {node.op!r} has a "
+                                f"{operand.type} operand"
+                            )
             elif isinstance(
                 node,
                 (

@@ -172,11 +172,17 @@ class Ternary(Expr):
 @dataclass
 class Assign(Expr):
     """``target = value`` or compound ``target op= value``; target is a
-    Name, Index, or FieldAccess."""
+    Name, Index, or FieldAccess. For a compound assignment the checker
+    sets ``op_type``, the promoted type ``op`` computes in (JLS
+    §15.26.2: ``E1 op= E2`` is ``(T)(E1 op E2)``)."""
 
     target: Expr
     op: str  # '=', '+=', '-=', '*=', '/='
     value: Expr
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.op_type = None
 
 
 @dataclass

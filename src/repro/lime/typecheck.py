@@ -1071,11 +1071,12 @@ class TypeChecker:
                     expr.position,
                 )
             return target_type
-        # Compound assignment carries an implicit narrowing cast back to
-        # the target type (Java semantics: 'x += 2.5' is legal for int
-        # x), so both sides merely need to be numeric.
-        result = ty.binary_numeric_result(target_type, value_type)
-        if result is None:
+        # Compound assignment computes in the promoted type and carries
+        # an implicit narrowing cast back to the target type (JLS
+        # §15.26.2: 'x += 2.5' is legal for int x), so both sides
+        # merely need to be numeric.
+        expr.op_type = ty.binary_numeric_result(target_type, value_type)
+        if expr.op_type is None:
             raise LimeTypeError(
                 f"compound assignment {expr.op} undefined for "
                 f"{target_type} and {value_type}",

@@ -29,6 +29,7 @@ from repro.devices.gpu.simulator import GPUSimulator
 from repro.devices.gpu.timing import GTX580, GPUSpec
 from repro.devices.interconnect import PCIE_GEN2_X8, PCIE_GEN2_X16, Link
 from repro.errors import (
+    ArgumentTypeError,
     ConfigurationError,
     LiquidMetalError,
     RuntimeGraphError,
@@ -62,7 +63,8 @@ from repro.runtime.tasks import (
     replay_filters,
 )
 from repro.runtime.timing import OffloadRecord, TimingLedger
-from repro.values import ValueArray, serialize, serialize_batch
+from repro.values import ValueArray, same_value, serialize, serialize_batch
+from repro.values.marshal import fits_type
 
 
 #: Scheduler names accepted by :class:`RuntimeConfig`.
@@ -76,24 +78,24 @@ GPU_LINK = PCIE_GEN2_X16
 FPGA_MAX_CLOCK_HZ = 250e6
 
 
-def _value_eq(a, b) -> bool:
-    try:
-        return bool(a == b)
-    except Exception:
-        return a is b
-
-
-def _outputs_match(expected, actual) -> bool:
-    """Element-wise shadow-probe comparison: the device output must
-    equal the authoritative bytecode output exactly — a wrong-answer
-    device counts as a probe failure, not just a crashing one."""
-    if isinstance(expected, list) != isinstance(actual, list):
-        return False
-    if isinstance(expected, list):
-        return len(expected) == len(actual) and all(
-            _value_eq(e, a) for e, a in zip(expected, actual)
-        )
-    return _value_eq(expected, actual)
+def check_entry_args(compiled, qualified: str, args: list) -> None:
+    """Refuse ``args`` for the entry point ``qualified`` of ``compiled``
+    unless each fits its parameter's type in the entry's signature,
+    with :class:`~repro.errors.ArgumentTypeError` naming the parameter.
+    An unknown entry or a wrong argument count is the interpreter's to
+    refuse."""
+    function = compiled.bytecode_program.functions.get(qualified)
+    if function is None or len(args) != function.num_params:
+        return
+    for index, (typename, value) in enumerate(zip(function.signature, args)):
+        if not fits_type(typename, value):
+            # The error path only: a cached compile rebuilds its IR here.
+            name = compiled.module.functions[qualified].params[index].name
+            raise ArgumentTypeError(
+                f"{qualified}: parameter {name!r} of type {typename} "
+                f"cannot take {value!r}",
+                entry=qualified, parameter=name, expected=typename,
+            )
 
 
 def _gpu_launch(execution):
@@ -383,11 +385,13 @@ class Runtime(Services):
         token = self.cancel_token
         if token is not None:
             token.check()
+        args = list(args or [])
+        check_entry_args(self.compiled, qualified, args)
         self.ledger = TimingLedger(self.config.cpu.clock_hz)
         before = self.interp.cycles
         out_before = len(self.interp.stdout)
         with self.trace.span("run", entry=qualified) as span:
-            value = self.interp.call(qualified, list(args or []))
+            value = self.interp.call(qualified, args)
             self.ledger.add_host_cycles(self.interp.cycles - before)
             span.set(
                 host_cycles=self.interp.cycles - before,
@@ -848,7 +852,7 @@ class Runtime(Services):
                 ok, reason, device_s = True, "clean", 0.0
                 try:
                     outputs, device_s = run_device()
-                    if not _outputs_match(expected, outputs):
+                    if not same_value(expected, outputs):
                         ok, reason = False, "mismatch"
                 except LiquidMetalError as exc:
                     ok, reason = False, type(exc).__name__

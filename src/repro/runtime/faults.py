@@ -34,6 +34,7 @@ from repro.errors import (
     ProcessCrash,
 )
 from repro.obs.tracer import NULL_TRACER
+from repro.values import same_value
 
 #: Injection sites the runtime consults.
 SITES = (
@@ -305,7 +306,7 @@ def _corrupt_outputs(outputs: list) -> list:
     if not corrupted:
         return corrupted
     perturbed = _corrupt_value(corrupted[0])
-    if perturbed is not corrupted[0] and perturbed != corrupted[0]:
+    if not same_value(perturbed, corrupted[0]):
         corrupted[0] = perturbed
         return corrupted
     return corrupted[:-1]

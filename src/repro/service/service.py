@@ -57,7 +57,7 @@ from repro.runtime.checkpoint import (
     CheckpointRecorder,
     capture_refusal,
 )
-from repro.runtime.engine import Runtime, RuntimeConfig
+from repro.runtime.engine import Runtime, RuntimeConfig, check_entry_args
 from repro.runtime.faults import fault_log_payload
 from repro.runtime.health import HealthRegistry
 from repro.runtime.workers import spawn
@@ -81,7 +81,7 @@ from repro.service.journal import (
     outcome_digest,
 )
 from repro.service.pool import DevicePool
-from repro.values import deserialize
+from repro.values import deserialize, same_value
 
 __all__ = [
     "SERVICE_SCHEMA",
@@ -213,17 +213,7 @@ class CoExecutionService:
                 self._rejected_ids.append(job_id)
                 continue
             if replay.terminal:
-                job = Job(
-                    job_id=job_id,
-                    tenant=replay.tenant,
-                    source=replay.source,
-                    entry=replay.entry,
-                    args=replay.args or [],
-                    app=replay.app,
-                    filename=replay.filename,
-                    clock=self.config.clock,
-                )
-                job.recovered = True
+                job = self._replayed_job(replay)
                 job.state = replay.state
                 if replay.state == COMPLETED:
                     job.outcome = replay.outcome()
@@ -279,6 +269,10 @@ class CoExecutionService:
         :class:`~repro.errors.AdmissionRejected` when the tenant's
         queue is at its bound (or the service is draining)."""
         counters = self.tracer.counters
+        compiled, compile_error = self._compile(source, filename)
+        if compiled is not None:
+            # Before anything is journaled: an ill-typed job is refused.
+            check_entry_args(compiled, entry, list(args or []))
         with self._lock:
             self._check_crashed()
             if self._draining:
@@ -304,6 +298,8 @@ class CoExecutionService:
                 deadline_s=deadline_s,
                 clock=self.config.clock,
             )
+            job.compile_error = compile_error
+            job.device_families = self._device_families(compiled)
             wire = None
             if self.journal.enabled:
                 # Wire-canonical inputs (docs/RECOVERY.md): a
@@ -332,22 +328,6 @@ class CoExecutionService:
                 raise
             self._jobs[job.job_id] = job
             self.journal.record_admitted(job.job_id)
-        # Compile up front (memoized across jobs) so dispatch knows
-        # which device families this program can actually use — a
-        # gpu-only job must not hold the fpga slot. Compile failures
-        # are captured, not raised: the job fails typed when it runs.
-        try:
-            compiled = self.session.compile_cached(
-                source, filename=filename
-            )
-        except LiquidMetalError as exc:
-            job.compile_error = exc
-        else:
-            job.device_families = tuple(
-                family
-                for family in self.config.runtime.policy.device_order
-                if compiled.store.for_device(family)
-            )
         counters.add("service.admit")
         counters.add(f"service.admit[{tenant}]")
         with self.tracer.span(
@@ -360,6 +340,41 @@ class CoExecutionService:
             pass
         self._dispatch()
         return job.job_id
+
+    def _compile(self, source: str, filename: str) -> tuple:
+        """``(compiled, None)``, memoized across jobs, or ``(None,
+        error)``: a compile failure is captured, not raised, and the job
+        fails typed when it runs."""
+        try:
+            return self.session.compile_cached(source, filename=filename), None
+        except LiquidMetalError as exc:
+            return None, exc
+
+    def _device_families(self, compiled) -> tuple:
+        """The device families ``compiled`` can use, for dispatch: a
+        gpu-only job must not hold the fpga slot."""
+        if compiled is None:
+            return ()
+        return tuple(
+            family
+            for family in self.config.runtime.policy.device_order
+            if compiled.store.for_device(family)
+        )
+
+    def _replayed_job(self, replay) -> Job:
+        """The job a journaled ``replay`` describes, marked recovered."""
+        job = Job(
+            job_id=replay.job_id,
+            tenant=replay.tenant,
+            source=replay.source,
+            entry=replay.entry,
+            args=replay.args or [],
+            app=replay.app,
+            filename=replay.filename,
+            clock=self.config.clock,
+        )
+        job.recovered = True
+        return job
 
     # -- inspection --------------------------------------------------------
 
@@ -733,17 +748,7 @@ class CoExecutionService:
         for replay in replays:
             self.admission.register(replay.tenant, 1)
             with self._lock:
-                job = Job(
-                    job_id=replay.job_id,
-                    tenant=replay.tenant,
-                    source=replay.source,
-                    entry=replay.entry,
-                    args=replay.args or [],
-                    app=replay.app,
-                    filename=replay.filename,
-                    clock=self.config.clock,
-                )
-                job.recovered = True
+                job = self._replayed_job(replay)
                 job.crash_suppression = set(replay.crashes)
                 job.recovery_mode = (
                     "checkpoint" if use_checkpoints else "scratch"
@@ -770,20 +775,10 @@ class CoExecutionService:
                 job.job_id, job.recovery_mode
             )
             counters.add("recover.resumed")
-            try:
-                compiled = self.session.compile_cached(
-                    job.source, filename=job.filename
-                )
-            except LiquidMetalError as exc:
-                job.compile_error = exc
-            else:
-                job.device_families = tuple(
-                    family
-                    for family in (
-                        self.config.runtime.policy.device_order
-                    )
-                    if compiled.store.for_device(family)
-                )
+            compiled, job.compile_error = self._compile(
+                job.source, job.filename
+            )
+            job.device_families = self._device_families(compiled)
             resumed.append(job)
         self._dispatch()
         deadline = (
@@ -1130,7 +1125,7 @@ def run_service_driver(
                 ).run(entry, args)
                 solo_cache[app] = solo
             solo = solo_cache[app]
-            if repr(outcome.value) != repr(solo.value):
+            if not same_value(outcome.value, solo.value):
                 raise LiquidMetalError(
                     f"{job_id} ({app}): concurrent value diverged "
                     f"from the standalone run"

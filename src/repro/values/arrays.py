@@ -8,6 +8,7 @@ to :meth:`ValueArray.from_mutable`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ValueSemanticsError
@@ -232,3 +233,27 @@ class MutableArray:
     def __repr__(self) -> str:
         inner = ", ".join(repr(x) for x in self._items)
         return f"{self._kind}[{inner}]"
+
+
+def same_value(a: object, b: object) -> bool:
+    """Whether ``a`` and ``b`` are the same Lime value, bit for bit: a
+    NaN is the same as a NaN, ``-0.0`` differs from ``0.0``, and arrays
+    and lists are the same when their classes, element kinds and
+    elements are. The one "same value" of shadow probes, the CLI's
+    fault check, the service driver and fault injection."""
+    if a.__class__ is float or b.__class__ is float:
+        if a != a:
+            return b != b
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    if isinstance(a, (ValueArray, MutableArray, list, tuple)):
+        if a.__class__ is not b.__class__ or len(a) != len(b):
+            return False
+        if getattr(a, "element_kind", None) != getattr(
+            b, "element_kind", None
+        ):
+            return False
+        return all(map(same_value, a, b))
+    try:
+        return bool(a == b)
+    except Exception:
+        return a is b

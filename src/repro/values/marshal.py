@@ -64,6 +64,12 @@ from repro.errors import MarshalingError
 from repro.values.base import (
     INT_MAX,
     INT_MIN,
+    KIND_BIT,
+    KIND_BOOLEAN,
+    KIND_DOUBLE,
+    KIND_FLOAT,
+    KIND_INT,
+    KIND_LONG,
     LONG_MAX,
     LONG_MIN,
     Kind,
@@ -71,7 +77,7 @@ from repro.values.base import (
     enum_kind,
     kind_of,
 )
-from repro.values.arrays import ValueArray
+from repro.values.arrays import MutableArray, ValueArray
 from repro.values.bits import Bit, pack_bits, unpack_bits
 from repro.values.enums import EnumValue
 
@@ -310,6 +316,55 @@ def _check_element(kind: Kind, value: object) -> None:
         raise MarshalingError(f"cannot marshal values of kind {kind}")
     if not ok:
         raise MarshalingError(f"expected {kind}, got {value!r}")
+
+
+_SCALAR_KINDS = {
+    kind.name: kind
+    for kind in (
+        KIND_INT, KIND_LONG, KIND_FLOAT, KIND_DOUBLE, KIND_BOOLEAN, KIND_BIT
+    )
+}
+
+
+def _type_name(kind: Kind) -> str:
+    """The type name a signature writes for an array element of
+    ``kind`` (an inner array is written ``T[]``)."""
+    if kind.is_array:
+        return _type_name(kind.element) + "[]"
+    return kind.enum_name if kind.is_enum else kind.name
+
+
+def fits_type(typename: str, value: object) -> bool:
+    """Whether ``value`` may be passed for a parameter the checker typed
+    ``typename`` (an entry of ``CompiledFunction.signature``), in O(1):
+    a scalar passes :func:`_check_element`; a ``T[[]]`` is a
+    ``ValueArray`` and a ``T[]`` a ``MutableArray`` of ``T``'s element
+    kind, whose elements are not visited (the array coerced them when
+    it was built); anything else is a value of that class."""
+    kind = _SCALAR_KINDS.get(typename)
+    if kind is not None:
+        try:
+            _check_element(kind, value)
+        except MarshalingError:
+            return False
+        return True
+    if typename.endswith("]"):
+        if typename.endswith("[[]]"):
+            array, element = ValueArray, typename[:-4]
+        else:
+            array, element = MutableArray, typename[:-2]
+        if not isinstance(value, array):
+            return False
+        want = _SCALAR_KINDS.get(element)
+        if want is not None:
+            return value.element_kind == want
+        return _type_name(value.element_kind) == element.replace("[[]]", "[]")
+    if typename == "String":
+        return isinstance(value, str)
+    return typename in (
+        getattr(value, "enum_name", None),
+        getattr(value, "class_name", None),
+    )
 
 
 def serialize(value: object) -> bytes:

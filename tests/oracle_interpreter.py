@@ -178,12 +178,12 @@ class OracleInterpreter(Interpreter):
                 if returns:
                     stack.append(result)
             elif op == isa.INTRINSIC:
-                name, nargs, returns = operand
+                name, nargs, typename = operand
                 call_args = stack[len(stack) - nargs :]
                 del stack[len(stack) - nargs :]
                 cycles += isa.INTRINSIC_COST.get(name, 5)
-                result = self._intrinsic(name, call_args)
-                if returns:
+                result = self._intrinsic(name, call_args, typename)
+                if typename != "void":
                     stack.append(result)
             elif op == isa.RETV:
                 self.cycles += cycles
@@ -274,7 +274,7 @@ class OracleInterpreter(Interpreter):
 
     # ------------------------------------------------------------------
 
-    def _intrinsic(self, name: str, args: list):
+    def _intrinsic(self, name: str, args: list, typename: str):
         if name in ("println", "print"):
             text = _display(args[0])
             self.stdout.append(text + ("\n" if name == "println" else ""))
@@ -282,13 +282,7 @@ class OracleInterpreter(Interpreter):
         if name == "bit.~":
             return ~args[0]
         if name.startswith("Math."):
-            result_typename = (
-                "int"
-                if name in ("Math.abs", "Math.min", "Math.max")
-                and all(isinstance(a, int) and not isinstance(a, bool) for a in args)
-                else "double"
-            )
-            return apply_math(name, args, result_typename)
+            return apply_math(name, args, typename)
         raise DeviceError(f"unknown intrinsic {name!r}")
 
 

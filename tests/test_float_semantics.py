@@ -13,7 +13,8 @@ import struct
 
 import pytest
 
-from repro.ir.ops import INTRINSICS, apply_binary, apply_cast, apply_math
+from repro.ir.ops import apply_binary, apply_cast, apply_math
+from repro.backends.bytecode import isa
 from repro.backends.bytecode.compiler import compile_module
 from repro.backends.bytecode.interpreter import Interpreter
 from repro.compiler import CompileOptions, CompilerSession
@@ -143,9 +144,10 @@ def test_table_level_results():
     assert apply_binary("/", 1.0, -0.0, "double") == -INF
     assert apply_binary("/", -1, 0, "float") == -INF
     assert math.isnan(apply_binary("/", 0.0, 0.0, "float"))
-    # A narrowing compound assignment (x += 2.5 on an int x) is a cast.
-    assert apply_binary("+", 1, 2.5, "int") == 3
-    assert apply_binary("*", 2, 1e300, "int") == INT_MAX
+    # A narrowing compound assignment (x += 2.5 on an int x) is the
+    # double operation, then a cast.
+    assert apply_cast(apply_binary("+", 1, 2.5, "double"), "int") == 3
+    assert apply_cast(apply_binary("*", 2, 1e300, "double"), "int") == INT_MAX
     assert math.isnan(apply_math("Math.sqrt", [-4.0]))
     assert apply_math("Math.log", [0]) == -INF
     assert apply_math("Math.exp", [1e6]) == INF
@@ -158,30 +160,61 @@ def test_table_level_results():
     assert math.isnan(apply_math("Math.ceil", [NAN]))
 
 
-# Operands of every class the intrinsics meet, and some they only could:
-# ints beyond the int range (long Math.* still wraps as int: a known
-# open bug, kept as it is), signed zeros, NaN, infinities, bools.
-MATH_OPERANDS = [
-    0, 1, -7, 2**31 - 1, -(2**31), 2**31, -(2**31) - 3, 2**40,
-    0.0, -0.0, 1.5, -2.5, INF, -INF, NAN, True,
-]
+# Well-typed operands per result type of Math.abs/min/max: the edges of
+# each range, signed zeros, NaN and the infinities.
+MATH_OPERANDS = {
+    "int": [0, 1, -7, INT_MAX, INT_MIN],
+    "long": [0, -7, 2**40, -(2**40), INT_MIN, LONG_MAX, LONG_MIN],
+    "float": [0.0, -0.0, 1.5, -2.5, 3.4028234663852886e38, INF, -INF, NAN],
+    "double": [0.0, -0.0, 1.5, -2.5, 1e300, INF, -INF, NAN],
+}
+
+
+def _java_math(name, args, typename):
+    """Java's Math.abs/min/max written out, independently of the table."""
+    if typename in ("int", "long"):
+        value = {"Math.abs": abs, "Math.min": min, "Math.max": max}[name](
+            *args
+        )
+        bits = 32 if typename == "int" else 64
+        value &= (1 << bits) - 1
+        return value - (1 << bits) if value >> (bits - 1) else value
+    if name == "Math.abs":
+        return math.fabs(args[0])
+    a, b = args
+    if a != a or b != b:
+        return NAN
+    if a == b == 0:
+        negative = (math.copysign(1, a) < 0) + (math.copysign(1, b) < 0)
+        wanted = negative == 2 if name == "Math.max" else negative >= 1
+        return -0.0 if wanted else 0.0
+    return min(a, b) if name == "Math.min" else max(a, b)
 
 
 @pytest.mark.parametrize("name", ["Math.abs", "Math.min", "Math.max"])
-def test_math_select_fast_path_returns_the_table_values(name):
-    fast = INTRINSICS[name]
-
-    def table(*args):
-        integral = all(
-            isinstance(a, int) and not isinstance(a, bool) for a in args
-        )
-        return apply_math(name, args, "int" if integral else "double")
-
+def test_staged_math_returns_the_table_values(name):
+    """The staged intrinsic, the table (apply_math) and Java agree, at
+    every result type the INTRINSIC operand can carry."""
     arity = 1 if name == "Math.abs" else 2
-    for args in itertools.product(MATH_OPERANDS, repeat=arity):
-        got, want = fast(*args), table(*args)
-        assert type(got) is type(want), (name, args)
-        assert repr(got) == repr(want), (name, args)
+    for typename, operands in MATH_OPERANDS.items():
+        code = [(isa.LOAD, i) for i in range(arity)] + [
+            (isa.INTRINSIC, (name, arity, typename)), (isa.RETV, None),
+        ]
+        program = isa.BytecodeProgram(
+            functions={"M.f": isa.CompiledFunction(
+                "M.f", code, (typename,) * (arity + 1), arity
+            )},
+            classes={},
+        )
+        staged = Interpreter(program)
+        for args in itertools.product(operands, repeat=arity):
+            want = _java_math(name, args, typename)
+            for got in (
+                apply_math(name, args, typename),
+                staged.call("M.f", list(args)),
+            ):
+                assert type(got) is type(want), (name, typename, args)
+                assert repr(got) == repr(want), (name, typename, args)
 
 
 def test_math_min_max_are_javas():

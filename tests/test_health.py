@@ -58,7 +58,7 @@ from repro.runtime.tasks import (
     SourceTask,
 )
 from repro.runtime.timing import OffloadRecord, TimingLedger
-from repro.values import KIND_INT, MutableArray, ValueArray
+from repro.values import KIND_FLOAT, KIND_INT, MutableArray, ValueArray
 
 
 # ----------------------------------------------------------------------
@@ -758,3 +758,37 @@ class TestOperatorChargedItsOwnOffload:
         assert breaker.now_s == pytest.approx(
             before_s + probe.attributes["bytecode_s"] + own[1], rel=1e-12
         )
+
+
+NAN_MAP = """
+class NanMap {
+    local static float undefined(float x) { return (x - x) / (x - x); }
+    static float[[]] run(float[[]] xs) { return NanMap @ undefined(xs); }
+}
+"""
+
+
+@pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
+def test_a_nan_producing_map_span_repromotes_after_clean_probes(scheduler):
+    """A device that returns NaN where bytecode returns NaN answers
+    right: its shadow probes are clean, and the span re-promotes."""
+    runtime = Runtime(
+        compile_program(NAN_MAP),
+        RuntimeConfig(
+            scheduler=scheduler,
+            fault_plan=TRANSIENT_PLAN,
+            max_attempts=1,
+            cooldown_s=1e-6,
+        ),
+    )
+    xs = ValueArray(KIND_FLOAT, [float(i) for i in range(64)])
+    # Two runs served from bytecode cool the breaker; two clean probes
+    # close it.
+    for _ in range(5):
+        value = runtime.run("NanMap.run", [xs]).value
+        assert len(value) == 64 and all(v != v for v in value)
+    (breaker,) = runtime.health.breakers()
+    assert breaker.probes == PROBE_BATCHES
+    assert breaker.probe_failures == 0
+    assert breaker.repromotions == 1
+    assert breaker.state == CLOSED

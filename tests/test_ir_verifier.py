@@ -120,7 +120,60 @@ class TestRejections:
             verify_one(f)
 
 
+    def test_integer_operation_on_a_double_operand(self):
+        # What 'x += 2.5' on an int x lowered to before the checker's
+        # operation type reached the IR: an int add of a double.
+        f = make_function(
+            [
+                ir.SReturn(
+                    ir.EBinary(
+                        ty.INT, "+", ir.ELocal(ty.INT, "x"),
+                        ir.EConst(ty.DOUBLE, 2.5),
+                    )
+                )
+            ],
+            params=[("x", ty.INT)],
+            return_type=ty.INT,
+        )
+        with pytest.raises(LoweringError, match="int '\\+' has a double"):
+            verify_one(f)
+
+    def test_long_negation_of_a_float(self):
+        f = make_function(
+            [ir.SReturn(ir.EUnary(ty.LONG, "-", ir.ELocal(ty.FLOAT, "x")))],
+            params=[("x", ty.FLOAT)],
+            return_type=ty.LONG,
+        )
+        with pytest.raises(LoweringError, match="long '-' has a float"):
+            verify_one(f)
+
+
 class TestAcceptances:
+    def test_integer_operations_mix_int_and_long(self):
+        f = make_function(
+            [
+                ir.SReturn(
+                    ir.EBinary(
+                        ty.INT, "<<", ir.ELocal(ty.INT, "x"),
+                        ir.EConst(ty.LONG, 3),
+                    )
+                )
+            ],
+            params=[("x", ty.INT)],
+            return_type=ty.INT,
+        )
+        verify_one(f)
+
+    def test_compound_assignment_is_the_promoted_operation_then_a_cast(self):
+        module = build_ir(analyze(
+            "class C { static int f(int x) { x /= 0.1; return x; } }"
+        ), run_optimizations=False)
+        (store, _) = module.functions["C.f"].body
+        assert isinstance(store.value, ir.ECast)
+        assert store.value.type == ty.INT
+        assert store.value.operand.type == ty.DOUBLE
+        assert store.value.operand.op == "/"
+
     def test_both_arm_definition_survives_join(self):
         cond_param = ("c", ty.BOOLEAN)
         f = make_function(
@@ -152,9 +205,7 @@ class TestAcceptances:
         )
         verify_one(f)
 
-    @pytest.mark.parametrize(
-        "name", ["bitflip", "black_scholes", "crc8", "running_sum"]
-    )
+    @pytest.mark.parametrize("name", sorted(SUITE))
     def test_real_pipeline_output_verifies(self, name):
         module = build_ir(analyze(SUITE[name].source))
         verify_module(module)  # explicitly, beyond build_ir's own call

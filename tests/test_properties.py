@@ -161,20 +161,25 @@ class TestOptimizationSoundness:
         )
 
 
+#: Datapath inputs per type: any int, and long edges.
+_DATAPATH_ARGUMENTS = {
+    "int": st.integers(INT_MIN, INT_MAX),
+    "long": _ARGUMENTS["long"],
+}
+
+
 class TestDatapathEquivalence:
+    @pytest.mark.parametrize("kind", ["int", "long"])
     @settings(max_examples=60, deadline=None)
-    @given(
-        int_exprs(),
-        st.integers(INT_MIN, INT_MAX),
-        st.integers(INT_MIN, INT_MAX),
-        st.integers(INT_MIN, INT_MAX),
-    )
-    def test_fpga_datapath_matches_interpreter(self, expr, a, b, c):
+    @given(st.data())
+    def test_fpga_datapath_matches_interpreter(self, kind, data):
         from repro.backends.verilog.codegen import compile_datapath
         from repro.backends.verilog.datapath import DatapathBuilder
         from repro.errors import ExclusionNotice
 
-        source = _program_for(expr)
+        expr = data.draw(exprs(kind))
+        a, b, c = (data.draw(_DATAPATH_ARGUMENTS[kind]) for _ in _NAMES)
+        source = _program_for(expr, kind)
         module = build_ir(analyze(source))
         try:
             datapath = DatapathBuilder(module).build("P.f")
@@ -184,6 +189,25 @@ class TestDatapathEquivalence:
         expected = interp.call("P.f", [a, b, c])
         got = compile_datapath(datapath, ["a", "b", "c"])(a, b, c)
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["Math.min(a, b)", "Math.max(b, a)", "Math.abs(a)",
+         "Math.max(a, (3L)) + c"],
+    )
+    def test_fpga_datapath_matches_interpreter_on_long_math(self, expr):
+        """The datapath's mux trees follow the checker's ``long``, and
+        so does the bytecode's intrinsic."""
+        from repro.backends.verilog.codegen import compile_datapath
+        from repro.backends.verilog.datapath import DatapathBuilder
+
+        module = build_ir(analyze(_program_for(expr, "long")))
+        datapath = compile_datapath(
+            DatapathBuilder(module).build("P.f"), ["a", "b", "c"]
+        )
+        interp = Interpreter(compile_module(module))
+        for args in ([LONG_MIN, 3, 0], [LONG_MAX, -3, 1], [1 << 40, 3, 5]):
+            assert datapath(*args) == interp.call("P.f", args), args
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(-100, 100), min_size=1, max_size=12))

@@ -619,10 +619,12 @@ def test_values_live_across_blocks(entry, argsets):
 
 
 def _function(code, params, locals_=None, returns=True):
+    # Hand-built bytecode: its parameter type names are never read.
+    signature = ("int",) * params + ("int" if returns else "void",)
     return isa.BytecodeProgram(
         functions={
             "H.f": isa.CompiledFunction(
-                "H.f", code, params, locals_ or params, returns
+                "H.f", code, signature, locals_ or params
             )
         },
         classes={},

@@ -19,6 +19,7 @@ from repro.values import (
     is_value,
     kind_of,
     parse_bit_literal,
+    same_value,
 )
 from repro.values.arrays import _coerce_element
 
@@ -202,3 +203,48 @@ def test_bulk_coercion_keeps_canonical_elements_and_copies_mutables():
     mutable = MutableArray(KIND_INT, source)
     mutable[0] = 9
     assert source == [1, 2]
+
+
+class TestSameValue:
+    """``same_value``: the bit-exact "same value" of shadow probes, the
+    CLI, the service driver and fault injection."""
+
+    def test_nan_is_the_same_as_nan(self):
+        nan = float("nan")
+        assert same_value(nan, float("nan"))
+        assert same_value([nan], [float("nan")])
+        assert same_value(
+            ValueArray(KIND_FLOAT, [nan]), ValueArray(KIND_FLOAT, [nan * 2])
+        )
+
+    def test_signed_zeros_differ(self):
+        assert not same_value(0.0, -0.0)
+        assert not same_value([0.0], [-0.0])
+        assert not same_value(0, -0.0)
+        assert same_value(-0.0, -0.0)
+
+    def test_containers_compare_class_kind_and_elements(self):
+        ints = ValueArray(KIND_INT, [1, 2])
+        assert same_value(ints, ValueArray(KIND_INT, [1, 2]))
+        assert not same_value(ints, ValueArray(KIND_LONG, [1, 2]))
+        assert not same_value(ints, MutableArray(KIND_INT, [1, 2]))
+        assert same_value(
+            MutableArray(KIND_INT, [1, 2]), MutableArray(KIND_INT, [1, 2])
+        )
+        assert not same_value([1, 2], [1])
+        assert not same_value([1.0], 1.0)
+
+    def test_scalars(self):
+        assert same_value(None, None)
+        assert same_value(3, 3.0)
+        assert same_value(Bit(1), Bit(1))
+        assert not same_value(Bit(1), Bit(0))
+        assert not same_value(1.5, "1.5")
+
+    def test_corrupting_a_nan_is_a_short_read(self):
+        from repro.runtime.faults import _corrupt_outputs
+
+        nan = float("nan")
+        # NaN + 1.0 is NaN: the same value, so the batch loses an item.
+        assert len(_corrupt_outputs([nan, 1.0])) == 1
+        assert _corrupt_outputs([0.0, 1.0]) == [1.0, 1.0]
