@@ -195,14 +195,24 @@ recover-smoke:
 
 # Kill every accelerator call against a GPU map app and an FPGA stream
 # app: both runs must still produce output identical to a cpu-only run,
-# with at least one recorded demotion to bytecode (docs/RESILIENCE.md).
+# with at least one demotion to bytecode -- a breaker failure, counted
+# from the health report, which is then re-validated against the
+# repro.health/1 schema (docs/RESILIENCE.md).
 fault-smoke:
+	mkdir -p benchmarks/out
 	PYTHONPATH=src $(PYTHON) -m repro faults mandelbrot \
 		--plan examples/fault_plans/kill_devices.json \
-		--require-demotions 1
+		--require-demotions 1 \
+		-o benchmarks/out/fault_smoke_mandelbrot.json
 	PYTHONPATH=src $(PYTHON) -m repro faults bitflip \
 		--plan examples/fault_plans/kill_devices.json \
-		--require-demotions 1
+		--require-demotions 1 \
+		-o benchmarks/out/fault_smoke_bitflip.json
+	PYTHONPATH=src $(PYTHON) -c "\
+	from repro.schema import load; from repro.runtime import HEALTH_SPEC; \
+	load('benchmarks/out/fault_smoke_mandelbrot.json', HEALTH_SPEC, 'health report'); \
+	load('benchmarks/out/fault_smoke_bitflip.json', HEALTH_SPEC, 'health report'); \
+	print('fault-smoke: both health reports valid')"
 
 all: test bench
 

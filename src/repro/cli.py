@@ -494,6 +494,7 @@ def _cmd_faults(args) -> int:
         load_fault_plan,
         render_health_report,
     )
+    from repro.runtime.health import CLOSED, OPEN
 
     if args.list_plans:
         return _list_fault_plans()
@@ -553,7 +554,12 @@ def _cmd_faults(args) -> int:
     # the summary off it.
     status = sys.stderr if args.json else sys.stdout
     injected = runtime.faults.fired()
-    demotions = len(runtime.demotion_log)
+    report = runtime.health.to_report(
+        app=name, entry=entry, scheduler=args.scheduler
+    )
+    # A demotion is a breaker failure: the call that exhausted its
+    # retries opened its span's breaker (CLOSED -> OPEN).
+    demotions = sum(row["failures"] for row in report["breakers"])
     counters = tracer.counters.snapshot()
     print(f"app: {name}  entry: {entry}", file=status)
     print(
@@ -570,22 +576,22 @@ def _cmd_faults(args) -> int:
     resilience = {
         k: v
         for k, v in counters.items()
-        if k.startswith(("fault.", "retry.", "demotion."))
+        if k.startswith(("fault.", "retry.", "health."))
     }
     if resilience:
         print("counters:", file=status)
         for cname, value in resilience.items():
             print(f"  {value:>12g}  {cname}", file=status)
-    for record in runtime.demotion_log:
-        print(
-            f"  demoted {record.task_id} ({record.device}) after "
-            f"{record.attempts} attempt(s): {record.error}",
-            file=status,
-        )
+    for row in report["breakers"]:
+        for transition in row["transitions"]:
+            if (transition["from"], transition["to"]) == (CLOSED, OPEN):
+                print(
+                    f"  demoted {row['key']} ({row['device']}) at "
+                    f"{transition['at_s'] * 1e6:.3f}us: "
+                    f"{transition['reason']}",
+                    file=status,
+                )
 
-    report = runtime.health.to_report(
-        app=name, entry=entry, scheduler=args.scheduler
-    )
     if not _emit_report(
         args, "health report", report, HEALTH_SPEC, _json_text(report),
         lambda: render_health_report(report),

@@ -139,7 +139,7 @@ class DeviceTimeoutError(DeviceError):
 
     Raised by the :class:`~repro.runtime.scheduler.ThreadedScheduler`
     stage watchdog and by injected stage-stall faults. Carries the
-    stage/device so the supervisor can demote the right span, plus —
+    stage/device so the runtime can demote the right span, plus —
     when the run belongs to a service job — the ``job_id``/``tenant``
     so service-level error reports are attributable.
     """
@@ -155,8 +155,8 @@ class DeviceTimeoutError(DeviceError):
 
 
 class RetryExhaustedError(LiquidMetalError):
-    """The supervisor gave up retrying a device task and no bytecode
-    fallback was available. Carries the failing task/device context,
+    """A device task exhausted its retries and no bytecode fallback
+    was available. Carries the failing task/device context,
     the last underlying error (also chained via ``__cause__``), and —
     for service jobs — the ``job_id``/``tenant`` the failure belongs
     to."""
@@ -248,7 +248,7 @@ class ProcessCrash(BaseException):
 
     Deliberately derives from :class:`BaseException`, *not*
     :class:`LiquidMetalError`: a crash is not a device fault the
-    supervisor may retry or a failure a generic handler may swallow —
+    runtime may retry or a failure a generic handler may swallow —
     it must unwind the whole service dispatch, exactly like a real
     ``kill -9`` would. The co-execution service catches it at the job
     boundary, appends a ``crashed`` journal record, and marks the

@@ -322,11 +322,15 @@ class Lowerer:
         out.append(ir.SWhile(cond, body))
 
     def _try_canonical_for(self, stmt: ast.For) -> Optional[ir.SFor]:
-        """Recognize ``for (int i = start; i < limit; i++/i += step)``."""
+        """Recognize ``for (int i = start; i < limit; i++/i += step)``
+        with an ``int`` limit and step: the bytecode compiles ``SFor``
+        with ``int`` arithmetic, and the OpenCL printer declares its
+        variable ``int``. Every other loop is an ``SWhile``, computed
+        in the checker's types."""
         init = stmt.init
         if not isinstance(init, ast.VarDecl) or init.init is None:
             return None
-        if init.declared_type not in (ty.INT, ty.LONG):
+        if init.declared_type != ty.INT:
             return None
         var = init.name
         cond = stmt.cond
@@ -335,6 +339,7 @@ class Lowerer:
             or cond.op != "<"
             or not isinstance(cond.left, ast.Name)
             or cond.left.ident != var
+            or cond.right.type != ty.INT
         ):
             return None
         update = stmt.update
@@ -349,7 +354,7 @@ class Lowerer:
         elif (
             isinstance(update, ast.Assign)
             and update.op == "+="
-            and update.op_type in (ty.INT, ty.LONG)
+            and update.op_type == ty.INT
             and isinstance(update.target, ast.Name)
             and update.target.ident == var
         ):

@@ -4,7 +4,7 @@ Spans (``repro.obs.tracer``) answer "what happened, when"; the metrics
 registry answers "how much, how often, how spread out". One
 :class:`MetricsRegistry` lives on every :class:`~repro.obs.Tracer`, so
 any instrumented seam — scheduler stage loops, FIFO connections, the
-marshaling boundary, device executors, the supervisor — can record
+marshaling boundary, device executors, the retry loop — can record
 distributions without new plumbing, and the profiler
 (:mod:`repro.obs.profile`) turns the aggregate into per-stage
 utilization, queue-occupancy, and latency reports.

@@ -195,7 +195,6 @@ def _segment_category(name: str) -> str:
     if name in (
         "retry.attempt",
         "retry.recovered",
-        "demotion.taken",
         "breaker.transition",
         "probe.shadow",
     ):

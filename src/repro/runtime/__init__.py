@@ -1,5 +1,5 @@
 """The Liquid Metal runtime: task graphs, scheduling, substitution,
-marshaling, fault injection/supervision, and the co-execution engine."""
+marshaling, fault injection, device health, and the co-execution engine."""
 
 from repro.runtime.adaptive import AdaptationRecord, AdaptiveTask
 from repro.runtime.cancel import CancelToken
@@ -36,7 +36,6 @@ from repro.runtime.substitution import (
     apply_substitutions,
     plan_substitutions,
 )
-from repro.runtime.supervisor import DemotionRecord, Supervisor
 from repro.runtime.tasks import (
     DeviceTask,
     FilterTask,
@@ -54,7 +53,6 @@ __all__ = [
     "CheckpointRecorder",
     "fault_log_payload",
     "Connection",
-    "DemotionRecord",
     "DeviceHealth",
     "DeviceTask",
     "END_OF_STREAM",
@@ -79,7 +77,6 @@ __all__ = [
     "SinkTask",
     "SourceTask",
     "SubstitutionPolicy",
-    "Supervisor",
     "ThreadedScheduler",
     "TimingLedger",
     "apply_substitutions",

@@ -1,10 +1,10 @@
 """Stage-boundary checkpoints for crash-consistent co-execution.
 
 A :class:`CheckpointRecorder` memoizes the results of the runtime's
-*device decision points* — every supervised filter-batch executor call
+*device decision points* — every mediated filter-batch executor call
 and every whole ``execute_map`` / ``execute_reduce`` invocation — and
 periodically persists them, together with wholesale snapshots of the
-fault injector, the retry supervisor, and the device-health registry,
+fault injector, the retry jitter streams, and the device-health registry,
 as ``repro.checkpoint/1`` frames appended to the service's job journal
 (:class:`~repro.service.journal.JobJournal`) through its one locked
 append handle. Frames are *deltas*: each carries only the entries
@@ -121,7 +121,7 @@ class CheckpointRecorder:
         self._scheduler = ""
         # Replay state: per-(kind, key) FIFO queues of the chain's
         # entries (frames are deltas, so every frame's slice in frame
-        # order), plus the last frame — its injector/supervisor/health
+        # order), plus the last frame — its injector/retry/health
         # snapshots are the crashed run's state at its most recent
         # quiescent persist.
         self._queues: dict = {}
@@ -164,7 +164,7 @@ class CheckpointRecorder:
 
         Fresh capture refuses configurations whose decision points are
         not replayable (:func:`capture_refusal`). Resume restores
-        the frame's injector/supervisor/health snapshots wholesale —
+        the frame's injector/retry/health snapshots wholesale —
         exactly the state the crashed run had at its last frame. A
         restored OPEN breaker needs nothing more: the runtime reads
         span health from its breakers alone.
@@ -193,7 +193,10 @@ class CheckpointRecorder:
             )
         if injector_state is not None:
             runtime.faults.restore_state(injector_state)
-        runtime.supervisor.restore_state(frame["supervisor"])
+        # The retry jitter streams' positions. A frame journaled
+        # before the breaker became the one demotion record also
+        # carries `backoff` and `demotions` here; nothing reads them.
+        runtime.retry_streams.restore_state(frame["supervisor"]["rngs"])
         restored = runtime.health.restore_state(frame["health"])
         self._restored_breakers = [(r.device, r.key) for r in restored]
         self.tracer.counters.add("checkpoint.resume.attached")
@@ -210,7 +213,7 @@ class CheckpointRecorder:
     # -- decision points -----------------------------------------------
 
     def around(self, kind: str, key: str, items: int, live_fn):
-        """Serve one decision point — a supervised filter batch, or a
+        """Serve one decision point — a mediated filter batch, or a
         whole ``execute_map`` / ``execute_reduce`` call — of ``items``
         inputs: replay the memo when the frame has one, otherwise run
         ``live_fn() -> (output list, seconds)`` and record. The lock
@@ -345,7 +348,9 @@ class CheckpointRecorder:
                 "seq": self._next_seq,
                 "entries": entries,
                 "injector": runtime.faults.export_state(),
-                "supervisor": runtime.supervisor.export_state(),
+                "supervisor": {
+                    "rngs": runtime.retry_streams.export_state()
+                },
                 "health": runtime.health.export_state(),
             },
             separators=(",", ":"),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -32,8 +33,10 @@ from repro.errors import (
     ArgumentTypeError,
     ConfigurationError,
     LiquidMetalError,
+    RetryExhaustedError,
     RuntimeGraphError,
 )
+from repro.ir.ops import to_float32
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.adaptive import AdaptiveTask
@@ -44,11 +47,12 @@ from repro.runtime.health import (
     RUN_DEVICE,
     RUN_PROBE,
     HealthRegistry,
+    RetryStreams,
+    is_retryable,
 )
 from repro.runtime.marshaling import MarshalingBoundary
 from repro.runtime.scheduler import SequentialScheduler, ThreadedScheduler
 from repro.runtime.specialize import KernelSpecializer
-from repro.runtime.supervisor import Supervisor
 from repro.runtime.substitution import (
     SubstitutionPolicy,
     apply_substitutions,
@@ -78,15 +82,18 @@ GPU_LINK = PCIE_GEN2_X16
 FPGA_MAX_CLOCK_HZ = 250e6
 
 
-def check_entry_args(compiled, qualified: str, args: list) -> None:
+def check_entry_args(compiled, qualified: str, args: list) -> list:
     """Refuse ``args`` for the entry point ``qualified`` of ``compiled``
     unless each fits its parameter's type in the entry's signature,
     with :class:`~repro.errors.ArgumentTypeError` naming the parameter.
-    An unknown entry or a wrong argument count is the interpreter's to
-    refuse."""
+    Returns the arguments the entry runs: an integer passed for a
+    ``float`` or ``double`` parameter converted as Java's widening
+    conversion does, rounded once to the parameter's format. An unknown
+    entry or a wrong argument count is the interpreter's to refuse."""
     function = compiled.bytecode_program.functions.get(qualified)
     if function is None or len(args) != function.num_params:
-        return
+        return args
+    converted = list(args)
     for index, (typename, value) in enumerate(zip(function.signature, args)):
         if not fits_type(typename, value):
             # The error path only: a cached compile rebuilds its IR here.
@@ -96,6 +103,37 @@ def check_entry_args(compiled, qualified: str, args: list) -> None:
                 f"cannot take {value!r}",
                 entry=qualified, parameter=name, expected=typename,
             )
+        if typename in _FLOATING and isinstance(value, int):
+            converted[index] = _FLOATING[typename](value)
+    return converted
+
+
+def _int_to_double(value: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _int_to_float(value: int) -> float:
+    """``value`` rounded once to binary32. Above 2**53 ``float(value)``
+    would round a first time, so the bits below the 53 kept are folded
+    into a sticky last bit (round to odd), which the binary32 rounding
+    then resolves as one rounding of the exact value."""
+    magnitude = abs(value)
+    shift = max(magnitude.bit_length() - 53, 0)
+    kept = magnitude >> shift
+    if kept << shift != magnitude:
+        kept |= 1
+    try:
+        rounded = to_float32(math.ldexp(kept, shift))
+    except OverflowError:
+        rounded = math.inf
+    return -rounded if value < 0 else rounded
+
+
+#: Java's widening conversion of an integer to each floating type.
+_FLOATING = {"float": _int_to_float, "double": _int_to_double}
 
 
 def _gpu_launch(execution):
@@ -280,16 +318,11 @@ class Runtime(Services):
         self.store = compiled.store
         self.interp = Interpreter(compiled.bytecode_program, services=self)
         self.gpu = GPUSimulator(compiled.bytecode_program, self.config.gpu)
-        # Fault injection + supervision (docs/RESILIENCE.md): every
-        # device executor runs under the supervisor's retry budget and
-        # degrades to the bytecode artifact on exhausted retries.
+        # Fault injection and retries (docs/RESILIENCE.md): every
+        # device call gets `max_attempts` tries, backing off by draws
+        # from this runtime's own per-task jitter streams.
         self.faults = as_injector(self.config.fault_plan, tracer=self.trace)
-        self.supervisor = Supervisor(
-            self.config.max_attempts,
-            tracer=self.trace,
-            job_id=self.config.job_id,
-            tenant=self.config.tenant,
-        )
+        self.retry_streams = RetryStreams()
         # Cooperative cancellation (docs/SERVICE.md): when a token is
         # attached, task loops poll it at firing/batch boundaries.
         self.cancel_token = cancel_token
@@ -385,8 +418,7 @@ class Runtime(Services):
         token = self.cancel_token
         if token is not None:
             token.check()
-        args = list(args or [])
-        check_entry_args(self.compiled, qualified, args)
+        args = check_entry_args(self.compiled, qualified, list(args or []))
         self.ledger = TimingLedger(self.config.cpu.clock_hz)
         before = self.interp.cycles
         out_before = len(self.interp.stdout)
@@ -772,20 +804,14 @@ class Runtime(Services):
         return estimate
 
     # ------------------------------------------------------------------
-    # Supervision: retry, demotion, bytecode fallback
+    # Mediation: breaker, probe, retry, bytecode fallback
     # ------------------------------------------------------------------
-
-    @property
-    def demotion_log(self) -> list:
-        """Runtime re-substitutions taken so far
-        (:class:`~repro.runtime.supervisor.DemotionRecord`)."""
-        return self.supervisor.demotions
 
     def _mediated(self, kind, artifact, task_id, items, device_fn,
                   bytecode_fn, deciding=None):
         """One breaker-mediated offload decision, for every kind.
-        CLOSED runs ``device_fn`` under fault injection and the
-        supervisor's retries (exhausting them reports a failure, which
+        CLOSED runs ``device_fn`` under fault injection with up to
+        ``max_attempts`` tries (exhausting them is a failure, which
         opens the breaker, then replays on ``bytecode_fn``); OPEN
         serves from bytecode, advancing the quarantine clock; HALF_OPEN
         runs a shadow probe: bytecode is authoritative, the device
@@ -802,8 +828,8 @@ class Runtime(Services):
         device = artifact.device
         covered = list(artifact.manifest.task_ids)
         health = self.health
-        # Fault specs match on `sites`, backoff RNG streams are keyed
-        # by task_id: an operator's task name stays in both.
+        # Fault specs match on `sites`, backoff jitter streams are
+        # keyed by task_id: an operator's task name stays in both.
         sites = [key, *covered] if in_graph else [key, task_id, *covered]
 
         def run_device():
@@ -864,30 +890,62 @@ class Runtime(Services):
             health.on_probe(device, key, ok, seconds, reason=reason)
             return expected, seconds
 
-        demoted: list = []
-
-        def on_demote(record, error):
-            # Runtime re-substitution: the breaker opens — for good
-            # with no cool-down, as a liftable quarantine with one.
-            demoted.append(record)
-            health.on_failure(
-                device, key, record.backoff_s,
-                error=record.error, covered_task_ids=covered,
-            )
-
-        outputs, seconds = self.supervisor.run(
-            run_device,
-            task_id=task_id,
-            device=device,
-            fallback=bytecode_fn,
-            covered_task_ids=covered,
-            on_demote=on_demote,
-        )
-        if not demoted:
+        counters = self.trace.counters
+        attempts, call_backoff_s = 0, 0.0
+        while True:
+            attempts += 1
+            try:
+                outputs, seconds = run_device()
+            except LiquidMetalError as exc:
+                if (
+                    not is_retryable(exc)
+                    or attempts >= self.config.max_attempts
+                ):
+                    error = exc
+                    break
+                backoff = self.retry_streams.backoff(task_id, attempts)
+                call_backoff_s += backoff
+                counters.add("retry.attempt")
+                counters.add(f"retry.attempt[{device}]")
+                self.metrics.histogram("retry.backoff_us").observe(
+                    backoff * 1e6
+                )
+                with self.trace.span(
+                    "retry.attempt", task_id=task_id, device=device,
+                    attempt=attempts, backoff_s=backoff,
+                    error=type(exc).__name__,
+                ):
+                    pass
+                continue
+            if attempts > 1:
+                counters.add("retry.recovered")
+                counters.add(f"retry.recovered[{device}]")
+                with self.trace.span(
+                    "retry.recovered", task_id=task_id, device=device,
+                    attempts=attempts, backoff_s=call_backoff_s,
+                ):
+                    pass
             # The seconds this call's own offload returned: an
             # operator's ledger record, a batch's stage-busy time.
             health.on_success(device, key, seconds)
-        elif in_graph:
+            return outputs, seconds
+        if bytecode_fn is None:
+            config = self.config
+            raise RetryExhaustedError(
+                f"task {task_id!r} on {device} failed after "
+                f"{attempts} attempt(s): {error}",
+                task_id=task_id, device=device, attempts=attempts,
+                cause=error, job_id=config.job_id, tenant=config.tenant,
+            ) from error
+        # Runtime re-substitution: the breaker opens — for good with no
+        # cool-down, as a liftable quarantine with one — and its OPEN
+        # transition is the one record of the demotion.
+        health.on_failure(
+            device, key, call_backoff_s,
+            error=type(error).__name__, covered_task_ids=covered,
+        )
+        outputs, seconds = bytecode_fn()
+        if in_graph:
             # The replay that served this batch is already quarantine
             # time; an operator's clock starts at its next call.
             health.on_fallback(device, key, seconds)

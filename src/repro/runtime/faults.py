@@ -9,7 +9,7 @@ inject into device executors and marshaling boundaries — by task or
 artifact id, by call count, or probabilistically with a seeded RNG —
 and a :class:`FaultInjector` fires them deterministically, recording
 every injection through the tracer's counters so a traced run shows
-exactly which faults fired and how the supervisor recovered.
+exactly which faults fired and how the runtime recovered.
 
 Determinism is a hard requirement (the fault harness is itself under
 test): there is no wall-clock randomness anywhere. Each spec owns its

@@ -1,28 +1,33 @@
-"""Device health: circuit breakers, shadow probes, re-promotion.
+"""Device health: retries, circuit breakers, shadow probes, re-promotion.
 
-PR 2 made device failure survivable — retry, then *permanent* demotion
-to the always-available bytecode artifact (Section 4.1). This module
-makes the fallback reversible: every offload is mediated by a
-per-(device, span) :class:`DeviceHealth` circuit breaker,
+The runtime always holds a bytecode artifact for every task (Section
+4.1), so a device failure need never be fatal. This module holds the
+whole device-failure policy. A failed device call is retried when the
+error is transient (:func:`is_retryable`), after a seeded, jittered
+exponential backoff (:func:`backoff_s`, drawn from
+:class:`RetryStreams`). A call that exhausts its retries is a failure
+of its per-(device, span) :class:`DeviceHealth` circuit breaker, the
+one record of the demotion:
 
     CLOSED ──failure──► OPEN ──cool-down──► HALF_OPEN ──clean probes──► CLOSED
                           ▲                      │
                           └─────failed probe─────┘
 
-so a span demoted during a transient device outage is *probed* once
-the breaker has cooled down — a bounded number of batches run on both
-bytecode and the device, outputs compared element-wise (a wrong-answer
-device counts as a failure, not just a crashing one) — and re-promoted
-to the accelerator when enough probes come back clean. A flapping
-device is quarantined exponentially longer on each trip (hysteresis).
+An OPEN span is served from bytecode. Once the breaker has cooled down
+a bounded number of batches are *probed*: run on both bytecode and the
+device, outputs compared element-wise (a wrong-answer device counts as
+a failure, not just a crashing one), and the span is re-promoted to the
+accelerator when enough probes come back clean. A flapping device is
+quarantined exponentially longer on each trip (hysteresis).
 
 Time here is *simulated*, like everything else in the runtime: each
 breaker keeps a span-local clock advanced by the simulated seconds of
 the outcomes reported against it (device batches, bytecode fallbacks,
-retry backoff). Cool-downs therefore expire deterministically — the
-same seeds produce the same transitions at the same simulated times,
-on either scheduler — and an idle span does not cool down, because its
-clock only advances while it processes batches.
+retry backoff), and backoff is never slept on the wall clock.
+Cool-downs therefore expire deterministically — the same seeds produce
+the same transitions at the same simulated times, on either scheduler
+— and an idle span does not cool down, because its clock only advances
+while it processes batches.
 
 The registry renders a machine-readable report stamped
 ``repro.health/1`` (``python -m repro faults --json``), and every
@@ -34,11 +39,14 @@ state gauge, feeding the profiler's recovery breakdown.
 from __future__ import annotations
 
 import threading
+import zlib
 from dataclasses import dataclass
 
 from repro import schema
+from repro.errors import DeviceError, DeviceTimeoutError, MarshalingError
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
+from repro.runtime.faults import _XorShift
 
 #: Breaker states.
 CLOSED = "closed"
@@ -56,6 +64,73 @@ RUN_PROBE = "probe"        # HALF_OPEN: shadow-probe this batch
 
 #: Schema stamp for health reports.
 HEALTH_SCHEMA = "repro.health/1"
+
+
+#: The backoff schedule: retry ``k`` (1-based) backs off
+#: ``BASE_BACKOFF_S * BACKOFF_MULTIPLIER**(k-1)`` seconds, capped at
+#: ``MAX_BACKOFF_S``, scaled by a jitter factor in
+#: ``[1 - JITTER_RATIO, 1 + JITTER_RATIO)`` drawn from a stream seeded
+#: with ``RETRY_SEED`` (docs/RESILIENCE.md).
+BASE_BACKOFF_S = 100e-6
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF_S = 0.1
+JITTER_RATIO = 0.1
+RETRY_SEED = 0x5EED
+
+
+def is_retryable(exc: BaseException) -> bool:
+    """Transient ``DeviceError`` / ``MarshalingError`` faults are
+    retried; a ``DeviceTimeoutError`` (a stalled device) demotes at
+    once, since retrying a hang just hangs again."""
+    if isinstance(exc, DeviceTimeoutError):
+        return False
+    return isinstance(exc, (DeviceError, MarshalingError))
+
+
+def backoff_s(attempt: int, unit: float) -> float:
+    """Backoff before retry #``attempt`` given a unit draw."""
+    base = min(
+        BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (attempt - 1),
+        MAX_BACKOFF_S,
+    )
+    return base * (1.0 + JITTER_RATIO * (2.0 * unit - 1.0))
+
+
+class RetryStreams:
+    """One runtime's backoff jitter: a deterministic stream per task id
+    derived from ``RETRY_SEED``, drawn under one lock. Concurrent device
+    tasks under the threaded scheduler never share a stream, so the
+    backoff sequence does not depend on thread timing. Each runtime
+    owns one: a service shares its :class:`HealthRegistry` across jobs
+    but not these, so concurrent jobs do not interleave their draws."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._rngs: dict = {}
+
+    def backoff(self, task_id: str, attempt: int) -> float:
+        """The backoff before retry #``attempt`` of ``task_id``."""
+        with self._lock:
+            rng = self._rngs.get(task_id)
+            if rng is None:
+                rng = self._rngs[task_id] = _XorShift(
+                    RETRY_SEED ^ zlib.crc32(task_id.encode("utf-8"))
+                )
+            return backoff_s(attempt, rng.random())
+
+    def export_state(self) -> dict:
+        """Every stream's position, for a checkpoint frame."""
+        with self._lock:
+            return {task_id: rng.state for task_id, rng in self._rngs.items()}
+
+    def restore_state(self, states: dict) -> None:
+        """Resume the streams of :meth:`export_state`, so live retries
+        after a checkpoint draw what the uninterrupted run would have."""
+        with self._lock:
+            self._rngs = {}
+            for task_id, state in states.items():
+                rng = self._rngs[task_id] = _XorShift(1)
+                rng.state = int(state)
 
 
 #: Consecutive clean shadow probes required to close the breaker.

@@ -271,8 +271,9 @@ class CoExecutionService:
         counters = self.tracer.counters
         compiled, compile_error = self._compile(source, filename)
         if compiled is not None:
-            # Before anything is journaled: an ill-typed job is refused.
-            check_entry_args(compiled, entry, list(args or []))
+            # Before anything is journaled: an ill-typed job is refused,
+            # and the job runs and journals the converted arguments.
+            args = check_entry_args(compiled, entry, list(args or []))
         with self._lock:
             self._check_crashed()
             if self._draining:

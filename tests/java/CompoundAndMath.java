@@ -1,5 +1,5 @@
-// The JVM's answers for compound assignment (JLS 15.26.2) and for
-// Math.abs/min/max on long. tests/test_typed_semantics.py holds the
+// The JVM's answers for compound assignment (JLS 15.26.2), for
+// Math.abs/min/max on long and for for loops over a long. tests/test_typed_semantics.py holds the
 // same method bodies as Lime, with the values this class prints, and
 // compiles and runs this class when a JDK is on PATH:
 //
@@ -23,6 +23,8 @@ public class CompoundAndMath {
     static int addLongToInt() { int x = 1; x += (1L << 32) + 5; return x; }
     static int mulIntByDouble() { int x = 3; x *= 1e10; return x; }
     static int absIntMin() { return Math.abs(-2147483647 - 1); }
+    static int countLongLoop() { int n = 0; for (long i = 2147483646L; i < 2147483650L; i++) { n += 1; if (n > 10) { return -n; } } return n; }
+    static int countLongStep() { int n = 0; for (long i = 0L; i < 5000000000L; i += 1000000000L) { n += 1; if (n > 10) { return -n; } } return n; }
 
     public static void main(String[] args) {
         System.out.println("divIntByTenth " + divIntByTenth());
@@ -40,5 +42,7 @@ public class CompoundAndMath {
         System.out.println("addLongToInt " + addLongToInt());
         System.out.println("mulIntByDouble " + mulIntByDouble());
         System.out.println("absIntMin " + absIntMin());
+        System.out.println("countLongLoop " + countLongLoop());
+        System.out.println("countLongStep " + countLongStep());
     }
 }

@@ -221,6 +221,37 @@ class TestResume:
         assert second.output == first.output
         assert second.ledger.total_s == first.ledger.total_s
 
+    def test_a_frame_with_backoff_and_demotions_restores_them_unread(
+        self, journal
+    ):
+        """A frame's retry section holds the jitter stream positions
+        alone; a frame journaled when it also carried the accumulated
+        backoff and a demotion log still resumes, those keys unread."""
+        first, _ = _run(journal, interval=1)
+        chain = _chain(journal)
+        assert all(set(frame["supervisor"]) == {"rngs"} for frame in chain)
+        chain[-1]["supervisor"] = {
+            "rngs": {"gpu:x": 12345},
+            "backoff": {"gpu:x": 1e-4},
+            "demotions": [{
+                "task_id": "gpu:x", "device": "gpu", "attempts": 2,
+                "error": "DeviceError", "covered_task_ids": [],
+                "backoff_s": 1e-4,
+            }],
+        }
+        recorder = CheckpointRecorder(journal, JOB, interval=1, chain=chain)
+        entry, args = workloads.small_args(APP)
+        runtime = Runtime(
+            compile_app(APP),
+            RuntimeConfig(scheduler="sequential", batch_size=8),
+            checkpointer=recorder,
+        )
+        assert runtime.retry_streams.export_state() == {"gpu:x": 12345}
+        second = runtime.run(entry, args)
+        assert recorder.resume_hits > 0
+        assert second.value == first.value
+        assert second.ledger.total_s == first.ledger.total_s
+
     def test_resume_missing_file_is_none(self, tmp_path):
         """No journal, no chain: the recorder captures afresh."""
         assert load_journal(str(tmp_path / "no")).jobs == {}
@@ -337,7 +368,7 @@ class TestFrameContent:
             assert frame["scheduler"] == "sequential"
             assert frame["job_id"] == JOB
             assert "injector" in frame
-            assert "supervisor" in frame
+            assert set(frame["supervisor"]) == {"rngs"}
             assert "health" in frame
 
     def test_persist_span_reports_the_frame_it_wrote(self, journal):

@@ -341,7 +341,8 @@ class TestRuntimeSettingFlags:
         assert "retries: 0;" in out
         counters = _counters(out)
         assert "retry.attempt" not in counters
-        assert counters["demotion.taken"] >= 1
+        assert counters["health.failure"] >= 1
+        assert "  demoted gpu:map:Mandelbrot.escape (gpu) at " in out
         assert "output matches the cpu-only reference" in out
 
     def test_transient_window_recovers_with_a_valid_health_report(

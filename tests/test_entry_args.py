@@ -4,7 +4,10 @@
 its parameter's type does not admit with ``ArgumentTypeError``, which
 names the parameter and is no ``DeviceError``: no retry, breaker or
 demotion sees it, the interpreter never starts, and the service
-journals nothing. Every suite and benchmark input is accepted as is.
+journals nothing. An integer for a ``float`` or ``double`` parameter is
+converted at the entry, as Java's widening conversion does, and that
+value is what runs and what the service journals. Every suite and
+benchmark input is accepted as is.
 """
 
 import importlib.util
@@ -30,6 +33,8 @@ class P {
     static int ab(int x) { return Math.abs(x); }
     static void fill(int[] out, int[[]] xs) { out[0] = xs[0]; }
     static double half(double d) { return d / 2; }
+    static float f(float x) { return x; }
+    static double id(double d) { return d; }
 }
 """
 
@@ -103,6 +108,37 @@ def test_well_typed_scalars_pass_as_the_wire_admits_them():
     assert runtime.run("P.half", [3]).value == 1.5  # an int for a double
 
 
+@pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
+def test_an_int_for_a_floating_parameter_is_widened_at_the_entry(scheduler):
+    runtime = Runtime(
+        compile_program(SMALL), RuntimeConfig(scheduler=scheduler)
+    )
+    # 2**24 + 1 has no binary32: it rounds once, to even.
+    value = runtime.run("P.f", [16777217]).value
+    assert type(value) is float and value == 16777216.0
+    value = runtime.run("P.id", [3]).value
+    assert type(value) is float and value == 3.0
+    # Above 2**53 the one rounding is to binary32, not via a double:
+    # 2**60 + 2**36 + 1 is just above a binary32 tie, so it rounds up.
+    value = runtime.run("P.f", [2**60 + 2**36 + 1]).value
+    assert value == float(2**60 + 2**37)
+    assert runtime.run("P.f", [-16777217]).value == -16777216.0
+
+
+def test_a_service_job_runs_and_journals_the_widened_argument(tmp_path):
+    journal = tmp_path / "journal"
+    service = CoExecutionService(ServiceConfig(
+        runtime=RuntimeConfig(scheduler="sequential"),
+        journal_dir=str(journal),
+    ))
+    job_id = service.submit(SMALL, "P.f", [16777217], tenant="t")
+    service.drain()
+    value = service.result(job_id).value
+    assert type(value) is float and value == 16777216.0
+    args = load_journal(str(journal)).jobs[job_id].args
+    assert args == [16777216.0] and type(args[0]) is float
+
+
 def _perf_workloads():
     perf = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perf")
     sys.path.insert(0, perf)  # perf/workloads.py imports its sibling refs
@@ -128,4 +164,7 @@ def test_every_suite_and_benchmark_input_is_accepted():
             for name, (e, a) in perf.stream_inputs(1, sizes).items()
         ]
     for name, entry, args in inputs:
-        check_entry_args(compile_app(name), entry, list(args))
+        ran = check_entry_args(compile_app(name), entry, list(args))
+        # Already of their parameters' classes: nothing is converted.
+        assert [type(a) for a in ran] == [type(a) for a in args], name
+        assert ran == list(args), name

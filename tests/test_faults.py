@@ -252,7 +252,7 @@ class TestBatchedCallIndices:
     @pytest.mark.parametrize("chunk", [1, 7, 8, 64])
     def test_probabilistic_fire_points_invariant_under_chunking(self, chunk):
         # Drive 64 logical calls through the injector in ``chunk``-size
-        # batches, resuming after each fire (as the supervisor's retry
+        # batches, resuming after each fire (as the runtime's retry
         # does); the logical indices that fire must match the scalar
         # path's exactly — the RNG draw sequence is per logical call,
         # not per physical crossing.

@@ -29,6 +29,7 @@ from repro.runtime import (
     SubstitutionPolicy,
     kill_all_devices_plan,
 )
+from repro.runtime.health import OPEN
 from tests.test_suite_equivalence import SMALL_ARGS, UNFUSED
 
 AUTO = CompileOptions(fusion=FusionOptions(mode="auto"))
@@ -133,8 +134,9 @@ def test_fault_logs_mode_invariant(name, plan_paths):
 
     def log(runtime):
         return [
-            (r.task_id, r.device, r.attempts, str(r.error))
-            for r in runtime.demotion_log
+            (t.key, t.device, t.reason)
+            for t in runtime.health.transitions
+            if t.to_state == OPEN
         ]
 
     assert log(auto_rt) == log(plan_rt), name

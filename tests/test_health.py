@@ -11,6 +11,7 @@ keeps being substituted, so its breaker recovers across later runs.
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -33,7 +34,6 @@ from repro.runtime import (
     Runtime,
     RuntimeConfig,
     SubstitutionPolicy,
-    Supervisor,
     render_health_report,
 )
 from repro.runtime.graph import Pipeline
@@ -48,6 +48,7 @@ from repro.runtime.health import (
     RUN_DEVICE,
     RUN_PROBE,
     DeviceHealth,
+    RetryStreams,
     cooldown_for_trip,
 )
 from repro.runtime.scheduler import SequentialScheduler, ThreadedScheduler
@@ -59,6 +60,7 @@ from repro.runtime.tasks import (
 )
 from repro.runtime.timing import OffloadRecord, TimingLedger
 from repro.values import KIND_FLOAT, KIND_INT, MutableArray, ValueArray
+from tests.test_supervisor import failing, mediate, stub_runtime
 
 
 # ----------------------------------------------------------------------
@@ -339,23 +341,23 @@ class TestBurstAndCorruptFaults:
 
 
 # ----------------------------------------------------------------------
-# Supervisor satellites
+# Retry satellites: the CLOSED branch of the mediated offload
 # ----------------------------------------------------------------------
 
 
 class TestSupervisorSatellites:
     def test_retry_recovered_signal(self):
         tracer = Tracer()
-        supervisor = Supervisor(3, tracer=tracer)
+        runtime = stub_runtime(3, tracer)
         calls = []
 
         def flaky():
             calls.append(1)
             if len(calls) < 3:
                 raise DeviceError("transient")
-            return "ok"
+            return "ok", 0.0
 
-        assert supervisor.run(flaky, task_id="t", device="gpu") == "ok"
+        assert mediate(runtime, flaky) == ("ok", 0.0)
         counters = tracer.counters.snapshot()
         assert counters["retry.recovered"] == 1
         assert counters["retry.recovered[gpu]"] == 1
@@ -363,44 +365,47 @@ class TestSupervisorSatellites:
         assert span.attributes["task_id"] == "t"
         assert span.attributes["attempts"] == 3
         assert span.attributes["backoff_s"] > 0.0
+        assert span.attributes["backoff_s"] == sum(
+            attempt.attributes["backoff_s"]
+            for attempt in tracer.find("retry.attempt")
+        )
 
     def test_first_try_success_is_not_recovered(self):
         tracer = Tracer()
-        supervisor = Supervisor(3, tracer=tracer)
-        supervisor.run(lambda: "ok", task_id="t", device="gpu")
+        mediate(stub_runtime(3, tracer), lambda: ("ok", 0.0))
         assert tracer.counters.get("retry.recovered") == 0
 
     def test_demotion_record_carries_backoff(self):
-        supervisor = Supervisor(3)
-        supervisor.run(
-            lambda: (_ for _ in ()).throw(DeviceError("dead")),
-            task_id="t",
-            device="gpu",
-            fallback=lambda: "cpu",
+        """The breaker failure that records a demotion is charged the
+        call's backoff on the span's clock."""
+        tracer = Tracer()
+        runtime = stub_runtime(3, tracer)
+        mediate(runtime, failing(), lambda: ("cpu", 0.0))
+        (breaker,) = runtime.health.breakers()
+        backoff = sum(
+            span.attributes["backoff_s"]
+            for span in tracer.find("retry.attempt")
         )
-        (record,) = supervisor.demotions
-        assert record.backoff_s > 0.0
-        assert record.backoff_s == pytest.approx(
-            supervisor.total_backoff_s
-        )
+        assert backoff > 0.0
+        assert breaker.failures == 1
+        assert breaker.now_s == backoff
+        assert breaker.transitions[0].at_s == backoff
 
     def test_threaded_backoff_deterministic(self):
-        """Satellite: concurrent tasks must not perturb the backoff
-        sequence — the total is bit-identical across runs regardless
-        of thread interleaving (per-task RNG streams + atomic
-        draw-and-accumulate)."""
+        """Concurrent tasks must not perturb the backoff sequence: each
+        task's draws are identical across runs regardless of thread
+        interleaving (per-task jitter streams drawn under one lock)."""
 
         def run_once():
-            supervisor = Supervisor(4)
+            tracer = Tracer()
+            runtime = stub_runtime(4, tracer)
             barrier = threading.Barrier(4)
 
             def worker(task_id):
                 barrier.wait()
-                supervisor.run(
-                    lambda: (_ for _ in ()).throw(DeviceError("x")),
+                mediate(
+                    runtime, failing(), lambda: (None, 0.0),
                     task_id=task_id,
-                    device="gpu",
-                    fallback=lambda: None,
                 )
 
             threads = [
@@ -410,18 +415,31 @@ class TestSupervisorSatellites:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            return supervisor.total_backoff_s
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            return tuple(sorted(
+                (span.attributes["task_id"], span.attributes["attempt"],
+                 span.attributes["backoff_s"])
+                for span in tracer.find("retry.attempt")
+            ))
 
-        totals = {run_once() for _ in range(5)}
-        assert len(totals) == 1
-        assert totals.pop() > 0.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the draws finely
+        try:
+            runs = {run_once() for _ in range(5)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 1
+        assert len(runs.pop()) == 4 * 3
 
     def test_per_task_streams_differ(self):
-        supervisor = Supervisor(2)
-        a = supervisor._draw_backoff("t:a", 1)
-        b = supervisor._draw_backoff("t:b", 1)
+        streams = RetryStreams()
+        a = streams.backoff("t:a", 1)
+        b = streams.backoff("t:b", 1)
         assert a != b
+        # A runtime's streams are its own: the service shares one
+        # health registry across jobs, never the jitter.
+        assert stub_runtime(2).retry_streams.backoff("t:a", 1) == a
 
 
 # ----------------------------------------------------------------------
@@ -441,14 +459,11 @@ class _StubEngine:
 
 def _exhausting_pipeline(tracer):
     """source -> DeviceTask (no bytecode fallback) -> sink."""
-    supervisor = Supervisor(2, tracer=tracer)
+    runtime = stub_runtime(2, tracer)
 
     def executor(items):
-        def attempt():
-            raise DeviceError("dead device")
-
-        return supervisor.run(
-            attempt, task_id="gpu:dead", device="gpu", fallback=None
+        return mediate(
+            runtime, failing(), task_id="gpu:dead", kind="filter-batch"
         )
 
     source = SourceTask(ValueArray(KIND_INT, [1, 2, 3]), 1, "t:src")
@@ -558,7 +573,7 @@ class TestRecoveryEndToEnd:
         assert breaker.successes > 0  # device traffic after re-promotion
         counters = tracer.counters.snapshot()
         assert counters["health.repromotion[gpu]"] == 1
-        assert counters["demotion.taken"] == 1
+        assert counters["health.failure[gpu]"] == 1
         # The breaker alone held the demotion: no directive was written.
         assert runtime.policy.directives == {}
 

@@ -6,7 +6,7 @@ engine has (clean, retry-recovered, retries exhausted -> demotion,
 breaker OPEN -> bytecode, HALF_OPEN probe clean, HALF_OPEN probe
 raising, HALF_OPEN probe mismatch) on the sequential scheduler: outcome value/stdout, modeled
 seconds, every ``OffloadRecord``, per-stage busy time, the
-``repro.health/1`` report, the fault log, supervisor backoff, the
+``repro.health/1`` report, the fault log, the retry backoff, the
 ordered runtime spans with their parent and attributes, and every
 counter.
 
@@ -153,19 +153,26 @@ def _drive(app, size, config, calls):
             ],
         })
     metrics = tracer.metrics.snapshot()
+    health = runtime.health.to_report(
+        app=app, entry=entry, scheduler="sequential"
+    )
+    spans = _spans(tracer)
     return {
         "runs": runs,
-        "health": runtime.health.to_report(
-            app=app, entry=entry, scheduler="sequential"
-        ),
+        "health": health,
         "faults": fault_log_payload(runtime.faults.log),
-        "backoff_s": runtime.supervisor.total_backoff_s,
-        "demotions": len(runtime.demotion_log),
+        # Summed in span order from the pinned `retry.attempt` spans.
+        "backoff_s": sum(
+            attrs["backoff_s"] for name, _parent, attrs in spans
+            if name == "retry.attempt"
+        ),
+        # A demotion is the breaker failure that opened its span.
+        "demotions": sum(row["failures"] for row in health["breakers"]),
         "adaptations": [
             [record.artifact_id, record.chosen, record.probe_items]
             for record in runtime.adaptation_log
         ],
-        "spans": _spans(tracer),
+        "spans": spans,
         "counters": metrics["counters"],
         "histograms": {
             name: [row["count"], row["sum"]]

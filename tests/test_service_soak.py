@@ -133,7 +133,7 @@ class TestChaosSoak:
         # The soak is vacuous if the plan never injected: the
         # transient window guarantees at least the first device call
         # of each job's injector faulted (absorbed by retry or
-        # surfaced — either way the supervisor saw traffic).
+        # surfaced — either way the retry loop saw traffic).
         svc, report, jobs, _, _ = soak
         assert report["totals"]["jobs"] == TENANTS * JOBS_PER_TENANT
         assert report["totals"]["completed"] >= 1

@@ -1,9 +1,12 @@
-"""Unit tests for the retry schedule, supervisor, and stage watchdog."""
+"""Unit tests for the retry schedule, the retry loop of the mediated
+offload (``Runtime._mediated``), and the stage watchdog."""
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.apps import compile_app
 from repro.errors import (
     ConfigurationError,
     DeviceError,
@@ -14,18 +17,18 @@ from repro.errors import (
 )
 from repro.obs import Tracer
 from repro.runtime.graph import Pipeline
-from repro.runtime.scheduler import SequentialScheduler, ThreadedScheduler
-from repro.runtime.engine import RuntimeConfig
-from repro.runtime.supervisor import (
+from repro.runtime.health import (
     BACKOFF_MULTIPLIER,
     BASE_BACKOFF_S,
     JITTER_RATIO,
     MAX_BACKOFF_S,
+    OPEN,
     RETRY_SEED,
-    Supervisor,
     backoff_s,
     is_retryable,
 )
+from repro.runtime.scheduler import SequentialScheduler, ThreadedScheduler
+from repro.runtime.engine import Runtime, RuntimeConfig
 from repro.runtime.tasks import (
     ExecutionContext,
     SinkTask,
@@ -51,6 +54,46 @@ class _StubEngine:
 def make_ctx():
     engine = _StubEngine()
     return ExecutionContext(engine, engine.ledger.new_graph_run("g"))
+
+
+def stub_runtime(max_attempts, tracer=None, **config):
+    """A runtime whose mediated offload the tests drive with stub
+    thunks (the compiled program is never run)."""
+    if tracer is None:
+        tracer = Tracer()
+    return Runtime(
+        compile_app("saxpy"),
+        RuntimeConfig(max_attempts=max_attempts, tracer=tracer, **config),
+    )
+
+
+def mediate(runtime, device_fn, bytecode_fn=None, *, task_id="t",
+            device="gpu", covered=("t:f0",), kind="map"):
+    """One call of ``device_fn`` through ``Runtime._mediated``: a
+    blocking operator by default, a task-graph batch (whose task id is
+    its artifact id) with ``kind="filter-batch"``. Each thunk returns
+    ``(outputs, seconds)``."""
+    artifact = SimpleNamespace(
+        artifact_id=(
+            task_id if kind == "filter-batch" else f"{device}:{task_id}"
+        ),
+        device=device,
+        manifest=SimpleNamespace(task_ids=list(covered)),
+    )
+    return runtime._mediated(
+        kind, artifact, task_id, 1, device_fn, bytecode_fn
+    )
+
+
+def failing(error=DeviceError, calls=None):
+    """A device thunk that raises ``error`` every time."""
+
+    def device_fn():
+        if calls is not None:
+            calls.append(1)
+        raise error("dead")
+
+    return device_fn
 
 
 class TestRetrySchedule:
@@ -87,104 +130,102 @@ class TestRetrySchedule:
 
 
 class TestSupervisor:
+    """The CLOSED branch of the mediated offload: retries, then the
+    bytecode replay, with the breaker as the record of a demotion."""
+
     def test_success_needs_no_retry(self):
-        supervisor = Supervisor(3)
-        assert supervisor.run(
-            lambda: 42, task_id="t", device="gpu"
-        ) == 42
-        assert supervisor.total_backoff_s == 0.0
+        tracer = Tracer()
+        runtime = stub_runtime(3, tracer)
+        assert mediate(runtime, lambda: (42, 1e-6)) == (42, 1e-6)
+        assert tracer.counters.get("retry.attempt") == 0
+        (breaker,) = runtime.health.breakers()
+        assert breaker.successes == 1 and breaker.now_s == 1e-6
 
     def test_transient_failure_retried_to_success(self):
         tracer = Tracer()
-        supervisor = Supervisor(3, tracer=tracer)
+        runtime = stub_runtime(3, tracer)
         calls = []
 
         def flaky():
             calls.append(1)
             if len(calls) < 3:
                 raise DeviceError("transient")
-            return "ok"
+            return "ok", 0.0
 
-        assert supervisor.run(flaky, task_id="t", device="gpu") == "ok"
+        assert mediate(runtime, flaky) == ("ok", 0.0)
         assert len(calls) == 3
         assert tracer.counters.get("retry.attempt") == 2
         assert len(tracer.find("retry.attempt")) == 2
+        assert runtime.health.breakers()[0].failures == 0
 
     def test_exhaustion_without_fallback_raises(self):
-        supervisor = Supervisor(2)
-
-        def broken():
-            raise DeviceError("permanent")
-
+        runtime = stub_runtime(2, job_id="job-0007", tenant="acme")
         with pytest.raises(RetryExhaustedError) as err:
-            supervisor.run(broken, task_id="t:x", device="fpga")
+            mediate(runtime, failing(), task_id="t:x", device="fpga")
         assert err.value.task_id == "t:x"
         assert err.value.device == "fpga"
         assert err.value.attempts == 2
+        assert (err.value.job_id, err.value.tenant) == ("job-0007", "acme")
         assert isinstance(err.value.__cause__, DeviceError)
+        assert err.value.cause is err.value.__cause__
+        # Nothing was served, so nothing was demoted.
+        assert runtime.health.breakers()[0].failures == 0
 
     def test_exhaustion_with_fallback_demotes(self):
         tracer = Tracer()
-        supervisor = Supervisor(2, tracer=tracer)
-        demoted = []
-
-        result = supervisor.run(
-            lambda: (_ for _ in ()).throw(DeviceError("dead")),
-            task_id="t:x",
-            device="gpu",
-            fallback=lambda: "bytecode-result",
-            covered_task_ids=["t:a", "t:b"],
-            on_demote=lambda record, error: demoted.append(record),
+        runtime = stub_runtime(2, tracer)
+        result = mediate(
+            runtime, failing(), lambda: ("bytecode-result", 0.0),
+            task_id="t:x", covered=("t:a", "t:b"),
         )
-        assert result == "bytecode-result"
-        assert len(supervisor.demotions) == 1
-        record = supervisor.demotions[0]
-        assert record.covered_task_ids == ["t:a", "t:b"]
-        assert record.attempts == 2
-        assert demoted == [record]
-        assert tracer.counters.get("demotion.taken") == 1
-        assert tracer.counters.get("demotion.taken[gpu]") == 1
-        assert len(tracer.find("demotion.taken")) == 1
+        assert result == ("bytecode-result", 0.0)
+        (breaker,) = runtime.health.breakers()
+        assert breaker.state == OPEN
+        assert breaker.failures == 1
+        assert breaker.covered_task_ids == ["t:a", "t:b"]
+        (opened,) = breaker.transitions
+        assert opened.reason == "failures >= 1 (DeviceError)"
+        assert tracer.counters.get("retry.attempt") == 1
+        assert tracer.counters.get("health.failure[gpu]") == 1
+        assert len(tracer.find("breaker.transition")) == 1
 
     def test_timeout_demotes_without_retry(self):
         tracer = Tracer()
-        supervisor = Supervisor(5, tracer=tracer)
+        runtime = stub_runtime(5, tracer)
         calls = []
-
-        def stalled():
-            calls.append(1)
-            raise DeviceTimeoutError("hung", task_id="t", device="gpu")
-
-        result = supervisor.run(
-            stalled, task_id="t", device="gpu", fallback=lambda: "cpu"
+        result = mediate(
+            runtime, failing(DeviceTimeoutError, calls),
+            lambda: ("cpu", 0.0),
         )
-        assert result == "cpu"
+        assert result == ("cpu", 0.0)
         assert len(calls) == 1  # no retry for a hang
         assert tracer.counters.get("retry.attempt") == 0
+        assert runtime.health.breakers()[0].failures == 1
 
     def test_non_lime_errors_propagate(self):
-        supervisor = Supervisor(3)
+        runtime = stub_runtime(3)
 
         def bug():
             raise ZeroDivisionError("a real bug, not a device fault")
 
         with pytest.raises(ZeroDivisionError):
-            supervisor.run(bug, task_id="t", device="gpu")
+            mediate(runtime, bug, lambda: ("cpu", 0.0))
 
     def test_backoff_deterministic_under_seed(self):
-        def total(task_id):
-            supervisor = Supervisor(4)
+        def backoffs(task_id):
+            tracer = Tracer()
+            runtime = stub_runtime(4, tracer)
             with pytest.raises(RetryExhaustedError):
-                supervisor.run(
-                    lambda: (_ for _ in ()).throw(DeviceError("x")),
-                    task_id=task_id,
-                    device="gpu",
-                )
-            return supervisor.total_backoff_s
+                mediate(runtime, failing(), task_id=task_id)
+            return [
+                span.attributes["backoff_s"]
+                for span in tracer.find("retry.attempt")
+            ]
 
-        assert total("t") == total("t")
+        assert len(backoffs("t")) == 3
+        assert backoffs("t") == backoffs("t")
         # Each task id draws from its own stream off RETRY_SEED.
-        assert total("t") != total("u")
+        assert backoffs("t") != backoffs("u")
 
 
 class _StallingTask(Task):

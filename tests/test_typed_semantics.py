@@ -1,8 +1,9 @@
 """The type checker decides every operation's type, and the JVM agrees.
 
 ``x op= v`` computes in the promoted type of ``x`` and ``v`` and casts
-back (JLS §15.26.2), and ``Math.abs/min/max`` compute in their result
-type, ``long`` included. ``CASES`` holds the JVM's answer for each case:
+back (JLS §15.26.2), ``Math.abs/min/max`` compute in their result
+type, ``long`` included, and a ``for`` loop counts in its variable's
+type. ``CASES`` holds the JVM's answer for each case:
 ``tests/java/CompoundAndMath.java`` holds the same method bodies as Java
 and printed these values (OpenJDK 17). The Lime cases run through
 ``Runtime.run`` with the optimizer on and off; the Java class is
@@ -54,6 +55,18 @@ CASES = [
     ("addLongToInt", "int", "int x = 1; x += (1L << 32) + 5; return x;", 6),
     ("mulIntByDouble", "int", "int x = 3; x *= 1e10; return x;", INT_MAX),
     ("absIntMin", "int", "return Math.abs(-2147483647 - 1);", INT_MIN),
+    # A `for` over a `long` variable or with a `long` step counts in
+    # `long`: only an all-`int` loop takes the canonical `int` form.
+    (
+        "countLongLoop", "int",
+        "int n = 0; for (long i = 2147483646L; i < 2147483650L; i++) "
+        "{ n += 1; if (n > 10) { return -n; } } return n;", 4,
+    ),
+    (
+        "countLongStep", "int",
+        "int n = 0; for (long i = 0L; i < 5000000000L; i += 1000000000L) "
+        "{ n += 1; if (n > 10) { return -n; } } return n;", 5,
+    ),
 ]
 
 LIME_SOURCE = "class CompoundAndMath {\n%s\n}\n" % "\n".join(

@@ -25,6 +25,7 @@ from repro.values import KIND_BIT, Bit, ValueArray, deserialize
 from repro.values import deserialize_batch, serialize
 from repro.values.marshal import (
     MAX_NESTING,
+    TAG_ARRAY,
     TAG_BATCH,
     pack_values,
     unpack_values,
@@ -114,6 +115,70 @@ def test_a_count_is_checked_before_anything_is_built_from_it(layout, count):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+#: The element-kind header of every wire kind, as an array frame
+#: (0x08) and a batch frame (0x09) write it before their u32 count.
+ELEMENT_KINDS = {
+    "int": b"\x01",
+    "long": b"\x02",
+    "float": b"\x03",
+    "double": b"\x04",
+    "boolean": b"\x05",
+    "bit": b"\x06",
+    "enum": b"\x07\x01C\x05",
+    "int array": b"\x08\x01",
+    "nested array": b"\x08\x08\x01",
+}
+
+def _claims():
+    """(kind, frame) -> (build(count, payload) -> bytes, decoder): a
+    frame whose header claims ``count`` elements of the kind, then
+    ``payload`` zero bytes. An array frame goes to ``deserialize``, a
+    batch frame to ``deserialize_batch``; for the array kinds, also a
+    frame of one element whose own length claims ``count``."""
+    claims = {}
+    for name, kind in ELEMENT_KINDS.items():
+        for frame, tag, decode in (
+            ("array", bytes((TAG_ARRAY,)), deserialize),
+            ("batch", bytes((TAG_BATCH,)), deserialize_batch),
+        ):
+            heads = {name: lambda count: struct.pack("<I", count)}
+            if kind[0] == TAG_ARRAY:
+                heads[f"{name} length"] = (
+                    lambda count: struct.pack("<II", 1, count)
+                )
+            for label, head in heads.items():
+                claims[label, frame] = (
+                    lambda count, payload, prefix=tag + kind, head=head: (
+                        prefix + head(count) + bytes(payload)
+                    ),
+                    decode,
+                )
+    return claims
+
+
+CLAIMS = _claims()
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS), ids="/".join)
+def test_a_huge_claimed_count_allocates_in_proportion_to_the_frame(claim):
+    """Whatever the kind and whichever decoder, refusing a frame that
+    claims more elements than its bytes hold allocates at most a
+    constant factor of ``len(data)`` (plus the refusal itself), never
+    in proportion to the count."""
+    build, decode = CLAIMS[claim]
+    for count in (2**20, 2**31 - 1, 2**32 - 1):
+        for payload in (0, 3, 4096, 65541):
+            data = build(count, payload)
+            tracemalloc.start()
+            try:
+                with pytest.raises(MarshalingError, match="^truncated frame"):
+                    decode(data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * len(data) + 16 * 1024, (count, payload, peak)
 
 
 @pytest.mark.parametrize(
