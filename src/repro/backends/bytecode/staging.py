@@ -57,9 +57,32 @@ the work-items that pass the same array. ``LEN`` of it is ``nN``, and
 every bounds check on it compares with ``nN``. A parameter that is not
 a sized value fails there, with the ``TypeError`` ``len()`` raises.
 Any other array operand is resolved and measured at its ``ALOAD``.
-Integer ``/`` and ``%`` by a nonzero constant are expressions from
-:mod:`repro.ir.ops` (they cannot raise), not calls of
-``java_idiv``/``java_irem``.
+
+Staged code does only the program's arithmetic (the forms are
+:mod:`repro.ir.ops`' staged fast paths):
+
+* **One wrap per integer expression.** An ``int``/``long`` tree of
+  ``+ - * << & | ^`` and unary ``- ~`` is computed unwrapped and
+  wrapped once, at its root, wherever anything else reads it: a
+  two's-complement wrap commutes with each of them. A tree whose
+  magnitude bound would pass ``_MAX_BITS`` is wrapped part way.
+* **No helper on the fast path.** Float ``/`` tests its divisor
+  inline, integer ``/`` and ``%`` by a variable are a zero test where
+  the program divides (its edge arm raises the helper's
+  ``DeviceError``) and a truncating expression, by a nonzero constant
+  an expression, and ``Math.sqrt/exp/log/sin/cos/tan`` the C function
+  under a domain test; a cast, ``-`` or ``Math.abs`` whose result is
+  exact already skips ``float()`` and the binary32 cell.
+* **One charge per straight run.** A constant charge moves forward
+  past lines that cannot raise, read a count or hand control on
+  (:class:`_Quiet`) and merges with the next: a function's first
+  charge is ``c``'s initial value, a work-item's frame joins its first
+  charge.
+* **Counting loops** (:mod:`.loops`). Where a counting loop's header
+  test ``l < nN`` or ``l < literal`` proves ``0 <= l < bound``, the
+  increment ``l = l + 1`` is not wrapped, ``a[l]`` of the array whose
+  length is the bound is not bounds-checked, and any other ``x[l]`` is
+  checked only against its length.
 
 A function is translated once (:class:`Translation`) and rendered as
 often as it is printed: the translation marks every name it invents
@@ -98,7 +121,9 @@ holds them against the instruction-at-a-time loop kept in
   raise, reads mutable state or has a side effect is emitted as a
   statement where the program put it. Only pure, total expressions over
   locals, temporaries and constants are deferred to their use, and one
-  that reads local ``k`` is evaluated before a ``STORE k``.
+  that reads local ``k`` is evaluated before a ``STORE k``. A template
+  may name an atom operand more than once but evaluates each non-atom
+  operand exactly once (:meth:`Translation.atom` names one first).
 * A function's translation, its staged function and the launches that
   inline it are memoised per program *object*, off to the side
   (:func:`staging_memo`): never pickled, never part of an artifact
@@ -114,6 +139,7 @@ import weakref
 from typing import NamedTuple
 
 from repro.backends.bytecode import isa
+from repro.backends.bytecode.loops import counting_loops
 from repro.backends.bytecode.structure import Graph, Node, structured
 from repro.errors import DeviceError
 from repro.ir import ops
@@ -122,6 +148,9 @@ from repro.values.structs import StructValue
 
 _JUMPS = (isa.JMP, isa.JZ, isa.JNZ)
 _RETURNS = (isa.RET, isa.RETV)
+_INT_HALF = 1 << 31
+# What a cast's result is known to be (see ``_Value.kind``).
+_CAST_KINDS = {"float": "float", "double": "double", "int": "int"}
 
 
 # --- run-time support called from staged code ------------------------------
@@ -194,6 +223,16 @@ _EFFECTS = frozenset((
 # An expression nested deeper than this is named before it grows further
 # (the tokenizer allows 200 levels of parentheses; a template adds ~3).
 _MAX_NESTING = 12
+# An unwrapped integer tree is wrapped before its magnitude bound passes
+# this many bits (a product of products grows fast).
+_MAX_BITS = 256
+
+
+class _Quiet(str):
+    """A line of generated text that cannot raise, reads no cycle count
+    and hands control to no other code: a charge may move past it."""
+
+    __slots__ = ()
 
 
 class _Value:
@@ -203,17 +242,28 @@ class _Value:
     number of times; the others are pure, total expressions evaluated
     exactly once, at their use. ``reads`` holds the local slots the
     text reads, ``nesting`` how many templates deep it is; ``value`` is
-    the constant an ``int`` literal stands for."""
+    the constant an ``int`` or ``float`` literal stands for. ``kind``
+    is what the text is known to yield: ``"int"`` (an int in the
+    ``int`` range), ``"float"`` (a binary32 value), ``"double"`` (a
+    Python float) or None. An ``int``/``long`` ring tree
+    (:data:`repro.ir.ops.RING`) that may have left its range carries
+    ``raw``, its unwrapped text (``text`` is ``raw`` wrapped), ``ring``,
+    its typename, and ``bits``, a bound on its magnitude."""
 
-    __slots__ = ("text", "atom", "reads", "nesting", "value")
+    __slots__ = ("text", "atom", "reads", "nesting", "value", "kind",
+                 "raw", "ring", "bits")
 
     def __init__(self, text, atom=True, reads=frozenset(), nesting=0,
-                 value=None):
+                 value=None, kind=None, raw=None, ring=None, bits=0):
         self.text = text
         self.atom = atom
         self.reads = reads
         self.nesting = nesting
         self.value = value
+        self.kind = kind
+        self.raw = raw
+        self.ring = ring
+        self.bits = bits
 
 
 def _literal(value):
@@ -254,6 +304,9 @@ class Translation:
         # an ALOAD, ASTORE or LEN reads.
         self.fixed = set(range(function.num_params)) - stored
         self.resolved: set = set()
+        # What counting loops' guards prove (:mod:`.loops`).
+        self.facts = counting_loops(self.code, function.num_params)
+        self.at = 0                 # pc of the instruction translated
         self.consts: list = []
         self.nodes: dict = {}       # pc -> Node
         self.entry_depth = {0: 0}
@@ -280,8 +333,8 @@ class Translation:
 
     # -- emission helpers ---------------------------------------------------
 
-    def emit(self, text, indent=0):
-        self.lines.append((indent, text))
+    def emit(self, text, indent=0, quiet=False):
+        self.lines.append((indent, _Quiet(text) if quiet else text))
 
     def add_cycles(self, amount, indent=0):
         self.counts = True
@@ -299,35 +352,57 @@ class Translation:
         self.temps += 1
         return name
 
-    def temp(self, text: str) -> _Value:
-        """Evaluate ``text`` here, into a fresh single-assignment name."""
+    def temp(self, text: str, quiet=False, kind=None) -> _Value:
+        """Evaluate ``text`` here, into a fresh single-assignment name
+        (``quiet``: a pure, total text)."""
         name = self.temp_name()
-        self.emit(f"{name} = {text}")
-        return _Value(name)
+        self.emit(f"{name} = {text}", quiet=quiet)
+        return _Value(name, kind=kind)
+
+    def atom(self, value: _Value) -> _Value:
+        """``value`` as an atom: its text may then be used repeatedly."""
+        return value if value.atom else self.temp(
+            value.text, True, value.kind
+        )
 
     def push(self, value: _Value):
         self.stack.append(value)
 
-    def push_pure(self, text: str, *operands: _Value):
-        """Defer a pure, total expression over ``operands`` to its use."""
+    def push_pure(self, text: str, *operands: _Value, kind=None, raw=None,
+                  ring=None, bits=0):
+        """Defer a pure, total expression over ``operands`` to its use
+        (the other arguments: :class:`_Value`'s)."""
         nesting = 1 + max((v.nesting for v in operands), default=0)
         if nesting > _MAX_NESTING:
-            self.push(self.temp(text))
+            self.push(self.temp(text, True, kind))
             return
         reads = frozenset().union(*(v.reads for v in operands))
-        self.push(_Value(text, False, reads, nesting))
+        self.push(_Value(text, False, reads, nesting, None, kind, raw, ring,
+                         bits))
 
-    def push_parts(self, parts, *operands: _Value):
+    def push_parts(self, parts, *operands: _Value, kind=None):
         """Push a pure, total ``(text, float32)`` from :mod:`repro.ir.ops`:
         deferred, unless it is a ``float`` result — that is rounded here,
         through the call's binary32 cell."""
         text, float32 = parts
         if not float32:
-            self.push_pure(text, *operands)
+            self.push_pure(text, *operands, kind=kind)
             return
         self.rounds = True
-        self.emit(f"_f[0] = {text}")
-        self.push(self.temp("_f[0]"))
+        self.emit(f"_f[0] = {text}", quiet=True)
+        self.push(self.temp("_f[0]", True, "float"))
+
+    def push_integer(self, raw: str, widens: bool, typename: str, bits,
+                     *operands: _Value):
+        """Push the ``int``/``long`` value of ``raw``: the text itself
+        if it stays in range, else ``raw`` wrapped, with ``raw`` kept for
+        a ring operator that reads it (one wrap per tree)."""
+        kind = "int" if typename == "int" else None
+        if not widens:
+            self.push_pure(raw, *operands, kind=kind)
+        else:
+            self.push_pure(ops.wrap(raw, typename), *operands, kind=kind,
+                           raw=raw, ring=typename, bits=bits)
 
     def pop(self) -> _Value:
         return self.stack.pop()
@@ -338,12 +413,11 @@ class Translation:
         for i, value in enumerate(self.stack):
             if value.atom if reading is None else reading not in value.reads:
                 continue
-            self.stack[i] = self.temp(value.text)
+            self.stack[i] = self.temp(value.text, True, value.kind)
 
     def pop_atom(self) -> str:
         """Pop an operand whose text is used more than once."""
-        value = self.stack.pop()
-        return value.text if value.atom else self.temp(value.text).text
+        return self.atom(self.stack.pop()).text
 
     def pop_values(self, count: int) -> list:
         values = self.stack[len(self.stack) - count:]
@@ -384,11 +458,13 @@ class Translation:
         ]
         lines = []
         if moves:
-            lines.append((0, ", ".join(name for name, _ in moves)
-                          + " = " + ", ".join(text for _, text in moves)))
+            lines.append((0, _Quiet(
+                ", ".join(name for name, _ in moves)
+                + " = " + ", ".join(text for _, text in moves)
+            )))
         if self.pending:
             self.counts = True
-            lines.append((0, f"\0c += {self.pending}"))
+            lines.append((0, _Quiet(f"\0c += {self.pending}")))
         return lines, target
 
     # -- one block ----------------------------------------------------------
@@ -412,6 +488,7 @@ class Translation:
                 self.close(start, ("return", "None"))
                 return
             op, operand = self.code[pc]
+            self.at = pc
             pc += 1
             self.pending += isa.CYCLE_COST.get(op, 0)
             if op == isa.JMP:
@@ -448,38 +525,62 @@ class Translation:
         if op == isa.LOAD:
             push(_Value(f"\0l{operand}", True, frozenset((operand,))))
         elif op == isa.CONST:
-            number = operand if operand.__class__ is int else None
-            push(_Value(self.const(operand), value=number))
+            number = operand if operand.__class__ in (int, float) else None
+            kind = "double" if operand.__class__ is float else (
+                "int" if number is not None and -_INT_HALF <= number
+                < _INT_HALF else None
+            )
+            push(_Value(self.const(operand), value=number, kind=kind))
         elif op == isa.STORE:
             value = pop()
             self.spill(reading=operand)
-            emit(f"\0l{operand} = {value.text}")
+            emit(f"\0l{operand} = {value.text}", quiet=True)
         elif op == isa.BINOP:
             right = pop()
             left = pop()
             bop, typename = operand
             self.pending += isa.BINOP_EXTRA.get(operand, 0)
-            if right.value and bop in ("/", "%") and typename in (
-                "int", "long"
-            ):
-                # A nonzero constant divisor: the quotient is total.
-                self.push_parts(ops.constant_division_parts(
-                    bop, typename, left.text, right.value
-                ), left)
-                return
-            parts = ops.binary_parts(bop, typename, left.text, right.text)
-            if ops.binary_can_raise(bop, typename):
-                push(self.temp(parts[0]))
+            if typename in ("int", "long") and bop in ops.RING:
+                self.ring(bop, typename, left, right)
+            elif typename in ("int", "long") and bop in ("/", "%"):
+                self.divide(bop, typename, left, right)
+            elif typename in ("int", "long") and bop == ">>":
+                raw, widens = ops.ring_parts(bop, typename, left.text,
+                                             right.text)
+                self.push_integer(raw, widens, typename, 0, left, right)
+            elif bop == "/" and typename in ("float", "double"):
+                divisor = right.value
+                right = self.atom(right)
+                text = ops.float_division_parts(left.text, right.text, divisor)
+                self.push_parts((text, typename == "float"), left, right,
+                                kind="double")
             else:
-                self.push_parts(parts, left, right)
+                self.push_parts(ops.binary_parts(
+                    bop, typename, left.text, right.text
+                ), left, right)
         elif op == isa.UNOP:
             value = pop()
             uop, typename = operand
-            self.push_parts(ops.unary_parts(uop, typename, value.text), value)
+            if typename in ("int", "long") and uop in ops.RING_UNARY:
+                self.ring(uop, typename, value)
+                return
+            text, float32 = ops.unary_parts(uop, typename, value.text)
+            if float32 and value.kind == "float" and ops.keeps_binary32(uop):
+                self.push_pure(text, value, kind="float")
+            else:
+                self.push_parts((text, float32), value)
         elif op == isa.CAST:
             value = pop()
-            self.push_parts(ops.cast_parts(operand, value.text), value)
+            parts = ops.staged_cast_parts(operand, value.text, value.kind)
+            kind = _CAST_KINDS.get(operand)
+            if parts == (value.text, False):
+                # The identity: the operand itself, of the cast's type.
+                push(_Value(value.text, value.atom, value.reads,
+                            value.nesting, value.value, kind))
+            else:
+                self.push_parts(parts, value, kind=kind)
         elif op == isa.ALOAD:
+            bound = self.bound(self.stack[-1])
             index = self.pop_atom()
             slot = self.storage(self.stack[-1])
             array = self.pop_atom()
@@ -491,17 +592,16 @@ class Translation:
                 emit(f"_a = {array}", 1)
             else:
                 storage, length = f"\0a{slot}", f"\0n{slot}"
-            emit(f"if not 0 <= {index} < {length}:")
-            emit(f"_out_of_bounds({index}, {array})", 1)
+            self.check(index, length, array, bound, slot)
             push(self.temp(f"{storage}[{index}]"))
         elif op == isa.ASTORE:
             value = pop().text
+            bound = self.bound(self.stack[-1])
             index = self.pop_atom()
             slot = self.storage(self.stack[-1])
             array = self.pop_atom()
             length = f"len({array})" if slot is None else f"\0n{slot}"
-            emit(f"if not 0 <= {index} < {length}:")
-            emit(f"_out_of_bounds({index}, {array})", 1)
+            self.check(index, length, array, bound, slot)
             emit(f"{array}[{index}] = {value}")
         elif op == isa.LEN:
             value = pop()
@@ -611,6 +711,67 @@ class Translation:
         else:
             raise DeviceError(f"unknown opcode {op!r}")
 
+    def ring(self, op, typename, *operands: _Value):
+        """An ``int``/``long`` operator of :data:`repro.ir.ops.RING` or
+        :data:`~repro.ir.ops.RING_UNARY`: its operands enter unwrapped
+        where they are trees of the same type that left the range, and
+        the result is wrapped only where anything else reads it. A
+        counting loop's increment needs no wrap."""
+        width = ops.WIDTH[typename]
+        texts, bits = [], []
+        for value in operands:
+            if value.raw is not None and value.ring == typename:
+                texts.append(value.raw)
+                bits.append(value.bits)
+            else:
+                texts.append(value.text)
+                bits.append(width)
+        bound = ops.ring_bits(op, typename, *bits)
+        if bound > _MAX_BITS:
+            texts = [value.text for value in operands]
+            bits = [width] * len(operands)
+            bound = ops.ring_bits(op, typename, *bits)
+        raw, widens = ops.ring_parts(op, typename, *texts)
+        widens = widens or any(b != width for b in bits)
+        if self.at in self.facts.unwrapped:
+            widens = False
+        self.push_integer(raw, widens, typename, bound, *operands)
+
+    def divide(self, op, typename, left: _Value, right: _Value):
+        """Integer ``/`` or ``%``: by a nonzero constant a total
+        expression; by anything else a zero test where the program
+        divides (the helper raises on its edge arm) and then a total
+        expression over the two operands, named."""
+        width = ops.WIDTH[typename]
+        if right.value.__class__ is int and right.value:
+            raw, widens = ops.constant_division_parts(
+                op, left.text, right.value
+            )
+            self.push_integer(raw, widens, typename, width, left)
+            return
+        left, right = self.atom(left), self.atom(right)
+        self.emit(ops.division_check(op, left.text, right.text))
+        raw, widens = ops.division_parts(op, left.text, right.text)
+        self.push_integer(raw, widens, typename, width, left, right)
+
+    def bound(self, index: _Value):
+        """What a counting loop's guard proves about ``index`` here: its
+        bound if it is the loop's counter (:mod:`.loops`), else None."""
+        if not index.atom or len(index.reads) != 1:
+            return None
+        (slot,) = index.reads
+        return self.facts.bounds.get(self.at, {}).get(slot)
+
+    def check(self, index, length, array, bound, slot):
+        """The bounds check of ``array[index]``, less what ``bound``
+        proves: none against the length that is the bound, only the
+        upper half against any other."""
+        if bound == ("len", slot):
+            return
+        low = "" if bound is not None else "0 <= "
+        self.emit(f"if not {low}{index} < {length}:")
+        self.emit(f"_out_of_bounds({index}, {array})", 1)
+
     def leave(self, push, text: str):
         """A statement that hands control to other code (a marker: a
         launch syncs its cycle count around it); ``push`` its value."""
@@ -635,6 +796,19 @@ class Translation:
             if returns:
                 self.push(_Value("None"))
             return
+        if returns and ops.domain_parts(name, "x") is not None:
+            # The C function under a domain test: total, and deferred.
+            arg = self.atom(values[0])
+            self.push_pure(ops.domain_parts(name, arg.text), arg,
+                           kind="double")
+            return
+        if returns and typename in ("int", "long") and name in (
+            "Math.abs", "Math.min", "Math.max"
+        ):
+            raw, widens = ops.integral_parts(name, [v.text for v in values])
+            self.push_integer(raw, widens, typename, ops.WIDTH[typename] + 1,
+                              *values)
+            return
         parts = ops.intrinsic_parts(name, typename, [v.text for v in values])
         if parts is None:
             self.emit(f"_unknown_intrinsic({name!r})")
@@ -642,7 +816,11 @@ class Translation:
                 self.push(_Value("None"))
         elif returns:
             # Pure and total: evaluated only if, and where, it is used.
-            self.push_parts(parts, *values)
+            if parts[1] and values[0].kind == "float" \
+                    and ops.keeps_binary32(name):
+                self.push_pure(parts[0], *values, kind="float")
+            else:
+                self.push_parts(parts, *values)
 
     # -- the structured form ------------------------------------------------
 
@@ -677,6 +855,47 @@ class Translation:
 # --- rendering ----------------------------------------------------------------
 
 
+def _charge(item):
+    """N if ``item`` is the line ``c += N`` (a constant charge)."""
+    if isinstance(item, str) and item.startswith("\0c += "):
+        amount = item[len("\0c += "):]
+        if amount.isdigit():
+            return int(amount)
+    return None
+
+
+def _is_quiet(item) -> bool:
+    """Whether a charge to the cycle count may move past ``item``: a
+    comment, a constant charge to ``c`` or a :class:`_Quiet` line."""
+    return isinstance(item, str) and (
+        isinstance(item, _Quiet) or item.startswith("#")
+        or _charge(item) is not None
+    )
+
+
+def _first_charge(shape):
+    """The index of the first top-level constant charge to ``c`` in
+    ``shape`` if only straight-line statements come before it."""
+    for i, (extra, item) in enumerate(shape):
+        if extra or not isinstance(item, str) or item.endswith(":") \
+                or item in ("break", "continue") \
+                or item.startswith("return"):
+            return None
+        if _charge(item) is not None:
+            return i
+    return None
+
+
+def _single_result(shape) -> bool:
+    """Whether ``shape``'s one ``result`` marker is its last item, at
+    the top level: the value may go straight where the body's goes."""
+    results = [
+        i for i, (_, item) in enumerate(shape)
+        if isinstance(item, tuple) and item[0] == "result"
+    ]
+    return results == [len(shape) - 1] and shape[-1][0] == 0
+
+
 class _Render:
     """One generated function being written: the bodies it holds, under
     their prefixes, and what its head must bind for them.
@@ -698,8 +917,10 @@ class _Render:
         self.levels: set = set()    # inline depths below a kernel
         self.stack: list = []       # qualified names being rendered
         self.closed: dict = {}      # qualified -> may be inlined
+        self.sank = False           # the last body passed its value on
 
-    def body(self, translation, prefix, params, indent, result):
+    def body(self, translation, prefix, params, indent, result, carry=0,
+             sink=None):
         p, pad = prefix, "    " * indent
         function = translation.function
         self.named.append((p, translation))
@@ -709,7 +930,7 @@ class _Render:
         if isinstance(params, str):
             if slots:
                 out.append(f"{pad}{''.join(s + ', ' for s in slots)}= {params}")
-        elif slots:
+        elif slots and params is not None:
             out.append(f"{pad}{', '.join(slots)} = {', '.join(params)}")
         if function.num_locals > function.num_params:
             names = " = ".join(
@@ -733,23 +954,49 @@ class _Render:
                     *("    " + line for line in resolve),
                     f"    {p}p{slot} = {p}l{slot}",
                 ]
+            if carry:
+                out.append(f"{pad}cy += {carry}")
+                carry = 0
             out += [pad + line for line in resolve]
+        shape = translation.shape(result is not None)
         if translation.counts:
-            out.append(f"{pad}{p}c = 0")
+            # The first charge to ``c``, if no statement comes before it
+            # at this level but straight-line ones, is its initial value.
+            first = _first_charge(shape)
+            start = 0 if first is None else _charge(shape[first][1])
+            shape = shape if first is None else (
+                shape[:first] + shape[first + 1:]
+            )
+            out.append(f"{pad}{p}c = {start}")
+        if sink is not None and not _single_result(shape):
+            sink = None
         self.stack.append(function.qualified_name)
-        for extra, item in translation.shape(result is not None):
-            self.item(translation, p, indent + extra, item, result, out)
+        for extra, item in shape:
+            if carry and not (extra == 0 and _is_quiet(item)):
+                if extra == 0 and item[0] == "flush":
+                    # The frame merges with the first charge to the count.
+                    item = ("flush", item[1] + carry, item[2])
+                else:
+                    out.append(f"{pad}cy += {carry}")
+                carry = 0
+            self.item(translation, p, indent + extra, item, result, out,
+                      sink)
         self.stack.pop()
+        if carry:
+            out.append(f"{pad}cy += {carry}")
+        self.sank = sink is not None
         return out
 
-    def item(self, translation, p, indent, item, result, out):
+    def item(self, translation, p, indent, item, result, out, sink=None):
         pad = "    " * indent
         if isinstance(item, str):
             out.append(pad + item.replace("\0", p))
             return
         kind = item[0]
         if kind == "result":
-            out.append(f"{pad}{result} = " + item[1].replace("\0", p))
+            text = item[1].replace("\0", p)
+            out.append(f"{pad}{sink}({text})" if sink is not None
+                       else f"{pad}{result} = {text}")
         elif kind == "flush":
             _, pending, returning = item
             count = "cy" if self.launch else "interp.cycles"
@@ -940,9 +1187,9 @@ def _launch_text(kind: str, translations, lookup=None) -> tuple:
         loop = [
             "        for item in items:",
             "            k += 1",
-            f"            cy += {frame}",
             f"            # {methods[0]}",
-            *render.body(translations[0], "m0_", ["acc", "item"], 3, "acc"),
+            *render.body(translations[0], "m0_", ["acc", "item"], 3, "acc",
+                         carry=frame),
         ]
         defaults, consts, shared = render.head()
         out = [
@@ -964,25 +1211,33 @@ def _launch_text(kind: str, translations, lookup=None) -> tuple:
         return "\n".join(out) + "\n", consts
     last = len(methods) - 1
     sums = [f"s{m}" for m in range(last)]
+    # Work-item i's arguments unpack in the loop's target.
+    arity = translations[0].function.num_params
+    target = "".join(f"m0_l{n}, " for n in range(arity)).strip() or "args"
     loop = [
-        "        for args in items:",
+        f"        for {target} in items:",
         "            k += 1",
         "            i = cy",
     ]
     for m, translation in enumerate(translations):
-        since, params = ("i", "args") if m == 0 else ("e", ["v"])
+        since = "i" if m == 0 else "e"
+        params = (None if arity else "args") if m == 0 else ["v"]
+        carry = 0
         if last:
             loop.append(f"            cy = b = {since} + {frame}")
             loop.append(f"            j = {m}")
         else:
-            loop.append(f"            cy += {frame}")
+            carry = frame
         loop.append(f"            # {methods[m]}")
-        loop += render.body(translation, f"m{m}_", params, 3, "v")
+        loop += render.body(translation, f"m{m}_", params, 3, "v",
+                            carry=carry,
+                            sink="append" if m == last else None)
         if m < last:
             loop.append("            e = cy")
             loop.append(f"            s{m} += e - b")
+    if not render.sank:
+        loop.append("            append(v)")
     loop += [
-        "            append(v)",
         "            if record is not None:",
         "                record(cy - i)",
     ]

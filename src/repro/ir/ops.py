@@ -30,9 +30,32 @@ if either operand is NaN and order ``-0.0`` below ``0.0``, and the other
 integer division and remainder by zero raise
 (:class:`~repro.errors.DeviceError`).
 
-A template may evaluate its operands in any order but evaluates each
-exactly once; the stager only ever substitutes operands that are free
-of side effects and cannot raise.
+A template may evaluate its operands in any order and may name an
+atom operand (a bare name or literal) more than once, but evaluates
+each non-atom operand exactly once; the stager only ever substitutes
+operands that are free of side effects and cannot raise.
+
+The templates above the "staged fast paths" line define each operator
+one operation at a time: the constant folder, the FPGA datapath and the
+test oracle evaluate them, helpers and per-operator wrap included. The
+stager splices the forms below that line where it can, which compute
+the same value with no Python call on the common path:
+
+* **One wrap per integer expression.** A two's-complement wrap commutes
+  with ``+ - * << & | ^`` and unary ``- ~`` (:data:`RING`,
+  :data:`RING_UNARY`), so an ``int``/``long`` tree of them is computed
+  unwrapped (:func:`ring_parts`) and wrapped once (:func:`wrap`),
+  wherever anything else reads it.
+* **Edge arms.** Float ``/`` tests its divisor inline
+  (:func:`float_division_parts`), integer ``/`` and ``%`` by a variable
+  are a zero test (:func:`division_check`) and a truncating expression
+  (:func:`division_parts`), and ``Math.sqrt/exp/log/sin/cos/tan`` call
+  the C function under a domain test (:func:`domain_parts`): the helper
+  runs only on the arm where the C operation would raise.
+* **Exact results.** A cast, a float negation and a float ``Math.abs``
+  skip ``float()`` and the binary32 rounding where the operand's class
+  makes the result exact already (:func:`staged_cast_parts`,
+  :func:`keeps_binary32`).
 """
 
 from __future__ import annotations
@@ -134,6 +157,25 @@ def _float_to_integral(value: float, low: int, high: int) -> int:
     if value <= low:
         return low
     return int(value)
+
+
+def float_once(value) -> float:
+    """``value`` as a double that one binary32 rounding takes where
+    rounding ``value`` itself once would. An integer above 2**53 would
+    round a first time in ``float(value)``, so the bits below the 53
+    kept are folded into a sticky last bit (round to odd), which the
+    binary32 rounding then resolves as one rounding of the exact value
+    (Java's ``(float)`` of a ``long``). ``OverflowError`` beyond the
+    double range."""
+    if value.__class__ is not int:
+        return float(value)
+    magnitude = abs(value)
+    shift = max(magnitude.bit_length() - 53, 0)
+    kept = magnitude >> shift
+    if kept << shift != magnitude:
+        kept |= 1
+    double = math.ldexp(kept, shift)
+    return -double if value < 0 else double
 
 
 def cast_int(value) -> int:
@@ -316,7 +358,12 @@ _TWO_ARGUMENTS = frozenset(("Math.pow", "Math.min", "Math.max"))
 _CAST = {
     "int": "cast_int({a})",
     "long": "cast_long({a})",
-    "float": "float({a})",      # then rounded to binary32
+    # An integer of more than 53 bits would round twice through float():
+    # float_once keeps it exact enough for the one binary32 rounding.
+    "float": (
+        "(_t if -0x20000000000000 <= (_t := {a}) <= 0x20000000000000"
+        " else float_once(_t))"
+    ),                          # then rounded to binary32
     "double": "float({a})",
     "bit": "Bit(int({a}) & 1)",
     "boolean": "bool({a})",
@@ -364,19 +411,6 @@ def binary_parts(op: str, typename: str, a: str, b: str) -> "tuple[str, bool]":
     if template is None:
         raise DeviceError(f"unknown binary operator {op!r}")
     return template.format(a=a, b=b), False
-
-
-def constant_division_parts(
-    op: str, typename: str, a: str, divisor: int
-) -> "tuple[str, bool]":
-    """:func:`binary_parts` of an ``int``/``long`` ``a / divisor`` or
-    ``a % divisor`` whose divisor is a nonzero constant: the quotient
-    truncates toward zero and the remainder takes the dividend's sign,
-    as ``java_idiv``/``java_irem`` compute them, and nothing raises."""
-    text = _BY_CONSTANT[op].format(a=a, m=abs(divisor))
-    if op == "/" and divisor < 0:
-        text = f"(-{text})"
-    return _wrapped(text, typename)
 
 
 def unary_parts(op: str, typename: str, a: str) -> "tuple[str, bool]":
@@ -431,11 +465,156 @@ def cast_expr(typename: str, a: str) -> str:
     return _rounded(cast_parts(typename, a))
 
 
+# --- staged fast paths -----------------------------------------------------
+
+#: Two's-complement wrapping commutes with these int/long operators:
+#: wrap(wrap(a) op wrap(b)) == wrap(a op b). The stager computes a tree
+#: of them unwrapped and wraps it once, at its root.
+RING = frozenset(("+", "-", "*", "<<", "&", "|", "^"))
+RING_UNARY = frozenset(("-", "~"))
+# These keep in-range operands in range (``>>`` is no ring operator).
+_IN_RANGE = frozenset(("&", "|", "^", "~", ">>"))
+
+#: Bits in the magnitude of an in-range int/long value, one more than a
+#: two's-complement width needs so that a bound survives negation.
+WIDTH = {"int": 32, "long": 64}
+
+
+def wrap(text: str, typename: str) -> str:
+    """``text``, an ``int``/``long`` value that may have left the range
+    of ``typename``, wrapped into it."""
+    return _WRAP[typename].format(text)
+
+
+def ring_parts(op: str, typename: str, a: str, b: "str | None" = None):
+    """The unwrapped text of the ring operator ``op`` or of ``>>``
+    (unary when ``b`` is None) over ``int``/``long`` operand texts that may themselves be
+    unwrapped, and whether it can leave the range of ``typename`` when
+    its operands are in range."""
+    if b is None:
+        return _UNARY[op].format(a=a), op not in _IN_RANGE
+    template = _ARITHMETIC.get(op) or _UNWRAPPED[op]
+    text = template.format(a=a, b=b, mask=shift_mask(typename))
+    return text, op not in _IN_RANGE
+
+
+def ring_bits(op: str, typename: str, a: int, b: "int | None" = None) -> int:
+    """A bound on the magnitude bits of :func:`ring_parts`' unwrapped
+    value, given bounds on its operands' (the stager wraps an operand
+    before the bound grows large)."""
+    if b is None:
+        return a + 1
+    if op == "*":
+        return a + b
+    if op == "<<":
+        return a + shift_mask(typename)
+    return max(a, b) + 1
+
+
+def division_check(op: str, a: str, b: str) -> str:
+    """The statement integer ``a / b`` or ``a % b`` (atoms) makes where
+    the program divides: it raises the helper's ``DeviceError`` when
+    ``b`` is zero, after which :func:`division_parts` is total."""
+    helper = "java_idiv" if op == "/" else "java_irem"
+    return f"if not {b}: {helper}({a}, {b})"
+
+
+def division_parts(op: str, a: str, b: str) -> "tuple[str, bool]":
+    """``java_idiv``/``java_irem`` of the atoms ``a`` and a nonzero
+    ``b`` as one expression, unwrapped: the quotient truncates toward
+    zero and the remainder takes the dividend's sign. Whether it can
+    leave the range (only ``MIN / -1``)."""
+    if op == "/":
+        return f"({a} // {b} if ({a} ^ {b}) >= 0 else -(-{a} // {b}))", True
+    return f"({a} % {b} if ({a} ^ {b}) >= 0 else -(-{a} % {b}))", False
+
+
+def constant_division_parts(
+    op: str, a: str, divisor: int
+) -> "tuple[str, bool]":
+    """:func:`division_parts` of an ``int``/``long`` ``a / divisor`` or
+    ``a % divisor`` whose divisor is a nonzero constant (``a`` any
+    operand): nothing raises, and only a quotient by -1 can leave the
+    range."""
+    text = _BY_CONSTANT[op].format(a=a, m=abs(divisor))
+    if op == "/" and divisor < 0:
+        text = f"(-{text})"
+    return text, op == "/" and divisor == -1
+
+
+def float_division_parts(a: str, b: str, divisor=None) -> str:
+    """``java_fdiv(a, b)`` with the divisor atom ``b`` tested inline;
+    a plain ``/`` when ``divisor``, the constant ``b`` stands for, is
+    nonzero."""
+    if divisor:
+        return f"({a} / {b})"
+    return f"({a} / {b} if {b} else java_fdiv({a}, {b}))"
+
+
+# Where each Math.* function's C implementation returns without raising;
+# outside it the total helper gives Java's NaN or infinity.
+_DOMAIN = {
+    "Math.sqrt": "{a} >= 0.0",
+    "Math.exp": "{a} < 709.0",      # math.exp overflows above 709.78
+    "Math.log": "{a} > 0.0",
+    "Math.sin": "{a} - {a} == 0.0",  # finite
+    "Math.cos": "{a} - {a} == 0.0",
+    "Math.tan": "{a} - {a} == 0.0",
+}
+
+
+def domain_parts(name: str, a: str) -> "str | None":
+    """``Math_<fn>(a)`` of the atom ``a`` as the C function under a
+    domain test, the helper on the edge arm; None if ``name`` has no
+    such form."""
+    test = _DOMAIN.get(name)
+    if test is None:
+        return None
+    fn = name[len("Math."):]
+    helper = name.replace(".", "_")
+    return f"({fn}({a}) if {test.format(a=a)} else {helper}({a}))"
+
+
+def integral_parts(name: str, args: list) -> "tuple[str, bool]":
+    """``Math.abs/min/max`` of ``int``/``long`` texts, unwrapped, and
+    whether it can leave the range (only ``abs(MIN)``)."""
+    text = _FOLLOWING[name, True].format(a=args[0], b=args[-1])
+    return text, name == "Math.abs"
+
+
+def keeps_binary32(name: str) -> bool:
+    """Whether the ``float`` operation ``name`` (a unary operator or an
+    intrinsic) of a binary32 value is a binary32 value: the rounding
+    after it is the identity."""
+    return name in ("-", "Math.abs")
+
+
+def staged_cast_parts(
+    typename: str, a: str, source: "str | None"
+) -> "tuple[str, bool]":
+    """:func:`cast_parts` when the operand's class is known: ``source``
+    is ``"int"`` (an int in the int range), ``"float"`` (a binary32
+    value), ``"double"`` (a Python float) or None (unknown). A cast
+    that is the identity returns ``a`` itself."""
+    if typename == "float":
+        if source == "float":
+            return a, False
+        if source in ("int", "double"):
+            return a, True          # converted exactly, rounded once
+    elif typename == "double":
+        if source in ("float", "double"):
+            return a, False
+    elif typename in ("int", "long") and source == "int":
+        return a, False
+    return cast_parts(typename, a)
+
+
 #: Globals of every piece of text the templates above end up in.
 NAMESPACE = {
     "Bit": Bit,
     "cast_int": cast_int,
     "cast_long": cast_long,
+    "float_once": float_once,
     "java_fdiv": java_fdiv,
     "java_frem": java_frem,
     "java_idiv": java_idiv,
@@ -447,6 +626,9 @@ NAMESPACE = {
     "wrap_int": wrap_int,
     "wrap_long": wrap_long,
     **{name.replace(".", "_"): fn for name, fn in _MATH_FUNCTIONS.items()},
+    # The C functions the domain-tested forms call on the common arm.
+    **{name[len("Math."):]: getattr(math, name[len("Math."):])
+       for name in _DOMAIN},
 }
 
 

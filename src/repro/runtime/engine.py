@@ -36,7 +36,7 @@ from repro.errors import (
     RetryExhaustedError,
     RuntimeGraphError,
 )
-from repro.ir.ops import to_float32
+from repro.ir.ops import float_once, to_float32
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.adaptive import AdaptiveTask
@@ -116,20 +116,11 @@ def _int_to_double(value: int) -> float:
 
 
 def _int_to_float(value: int) -> float:
-    """``value`` rounded once to binary32. Above 2**53 ``float(value)``
-    would round a first time, so the bits below the 53 kept are folded
-    into a sticky last bit (round to odd), which the binary32 rounding
-    then resolves as one rounding of the exact value."""
-    magnitude = abs(value)
-    shift = max(magnitude.bit_length() - 53, 0)
-    kept = magnitude >> shift
-    if kept << shift != magnitude:
-        kept |= 1
+    """``value`` rounded once to binary32 (:func:`repro.ir.ops.float_once`)."""
     try:
-        rounded = to_float32(math.ldexp(kept, shift))
+        return to_float32(float_once(value))
     except OverflowError:
-        rounded = math.inf
-    return -rounded if value < 0 else rounded
+        return math.inf if value > 0 else -math.inf
 
 
 #: Java's widening conversion of an integer to each floating type.

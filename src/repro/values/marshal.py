@@ -334,10 +334,18 @@ def _type_name(kind: Kind) -> str:
     return kind.enum_name if kind.is_enum else kind.name
 
 
+#: The values an ``int`` or ``long`` parameter holds.
+_INTEGRAL_RANGE = {
+    "int": (-(1 << 31), (1 << 31) - 1),
+    "long": (-(1 << 63), (1 << 63) - 1),
+}
+
+
 def fits_type(typename: str, value: object) -> bool:
     """Whether ``value`` may be passed for a parameter the checker typed
     ``typename`` (an entry of ``CompiledFunction.signature``), in O(1):
-    a scalar passes :func:`_check_element`; a ``T[[]]`` is a
+    a scalar passes :func:`_check_element` (an ``int`` or ``long`` in
+    its type's range too); a ``T[[]]`` is a
     ``ValueArray`` and a ``T[]`` a ``MutableArray`` of ``T``'s element
     kind, whose elements are not visited (the array coerced them when
     it was built); anything else is a value of that class."""
@@ -347,6 +355,9 @@ def fits_type(typename: str, value: object) -> bool:
             _check_element(kind, value)
         except MarshalingError:
             return False
+        if typename in _INTEGRAL_RANGE:
+            low, high = _INTEGRAL_RANGE[typename]
+            return low <= value <= high
         return True
     if typename.endswith("]"):
         if typename.endswith("[[]]"):

@@ -1,5 +1,6 @@
 // The JVM's answers for compound assignment (JLS 15.26.2), for
-// Math.abs/min/max on long and for for loops over a long. tests/test_typed_semantics.py holds the
+// Math.abs/min/max on long, for for loops over a long and for the one
+// rounding of a long cast to float. tests/test_typed_semantics.py holds the
 // same method bodies as Lime, with the values this class prints, and
 // compiles and runs this class when a JDK is on PATH:
 //
@@ -25,6 +26,7 @@ public class CompoundAndMath {
     static int absIntMin() { return Math.abs(-2147483647 - 1); }
     static int countLongLoop() { int n = 0; for (long i = 2147483646L; i < 2147483650L; i++) { n += 1; if (n > 10) { return -n; } } return n; }
     static int countLongStep() { int n = 0; for (long i = 0L; i < 5000000000L; i += 1000000000L) { n += 1; if (n > 10) { return -n; } } return n; }
+    static long castLongToFloat() { long v = 1152921573326323713L; return (long) (float) v; }
 
     public static void main(String[] args) {
         System.out.println("divIntByTenth " + divIntByTenth());
@@ -44,5 +46,6 @@ public class CompoundAndMath {
         System.out.println("absIntMin " + absIntMin());
         System.out.println("countLongLoop " + countLongLoop());
         System.out.println("countLongStep " + countLongStep());
+        System.out.println("castLongToFloat " + castLongToFloat());
     }
 }

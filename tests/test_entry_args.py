@@ -35,6 +35,7 @@ class P {
     static double half(double d) { return d / 2; }
     static float f(float x) { return x; }
     static double id(double d) { return d; }
+    static long wide(long v) { return v; }
 }
 """
 
@@ -48,6 +49,13 @@ ILL_TYPED = {
     "inc-double": (SMALL, "P.inc", [2.5], "x"),
     "ab-double": (SMALL, "P.ab", [-2.7], "x"),
     "bool-for-int": (SMALL, "P.inc", [True], "x"),
+    # An int or long holds only its range: no entry may pass 2**40 for
+    # an int (it would run as a value no int holds).
+    "int-above-range": (SMALL, "P.inc", [2**31], "x"),
+    "int-below-range": (SMALL, "P.inc", [-(2**31) - 1], "x"),
+    "int-far-above-range": (SMALL, "P.inc", [2**40], "x"),
+    "long-above-range": (SMALL, "P.wide", [2**63], "v"),
+    "long-below-range": (SMALL, "P.wide", [-(2**63) - 1], "v"),
     "value-array-for-mutable": (SMALL, "P.fill", [XS, XS], "out"),
     "wrong-element-kind": (
         SMALL, "P.fill",
@@ -106,6 +114,28 @@ def test_well_typed_scalars_pass_as_the_wire_admits_them():
     runtime = Runtime(compile_program(SMALL))
     assert runtime.run("P.inc", [41]).value == 42
     assert runtime.run("P.half", [3]).value == 1.5  # an int for a double
+
+
+@pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
+def test_the_edges_of_the_integral_ranges_are_accepted(scheduler):
+    runtime = Runtime(
+        compile_program(SMALL), RuntimeConfig(scheduler=scheduler)
+    )
+    assert runtime.run("P.inc", [2**31 - 1]).value == -(2**31)   # wraps
+    assert runtime.run("P.inc", [-(2**31)]).value == -(2**31) + 1
+    assert runtime.run("P.wide", [2**63 - 1]).value == 2**63 - 1
+    assert runtime.run("P.wide", [-(2**63)]).value == -(2**63)
+    assert runtime.run("P.wide", [2**40]).value == 2**40
+    assert runtime.run("P.id", [float("nan")]).value != 0.0     # NaN runs
+
+
+def test_an_int_array_element_out_of_range_is_not_refused():
+    # Only scalars are range-checked at the entry: an array's elements
+    # are not visited (see fits_type), so this still runs.
+    runtime = Runtime(compile_program(SMALL))
+    out = MutableArray(KIND_INT, [0])
+    runtime.run("P.fill", [out, ValueArray(KIND_INT, [2**40])])
+    assert list(out) == [2**40]
 
 
 @pytest.mark.parametrize("scheduler", ["sequential", "threaded"])

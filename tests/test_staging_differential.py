@@ -990,7 +990,36 @@ def test_launch_text_has_no_per_item_call_cell_or_len_of_a_parameter():
             if name == "black_scholes":
                 assert "call('BlackScholes.cnd'" not in text
                 assert "# BlackScholes.cnd" in text
+            _assert_only_the_programs_arithmetic(text, methods)
+        for method in memo.functions:
+            text = program.functions[method].staged_source()
+            _assert_only_the_programs_arithmetic(text, method)
     assert shapes >= 17
+
+
+#: A helper an operator's fast path calls only on its edge arm.
+_HELPER = re.compile(r"\b(java_fdiv|java_idiv|java_irem|Math_\w+)\(")
+#: The edge arms: a domain or divisor test's else, a zero test's body.
+_EDGE_ARM = re.compile(
+    r"(?: else |^if not [\w.]+: )(java_fdiv|java_idiv|java_irem|Math_\w+)\("
+)
+#: A range test read by a ring operator: the tree was wrapped twice.
+_WRAP = r"\(_t if -0x8[0-9A-F]+ <= \(_t := "
+_RING = r"(?:[-+*&|^]|<<)"
+_NESTED_WRAP = re.compile(
+    rf"{_RING} {_WRAP}|wrap_(?:int|long)\(_t\)\) {_RING} |\([-~]{_WRAP}"
+)
+
+
+def _assert_only_the_programs_arithmetic(text, where):
+    """No operator helper outside an edge arm, and one range test per
+    ring tree (no wrapped value is a ring operator's operand)."""
+    for line in _code_lines(text):
+        line = line.strip()
+        assert len(_HELPER.findall(line)) == len(_EDGE_ARM.findall(line)), (
+            where, line
+        )
+        assert not _NESTED_WRAP.search(line), (where, line)
 
 
 def test_launch_inlines_callees_unless_recursive():
@@ -1079,9 +1108,13 @@ DIVISORS = [1, -1, 2, -2, 3, -7, 2**31 - 1, -(2**31), 2**63 - 1, -(2**63)]
 @pytest.mark.parametrize("op", ["/", "%"])
 def test_division_by_a_constant_is_the_helper_inline(op, typename):
     # The template ops.py gives a nonzero constant divisor computes what
-    # java_idiv/java_irem compute, MIN / -1 and its wrap included.
+    # java_idiv/java_irem compute, MIN / -1 and its wrap included (the
+    # one quotient that can leave the range).
     for divisor in DIVISORS:
-        text, _ = ops.constant_division_parts(op, typename, "a", divisor)
+        text, widens = ops.constant_division_parts(op, "a", divisor)
+        assert widens == (op == "/" and divisor == -1)
+        if widens:
+            text = ops.wrap(text, typename)
         inline = eval(f"lambda a: {text}", dict(ops.NAMESPACE))
         for a in DIVIDENDS:
             if typename == "int" and not -(2**31) <= a < 2**31:
@@ -1097,7 +1130,9 @@ def test_division_by_a_constant_is_the_helper_inline(op, typename):
     )
     source = program.functions["H.f"].staged_source()
     helper = "java_idiv" if op == "/" else "java_irem"
-    assert source.count(helper) == 1            # only the zero divisor
+    # Only the zero divisor, and only on the arm where it is zero.
+    assert source.count(helper) == 1
+    assert f"if not 0: {helper}(l0, 0)" in source
     for a in (7, -7, 0):
         staged, oracle = _both(program)
         outcomes = []
@@ -1325,7 +1360,11 @@ def test_traceback_through_staged_code_shows_the_generated_line():
         Interpreter(program).call("R.divide", [1, 0])
     frames = traceback.extract_tb(raised.value.__traceback__)
     staged = [f for f in frames if f.filename == "<staged R.divide>"]
-    assert staged and "java_idiv" in staged[0].line
+    # The zero test where the program divides: the helper's edge arm.
+    assert staged and re.fullmatch(
+        r"if not l1: java_idiv\(t\d+, l1\)", staged[0].line
+    ), staged[0].line
+    assert frames[-1].name == "java_idiv"
     assert linecache.getline("<staged R.divide>", staged[0].lineno).strip() == (
         staged[0].line
     )
@@ -1351,8 +1390,8 @@ def test_traceback_through_a_launch_shows_the_generated_line():
     name = "<staged launch L.twice|L.inv>"
     launch = [f for f in frames if f.filename == name]
     assert len(launch) == 1
-    assert launch[0].line.startswith("m1_t0 = ")
-    assert "java_idiv(100, m1_l0)" in launch[0].line
+    # The zero test where the program divides: the helper's edge arm.
+    assert launch[0].line == "if not m1_l0: java_idiv(100, m1_l0)"
     assert linecache.getline(name, launch[0].lineno).strip() == launch[0].line
     assert "<staged L.inv>" not in [f.filename for f in frames]
 

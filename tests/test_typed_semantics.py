@@ -2,8 +2,8 @@
 
 ``x op= v`` computes in the promoted type of ``x`` and ``v`` and casts
 back (JLS §15.26.2), ``Math.abs/min/max`` compute in their result
-type, ``long`` included, and a ``for`` loop counts in its variable's
-type. ``CASES`` holds the JVM's answer for each case:
+type, ``long`` included, a ``for`` loop counts in its variable's
+type, and a ``long`` cast to ``float`` rounds once. ``CASES`` holds the JVM's answer for each case:
 ``tests/java/CompoundAndMath.java`` holds the same method bodies as Java
 and printed these values (OpenJDK 17). The Lime cases run through
 ``Runtime.run`` with the optimizer on and off; the Java class is
@@ -67,6 +67,14 @@ CASES = [
         "int n = 0; for (long i = 0L; i < 5000000000L; i += 1000000000L) "
         "{ n += 1; if (n > 10) { return -n; } } return n;", 5,
     ),
+    # 2**60 + 2**36 + 1 lies just above a binary32 tie: one rounding goes
+    # up, to 2**60 + 2**37; rounding to a double first lands on the tie
+    # and then, to even, on 2**60.
+    (
+        "castLongToFloat", "long",
+        "long v = 1152921573326323713L; return (long) (float) v;",
+        2**60 + 2**37,
+    ),
 ]
 
 LIME_SOURCE = "class CompoundAndMath {\n%s\n}\n" % "\n".join(
@@ -109,6 +117,44 @@ def test_the_jvm_prints_the_table(tmp_path):
     assert printed.splitlines() == [
         f"{name} {want}" for name, _, _, want in CASES
     ]
+
+
+LONG_TO_FLOAT = """
+class C {
+    static float cast(long v) { return (float) v; }
+    static float folded() { return (float) 1152921573326323713L; }
+}
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False], ids=["opt", "noopt"])
+def test_a_long_cast_to_float_rounds_once(optimize):
+    # Staged code, the oracle loop (apply_cast) and the constant folder
+    # (optimizer on) all round 2**60 + 2**36 + 1 once, as Java does.
+    from tests.oracle_interpreter import OracleInterpreter
+
+    from repro.backends.bytecode.interpreter import Interpreter
+    from repro.ir import ops
+
+    want = float(2**60 + 2**37)
+    for v, expected in [
+        (2**60 + 2**36 + 1, want), (-(2**60 + 2**36 + 1), -want),
+        (2**60 + 2**36, float(2**60)),          # the tie itself: to even
+        (2**63 - 1, float(2**63)), (-(2**63), -float(2**63)),
+        (2**53 + 1, float(2**53)), (16777217, 16777216.0), (0, 0.0),
+    ]:
+        assert ops.apply_cast(v, "float") == expected, v
+        compiled = compile_program(
+            LONG_TO_FLOAT, options=CompileOptions(run_optimizations=optimize)
+        )
+        program = compiled.bytecode_program
+        for interp in (Interpreter(program), OracleInterpreter(program)):
+            assert interp.call("C.cast", [v]) == expected, (v, interp)
+        assert Runtime(compiled).run("C.cast", [v]).value == expected
+    runtime = Runtime(compile_program(
+        LONG_TO_FLOAT, options=CompileOptions(run_optimizations=optimize)
+    ))
+    assert runtime.run("C.folded").value == want
 
 
 def test_staged_integer_code_tests_no_class():

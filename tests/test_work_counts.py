@@ -83,3 +83,60 @@ def test_a_cold_compile_makes_the_same_calls_every_time():
         assert {
             callee: 2 * n for callee, n in first["crc8"]["names"][event].items()
         } == second["crc8"]["names"][event]
+
+
+def test_no_round_calls_an_operator_helper():
+    # Staged code calls java_fdiv, java_idiv, java_irem and the total
+    # Math.* helpers only on their edge arms, which no benchmark input
+    # reaches.
+    work_counts = _work_counts()
+    helpers = {"java_fdiv", "java_idiv", "java_irem", "_total.<locals>.call"}
+    for name in ("cpu_map", "gpu_map"):
+        workload = work_counts.build(name)
+        try:
+            counts = work_counts.count_events(workload, workload.kinds, 1)
+        finally:
+            workload.close()
+        for kind, tally in counts.items():
+            assert not helpers & set(tally["names"]["call"]), (name, kind)
+
+
+def test_a_thread_the_workload_started_is_counted():
+    # The hook installed with threading.setprofile before set-up reaches
+    # a worker thread, and counts only while an op runs.
+    import queue
+    import threading
+
+    work_counts = _work_counts()
+
+    def marker():
+        return None
+
+    class Threaded:
+        def setup(self):
+            self.jobs, self.done = queue.Queue(), queue.Queue()
+            self.worker = threading.Thread(target=self.serve, daemon=True)
+            self.worker.start()
+
+        def serve(self):
+            while self.jobs.get():
+                marker()
+                self.done.put(True)
+
+        def execute(self, kind):
+            self.jobs.put(True)
+            self.done.get()
+
+    profile = work_counts.Profile()
+    threading.setprofile(profile)
+    try:
+        workload = Threaded()
+        workload.setup()
+        counts = work_counts.count_events(workload, ["k"], 3, profile)
+    finally:
+        threading.setprofile(None)
+        workload.jobs.put(False)
+        workload.worker.join(timeout=10)
+    assert counts["k"]["names"]["call"]["test_a_thread_the_workload_"
+                                         "started_is_counted.<locals>."
+                                         "marker"] == 3
