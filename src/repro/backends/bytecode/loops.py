@@ -15,7 +15,13 @@ pc) whose
   outside the loop, from a literal >= 0, and once inside it, by
   ``LOAD l; CONST 1; BINOP (+, int); STORE l``;
 * code is entered only through ``H`` (the compiler's loops are
-  contiguous runs of pcs; a loop entered elsewhere is left alone).
+  contiguous runs of pcs; a loop entered elsewhere is left alone);
+* jumps land neither inside the header test nor on a store of ``l``
+  nor between the increment's ``LOAD l`` and its ``STORE l``: the
+  compiler's ternary ``c ? x : y`` ends in a jump to the pc after it,
+  so ``l = c ? -1 : 0`` is a STORE after ``CONST 0`` that may store -1;
+* increment is in no inner loop (it is not reached from itself before
+  the header test again), so every increment follows a passed test.
 
 At a pc in the loop that the header test reaches without passing the
 increment (*clean*), ``0 <= l < bound``: the counter starts at or
@@ -38,6 +44,7 @@ from typing import NamedTuple
 from repro.backends.bytecode import isa
 
 _INT_MAX = (1 << 31) - 1
+_JUMPS = (isa.JMP, isa.JZ, isa.JNZ)
 
 
 class Facts(NamedTuple):
@@ -52,27 +59,30 @@ class Facts(NamedTuple):
 def counting_loops(code: list, num_params: int) -> Facts:
     """The counting loops of ``code`` and what their guards prove."""
     stores: dict = {}
+    targets = set()
     for pc, (op, operand) in enumerate(code):
         if op == isa.STORE:
             stores.setdefault(operand, []).append(pc)
+        elif op in _JUMPS:
+            targets.add(operand)
     unwrapped, bounds = set(), {}
     for pc, (op, target) in enumerate(code):
         if op != isa.JMP or target > pc:
             continue
-        loop = _counting(code, target, pc, stores, num_params)
+        loop = _counting(code, target, pc, stores, targets, num_params)
         if loop is None:
             continue
         counter, bound, increment, clean = loop
-        if increment - 1 in clean:
-            unwrapped.add(increment - 1)
+        unwrapped.add(increment - 1)
         for at in clean:
             bounds.setdefault(at, {})[counter] = bound
     return Facts(frozenset(unwrapped), bounds)
 
 
-def _counting(code, header, last, stores, num_params):
+def _counting(code, header, last, stores, targets, num_params):
     """``(counter, bound, increment STORE pc, clean pcs)`` of the loop
-    ``header..last``, or None if it is no counting loop."""
+    ``header..last``, or None if it is no counting loop (``targets``:
+    the pcs any jump of ``code`` lands on)."""
     head = code[header:header + 5]
     if len(head) < 4 or head[0][0] != isa.LOAD:
         return None
@@ -96,11 +106,12 @@ def _counting(code, header, last, stores, num_params):
     if branch != isa.JZ or header <= exit <= last:
         return None
     body = header + test + 2              # the first pc the test admits
-    if counter < num_params or any(
-        op in (isa.JMP, isa.JZ, isa.JNZ) and header < target <= last
-        and not header <= pc <= last
+    entered = any(
+        op in _JUMPS and header < target <= last and not header <= pc <= last
         for pc, (op, target) in enumerate(code)
-    ):
+    )
+    if counter < num_params or entered \
+            or targets.intersection(range(header + 1, body)):
         return None
     outside = [pc for pc in stores.get(counter, ()) if not header <= pc <= last]
     inside = [pc for pc in stores.get(counter, ()) if header <= pc <= last]
@@ -108,14 +119,16 @@ def _counting(code, header, last, stores, num_params):
         return None
     start = code[outside[0] - 1] if outside[0] else (None, None)
     if start[0] != isa.CONST or start[1].__class__ is not int \
-            or start[1] < 0:
+            or start[1] < 0 or outside[0] in targets:
         return None
     increment = inside[0]
     if code[increment - 3:increment] != [
         (isa.LOAD, counter), (isa.CONST, 1), (isa.BINOP, ("+", "int")),
-    ]:
+    ] or targets.intersection(range(increment - 2, increment + 1)):
         return None
     dirty = _reached(code, increment + 1, header, last)
+    if increment in dirty:              # an increment the test does not guard
+        return None
     clean = {pc for pc in range(body, last + 1) if pc not in dirty}
     return counter, bound, increment, clean
 

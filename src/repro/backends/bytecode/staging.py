@@ -550,6 +550,8 @@ class Translation:
                 self.push_integer(raw, widens, typename, 0, left, right)
             elif bop == "/" and typename in ("float", "double"):
                 divisor = right.value
+                if not divisor:         # the text names the dividend twice
+                    left = self.atom(left)
                 right = self.atom(right)
                 text = ops.float_division_parts(left.text, right.text, divisor)
                 self.push_parts((text, typename == "float"), left, right,

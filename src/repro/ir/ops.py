@@ -543,8 +543,9 @@ def constant_division_parts(
 
 
 def float_division_parts(a: str, b: str, divisor=None) -> str:
-    """``java_fdiv(a, b)`` with the divisor atom ``b`` tested inline;
-    a plain ``/`` when ``divisor``, the constant ``b`` stands for, is
+    """``java_fdiv(a, b)`` with the divisor atom ``b`` tested inline
+    (``a`` an atom too: the text names it twice); a plain ``/``, ``a``
+    any operand, when ``divisor``, the constant ``b`` stands for, is
     nonzero."""
     if divisor:
         return f"({a} / {b})"

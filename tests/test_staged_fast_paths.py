@@ -203,6 +203,26 @@ def test_float_division_tests_its_divisor_inline(b):
             )
 
 
+CHAIN = """
+class D {
+    static double chain(double x, double y) {
+        return x / y / y / y / y / y / y / y / y / y / y;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("optimized", [True, False], ids=["opt", "noopt"])
+def test_a_division_chain_names_each_dividend_once(optimized):
+    # The inline divisor test reads the dividend on both arms: a deferred
+    # dividend is named first, so the text grows with the chain, not as
+    # two to its length.
+    program = _compile(CHAIN, optimized)
+    text = _function_text(program, "D.chain")
+    assert text.count("java_fdiv(") == 10, text
+    assert _agree(program, "D.chain", [(1.0, 2.0), (1.0, 0.0), (-0.0, -0.0)])
+
+
 INTEGERS = sorted(set(EDGES["int"] + EDGES["long"] + [7, -7, 3, -3, 2, -2]))
 
 
@@ -391,6 +411,33 @@ class K {
         while (i > -2) { s += xs[i]; i = i - 1; }
         return s;
     }
+    static int pickedStart(int[[]] xs, boolean c) {
+        int s = 0;
+        int i = c ? -1 : 0;
+        while (i < xs.length) { s += xs[i]; i = i + 1; }
+        return s;
+    }
+    static int pickedFor(int[[]] xs, boolean c) {
+        int s = 0;
+        for (int i = c ? -1 : 0; i < xs.length; i += 1) { s += xs[i]; }
+        return s;
+    }
+    static int pickedStep(int[[]] xs, boolean c) {
+        int s = 0;
+        int i = 0;
+        while (i < xs.length) { s += xs[i]; i = c ? -5 : i + 1; }
+        return s;
+    }
+    static int inner(int[[]] xs) {
+        int s = 0;
+        int i = 0;
+        while (i < xs.length) {
+            s += xs[i];
+            int k = 0;
+            while (k < 2) { i = i + 1; k = k + 1; }
+        }
+        return s;
+    }
 }
 """
 
@@ -442,6 +489,15 @@ def test_a_counting_loop_drops_what_its_guard_proves(optimized):
         ("K.fromBelow", (_ints(1, 2, 3),), "array index -1 out of bounds"),
         # Counting down.
         ("K.down", (_ints(1, 2, 3),), "array index -1 out of bounds"),
+        # A start the ternary picks: the STORE after CONST 0 is also
+        # where the -1 arm jumps to.
+        ("K.pickedStart", (_ints(1, 2, 3), True),
+         "array index -1 out of bounds"),
+        ("K.pickedFor", (_ints(1, 2, 3), True),
+         "array index -1 out of bounds"),
+        # A step the ternary picks: the STORE after i + 1 may store -5.
+        ("K.pickedStep", (_ints(1, 2, 3), True),
+         "array index -5 out of bounds"),
     ],
 )
 def test_a_loop_that_is_no_counting_loop_keeps_its_checks(
@@ -452,3 +508,17 @@ def test_a_loop_that_is_no_counting_loop_keeps_its_checks(
     assert re.search(r"if not 0 <= l\d+ < n0:", text), text
     (result,) = _agree(program, entry, [args])
     assert result[0] is DeviceError and result[1].startswith(message)
+
+
+@pytest.mark.parametrize("optimized", [True, False], ids=["opt", "noopt"])
+def test_an_increment_in_an_inner_loop_keeps_its_wrap_and_the_checks(
+    optimized
+):
+    # Unguarded by the outer test, the increment could wrap the counter
+    # below zero: the outer loop is no counting loop. The inner one is.
+    program = _compile(COUNTING, optimized)
+    text = _function_text(program, "K.inner")
+    assert re.search(r"if not 0 <= l\d+ < n0:", text), text
+    assert re.search(r"l(\d+) = \(_t if .*\(l\1 \+ 1\)", text), text
+    assert _agree(program, "K.inner", [(_ints(1, 2, 3),), (_ints(),),
+                                       (_ints(4, 5),)]) == [4, 0, 4]

@@ -99,44 +99,3 @@ def test_no_round_calls_an_operator_helper():
             workload.close()
         for kind, tally in counts.items():
             assert not helpers & set(tally["names"]["call"]), (name, kind)
-
-
-def test_a_thread_the_workload_started_is_counted():
-    # The hook installed with threading.setprofile before set-up reaches
-    # a worker thread, and counts only while an op runs.
-    import queue
-    import threading
-
-    work_counts = _work_counts()
-
-    def marker():
-        return None
-
-    class Threaded:
-        def setup(self):
-            self.jobs, self.done = queue.Queue(), queue.Queue()
-            self.worker = threading.Thread(target=self.serve, daemon=True)
-            self.worker.start()
-
-        def serve(self):
-            while self.jobs.get():
-                marker()
-                self.done.put(True)
-
-        def execute(self, kind):
-            self.jobs.put(True)
-            self.done.get()
-
-    profile = work_counts.Profile()
-    threading.setprofile(profile)
-    try:
-        workload = Threaded()
-        workload.setup()
-        counts = work_counts.count_events(workload, ["k"], 3, profile)
-    finally:
-        threading.setprofile(None)
-        workload.jobs.put(False)
-        workload.worker.join(timeout=10)
-    assert counts["k"]["names"]["call"]["test_a_thread_the_workload_"
-                                         "started_is_counted.<locals>."
-                                         "marker"] == 3

@@ -19,18 +19,20 @@ Python function, ``__qualname__`` of a builtin), and under each
 workload's ``(round)`` row the report lists the most frequent callees
 of a round for both events, e.g. ``len`` or ``java_idiv``.
 
-The hook is also installed with ``threading.setprofile`` before each
-workload's ``setup()``, so a thread the workload starts (a pooled
-worker of ``repro.runtime.workers``) is counted too, while an op of the
-kind being counted runs. Even so ``fpga_stream`` and ``service_jobs``
-are left out, because their counts do not repeat: in two processes
-(seed 1, 3 rounds) ``fpga_stream``'s gray_pipeline read 111 291 and
-111 323 calls (44 612 and 44 655 C calls), parity and crc8 differed by
-8 and 4, and every ``service_jobs`` kind by up to 16 calls of ~5 000
-and 28 C calls of ~3 000 (0.3-1%). All of the difference is in joins
-and condition waits (``TaskHandle.join``, ``Condition.wait``,
-``lock.acquire``), whose number follows the threads' timing, not the
-work. The cyclic garbage collector is paused while counting so that no
+Only the calling thread is counted, so ``fpga_stream`` and
+``service_jobs`` stay out: their ops run on pooled worker threads
+(``repro.runtime.workers``), started before the count and never seen
+by ``sys.setprofile``. Installing the hook with ``threading.setprofile``
+before ``setup()`` would reach those threads, but their counts still do
+not repeat: in two processes (seed 1, 3 rounds) ``fpga_stream``'s
+gray_pipeline read 111 291 and 111 323 calls (44 612 and 44 655 C
+calls), parity and crc8 differed by 8 and 4, and every ``service_jobs``
+kind by up to 16 calls of ~5 000 and 28 C calls of ~3 000 (0.3-1%).
+All of the difference is in joins and condition waits
+(``TaskHandle.join``, ``Condition.wait``, ``lock.acquire``), whose
+number follows the threads' timing, not the work; a count that leaves
+those out is needed before the two workloads can be reported. The
+cyclic garbage collector is paused while counting so that no
 collection's callbacks count. Every count is made
 twice, each time in a fresh process; the report gives the counts per
 op, the ``(round)`` row per round (the sum of a workload's kinds), and
@@ -45,7 +47,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -87,45 +88,30 @@ def _callee(frame, event, arg) -> str:
     return getattr(arg, "__qualname__", None) or repr(arg)
 
 
-class Profile:
-    """The profiling hook: it tallies into ``tally`` and ``names`` while
-    they are set, on whichever thread it is installed."""
-
-    def __init__(self):
-        self.tally = self.names = None
-        self.lock = threading.Lock()
-
-    def __call__(self, frame, event, arg):
-        tally = self.tally
-        if tally is None or event not in tally:
-            return
-        name = _callee(frame, event, arg)
-        with self.lock:
-            tally[event] += 1
-            by_name = self.names[event]
-            by_name[name] = by_name.get(name, 0) + 1
-
-
-def count_events(workload, kinds, rounds: int, profile=None) -> dict:
+def count_events(workload, kinds, rounds: int) -> dict:
     """{kind: {event: count, "names": {event: {callee: count}}}} over
-    ``rounds`` runs of each kind (``profile``: the hook the workload's
-    own threads were given before its set-up, if any)."""
-    profile = profile or Profile()
+    ``rounds`` runs of each kind."""
     counts = {}
     for kind in kinds:
         tally = dict.fromkeys(EVENTS, 0)
         names = {event: {} for event in EVENTS}
+
+        def profile(frame, event, arg):
+            if event in tally:
+                tally[event] += 1
+                by_name = names[event]
+                name = _callee(frame, event, arg)
+                by_name[name] = by_name.get(name, 0) + 1
+
         gc.collect()
         gc.disable()
         try:
             for _ in range(rounds):
-                profile.tally, profile.names = tally, names
                 sys.setprofile(profile)
                 try:
                     workload.execute(kind)
                 finally:
                     sys.setprofile(None)
-                    profile.tally = None
         finally:
             gc.enable()
         counts[kind] = {**tally, "names": names}
@@ -136,18 +122,11 @@ def measure() -> dict:
     """{workload: {kind: {event: count}}} in this process."""
     result = {}
     for name in WORKLOADS:
-        profile = Profile()
-        threading.setprofile(profile)   # threads the workload starts
+        workload = build(name)
         try:
-            workload = build(name)
-            try:
-                result[name] = count_events(
-                    workload, workload.kinds, ROUNDS, profile
-                )
-            finally:
-                workload.close()
+            result[name] = count_events(workload, workload.kinds, ROUNDS)
         finally:
-            threading.setprofile(None)
+            workload.close()
     return result
 
 
