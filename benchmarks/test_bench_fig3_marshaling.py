@@ -29,11 +29,8 @@ SIZES = [1_000, 10_000, 100_000, 1_000_000]
 def _roundtrip(boundary, n):
     floats_in = ValueArray(KIND_FLOAT, [float(i) * 0.5 for i in range(n)])
     ints_out = ValueArray(KIND_INT, list(range(n)))
-    data, out_rec = boundary.to_device(floats_in)
-    value, back_rec = boundary.from_device(
-        __import__("repro.values", fromlist=["serialize"]).serialize(ints_out)
-    )
-    assert value == ints_out
+    _, out_rec = boundary.to_device(floats_in)
+    _, back_rec = boundary.from_device(ints_out)
     return out_rec, back_rec
 
 

@@ -75,7 +75,7 @@ Staged code does only the program's arithmetic (the forms are
   exact already skips ``float()`` and the binary32 cell.
 * **One charge per straight run.** A constant charge moves forward
   past lines that cannot raise, read a count or hand control on
-  (:class:`_Quiet`) and merges with the next: a function's first
+  (:class:`Quiet`) and merges with the next: a function's first
   charge is ``c``'s initial value, a work-item's frame joins its first
   charge.
 * **Counting loops** (:mod:`.loops`). Where a counting loop's header
@@ -140,7 +140,7 @@ from typing import NamedTuple
 
 from repro.backends.bytecode import isa
 from repro.backends.bytecode.loops import counting_loops
-from repro.backends.bytecode.structure import Graph, Node, structured
+from repro.backends.bytecode.structure import Graph, Node, Quiet, structured
 from repro.errors import DeviceError
 from repro.ir import ops
 from repro.values import MutableArray, ValueArray
@@ -226,13 +226,6 @@ _MAX_NESTING = 12
 # An unwrapped integer tree is wrapped before its magnitude bound passes
 # this many bits (a product of products grows fast).
 _MAX_BITS = 256
-
-
-class _Quiet(str):
-    """A line of generated text that cannot raise, reads no cycle count
-    and hands control to no other code: a charge may move past it."""
-
-    __slots__ = ()
 
 
 class _Value:
@@ -334,7 +327,7 @@ class Translation:
     # -- emission helpers ---------------------------------------------------
 
     def emit(self, text, indent=0, quiet=False):
-        self.lines.append((indent, _Quiet(text) if quiet else text))
+        self.lines.append((indent, Quiet(text) if quiet else text))
 
     def add_cycles(self, amount, indent=0):
         self.counts = True
@@ -458,13 +451,13 @@ class Translation:
         ]
         lines = []
         if moves:
-            lines.append((0, _Quiet(
+            lines.append((0, Quiet(
                 ", ".join(name for name, _ in moves)
                 + " = " + ", ".join(text for _, text in moves)
             )))
         if self.pending:
             self.counts = True
-            lines.append((0, _Quiet(f"\0c += {self.pending}")))
+            lines.append((0, Quiet(f"\0c += {self.pending}")))
         return lines, target
 
     # -- one block ----------------------------------------------------------
@@ -868,9 +861,9 @@ def _charge(item):
 
 def _is_quiet(item) -> bool:
     """Whether a charge to the cycle count may move past ``item``: a
-    comment, a constant charge to ``c`` or a :class:`_Quiet` line."""
+    comment, a constant charge to ``c`` or a :class:`Quiet` line."""
     return isinstance(item, str) and (
-        isinstance(item, _Quiet) or item.startswith("#")
+        isinstance(item, Quiet) or item.startswith("#")
         or _charge(item) is not None
     )
 

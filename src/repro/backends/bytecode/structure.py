@@ -284,17 +284,35 @@ def _charge(item):
     return None
 
 
+class Quiet(str):
+    """A line of generated text that cannot raise, reads no cycle count
+    and hands control to no other code: a charge may move past it."""
+
+    __slots__ = ()
+
+
 def _merged(code):
-    """Two charges in a row at one indentation made one."""
+    """Each constant charge moved forward, past the quiet lines and
+    comments after it at its indentation, into the next charge there:
+    ``c`` is read only at a flush and dropped by a raise, and a quiet
+    line does neither."""
     out = []
+    held = None         # the index in ``out`` of such a charge
     for indent, item in code:
         charge = _charge(item)
-        if out and charge is not None and out[-1][0] == indent:
-            before = _charge(out[-1][1])
-            if before is not None:
-                out[-1] = (indent, f"\0c += {before + charge}")
-                continue
+        if charge is not None:
+            if held is not None and out[held][0] == indent:
+                charge += _charge(out.pop(held)[1])
+            out.append((indent, f"\0c += {charge}"))
+            held = len(out) - 1
+            continue
         out.append((indent, item))
+        if held is not None and not (
+            indent == out[held][0]
+            and isinstance(item, str)
+            and (isinstance(item, Quiet) or item.startswith("#"))
+        ):
+            held = None
     return out
 
 
@@ -308,10 +326,10 @@ def structured(graph: Graph, inline: bool) -> list:
     body: falling off it, or, if some return is not last, a ``break``
     out of a one-pass ``while True:`` around the body."""
     try:
-        return _Structure(graph, inline, False).region(None)[0]
+        return _merged(_Structure(graph, inline, False).region(None)[0])
     except _NeedsExit:
         body, _ = _Structure(graph, inline, True).region(None)
-        return [(0, "while True:"), *indented(body)]
+        return _merged([(0, "while True:"), *indented(body)])
 
 
 class _Structure:

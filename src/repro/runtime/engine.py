@@ -67,7 +67,7 @@ from repro.runtime.tasks import (
     replay_filters,
 )
 from repro.runtime.timing import OffloadRecord, TimingLedger
-from repro.values import ValueArray, same_value, serialize, serialize_batch
+from repro.values import ValueArray, same_value
 from repro.values.marshal import fits_type
 
 
@@ -594,9 +594,7 @@ class Runtime(Services):
                 # Coerce to the artifact's declared parameter kind.
                 in_kind, out_kind = _WIRE_KINDS[device](payload)
                 in_array = ValueArray(in_kind, operands[0])
-                transfers = [
-                    boundary.to_device_batch(in_array, kind=in_kind)[1]
-                ]
+                transfers = [boundary.to_device_batch(in_array, in_kind)[1]]
                 operands = [in_array]
             else:
                 transfers = []
@@ -612,12 +610,10 @@ class Runtime(Services):
             )
             if batched:
                 out_array = ValueArray(out_kind, outputs)
-                back = boundary.from_device_batch(
-                    serialize_batch(out_array, kind=out_kind)
-                )[1]
+                back = boundary.from_device_batch(out_array, out_kind)[1]
                 outputs = list(out_array)
             else:
-                back = boundary.from_device(serialize(outputs))[1]
+                back = boundary.from_device(outputs)[1]
             transfers.append(back)
             # In-graph time reaches the ledger as stage busy_s instead.
             record = OffloadRecord(

@@ -5,11 +5,15 @@ entail (1) serializing a Lime value to a byte array, (2) crossing the
 JNI boundary, and (3) converting this byte array into a C-style value.
 The return path is a mirror image." (Section 4.3)
 
-The boundary performs the real serialization through the wire format of
-:mod:`repro.values.marshal` (so every offloaded value genuinely round
-trips through bytes) and models the cost of each step; the physical
-link (PCIe/UART) is charged separately via
-:mod:`repro.devices.interconnect`.
+The simulated devices compute on the host's own operands, so nothing
+reads a crossing's bytes: each crossing's one observable is the length
+of the frame the wire format of :mod:`repro.values.marshal` would
+write (:func:`~repro.values.marshal.frame_size`,
+:func:`~repro.values.marshal.batch_frame_size`), from which the
+boundary models the cost of each step; the physical link (PCIe/UART)
+is charged separately via :mod:`repro.devices.interconnect`. Bytes are
+built only where something reads them: the service journal, checkpoint
+frames and the wire goldens (DESIGN.md §3h).
 """
 
 from __future__ import annotations
@@ -21,13 +25,7 @@ from repro.obs.metrics import NULL_METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.faults import NULL_INJECTOR
 from repro.runtime.timing import TransferRecord
-from repro.values import (
-    batch_count,
-    deserialize,
-    deserialize_batch,
-    serialize,
-    serialize_batch,
-)
+from repro.values import batch_frame_size, frame_size
 
 
 @dataclass(frozen=True)
@@ -93,66 +91,58 @@ class MarshalingBoundary:
         )
         return record
 
-    def to_device(self, value) -> "tuple[bytes, TransferRecord]":
-        """Serialize a Lime value for the device; returns the wire
-        bytes and the timing record. The encoding follows the value's
-        data type (Section 4.3)."""
-        self.injector.check(
-            "marshal.to_device", [self.name, self.link.name]
+    def _measure(self, span, direction, num_bytes, **extra):
+        record = self._record(direction, num_bytes)
+        span.set(
+            **extra,
+            bytes=record.num_bytes,
+            serialize_s=record.serialize_s,
+            link_s=record.link_s,
         )
-        with self.tracer.span(
-            "run.marshal.to_device", link=self.link.name
-        ) as span:
-            data = serialize(value)
-            record = self._record("to-device", len(data))
-            span.set(
-                bytes=record.num_bytes,
-                serialize_s=record.serialize_s,
-                link_s=record.link_s,
-            )
-        self.tracer.counters.add(
-            f"marshal.bytes[{self.link.name}]", record.num_bytes
-        )
-        return data, record
+        return record
 
-    def from_device(self, data: bytes) -> "tuple[object, TransferRecord]":
-        """Deserialize device results back into a heap value."""
+    def _single(self, site, direction, value):
         self.injector.check(
-            "marshal.from_device", [self.name, self.link.name]
+            f"marshal.{site}", [self.name, self.link.name]
         )
         with self.tracer.span(
-            "run.marshal.from_device", link=self.link.name
+            f"run.marshal.{site}", link=self.link.name
         ) as span:
-            value = deserialize(data)
-            record = self._record("from-device", len(data))
-            span.set(
-                bytes=record.num_bytes,
-                serialize_s=record.serialize_s,
-                link_s=record.link_s,
-            )
+            record = self._measure(span, direction, frame_size(value))
         self.tracer.counters.add(
             f"marshal.bytes[{self.link.name}]", record.num_bytes
         )
         return value, record
 
+    def to_device(self, value) -> "tuple[object, TransferRecord]":
+        """Cross a Lime value to the device; returns the value and the
+        timing record of its frame, whose encoding follows the value's
+        data type (Section 4.3)."""
+        return self._single("to_device", "to-device", value)
+
+    def from_device(self, value) -> "tuple[object, TransferRecord]":
+        """Cross a device result back into a heap value."""
+        return self._single("from_device", "from-device", value)
+
     def round_trip(self, value) -> "tuple[object, list]":
-        """Serialize out and back (identity at the device): used by
-        tests and by the Figure 3 benchmark."""
-        data, out_record = self.to_device(value)
-        result, back_record = self.from_device(data)
-        return result, [out_record, back_record]
+        """Cross out and back (identity at the device): used by tests
+        and by the Figure 3 benchmark."""
+        value, out_record = self.to_device(value)
+        value, back_record = self.from_device(value)
+        return value, [out_record, back_record]
 
     # ------------------------------------------------------------------
     # Batched fast path: one crossing per batch, not per value
     # ------------------------------------------------------------------
 
-    def to_device_batch(self, values, kind=None) -> "tuple[bytes, TransferRecord]":
-        """Serialize N homogeneous values into one 0x09 frame and
-        charge a single crossing for the whole batch — the amortized
-        fast path of docs/PERFORMANCE.md. Fault-injection call indices
-        stay element-accurate (``count=N``), so plans written against
-        the per-element path fire at the same logical points."""
-        values = list(values)
+    def to_device_batch(
+        self, values, kind=None
+    ) -> "tuple[object, TransferRecord]":
+        """Cross N homogeneous values as one 0x09 frame and charge a
+        single crossing for the whole batch — the amortized fast path
+        of docs/PERFORMANCE.md. Fault-injection call indices stay
+        element-accurate (``count=N``), so plans written against the
+        per-element path fire at the same logical points."""
         self.injector.check(
             "marshal.to_device", [self.name, self.link.name],
             count=len(values),
@@ -162,44 +152,38 @@ class MarshalingBoundary:
             link=self.link.name,
             batch=len(values),
         ) as span:
-            data = serialize_batch(values, kind=kind)
-            record = self._record("to-device", len(data))
-            span.set(
-                bytes=record.num_bytes,
-                serialize_s=record.serialize_s,
-                link_s=record.link_s,
-            )
-        self._count_batch(len(values), record.num_bytes)
-        return data, record
-
-    def from_device_batch(self, data: bytes) -> "tuple[list, TransferRecord]":
-        """Deserialize a device-side 0x09 frame back into its values,
-        charging one crossing for the whole batch."""
-        self.injector.check(
-            "marshal.from_device", [self.name, self.link.name],
-            count=batch_count(data),
-        )
-        with self.tracer.span(
-            "run.marshal.batch.from_device", link=self.link.name
-        ) as span:
-            values = deserialize_batch(data)
-            record = self._record("from-device", len(data))
-            span.set(
-                batch=len(values),
-                bytes=record.num_bytes,
-                serialize_s=record.serialize_s,
-                link_s=record.link_s,
+            record = self._measure(
+                span, "to-device", batch_frame_size(values, kind)
             )
         self._count_batch(len(values), record.num_bytes)
         return values, record
 
-    def transfer_batch(self, values, kind=None) -> "tuple[list, list]":
-        """Round-trip a batch out and back under batched charging:
-        one fixed crossing each way regardless of N. Returns the
-        values as reconstituted on the host plus both records."""
-        data, out_record = self.to_device_batch(values, kind=kind)
-        result, back_record = self.from_device_batch(data)
-        return result, [out_record, back_record]
+    def from_device_batch(
+        self, values, kind=None
+    ) -> "tuple[object, TransferRecord]":
+        """Cross a device-side batch back as one 0x09 frame, charging
+        one crossing for the whole batch."""
+        self.injector.check(
+            "marshal.from_device", [self.name, self.link.name],
+            count=len(values),
+        )
+        with self.tracer.span(
+            "run.marshal.batch.from_device", link=self.link.name
+        ) as span:
+            record = self._measure(
+                span, "from-device", batch_frame_size(values, kind),
+                batch=len(values),
+            )
+        self._count_batch(len(values), record.num_bytes)
+        return values, record
+
+    def transfer_batch(self, values, kind=None) -> "tuple[object, list]":
+        """Cross a batch out and back under batched charging: one fixed
+        crossing each way regardless of N. Returns the values plus both
+        records."""
+        values, out_record = self.to_device_batch(values, kind)
+        values, back_record = self.from_device_batch(values, kind)
+        return values, [out_record, back_record]
 
     def _count_batch(self, n_values: int, num_bytes: int) -> None:
         counters = self.tracer.counters

@@ -12,21 +12,26 @@ import math
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ValueSemanticsError
-from repro.values.base import Kind, default_value
+from repro.values.base import INTEGRAL_RANGES, Kind, default_value
 from repro.values.bits import Bit, format_bit_literal
 
 
 def _coerce_element(kind: Kind, element: object) -> object:
     """Normalize a Python object to the canonical runtime form of ``kind``.
 
-    This keeps arrays homogeneous: ints stay ints, floats become floats
-    even when written as int literals, bits accept 0/1, and nested value
-    arrays are passed through after a type check.
+    This keeps arrays homogeneous: ints stay ints in their kind's range,
+    floats become floats even when written as int literals, bits accept
+    0/1, and nested value arrays are passed through after a type check.
     """
     if kind.name in ("int", "long"):
         if isinstance(element, bool) or not isinstance(element, int):
             raise ValueSemanticsError(
                 f"expected {kind} element, got {element!r}"
+            )
+        low, high = INTEGRAL_RANGES[kind.name]
+        if not low <= element <= high:
+            raise ValueSemanticsError(
+                f"{kind} element {element!r} out of range"
             )
         return element
     if kind.name in ("float", "double"):
@@ -55,6 +60,7 @@ def _coerce_element(kind: Kind, element: object) -> object:
         if (
             isinstance(element, EnumValue)
             and element.enum_name == kind.enum_name
+            and element.enum_size == kind.enum_size
         ):
             return element
         raise ValueSemanticsError(
@@ -86,12 +92,17 @@ _CANONICAL = {
 
 def _coerce_all(kind: Kind, items: Iterable[object]) -> tuple:
     """``_coerce_element`` over ``items``, in one pass over the element
-    classes when they are all canonical for ``kind``; otherwise element
-    by element, so an error names the first offending element."""
+    classes (and, for ``int``/``long``, one ``min`` and ``max``) when
+    they are all canonical for ``kind``; otherwise element by element,
+    so an error names the first offending element."""
     items = tuple(items)
     canonical = _CANONICAL.get(kind.name)
     if canonical is not None and canonical.issuperset(map(type, items)):
-        return items
+        bounds = INTEGRAL_RANGES.get(kind.name)
+        if bounds is None or not items or (
+            bounds[0] <= min(items) and max(items) <= bounds[1]
+        ):
+            return items
     return tuple(_coerce_element(kind, x) for x in items)
 
 

@@ -3,7 +3,8 @@
 Lime's type system distinguishes *value* types — recursively immutable —
 from ordinary (mutable) types. At run time the reproduction represents:
 
-* ``int``, ``long`` as Python :class:`int` (range-checked on marshaling),
+* ``int``, ``long`` as Python :class:`int` (range-checked when an array
+  is built and at an entry),
 * ``float``, ``double`` as Python :class:`float`,
 * ``boolean`` as Python :class:`bool`,
 * ``bit`` as :class:`repro.values.bits.Bit`,
@@ -44,6 +45,8 @@ SCALAR_BITS = {
 
 INT_MIN, INT_MAX = -(2**31), 2**31 - 1
 LONG_MIN, LONG_MAX = -(2**63), 2**63 - 1
+#: The values an ``int`` or ``long`` holds.
+INTEGRAL_RANGES = {INT: (INT_MIN, INT_MAX), LONG: (LONG_MIN, LONG_MAX)}
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,11 @@ length and its packed elements, which is why 0x08 reads as above. The
 batch frame (0x09) is the **batched fast path**: a tag byte, one kind
 header, a u32 count and the dense payload of all N values, amortizing
 the per-value header and every fixed per-crossing cost. Both frame
-kinds check each value with :func:`_check_element`.
+kinds check each value with :func:`_check_element`. A device crossing
+reads only a frame's length, so :func:`frame_size` and
+:func:`batch_frame_size` count it from the kind and the shape without
+building it; bytes are built where something reads them (the journal,
+checkpoint frames, the wire goldens).
 
 Decoding trusts no count: every element count, array length and enum
 name length is checked against the bytes left (:func:`_need`) before a
@@ -62,16 +66,13 @@ import struct
 
 from repro.errors import MarshalingError
 from repro.values.base import (
-    INT_MAX,
-    INT_MIN,
+    INTEGRAL_RANGES,
     KIND_BIT,
     KIND_BOOLEAN,
     KIND_DOUBLE,
     KIND_FLOAT,
     KIND_INT,
     KIND_LONG,
-    LONG_MAX,
-    LONG_MIN,
     Kind,
     array_kind,
     enum_kind,
@@ -114,7 +115,7 @@ _STRUCT_FMT = {
 
 
 def _check_int_range(value: int, kind: Kind) -> int:
-    lo, hi = (INT_MIN, INT_MAX) if kind.name == "int" else (LONG_MIN, LONG_MAX)
+    lo, hi = INTEGRAL_RANGES[kind.name]
     if not lo <= value <= hi:
         raise MarshalingError(f"{value} out of range for {kind}")
     return value
@@ -204,16 +205,23 @@ def _encode_dense(elem: Kind, items) -> bytes:
         fmt = "<" + _STRUCT_FMT[elem.name][1] * len(items)
         integral = elem.name in ("int", "long")
         if {int if integral else float}.issuperset(map(type, items)):
-            # Exact ints pack iff each is in range, exact floats always:
-            # the checks below, done by struct in C.
+            # Exact ints pack iff each is in range, exact floats iff each
+            # fits the format: the checks below, done by struct in C.
             try:
                 return struct.pack(fmt, *items)
-            except struct.error:
+            except (struct.error, OverflowError):
                 pass
         if integral:
             for item in items:
                 _check_int_range(item, elem)
             return struct.pack(fmt, *items)
+        for item in items:
+            try:
+                struct.pack(_STRUCT_FMT[elem.name], float(item))
+            except OverflowError:
+                raise MarshalingError(
+                    f"{item} out of range for {elem}"
+                ) from None
         return struct.pack(fmt, *(float(x) for x in items))
     if elem.name == "boolean":
         return bytes(1 if x else 0 for x in items)
@@ -334,13 +342,6 @@ def _type_name(kind: Kind) -> str:
     return kind.enum_name if kind.is_enum else kind.name
 
 
-#: The values an ``int`` or ``long`` parameter holds.
-_INTEGRAL_RANGE = {
-    "int": (-(1 << 31), (1 << 31) - 1),
-    "long": (-(1 << 63), (1 << 63) - 1),
-}
-
-
 def fits_type(typename: str, value: object) -> bool:
     """Whether ``value`` may be passed for a parameter the checker typed
     ``typename`` (an entry of ``CompiledFunction.signature``), in O(1):
@@ -355,8 +356,8 @@ def fits_type(typename: str, value: object) -> bool:
             _check_element(kind, value)
         except MarshalingError:
             return False
-        if typename in _INTEGRAL_RANGE:
-            low, high = _INTEGRAL_RANGE[typename]
+        if typename in INTEGRAL_RANGES:
+            low, high = INTEGRAL_RANGES[typename]
             return low <= value <= high
         return True
     if typename.endswith("]"):
@@ -384,6 +385,37 @@ def serialize(value: object) -> bytes:
     kind = kind_of(value)
     _check_element(kind, value)
     return _encode_element_kind(kind) + _encode_dense(kind, [value])
+
+
+#: Bytes per element of a fixed-width kind in a dense payload.
+_ITEMSIZE = {name: struct.calcsize(fmt) for name, fmt in _STRUCT_FMT.items()}
+
+
+def _dense_size(elem: Kind, items) -> int:
+    """``len(_encode_dense(elem, items))`` from the kind and the shape:
+    no scalar element is visited."""
+    if elem.name in _ITEMSIZE:
+        return _ITEMSIZE[elem.name] * len(items)
+    if elem.name == "bit":
+        return (len(items) + 7) // 8
+    if elem.is_array:
+        inner = elem.element
+        return sum(4 + _dense_size(inner, sub) for sub in items)
+    return len(items)       # boolean, enum: a byte each
+
+
+def frame_size(value: object) -> int:
+    """``len(serialize(value))`` without building the frame: the kind
+    header's length plus the dense payload's. It refuses what
+    :func:`serialize` refuses about the value's kind, with the same
+    exception; an array's elements are not visited (the array checked
+    them when it was built), so a ``float`` element past binary32 is
+    sized, where :func:`serialize` refuses it."""
+    kind = kind_of(value)
+    _check_element(kind, value)
+    if kind.name in ("int", "long"):
+        _check_int_range(value, kind)
+    return len(_encode_element_kind(kind)) + _dense_size(kind, [value])
 
 
 def deserialize(data: bytes) -> object:
@@ -466,6 +498,25 @@ def serialize_batch(values, kind: "Kind | None" = None) -> bytes:
     ))
 
 
+def batch_frame_size(values, kind: "Kind | None" = None) -> int:
+    """``len(serialize_batch(values, kind=kind))`` without building the
+    frame. A ``ValueArray`` of ``kind`` is sized from its shape alone;
+    any other sequence is checked as :func:`serialize_batch` checks it."""
+    if kind is None:
+        kind = infer_batch_kind(values)
+    if not (isinstance(values, ValueArray) and values.element_kind == kind):
+        values = list(values)
+        for value in values:
+            _check_element(kind, value)
+        if kind.name in ("int", "long") and values:
+            _check_int_range(min(values), kind)
+            _check_int_range(max(values), kind)
+    return (
+        1 + len(_encode_element_kind(kind)) + 4
+        + _dense_size(kind, values)
+    )
+
+
 def _decode_batch_header(data: bytes) -> "tuple[Kind, int, int]":
     """Parse a 0x09 frame header; returns (kind, count, payload offset)."""
     if not data:
@@ -478,13 +529,6 @@ def _decode_batch_header(data: bytes) -> "tuple[Kind, int, int]":
     _need(data, offset, 4, "batch count")
     (count,) = struct.unpack_from("<I", data, offset)
     return kind, count, offset + 4
-
-
-def batch_count(data: bytes) -> int:
-    """Number of values in a batch frame, without decoding the payload
-    (the marshaling boundary uses this to keep fault-injection call
-    indices element-accurate before deserializing)."""
-    return _decode_batch_header(data)[1]
 
 
 def deserialize_batch(data: bytes) -> list:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.apps import SUITE, compile_app, workloads
 from repro.compiler import compile_program
-from repro.errors import ArgumentTypeError, DeviceError
+from repro.errors import ArgumentTypeError, DeviceError, ValueSemanticsError
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.engine import check_entry_args
 from repro.service import CoExecutionService, ServiceConfig, load_journal
@@ -129,13 +129,32 @@ def test_the_edges_of_the_integral_ranges_are_accepted(scheduler):
     assert runtime.run("P.id", [float("nan")]).value != 0.0     # NaN runs
 
 
-def test_an_int_array_element_out_of_range_is_not_refused():
-    # Only scalars are range-checked at the entry: an array's elements
-    # are not visited (see fits_type), so this still runs.
-    runtime = Runtime(compile_program(SMALL))
-    out = MutableArray(KIND_INT, [0])
-    runtime.run("P.fill", [out, ValueArray(KIND_INT, [2**40])])
-    assert list(out) == [2**40]
+def _out_of_range_fill():
+    return [MutableArray(KIND_INT, [0]), ValueArray(KIND_INT, [2**40])]
+
+
+@pytest.mark.parametrize("scheduler", ["sequential", "threaded"])
+def test_an_int_array_element_out_of_range_is_refused(scheduler, tmp_path):
+    # An int array holds only ints: the array refuses 2**40 when it is
+    # built, so no entry, run or job ever sees it, and fits_type may
+    # take an array's elements as checked.
+    runtime = Runtime(
+        compile_program(SMALL), RuntimeConfig(scheduler=scheduler)
+    )
+    with pytest.raises(ValueSemanticsError, match="^int element 1099511627776"):
+        runtime.run("P.fill", _out_of_range_fill())
+    assert runtime.interp.cycles == 0
+    journal = tmp_path / "journal"
+    service = CoExecutionService(ServiceConfig(
+        runtime=RuntimeConfig(scheduler=scheduler),
+        journal_dir=str(journal),
+    ))
+    with pytest.raises(ValueSemanticsError, match="out of range"):
+        service.submit(SMALL, "P.fill", _out_of_range_fill(), tenant="t")
+    service.drain()
+    assert service.to_report()["jobs"] == []
+    snapshot = load_journal(str(journal))
+    assert snapshot.jobs == {} and snapshot.records == 0
 
 
 @pytest.mark.parametrize("scheduler", ["sequential", "threaded"])

@@ -125,6 +125,25 @@ def test_total_semantics(compiled, case, path):
         )
 
 
+@pytest.mark.parametrize("entry", ["F.squares", "F.roots", "F.ints"])
+def test_an_element_past_binary32_runs_on_the_gpu_as_on_bytecode(
+    compiled, entry
+):
+    # A float array keeps what it was built with, and 1e39 has no
+    # binary32. A crossing counts its frame instead of writing it, so
+    # the GPU path runs the map and computes what bytecode computes.
+    xs = _floats(1e39, -1e39, 2.0, 1e-50)
+    got = {}
+    for path in sorted(PATHS):
+        runtime = Runtime(compiled, PATHS[path])
+        got[path] = [
+            struct.pack("<d", v) if isinstance(v, float) else v
+            for v in runtime.run(entry, [xs]).value
+        ]
+        assert len(runtime.gpu.kernel_log) == (1 if path == "gpu" else 0)
+    assert got["gpu"] == got["bytecode"]
+
+
 def test_constant_folded_casts_match_the_runtime_cast(compiled):
     runtime = Runtime(compiled, PATHS["bytecode"])
     assert runtime.run("F.foldedInt", []).value == INT_MAX

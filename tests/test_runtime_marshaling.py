@@ -18,7 +18,13 @@ from repro.runtime.timing import (
     TimingLedger,
     TransferRecord,
 )
-from repro.values import KIND_FLOAT, KIND_INT, ValueArray
+from repro.values import (
+    KIND_FLOAT,
+    KIND_INT,
+    ValueArray,
+    serialize,
+    serialize_batch,
+)
 
 
 class TestLinks:
@@ -184,12 +190,14 @@ class TestBatchedBoundary:
         # strictly smaller than the sum of scalar frames for n > 1.
         n = 100
         scalar_bytes = sum(
-            len(MarshalingBoundary().to_device(v)[0]) for v in range(n)
+            MarshalingBoundary().to_device(v)[1].num_bytes for v in range(n)
         )
-        batch_bytes = len(
-            MarshalingBoundary().to_device_batch(list(range(n)))[0]
-        )
+        batch_bytes = MarshalingBoundary().to_device_batch(
+            list(range(n))
+        )[1].num_bytes
         assert batch_bytes < scalar_bytes
+        assert scalar_bytes == sum(len(serialize(v)) for v in range(n))
+        assert batch_bytes == len(serialize_batch(list(range(n))))
 
     def test_counters_record_batch_shape(self):
         from repro.obs import Tracer

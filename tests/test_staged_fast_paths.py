@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 
 from repro.backends.bytecode.compiler import compile_module
 from repro.backends.bytecode.interpreter import Interpreter
-from repro.backends.bytecode.staging import _MAX_NESTING
+from repro.apps import SUITE, compile_app
+from repro.backends.bytecode.staging import (
+    _MAX_NESTING,
+    Translation,
+    _charge,
+    _is_quiet,
+    launch_source,
+)
 from repro.errors import DeviceError
 from repro.ir import ops
 from repro.ir.builder import build_ir
@@ -522,3 +529,66 @@ def test_an_increment_in_an_inner_loop_keeps_its_wrap_and_the_checks(
     assert re.search(r"l(\d+) = \(_t if .*\(l\1 \+ 1\)", text), text
     assert _agree(program, "K.inner", [(_ints(1, 2, 3),), (_ints(),),
                                        (_ints(4, 5),)]) == [4, 0, 4]
+
+
+# ---------------------------------------------------------------------------
+# (c) One charge per straight run
+# ---------------------------------------------------------------------------
+
+
+def _apart(shape):
+    """Pairs of constant charges to ``c`` at one indentation with only
+    quiet lines and comments between them (they could be one)."""
+    pairs, held = [], None
+    for i, (indent, item) in enumerate(shape):
+        if _charge(item) is not None:
+            if held is not None and shape[held][0] == indent:
+                pairs.append((shape[held][1], item))
+            held = i
+        elif held is not None and not (
+            indent == shape[held][0] and _is_quiet(item)
+        ):
+            held = None
+    return pairs
+
+
+#: Two constant charges to one count, one line after the other.
+_ADJACENT = re.compile(r"^( *)(\w*c|cy) \+= \d+\n\1\2 \+= \d+$", re.M)
+
+
+def _program(name):
+    if name.startswith("COUNTING"):
+        return _compile(COUNTING, optimized=name == "COUNTING")
+    return compile_app(name).bytecode_program
+
+
+@pytest.mark.parametrize("name", ["COUNTING", "COUNTING-noopt", *sorted(SUITE)])
+def test_no_two_charges_are_apart_only_by_quiet_lines(name):
+    program = _program(name)
+    for qualified, function in sorted(program.functions.items()):
+        try:
+            translation = Translation(function)
+        except DeviceError:
+            continue            # refused at staging: nothing runs
+        for inline in (False, True):
+            assert _apart(translation.shape(inline)) == [], (qualified, inline)
+        assert not _ADJACENT.search(function.staged_source()), qualified
+        text = launch_source("map", [function], program)
+        assert not _ADJACENT.search(text), qualified
+
+
+def test_merged_charges_keep_the_oracle_cycles():
+    program = _compile(COUNTING)
+    # Once apart: ``c += 4`` then ``c += 1`` leaving K.inner's inner
+    # loop, ``c += 15``, a wrapped ``s0 = ...``, ``c += 3`` in
+    # K.pickedStep's else arm.
+    assert re.search(r"c \+= 5\n +break", _function_text(program, "K.inner"))
+    assert re.search(r"s0 = .*\n +c \+= 18\n",
+                     _function_text(program, "K.pickedStep"))
+    for entry in ("K.inner", "K.pickedStep", "K.pickedStart", "K.arms"):
+        arity = program.functions[entry].num_params
+        _agree(program, entry, [
+            (_ints(1, 2, 3), False)[:arity],
+            (_ints(), True)[:arity],
+            (_ints(4, -5), False)[:arity],
+        ])

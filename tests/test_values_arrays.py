@@ -154,8 +154,8 @@ class _Int(int):
 _COLOR = enum_kind("color", 3)
 # (kind, good elements — canonical and not — two elements it rejects)
 COERCION_CASES = {
-    "int": (KIND_INT, [1, _Int(-2), 2**31], (True, 2.5)),
-    "long": (KIND_LONG, [2**40, -1], ("7", None)),
+    "int": (KIND_INT, [1, _Int(-2), 2**31 - 1, -(2**31)], (True, 2.5)),
+    "long": (KIND_LONG, [2**40, -1, 2**63 - 1], ("7", None)),
     "float": (KIND_FLOAT, [1.5, 2, -0.0], (True, "x")),
     "double": (KIND_DOUBLE, [float("nan"), -3], (None, False)),
     "boolean": (KIND_BOOLEAN, [True, False], (1, 0.0)),
@@ -194,6 +194,34 @@ def test_bulk_coercion_accepts_and_rejects_as_one_by_one(case, at, array_type):
         else:
             assert tuple(got) == want
             assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("kind, bound", [(KIND_INT, 31), (KIND_LONG, 63)])
+@pytest.mark.parametrize("array_type", [ValueArray, MutableArray])
+@pytest.mark.parametrize("wrap", [int, _Int])
+def test_an_integral_element_out_of_range_is_refused(kind, bound, array_type,
+                                                     wrap):
+    # The element classes pass the bulk path; its min/max refuses, and
+    # the error names the first element out of range.
+    low, high = -(2**bound), 2**bound - 1
+    assert list(array_type(kind, [wrap(low), wrap(high)])) == [low, high]
+    for items in ([1, high + 1, low - 1], [low - 1, 1, high + 1]):
+        items = [wrap(x) for x in items]
+        first = next(x for x in items if not low <= x <= high)
+        want = f"{kind} element {first!r} out of range"
+        assert _coerced_one_by_one(kind, items) == want
+        with pytest.raises(ValueSemanticsError) as err:
+            array_type(kind, items)
+        assert str(err.value) == want
+    array = MutableArray(kind, [0])
+    with pytest.raises(ValueSemanticsError, match="out of range"):
+        array[0] = high + 1
+    assert list(array) == [0]
+
+
+def test_an_enum_element_of_another_size_is_refused():
+    with pytest.raises(ValueSemanticsError, match="^expected enum color "):
+        ValueArray(_COLOR, [EnumValue("color", 0, 4)])
 
 
 def test_bulk_coercion_keeps_canonical_elements_and_copies_mutables():

@@ -1,8 +1,11 @@
 """tools/work_counts.py: the calls an op makes repeat exactly, so they
 can tell more work from a noisy machine where paired timings cannot."""
 
+import functools
 import importlib.util
 import os
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,17 +88,39 @@ def test_a_cold_compile_makes_the_same_calls_every_time():
         } == second["crc8"]["names"][event]
 
 
+@functools.lru_cache(maxsize=None)
+def _round_callees(name):
+    """{kind: the Python functions one round of ``name``'s kind enters}."""
+    work_counts = _work_counts()
+    workload = work_counts.build(name)
+    try:
+        counts = work_counts.count_events(workload, workload.kinds, 1)
+    finally:
+        workload.close()
+    return {
+        kind: frozenset(tally["names"]["call"])
+        for kind, tally in counts.items()
+    }
+
+
 def test_no_round_calls_an_operator_helper():
     # Staged code calls java_fdiv, java_idiv, java_irem and the total
     # Math.* helpers only on their edge arms, which no benchmark input
     # reaches.
-    work_counts = _work_counts()
     helpers = {"java_fdiv", "java_idiv", "java_irem", "_total.<locals>.call"}
     for name in ("cpu_map", "gpu_map"):
-        workload = work_counts.build(name)
-        try:
-            counts = work_counts.count_events(workload, workload.kinds, 1)
-        finally:
-            workload.close()
-        for kind, tally in counts.items():
-            assert not helpers & set(tally["names"]["call"]), (name, kind)
+        for kind, callees in _round_callees(name).items():
+            assert not helpers & callees, (name, kind)
+
+
+@pytest.mark.parametrize("name", ["cpu_map", "gpu_map"])
+def test_no_round_builds_or_decodes_a_wire_frame(name):
+    # A device crossing counts its frame (frame_size, batch_frame_size):
+    # the codec runs only where bytes are read (journal, checkpoints).
+    codec = {"serialize", "deserialize", "serialize_batch",
+             "deserialize_batch", "_encode_dense", "_decode_dense"}
+    rounds = _round_callees(name)
+    for kind, callees in rounds.items():
+        assert not codec & callees, (name, kind, codec & callees)
+    if name == "gpu_map":
+        assert any("frame_size" in callees for callees in rounds.values())
